@@ -24,12 +24,6 @@ from fractions import Fraction
 from . import fock
 from . import formulas as fm
 from . import superden
-from .lattice import (
-    raw_equal,
-    raw_first_diff,
-    raw_mul_slices,
-    raw_restrict,
-)
 from .rootdata import (
     WeylSizeError,
     coroot_lattice_basis,
@@ -40,14 +34,10 @@ from .series import (
     CharSlices,
     character_from_numerator,
     denominator_slices,
+    first_diff,
     qpoly_mul,
     translate,
     weight_from_coeffs,
-)
-
-FORMULAS = (
-    "integrable", "sl-first", "sl-last", "sl2-closed", "sp-a",
-    "sp-b", "sp-c", "sp-parity-a", "sp-parity-b", "deligne",
 )
 
 CHECKS = (
@@ -107,115 +97,117 @@ def _tower_s(args, rs, shape: str):
     return s
 
 
-def _fixed_weight(args, rs, want, what: str):
-    if args.weight is not None:
-        _need(list(args.weight) == list(want),
-              f"{what} is the module at weight {tuple(want)}")
-    return weight_from_coeffs(rs, want)
-
-
 def _weyl(rs, args):
     if args.allow_large_weyl:
         return rs.weyl_group(allow_large=True)
     return None
 
 
-def _divide(rs, lam, raw, qmax):
-    return character_from_numerator(
-        rs, lam, CharSlices.from_raw(rs, lam, raw, qmax))
+# -- formula builders: each returns a numerator or a character ------------
+
+
+def _integrable(args):
+    rs = _algebra(args)
+    lam = _weight(rs, args.weight, args.delta)
+    return fm.integrable_numerator(rs, lam, args.order, jobs=args.jobs,
+                                   weyl=_weyl(rs, args))
+
+
+def _sl_tower(args):
+    f = args.formula
+    _need(args.type.upper() == "A", f"{f} lives on type A")
+    n = args.rank + 1
+    _need(n >= 3, f"{f} needs n >= 3; rank 1 has the closed form")
+    first = f == "sl-first"
+    s = _tower_s(args, _algebra(args), "first" if first else "last")
+    build = fm.sl_first_numerator if first else fm.sl_last_numerator
+    return build(n, s, args.order, jobs=args.jobs)
+
+
+def _sl2_closed(args):
+    _need(args.type.upper() == "A" and args.rank == 1,
+          "sl2-closed lives on type A rank 1")
+    s = _tower_s(args, _algebra(args), "first")
+    return fm.sl2_closed_numerator(s, args.order)
+
+
+def _sp_a(args):
+    _need(args.type.upper() == "C", "sp-a lives on type C")
+    rs = _algebra(args)
+    s = _tower_s(args, rs, "first")
+    _need(s >= 1, "sp-a needs s >= 1; s = 0 is covered by sp-b")
+    return fm.sp_a_numerator(2 * rs.rank, s, args.order, jobs=args.jobs)
+
+
+def _sp_top_weight(args, rs) -> None:
+    """The type C formulas have fixed tops; --weight may only repeat them."""
+    f = args.formula
+    if f in ("sp-b", "sp-parity-a"):
+        want = [-1] + [0] * rs.rank
+    else:
+        _need(rs.rank >= 2, f"{f} needs rank >= 2")
+        want = [-2, 0, 1] + [0] * (rs.rank - 2)
+    if args.weight is not None:
+        _need(list(args.weight) == want,
+              f"{f} is the module at weight {tuple(want)}")
+
+
+def _sp_split(args):
+    f = args.formula
+    _need(args.type.upper() == "C", f"{f} lives on type C")
+    rs = _algebra(args)
+    _sp_top_weight(args, rs)
+    if f == "sp-b":
+        return fm.sp_b_character(2 * rs.rank, args.order, jobs=args.jobs)
+    return fm.sp_c_character(2 * rs.rank, args.order + 1, jobs=args.jobs)
+
+
+def _sp_parity(args):
+    f = args.formula
+    _need(args.type.upper() == "C", f"{f} lives on type C")
+    rs = _algebra(args)
+    _sp_top_weight(args, rs)
+    return fm.sp_parity_numerator(2 * rs.rank, f[-1], args.order,
+                                  jobs=args.jobs)
+
+
+def _deligne(args):
+    rs = _algebra(args)
+    lam = _weight(rs, args.weight, args.delta)
+    cond = fm.check_deligne_conditions(rs, lam)
+    _need(cond["ok"], "weight fails the screening: "
+          + "; ".join(cond["failures"]))
+    return fm.deligne_numerator(rs, lam, args.order, jobs=args.jobs,
+                                weyl=_weyl(rs, args))
+
+
+# formula id -> (builder, whether the builder returns the character)
+FORMULAS = {
+    "integrable": (_integrable, False),
+    "sl-first": (_sl_tower, False),
+    "sl-last": (_sl_tower, False),
+    "sl2-closed": (_sl2_closed, False),
+    "sp-a": (_sp_a, False),
+    "sp-b": (_sp_split, True),
+    "sp-c": (_sp_split, True),
+    "sp-parity-a": (_sp_parity, False),
+    "sp-parity-b": (_sp_parity, False),
+    "deligne": (_deligne, False),
+}
 
 
 def _compute_series(args) -> CharSlices:
-    f = args.formula
-    order = args.order
-    _need(order >= 0, "needs order >= 0")
-    jobs = args.jobs
-
-    if f == "integrable":
-        rs = _algebra(args)
-        lam = _weight(rs, args.weight, args.delta)
-        raw = fm.integrable_numerator(rs, lam, order, jobs=jobs,
-                                      weyl=_weyl(rs, args))
+    """The numerator, or with --character the character, of one formula."""
+    _need(args.order >= 0, "needs order >= 0")
+    build, is_character = FORMULAS[args.formula]
+    ser = build(args)
+    if is_character:
         if args.character:
-            return _divide(rs, lam, raw, order)
-        return CharSlices.from_raw(rs, lam, raw, order)
-
-    if f in ("sl-first", "sl-last"):
-        _need(args.type.upper() == "A", f"{f} lives on type A")
-        n = args.rank + 1
-        _need(n >= 3, f"{f} needs n >= 3; rank 1 has the closed form")
-        s = _tower_s(args, _algebra(args), "first" if f == "sl-first" else "last")
-        build = fm.sl_first_numerator if f == "sl-first" else fm.sl_last_numerator
-        rs, lam, raw = build(n, s, order, jobs=jobs)
-        if args.character:
-            return _divide(rs, lam, raw, order)
-        return CharSlices.from_raw(rs, lam, raw, order)
-
-    if f == "sl2-closed":
-        _need(args.type.upper() == "A" and args.rank == 1,
-              "sl2-closed lives on type A rank 1")
-        s = _tower_s(args, _algebra(args), "first")
-        rs, lam, raw = fm.sl2_closed_numerator(s)
-        if args.character:
-            return _divide(rs, lam, raw, order)
-        return CharSlices.from_raw(rs, lam, raw, order)
-
-    if f == "sp-a":
-        _need(args.type.upper() == "C", "sp-a lives on type C")
-        rs = _algebra(args)
-        s = _tower_s(args, rs, "first")
-        _need(s >= 1, "sp-a needs s >= 1; s = 0 is covered by sp-b")
-        rs, lam, raw = fm.sp_a_numerator(2 * rs.rank, s, order, jobs=jobs)
-        if args.character:
-            return _divide(rs, lam, raw, order)
-        return CharSlices.from_raw(rs, lam, raw, order)
-
-    if f in ("sp-b", "sp-c"):
-        _need(args.type.upper() == "C", f"{f} lives on type C")
-        rs = _algebra(args)
-        n = 2 * rs.rank
-        if f == "sp-b":
-            lam = _fixed_weight(args, rs, [-1] + [0] * rs.rank, "sp-b")
-            ch = fm.sp_b_character(n, order, jobs=jobs)
-        else:
-            _need(rs.rank >= 2, "sp-c needs rank >= 2")
-            lam = _fixed_weight(args, rs, [-2, 0, 1] + [0] * (rs.rank - 2),
-                                "sp-c")
-            ch = fm.sp_c_character(n, order + 1, jobs=jobs)
-        if args.character:
-            return ch
-        raw = raw_mul_slices(fm.slices_to_raw(ch),
-                             denominator_slices(rs, ch.qmax), ch.qmax)
-        return CharSlices.from_raw(rs, lam, raw, ch.qmax)
-
-    if f in ("sp-parity-a", "sp-parity-b"):
-        _need(args.type.upper() == "C", f"{f} lives on type C")
-        rs = _algebra(args)
-        variant = f[-1]
-        if variant == "a":
-            _fixed_weight(args, rs, [-1] + [0] * rs.rank, f)
-        else:
-            _need(rs.rank >= 2, f"{f} needs rank >= 2")
-            _fixed_weight(args, rs, [-2, 0, 1] + [0] * (rs.rank - 2), f)
-        rs, lam, raw = fm.sp_parity_numerator(2 * rs.rank, variant, order,
-                                              jobs=jobs)
-        if args.character:
-            return _divide(rs, lam, raw, order)
-        return CharSlices.from_raw(rs, lam, raw, order)
-
-    if f == "deligne":
-        rs = _algebra(args)
-        lam = _weight(rs, args.weight, args.delta)
-        cond = fm.check_deligne_conditions(rs, lam)
-        _need(cond["ok"], "weight fails the screening: "
-              + "; ".join(cond["failures"]))
-        raw = fm.deligne_numerator(rs, lam, order, jobs=jobs,
-                                   weyl=_weyl(rs, args))
-        if args.character:
-            return _divide(rs, lam, raw, order)
-        return CharSlices.from_raw(rs, lam, raw, order)
-
-    raise UsageError(f"unknown formula {f}")
+            return ser
+        return ser.mul_slices(denominator_slices(ser.rs, ser.qmax))
+    if args.character:
+        return character_from_numerator(ser.rs, ser.base, ser)
+    return ser.require_nonnegative()
 
 
 # -- output renderers -----------------------------------------------------
@@ -288,41 +280,45 @@ def _order_arg(args, default: int) -> int:
     return o
 
 
+def _mismatch(diff, left: str, right: str, what: str = "exps") -> str | None:
+    """The first-mismatch line of every check; None when there is no diff.
+
+    diff is (key, left coeff, right coeff) as first_diff returns it.
+    """
+    if diff is None:
+        return None
+    key, a, b = diff
+    return f"{what} {key}: {left} {a}, {right} {b}"
+
+
+def _result(identity: str, order: int, terms: int, mismatch) -> dict:
+    return {"identity": identity, "order": order, "terms": terms,
+            "ok": mismatch is None, "mismatch": mismatch}
+
+
+def _cone_result(identity: str, order: int, prod, summ) -> dict:
+    """Product side against sum side of a superdenominator, term by term."""
+    d = None
+    if prod.by_height != summ.by_height:
+        d = first_diff(dict(prod.sorted_items()), dict(summ.sorted_items()))
+    return _result(identity, order, prod.n_terms(),
+                   _mismatch(d, "product", "sum"))
+
+
 def _check_superdenominator_sl(args):
     n = _n_arg(args, 3)
     order = _order_arg(args, 12)
-    prod = superden.sl_product(n, order)
-    summ = superden.sl_sum(n, order)
-    ok = prod == summ
-    mism = None
-    if not ok:
-        for e, c in prod.sorted_items():
-            if summ.coeff(e) != c:
-                mism = f"exps {e}: product {c}, sum {summ.coeff(e)}"
-                break
-        else:
-            for e, c in summ.sorted_items():
-                if prod.coeff(e) != c:
-                    mism = f"exps {e}: product {prod.coeff(e)}, sum {c}"
-                    break
-    return {"identity": f"superdenominator-sl n={n}", "order": order,
-            "terms": prod.n_terms(), "ok": ok, "mismatch": mism}
+    return _cone_result(f"superdenominator-sl n={n}", order,
+                        superden.sl_product(n, order),
+                        superden.sl_sum(n, order))
 
 
 def _check_superdenominator_sp(args):
     n = _n_arg(args, 4, even=True)
     order = _order_arg(args, 8)
-    prod = superden.spo_product(n // 2, order)
-    summ = superden.spo_sum(n // 2, order)
-    ok = prod == summ
-    mism = None
-    if not ok:
-        for e, c in prod.sorted_items():
-            if summ.coeff(e) != c:
-                mism = f"exps {e}: product {c}, sum {summ.coeff(e)}"
-                break
-    return {"identity": f"superdenominator-sp n={n}", "order": order,
-            "terms": prod.n_terms(), "ok": ok, "mismatch": mism}
+    return _cone_result(f"superdenominator-sp n={n}", order,
+                        superden.spo_product(n // 2, order),
+                        superden.spo_sum(n // 2, order))
 
 
 def _check_tower_fock(args):
@@ -330,17 +326,11 @@ def _check_tower_fock(args):
     s = args.s if args.s is not None else 0
     _need(s >= 0, "needs s >= 0")
     order = _order_arg(args, 4)
-    rs, lam, raw = fm.sl_first_numerator(n, s, order, jobs=args.jobs)
-    ch = _divide(rs, lam, raw, order)
-    oracle = fock.charge_sector_character(rs, s, order)
-    ok = ch == oracle
-    mism = None
-    if not ok:
-        d = raw_first_diff(fm.slices_to_raw(ch), fm.slices_to_raw(oracle))
-        mism = f"q^{d[0]} offset {d[1]}: lattice {d[2]}, free-field {d[3]}"
-    terms = sum(len(b) for b in ch.slices.values())
-    return {"identity": f"tower-fock n={n} s={s}", "order": order,
-            "terms": terms, "ok": ok, "mismatch": mism}
+    num = fm.sl_first_numerator(n, s, order, jobs=args.jobs)
+    ch = character_from_numerator(num.rs, num.base, num)
+    oracle = fock.charge_sector_character(num.rs, s, order)
+    return _result(f"tower-fock n={n} s={s}", order, len(ch),
+                   _mismatch(ch.first_diff(oracle), "lattice", "free-field"))
 
 
 def _check_flip_symmetry(args):
@@ -348,14 +338,11 @@ def _check_flip_symmetry(args):
     s = args.s if args.s is not None else 1
     _need(s >= 0, "needs s >= 0")
     order = _order_arg(args, 4)
-    _, _, raw_f = fm.sl_first_numerator(n, s, order, jobs=args.jobs)
-    _, _, raw_l = fm.sl_last_numerator(n, s, order, jobs=args.jobs)
-    flipped = fm.diagram_flip_raw(raw_l)
-    ok = raw_equal(raw_f, flipped)
-    d = raw_first_diff(raw_f, flipped)
-    mism = None if ok else f"q^{d[0]} offset {d[1]}: {d[2]} vs {d[3]}"
-    return {"identity": f"flip-symmetry n={n} s={s}", "order": order,
-            "terms": len(raw_f), "ok": ok, "mismatch": mism}
+    first = fm.sl_first_numerator(n, s, order, jobs=args.jobs)
+    last = fm.sl_last_numerator(n, s, order, jobs=args.jobs)
+    d = first.first_diff(fm.diagram_flip(last))
+    return _result(f"flip-symmetry n={n} s={s}", order, len(first),
+                   _mismatch(d, "first", "flipped last"))
 
 
 def _check_sl2_closed(args):
@@ -364,23 +351,17 @@ def _check_sl2_closed(args):
     order = _order_arg(args, s + 3)
     _need(order >= s + 2, f"needs order >= s+2 = {s + 2} to see the "
           "first deviation")
-    _, _, closed = fm.sl2_closed_numerator(s)
-    _, _, lattice = fm.sl2_lattice_numerator(s, order)
-    agree = raw_equal(raw_restrict(closed, s + 1), raw_restrict(lattice, s + 1))
-    d = raw_first_diff(closed, lattice)
-    sharp = d is not None and d[0] == s + 2
-    ok = agree and sharp
-    mism = None
-    if not agree:
-        e = raw_first_diff(raw_restrict(closed, s + 1),
-                           raw_restrict(lattice, s + 1))
-        mism = f"q^{e[0]} offset {e[1]}: closed {e[2]}, lattice {e[3]}"
-    elif not sharp:
-        mism = (f"first deviation at q^{d[0]}, wanted q^{s + 2}"
-                if d else f"no deviation up to order {order}")
-    return {"identity": f"sl2-closed s={s} (agree to q^{s + 1}, "
-            f"deviate at q^{s + 2})", "order": order,
-            "terms": len(lattice), "ok": ok, "mismatch": mism}
+    closed = fm.sl2_closed_numerator(s, order)
+    lattice = fm.sl2_lattice_numerator(s, order)
+    mism = _mismatch(closed.restrict(s + 1).first_diff(lattice.restrict(s + 1)),
+                     "closed", "lattice")
+    d = closed.first_diff(lattice)
+    if mism is None and d is None:
+        mism = f"no deviation up to order {order}"
+    elif mism is None and d[0][0] != s + 2:
+        mism = f"first deviation at q^{d[0][0]}, wanted q^{s + 2}"
+    return _result(f"sl2-closed s={s} (agree to q^{s + 1}, "
+                   f"deviate at q^{s + 2})", order, len(lattice), mism)
 
 
 def _check_tower_assembly(args):
@@ -388,11 +369,9 @@ def _check_tower_assembly(args):
     order = _order_arg(args, 6)
     smax = args.smax if args.smax is not None else 2
     _need(smax >= 0, "needs smax >= 0")
-    ok, diff = fm.sl_tower_assembly_check(n, order, smax, jobs=args.jobs)
-    mism = None if ok else f"exps {diff[0]}: tower {diff[1]}, product {diff[2]}"
-    return {"identity": f"tower-assembly n={n} |s|<={smax}", "order": order,
-            "terms": 0 if not ok else len(superden.sl_product(n, order).sorted_items()),
-            "ok": ok, "mismatch": mism}
+    _, d, terms = fm.sl_tower_assembly_check(n, order, smax, jobs=args.jobs)
+    return _result(f"tower-assembly n={n} |s|<={smax}", order, terms,
+                   _mismatch(d, "tower", "product"))
 
 
 def _check_sector_restriction(args):
@@ -400,63 +379,50 @@ def _check_sector_restriction(args):
     s = args.s if args.s is not None else 1
     _need(s >= 1, "sector restriction needs s >= 1")
     order = _order_arg(args, 3)
-    ok, d = fm.sp_sector_restriction_check(n, s, order)
-    mism = None if ok else f"q^{d[0]} offset {d[1]}: product {d[2]}, sum {d[3]}"
-    return {"identity": f"sector-restriction n={n} s={s}", "order": order,
-            "terms": 0, "ok": ok, "mismatch": mism}
+    _, d = fm.sp_sector_restriction_check(n, s, order)
+    return _result(f"sector-restriction n={n} s={s}", order, 0,
+                   _mismatch(d, "product", "sum"))
 
 
 def _check_flip_decomposition(args):
     n = _n_arg(args, 4, even=True)
     order = _order_arg(args, 3)
-    ok, d = fm.sp_flip_decomposition_check(n, order)
-    mism = None if ok else f"eigenspace equalities: {d}"
-    return {"identity": f"flip-decomposition n={n}", "order": order,
-            "terms": 0, "ok": ok, "mismatch": mism}
+    _, (d_plus, d_minus) = fm.sp_flip_decomposition_check(n, order)
+    mism = (_mismatch(d_plus, "split (+1)", "free-field (+1)")
+            or _mismatch(d_minus, "split (-1)", "free-field (-1)"))
+    return _result(f"flip-decomposition n={n}", order, 0, mism)
 
 
 def _check_twisted_denominator(args):
     n = _n_arg(args, 4, even=True)
     order = _order_arg(args, 5)
-    ok, d = fm.twisted_denominator_check(n // 2, order, jobs=args.jobs)
-    mism = None if ok else f"q^{d[0]} offset {d[1]}: product {d[2]}, sum {d[3]}"
-    return {"identity": f"twisted-denominator n={n}", "order": order,
-            "terms": 0, "ok": ok, "mismatch": mism}
+    _, d = fm.twisted_denominator_check(n // 2, order, jobs=args.jobs)
+    return _result(f"twisted-denominator n={n}", order, 0,
+                   _mismatch(d, "product", "sum"))
 
 
 def _check_parity_vs_split(args):
     n = _n_arg(args, 4, even=True)
     order = _order_arg(args, 4)
     _need(order >= 1, "needs order >= 1 for the shifted member")
-    rs = root_system("C", n // 2)
     chb = fm.sp_b_character(n, order, jobs=args.jobs)
     chc = fm.sp_c_character(n, order, jobs=args.jobs)
-    _, _, raw_a = fm.sp_parity_numerator(n, "a", order, jobs=args.jobs)
-    _, _, raw_b = fm.sp_parity_numerator(n, "b", chc.qmax, jobs=args.jobs)
-    lhs_a = raw_mul_slices(fm.slices_to_raw(chb),
-                           denominator_slices(rs, order), order)
-    lhs_b = raw_mul_slices(fm.slices_to_raw(chc),
-                           denominator_slices(rs, chc.qmax), chc.qmax)
-    ok_a = raw_equal(raw_a, lhs_a)
-    ok_b = raw_equal(raw_b, lhs_b)
-    mism = None
-    if not ok_a:
-        d = raw_first_diff(raw_a, lhs_a)
-        mism = f"vacuum member q^{d[0]} offset {d[1]}: {d[2]} vs {d[3]}"
-    elif not ok_b:
-        d = raw_first_diff(raw_b, lhs_b)
-        mism = f"shifted member q^{d[0]} offset {d[1]}: {d[2]} vs {d[3]}"
-    return {"identity": f"parity-vs-split n={n}", "order": order,
-            "terms": len(raw_a), "ok": ok_a and ok_b, "mismatch": mism}
+    num_a = fm.sp_parity_numerator(n, "a", order, jobs=args.jobs)
+    num_b = fm.sp_parity_numerator(n, "b", chc.qmax, jobs=args.jobs)
+    d_a = num_a.first_diff(chb.mul_slices(denominator_slices(chb.rs, order)))
+    d_b = num_b.first_diff(
+        chc.mul_slices(denominator_slices(chc.rs, chc.qmax)))
+    mism = (_mismatch(d_a, "vacuum parity sum", "split")
+            or _mismatch(d_b, "shifted parity sum", "split"))
+    return _result(f"parity-vs-split n={n}", order, len(num_a), mism)
 
 
 def _check_parity_bracket(args):
     n = _n_arg(args, 4, even=True)
     order = _order_arg(args, 4)
-    ok, d = fm.parity_bracket_identity(n // 2, order, jobs=args.jobs)
-    mism = None if ok else f"q^{d[0]} offset {d[1]}: {d[2]} vs {d[3]}"
-    return {"identity": f"parity-bracket n={n}", "order": order,
-            "terms": 0, "ok": ok, "mismatch": mism}
+    _, d = fm.parity_bracket_identity(n // 2, order, jobs=args.jobs)
+    return _result(f"parity-bracket n={n}", order, 0,
+                   _mismatch(d, "odd bracket", "negated even bracket"))
 
 
 def _parse_omega(text: str, npr: int):
@@ -472,11 +438,10 @@ def _check_window_negation(args):
     n = _n_arg(args, 4, even=True)
     order = _order_arg(args, 4)
     omega = _parse_omega(args.omega or "0,0", n // 2)
-    ok, d = fm.window_negation_check(n // 2, omega, order)
-    mism = None if ok else f"q^{d[0]} offset {d[1]}: {d[2]} vs {d[3]}"
-    return {"identity": f"window-negation n={n} omega={omega}",
-            "order": order, "terms": 2 * len(omega), "ok": ok,
-            "mismatch": mism}
+    _, d = fm.window_negation_check(n // 2, omega, order)
+    return _result(f"window-negation n={n} omega={omega}", order,
+                   2 * len(omega),
+                   _mismatch(d, "window", "negated mirror window"))
 
 
 def _deligne_args(args):
@@ -492,28 +457,18 @@ def _deligne_args(args):
 def _check_deligne_positivity(args):
     rs, lam = _deligne_args(args)
     order = _order_arg(args, 2)
-    raw = fm.deligne_numerator(rs, lam, order, jobs=args.jobs,
+    num = fm.deligne_numerator(rs, lam, order, jobs=args.jobs,
                                weyl=_weyl(rs, args))
-    ch = _divide(rs, lam, raw, order)
-    top = ch.coeff(0, (0,) * rs.rank) == 1
-    neg = None
-    for m in sorted(ch.slices):
-        for off, c in sorted(ch.slices[m].items()):
-            if c < 0:
-                neg = (m, off, c)
-                break
-        if neg:
-            break
-    ok = top and neg is None
-    mism = None
-    if not top:
-        mism = f"coefficient at the top weight is {ch.coeff(0, (0,) * rs.rank)}"
-    elif neg:
-        mism = f"negative multiplicity {neg[2]} at q^{neg[0]} offset {neg[1]}"
-    terms = sum(len(b) for b in ch.slices.values())
+    ch = character_from_numerator(rs, lam, num)
+    zero = (0,) * rs.rank
+    if ch.coeff(0, zero) != 1:
+        d = ((0, *zero), ch.coeff(0, zero), 1)
+    else:
+        d = next((((m, *off), c, ">= 0") for m in sorted(ch.slices)
+                  for off, c in sorted(ch.slices[m].items()) if c < 0), None)
     co = tuple(int(x) for x in (args.weight or [-1] + [0] * rs.rank))
-    return {"identity": f"deligne-positivity {rs.family}{rs.rank} {co}",
-            "order": order, "terms": terms, "ok": ok, "mismatch": mism}
+    return _result(f"deligne-positivity {rs.family}{rs.rank} {co}", order,
+                   len(ch), _mismatch(d, "multiplicity", "wanted"))
 
 
 def _check_qdim_two_path(args):
@@ -522,30 +477,20 @@ def _check_qdim_two_path(args):
     cond = fm.check_deligne_conditions(rs, lam)
     _need(cond["ok"], "weight fails the screening: "
           + "; ".join(cond["failures"]))
-    alpha = cond["alpha"]
-
-    def co_fn(gf, x):
-        return int(rs.inner(alpha.fund, gf) + 1)
-
-    raw = fm.deligne_numerator(rs, lam, order, jobs=args.jobs,
+    num = fm.deligne_numerator(rs, lam, order, jobs=args.jobs,
                                weyl=_weyl(rs, args))
-    ch = _divide(rs, lam, raw, order)
+    ch = character_from_numerator(rs, lam, num)
     direct = fm.q_dimension_sum(rs, lam, coroot_lattice_basis(rs), order,
-                                coeff_fn=co_fn, halve=True)
+                                coeff_fn=fm.screened_coefficient(
+                                    rs, cond["alpha"]),
+                                halve=True)
     dim_g = rs.rank + 2 * len(rs.positive_roots)
     via_char = qpoly_mul(fm.phi_power_qpoly(dim_g, order),
-                         {m: v for m, v in enumerate(ch.q_series())}, order)
+                         dict(enumerate(ch.q_series())), order)
     want = {m: v for m, v in enumerate(direct) if v}
-    ok = via_char == want
-    mism = None
-    if not ok:
-        for m in range(order + 1):
-            if via_char.get(m, 0) != want.get(m, 0):
-                mism = (f"q^{m}: specialization {via_char.get(m, 0)}, "
-                        f"direct sum {want.get(m, 0)}")
-                break
-    return {"identity": f"qdim-two-path {rs.family}{rs.rank}",
-            "order": order, "terms": order + 1, "ok": ok, "mismatch": mism}
+    return _result(f"qdim-two-path {rs.family}{rs.rank}", order, order + 1,
+                   _mismatch(first_diff(via_char, want), "specialization",
+                             "direct sum", what="q-power"))
 
 
 def _random_series(rng, rs, order):
@@ -625,10 +570,8 @@ def _check_properties(args):
         if fails:
             break
 
-    ok = not fails
-    return {"identity": f"properties seed={seed} cases={cases}",
-            "order": 0, "terms": cases, "ok": ok,
-            "mismatch": fails[0] if fails else None}
+    return _result(f"properties seed={seed} cases={cases}", 0, cases,
+                   fails[0] if fails else None)
 
 
 CHECK_FNS = {
@@ -756,7 +699,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "tsv", "pretty"),
                         default="json")
     common.add_argument("--jobs", type=int, default=jobs_default,
-                        help="worker processes for the lattice sums")
+                        help="worker threads for the lattice sums")
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized property checks")
     common.add_argument("--allow-large-weyl", action="store_true",

@@ -1,10 +1,9 @@
 """Character formulas for negative-level highest weight modules.
 
-Numerators are "raw" dicts {(m, offset): coeff} relative to e^{Lambda} times
-the shifted denominator normalization of lattice.py: dividing the raw data by
-the sliced denominator yields weight multiplicities of L(Lambda).  Characters
-are returned as CharSlices relative to the module's own top weight.  All
-coefficients are exact integers.
+Numerators and characters are both CharSlices relative to the module's own
+top weight.  A numerator carries the shifted denominator normalization of
+lattice.py: dividing it by the sliced denominator yields the weight
+multiplicities of L(Lambda).  All coefficients are exact integers.
 
 The half-lattice numerators use a predicate on the pairing of the translation
 gamma with a chosen fundamental weight; the parity-restricted ones further
@@ -16,15 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .lattice import (
-    alt_weyl_raw,
-    alt_weyl_raw_points,
-    lattice_points_below,
-    raw_equal,
-    raw_first_diff,
-    raw_mul_slices,
-    raw_scale,
-)
+from .lattice import alt_weyl_raw, alt_weyl_raw_points, lattice_points_below
 from .rootdata import (
     RootSystem,
     coroot_lattice_basis,
@@ -33,9 +24,11 @@ from .rootdata import (
     root_system,
 )
 from .series import (
+    AffineWeight,
     CharSlices,
     character_from_numerator,
     denominator_slices,
+    first_diff,
     phi_slices,
     qpoly_invert,
     qpoly_mul,
@@ -73,26 +66,11 @@ def _orth_coords(rs: RootSystem, gf) -> tuple[int, ...]:
     return tuple(out)
 
 
-def slices_to_raw(ch: CharSlices) -> dict:
-    return {(m, off): c for m, b in ch.slices.items() for off, c in b.items()}
-
-
-def raw_halve(raw: dict) -> dict:
-    out = {}
-    for k, v in raw.items():
-        if v % 2:
-            raise ArithmeticError(
-                f"odd coefficient {v} at {k}: the halved sum is not integral")
-        if v:
-            out[k] = v // 2
-    return out
-
-
 # -- integrable weights --------------------------------------------------
 
 
 def integrable_numerator(rs: RootSystem, lam, qmax: int, jobs: int = 1,
-                         weyl=None) -> dict:
+                         weyl=None) -> CharSlices:
     """Full-lattice alternating numerator for a dominant integral weight."""
     m0 = lam.level - sum(
         f * cm for f, cm in zip(lam.finite, map(Fraction, rs.comarks)))
@@ -116,9 +94,8 @@ def sl_first_numerator(n: int, s: int, qmax: int, jobs: int = 1):
     rs = root_system("A", n - 1)
     lam = weight_from_coeffs(rs, (-(1 + s), s) + (0,) * (n - 2))
     w1 = _unit(rs, 1)
-    raw = alt_weyl_raw(rs, lam, root_lattice_basis(rs), qmax,
-                       pred=lambda gf, x: rs.inner(gf, w1) >= 0, jobs=jobs)
-    return rs, lam, raw
+    return alt_weyl_raw(rs, lam, root_lattice_basis(rs), qmax,
+                        pred=lambda gf, x: rs.inner(gf, w1) >= 0, jobs=jobs)
 
 
 def sl_last_numerator(n: int, s: int, qmax: int, jobs: int = 1):
@@ -130,35 +107,37 @@ def sl_last_numerator(n: int, s: int, qmax: int, jobs: int = 1):
     rs = root_system("A", n - 1)
     lam = weight_from_coeffs(rs, (-(1 + s),) + (0,) * (n - 2) + (s,))
     wl = _unit(rs, n - 1)
-    raw = alt_weyl_raw(rs, lam, root_lattice_basis(rs), qmax,
-                       pred=lambda gf, x: rs.inner(gf, wl) >= 0, jobs=jobs)
-    return rs, lam, raw
+    return alt_weyl_raw(rs, lam, root_lattice_basis(rs), qmax,
+                        pred=lambda gf, x: rs.inner(gf, wl) >= 0, jobs=jobs)
 
 
-def diagram_flip_raw(raw: dict) -> dict:
-    """Reverse every offset vector (the order-2 diagram symmetry)."""
-    return {(m, off[::-1]): c for (m, off), c in raw.items()}
+def diagram_flip(num: CharSlices) -> CharSlices:
+    """Image under the order-2 diagram symmetry: reverse every offset."""
+    lam = num.base
+    flipped = AffineWeight(lam.finite[::-1], lam.level, lam.delta)
+    return CharSlices(num.rs, flipped, num.qmax, {
+        m: {off[::-1]: c for off, c in b.items()}
+        for m, b in num.slices.items()
+    })
 
 
-def sl2_closed_numerator(s: int):
+def sl2_closed_numerator(s: int, qmax: int) -> CharSlices:
     """Two-term closed numerator for the rank-1 tower member."""
     if s < 0:
         raise ValueError("needs s >= 0")
     rs = root_system("A", 1)
     lam = weight_from_coeffs(rs, (-(1 + s), s))
-    raw = {(0, (0,)): 1, (0, (-(s + 1),)): -1}
-    return rs, lam, raw
+    return CharSlices(rs, lam, qmax, {0: {(0,): 1, (-(s + 1),): -1}})
 
 
-def sl2_lattice_numerator(s: int, qmax: int):
+def sl2_lattice_numerator(s: int, qmax: int) -> CharSlices:
     """Rank-1 half-lattice sum; agrees with the closed form only for
     q-powers up to s+1, with a genuine extra term at s+2."""
     rs = root_system("A", 1)
     lam = weight_from_coeffs(rs, (-(1 + s), s))
     w1 = _unit(rs, 1)
-    raw = alt_weyl_raw(rs, lam, root_lattice_basis(rs), qmax,
-                       pred=lambda gf, x: rs.inner(gf, w1) >= 0)
-    return rs, lam, raw
+    return alt_weyl_raw(rs, lam, root_lattice_basis(rs), qmax,
+                        pred=lambda gf, x: rs.inner(gf, w1) >= 0)
 
 
 # -- the C-family level -1 modules ---------------------------------------
@@ -174,9 +153,8 @@ def sp_a_numerator(n: int, s: int, qmax: int, jobs: int = 1):
     rs = root_system("C", npr)
     lam = weight_from_coeffs(rs, (-(1 + s), s) + (0,) * (npr - 1))
     w1 = _unit(rs, 1)
-    raw = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
-                       pred=lambda gf, x: rs.inner(gf, w1) >= 0, jobs=jobs)
-    return rs, lam, raw
+    return alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
+                        pred=lambda gf, x: rs.inner(gf, w1) >= 0, jobs=jobs)
 
 
 def _long_root_odd_slices(rs: RootSystem, qmax: int):
@@ -225,10 +203,9 @@ def _sp_halves(n: int, qmax: int, jobs: int = 1):
     rs = root_system("C", npr)
     lam = weight_from_coeffs(rs, (-1,) + (0,) * npr)
     w1 = _unit(rs, 1)
-    raw = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
+    num = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
                        pred=lambda gf, x: rs.inner(gf, w1) >= 0, jobs=jobs)
-    ca = character_from_numerator(
-        rs, lam, CharSlices.from_raw(rs, lam, raw, qmax))
+    ca = character_from_numerator(rs, lam, num)
     m = sp_twist_product_character(rs, qmax)
     return ca, m
 
@@ -259,7 +236,8 @@ def sp_c_character(n: int, qmax: int, jobs: int = 1) -> CharSlices:
 # -- parity-restricted half sums -----------------------------------------
 
 
-def sp_parity_numerator(n: int, variant: str, qmax: int, jobs: int = 1):
+def sp_parity_numerator(n: int, variant: str, qmax: int,
+                        jobs: int = 1) -> CharSlices:
     """Numerators with an even-pairing constraint along the last node."""
     if n < 4 or n % 2:
         raise ValueError("needs even n >= 4")
@@ -279,12 +257,12 @@ def sp_parity_numerator(n: int, variant: str, qmax: int, jobs: int = 1):
             return j[1] >= 0 and sum(j) % 2 == 0
     else:
         raise ValueError("variant must be 'a' or 'b'")
-    raw = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
-                       pred=pred, jobs=jobs)
-    return rs, lam, raw
+    return alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
+                        pred=pred, jobs=jobs)
 
 
-def parity_bracket(npr: int, pred_j, qmax: int, jobs: int = 1) -> dict:
+def parity_bracket(npr: int, pred_j, qmax: int,
+                   jobs: int = 1) -> CharSlices:
     """Alternating sum over translations with a condition on j-coordinates,
     taken at the level -1 vacuum weight."""
     rs = root_system("C", npr)
@@ -300,8 +278,8 @@ def parity_bracket_identity(npr: int, qmax: int, jobs: int = 1):
                           qmax, jobs)
     right = parity_bracket(npr, lambda j: j[0] < 0 and sum(j) % 2 == 0,
                            qmax, jobs)
-    neg = raw_scale(right, -1)
-    return raw_equal(left, neg), raw_first_diff(left, neg)
+    d = left.first_diff(-right)
+    return d is None, d
 
 
 def window_negation_check(npr: int, omega, qmax: int):
@@ -321,18 +299,18 @@ def window_negation_check(npr: int, omega, qmax: int):
     omega2 = [(-j[0] - 1,) + j[1:] for j in omega]
     a = alt_weyl_raw_points(rs, lam, gammas_of(omega), qmax)
     b = alt_weyl_raw_points(rs, lam, gammas_of(omega2), qmax)
-    neg = raw_scale(b, -1)
-    return raw_equal(a, neg), raw_first_diff(a, neg)
+    d = a.first_diff(-b)
+    return d is None, d
 
 
 def twisted_denominator_check(npr: int, qmax: int, jobs: int = 1):
     """Product side vs the even-parity lattice sum at the vacuum weight."""
     rs = root_system("C", npr)
     prod = sp_twist_product_character(rs, qmax)
-    lhs = raw_mul_slices(slices_to_raw(prod), denominator_slices(rs, qmax),
-                         qmax)
+    lhs = prod.mul_slices(denominator_slices(rs, qmax))
     rhs = parity_bracket(npr, lambda j: sum(j) % 2 == 0, qmax, jobs)
-    return raw_equal(lhs, rhs), raw_first_diff(lhs, rhs)
+    d = lhs.first_diff(rhs)
+    return d is None, d
 
 
 # -- linear-coefficient numerators ---------------------------------------
@@ -387,13 +365,8 @@ def check_deligne_conditions(rs: RootSystem, lam) -> dict:
     }
 
 
-def deligne_numerator(rs: RootSystem, lam, qmax: int, jobs: int = 1,
-                      weyl=None) -> dict:
-    """Numerator with linear coefficients (gamma|alpha)+1, halved exactly."""
-    cond = check_deligne_conditions(rs, lam)
-    if not cond["ok"]:
-        raise ValueError("; ".join(cond["failures"]))
-    alpha = cond["alpha"]
+def screened_coefficient(rs: RootSystem, alpha):
+    """The linear coefficient gamma -> (gamma|alpha)+1 of the screened root."""
 
     def coeff(gf, x):
         v = rs.inner(alpha.fund, gf) + 1
@@ -401,9 +374,18 @@ def deligne_numerator(rs: RootSystem, lam, qmax: int, jobs: int = 1,
             raise AssertionError("non-integral coefficient")
         return int(v)
 
-    raw = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
-                       coeff_fn=coeff, jobs=jobs, weyl=weyl)
-    return raw_halve(raw)
+    return coeff
+
+
+def deligne_numerator(rs: RootSystem, lam, qmax: int, jobs: int = 1,
+                      weyl=None) -> CharSlices:
+    """Numerator with linear coefficients (gamma|alpha)+1, halved exactly."""
+    cond = check_deligne_conditions(rs, lam)
+    if not cond["ok"]:
+        raise ValueError("; ".join(cond["failures"]))
+    return alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
+                        coeff_fn=screened_coefficient(rs, cond["alpha"]),
+                        jobs=jobs, weyl=weyl).halve()
 
 
 def deligne_enumerate(rs: RootSystem, k: int, mmax: int | None = None):
@@ -471,11 +453,6 @@ def q_dimension_sum(rs: RootSystem, lam, basis, qmax: int,
     return [int(a) for a in acc]
 
 
-def q_dimension_from_character(ch: CharSlices) -> list[int]:
-    """Specialize all finite directions to zero: sum each q-slice."""
-    return ch.q_series()
-
-
 # -- cross-checks tying the construction routes together ------------------
 
 
@@ -484,7 +461,7 @@ def sl_tower_assembly_check(n: int, height: int, smax: int, jobs: int = 1):
 
     Every cone monomial belongs to exactly one charge s = k_0 - k_n; the
     tower members with |s| <= smax must reproduce the product side filtered
-    to that charge band.
+    to that charge band.  Returns (ok, first difference, product terms).
     """
     prod = superden.sl_product(n, height)
     want = {}
@@ -508,26 +485,21 @@ def sl_tower_assembly_check(n: int, height: int, smax: int, jobs: int = 1):
     wl = _unit(rs, n - 1)
     for s in range(-smax, smax + 1):
         if s > 0:
-            _, _, raw = sl_first_numerator(n, s, height, jobs=jobs)
-            for (m, off), c in raw.items():
-                key = (s + m,) + tuple(m - o for o in off) + (m,)
-                add(key, c)
+            num = sl_first_numerator(n, s, height, jobs=jobs)
+            for m, b in num.slices.items():
+                for off, c in b.items():
+                    add((s + m,) + tuple(m - o for o in off) + (m,), c)
         else:
             lam = weight_from_coeffs(
                 rs, (-(1 - s),) + (0,) * (n - 2) + (-s,))
-            raw = alt_weyl_raw(rs, lam, root_lattice_basis(rs), height,
+            num = alt_weyl_raw(rs, lam, root_lattice_basis(rs), height,
                                pred=lambda gf, x: rs.inner(gf, wl) >= 0,
                                jobs=jobs)
-            for (m, off), c in raw.items():
-                key = (m,) + tuple(m - o for o in off) + (m - s,)
-                add(key, c)
-    if got == want:
-        return True, None
-    keys = sorted(set(got) | set(want))
-    for k in keys:
-        if got.get(k, 0) != want.get(k, 0):
-            return False, (k, got.get(k, 0), want.get(k, 0))
-    return False, None
+            for m, b in num.slices.items():
+                for off, c in b.items():
+                    add((m,) + tuple(m - o for o in off) + (m - s,), c)
+    d = first_diff(got, want)
+    return d is None, d, prod.n_terms()
 
 
 def sp_sector_restriction_check(n: int, s: int, qmax: int):
@@ -535,18 +507,18 @@ def sp_sector_restriction_check(n: int, s: int, qmax: int):
     npr = n // 2
     rs = root_system("C", npr)
     chf = fock.charge_sector_character_sp(rs, s, qmax)
-    lhs = raw_mul_slices(slices_to_raw(chf), denominator_slices(rs, qmax),
-                         qmax)
+    lhs = chf.mul_slices(denominator_slices(rs, qmax))
     w1 = _unit(rs, 1)
     rhs = alt_weyl_raw(rs, chf.base, coroot_lattice_basis(rs), qmax,
                        pred=lambda gf, x: rs.inner(gf, w1) >= 0)
-    return raw_equal(lhs, rhs), raw_first_diff(lhs, rhs)
+    d = lhs.first_diff(rhs)
+    return d is None, d
 
 
 def sp_flip_decomposition_check(n: int, qmax: int):
     """The two flip eigenspaces of the charge-zero sector must match the
     two-summand combinations of the split characters and the rank-one
-    oscillator halves."""
+    oscillator halves.  The differences are reported per eigenvalue."""
     npr = n // 2
     rs = root_system("C", npr)
     plus, minus = fock.charge_zero_split(n, 2 * qmax)
@@ -555,6 +527,6 @@ def sp_flip_decomposition_check(n: int, qmax: int):
     vp, vm = fock.oscillator_split(qmax)
     chb = sp_b_character(n, qmax)
     chc = sp_c_character_shifted(n, qmax)
-    eq1 = chb.mul_qpoly(vp) + chc.mul_qpoly(vm) == f0p
-    eq2 = chb.mul_qpoly(vm) + chc.mul_qpoly(vp) == f0m
-    return eq1 and eq2, None if (eq1 and eq2) else (eq1, eq2)
+    d_plus = (chb.mul_qpoly(vp) + chc.mul_qpoly(vm)).first_diff(f0p)
+    d_minus = (chb.mul_qpoly(vm) + chc.mul_qpoly(vp)).first_diff(f0m)
+    return d_plus is None and d_minus is None, (d_plus, d_minus)

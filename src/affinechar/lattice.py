@@ -9,20 +9,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from math import gcd
+from math import floor, gcd, isqrt
 
 from .rootdata import RootSystem, invert_matrix
-from .series import AffineWeight, rho_hat
+from .series import AffineWeight, CharSlices, rho_hat
 
 
 def _floor_plus_sqrt(x: Fraction, r2: Fraction) -> int:
     """floor(x + sqrt(r2)) for rationals, r2 >= 0, computed exactly."""
     if r2 < 0:
         raise ValueError("negative radicand")
-    # integer part estimate, then fix up by exact comparison
-    t = int(x) + int(r2) + 2
-    while Fraction(t) > x and (Fraction(t) - x) ** 2 > r2:
-        t -= 1
+    # floor(x) + isqrt(floor(r2)) is the answer or one below it
+    t = floor(x) + isqrt(floor(r2))
+    while (t + 1 - x) ** 2 <= r2:
+        t += 1
     return t
 
 
@@ -99,12 +99,12 @@ def lattice_points_below(rs: RootSystem, basis, nu_fin, c: Fraction,
     return out
 
 
-RawSum = dict  # {(m, offset root coords): int}
+Slices = dict[int, dict[tuple[int, ...], int]]
 
 
-def _accumulate_orbits(rs: RootSystem, nu_fin, items, raw: RawSum,
+def _accumulate_orbits(rs: RootSystem, nu_fin, items, out: Slices,
                        weyl=None) -> None:
-    """Add sum_w eps(w) coeff e^{w(mu)-nu} q^m to raw for each item.
+    """Add sum_w eps(w) coeff e^{w(mu)-nu} q^m to out[m] for each item.
 
     items: iterable of (mu fundamental coords, m, coeff); offsets are stored
     in root coordinates relative to nu_fin.  Weyl-singular mu contribute 0.
@@ -117,27 +117,59 @@ def _accumulate_orbits(rs: RootSystem, nu_fin, items, raw: RawSum,
         if not regular:
             continue
         base_coeff = sgn * coeff
+        tgt = out.setdefault(m, {})
         for w in W:
             img = w.apply(dom)
             off = rs.fund_to_root(tuple(a - b for a, b in zip(img, nu_fin)))
             if any(o.denominator != 1 for o in off):
                 raise AssertionError("orbit offset left the root lattice")
-            key = (m, tuple(int(o) for o in off))
-            c = raw.get(key, 0) + w.sign * base_coeff
+            key = tuple(int(o) for o in off)
+            c = tgt.get(key, 0) + w.sign * base_coeff
             if c:
-                raw[key] = c
+                tgt[key] = c
             else:
-                del raw[key]
+                del tgt[key]
+
+
+def _orbit_sum(rs: RootSystem, lam: AffineWeight, nu_fin, items, qmax: int,
+               jobs: int = 1, weyl=None) -> CharSlices:
+    """Alternating orbit sums of all items, sliced and based at lam."""
+    out: Slices = {}
+    if jobs > 1:
+        # deterministic chunked merge; results do not depend on jobs
+        chunks = [items[i::jobs] for i in range(jobs)]
+        from concurrent.futures import ThreadPoolExecutor
+
+        def work(chunk):
+            part: Slices = {}
+            _accumulate_orbits(rs, nu_fin, chunk, part, weyl=weyl)
+            return part
+
+        with ThreadPoolExecutor(max_workers=jobs) as ex:
+            partials = list(ex.map(work, chunks))
+        for part in partials:
+            for m, b in part.items():
+                tgt = out.setdefault(m, {})
+                for key, val in b.items():
+                    c = tgt.get(key, 0) + val
+                    if c:
+                        tgt[key] = c
+                    else:
+                        del tgt[key]
+    else:
+        _accumulate_orbits(rs, nu_fin, items, out, weyl=weyl)
+    return CharSlices(rs, lam, qmax, {m: b for m, b in out.items() if b})
 
 
 def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
                  pred=None, coeff_fn=None, jobs: int = 1,
-                 weyl=None) -> RawSum:
-    """RawSum of sum_w eps(w) w sum_gamma coeff(gamma) t_gamma e^{lam+rho-hat}.
+                 weyl=None) -> CharSlices:
+    """sum_w eps(w) w sum_gamma coeff(gamma) t_gamma e^{lam+rho-hat}, sliced.
 
     gamma runs over the lattice spanned by `basis` with drop <= qmax and
     pred(gamma) true.  Terms are exponents relative to lam + (mult of delta);
-    the m-grading is the exact delta-drop, which must be integral.
+    the m-grading is the exact delta-drop, which must be integral.  Terms at
+    negative m are kept, for require_nonnegative() to refuse.
     """
     rhoh = rho_hat(rs)
     nu_fin = tuple(a + b for a, b in zip(lam.finite, rhoh.finite))
@@ -154,34 +186,11 @@ def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
         coeff = 1 if coeff_fn is None else coeff_fn(gamma, x)
         mu = tuple(a + c * g for a, g in zip(nu_fin, gamma))
         items.append((mu, int(drop), coeff))
-    raw: RawSum = {}
-    if jobs > 1:
-        # deterministic chunked merge; results do not depend on jobs
-        chunks = [items[i::jobs] for i in range(jobs)]
-        partials = []
-        from concurrent.futures import ThreadPoolExecutor
-
-        def work(chunk):
-            part: RawSum = {}
-            _accumulate_orbits(rs, nu_fin, chunk, part, weyl=weyl)
-            return part
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            partials = list(ex.map(work, chunks))
-        for part in partials:
-            for key, val in part.items():
-                c2 = raw.get(key, 0) + val
-                if c2:
-                    raw[key] = c2
-                else:
-                    del raw[key]
-    else:
-        _accumulate_orbits(rs, nu_fin, items, raw, weyl=weyl)
-    return raw
+    return _orbit_sum(rs, lam, nu_fin, items, qmax, jobs=jobs, weyl=weyl)
 
 
 def alt_weyl_raw_points(rs: RootSystem, lam: AffineWeight, gammas,
-                        qmax: int, weyl=None) -> RawSum:
+                        qmax: int, weyl=None) -> CharSlices:
     """Same alternating sum over an explicit finite list of gamma vectors."""
     rhoh = rho_hat(rs)
     nu_fin = tuple(a + b for a, b in zip(lam.finite, rhoh.finite))
@@ -196,89 +205,4 @@ def alt_weyl_raw_points(rs: RootSystem, lam: AffineWeight, gammas,
             continue
         mu = tuple(a + c * g for a, g in zip(nu_fin, gamma))
         items.append((mu, int(drop), 1))
-    raw: RawSum = {}
-    _accumulate_orbits(rs, nu_fin, items, raw, weyl=weyl)
-    return raw
-
-
-def raw_equal(a: RawSum, b: RawSum) -> bool:
-    return {k: v for k, v in a.items() if v} == {k: v for k, v in b.items() if v}
-
-
-def raw_first_diff(a: RawSum, b: RawSum):
-    """First (m, offset, a_coeff, b_coeff) where the two sums differ."""
-    keys = set(k for k, v in a.items() if v) | set(k for k, v in b.items() if v)
-    for k in sorted(keys):
-        ca, cb = a.get(k, 0), b.get(k, 0)
-        if ca != cb:
-            return (k[0], k[1], ca, cb)
-    return None
-
-
-def raw_restrict(raw: RawSum, qmax: int) -> RawSum:
-    return {k: v for k, v in raw.items() if k[0] <= qmax and v}
-
-
-def raw_scale(raw: RawSum, c: int) -> RawSum:
-    return {k: c * v for k, v in raw.items() if c * v}
-
-
-def raw_add(a: RawSum, b: RawSum, bsign: int = 1) -> RawSum:
-    out = dict(a)
-    for k, v in b.items():
-        c = out.get(k, 0) + bsign * v
-        if c:
-            out[k] = c
-        else:
-            out.pop(k, None)
-    return out
-
-
-def raw_mul_qslice(raw: RawSum, qpoly: dict[int, int], qmax: int) -> RawSum:
-    """Multiply by a pure q-power series given as {power: coeff}."""
-    out: RawSum = {}
-    for (m, off), v in raw.items():
-        for j, c in qpoly.items():
-            if m + j > qmax:
-                continue
-            key = (m + j, off)
-            nc = out.get(key, 0) + v * c
-            if nc:
-                out[key] = nc
-            else:
-                out.pop(key, None)
-    return out
-
-
-def raw_mul_slices(a: RawSum, b_slices: dict[int, dict[tuple[int, ...], int]],
-                   qmax: int) -> RawSum:
-    """Multiply a RawSum by sliced data {m: {offset: coeff}}."""
-    out: RawSum = {}
-    for (m1, o1), c1 in a.items():
-        for m2, poly in b_slices.items():
-            m = m1 + m2
-            if m > qmax:
-                continue
-            for o2, c2 in poly.items():
-                key = (m, tuple(x + y for x, y in zip(o1, o2)))
-                nc = out.get(key, 0) + c1 * c2
-                if nc:
-                    out[key] = nc
-                else:
-                    out.pop(key, None)
-    return out
-
-
-def raw_to_slices(raw: RawSum, qmax: int,
-                  allow_negative: bool = False) -> dict[int, dict[tuple[int, ...], int]]:
-    slices: dict[int, dict[tuple[int, ...], int]] = {}
-    for (m, off), c in raw.items():
-        if m < 0 and not allow_negative:
-            raise ValueError(f"uncancelled negative q-power {m}")
-        if m > qmax or not c:
-            continue
-        slices.setdefault(m, {})[off] = slices.get(m, {}).get(off, 0) + c
-    return {
-        m: {o: c for o, c in b.items() if c} for m, b in slices.items()
-        if any(b.values())
-    }
+    return _orbit_sum(rs, lam, nu_fin, items, qmax, weyl=weyl)

@@ -154,8 +154,6 @@ class RootSystem:
         def fund_coords(v: Vec) -> tuple[Fraction, ...]:
             return tuple(inner(v, av) for av in self.simple_coroots_euclid)
 
-        self._fund_coords_euclid = fund_coords
-
         pos: list[PosRoot] = []
         for r in roots:
             fc = fund_coords(r)
@@ -250,9 +248,6 @@ class RootSystem:
             sum((inv[i][j] * Fraction(fund[j]) for j in range(l)), Fraction(0))
             for i in range(l)
         )
-
-    def euclid_to_fund(self, v: Vec) -> tuple[Fraction, ...]:
-        return self._fund_coords_euclid(_vec(v))
 
     # -- Weyl group --------------------------------------------------------
 

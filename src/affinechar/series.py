@@ -75,10 +75,6 @@ class AffineWeight:
         )
 
 
-def affine_inner(rs: RootSystem, x: AffineWeight, y: AffineWeight) -> Fraction:
-    return rs.inner(x.finite, y.finite) + x.level * y.delta + y.level * x.delta
-
-
 def rho_hat(rs: RootSystem) -> AffineWeight:
     return AffineWeight.make(rs.rho, rs.dual_coxeter, 0)
 
@@ -146,11 +142,6 @@ class ExpSeries:
             else:
                 bucket.pop(key, None)
 
-    def copy(self) -> "ExpSeries":
-        s = ExpSeries(self.nvars, self.base, self.order, self.q_half)
-        s.by_height = [dict(b) for b in self.by_height]
-        return s
-
     # -- ring operations ---------------------------------------------------
 
     def _check_frame(self, other: "ExpSeries") -> None:
@@ -181,12 +172,6 @@ class ExpSeries:
 
     def __sub__(self, other: "ExpSeries") -> "ExpSeries":
         return self + (-other)
-
-    def scalar_mul(self, c: int) -> "ExpSeries":
-        s = ExpSeries(self.nvars, self.base, self.order, self.q_half)
-        if c:
-            s.by_height = [{k: c * v for k, v in b.items()} for b in self.by_height]
-        return s
 
     def __mul__(self, other: "ExpSeries") -> "ExpSeries":
         self._check_frame(other)
@@ -244,33 +229,6 @@ class ExpSeries:
                 else:
                     tgt.pop(kk, None)
 
-    def invert(self) -> "ExpSeries":
-        """Inverse as a truncated series; constant term must be a unit."""
-        c0 = self.by_height[0].get(0, 0)
-        if len(self.by_height[0]) != 1 or c0 not in (1, -1):
-            raise ValueError("constant term must be +-1 to invert over Z")
-        inv = ExpSeries(self.nvars, self.base.scale(-1), self.order, self.q_half)
-        inv.by_height[0][0] = c0
-        for h in range(1, self.order + 1):
-            tgt = inv.by_height[h]
-            for hf in range(1, h + 1):
-                bf = self.by_height[hf]
-                if not bf:
-                    continue
-                bg = inv.by_height[h - hf]
-                for kf, cf in bf.items():
-                    for kg, cg in bg.items():
-                        k = kf + kg
-                        c = tgt.get(k, 0) - cf * cg
-                        if c:
-                            tgt[k] = c
-                        else:
-                            del tgt[k]
-            if c0 == -1:
-                for k in list(tgt):
-                    tgt[k] = -tgt[k]
-        return inv
-
     # -- queries -----------------------------------------------------------
 
     def coeff(self, exps) -> int:
@@ -307,45 +265,6 @@ class ExpSeries:
             and self.q_half == other.q_half
             and self.by_height == other.by_height
         )
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        terms = [
-            {"exps": list(e), "coeff": str(c)} for e, c in self.sorted_items()
-        ]
-        return {
-            "base": [str(x) for x in self.base.finite],
-            "level": str(self.base.level),
-            "delta": str(self.base.delta),
-            "order": self.order,
-            "q_half": self.q_half,
-            "terms": terms,
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict, nvars: int | None = None) -> "ExpSeries":
-        base = AffineWeight.make(
-            [Fraction(x) for x in d["base"]], Fraction(d["level"]),
-            Fraction(d["delta"])
-        )
-        if nvars is None:
-            if d["terms"]:
-                nvars = len(d["terms"][0]["exps"])
-            else:
-                nvars = len(d["base"]) + 1
-        s = ExpSeries(nvars, base, int(d["order"]), bool(d["q_half"]))
-        for t in d["terms"]:
-            s.add_term(tuple(int(x) for x in t["exps"]), int(t["coeff"]))
-        return s
-
-    def to_tsv_lines(self) -> list[str]:
-        head = "\t".join(f"k{i}" for i in range(self.nvars)) + "\tcoeff"
-        rows = [
-            "\t".join(str(x) for x in e) + f"\t{c}" for e, c in self.sorted_items()
-        ]
-        return [head] + rows
-
 
 # -- affine denominator as a cone series ------------------------------------
 
@@ -408,11 +327,24 @@ class SliceError(ValueError):
     pass
 
 
+def first_diff(a: dict, b: dict):
+    """First (key, a coeff, b coeff), in key order, where two term dicts differ."""
+    if a == b:
+        return None
+    for k in sorted(set(a) | set(b)):
+        ca, cb = a.get(k, 0), b.get(k, 0)
+        if ca != cb:
+            return k, ca, cb
+    return None
+
+
 class CharSlices:
-    """A weight-graded object complete per q-power.
+    """A weight-graded object complete per q-power: a numerator or a character.
 
     slices[m] maps a finite offset (root coordinates relative to base) to
-    its integer multiplicity at e^{base - m delta + offset}.
+    its integer multiplicity at e^{base - m delta + offset}.  Numerators come
+    straight from the lattice sums and may carry terms at negative m until
+    require_nonnegative() refuses them; characters never do.
     """
 
     __slots__ = ("rs", "base", "qmax", "slices")
@@ -424,27 +356,9 @@ class CharSlices:
         self.qmax = qmax
         self.slices = slices if slices is not None else {}
 
-    @staticmethod
-    def from_raw(rs: RootSystem, base: AffineWeight, raw: dict, qmax: int,
-                 allow_negative: bool = False) -> "CharSlices":
-        """Build from {(m, offset): coeff}; negative-m content must cancel."""
-        slices: dict[int, dict[tuple[int, ...], int]] = {}
-        for (m, off), c in raw.items():
-            if c == 0:
-                continue
-            if m < 0 and not allow_negative:
-                raise SliceError(
-                    f"uncancelled term at negative q-power {m}: {off} -> {c}"
-                )
-            if m > qmax:
-                continue
-            slices.setdefault(m, {})
-            nc = slices[m].get(off, 0) + c
-            if nc:
-                slices[m][off] = nc
-            else:
-                del slices[m][off]
-        return CharSlices(rs, base, qmax, {m: b for m, b in slices.items() if b})
+    def __len__(self) -> int:
+        """Number of nonzero terms."""
+        return sum(len(b) for b in self.slices.values())
 
     def coeff(self, m: int, off) -> int:
         return self.slices.get(m, {}).get(tuple(off), 0)
@@ -464,6 +378,32 @@ class CharSlices:
             and {m: b for m, b in self.slices.items() if b}
             == {m: b for m, b in other.slices.items() if b}
         )
+
+    def first_diff(self, other: "CharSlices"):
+        """First ((m, *offset), self coeff, other coeff) where the terms differ.
+
+        Only terms are compared, not base or qmax, so two sums written
+        relative to different weights can still be matched term by term.
+        """
+        for m in sorted(set(self.slices) | set(other.slices)):
+            d = first_diff(self.slices.get(m, {}), other.slices.get(m, {}))
+            if d is not None:
+                return (m, *d[0]), d[1], d[2]
+        return None
+
+    def require_nonnegative(self) -> "CharSlices":
+        """Return self, or raise SliceError on a term at a negative q-power."""
+        for m in sorted(m for m, b in self.slices.items() if m < 0 and b):
+            off, c = min(self.slices[m].items())
+            raise SliceError(
+                f"uncancelled term at negative q-power {m}: {off} -> {c}")
+        return self
+
+    def restrict(self, qmax: int) -> "CharSlices":
+        if qmax > self.qmax:
+            raise ValueError("cannot extend a truncated series")
+        return CharSlices(self.rs, self.base, qmax,
+                          {m: b for m, b in self.slices.items() if m <= qmax})
 
     def _combine(self, other: "CharSlices", sign: int) -> "CharSlices":
         if self.base != other.base:
@@ -490,24 +430,37 @@ class CharSlices:
     def __add__(self, other: "CharSlices") -> "CharSlices":
         return self._combine(other, 1)
 
-    def mul_qpoly(self, qpoly: dict[int, int]) -> "CharSlices":
-        """Multiply by a one-variable q-series {power: coeff}, power >= 0."""
+    def __neg__(self) -> "CharSlices":
+        return CharSlices(self.rs, self.base, self.qmax, {
+            m: {off: -c for off, c in b.items()} for m, b in self.slices.items()
+        })
+
+    def mul_slices(self, other: dict[int, dict[tuple[int, ...], int]]
+                   ) -> "CharSlices":
+        """Multiply by sliced data {m: {offset: coeff}}, up to q^qmax."""
         out: dict[int, dict[tuple[int, ...], int]] = {}
-        for m, b in self.slices.items():
-            for j, c in qpoly.items():
-                if j < 0:
-                    raise ValueError("q-poly must have nonnegative powers")
-                if m + j > self.qmax:
+        for m1, b1 in self.slices.items():
+            for m2, b2 in other.items():
+                if m1 + m2 > self.qmax:
                     continue
-                tgt = out.setdefault(m + j, {})
-                for off, v in b.items():
-                    nc = tgt.get(off, 0) + v * c
-                    if nc:
-                        tgt[off] = nc
-                    else:
-                        del tgt[off]
+                tgt = out.setdefault(m1 + m2, {})
+                for o1, c1 in b1.items():
+                    for o2, c2 in b2.items():
+                        t = tuple(x + y for x, y in zip(o1, o2))
+                        nc = tgt.get(t, 0) + c1 * c2
+                        if nc:
+                            tgt[t] = nc
+                        else:
+                            tgt.pop(t, None)
         return CharSlices(self.rs, self.base, self.qmax,
                           {m: b for m, b in out.items() if b})
+
+    def mul_qpoly(self, qpoly: dict[int, int]) -> "CharSlices":
+        """Multiply by a one-variable q-series {power: coeff}, power >= 0."""
+        if any(j < 0 for j in qpoly):
+            raise ValueError("q-poly must have nonnegative powers")
+        zero = (0,) * self.rs.rank
+        return self.mul_slices({j: {zero: c} for j, c in qpoly.items()})
 
     def halve(self) -> "CharSlices":
         out = {}
@@ -559,26 +512,6 @@ class CharSlices:
                 if moved != b:
                     return False
         return True
-
-    def to_series(self) -> ExpSeries:
-        """Re-express on the affine cone; fails if support leaves the cone."""
-        rs = self.rs
-        marks = tuple(rs.marks)
-        order_needed = 0
-        items = []
-        for m, b in sorted(self.slices.items()):
-            for off, c in sorted(b.items()):
-                exps = (m,) + tuple(m * marks[i] - off[i] for i in range(rs.rank))
-                if any(x < 0 for x in exps):
-                    raise SliceError(
-                        f"slice {m} offset {off} is outside the highest-weight cone"
-                    )
-                order_needed = max(order_needed, sum(exps))
-                items.append((exps, c))
-        s = ExpSeries(rs.rank + 1, self.base, order_needed)
-        for exps, c in items:
-            s.add_term(exps, c)
-        return s
 
     def to_json_dict(self) -> dict:
         rs = self.rs
@@ -756,6 +689,7 @@ def character_from_numerator(rs: RootSystem, base: AffineWeight,
     """
     if qmax is None:
         qmax = numerator.qmax
+    numerator.require_nonnegative()
     dsl = denominator_slices(rs, qmax)
     d0 = dsl[0]
     if d0 != finite_weyl_denominator(rs):

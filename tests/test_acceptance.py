@@ -13,16 +13,9 @@ from fractions import Fraction
 
 from affinechar import cli, fock, superden
 from affinechar import formulas as fm
-from affinechar.lattice import (
-    raw_equal,
-    raw_first_diff,
-    raw_mul_slices,
-    raw_restrict,
-)
 from affinechar.rootdata import coroot_lattice_basis, root_system
 from affinechar.series import (
     AffineWeight,
-    CharSlices,
     character_from_numerator,
     denominator_slices,
     qpoly_mul,
@@ -50,11 +43,6 @@ def _line(num, ok, budget, t0, detail):
     assert dt < budget, f"criterion {num} overran {budget}s: {dt:.1f}s"
 
 
-def _divide(rs, lam, raw, qmax):
-    return character_from_numerator(
-        rs, lam, CharSlices.from_raw(rs, lam, raw, qmax))
-
-
 def test_criterion_01_superdenominator_product_vs_sum():
     # q has cone height n+1 in this frame, so q-order 5 is height 5(n+1)
     t0 = time.monotonic()
@@ -72,9 +60,9 @@ def test_criterion_02_tower_vs_free_field_oracle():
     t0 = time.monotonic()
     bad = []
     for s in (0, 1, 2):
-        rs, lam, raw = fm.sl_first_numerator(3, s, 4)
-        ch = _divide(rs, lam, raw, 4)
-        if ch != fock.charge_sector_character(rs, s, 4):
+        num = fm.sl_first_numerator(3, s, 4)
+        ch = character_from_numerator(num.rs, num.base, num)
+        if ch != fock.charge_sector_character(num.rs, s, 4):
             bad.append(s)
     _line(2, not bad, 60, t0,
           "lattice character equals brute free-field sector, n=3, s=0,1,2, "
@@ -87,11 +75,11 @@ def test_criterion_03_rank_one_closed_form():
     t0 = time.monotonic()
     ok = True
     for s in range(4):
-        _, _, closed = fm.sl2_closed_numerator(s)
-        _, _, latt = fm.sl2_lattice_numerator(s, s + 2)
-        ok = ok and raw_equal(raw_restrict(latt, s + 1), closed)
-        d = raw_first_diff(latt, closed)
-        ok = ok and d is not None and d[0] == s + 2
+        closed = fm.sl2_closed_numerator(s, s + 2)
+        latt = fm.sl2_lattice_numerator(s, s + 2)
+        ok = ok and latt.restrict(s + 1).first_diff(closed) is None
+        d = latt.first_diff(closed)
+        ok = ok and d is not None and d[0][0] == s + 2
     _line(3, ok, 5, t0,
           "rank-one closed numerator reproduced through q^(s+1), s=0..3, "
           "first deviation pinned at q^(s+2)")
@@ -129,15 +117,14 @@ def test_criterion_06_twisted_denominator():
 def test_criterion_07_parity_rewriting():
     t0 = time.monotonic()
     rs = root_system("C", 2)
-    _, _, rawa = fm.sp_parity_numerator(4, "a", 4)
-    lhs = raw_mul_slices(fm.slices_to_raw(fm.sp_b_character(4, 4)),
-                         denominator_slices(rs, 4), 4)
-    oka = raw_equal(rawa, lhs)
+    numa = fm.sp_parity_numerator(4, "a", 4)
+    lhs = fm.sp_b_character(4, 4).mul_slices(denominator_slices(rs, 4))
+    oka = numa.first_diff(lhs) is None
     # the rebased partner lives one q-slice up; compute there, compare below
-    _, _, rawb = fm.sp_parity_numerator(4, "b", 5)
+    numb = fm.sp_parity_numerator(4, "b", 5)
     chc = fm.sp_c_character(4, 5)
-    rhs = raw_mul_slices(fm.slices_to_raw(chc), denominator_slices(rs, 5), 5)
-    okb = raw_equal(raw_restrict(rawb, 4), raw_restrict(rhs, 4))
+    rhs = chc.mul_slices(denominator_slices(rs, 5))
+    okb = numb.restrict(4).first_diff(rhs.restrict(4)) is None
     okbr, _ = fm.parity_bracket_identity(2, 4)
     _line(7, oka and okb and okbr, 60, t0,
           "parity numerators equal denominator times split characters, n=4 "
@@ -151,8 +138,7 @@ def test_criterion_08_screened_weights_positivity_and_qdim():
     bad = []
     for co in EIGHT + [(-2, 0, 0, 0, 0)]:
         lam = weight_from_coeffs(d4, co)
-        raw = fm.deligne_numerator(d4, lam, 3)
-        ch = _divide(d4, lam, raw, 3)
+        ch = character_from_numerator(d4, lam, fm.deligne_numerator(d4, lam, 3))
         if ch.coeff(0, (0,) * 4) != 1:
             bad.append((co, "top coefficient"))
             continue

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from affinechar import cli
+from affinechar import cli, superden
 from affinechar.cli import main
 from affinechar.rootdata import root_system
 from affinechar.series import CharSlices
@@ -160,6 +160,26 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", "sl2-closed", "forced"])
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def test_verify_names_a_term_only_the_sum_side_has(capsys, monkeypatch):
+    extra = (0, 0, 2, 2)
+    real = superden.spo_sum
+
+    def spo_sum_plus_one(npr, height):
+        s = real(npr, height)
+        s.add_term(extra, 1)
+        return s
+
+    monkeypatch.setattr(superden, "spo_sum", spo_sum_plus_one)
+    assert superden.spo_product(2, 4).coeff(extra) == 0
+    code, out, _ = run(capsys, [
+        "verify", "superdenominator-sp", "--n", "4", "--order", "4",
+    ])
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["ok"] is False
+    assert check["mismatch"] == f"exps {extra}: product 0, sum 1"
 
 
 def test_verify_unknown_check(capsys):

@@ -1,0 +1,76 @@
+"""Golden outputs: sha256 of `compute` stdout for every formula.
+
+The hashes pin the exact bytes of the canonical JSON (and one TSV and one
+pretty rendering), so a change to how numerators and characters are built
+or rendered cannot alter the output unnoticed.
+"""
+
+import hashlib
+
+import pytest
+
+from affinechar.cli import main
+
+# (formula, "TYPE RANK extra args", numerator sha256, character sha256)
+CASES = [
+    ("integrable", "C 2 --weight 1 0 1 --order 3",
+     "81c888bff1c41b93f03e4267b5cc59a6f4477235d226cad021c83a4d02d8a186",
+     "8361791ab01903eb983b9b15a6390dba479d37c62c158c02aab2e964c3619f75"),
+    ("sl-first", "A 2 --s 1 --order 3",
+     "e9151bb00dd4acf2105f2bab209d5b77b68db8d7330e75cff19fa29914ccbd34",
+     "c4835fb6e3c16acfeff80c9cbcb4b0d4c4704dfc36d31fa4d3c3fe4aa58a15ee"),
+    ("sl-last", "A 3 --s 2 --order 2",
+     "69c36e89cea00fddfc963e8848d4ec78cc185fffa1dfe0a32fcf53f0890ce8ef",
+     "35e38819ad6fa5641d9718ce45d3f919cdba6b3f1b2599282ed686e52e237eec"),
+    ("sl2-closed", "A 1 --s 2 --order 3",
+     "9fc7263611563ecc3c71e264df4baeb1dc3fc0a2075bf14d1af03b9fca8c3af0",
+     "ee1f95f4604346602a99bb1a805eb3c655e6a0d7027cd12aa3bb06a98cc84866"),
+    ("sp-a", "C 2 --s 1 --order 3",
+     "5d86bcca1459d4ffa5517f4ca5ae92d428a2d4fa9f049c12fd0251513a373739",
+     "51feb1a13815cce5435706798fbfff33e71ad7482ded496cf43de100be342efb"),
+    ("sp-b", "C 2 --order 3",
+     "45c858fc60758dc5ab295ef929b72258b163084545a5d19092691798014b1a4c",
+     "8ca542758594c4ea42829a3666370b619397b659ba6a1b52f0a2f64977283b69"),
+    ("sp-c", "C 2 --order 2",
+     "4ad1339b5257037be81d116006ba410b3cbdf3a362cc3cf325aff694bdb2c30d",
+     "9836012bb693a1dc2ff3c3638ed72cc6df99feebc9a47a6f92ba273a98188af6"),
+    ("sp-parity-a", "C 2 --order 3",
+     "45c858fc60758dc5ab295ef929b72258b163084545a5d19092691798014b1a4c",
+     "8ca542758594c4ea42829a3666370b619397b659ba6a1b52f0a2f64977283b69"),
+    ("sp-parity-b", "C 2 --order 2",
+     "4ad1339b5257037be81d116006ba410b3cbdf3a362cc3cf325aff694bdb2c30d",
+     "9836012bb693a1dc2ff3c3638ed72cc6df99feebc9a47a6f92ba273a98188af6"),
+    ("deligne", "D 4 --weight -1 0 0 0 0 --order 1",
+     "705cec57c11bd9efc8365d0c3a59b22cc2b2f9c491d4521b4d4bb87cc6ed52cf",
+     "351cd9ee2a19f754a549e9f7161126d6f161c11e2ee372b8d046befaa174b5c8"),
+]
+
+
+def _argv(formula, rest, *extra):
+    typ, rank, *more = rest.split()
+    return ["compute", "--formula", formula, "--type", typ, "--rank", rank,
+            *more, *extra]
+
+
+def _sha(capsys, argv):
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("formula,rest,num_sha,char_sha", CASES,
+                         ids=[c[0] for c in CASES])
+def test_compute_json_golden(capsys, formula, rest, num_sha, char_sha):
+    assert _sha(capsys, _argv(formula, rest)) == num_sha
+    assert _sha(capsys, _argv(formula, rest, "--character")) == char_sha
+
+
+def test_compute_tsv_golden(capsys):
+    argv = _argv("sl-first", "A 2 --s 1 --order 3", "--format", "tsv")
+    assert _sha(capsys, argv) == (
+        "f7c0dec5c59deaaf1d831042f841e9b01c570d6aaec76e5f21858a52e386b0b2")
+
+
+def test_compute_pretty_golden(capsys):
+    argv = _argv("sp-c", "C 2 --order 2", "--character", "--format", "pretty")
+    assert _sha(capsys, argv) == (
+        "56fc1df99d2fade11a4dd0523e056d3c8cc67fcfd8fc69d441b8416bb89a3c1b")

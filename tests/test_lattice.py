@@ -6,18 +6,12 @@ from fractions import Fraction
 import pytest
 
 from affinechar.lattice import (
+    _floor_plus_sqrt,
     alt_weyl_raw,
     alt_weyl_raw_points,
     drop_of,
     lattice_points_below,
     quad_points,
-    raw_add,
-    raw_equal,
-    raw_first_diff,
-    raw_mul_qslice,
-    raw_mul_slices,
-    raw_restrict,
-    raw_scale,
 )
 from affinechar.rootdata import coroot_lattice_basis, root_system
 from affinechar.series import (
@@ -167,27 +161,27 @@ def test_orbit_sum_matches_brute(fam, rank):
         mu = tuple(a + b for a, b in zip(lamf, rho))
         lam = AffineWeight.make(lamf, 0, 0)
         got = alt_weyl_raw_points(rs, lam, [(0,) * rank], 0)
-        want = {(0, k): v for k, v in brute_orbit_sum(rs, mu).items()}
-        assert raw_equal(got, want)
+        want = brute_orbit_sum(rs, mu)
+        assert got.first_diff(CharSlices(rs, lam, 0, {0: want})) is None
         # singular weights cancel to nothing in both
         if not want:
-            assert not got
+            assert len(got) == 0
 
 
 def test_singular_weights_vanish():
     rs = root_system("A", 2)
     # lam + rho fixed by a reflection: pick lam with a -1 coordinate
     lam = AffineWeight.make((Fraction(-1), Fraction(2)), 0, 0)
-    assert alt_weyl_raw_points(rs, lam, [(0, 0)], 0) == {}
+    assert len(alt_weyl_raw_points(rs, lam, [(0, 0)], 0)) == 0
 
 
 def test_a2_regular_orbit_has_six_signed_terms():
     rs = root_system("A", 2)
     lam = AffineWeight.make((Fraction(0), Fraction(0)), 0, 0)
-    raw = alt_weyl_raw_points(rs, lam, [(0, 0)], 0)
-    assert len(raw) == 6
-    assert sorted(raw.values()) == [-1, -1, -1, 1, 1, 1]
-    assert raw[(0, (0, 0))] == 1
+    num = alt_weyl_raw_points(rs, lam, [(0, 0)], 0)
+    assert len(num) == 6
+    assert sorted(num.slices[0].values()) == [-1, -1, -1, 1, 1, 1]
+    assert num.coeff(0, (0, 0)) == 1
 
 
 # -- the denominator identity ---------------------------------------------------
@@ -199,13 +193,9 @@ def test_denominator_identity(fam, rank, qmax):
     # the product expansion of e^{-rho-hat} R-hat, slice by slice
     rs = root_system(fam, rank)
     lam = weight_from_coeffs(rs, (0,) * (rank + 1))
-    raw = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax)
-    want = {
-        (m, off): c
-        for m, b in denominator_slices(rs, qmax).items()
-        for off, c in b.items()
-    }
-    assert raw_equal(raw, want)
+    num = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax)
+    want = CharSlices(rs, lam, qmax, denominator_slices(rs, qmax))
+    assert num.first_diff(want) is None
 
 
 def test_jobs_do_not_change_the_sum():
@@ -213,8 +203,8 @@ def test_jobs_do_not_change_the_sum():
     lam = weight_from_coeffs(rs, (-2, 1, 0))
     basis = coroot_lattice_basis(rs)
     one = alt_weyl_raw(rs, lam, basis, 4, jobs=1)
-    assert raw_equal(one, alt_weyl_raw(rs, lam, basis, 4, jobs=3))
-    assert raw_equal(one, alt_weyl_raw(rs, lam, basis, 4, jobs=8))
+    assert one == alt_weyl_raw(rs, lam, basis, 4, jobs=3)
+    assert one == alt_weyl_raw(rs, lam, basis, 4, jobs=8)
 
 
 def test_shifted_level_must_be_positive():
@@ -253,8 +243,7 @@ def test_level_one_vacuum_graded_dims(fam, rank, frozen):
     rs = root_system(fam, rank)
     lam = weight_from_coeffs(rs, (1,) + (0,) * rank)
     qmax = 4
-    raw = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax)
-    num = CharSlices.from_raw(rs, lam, raw, qmax)
+    num = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax)
     assert num.coeff(0, (0,) * rank) == 1
     ch = character_from_numerator(rs, lam, num)
     assert ch.q_series() == _theta_over_phi(rs, qmax)
@@ -264,56 +253,102 @@ def test_level_one_vacuum_graded_dims(fam, rank, frozen):
 
 
 def test_sum_only_sees_the_lattice_not_the_basis():
-    # a unimodular change of basis spans the same lattice, so the raw sum
+    # a unimodular change of basis spans the same lattice, so the sum
     # cannot move
     rs = root_system("A", 2)
     lam = weight_from_coeffs(rs, (1, 0, 0))
     b = coroot_lattice_basis(rs)
     b2 = (tuple(x + y for x, y in zip(b[0], b[1])), b[1])
     full = alt_weyl_raw(rs, lam, b, 4)
-    assert raw_equal(full, alt_weyl_raw(rs, lam, b2, 4))
+    assert full == alt_weyl_raw(rs, lam, b2, 4)
 
 
-# -- raw-sum helpers -------------------------------------------------------------
+# -- sliced-sum algebra ----------------------------------------------------------
 
 
-def rand_raw(rng, rank, qmax):
+A2 = root_system("A", 2)
+ZERO_A2 = weight_from_coeffs(A2, (0, 0, 0))
+
+
+def rand_slices(rng, mmax, qmax):
     out = {}
     for _ in range(8):
-        m = rng.randrange(0, qmax + 1)
-        off = tuple(rng.randrange(-2, 3) for _ in range(rank))
+        m = rng.randrange(0, mmax + 1)
+        off = tuple(rng.randrange(-2, 3) for _ in range(2))
         c = rng.randrange(-4, 5)
         if c:
-            out[(m, off)] = c
-    return out
+            out.setdefault(m, {})[off] = c
+    return CharSlices(A2, ZERO_A2, qmax, out)
 
 
 def test_raw_helper_algebra():
     rng = random.Random(31)
     for _ in range(200):
-        a = rand_raw(rng, 2, 4)
-        b = rand_raw(rng, 2, 4)
-        assert raw_equal(raw_add(a, b), raw_add(b, a))
-        assert raw_equal(raw_add(raw_add(a, b), raw_scale(b, -1)), a)
-        assert raw_equal(raw_scale(a, 3), raw_add(a, raw_add(a, a)))
-        assert raw_restrict(raw_scale(a, 0), 4) == {}
+        a = rand_slices(rng, 4, 4)
+        b = rand_slices(rng, 4, 4)
+        assert a + b == b + a
+        assert (a + b) + (-b) == a
+        assert a - b == a + (-b)
+        assert len((a - a).restrict(2)) == 0
+        assert (a + b).restrict(2) == a.restrict(2) + b.restrict(2)
 
 
 def test_raw_mul_consistency():
     rng = random.Random(37)
     for _ in range(100):
-        a = rand_raw(rng, 2, 3)
+        a = rand_slices(rng, 3, 5)
         qp = {j: rng.randrange(-2, 3) for j in range(3)}
         qp = {j: c for j, c in qp.items() if c}
-        via_qslice = raw_mul_qslice(a, qp, 5)
-        via_slices = raw_mul_slices(a, {j: {(0, 0): c} for j, c in qp.items()}, 5)
-        assert raw_equal(via_qslice, via_slices)
+        want = {}
+        for m, b in a.slices.items():
+            for off, c in b.items():
+                for j, d in qp.items():
+                    if m + j <= 5:
+                        want.setdefault(m + j, {})
+                        want[m + j][off] = want[m + j].get(off, 0) + c * d
+        want = CharSlices(A2, ZERO_A2, 5, want)
+        via_qpoly = a.mul_qpoly(qp)
+        via_slices = a.mul_slices({j: {(0, 0): c} for j, c in qp.items()})
+        assert via_qpoly.first_diff(want) is None
+        assert via_qpoly == via_slices
 
 
-def test_raw_first_diff():
-    a = {(0, (0,)): 1, (2, (1,)): 3}
-    assert raw_first_diff(a, dict(a)) is None
-    b = {(0, (0,)): 1, (2, (1,)): 4}
-    assert raw_first_diff(a, b) == (2, (1,), 3, 4)
-    c = {(0, (0,)): 1, (2, (1,)): 3, (5, (0,)): 0}
-    assert raw_first_diff(a, c) is None
+# -- exact floor(x + sqrt(r2)) ---------------------------------------------------
+
+
+def _floor_plus_sqrt_by_descent(x, r2):
+    # the original implementation: start above the answer, step down by one
+    t = int(x) + int(r2) + 2
+    while Fraction(t) > x and (Fraction(t) - x) ** 2 > r2:
+        t -= 1
+    return t
+
+
+def test_floor_plus_sqrt_matches_descent():
+    rng = random.Random(59)
+    for _ in range(3000):
+        x = Fraction(rng.randrange(-200, 201), rng.randrange(1, 13))
+        r2 = Fraction(rng.randrange(0, 400), rng.randrange(1, 13))
+        assert _floor_plus_sqrt(x, r2) == _floor_plus_sqrt_by_descent(x, r2)
+    for x, r2 in ((0, 0), (3, 0), (-3, 0), (0, 4), (Fraction(1, 2), 9)):
+        x, r2 = Fraction(x), Fraction(r2)
+        assert _floor_plus_sqrt(x, r2) == _floor_plus_sqrt_by_descent(x, r2)
+
+
+def test_floor_plus_sqrt_large_radicand():
+    # t <= x + sqrt(r2) < t + 1, checked with exact rational squares
+    rng = random.Random(61)
+    cases = [(Fraction(0), Fraction(10**12)), (Fraction(-7, 3), Fraction(10**12)),
+             (Fraction(5, 2), Fraction(10**12 + 1, 7))]
+    for _ in range(200):
+        cases.append((Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 50)),
+                      Fraction(rng.randrange(10**11, 10**13), rng.randrange(1, 50))))
+    for x, r2 in cases:
+        t = _floor_plus_sqrt(x, r2)
+        assert t <= x or (t - x) ** 2 <= r2
+        assert t + 1 > x and (t + 1 - x) ** 2 > r2
+
+
+def test_floor_plus_sqrt_rejects_negative_radicand():
+    with pytest.raises(ValueError):
+        _floor_plus_sqrt(Fraction(0), Fraction(-1))
