@@ -6,16 +6,15 @@ verify         run named identity checks and report
 list-deligne   screen a window of weights for the orthogonal-root setup
 
 JSON is the canonical output format and is byte-identical for identical
-configurations, whatever --jobs says; verify reports carry wall times and
-are exempt.  Exit codes: 0 success, 1 a checked identity failed, 2 bad
-usage or a violated precondition.
+configurations; verify reports carry wall times and are exempt.  Exit
+codes: 0 success, 1 a checked identity failed, 2 bad usage or a violated
+precondition.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -97,10 +96,11 @@ def _tower_s(args, rs, shape: str):
     return s
 
 
-def _weyl(rs, args):
+def _weyl(rs, args) -> None:
+    """With --allow-large-weyl, enumerate W past the size gate up front;
+    the library's own rs.weyl_group() calls then return the cached group."""
     if args.allow_large_weyl:
-        return rs.weyl_group(allow_large=True)
-    return None
+        rs.weyl_group(allow_large=True)
 
 
 # -- formula builders: each returns a numerator or a character ------------
@@ -109,8 +109,8 @@ def _weyl(rs, args):
 def _integrable(args):
     rs = _algebra(args)
     lam = _weight(rs, args.weight, args.delta)
-    return fm.integrable_numerator(rs, lam, args.order, jobs=args.jobs,
-                                   weyl=_weyl(rs, args))
+    _weyl(rs, args)
+    return fm.integrable_numerator(rs, lam, args.order)
 
 
 def _sl_tower(args):
@@ -121,7 +121,7 @@ def _sl_tower(args):
     first = f == "sl-first"
     s = _tower_s(args, _algebra(args), "first" if first else "last")
     build = fm.sl_first_numerator if first else fm.sl_last_numerator
-    return build(n, s, args.order, jobs=args.jobs)
+    return build(n, s, args.order)
 
 
 def _sl2_closed(args):
@@ -136,7 +136,7 @@ def _sp_a(args):
     rs = _algebra(args)
     s = _tower_s(args, rs, "first")
     _need(s >= 1, "sp-a needs s >= 1; s = 0 is covered by sp-b")
-    return fm.sp_a_numerator(2 * rs.rank, s, args.order, jobs=args.jobs)
+    return fm.sp_a_numerator(2 * rs.rank, s, args.order)
 
 
 def _sp_top_weight(args, rs) -> None:
@@ -158,8 +158,8 @@ def _sp_split(args):
     rs = _algebra(args)
     _sp_top_weight(args, rs)
     if f == "sp-b":
-        return fm.sp_b_character(2 * rs.rank, args.order, jobs=args.jobs)
-    return fm.sp_c_character(2 * rs.rank, args.order + 1, jobs=args.jobs)
+        return fm.sp_b_character(2 * rs.rank, args.order)
+    return fm.sp_c_character(2 * rs.rank, args.order + 1)
 
 
 def _sp_parity(args):
@@ -167,8 +167,7 @@ def _sp_parity(args):
     _need(args.type.upper() == "C", f"{f} lives on type C")
     rs = _algebra(args)
     _sp_top_weight(args, rs)
-    return fm.sp_parity_numerator(2 * rs.rank, f[-1], args.order,
-                                  jobs=args.jobs)
+    return fm.sp_parity_numerator(2 * rs.rank, f[-1], args.order)
 
 
 def _deligne(args):
@@ -177,8 +176,8 @@ def _deligne(args):
     cond = fm.check_deligne_conditions(rs, lam)
     _need(cond["ok"], "weight fails the screening: "
           + "; ".join(cond["failures"]))
-    return fm.deligne_numerator(rs, lam, args.order, jobs=args.jobs,
-                                weyl=_weyl(rs, args))
+    _weyl(rs, args)
+    return fm.deligne_numerator(rs, lam, args.order)
 
 
 # formula id -> (builder, whether the builder returns the character)
@@ -326,7 +325,7 @@ def _check_tower_fock(args):
     s = args.s if args.s is not None else 0
     _need(s >= 0, "needs s >= 0")
     order = _order_arg(args, 4)
-    num = fm.sl_first_numerator(n, s, order, jobs=args.jobs)
+    num = fm.sl_first_numerator(n, s, order)
     ch = character_from_numerator(num.rs, num.base, num)
     oracle = fock.charge_sector_character(num.rs, s, order)
     return _result(f"tower-fock n={n} s={s}", order, len(ch),
@@ -338,8 +337,8 @@ def _check_flip_symmetry(args):
     s = args.s if args.s is not None else 1
     _need(s >= 0, "needs s >= 0")
     order = _order_arg(args, 4)
-    first = fm.sl_first_numerator(n, s, order, jobs=args.jobs)
-    last = fm.sl_last_numerator(n, s, order, jobs=args.jobs)
+    first = fm.sl_first_numerator(n, s, order)
+    last = fm.sl_last_numerator(n, s, order)
     d = first.first_diff(fm.diagram_flip(last))
     return _result(f"flip-symmetry n={n} s={s}", order, len(first),
                    _mismatch(d, "first", "flipped last"))
@@ -369,7 +368,7 @@ def _check_tower_assembly(args):
     order = _order_arg(args, 6)
     smax = args.smax if args.smax is not None else 2
     _need(smax >= 0, "needs smax >= 0")
-    _, d, terms = fm.sl_tower_assembly_check(n, order, smax, jobs=args.jobs)
+    _, d, terms = fm.sl_tower_assembly_check(n, order, smax)
     return _result(f"tower-assembly n={n} |s|<={smax}", order, terms,
                    _mismatch(d, "tower", "product"))
 
@@ -396,7 +395,7 @@ def _check_flip_decomposition(args):
 def _check_twisted_denominator(args):
     n = _n_arg(args, 4, even=True)
     order = _order_arg(args, 5)
-    _, d = fm.twisted_denominator_check(n // 2, order, jobs=args.jobs)
+    _, d = fm.twisted_denominator_check(n // 2, order)
     return _result(f"twisted-denominator n={n}", order, 0,
                    _mismatch(d, "product", "sum"))
 
@@ -405,10 +404,10 @@ def _check_parity_vs_split(args):
     n = _n_arg(args, 4, even=True)
     order = _order_arg(args, 4)
     _need(order >= 1, "needs order >= 1 for the shifted member")
-    chb = fm.sp_b_character(n, order, jobs=args.jobs)
-    chc = fm.sp_c_character(n, order, jobs=args.jobs)
-    num_a = fm.sp_parity_numerator(n, "a", order, jobs=args.jobs)
-    num_b = fm.sp_parity_numerator(n, "b", chc.qmax, jobs=args.jobs)
+    chb = fm.sp_b_character(n, order)
+    chc = fm.sp_c_character(n, order)
+    num_a = fm.sp_parity_numerator(n, "a", order)
+    num_b = fm.sp_parity_numerator(n, "b", chc.qmax)
     d_a = num_a.first_diff(chb.mul_slices(denominator_slices(chb.rs, order)))
     d_b = num_b.first_diff(
         chc.mul_slices(denominator_slices(chc.rs, chc.qmax)))
@@ -420,7 +419,7 @@ def _check_parity_vs_split(args):
 def _check_parity_bracket(args):
     n = _n_arg(args, 4, even=True)
     order = _order_arg(args, 4)
-    _, d = fm.parity_bracket_identity(n // 2, order, jobs=args.jobs)
+    _, d = fm.parity_bracket_identity(n // 2, order)
     return _result(f"parity-bracket n={n}", order, 0,
                    _mismatch(d, "odd bracket", "negated even bracket"))
 
@@ -457,8 +456,8 @@ def _deligne_args(args):
 def _check_deligne_positivity(args):
     rs, lam = _deligne_args(args)
     order = _order_arg(args, 2)
-    num = fm.deligne_numerator(rs, lam, order, jobs=args.jobs,
-                               weyl=_weyl(rs, args))
+    _weyl(rs, args)
+    num = fm.deligne_numerator(rs, lam, order)
     ch = character_from_numerator(rs, lam, num)
     zero = (0,) * rs.rank
     if ch.coeff(0, zero) != 1:
@@ -477,8 +476,8 @@ def _check_qdim_two_path(args):
     cond = fm.check_deligne_conditions(rs, lam)
     _need(cond["ok"], "weight fails the screening: "
           + "; ".join(cond["failures"]))
-    num = fm.deligne_numerator(rs, lam, order, jobs=args.jobs,
-                               weyl=_weyl(rs, args))
+    _weyl(rs, args)
+    num = fm.deligne_numerator(rs, lam, order)
     ch = character_from_numerator(rs, lam, num)
     direct = fm.q_dimension_sum(rs, lam, coroot_lattice_basis(rs), order,
                                 coeff_fn=fm.screened_coefficient(
@@ -690,20 +689,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "affine Lie algebras.")
     sub = par.add_subparsers(dest="command", required=True)
 
-    try:
-        jobs_default = max(1, int(os.environ.get("JOBS", "1")))
-    except ValueError:
-        jobs_default = 1
-
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv", "pretty"),
                         default="json")
-    common.add_argument("--jobs", type=int, default=jobs_default,
-                        help="worker threads for the lattice sums")
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized property checks")
     common.add_argument("--allow-large-weyl", action="store_true",
-                        help="enumerate Weyl groups past the safety bound")
+                        help="enumerate Weyl groups past the size bound; "
+                             "the bound is decided from |W| before any "
+                             "enumeration")
 
     wspec = argparse.ArgumentParser(add_help=False)
     wspec.add_argument("--type", required=True,
@@ -766,8 +760,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     par = _build_parser()
     args = par.parse_args(argv)
-    if args.jobs < 1:
-        par.error("--jobs must be >= 1")
     try:
         return args.fn(args)
     except (UsageError, ValueError, WeylSizeError) as e:

@@ -69,8 +69,7 @@ def _orth_coords(rs: RootSystem, gf) -> tuple[int, ...]:
 # -- integrable weights --------------------------------------------------
 
 
-def integrable_numerator(rs: RootSystem, lam, qmax: int, jobs: int = 1,
-                         weyl=None) -> CharSlices:
+def integrable_numerator(rs: RootSystem, lam, qmax: int) -> CharSlices:
     """Full-lattice alternating numerator for a dominant integral weight."""
     m0 = lam.level - sum(
         f * cm for f, cm in zip(lam.finite, map(Fraction, rs.comarks)))
@@ -78,14 +77,13 @@ def integrable_numerator(rs: RootSystem, lam, qmax: int, jobs: int = 1,
     for c in coeffs:
         if c.denominator != 1 or c < 0:
             raise ValueError(f"weight is not dominant integral: {coeffs}")
-    return alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
-                        jobs=jobs, weyl=weyl)
+    return alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax)
 
 
 # -- the A-family level -1 tower -----------------------------------------
 
 
-def sl_first_numerator(n: int, s: int, qmax: int, jobs: int = 1):
+def sl_first_numerator(n: int, s: int, qmax: int):
     """Numerator of the level -1 module with s on the first node."""
     if n < 3:
         raise ValueError("needs n >= 3; see sl2_closed_numerator for n = 2")
@@ -95,10 +93,10 @@ def sl_first_numerator(n: int, s: int, qmax: int, jobs: int = 1):
     lam = weight_from_coeffs(rs, (-(1 + s), s) + (0,) * (n - 2))
     w1 = _unit(rs, 1)
     return alt_weyl_raw(rs, lam, root_lattice_basis(rs), qmax,
-                        pred=lambda gf, x: rs.inner(gf, w1) >= 0, jobs=jobs)
+                        pred=lambda gf, x: rs.inner(gf, w1) >= 0)
 
 
-def sl_last_numerator(n: int, s: int, qmax: int, jobs: int = 1):
+def sl_last_numerator(n: int, s: int, qmax: int):
     """Numerator of the level -1 module with s on the last node."""
     if n < 3:
         raise ValueError("needs n >= 3; see sl2_closed_numerator for n = 2")
@@ -108,7 +106,7 @@ def sl_last_numerator(n: int, s: int, qmax: int, jobs: int = 1):
     lam = weight_from_coeffs(rs, (-(1 + s),) + (0,) * (n - 2) + (s,))
     wl = _unit(rs, n - 1)
     return alt_weyl_raw(rs, lam, root_lattice_basis(rs), qmax,
-                        pred=lambda gf, x: rs.inner(gf, wl) >= 0, jobs=jobs)
+                        pred=lambda gf, x: rs.inner(gf, wl) >= 0)
 
 
 def diagram_flip(num: CharSlices) -> CharSlices:
@@ -143,7 +141,7 @@ def sl2_lattice_numerator(s: int, qmax: int) -> CharSlices:
 # -- the C-family level -1 modules ---------------------------------------
 
 
-def sp_a_numerator(n: int, s: int, qmax: int, jobs: int = 1):
+def sp_a_numerator(n: int, s: int, qmax: int):
     """Half-lattice numerator for the symplectic tower, s >= 1."""
     if n < 4 or n % 2:
         raise ValueError("needs even n >= 4")
@@ -154,7 +152,7 @@ def sp_a_numerator(n: int, s: int, qmax: int, jobs: int = 1):
     lam = weight_from_coeffs(rs, (-(1 + s), s) + (0,) * (npr - 1))
     w1 = _unit(rs, 1)
     return alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
-                        pred=lambda gf, x: rs.inner(gf, w1) >= 0, jobs=jobs)
+                        pred=lambda gf, x: rs.inner(gf, w1) >= 0)
 
 
 def _long_root_odd_slices(rs: RootSystem, qmax: int):
@@ -195,7 +193,7 @@ def sp_twist_product_character(rs: RootSystem, qmax: int) -> CharSlices:
     return base.mul_qpoly(ratio)
 
 
-def _sp_halves(n: int, qmax: int, jobs: int = 1):
+def _sp_halves(n: int, qmax: int):
     """Lattice-sum character at the vacuum weight, and the twist product."""
     if n < 4 or n % 2:
         raise ValueError("needs even n >= 4")
@@ -204,29 +202,29 @@ def _sp_halves(n: int, qmax: int, jobs: int = 1):
     lam = weight_from_coeffs(rs, (-1,) + (0,) * npr)
     w1 = _unit(rs, 1)
     num = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
-                       pred=lambda gf, x: rs.inner(gf, w1) >= 0, jobs=jobs)
+                       pred=lambda gf, x: rs.inner(gf, w1) >= 0)
     ca = character_from_numerator(rs, lam, num)
     m = sp_twist_product_character(rs, qmax)
     return ca, m
 
 
-def sp_b_character(n: int, qmax: int, jobs: int = 1) -> CharSlices:
+def sp_b_character(n: int, qmax: int) -> CharSlices:
     """Character of the level -1 vacuum module, split-form average."""
-    ca, m = _sp_halves(n, qmax, jobs)
+    ca, m = _sp_halves(n, qmax)
     return (ca + m).halve()
 
 
-def sp_c_character_shifted(n: int, qmax: int, jobs: int = 1) -> CharSlices:
+def sp_c_character_shifted(n: int, qmax: int) -> CharSlices:
     """Split-form half-difference; the partner character times q,
     still written relative to the vacuum weight."""
-    ca, m = _sp_halves(n, qmax, jobs)
+    ca, m = _sp_halves(n, qmax)
     return (ca - m).halve()
 
 
-def sp_c_character(n: int, qmax: int, jobs: int = 1) -> CharSlices:
+def sp_c_character(n: int, qmax: int) -> CharSlices:
     """Character of the level -1 module with top on the second node."""
     npr = n // 2
-    shifted = sp_c_character_shifted(n, qmax, jobs)
+    shifted = sp_c_character_shifted(n, qmax)
     rs = shifted.rs
     lam2 = weight_from_coeffs(rs, (-2, 0, 1) + (0,) * (npr - 2))
     off2 = tuple(int(c) for c in rs.fund_to_root(_unit(rs, 2)))
@@ -236,8 +234,7 @@ def sp_c_character(n: int, qmax: int, jobs: int = 1) -> CharSlices:
 # -- parity-restricted half sums -----------------------------------------
 
 
-def sp_parity_numerator(n: int, variant: str, qmax: int,
-                        jobs: int = 1) -> CharSlices:
+def sp_parity_numerator(n: int, variant: str, qmax: int) -> CharSlices:
     """Numerators with an even-pairing constraint along the last node."""
     if n < 4 or n % 2:
         raise ValueError("needs even n >= 4")
@@ -257,27 +254,25 @@ def sp_parity_numerator(n: int, variant: str, qmax: int,
             return j[1] >= 0 and sum(j) % 2 == 0
     else:
         raise ValueError("variant must be 'a' or 'b'")
-    return alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
-                        pred=pred, jobs=jobs)
+    return alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax, pred=pred)
 
 
-def parity_bracket(npr: int, pred_j, qmax: int,
-                   jobs: int = 1) -> CharSlices:
+def parity_bracket(npr: int, pred_j, qmax: int) -> CharSlices:
     """Alternating sum over translations with a condition on j-coordinates,
     taken at the level -1 vacuum weight."""
     rs = root_system("C", npr)
     lam = weight_from_coeffs(rs, (-1,) + (0,) * npr)
     return alt_weyl_raw(
         rs, lam, coroot_lattice_basis(rs), qmax,
-        pred=lambda gf, x: pred_j(_orth_coords(rs, gf)), jobs=jobs)
+        pred=lambda gf, x: pred_j(_orth_coords(rs, gf)))
 
 
-def parity_bracket_identity(npr: int, qmax: int, jobs: int = 1):
+def parity_bracket_identity(npr: int, qmax: int):
     """[j1 >= 0, sum odd] must equal -[j1 < 0, sum even]."""
     left = parity_bracket(npr, lambda j: j[0] >= 0 and sum(j) % 2 == 1,
-                          qmax, jobs)
+                          qmax)
     right = parity_bracket(npr, lambda j: j[0] < 0 and sum(j) % 2 == 0,
-                           qmax, jobs)
+                           qmax)
     d = left.first_diff(-right)
     return d is None, d
 
@@ -303,12 +298,12 @@ def window_negation_check(npr: int, omega, qmax: int):
     return d is None, d
 
 
-def twisted_denominator_check(npr: int, qmax: int, jobs: int = 1):
+def twisted_denominator_check(npr: int, qmax: int):
     """Product side vs the even-parity lattice sum at the vacuum weight."""
     rs = root_system("C", npr)
     prod = sp_twist_product_character(rs, qmax)
     lhs = prod.mul_slices(denominator_slices(rs, qmax))
-    rhs = parity_bracket(npr, lambda j: sum(j) % 2 == 0, qmax, jobs)
+    rhs = parity_bracket(npr, lambda j: sum(j) % 2 == 0, qmax)
     d = lhs.first_diff(rhs)
     return d is None, d
 
@@ -377,15 +372,14 @@ def screened_coefficient(rs: RootSystem, alpha):
     return coeff
 
 
-def deligne_numerator(rs: RootSystem, lam, qmax: int, jobs: int = 1,
-                      weyl=None) -> CharSlices:
+def deligne_numerator(rs: RootSystem, lam, qmax: int) -> CharSlices:
     """Numerator with linear coefficients (gamma|alpha)+1, halved exactly."""
     cond = check_deligne_conditions(rs, lam)
     if not cond["ok"]:
         raise ValueError("; ".join(cond["failures"]))
-    return alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
-                        coeff_fn=screened_coefficient(rs, cond["alpha"]),
-                        jobs=jobs, weyl=weyl).halve()
+    num = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
+                       coeff_fn=screened_coefficient(rs, cond["alpha"]))
+    return num.halve()
 
 
 def deligne_enumerate(rs: RootSystem, k: int, mmax: int | None = None):
@@ -456,7 +450,7 @@ def q_dimension_sum(rs: RootSystem, lam, basis, qmax: int,
 # -- cross-checks tying the construction routes together ------------------
 
 
-def sl_tower_assembly_check(n: int, height: int, smax: int, jobs: int = 1):
+def sl_tower_assembly_check(n: int, height: int, smax: int):
     """Rebuild the superdenominator cone series from the graded characters.
 
     Every cone monomial belongs to exactly one charge s = k_0 - k_n; the
@@ -485,7 +479,7 @@ def sl_tower_assembly_check(n: int, height: int, smax: int, jobs: int = 1):
     wl = _unit(rs, n - 1)
     for s in range(-smax, smax + 1):
         if s > 0:
-            num = sl_first_numerator(n, s, height, jobs=jobs)
+            num = sl_first_numerator(n, s, height)
             for m, b in num.slices.items():
                 for off, c in b.items():
                     add((s + m,) + tuple(m - o for o in off) + (m,), c)
@@ -493,8 +487,7 @@ def sl_tower_assembly_check(n: int, height: int, smax: int, jobs: int = 1):
             lam = weight_from_coeffs(
                 rs, (-(1 - s),) + (0,) * (n - 2) + (-s,))
             num = alt_weyl_raw(rs, lam, root_lattice_basis(rs), height,
-                               pred=lambda gf, x: rs.inner(gf, wl) >= 0,
-                               jobs=jobs)
+                               pred=lambda gf, x: rs.inner(gf, wl) >= 0)
             for m, b in num.slices.items():
                 for off, c in b.items():
                     add((m,) + tuple(m - o for o in off) + (m - s,), c)

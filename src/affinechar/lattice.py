@@ -99,17 +99,14 @@ def lattice_points_below(rs: RootSystem, basis, nu_fin, c: Fraction,
     return out
 
 
-Slices = dict[int, dict[tuple[int, ...], int]]
-
-
-def _accumulate_orbits(rs: RootSystem, nu_fin, items, out: Slices,
-                       weyl=None) -> None:
-    """Add sum_w eps(w) coeff e^{w(mu)-nu} q^m to out[m] for each item.
+def _orbit_sum(rs: RootSystem, lam: AffineWeight, W, nu_fin, items,
+               qmax: int) -> CharSlices:
+    """sum over items of sum_w eps(w) coeff e^{w(mu)-nu} q^m, based at lam.
 
     items: iterable of (mu fundamental coords, m, coeff); offsets are stored
     in root coordinates relative to nu_fin.  Weyl-singular mu contribute 0.
     """
-    W = weyl if weyl is not None else rs.weyl_group()
+    out: dict[int, dict[tuple[int, ...], int]] = {}
     for mu, m, coeff in items:
         if coeff == 0:
             continue
@@ -129,41 +126,25 @@ def _accumulate_orbits(rs: RootSystem, nu_fin, items, out: Slices,
                 tgt[key] = c
             else:
                 del tgt[key]
-
-
-def _orbit_sum(rs: RootSystem, lam: AffineWeight, nu_fin, items, qmax: int,
-               jobs: int = 1, weyl=None) -> CharSlices:
-    """Alternating orbit sums of all items, sliced and based at lam."""
-    out: Slices = {}
-    if jobs > 1:
-        # deterministic chunked merge; results do not depend on jobs
-        chunks = [items[i::jobs] for i in range(jobs)]
-        from concurrent.futures import ThreadPoolExecutor
-
-        def work(chunk):
-            part: Slices = {}
-            _accumulate_orbits(rs, nu_fin, chunk, part, weyl=weyl)
-            return part
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            partials = list(ex.map(work, chunks))
-        for part in partials:
-            for m, b in part.items():
-                tgt = out.setdefault(m, {})
-                for key, val in b.items():
-                    c = tgt.get(key, 0) + val
-                    if c:
-                        tgt[key] = c
-                    else:
-                        del tgt[key]
-    else:
-        _accumulate_orbits(rs, nu_fin, items, out, weyl=weyl)
     return CharSlices(rs, lam, qmax, {m: b for m, b in out.items() if b})
 
 
+def _orbit_setup(rs: RootSystem, lam: AffineWeight):
+    """(W, finite part of lam + rho-hat, shifted level k + h_vee > 0).
+
+    W is fetched here, before any lattice point is enumerated, so that an
+    oversized Weyl group is refused before that work is spent.
+    """
+    rhoh = rho_hat(rs)
+    nu_fin = tuple(a + b for a, b in zip(lam.finite, rhoh.finite))
+    c = lam.level + rhoh.level
+    if c <= 0:
+        raise ValueError("shifted level k + h_vee must be positive")
+    return rs.weyl_group(), nu_fin, c
+
+
 def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
-                 pred=None, coeff_fn=None, jobs: int = 1,
-                 weyl=None) -> CharSlices:
+                 pred=None, coeff_fn=None) -> CharSlices:
     """sum_w eps(w) w sum_gamma coeff(gamma) t_gamma e^{lam+rho-hat}, sliced.
 
     gamma runs over the lattice spanned by `basis` with drop <= qmax and
@@ -171,11 +152,7 @@ def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
     the m-grading is the exact delta-drop, which must be integral.  Terms at
     negative m are kept, for require_nonnegative() to refuse.
     """
-    rhoh = rho_hat(rs)
-    nu_fin = tuple(a + b for a, b in zip(lam.finite, rhoh.finite))
-    c = lam.level + rhoh.level
-    if c <= 0:
-        raise ValueError("shifted level k + h_vee must be positive")
+    W, nu_fin, c = _orbit_setup(rs, lam)
     pts = lattice_points_below(rs, basis, nu_fin, c, qmax)
     items = []
     for x, gamma, drop in pts:
@@ -186,15 +163,13 @@ def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
         coeff = 1 if coeff_fn is None else coeff_fn(gamma, x)
         mu = tuple(a + c * g for a, g in zip(nu_fin, gamma))
         items.append((mu, int(drop), coeff))
-    return _orbit_sum(rs, lam, nu_fin, items, qmax, jobs=jobs, weyl=weyl)
+    return _orbit_sum(rs, lam, W, nu_fin, items, qmax)
 
 
 def alt_weyl_raw_points(rs: RootSystem, lam: AffineWeight, gammas,
-                        qmax: int, weyl=None) -> CharSlices:
+                        qmax: int) -> CharSlices:
     """Same alternating sum over an explicit finite list of gamma vectors."""
-    rhoh = rho_hat(rs)
-    nu_fin = tuple(a + b for a, b in zip(lam.finite, rhoh.finite))
-    c = lam.level + rhoh.level
+    W, nu_fin, c = _orbit_setup(rs, lam)
     items = []
     for gamma in gammas:
         gamma = tuple(Fraction(g) for g in gamma)
@@ -205,4 +180,4 @@ def alt_weyl_raw_points(rs: RootSystem, lam: AffineWeight, gammas,
             continue
         mu = tuple(a + c * g for a, g in zip(nu_fin, gamma))
         items.append((mu, int(drop), 1))
-    return _orbit_sum(rs, lam, nu_fin, items, qmax, weyl=weyl)
+    return _orbit_sum(rs, lam, W, nu_fin, items, qmax)

@@ -8,6 +8,7 @@ handled in fundamental-weight coordinates (the tuple ((v|a_1^vee), ...,
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -260,15 +261,37 @@ class RootSystem:
             rows.append(tuple(row))
         return WeylElement(tuple(rows), -1)
 
+    def weyl_order(self) -> int:
+        """|W| = prod (m_i + 1) over the exponents m_i (Kostant, 1959).
+
+        The exponents are the dual partition of the positive-root counts by
+        height: m_i is the number of heights carrying at least i roots.
+        """
+        counts = Counter(a.height for a in self.positive_roots).values()
+        order = 1
+        for i in range(1, self.rank + 1):
+            order *= 1 + sum(1 for n in counts if n >= i)
+        return order
+
     def weyl_group(self, limit: int = 10**6,
                    allow_large: bool = False) -> list["WeylElement"]:
         """Full Weyl group as integer matrices on fundamental coordinates.
 
         Groups larger than `limit` are refused unless allow_large is set;
         E_7 and E_8 are the only supported types past the default bound.
+        The size is decided from weyl_order() before anything is enumerated.
+        The group is cached: once enumerated (say with allow_large), every
+        later call returns the same list whatever its limit.
         """
         if self._weyl_cache is not None:
             return self._weyl_cache
+        order = self.weyl_order()
+        if order > limit and not allow_large:
+            raise WeylSizeError(
+                f"Weyl group of {self.family}{self.rank} has {order} "
+                f"elements, more than {limit}; pass allow_large "
+                "(--allow-large-weyl) to enumerate anyway"
+            )
         gens = [self.simple_reflection(i) for i in range(self.rank)]
         ident = WeylElement(
             tuple(tuple(int(i == j) for j in range(self.rank))
@@ -283,14 +306,12 @@ class RootSystem:
                 for g in gens:
                     wg = w.compose(g)
                     if wg.matrix not in seen:
-                        if len(seen) >= limit and not allow_large:
-                            raise WeylSizeError(
-                                f"Weyl group exceeds {limit} elements; "
-                                "pass allow_large to enumerate anyway"
-                            )
                         seen[wg.matrix] = wg
                         nxt.append(wg)
             frontier = nxt
+        if len(seen) != order:
+            raise AssertionError(f"enumerated {len(seen)} of {order} "
+                                 "Weyl group elements")
         self._weyl_cache = list(seen.values())
         return self._weyl_cache
 

@@ -110,24 +110,21 @@ def translate(rs: RootSystem, w: AffineWeight, gamma) -> AffineWeight:
 class ExpSeries:
     """Height-truncated series on a cone frame with nvars directions."""
 
-    __slots__ = ("nvars", "base", "order", "by_height", "q_half")
+    __slots__ = ("nvars", "base", "order", "by_height")
 
-    def __init__(self, nvars: int, base: AffineWeight, order: int,
-                 q_half: bool = False):
+    def __init__(self, nvars: int, base: AffineWeight, order: int):
         if order > MAX_ORDER:
             raise ValueError(f"order {order} exceeds packing bound {MAX_ORDER}")
         self.nvars = nvars
         self.base = base
         self.order = order
-        self.q_half = q_half
         self.by_height: list[dict[int, int]] = [dict() for _ in range(order + 1)]
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def one(nvars: int, base: AffineWeight, order: int,
-            q_half: bool = False) -> "ExpSeries":
-        s = ExpSeries(nvars, base, order, q_half)
+    def one(nvars: int, base: AffineWeight, order: int) -> "ExpSeries":
+        s = ExpSeries(nvars, base, order)
         s.by_height[0][0] = 1
         return s
 
@@ -145,7 +142,7 @@ class ExpSeries:
     # -- ring operations ---------------------------------------------------
 
     def _check_frame(self, other: "ExpSeries") -> None:
-        if self.nvars != other.nvars or self.q_half != other.q_half:
+        if self.nvars != other.nvars:
             raise ValueError("incompatible series frames")
 
     def __add__(self, other: "ExpSeries") -> "ExpSeries":
@@ -153,7 +150,7 @@ class ExpSeries:
         if other.base != self.base:
             raise ValueError("series bases differ; cannot add")
         order = min(self.order, other.order)
-        s = ExpSeries(self.nvars, self.base, order, self.q_half)
+        s = ExpSeries(self.nvars, self.base, order)
         for h in range(order + 1):
             b = dict(self.by_height[h])
             for k, c in other.by_height[h].items():
@@ -166,7 +163,7 @@ class ExpSeries:
         return s
 
     def __neg__(self) -> "ExpSeries":
-        s = ExpSeries(self.nvars, self.base, self.order, self.q_half)
+        s = ExpSeries(self.nvars, self.base, self.order)
         s.by_height = [{k: -c for k, c in b.items()} for b in self.by_height]
         return s
 
@@ -176,7 +173,7 @@ class ExpSeries:
     def __mul__(self, other: "ExpSeries") -> "ExpSeries":
         self._check_frame(other)
         order = min(self.order, other.order)
-        s = ExpSeries(self.nvars, self.base + other.base, order, self.q_half)
+        s = ExpSeries(self.nvars, self.base + other.base, order)
         out = s.by_height
         for h1 in range(min(self.order, order) + 1):
             b1 = self.by_height[h1]
@@ -243,7 +240,7 @@ class ExpSeries:
     def restrict(self, order: int) -> "ExpSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        s = ExpSeries(self.nvars, self.base, order, self.q_half)
+        s = ExpSeries(self.nvars, self.base, order)
         s.by_height = [dict(b) for b in self.by_height[: order + 1]]
         return s
 
@@ -262,7 +259,6 @@ class ExpSeries:
             self.nvars == other.nvars
             and self.base == other.base
             and self.order == other.order
-            and self.q_half == other.q_half
             and self.by_height == other.by_height
         )
 

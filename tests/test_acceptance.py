@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from affinechar import cli, fock, superden
+from affinechar import fock, superden
 from affinechar import formulas as fm
 from affinechar.rootdata import coroot_lattice_basis, root_system
 from affinechar.series import (
@@ -261,28 +261,3 @@ def test_criterion_09_property_suites():
           "truncation, translation action, antisymmetry, orbit vanishing, "
           "coefficient flip")
 
-
-def test_criterion_10_determinism_across_jobs(capsys):
-    t0 = time.monotonic()
-
-    def out(argv):
-        assert cli.main(argv) == 0
-        return capsys.readouterr().out
-
-    same = True
-    for argv in (
-        ["compute", "--formula", "sl-first", "--type", "A", "--rank", "3",
-         "--s", "1", "--order", "3"],
-        ["compute", "--formula", "deligne", "--type", "D", "--rank", "4",
-         "--weight", "-1", "0", "0", "0", "0", "--order", "2",
-         "--character"],
-        ["compute", "--formula", "sp-a", "--type", "C", "--rank", "2",
-         "--s", "1", "--order", "3"],
-        ["qdim", "--formula", "deligne", "--type", "D", "--rank", "4",
-         "--weight", "-2", "0", "0", "0", "0", "--order", "2"],
-    ):
-        ref = out(argv + ["--jobs", "1"])
-        same = same and all(
-            out(argv + ["--jobs", str(j)]) == ref for j in (2, 4))
-    _line(10, same, 120, t0,
-          "compute and qdim output bytes identical for jobs 1, 2, 4")

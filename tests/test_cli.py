@@ -78,16 +78,6 @@ def test_json_roundtrip_is_byte_stable(capsys):
     assert json.dumps(ch.to_json_dict(), indent=1) + "\n" == out
 
 
-def test_jobs_do_not_change_the_bytes(capsys):
-    base = [
-        "compute", "--formula", "sp-a", "--type", "C", "--rank", "2",
-        "--s", "1", "--order", "3",
-    ]
-    _, one, _ = run(capsys, base + ["--jobs", "1"])
-    _, four, _ = run(capsys, base + ["--jobs", "4"])
-    assert one == four
-
-
 def test_tsv_and_pretty_formats(capsys):
     code, out, _ = run(capsys, [
         "compute", "--formula", "sl2-closed", "--type", "A", "--rank", "1",
@@ -288,24 +278,18 @@ def test_argparse_failures_exit_two(capsys):
     with pytest.raises(SystemExit) as e:
         main([
             "compute", "--formula", "sl-first", "--type", "A", "--rank", "3",
-            "--s", "0", "--jobs", "0",
+            "--s", "0", "--jobs", "2",
         ])
     assert e.value.code == 2
-    capsys.readouterr()
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
-def test_jobs_env_default(monkeypatch):
-    monkeypatch.setenv("JOBS", "3")
-    par = cli._build_parser()
-    args = par.parse_args([
-        "compute", "--formula", "sl2-closed", "--type", "A", "--rank", "1",
-        "--s", "0",
+def test_large_weyl_group_is_refused_with_exit_two(capsys):
+    code, out, err = run(capsys, [
+        "compute", "--formula", "integrable", "--type", "E", "--rank", "7",
+        "--weight", "1", "0", "0", "0", "0", "0", "0", "0", "--order", "0",
     ])
-    assert args.jobs == 3
-    monkeypatch.setenv("JOBS", "many")
-    par = cli._build_parser()
-    args = par.parse_args([
-        "compute", "--formula", "sl2-closed", "--type", "A", "--rank", "1",
-        "--s", "0",
-    ])
-    assert args.jobs == 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "2903040" in err
+    assert "Traceback" not in err
+

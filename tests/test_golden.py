@@ -1,8 +1,8 @@
 """Golden outputs: sha256 of `compute` stdout for every formula.
 
-The hashes pin the exact bytes of the canonical JSON (and one TSV and one
-pretty rendering), so a change to how numerators and characters are built
-or rendered cannot alter the output unnoticed.
+The hashes pin the exact bytes of the canonical JSON (and one TSV, one
+pretty and one `qdim` rendering), so a change to how numerators and
+characters are built or rendered cannot alter the output unnoticed.
 """
 
 import hashlib
@@ -62,6 +62,27 @@ def _sha(capsys, argv):
 def test_compute_json_golden(capsys, formula, rest, num_sha, char_sha):
     assert _sha(capsys, _argv(formula, rest)) == num_sha
     assert _sha(capsys, _argv(formula, rest, "--character")) == char_sha
+
+
+# The inputs of the retired acceptance criterion 10 (output bytes identical
+# for any number of worker threads); the orbit sum now has one sequential
+# path, so what stays is the bytes themselves.  Its fourth input, sp-a on
+# C2 with s = 1 at order 3, is the sp-a numerator case of CASES.
+CRITERION_10 = [
+    ("compute --formula sl-first --type A --rank 3 --s 1 --order 3",
+     "2d6ed8e7624806e2021150d462a0bf559ff1b8609de63dfb112d3739678348b3"),
+    ("compute --formula deligne --type D --rank 4 --weight -1 0 0 0 0 "
+     "--order 2 --character",
+     "486ddc384d3d11e5970b864774b28dd4c2901931b5c3da248db568ad78e5f0d6"),
+    ("qdim --formula deligne --type D --rank 4 --weight -2 0 0 0 0 "
+     "--order 2",
+     "813c993e3a976ab29b816666af883a4b1a181f7b986598c9694dae36bbbad73c"),
+]
+
+
+def test_criterion_10_inputs_golden(capsys):
+    for argv, sha in CRITERION_10:
+        assert _sha(capsys, argv.split()) == sha, argv
 
 
 def test_compute_tsv_golden(capsys):

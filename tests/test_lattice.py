@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from affinechar import lattice
 from affinechar.lattice import (
     _floor_plus_sqrt,
     alt_weyl_raw,
@@ -13,7 +14,11 @@ from affinechar.lattice import (
     lattice_points_below,
     quad_points,
 )
-from affinechar.rootdata import coroot_lattice_basis, root_system
+from affinechar.rootdata import (
+    WeylSizeError,
+    coroot_lattice_basis,
+    root_system,
+)
 from affinechar.series import (
     AffineWeight,
     CharSlices,
@@ -198,20 +203,25 @@ def test_denominator_identity(fam, rank, qmax):
     assert num.first_diff(want) is None
 
 
-def test_jobs_do_not_change_the_sum():
-    rs = root_system("A", 2)
-    lam = weight_from_coeffs(rs, (-2, 1, 0))
-    basis = coroot_lattice_basis(rs)
-    one = alt_weyl_raw(rs, lam, basis, 4, jobs=1)
-    assert one == alt_weyl_raw(rs, lam, basis, 4, jobs=3)
-    assert one == alt_weyl_raw(rs, lam, basis, 4, jobs=8)
-
-
 def test_shifted_level_must_be_positive():
     rs = root_system("A", 2)
     lam = weight_from_coeffs(rs, (-5, 1, 0))  # k + h_vee = -1
     with pytest.raises(ValueError):
         alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), 2)
+    with pytest.raises(ValueError):
+        alt_weyl_raw_points(rs, lam, [(0, 0)], 2)
+
+
+def test_weyl_size_gate_precedes_lattice_enumeration(monkeypatch):
+    # rank 8 spends tens of seconds in the point scan; the gate must not wait
+    def no_points(*args):
+        raise AssertionError("lattice points enumerated before the gate")
+
+    monkeypatch.setattr(lattice, "lattice_points_below", no_points)
+    rs = root_system("E", 7)
+    lam = weight_from_coeffs(rs, (1,) + (0,) * 7)
+    with pytest.raises(WeylSizeError):
+        alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), 0)
 
 
 # -- level-one integrable characters against the lattice-oscillator model -------

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -36,6 +37,7 @@ CASES = [
     ("A", 1, 1, 2, 2),
     ("A", 2, 3, 3, 6),
     ("A", 3, 6, 4, 24),
+    ("A", 4, 10, 5, 120),
     ("C", 2, 4, 3, 8),
     ("C", 3, 9, 4, 48),
     ("D", 4, 12, 6, 192),
@@ -52,7 +54,7 @@ def test_basic_invariants(fam, rank, npos, hvee, worder):
     assert rs.inner(rs.rho, rs.theta.fund) == rs.dual_coxeter - 1
     assert rs.theta.height == rs.coxeter - 1
     W = rs.weyl_group()
-    assert len(W) == worder
+    assert len(W) == worder == rs.weyl_order()
     assert sum(w.sign for w in W) == 0
 
 
@@ -74,6 +76,30 @@ def test_e7_gate():
     assert rs.dual_coxeter == 18
     with pytest.raises(WeylSizeError):
         rs.weyl_group(limit=1000)
+
+
+@pytest.mark.parametrize("rank,order", [(6, 51840), (7, 2903040),
+                                        (8, 696729600)])
+def test_e_weyl_orders_from_the_exponents(rank, order):
+    assert root_system("E", rank).weyl_order() == order
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_large_weyl_groups_refuse_before_enumerating(rank):
+    rs = root_system("E", rank)
+    t0 = time.perf_counter()
+    with pytest.raises(WeylSizeError, match=str(rs.weyl_order())):
+        rs.weyl_group()
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_cached_group_outlives_the_gate():
+    rs = root_system("A", 2)
+    with pytest.raises(WeylSizeError):
+        rs.weyl_group(limit=1)
+    W = rs.weyl_group(allow_large=True)
+    assert len(W) == 6
+    assert rs.weyl_group(limit=1) is W
 
 
 def test_sign_matches_determinant():
