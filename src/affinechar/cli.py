@@ -506,6 +506,7 @@ def _random_series(rng, rs, order):
 def _check_properties(args):
     seed = args.seed if args.seed is not None else 0
     cases = args.cases if args.cases is not None else 200
+    _need(cases >= 1, "needs cases >= 1")
     rng = random.Random(seed)
     a2 = root_system("A", 2)
     c2 = root_system("C", 2)

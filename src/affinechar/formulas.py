@@ -66,6 +66,13 @@ def _orth_coords(rs: RootSystem, gf) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _half_sum(rs: RootSystem, lam, basis, node: int, qmax: int) -> CharSlices:
+    """Alternating sum over the half lattice (gamma | Lambda_node) >= 0."""
+    w = _unit(rs, node)
+    return alt_weyl_raw(rs, lam, basis, qmax,
+                        pred=lambda gf, x: rs.inner(gf, w) >= 0)
+
+
 # -- integrable weights --------------------------------------------------
 
 
@@ -91,9 +98,7 @@ def sl_first_numerator(n: int, s: int, qmax: int):
         raise ValueError("needs s >= 0")
     rs = root_system("A", n - 1)
     lam = weight_from_coeffs(rs, (-(1 + s), s) + (0,) * (n - 2))
-    w1 = _unit(rs, 1)
-    return alt_weyl_raw(rs, lam, root_lattice_basis(rs), qmax,
-                        pred=lambda gf, x: rs.inner(gf, w1) >= 0)
+    return _half_sum(rs, lam, root_lattice_basis(rs), 1, qmax)
 
 
 def sl_last_numerator(n: int, s: int, qmax: int):
@@ -104,9 +109,7 @@ def sl_last_numerator(n: int, s: int, qmax: int):
         raise ValueError("needs s >= 0")
     rs = root_system("A", n - 1)
     lam = weight_from_coeffs(rs, (-(1 + s),) + (0,) * (n - 2) + (s,))
-    wl = _unit(rs, n - 1)
-    return alt_weyl_raw(rs, lam, root_lattice_basis(rs), qmax,
-                        pred=lambda gf, x: rs.inner(gf, wl) >= 0)
+    return _half_sum(rs, lam, root_lattice_basis(rs), n - 1, qmax)
 
 
 def diagram_flip(num: CharSlices) -> CharSlices:
@@ -133,9 +136,7 @@ def sl2_lattice_numerator(s: int, qmax: int) -> CharSlices:
     q-powers up to s+1, with a genuine extra term at s+2."""
     rs = root_system("A", 1)
     lam = weight_from_coeffs(rs, (-(1 + s), s))
-    w1 = _unit(rs, 1)
-    return alt_weyl_raw(rs, lam, root_lattice_basis(rs), qmax,
-                        pred=lambda gf, x: rs.inner(gf, w1) >= 0)
+    return _half_sum(rs, lam, root_lattice_basis(rs), 1, qmax)
 
 
 # -- the C-family level -1 modules ---------------------------------------
@@ -150,9 +151,7 @@ def sp_a_numerator(n: int, s: int, qmax: int):
     npr = n // 2
     rs = root_system("C", npr)
     lam = weight_from_coeffs(rs, (-(1 + s), s) + (0,) * (npr - 1))
-    w1 = _unit(rs, 1)
-    return alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
-                        pred=lambda gf, x: rs.inner(gf, w1) >= 0)
+    return _half_sum(rs, lam, coroot_lattice_basis(rs), 1, qmax)
 
 
 def _long_root_odd_slices(rs: RootSystem, qmax: int):
@@ -200,9 +199,7 @@ def _sp_halves(n: int, qmax: int):
     npr = n // 2
     rs = root_system("C", npr)
     lam = weight_from_coeffs(rs, (-1,) + (0,) * npr)
-    w1 = _unit(rs, 1)
-    num = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
-                       pred=lambda gf, x: rs.inner(gf, w1) >= 0)
+    num = _half_sum(rs, lam, coroot_lattice_basis(rs), 1, qmax)
     ca = character_from_numerator(rs, lam, num)
     m = sp_twist_product_character(rs, qmax)
     return ca, m
@@ -476,7 +473,6 @@ def sl_tower_assembly_check(n: int, height: int, smax: int):
             del got[key]
 
     rs = root_system("A", n - 1)
-    wl = _unit(rs, n - 1)
     for s in range(-smax, smax + 1):
         if s > 0:
             num = sl_first_numerator(n, s, height)
@@ -486,8 +482,7 @@ def sl_tower_assembly_check(n: int, height: int, smax: int):
         else:
             lam = weight_from_coeffs(
                 rs, (-(1 - s),) + (0,) * (n - 2) + (-s,))
-            num = alt_weyl_raw(rs, lam, root_lattice_basis(rs), height,
-                               pred=lambda gf, x: rs.inner(gf, wl) >= 0)
+            num = _half_sum(rs, lam, root_lattice_basis(rs), n - 1, height)
             for m, b in num.slices.items():
                 for off, c in b.items():
                     add((m,) + tuple(m - o for o in off) + (m - s,), c)
@@ -501,9 +496,7 @@ def sp_sector_restriction_check(n: int, s: int, qmax: int):
     rs = root_system("C", npr)
     chf = fock.charge_sector_character_sp(rs, s, qmax)
     lhs = chf.mul_slices(denominator_slices(rs, qmax))
-    w1 = _unit(rs, 1)
-    rhs = alt_weyl_raw(rs, chf.base, coroot_lattice_basis(rs), qmax,
-                       pred=lambda gf, x: rs.inner(gf, w1) >= 0)
+    rhs = _half_sum(rs, chf.base, coroot_lattice_basis(rs), 1, qmax)
     d = lhs.first_diff(rhs)
     return d is None, d
 

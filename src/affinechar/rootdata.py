@@ -158,7 +158,7 @@ class RootSystem:
         pos: list[PosRoot] = []
         for r in roots:
             fc = fund_coords(r)
-            rc = solve_linear(cartan_rows, list(fc))
+            rc = self.fund_to_root(fc)
             if any(x.denominator != 1 for x in rc):
                 raise AssertionError("root coordinates must be integral")
             rci = tuple(int(x) for x in rc)

@@ -639,40 +639,33 @@ def finite_weyl_denominator(rs: RootSystem) -> dict[tuple[int, ...], int]:
 
 
 def laurent_divide(num: dict[tuple[int, ...], int],
-                   den: dict[tuple[int, ...], int],
-                   budget: int = 10**6) -> dict[tuple[int, ...], int]:
-    """Exact division of finite Laurent polynomials in root coordinates.
+                   roots: list[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+    """Exact division by prod_{alpha in roots} (1 - e^{-alpha}).
 
-    `den` must have a unique height-maximal term with coefficient +-1 (the
-    finite Weyl denominator has leading term 1 at the origin).  Raises
-    SliceError if the division does not come out exact within the budget.
+    Offsets and roots are in root coordinates.  Dividing by one factor
+    (1 - e^{-alpha}) is a suffix sum along each alpha-string: the quotient
+    at o is num(o) + num(o + alpha) + num(o + 2 alpha) + ...  The division
+    is exact precisely when every string sums to zero; otherwise SliceError.
     """
-    lead = max(den, key=lambda o: (sum(o), o))
-    lc = den[lead]
-    if lc not in (1, -1):
-        raise SliceError("denominator leading coefficient must be a unit")
-    rest = [(o, c) for o, c in den.items() if o != lead]
-    if any(sum(o) >= sum(lead) for o, _ in rest):
-        raise SliceError("denominator needs a unique height-maximal term")
-    num = dict(num)
-    quo: dict[tuple[int, ...], int] = {}
-    steps = 0
-    while num:
-        o = max(num, key=lambda t: (sum(t), t))
-        c = num.pop(o) * lc
-        qo = tuple(a - b for a, b in zip(o, lead))
-        quo[qo] = quo.get(qo, 0) + c
-        for ro, rc in rest:
-            t = tuple(a + b for a, b in zip(qo, ro))
-            nc = num.get(t, 0) - c * rc
-            if nc:
-                num[t] = nc
-            else:
-                num.pop(t, None)
-        steps += 1
-        if steps > budget:
-            raise SliceError("Laurent division exceeded its budget")
-    return quo
+    for a in roots:
+        i = next(i for i, x in enumerate(a) if x)
+        strings: dict[tuple[int, ...], dict[int, int]] = {}
+        for o, c in num.items():
+            t = o[i] // a[i]
+            key = tuple(x - t * y for x, y in zip(o, a))
+            strings.setdefault(key, {})[t] = c
+        quo: dict[tuple[int, ...], int] = {}
+        for key, line in strings.items():
+            acc = 0
+            for t in range(max(line), min(line) - 1, -1):
+                acc += line.get(t, 0)
+                if acc:
+                    quo[tuple(x + t * y for x, y in zip(key, a))] = acc
+            if acc:
+                raise SliceError(f"slice not divisible by the Weyl denominator:"
+                                 f" the {a}-string through {key} sums to {acc}")
+        num = quo
+    return num
 
 
 def character_from_numerator(rs: RootSystem, base: AffineWeight,
@@ -687,9 +680,9 @@ def character_from_numerator(rs: RootSystem, base: AffineWeight,
         qmax = numerator.qmax
     numerator.require_nonnegative()
     dsl = denominator_slices(rs, qmax)
-    d0 = dsl[0]
-    if d0 != finite_weyl_denominator(rs):
+    if dsl[0] != finite_weyl_denominator(rs):
         raise AssertionError("denominator zero-slice mismatch")
+    roots = [a.root_coords for a in rs.positive_roots]
     out: dict[int, dict[tuple[int, ...], int]] = {}
     for m in range(qmax + 1):
         acc = dict(numerator.slices.get(m, {}))
@@ -706,7 +699,7 @@ def character_from_numerator(rs: RootSystem, base: AffineWeight,
                         acc[t] = nc
                     else:
                         acc.pop(t, None)
-        q = laurent_divide(acc, d0)
+        q = laurent_divide(acc, roots)
         if q:
             out[m] = q
     return CharSlices(rs, base, qmax, out)

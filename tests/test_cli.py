@@ -254,6 +254,11 @@ def test_precondition_messages(capsys):
         "--weight", "-4", "1", "1", "0", "0",
     ])
     assert code == 2 and "not unique" in err
+    for cases in ("0", "-1"):
+        code, out, err = run(capsys, [
+            "verify", "properties", "--cases", cases,
+        ])
+        assert code == 2 and out == "" and "needs cases >= 1" in err
 
 
 def test_wide_window_weight_cannot_be_normalized(capsys):

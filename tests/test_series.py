@@ -216,9 +216,16 @@ def test_denominator_zero_slice_is_finite_denominator():
 # -- Laurent division ----------------------------------------------------------
 
 
+def _roots(rs):
+    return [a.root_coords for a in rs.positive_roots]
+
+
 def test_laurent_divide_recovers_factor():
+    # in type C the highest root starts with root coordinate 2, so the
+    # string key needs the floor division
     rng = random.Random(5)
-    for fam, rank in (("A", 2), ("C", 2)):
+    assert root_system("C", 3).theta.root_coords[0] == 2
+    for fam, rank in (("A", 2), ("C", 2), ("C", 3), ("D", 4)):
         rs = root_system(fam, rank)
         den = finite_weyl_denominator(rs)
         for _ in range(40):
@@ -229,20 +236,24 @@ def test_laurent_divide_recovers_factor():
                 if c:
                     poly[off] = poly.get(off, 0) + c
             poly = {o: c for o, c in poly.items() if c}
-            assert laurent_divide(poly_mul(poly, den), den) == poly
+            assert laurent_divide(poly_mul(poly, den), _roots(rs)) == poly
 
 
 def test_laurent_divide_flags_inexact():
-    den = finite_weyl_denominator(root_system("A", 2))
-    with pytest.raises(SliceError):
-        laurent_divide({(0, 0): 1, (-1, 0): 1}, den, budget=500)
+    rs = root_system("A", 2)
+    with pytest.raises(SliceError, match="not divisible"):
+        laurent_divide({(0, 0): 1, (-1, 0): 1}, _roots(rs))
 
 
-def test_laurent_divide_leading_term_checks():
-    with pytest.raises(SliceError):
-        laurent_divide({(0, 0): 1}, {(0, 0): 2})
-    with pytest.raises(SliceError):
-        laurent_divide({(0, 0): 1}, {(1, 0): 1, (0, 1): 1})
+def test_character_from_numerator_flags_indivisible_slice():
+    # 1 - e^{-alpha} divides N_0 = e^0 - e^{-alpha}; N_1 = e^0 has no factor
+    rs = root_system("A", 1)
+    base = weight_from_coeffs(rs, (0, 0))
+    ok = CharSlices(rs, base, 0, {0: {(0,): 1, (-1,): -1}})
+    assert character_from_numerator(rs, base, ok).slices == {0: {(0,): 1}}
+    bad = CharSlices(rs, base, 1, {0: {(0,): 1, (-1,): -1}, 1: {(0,): 1}})
+    with pytest.raises(SliceError, match="not divisible"):
+        character_from_numerator(rs, base, bad)
 
 
 def test_character_division_roundtrip():
