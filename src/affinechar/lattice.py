@@ -99,7 +99,7 @@ def lattice_points_below(rs: RootSystem, basis, nu_fin, c: Fraction,
     return out
 
 
-def _orbit_sum(rs: RootSystem, lam: AffineWeight, W, nu_fin, items,
+def _orbit_sum(rs: RootSystem, lam: AffineWeight, nu_fin, items,
                qmax: int) -> CharSlices:
     """sum over items of sum_w eps(w) coeff e^{w(mu)-nu} q^m, based at lam.
 
@@ -115,13 +115,8 @@ def _orbit_sum(rs: RootSystem, lam: AffineWeight, W, nu_fin, items,
             continue
         base_coeff = sgn * coeff
         tgt = out.setdefault(m, {})
-        for w in W:
-            img = w.apply(dom)
-            off = rs.fund_to_root(tuple(a - b for a, b in zip(img, nu_fin)))
-            if any(o.denominator != 1 for o in off):
-                raise AssertionError("orbit offset left the root lattice")
-            key = tuple(int(o) for o in off)
-            c = tgt.get(key, 0) + w.sign * base_coeff
+        for wsign, key in rs.orbit_offsets(dom, nu_fin):
+            c = tgt.get(key, 0) + wsign * base_coeff
             if c:
                 tgt[key] = c
             else:
@@ -130,17 +125,18 @@ def _orbit_sum(rs: RootSystem, lam: AffineWeight, W, nu_fin, items,
 
 
 def _orbit_setup(rs: RootSystem, lam: AffineWeight):
-    """(W, finite part of lam + rho-hat, shifted level k + h_vee > 0).
+    """(finite part of lam + rho-hat, shifted level k + h_vee > 0).
 
-    W is fetched here, before any lattice point is enumerated, so that an
-    oversized Weyl group is refused before that work is spent.
+    The Weyl group is enumerated here, before any lattice point, so that an
+    oversized group is refused before that work is spent.
     """
     rhoh = rho_hat(rs)
     nu_fin = tuple(a + b for a, b in zip(lam.finite, rhoh.finite))
     c = lam.level + rhoh.level
     if c <= 0:
         raise ValueError("shifted level k + h_vee must be positive")
-    return rs.weyl_group(), nu_fin, c
+    rs.weyl_group()
+    return nu_fin, c
 
 
 def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
@@ -152,7 +148,7 @@ def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
     the m-grading is the exact delta-drop, which must be integral.  Terms at
     negative m are kept, for require_nonnegative() to refuse.
     """
-    W, nu_fin, c = _orbit_setup(rs, lam)
+    nu_fin, c = _orbit_setup(rs, lam)
     pts = lattice_points_below(rs, basis, nu_fin, c, qmax)
     items = []
     for x, gamma, drop in pts:
@@ -163,13 +159,13 @@ def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
         coeff = 1 if coeff_fn is None else coeff_fn(gamma, x)
         mu = tuple(a + c * g for a, g in zip(nu_fin, gamma))
         items.append((mu, int(drop), coeff))
-    return _orbit_sum(rs, lam, W, nu_fin, items, qmax)
+    return _orbit_sum(rs, lam, nu_fin, items, qmax)
 
 
 def alt_weyl_raw_points(rs: RootSystem, lam: AffineWeight, gammas,
                         qmax: int) -> CharSlices:
     """Same alternating sum over an explicit finite list of gamma vectors."""
-    W, nu_fin, c = _orbit_setup(rs, lam)
+    nu_fin, c = _orbit_setup(rs, lam)
     items = []
     for gamma in gammas:
         gamma = tuple(Fraction(g) for g in gamma)
@@ -180,4 +176,4 @@ def alt_weyl_raw_points(rs: RootSystem, lam: AffineWeight, gammas,
             continue
         mu = tuple(a + c * g for a, g in zip(nu_fin, gamma))
         items.append((mu, int(drop), 1))
-    return _orbit_sum(rs, lam, W, nu_fin, items, qmax)
+    return _orbit_sum(rs, lam, nu_fin, items, qmax)

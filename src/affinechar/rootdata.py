@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 Vec = tuple[Fraction, ...]
 
@@ -138,6 +140,13 @@ class RootSystem:
             raise AssertionError("Cartan matrix must be integral")
         cartan_rows = [[Fraction(x) for x in row] for row in self.cartan]
         self._cartan_inv = invert_matrix(cartan_rows)
+        # C^{-1} = _inv_num / _inv_den over the integers, for orbit_offsets
+        self._inv_den = lcm(*(x.denominator for row in self._cartan_inv
+                              for x in row))
+        self._inv_num = tuple(
+            tuple(int(x * self._inv_den) for x in row)
+            for row in self._cartan_inv
+        )
 
         # close the simple roots under simple reflections
         roots: set[Vec] = set(simples)
@@ -292,28 +301,54 @@ class RootSystem:
                 f"elements, more than {limit}; pass allow_large "
                 "(--allow-large-weyl) to enumerate anyway"
             )
-        gens = [self.simple_reflection(i) for i in range(self.rank)]
-        ident = WeylElement(
-            tuple(tuple(int(i == j) for j in range(self.rank))
-                  for i in range(self.rank)),
-            1,
-        )
-        seen = {ident.matrix: ident}
+        l = self.rank
+        # Matrices are kept as tuples of columns: right-multiplying by s_i
+        # changes column i only, to col_i - sum_j cartan[j][i] col_j, which
+        # is -col_i - sum_{j != i} cartan[j][i] col_j since cartan[i][i] = 2.
+        nbrs = [[(j, int(self.cartan[j][i])) for j in range(l)
+                 if j != i and self.cartan[j][i]] for i in range(l)]
+        ident = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
+        seen = {ident: 1}
         frontier = [ident]
         while frontier:
             nxt = []
-            for w in frontier:
-                for g in gens:
-                    wg = w.compose(g)
-                    if wg.matrix not in seen:
-                        seen[wg.matrix] = wg
-                        nxt.append(wg)
+            for m in frontier:
+                sign = -seen[m]
+                for i, nb in enumerate(nbrs):
+                    col = [-x for x in m[i]]
+                    for j, c in nb:
+                        col = [a - c * b for a, b in zip(col, m[j])]
+                    mi = m[:i] + (tuple(col),) + m[i + 1:]
+                    if mi not in seen:
+                        seen[mi] = sign
+                        nxt.append(mi)
             frontier = nxt
         if len(seen) != order:
             raise AssertionError(f"enumerated {len(seen)} of {order} "
                                  "Weyl group elements")
-        self._weyl_cache = list(seen.values())
+        self._weyl_cache = [WeylElement(tuple(zip(*m)), sg)
+                            for m, sg in seen.items()]
         return self._weyl_cache
+
+    def orbit_offsets(self, v, base):
+        """Yield (w.sign, root coordinates of w(v) - base) for w in W.
+
+        v and base are fundamental coordinates; the elements come in the
+        order of weyl_group().  All arithmetic is on Python ints: v and base
+        are scaled by the lcm d of their denominators, and C^{-1} is
+        _inv_num / _inv_den, so each offset is one exact division by
+        _inv_den * d.
+        """
+        d = lcm(*(x.denominator for x in (*v, *base)))
+        vi = [x.numerator * (d // x.denominator) for x in v]
+        bi = [x.numerator * (d // x.denominator) for x in base]
+        num, dd = self._inv_num, self._inv_den * d
+        for w in self.weyl_group():
+            diff = [sum(map(mul, row, vi)) - b for row, b in zip(w.matrix, bi)]
+            off = [sum(map(mul, row, diff)) for row in num]
+            if any(x % dd for x in off):
+                raise AssertionError("orbit offset left the root lattice")
+            yield w.sign, tuple([x // dd for x in off])
 
     def to_dominant(self, fund) -> tuple[tuple[Fraction, ...], int, bool]:
         """Reflect into the dominant chamber.
@@ -360,15 +395,6 @@ class WeylElement:
                  if v[j]), Fraction(0))
             for row in self.matrix
         )
-
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        a, b = self.matrix, other.matrix
-        n = len(a)
-        rows = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        return WeylElement(rows, self.sign * other.sign)
 
 
 def root_system(family: str, rank: int) -> RootSystem:

@@ -590,38 +590,40 @@ def qpoly_invert(a: dict[int, int], qmax: int) -> dict[int, int]:
     return out
 
 def denominator_slices(rs: RootSystem, qmax: int) -> dict[int, dict[tuple[int, ...], int]]:
-    """q-slices of e^{-rho-hat} R-hat; offsets in root coordinates."""
-    slices: dict[int, dict[tuple[int, ...], int]] = {0: {(0,) * rs.rank: 1}}
+    """q-slices of e^{-rho-hat} R-hat; offsets in root coordinates.
+
+    Each factor (1 - e^{off} q^j) is multiplied into the slices in place:
+    for j >= 1 the q-powers are walked from the top down, so a slice is read
+    before anything is added to it; for j = 0 a slice is read from a
+    snapshot.  The q^{j>=1} factors come first, the finite ones last.
+    """
+    slices: dict[int, dict[tuple[int, ...], int]] = {
+        m: {} for m in range(qmax + 1)}
+    slices[0][(0,) * rs.rank] = 1
 
     def mul_two_term(j: int, off: tuple[int, ...]) -> None:
         # multiply by (1 - e^{off} q^j)
-        nonlocal slices
-        out: dict[int, dict[tuple[int, ...], int]] = {}
-        for m, b in slices.items():
-            for o, c in b.items():
-                tgt = out.setdefault(m, {})
-                tgt[o] = tgt.get(o, 0) + c
-                if not tgt[o]:
-                    del tgt[o]
-                if m + j <= qmax:
-                    no = tuple(a + d for a, d in zip(o, off))
-                    tgt2 = out.setdefault(m + j, {})
-                    tgt2[no] = tgt2.get(no, 0) - c
-                    if not tgt2[no]:
-                        del tgt2[no]
-        slices = out
+        for m in range(qmax - j, -1, -1):
+            src = slices[m]
+            tgt = slices[m + j]
+            for o, c in (list(src.items()) if j == 0 else src.items()):
+                no = tuple(a + d for a, d in zip(o, off))
+                nc = tgt.get(no, 0) - c
+                if nc:
+                    tgt[no] = nc
+                else:
+                    del tgt[no]
 
     zero = (0,) * rs.rank
-    for a in rs.positive_roots:
-        mrc = tuple(-x for x in a.root_coords)
-        mul_two_term(0, mrc)
-        for k in range(1, qmax + 1):
-            mul_two_term(k, mrc)
-            mul_two_term(k, a.root_coords)
     for k in range(1, qmax + 1):
+        for a in rs.positive_roots:
+            mul_two_term(k, tuple(-x for x in a.root_coords))
+            mul_two_term(k, a.root_coords)
         for _ in range(rs.rank):
             mul_two_term(k, zero)
-    return slices
+    for a in rs.positive_roots:
+        mul_two_term(0, tuple(-x for x in a.root_coords))
+    return {m: b for m, b in slices.items() if b}
 
 
 def finite_weyl_denominator(rs: RootSystem) -> dict[tuple[int, ...], int]:

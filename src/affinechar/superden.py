@@ -139,7 +139,6 @@ def _branch_sum(rs, basis, lamb, shift, kvec_fn, height: int):
     odd correction).  kvec_fn(D, p, cro) maps drop, geometric exponent and
     the finite root coordinates to the full cone exponent vector.
     """
-    W = rs.weyl_group()
     rho_f = tuple(Fraction(1) for _ in range(rs.rank))
     out: dict[tuple[int, ...], int] = {}
     for branch in (1, -1):
@@ -166,19 +165,14 @@ def _branch_sum(rs, basis, lamb, shift, kvec_fn, height: int):
                     raise AssertionError("runaway geometric branch")
                 nu = tuple(r + Fraction(shift) * g + Fraction(p) * l
                            for r, g, l in zip(rho_f, gf, lamb))
+                base = tuple(r + Fraction(p) * l for r, l in zip(rho_f, lamb))
                 hmin = None
-                for w in W:
-                    img = w.apply(nu)
-                    cro = rs.fund_to_root(tuple(
-                        a - b - Fraction(p) * l
-                        for a, b, l in zip(img, rho_f, lamb)))
-                    if any(c.denominator != 1 for c in cro):
-                        raise AssertionError("offset left the root lattice")
-                    ks = kvec_fn(D, p, tuple(int(c) for c in cro))
+                for wsign, cro in rs.orbit_offsets(nu, base):
+                    ks = kvec_fn(D, p, cro)
                     h = sum(ks)
                     hmin = h if hmin is None else min(hmin, h)
                     if h <= height:
-                        c = out.get(ks, 0) + branch * w.sign
+                        c = out.get(ks, 0) + branch * wsign
                         if c:
                             out[ks] = c
                         else:

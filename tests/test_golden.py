@@ -95,3 +95,11 @@ def test_compute_pretty_golden(capsys):
     argv = _argv("sp-c", "C 2 --order 2", "--character", "--format", "pretty")
     assert _sha(capsys, argv) == (
         "56fc1df99d2fade11a4dd0523e056d3c8cc67fcfd8fc69d441b8416bb89a3c1b")
+
+
+def test_e6_screened_vacuum_numerator_golden(capsys):
+    # a full W(E6) orbit sum: 51,840 elements through the integer kernel
+    argv = ("compute --formula deligne --type E --rank 6 "
+            "--weight -3 0 0 0 0 0 0 --order 0").split()
+    assert _sha(capsys, argv) == (
+        "b450dd1b48e6be5128a23e83b53d1045b5ce2e0d5e2ef740de698e4fffb0f1fa")

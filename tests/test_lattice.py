@@ -15,6 +15,7 @@ from affinechar.lattice import (
     quad_points,
 )
 from affinechar.rootdata import (
+    RootSystem,
     WeylSizeError,
     coroot_lattice_basis,
     root_system,
@@ -30,6 +31,7 @@ from affinechar.series import (
     translate,
     weight_from_coeffs,
 )
+from affinechar.superden import sl_sum, spo_sum
 
 
 # -- quadratic-form point enumeration -----------------------------------------
@@ -201,6 +203,79 @@ def test_denominator_identity(fam, rank, qmax):
     num = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax)
     want = CharSlices(rs, lam, qmax, denominator_slices(rs, qmax))
     assert num.first_diff(want) is None
+
+
+def copy_per_factor_denominator(rs, qmax):
+    """e^{-rho-hat} R-hat by two-term products that copy every slice."""
+    slices = {0: {(0,) * rs.rank: 1}}
+
+    def mul_two_term(j, off):
+        nonlocal slices
+        out = {}
+        for m, b in slices.items():
+            for o, c in b.items():
+                tgt = out.setdefault(m, {})
+                tgt[o] = tgt.get(o, 0) + c
+                if not tgt[o]:
+                    del tgt[o]
+                if m + j <= qmax:
+                    no = tuple(a + d for a, d in zip(o, off))
+                    tgt2 = out.setdefault(m + j, {})
+                    tgt2[no] = tgt2.get(no, 0) - c
+                    if not tgt2[no]:
+                        del tgt2[no]
+        slices = out
+
+    for a in rs.positive_roots:
+        mrc = tuple(-x for x in a.root_coords)
+        mul_two_term(0, mrc)
+        for k in range(1, qmax + 1):
+            mul_two_term(k, mrc)
+            mul_two_term(k, a.root_coords)
+    for k in range(1, qmax + 1):
+        for _ in range(rs.rank):
+            mul_two_term(k, (0,) * rs.rank)
+    # a q-power that cancels completely is left as an empty slice here
+    return {m: b for m, b in slices.items() if b}
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                                      ("C", 2), ("C", 3), ("D", 4)])
+def test_denominator_slices_match_copy_per_factor(fam, rank):
+    rs = root_system(fam, rank)
+    for qmax in range(5):
+        got = denominator_slices(rs, qmax)
+        assert all(got.values())
+        assert got == copy_per_factor_denominator(rs, qmax)
+
+
+def test_orbit_sums_share_the_integer_kernel(monkeypatch):
+    # both orbit sums take every offset from RootSystem.orbit_offsets
+    calls = []
+    kernel = RootSystem.orbit_offsets
+
+    def counted(self, v, base):
+        calls.append(self.family)
+        return kernel(self, v, base)
+
+    monkeypatch.setattr(RootSystem, "orbit_offsets", counted)
+    rs = root_system("A", 2)
+    alt_weyl_raw(rs, weight_from_coeffs(rs, (0, 0, 0)),
+                 coroot_lattice_basis(rs), 2)
+    assert calls and set(calls) == {"A"}
+    calls.clear()
+    sl_sum(3, 4)
+    spo_sum(2, 4)
+    assert set(calls) == {"A", "C"}
+
+
+def test_orbit_sum_refuses_offsets_off_the_root_lattice():
+    rs = root_system("A", 2)
+    lam = AffineWeight.make((Fraction(0), Fraction(0)), 0, 0)
+    # mu - nu = omega_1 is a weight, not a root-lattice vector
+    items = [((Fraction(2), Fraction(1)), 0, 1)]
+    with pytest.raises(AssertionError, match="left the root lattice"):
+        lattice._orbit_sum(rs, lam, (Fraction(1), Fraction(1)), items, 0)
 
 
 def test_shifted_level_must_be_positive():

@@ -42,6 +42,7 @@ CASES = [
     ("C", 3, 9, 4, 48),
     ("D", 4, 12, 6, 192),
 ]
+ORACLE_TYPES = [(fam, rank) for fam, rank, *_ in CASES]
 
 
 @pytest.mark.parametrize("fam,rank,npos,hvee,worder", CASES)
@@ -103,7 +104,7 @@ def test_cached_group_outlives_the_gate():
 
 
 def test_sign_matches_determinant():
-    for fam, rank in [("A", 2), ("C", 2), ("D", 4)]:
+    for fam, rank in ORACLE_TYPES:
         rs = root_system(fam, rank)
         for w in rs.weyl_group():
             rows = [[Fraction(x) for x in row] for row in w.matrix]
@@ -192,3 +193,70 @@ def test_root_lattice_basis_integral():
         rs = root_system(fam, rank)
         for b in root_lattice_basis(rs) + coroot_lattice_basis(rs):
             assert all(x.denominator == 1 for x in b)
+
+
+# -- the integer orbit kernel and the enumeration against slow oracles --------
+
+
+def apply_path(rs, v, base):
+    """(sign, root coordinates of w(v) - base) through Fraction arithmetic."""
+    return [(w.sign, rs.fund_to_root(tuple(a - b for a, b in
+                                           zip(w.apply(v), base))))
+            for w in rs.weyl_group()]
+
+
+@pytest.mark.parametrize("fam,rank", ORACLE_TYPES)
+def test_orbit_offsets_match_apply_path(fam, rank):
+    rng = random.Random(fam + str(rank))
+    rs = root_system(fam, rank)
+    for _ in range(12):
+        v = tuple(Fraction(rng.randint(-4, 4)) for _ in range(rank))
+        rc = tuple(rng.randint(-3, 3) for _ in range(rank))
+        base = tuple(a - b for a, b in zip(v, rs.root_to_fund(rc)))
+        want = apply_path(rs, v, base)
+        assert all(x.denominator == 1 for _, off in want for x in off)
+        assert list(rs.orbit_offsets(v, base)) == want
+    # half-integral or non-congruent pairs leave the root lattice on both paths
+    for _ in range(12):
+        v = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
+                  for _ in range(rank))
+        base = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
+                     for _ in range(rank))
+        want = apply_path(rs, v, base)
+        if all(x.denominator == 1 for _, off in want for x in off):
+            assert list(rs.orbit_offsets(v, base)) == want
+        else:
+            with pytest.raises(AssertionError, match="left the root lattice"):
+                list(rs.orbit_offsets(v, base))
+
+
+def test_orbit_offsets_refuse_to_leave_the_root_lattice():
+    rs = root_system("A", 2)
+    with pytest.raises(AssertionError, match="left the root lattice"):
+        list(rs.orbit_offsets((Fraction(1), Fraction(0)), (0, 0)))
+
+
+def full_product_closure(rs):
+    """W by closing {1} under right multiplication with full matrix products."""
+    l = rs.rank
+    gens = [rs.simple_reflection(i).matrix for i in range(l)]
+    ident = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
+    seen = {ident: None}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in gens:
+                ab = tuple(tuple(sum(a[i][k] * b[k][j] for k in range(l))
+                                 for j in range(l)) for i in range(l))
+                if ab not in seen:
+                    seen[ab] = None
+                    nxt.append(ab)
+        frontier = nxt
+    return list(seen)
+
+
+@pytest.mark.parametrize("fam,rank", ORACLE_TYPES)
+def test_weyl_group_matches_full_product_closure(fam, rank):
+    rs = root_system(fam, rank)
+    assert [w.matrix for w in rs.weyl_group()] == full_product_closure(rs)
