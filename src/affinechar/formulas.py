@@ -15,17 +15,17 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .lattice import alt_weyl_raw, alt_weyl_raw_points, lattice_points_below
+from .lattice import alt_weyl_raw, lattice_points_below
 from .rootdata import (
     RootSystem,
     coroot_lattice_basis,
-    gamma_basis_C,
     root_lattice_basis,
     root_system,
 )
 from .series import (
     AffineWeight,
     CharSlices,
+    SliceError,
     character_from_numerator,
     denominator_slices,
     first_diff,
@@ -270,29 +270,16 @@ def parity_bracket_identity(npr: int, qmax: int):
                           qmax)
     right = parity_bracket(npr, lambda j: j[0] < 0 and sum(j) % 2 == 0,
                            qmax)
-    d = left.first_diff(-right)
-    return d is None, d
+    return left.first_diff(-right)
 
 
 def window_negation_check(npr: int, omega, qmax: int):
     """Finite window sums: [Omega] = -[Omega'] with j1 -> -j1-1."""
-    rs = root_system("C", npr)
-    lam = weight_from_coeffs(rs, (-1,) + (0,) * npr)
-    gbasis = gamma_basis_C(rs)
-
-    def gammas_of(js):
-        return [
-            tuple(sum(Fraction(j) * b[i] for j, b in zip(jt, gbasis))
-                  for i in range(rs.rank))
-            for jt in js
-        ]
-
-    omega = [tuple(j) for j in omega]
-    omega2 = [(-j[0] - 1,) + j[1:] for j in omega]
-    a = alt_weyl_raw_points(rs, lam, gammas_of(omega), qmax)
-    b = alt_weyl_raw_points(rs, lam, gammas_of(omega2), qmax)
-    d = a.first_diff(-b)
-    return d is None, d
+    omega = {tuple(j) for j in omega}
+    omega2 = {(-j[0] - 1,) + j[1:] for j in omega}
+    a = parity_bracket(npr, lambda j: j in omega, qmax)
+    b = parity_bracket(npr, lambda j: j in omega2, qmax)
+    return a.first_diff(-b)
 
 
 def twisted_denominator_check(npr: int, qmax: int):
@@ -301,8 +288,7 @@ def twisted_denominator_check(npr: int, qmax: int):
     prod = sp_twist_product_character(rs, qmax)
     lhs = prod.mul_slices(denominator_slices(rs, qmax))
     rhs = parity_bracket(npr, lambda j: sum(j) % 2 == 0, qmax)
-    d = lhs.first_diff(rhs)
-    return d is None, d
+    return lhs.first_diff(rhs)
 
 
 # -- linear-coefficient numerators ---------------------------------------
@@ -420,6 +406,7 @@ def q_dimension_sum(rs: RootSystem, lam, basis, qmax: int,
     Returns the coefficient list of phi(q)^{dim g} * (graded dim), computed
     from the lattice sum alone: the full Weyl sum collapses against the
     finite denominator, leaving one signed dimension value per translation.
+    Translations at a negative drop must cancel per q-power, or SliceError.
     """
     rho = tuple(Fraction(1) for _ in range(rs.rank))
     nu = tuple(a + b for a, b in zip(lam.finite, rho))
@@ -427,7 +414,7 @@ def q_dimension_sum(rs: RootSystem, lam, basis, qmax: int,
     if c <= 0:
         raise ValueError("shifted level must be positive")
     pts = lattice_points_below(rs, basis, nu, c, qmax)
-    acc = [Fraction(0)] * (qmax + 1)
+    by_drop: dict[int, Fraction] = {}
     for x, gf, drop in pts:
         if pred is not None and not pred(gf, x):
             continue
@@ -435,7 +422,13 @@ def q_dimension_sum(rs: RootSystem, lam, basis, qmax: int,
             raise AssertionError("non-integral drop")
         co = 1 if coeff_fn is None else coeff_fn(gf, x)
         hw = tuple(l + c * g for l, g in zip(lam.finite, gf))
-        acc[int(drop)] += co * rs.weyl_dim(hw)
+        m = int(drop)
+        by_drop[m] = by_drop.get(m, Fraction(0)) + co * rs.weyl_dim(hw)
+    for m in sorted(by_drop):
+        if m < 0 and by_drop[m]:
+            raise SliceError(f"uncancelled dimension {by_drop[m]} at "
+                             f"negative q-power {m}")
+    acc = [by_drop.get(m, Fraction(0)) for m in range(qmax + 1)]
     if halve:
         acc = [a / 2 for a in acc]
     for a in acc:
@@ -452,7 +445,7 @@ def sl_tower_assembly_check(n: int, height: int, smax: int):
 
     Every cone monomial belongs to exactly one charge s = k_0 - k_n; the
     tower members with |s| <= smax must reproduce the product side filtered
-    to that charge band.  Returns (ok, first difference, product terms).
+    to that charge band.  Returns (first difference, product terms).
     """
     prod = superden.sl_product(n, height)
     want = {}
@@ -486,8 +479,7 @@ def sl_tower_assembly_check(n: int, height: int, smax: int):
             for m, b in num.slices.items():
                 for off, c in b.items():
                     add((m,) + tuple(m - o for o in off) + (m - s,), c)
-    d = first_diff(got, want)
-    return d is None, d, prod.n_terms()
+    return first_diff(got, want), prod.n_terms()
 
 
 def sp_sector_restriction_check(n: int, s: int, qmax: int):
@@ -497,8 +489,7 @@ def sp_sector_restriction_check(n: int, s: int, qmax: int):
     chf = fock.charge_sector_character_sp(rs, s, qmax)
     lhs = chf.mul_slices(denominator_slices(rs, qmax))
     rhs = _half_sum(rs, chf.base, coroot_lattice_basis(rs), 1, qmax)
-    d = lhs.first_diff(rhs)
-    return d is None, d
+    return lhs.first_diff(rhs)
 
 
 def sp_flip_decomposition_check(n: int, qmax: int):
@@ -515,4 +506,4 @@ def sp_flip_decomposition_check(n: int, qmax: int):
     chc = sp_c_character_shifted(n, qmax)
     d_plus = (chb.mul_qpoly(vp) + chc.mul_qpoly(vm)).first_diff(f0p)
     d_minus = (chb.mul_qpoly(vm) + chc.mul_qpoly(vp)).first_diff(f0m)
-    return d_plus is None and d_minus is None, (d_plus, d_minus)
+    return d_plus, d_minus

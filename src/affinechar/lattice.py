@@ -124,21 +124,6 @@ def _orbit_sum(rs: RootSystem, lam: AffineWeight, nu_fin, items,
     return CharSlices(rs, lam, qmax, {m: b for m, b in out.items() if b})
 
 
-def _orbit_setup(rs: RootSystem, lam: AffineWeight):
-    """(finite part of lam + rho-hat, shifted level k + h_vee > 0).
-
-    The Weyl group is enumerated here, before any lattice point, so that an
-    oversized group is refused before that work is spent.
-    """
-    rhoh = rho_hat(rs)
-    nu_fin = tuple(a + b for a, b in zip(lam.finite, rhoh.finite))
-    c = lam.level + rhoh.level
-    if c <= 0:
-        raise ValueError("shifted level k + h_vee must be positive")
-    rs.weyl_group()
-    return nu_fin, c
-
-
 def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
                  pred=None, coeff_fn=None) -> CharSlices:
     """sum_w eps(w) w sum_gamma coeff(gamma) t_gamma e^{lam+rho-hat}, sliced.
@@ -146,9 +131,16 @@ def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
     gamma runs over the lattice spanned by `basis` with drop <= qmax and
     pred(gamma) true.  Terms are exponents relative to lam + (mult of delta);
     the m-grading is the exact delta-drop, which must be integral.  Terms at
-    negative m are kept, for require_nonnegative() to refuse.
+    negative m are kept, for require_nonnegative() to refuse.  The Weyl group
+    is enumerated before any lattice point, so that an oversized group is
+    refused before that work is spent.
     """
-    nu_fin, c = _orbit_setup(rs, lam)
+    rhoh = rho_hat(rs)
+    nu_fin = tuple(a + b for a, b in zip(lam.finite, rhoh.finite))
+    c = lam.level + rhoh.level
+    if c <= 0:
+        raise ValueError("shifted level k + h_vee must be positive")
+    rs.weyl_group()
     pts = lattice_points_below(rs, basis, nu_fin, c, qmax)
     items = []
     for x, gamma, drop in pts:
@@ -159,21 +151,4 @@ def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
         coeff = 1 if coeff_fn is None else coeff_fn(gamma, x)
         mu = tuple(a + c * g for a, g in zip(nu_fin, gamma))
         items.append((mu, int(drop), coeff))
-    return _orbit_sum(rs, lam, nu_fin, items, qmax)
-
-
-def alt_weyl_raw_points(rs: RootSystem, lam: AffineWeight, gammas,
-                        qmax: int) -> CharSlices:
-    """Same alternating sum over an explicit finite list of gamma vectors."""
-    nu_fin, c = _orbit_setup(rs, lam)
-    items = []
-    for gamma in gammas:
-        gamma = tuple(Fraction(g) for g in gamma)
-        drop = drop_of(rs, nu_fin, c, gamma)
-        if drop.denominator != 1:
-            raise AssertionError("non-integral drop")
-        if drop > qmax:
-            continue
-        mu = tuple(a + c * g for a, g in zip(nu_fin, gamma))
-        items.append((mu, int(drop), 1))
     return _orbit_sum(rs, lam, nu_fin, items, qmax)

@@ -401,23 +401,6 @@ def root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(family, rank)
 
 
-def gamma_basis_C(rs: RootSystem) -> list[tuple[Fraction, ...]]:
-    """Basis gamma_i = 2*eps_i of the translation lattice for type C.
-
-    gamma_i = a_i^vee + ... + a_l^vee; returned in fundamental coordinates.
-    """
-    if rs.family != "C":
-        raise ValueError("gamma basis only defined for type C here")
-    l = rs.rank
-    out = []
-    for i in range(l):
-        acc = [Fraction(0)] * l
-        for j in range(i, l):
-            acc = [a + b for a, b in zip(acc, rs.coroot_fund[j])]
-        out.append(tuple(acc))
-    return out
-
-
 def coroot_lattice_basis(rs: RootSystem) -> list[tuple[Fraction, ...]]:
     """Basis of the coroot lattice in fundamental coordinates."""
     return [tuple(v) for v in rs.coroot_fund]

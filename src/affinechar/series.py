@@ -1,14 +1,17 @@
-"""Truncated exponential series on affine weight cones, exact over Z.
+"""Exact integer series: the superdenominator cone accumulator and CharSlices.
 
-A series is a finite Z-linear combination of formal exponentials
+ExpSeries is a height-truncated Z-linear combination of formal exponentials
 
-    e^{base - k_0 m_0 - k_1 m_1 - ... }        (all k_i >= 0)
+    e^{-k_0 m_0 - k_1 m_1 - ... }        (all k_i >= 0)
 
 where the m_i are the simple monomial directions of a frame (for an affine
-root system: alpha_0 = delta - theta and the finite simple roots).  Terms
-are stored by cone height sum(k_i) and are exact up to the stated order;
+root system: alpha_0 = delta - theta and the finite simple roots).  It only
+accumulates products of two-term factors and lists its terms.  Terms are
+stored by cone height sum(k_i) and are exact up to the stated order;
 nothing above the order is kept.  Keys are packed into single integers,
 eight bits per exponent, so multiplication stays cheap.
+
+CharSlices is the one q-sliced type for numerators and characters.
 """
 
 from __future__ import annotations
@@ -54,37 +57,9 @@ class AffineWeight:
             tuple(Fraction(x) for x in finite), Fraction(level), Fraction(delta)
         )
 
-    def __add__(self, other: "AffineWeight") -> "AffineWeight":
-        return AffineWeight(
-            tuple(a + b for a, b in zip(self.finite, other.finite)),
-            self.level + other.level,
-            self.delta + other.delta,
-        )
-
-    def __sub__(self, other: "AffineWeight") -> "AffineWeight":
-        return AffineWeight(
-            tuple(a - b for a, b in zip(self.finite, other.finite)),
-            self.level - other.level,
-            self.delta - other.delta,
-        )
-
-    def scale(self, c) -> "AffineWeight":
-        c = Fraction(c)
-        return AffineWeight(
-            tuple(c * x for x in self.finite), c * self.level, c * self.delta
-        )
-
 
 def rho_hat(rs: RootSystem) -> AffineWeight:
     return AffineWeight.make(rs.rho, rs.dual_coxeter, 0)
-
-
-def fundamental_affine_weight(rs: RootSystem, i: int) -> AffineWeight:
-    """Lambda_i = comark_i * Lambda_0 + bar-Lambda_i; i = 0 gives Lambda_0."""
-    if i == 0:
-        return AffineWeight.make((0,) * rs.rank, 1, 0)
-    fin = tuple(Fraction(int(j == i - 1)) for j in range(rs.rank))
-    return AffineWeight.make(fin, rs.comarks[i - 1], 0)
 
 
 def weight_from_coeffs(rs: RootSystem, coeffs, delta=0) -> AffineWeight:
@@ -110,21 +85,18 @@ def translate(rs: RootSystem, w: AffineWeight, gamma) -> AffineWeight:
 class ExpSeries:
     """Height-truncated series on a cone frame with nvars directions."""
 
-    __slots__ = ("nvars", "base", "order", "by_height")
+    __slots__ = ("nvars", "order", "by_height")
 
-    def __init__(self, nvars: int, base: AffineWeight, order: int):
+    def __init__(self, nvars: int, order: int):
         if order > MAX_ORDER:
             raise ValueError(f"order {order} exceeds packing bound {MAX_ORDER}")
         self.nvars = nvars
-        self.base = base
         self.order = order
         self.by_height: list[dict[int, int]] = [dict() for _ in range(order + 1)]
 
-    # -- construction ------------------------------------------------------
-
     @staticmethod
-    def one(nvars: int, base: AffineWeight, order: int) -> "ExpSeries":
-        s = ExpSeries(nvars, base, order)
+    def one(nvars: int, order: int) -> "ExpSeries":
+        s = ExpSeries(nvars, order)
         s.by_height[0][0] = 1
         return s
 
@@ -138,61 +110,6 @@ class ExpSeries:
                 bucket[key] = c
             else:
                 bucket.pop(key, None)
-
-    # -- ring operations ---------------------------------------------------
-
-    def _check_frame(self, other: "ExpSeries") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("incompatible series frames")
-
-    def __add__(self, other: "ExpSeries") -> "ExpSeries":
-        self._check_frame(other)
-        if other.base != self.base:
-            raise ValueError("series bases differ; cannot add")
-        order = min(self.order, other.order)
-        s = ExpSeries(self.nvars, self.base, order)
-        for h in range(order + 1):
-            b = dict(self.by_height[h])
-            for k, c in other.by_height[h].items():
-                nc = b.get(k, 0) + c
-                if nc:
-                    b[k] = nc
-                else:
-                    b.pop(k, None)
-            s.by_height[h] = b
-        return s
-
-    def __neg__(self) -> "ExpSeries":
-        s = ExpSeries(self.nvars, self.base, self.order)
-        s.by_height = [{k: -c for k, c in b.items()} for b in self.by_height]
-        return s
-
-    def __sub__(self, other: "ExpSeries") -> "ExpSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "ExpSeries") -> "ExpSeries":
-        self._check_frame(other)
-        order = min(self.order, other.order)
-        s = ExpSeries(self.nvars, self.base + other.base, order)
-        out = s.by_height
-        for h1 in range(min(self.order, order) + 1):
-            b1 = self.by_height[h1]
-            if not b1:
-                continue
-            for h2 in range(min(other.order, order - h1) + 1):
-                b2 = other.by_height[h2]
-                if not b2:
-                    continue
-                tgt = out[h1 + h2]
-                for k1, c1 in b1.items():
-                    for k2, c2 in b2.items():
-                        k = k1 + k2
-                        c = tgt.get(k, 0) + c1 * c2
-                        if c:
-                            tgt[k] = c
-                        else:
-                            del tgt[k]
-        return s
 
     def mul_one_minus(self, exps, sign: int = 1) -> None:
         """Multiply in place by (1 - sign * e-monomial(exps))."""
@@ -226,23 +143,8 @@ class ExpSeries:
                 else:
                     tgt.pop(kk, None)
 
-    # -- queries -----------------------------------------------------------
-
-    def coeff(self, exps) -> int:
-        h = sum(exps)
-        if h > self.order:
-            raise ValueError("exponent beyond truncation order")
-        return self.by_height[h].get(pack(exps), 0)
-
     def n_terms(self) -> int:
         return sum(len(b) for b in self.by_height)
-
-    def restrict(self, order: int) -> "ExpSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        s = ExpSeries(self.nvars, self.base, order)
-        s.by_height = [dict(b) for b in self.by_height[: order + 1]]
-        return s
 
     def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
         out = []
@@ -252,25 +154,13 @@ class ExpSeries:
         out.sort(key=lambda t: t[0])
         return out
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExpSeries):
-            return NotImplemented
-        return (
-            self.nvars == other.nvars
-            and self.base == other.base
-            and self.order == other.order
-            and self.by_height == other.by_height
-        )
 
 # -- affine denominator as a cone series ------------------------------------
 
 
 def affine_factor_list(rs: RootSystem, order: int):
-    """All factors of e^{-rho-hat} R-hat up to cone height `order`.
-
-    Yields (exps, kind) where kind is +1 for a plain (1 - e^m) factor and
-    the factor count of q^k eta-type factors is the rank.
-    """
+    """Exponents m of the factors (1 - e^m) of e^{-rho-hat} R-hat up to cone
+    height `order`; each q^k factor appears rank times."""
     marks = (1,) + tuple(rs.marks)
     htd = rs.delta_height
     out = []
@@ -309,8 +199,7 @@ def affine_factor_list(rs: RootSystem, order: int):
 
 def denominator_series(rs: RootSystem, order: int) -> ExpSeries:
     """e^{-rho-hat} R-hat expanded on the affine cone up to `order`."""
-    base = AffineWeight.make((0,) * rs.rank, 0, 0)
-    s = ExpSeries.one(rs.rank + 1, base, order)
+    s = ExpSeries.one(rs.rank + 1, order)
     for exps in affine_factor_list(rs, order):
         s.mul_one_minus(exps)
     return s
@@ -564,7 +453,7 @@ def qpoly_mul(a: dict[int, int], b: dict[int, int],
     out: dict[int, int] = {}
     for m, c in a.items():
         for j, d in b.items():
-            if m + j > qmax:
+            if m + j > qmax or not c * d:
                 continue
             nc = out.get(m + j, 0) + c * d
             if nc:

@@ -20,9 +20,7 @@ from fractions import Fraction
 
 from .lattice import lattice_points_below
 from .rootdata import coroot_lattice_basis, root_lattice_basis, root_system
-from .series import AffineWeight, ExpSeries
-
-_ZERO = AffineWeight.make((), 0, 0)
+from .series import ExpSeries
 
 
 def _scaled(vec, marks, k: int) -> tuple[int, ...]:
@@ -40,7 +38,7 @@ def sl_product(n: int, height: int) -> ExpSeries:
     nv = n + 1
     marks = (1,) * nv
     htq = nv
-    s = ExpSeries.one(nv, _ZERO, height)
+    s = ExpSeries.one(nv, height)
     zero = (0,) * nv
     for _ in range(n):
         k = 1
@@ -83,7 +81,7 @@ def spo_product(npr: int, height: int) -> ExpSeries:
     nv = npr + 2
     marks = (1, 1) + (2,) * (npr - 1) + (1,)
     htq = sum(marks)
-    s = ExpSeries.one(nv, _ZERO, height)
+    s = ExpSeries.one(nv, height)
     zero = (0,) * nv
     # one oscillator family and the rank-many imaginary families
     for _ in range(1 + npr):
@@ -188,7 +186,7 @@ def _branch_sum(rs, basis, lamb, shift, kvec_fn, height: int):
 
 
 def _to_cone_series(terms: dict, nvars: int, height: int) -> ExpSeries:
-    s = ExpSeries(nvars, _ZERO, height)
+    s = ExpSeries(nvars, height)
     for ks, c in terms.items():
         if c and any(k < 0 for k in ks):
             raise AssertionError(f"uncancelled term outside the cone: {ks}")

@@ -16,6 +16,7 @@ from affinechar import formulas as fm
 from affinechar.rootdata import coroot_lattice_basis, root_system
 from affinechar.series import (
     AffineWeight,
+    CharSlices,
     character_from_numerator,
     denominator_slices,
     qpoly_mul,
@@ -49,7 +50,8 @@ def test_criterion_01_superdenominator_product_vs_sum():
     bad = []
     for n, height in ((3, 20), (4, 25)):
         tn = time.monotonic()
-        if superden.sl_product(n, height) != superden.sl_sum(n, height):
+        if (superden.sl_product(n, height).sorted_items()
+                != superden.sl_sum(n, height).sorted_items()):
             bad.append(n)
         assert time.monotonic() - tn < 30
     _line(1, not bad, 60, t0,
@@ -89,8 +91,8 @@ def test_criterion_04_sector_restriction():
     t0 = time.monotonic()
     bad = []
     for s in (1, 2):
-        ok, d = fm.sp_sector_restriction_check(4, s, 3)
-        if not ok:
+        d = fm.sp_sector_restriction_check(4, s, 3)
+        if d is not None:
             bad.append((s, d))
     _line(4, not bad, 60, t0,
           "folded sector times denominator equals half sum, n=4, s=1,2, "
@@ -99,17 +101,17 @@ def test_criterion_04_sector_restriction():
 
 def test_criterion_05_flip_decomposition():
     t0 = time.monotonic()
-    ok, d = fm.sp_flip_decomposition_check(4, 3)
-    _line(5, ok, 120, t0,
+    d = fm.sp_flip_decomposition_check(4, 3)
+    _line(5, d == (None, None), 120, t0,
           "mirror eigenspaces match the split-character combinations, n=4, "
           "order 3")
 
 
 def test_criterion_06_twisted_denominator():
     t0 = time.monotonic()
-    ok2, d2 = fm.twisted_denominator_check(2, 5)
-    ok3, d3 = fm.twisted_denominator_check(3, 3)
-    _line(6, ok2 and ok3, 60, t0,
+    d2 = fm.twisted_denominator_check(2, 5)
+    d3 = fm.twisted_denominator_check(3, 3)
+    _line(6, d2 is None and d3 is None, 60, t0,
           "twisted product equals even-parity lattice sum, n'=2 order 5 and "
           "n'=3 order 3")
 
@@ -125,7 +127,7 @@ def test_criterion_07_parity_rewriting():
     chc = fm.sp_c_character(4, 5)
     rhs = chc.mul_slices(denominator_slices(rs, 5))
     okb = numb.restrict(4).first_diff(rhs.restrict(4)) is None
-    okbr, _ = fm.parity_bracket_identity(2, 4)
+    okbr = fm.parity_bracket_identity(2, 4) is None
     _line(7, oka and okb and okbr, 60, t0,
           "parity numerators equal denominator times split characters, n=4 "
           "order 4, plus the bracket identity")
@@ -167,33 +169,37 @@ def test_criterion_09_property_suites():
     cases = 1000
     fails = []
 
-    # ring laws on random truncated cone series
+    # ring laws on random A2 slices truncated at q^5
     rng = random.Random(11)
     a2 = root_system("A", 2)
-    base = AffineWeight.make((0, 0), 0, 0)
+    zero = weight_from_coeffs(a2, (0, 0, 0))
 
-    def rand_series():
-        from affinechar.series import ExpSeries
-        s = ExpSeries(3, base, 5)
+    def rand_slices():
+        out = {}
         for _ in range(rng.randrange(1, 5)):
-            e = tuple(rng.randrange(0, 3) for _ in range(3))
-            if sum(e) <= 5:
-                s.add_term(e, rng.randrange(-4, 5))
-        return s
+            off = (rng.randrange(-2, 3), rng.randrange(-2, 3))
+            c = rng.randrange(-4, 5)
+            if c:
+                out.setdefault(rng.randrange(0, 6), {})[off] = c
+        return CharSlices(a2, zero, 5, out)
+
+    def mul(x, y):
+        return x.mul_slices(y.slices)
 
     for it in range(cases):
-        a, b, c = rand_series(), rand_series(), rand_series()
-        if (a + b) * c != a * c + b * c or a * b != b * a \
-                or (a * b) * c != a * (b * c):
+        a, b, c = rand_slices(), rand_slices(), rand_slices()
+        if mul(a + b, c) != mul(a, c) + mul(b, c) or mul(a, b) != mul(b, a) \
+                or mul(mul(a, b), c) != mul(a, mul(b, c)) \
+                or a - b != a + (-b):
             fails.append(f"ring laws case {it}")
             break
 
     # truncation coherence: restricting inputs never changes low terms
     rng = random.Random(12)
     for it in range(cases):
-        a, b = rand_series(), rand_series()
+        a, b = rand_slices(), rand_slices()
         k = rng.randrange(0, 5)
-        if (a * b).restrict(k) != (a.restrict(k) * b.restrict(k)).restrict(k):
+        if mul(a, b).restrict(k) != mul(a.restrict(k), b.restrict(k)):
             fails.append(f"truncation case {it}")
             break
 

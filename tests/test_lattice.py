@@ -9,7 +9,6 @@ from affinechar import lattice
 from affinechar.lattice import (
     _floor_plus_sqrt,
     alt_weyl_raw,
-    alt_weyl_raw_points,
     drop_of,
     lattice_points_below,
     quad_points,
@@ -147,6 +146,12 @@ def test_translation_drop_formula():
 # -- alternating orbit sums vs a plain Weyl loop --------------------------------
 
 
+def origin_orbit(rs, lam):
+    # the alternating orbit of lam + rho-hat alone: the translation gamma = 0
+    return alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), 0,
+                        pred=lambda gf, x: not any(x))
+
+
 def brute_orbit_sum(rs, mu):
     # sum over the whole group, no dominance shortcut
     acc = {}
@@ -167,7 +172,7 @@ def test_orbit_sum_matches_brute(fam, rank):
         lamf = tuple(Fraction(rng.randrange(-4, 5)) for _ in range(rank))
         mu = tuple(a + b for a, b in zip(lamf, rho))
         lam = AffineWeight.make(lamf, 0, 0)
-        got = alt_weyl_raw_points(rs, lam, [(0,) * rank], 0)
+        got = origin_orbit(rs, lam)
         want = brute_orbit_sum(rs, mu)
         assert got.first_diff(CharSlices(rs, lam, 0, {0: want})) is None
         # singular weights cancel to nothing in both
@@ -179,13 +184,13 @@ def test_singular_weights_vanish():
     rs = root_system("A", 2)
     # lam + rho fixed by a reflection: pick lam with a -1 coordinate
     lam = AffineWeight.make((Fraction(-1), Fraction(2)), 0, 0)
-    assert len(alt_weyl_raw_points(rs, lam, [(0, 0)], 0)) == 0
+    assert len(origin_orbit(rs, lam)) == 0
 
 
 def test_a2_regular_orbit_has_six_signed_terms():
     rs = root_system("A", 2)
     lam = AffineWeight.make((Fraction(0), Fraction(0)), 0, 0)
-    num = alt_weyl_raw_points(rs, lam, [(0, 0)], 0)
+    num = origin_orbit(rs, lam)
     assert len(num) == 6
     assert sorted(num.slices[0].values()) == [-1, -1, -1, 1, 1, 1]
     assert num.coeff(0, (0, 0)) == 1
@@ -284,7 +289,8 @@ def test_shifted_level_must_be_positive():
     with pytest.raises(ValueError):
         alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), 2)
     with pytest.raises(ValueError):
-        alt_weyl_raw_points(rs, lam, [(0, 0)], 2)
+        alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), 2,
+                     pred=lambda gf, x: not any(x))
 
 
 def test_weyl_size_gate_precedes_lattice_enumeration(monkeypatch):

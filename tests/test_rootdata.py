@@ -9,7 +9,6 @@ from affinechar.rootdata import (
     RootSystem,
     WeylSizeError,
     coroot_lattice_basis,
-    gamma_basis_C,
     root_lattice_basis,
     root_system,
 )
@@ -162,30 +161,6 @@ def test_to_dominant():
             if regular:
                 matches = [w for w in W if w.apply(v) == dom]
                 assert len(matches) == 1 and matches[0].sign == sign
-
-
-def test_gamma_basis_C():
-    for rank in (2, 3):
-        rs = root_system("C", rank)
-        gammas = gamma_basis_C(rs)
-        lam = lambda i: tuple(Fraction(int(j == i)) for j in range(rank))
-        for i, g in enumerate(gammas):
-            # (gamma_i | bar-Lambda_j) = 1 for j >= i+1... encoded as:
-            assert rs.inner(g, lam(0)) == (1 if i == 0 else 0)
-            assert rs.norm(g) == 2
-        # generic combination: coefficients recovered by the three pairings
-        rng = random.Random(3)
-        for _ in range(40):
-            js = [rng.randint(-4, 4) for _ in range(rank)]
-            g = tuple(
-                sum(Fraction(js[i]) * gammas[i][d] for i in range(rank))
-                for d in range(rank)
-            )
-            assert rs.inner(g, lam(0)) == js[0]
-            if rank >= 2:
-                diff = tuple(a - b for a, b in zip(lam(1), lam(0)))
-                assert rs.inner(g, diff) == js[1]
-            assert rs.inner(g, lam(rank - 1)) == sum(js)
 
 
 def test_root_lattice_basis_integral():
