@@ -7,8 +7,8 @@ list-deligne   screen a window of weights for the orthogonal-root setup
 
 JSON is the canonical output format and is byte-identical for identical
 configurations; verify reports carry wall times and are exempt.  Exit
-codes: 0 success, 1 a checked identity failed, 2 bad usage or a violated
-precondition.
+codes: 0 success, 1 a checked identity failed, 2 bad usage, a violated
+precondition, a size or state budget exceeded, or a non-integral result.
 """
 
 from __future__ import annotations
@@ -764,7 +764,8 @@ def main(argv=None) -> int:
     args = par.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ValueError, WeylSizeError) as e:
+    except (UsageError, ValueError, ArithmeticError, WeylSizeError,
+            fock.BudgetError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

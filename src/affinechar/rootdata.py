@@ -148,32 +148,27 @@ class RootSystem:
             for row in self._cartan_inv
         )
 
-        # close the simple roots under simple reflections
-        roots: set[Vec] = set(simples)
-        frontier = list(simples)
+        # close the simple roots in root coordinates under the simple
+        # reflections s_i(r) = r - (sum_j cartan[i][j] r_j) e_i
+        cart = [[int(x) for x in row] for row in self.cartan]
+        roots = {tuple(int(i == j) for j in range(l)) for i in range(l)}
+        frontier = list(roots)
         while frontier:
             nxt = []
-            for b in frontier:
-                for a, av in zip(simples, self.simple_coroots_euclid):
-                    r = tuple(bc - inner(b, av) * ac for bc, ac in zip(b, a))
-                    if r not in roots:
-                        roots.add(r)
-                        nxt.append(r)
+            for r in frontier:
+                for i, row in enumerate(cart):
+                    s = r[:i] + (r[i] - sum(map(mul, row, r)),) + r[i + 1:]
+                    if s not in roots:
+                        roots.add(s)
+                        nxt.append(s)
             frontier = nxt
-
-        def fund_coords(v: Vec) -> tuple[Fraction, ...]:
-            return tuple(inner(v, av) for av in self.simple_coroots_euclid)
-
         pos: list[PosRoot] = []
-        for r in roots:
-            fc = fund_coords(r)
-            rc = self.fund_to_root(fc)
-            if any(x.denominator != 1 for x in rc):
-                raise AssertionError("root coordinates must be integral")
-            rci = tuple(int(x) for x in rc)
-            ht = sum(rci)
-            if ht > 0:
-                pos.append(PosRoot(fc, rci, r, ht, inner(r, r)))
+        for rc in roots:
+            if sum(rc) > 0:
+                r = tuple(sum((c * a[d] for c, a in zip(rc, simples)),
+                              Fraction(0)) for d in range(self.ambient_dim))
+                fc = tuple(Fraction(sum(map(mul, row, rc))) for row in cart)
+                pos.append(PosRoot(fc, rc, r, sum(rc), inner(r, r)))
         pos.sort(key=lambda p: (p.height, p.root_coords))
         self.positive_roots: tuple[PosRoot, ...] = tuple(pos)
         if 2 * len(pos) != len(roots):
@@ -224,7 +219,8 @@ class RootSystem:
             tuple(self.cartan[i][j] for i in range(l)) for j in range(l)
         )
         self.coroot_fund = tuple(
-            fund_coords(cv) for cv in self.simple_coroots_euclid
+            tuple(inner(cv, av) for av in self.simple_coroots_euclid)
+            for cv in self.simple_coroots_euclid
         )
         if any(x.denominator != 1 for v in self.coroot_fund for x in v):
             raise AssertionError("coroot fundamental coordinates must be integral")

@@ -478,83 +478,121 @@ def qpoly_invert(a: dict[int, int], qmax: int) -> dict[int, int]:
             out[m] = -a0 * acc
     return out
 
+
+class OffsetPacking:
+    """Root-coordinate offsets packed one int each: sum(o_i << (width * i)).
+
+    The map is linear, so offsets add as ints.  The width is derived from a
+    bound on |o_i|, so every offset within the bound unpacks back, and
+    coordinate i is one shift and one mask.
+    """
+
+    def __init__(self, rank: int, bound: int):
+        self.rank = rank
+        self.width = w = bound.bit_length() + 1  # |o_i| <= bound < half
+        self.mask = (1 << w) - 1
+        self.half = 1 << (w - 1)
+        self.bias = sum(self.half << (w * i) for i in range(rank))
+
+    def pack(self, off) -> int:
+        return sum(x << (self.width * i) for i, x in enumerate(off))
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        k, w = key + self.bias, self.width
+        return tuple(((k >> (w * i)) & self.mask) - self.half
+                     for i in range(self.rank))
+
+    def pack_dict(self, d: dict) -> dict[int, int]:
+        return {self.pack(o): c for o, c in d.items()}
+
+    def unpack_dict(self, d: dict[int, int]) -> dict[tuple[int, ...], int]:
+        return {self.unpack(k): c for k, c in d.items()}
+
+
+def _mul_two_term(slices: dict[int, dict[int, int]], qmax: int, j: int,
+                  key: int) -> None:
+    # multiply packed slices in place by (1 - e^{key} q^j); q-powers go top
+    # down so a slice is read before it is added to, for j = 0 from a copy
+    for m in range(qmax - j, -1, -1):
+        src = slices[m]
+        tgt = slices[m + j]
+        for o, c in (list(src.items()) if j == 0 else src.items()):
+            no = o + key
+            nc = tgt.get(no, 0) - c
+            if nc:
+                tgt[no] = nc
+            else:
+                del tgt[no]
+
+
+def _denominator_packing(rs: RootSystem, qmax: int) -> OffsetPacking:
+    # a term of D_m sums distinct positive roots and at most m +-roots more
+    return OffsetPacking(rs.rank, sum(max(a.root_coords) for a in rs.positive_roots)
+                         + qmax * max(rs.theta.root_coords))
+
+
 def denominator_slices(rs: RootSystem, qmax: int) -> dict[int, dict[tuple[int, ...], int]]:
     """q-slices of e^{-rho-hat} R-hat; offsets in root coordinates.
 
-    Each factor (1 - e^{off} q^j) is multiplied into the slices in place:
-    for j >= 1 the q-powers are walked from the top down, so a slice is read
-    before anything is added to it; for j = 0 a slice is read from a
-    snapshot.  The q^{j>=1} factors come first, the finite ones last.
+    Each factor (1 - e^{off} q^j) is multiplied into packed slices in place,
+    the q^{j>=1} factors first and the finite ones last.
     """
-    slices: dict[int, dict[tuple[int, ...], int]] = {
-        m: {} for m in range(qmax + 1)}
-    slices[0][(0,) * rs.rank] = 1
-
-    def mul_two_term(j: int, off: tuple[int, ...]) -> None:
-        # multiply by (1 - e^{off} q^j)
-        for m in range(qmax - j, -1, -1):
-            src = slices[m]
-            tgt = slices[m + j]
-            for o, c in (list(src.items()) if j == 0 else src.items()):
-                no = tuple(a + d for a, d in zip(o, off))
-                nc = tgt.get(no, 0) - c
-                if nc:
-                    tgt[no] = nc
-                else:
-                    del tgt[no]
-
-    zero = (0,) * rs.rank
+    pk = _denominator_packing(rs, qmax)
+    keys = [pk.pack(a.root_coords) for a in rs.positive_roots]
+    slices: dict[int, dict[int, int]] = {m: {} for m in range(qmax + 1)}
+    slices[0][0] = 1
     for k in range(1, qmax + 1):
-        for a in rs.positive_roots:
-            mul_two_term(k, tuple(-x for x in a.root_coords))
-            mul_two_term(k, a.root_coords)
+        for key in keys:
+            _mul_two_term(slices, qmax, k, -key)
+            _mul_two_term(slices, qmax, k, key)
         for _ in range(rs.rank):
-            mul_two_term(k, zero)
-    for a in rs.positive_roots:
-        mul_two_term(0, tuple(-x for x in a.root_coords))
-    return {m: b for m, b in slices.items() if b}
+            _mul_two_term(slices, qmax, k, 0)
+    for key in keys:
+        _mul_two_term(slices, qmax, 0, -key)
+    return {m: pk.unpack_dict(b) for m, b in slices.items() if b}
 
 
 def finite_weyl_denominator(rs: RootSystem) -> dict[tuple[int, ...], int]:
     """prod_{alpha > 0} (1 - e^{-alpha}) as offsets in root coordinates."""
-    poly = {(0,) * rs.rank: 1}
+    pk = _denominator_packing(rs, 0)
+    poly: dict[int, dict[int, int]] = {0: {0: 1}}
     for a in rs.positive_roots:
-        out = dict(poly)
-        for o, c in poly.items():
-            no = tuple(x - y for x, y in zip(o, a.root_coords))
-            out[no] = out.get(no, 0) - c
-            if not out[no]:
-                del out[no]
-        poly = out
-    return poly
+        _mul_two_term(poly, 0, 0, -pk.pack(a.root_coords))
+    return pk.unpack_dict(poly[0])
 
 
-def laurent_divide(num: dict[tuple[int, ...], int],
-                   roots: list[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+def laurent_divide(num: dict[int, int], roots: list[tuple[int, ...]],
+                   pk: OffsetPacking) -> dict[int, int]:
     """Exact division by prod_{alpha in roots} (1 - e^{-alpha}).
 
-    Offsets and roots are in root coordinates.  Dividing by one factor
-    (1 - e^{-alpha}) is a suffix sum along each alpha-string: the quotient
-    at o is num(o) + num(o + alpha) + num(o + 2 alpha) + ...  The division
-    is exact precisely when every string sums to zero; otherwise SliceError.
+    Offsets are packed by pk, roots are in root coordinates.  Dividing by
+    one factor (1 - e^{-alpha}) is a suffix sum along each alpha-string:
+    the quotient at o is num(o) + num(o + alpha) + num(o + 2 alpha) + ...
+    A string is keyed by its point o - t alpha with t = o_i // alpha_i, i
+    the first nonzero coordinate of alpha.  The division is exact precisely
+    when every string sums to zero; otherwise SliceError.
     """
+    w, mask, half, bias = pk.width, pk.mask, pk.half, pk.bias
     for a in roots:
         i = next(i for i, x in enumerate(a) if x)
-        strings: dict[tuple[int, ...], dict[int, int]] = {}
+        ai, shift, step = a[i], w * i, pk.pack(a)
+        strings: dict[int, dict[int, int]] = {}
         for o, c in num.items():
-            t = o[i] // a[i]
-            key = tuple(x - t * y for x, y in zip(o, a))
-            strings.setdefault(key, {})[t] = c
-        quo: dict[tuple[int, ...], int] = {}
+            t = ((((o + bias) >> shift) & mask) - half) // ai
+            strings.setdefault(o - t * step, {})[t] = c
+        quo: dict[int, int] = {}
         for key, line in strings.items():
-            acc = 0
-            for t in range(max(line), min(line) - 1, -1):
+            acc, top = 0, max(line)
+            o = key + top * step
+            for t in range(top, min(line) - 1, -1):
                 acc += line.get(t, 0)
                 if acc:
-                    quo[tuple(x + t * y for x, y in zip(key, a))] = acc
+                    quo[o] = acc
+                o -= step
             if acc:
                 raise SliceError(f"slice not divisible by the Weyl denominator:"
-                                 f" the {a}-string through {key} sums to {acc}")
+                                 f" the {a}-string through {pk.unpack(key)}"
+                                 f" sums to {acc}")
         num = quo
     return num
 
@@ -565,7 +603,10 @@ def character_from_numerator(rs: RootSystem, base: AffineWeight,
     """Solve R-hat * ch = numerator slice by slice.
 
     ch_m = (N_m - sum_{j=1..m} D_j ch_{m-j}) / D_0 where D is the sliced
-    denominator and D_0 the finite Weyl denominator.
+    denominator and D_0 the finite Weyl denominator.  Offsets are packed on
+    entry and unpacked on exit.  A quotient stays inside its dividend's
+    coordinate range, so every offset is within (qmax + 1) * (max|N| +
+    max|D|), and a string key o - t alpha within 1 + max(theta) times that.
     """
     if qmax is None:
         qmax = numerator.qmax
@@ -573,24 +614,26 @@ def character_from_numerator(rs: RootSystem, base: AffineWeight,
     dsl = denominator_slices(rs, qmax)
     if dsl[0] != finite_weyl_denominator(rs):
         raise AssertionError("denominator zero-slice mismatch")
+    nsl = [numerator.slices.get(m, {}) for m in range(qmax + 1)]
+    top = [max((abs(x) for b in sl for o in b for x in o), default=0)
+           for sl in (nsl, dsl.values())]
+    pk = OffsetPacking(rs.rank, (qmax + 1) * sum(top)
+                       * (1 + max(rs.theta.root_coords)))
+    dsl = {m: pk.pack_dict(b) for m, b in dsl.items()}
     roots = [a.root_coords for a in rs.positive_roots]
-    out: dict[int, dict[tuple[int, ...], int]] = {}
+    out: dict[int, dict[int, int]] = {}
     for m in range(qmax + 1):
-        acc = dict(numerator.slices.get(m, {}))
+        acc = pk.pack_dict(nsl[m])
         for j in range(1, m + 1):
-            dj = dsl.get(j)
-            chmj = out.get(m - j)
-            if not dj or not chmj:
-                continue
-            for o1, c1 in dj.items():
-                for o2, c2 in chmj.items():
-                    t = tuple(a + b for a, b in zip(o1, o2))
-                    nc = acc.get(t, 0) - c1 * c2
+            for k1, c1 in dsl.get(j, {}).items():
+                for k2, c2 in out.get(m - j, {}).items():
+                    nc = acc.get(k1 + k2, 0) - c1 * c2
                     if nc:
-                        acc[t] = nc
+                        acc[k1 + k2] = nc
                     else:
-                        acc.pop(t, None)
-        q = laurent_divide(acc, roots)
+                        acc.pop(k1 + k2, None)
+        q = laurent_divide(acc, roots, pk)
         if q:
             out[m] = q
-    return CharSlices(rs, base, qmax, out)
+    return CharSlices(rs, base, qmax,
+                      {m: pk.unpack_dict(b) for m, b in out.items()})

@@ -1,12 +1,13 @@
 """End-to-end command line behaviour: formats, determinism, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from affinechar import cli, superden
+from affinechar import cli, fock, superden
 from affinechar.cli import main
-from affinechar.rootdata import root_system
+from affinechar.rootdata import RootSystem, root_system
 from affinechar.series import CharSlices
 
 EIGHT_COEFFS = [
@@ -298,3 +299,22 @@ def test_large_weyl_group_is_refused_with_exit_two(capsys):
     assert err.startswith("error: ") and "2903040" in err
     assert "Traceback" not in err
 
+
+
+def test_state_budget_is_one_error_line_with_exit_two(capsys, monkeypatch):
+    real = fock.fock_states
+    monkeypatch.setattr(fock, "fock_states",
+                        lambda n, s, e2max, budget: real(n, s, e2max, 1))
+    code, out, err = run(capsys, ["verify", "tower-fock"])
+    assert code == 2 and out == ""
+    assert err == "error: state enumeration over budget\n"
+
+
+def test_non_integral_dimension_is_one_error_line_with_exit_two(
+        capsys, monkeypatch):
+    # only the vacuum keeps a dimension, so the halved direct sum is 1/2
+    monkeypatch.setattr(RootSystem, "weyl_dim",
+                        lambda self, fund: Fraction(int(not any(fund))))
+    code, out, err = run(capsys, ["verify", "qdim-two-path", "--order", "1"])
+    assert code == 2 and out == ""
+    assert err == "error: non-integral graded dimension 1/2\n"

@@ -103,3 +103,12 @@ def test_e6_screened_vacuum_numerator_golden(capsys):
             "--weight -3 0 0 0 0 0 0 --order 0").split()
     assert _sha(capsys, argv) == (
         "b450dd1b48e6be5128a23e83b53d1045b5ce2e0d5e2ef740de698e4fffb0f1fa")
+
+
+def test_e6_screened_vacuum_qdim_golden(capsys):
+    # the full character path on W(E6): a 51,840-term numerator slice
+    # divided by the finite Weyl denominator
+    argv = ("qdim --formula deligne --type E --rank 6 "
+            "--weight -3 0 0 0 0 0 0 --order 0").split()
+    assert _sha(capsys, argv) == (
+        "70759cede3987b443cf8eb39db554d0304834add9fe744c3355edee22e3f170f")

@@ -235,3 +235,43 @@ def full_product_closure(rs):
 def test_weyl_group_matches_full_product_closure(fam, rank):
     rs = root_system(fam, rank)
     assert [w.matrix for w in rs.weyl_group()] == full_product_closure(rs)
+
+
+def fraction_root_closure(rs):
+    """Positive roots by closing the Euclidean simple roots under the
+    simple reflections, over Fraction: the construction the integer
+    closure in root coordinates replaced."""
+    inner = rs.euclid_inner
+    simples = rs.simple_euclid
+    roots = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for b in frontier:
+            for a, av in zip(simples, rs.simple_coroots_euclid):
+                r = tuple(bc - inner(b, av) * ac for bc, ac in zip(b, a))
+                if r not in roots:
+                    roots.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    pos = []
+    for r in roots:
+        fc = tuple(inner(r, av) for av in rs.simple_coroots_euclid)
+        rc = rs.fund_to_root(fc)
+        assert all(x.denominator == 1 for x in rc)
+        rci = tuple(int(x) for x in rc)
+        if sum(rci) > 0:
+            pos.append((fc, rci, r, sum(rci), inner(r, r)))
+    pos.sort(key=lambda p: (p[3], p[1]))
+    return pos
+
+
+@pytest.mark.parametrize("fam,rank", ORACLE_TYPES
+                         + [("E", 6), ("E", 7), ("E", 8)])
+def test_integer_root_closure_matches_fraction_closure(fam, rank):
+    rs = root_system(fam, rank)
+    got = [(a.fund, a.root_coords, a.euclid, a.height, a.norm)
+           for a in rs.positive_roots]
+    assert got == fraction_root_closure(rs)
+    assert all(type(x) is Fraction for a in rs.positive_roots
+               for x in (*a.fund, *a.euclid, a.norm))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from affinechar import formulas as fm
 from affinechar.cli import _series_text
 from affinechar.rootdata import root_system
 from affinechar.series import (
@@ -16,6 +17,7 @@ from affinechar.series import (
     denominator_slices,
     finite_weyl_denominator,
     first_diff,
+    OffsetPacking,
     laurent_divide,
     phi_slices,
     qpoly_invert,
@@ -236,6 +238,12 @@ def _roots(rs):
     return [a.root_coords for a in rs.positive_roots]
 
 
+def _divide(poly, rs, bound=12):
+    # packed division of a tuple-keyed Laurent polynomial
+    pk = OffsetPacking(rs.rank, bound)
+    return pk.unpack_dict(laurent_divide(pk.pack_dict(poly), _roots(rs), pk))
+
+
 def test_laurent_divide_recovers_factor():
     # in type C the highest root starts with root coordinate 2, so the
     # string key needs the floor division
@@ -252,13 +260,32 @@ def test_laurent_divide_recovers_factor():
                 if c:
                     poly[off] = poly.get(off, 0) + c
             poly = {o: c for o, c in poly.items() if c}
-            assert laurent_divide(poly_mul(poly, den), _roots(rs)) == poly
+            assert _divide(poly_mul(poly, den), rs, 40) == poly
 
 
 def test_laurent_divide_flags_inexact():
     rs = root_system("A", 2)
     with pytest.raises(SliceError, match="not divisible"):
-        laurent_divide({(0, 0): 1, (-1, 0): 1}, _roots(rs))
+        _divide({(0, 0): 1, (-1, 0): 1}, rs)
+
+
+@pytest.mark.parametrize("bound", [1, 7, 8, 255, 256, 10**12])
+def test_offset_packing_round_trip(bound):
+    rng = random.Random(bound)
+    for rank in (1, 4, 8):
+        pk = OffsetPacking(rank, bound)
+        assert pk.half > bound
+        offs = [(-bound,) * rank, (bound,) * rank, (0,) * rank,
+                tuple((-1) ** i * bound for i in range(rank))]
+        offs += [tuple(rng.randint(-bound, bound) for _ in range(rank))
+                 for _ in range(30)]
+        for o in offs:
+            assert pk.unpack(pk.pack(o)) == o
+        # the map is linear: a sum of packed offsets unpacks to the sum
+        for a, b in zip(offs, offs[1:]):
+            ab = tuple(x + y for x, y in zip(a, b))
+            if max(map(abs, ab)) <= bound:
+                assert pk.unpack(pk.pack(a) + pk.pack(b)) == ab
 
 
 def test_character_from_numerator_flags_indivisible_slice():
@@ -298,6 +325,120 @@ def test_character_division_roundtrip():
             num = CharSlices(rs, base, qmax, slice_product(ch.slices, dsl, qmax))
             assert ch.mul_slices(dsl) == num
             assert character_from_numerator(rs, base, num, qmax) == ch
+
+
+# -- the tuple-keyed division, kept as the oracle of the packed path ----------
+
+
+def tuple_laurent_divide(num, roots):
+    for a in roots:
+        i = next(i for i, x in enumerate(a) if x)
+        strings = {}
+        for o, c in num.items():
+            t = o[i] // a[i]
+            key = tuple(x - t * y for x, y in zip(o, a))
+            strings.setdefault(key, {})[t] = c
+        quo = {}
+        for key, line in strings.items():
+            acc = 0
+            for t in range(max(line), min(line) - 1, -1):
+                acc += line.get(t, 0)
+                if acc:
+                    quo[tuple(x + t * y for x, y in zip(key, a))] = acc
+            if acc:
+                raise SliceError(f"slice not divisible by the Weyl denominator:"
+                                 f" the {a}-string through {key} sums to {acc}")
+        num = quo
+    return num
+
+
+def tuple_character_from_numerator(rs, base, numerator, qmax):
+    numerator.require_nonnegative()
+    dsl = denominator_slices(rs, qmax)
+    out = {}
+    for m in range(qmax + 1):
+        acc = dict(numerator.slices.get(m, {}))
+        for j in range(1, m + 1):
+            for o1, c1 in dsl.get(j, {}).items():
+                for o2, c2 in out.get(m - j, {}).items():
+                    t = tuple(a + b for a, b in zip(o1, o2))
+                    nc = acc.get(t, 0) - c1 * c2
+                    if nc:
+                        acc[t] = nc
+                    else:
+                        acc.pop(t, None)
+        q = tuple_laurent_divide(acc, _roots(rs))
+        if q:
+            out[m] = q
+    return CharSlices(rs, base, qmax, out)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SliceError as e:
+        return "SliceError: " + str(e)
+
+
+def _assert_paths_agree(rs, base, num, qmax):
+    want = _outcome(tuple_character_from_numerator, rs, base, num, qmax)
+    got = _outcome(character_from_numerator, rs, base, num, qmax)
+    assert got == want
+    return want
+
+
+ORACLE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3),
+                ("D", 4)]
+
+
+@pytest.mark.parametrize("fam,rank", ORACLE_TYPES)
+def test_packed_division_matches_tuple_path_on_random_input(fam, rank):
+    # D * ch and the slice-wise multiples ch_m * D_0 both divide exactly
+    # (every D_j is a multiple of D_0); one extra term makes a slice
+    # indivisible, and both paths must name the same root string
+    rs = root_system(fam, rank)
+    rng = random.Random(rank * 31 + ord(fam))
+    base = weight_from_coeffs(rs, (0,) * (rank + 1))
+    den = finite_weyl_denominator(rs)
+    for qmax in range(5):
+        ch = {}
+        for _ in range(3):
+            off = tuple(rng.randrange(-2, 3) for _ in range(rank))
+            ch.setdefault(rng.randrange(qmax + 1), {})[off] = rng.choice(
+                (-2, -1, 1, 3))
+        exact = CharSlices(rs, base, qmax,
+                           slice_product(ch, denominator_slices(rs, qmax), qmax))
+        assert _assert_paths_agree(rs, base, exact, qmax) == CharSlices(
+            rs, base, qmax, ch)
+        d0 = CharSlices(rs, base, qmax,
+                        {m: poly_mul(b, den) for m, b in ch.items()})
+        assert isinstance(_assert_paths_agree(rs, base, d0, qmax), CharSlices)
+        off = tuple(rng.randrange(-2, 3) for _ in range(rank))
+        bad = exact + CharSlices(rs, base, qmax, {rng.randrange(qmax + 1): {off: 1}})
+        assert _assert_paths_agree(rs, base, bad, qmax).startswith(
+            "SliceError: slice not divisible")
+
+
+def _formula_numerators(fam, rank, qmax):
+    rs = root_system(fam, rank)
+    for co in ((1,) + (0,) * rank, (0,) * rank + (1,)):
+        yield fm.integrable_numerator(rs, weight_from_coeffs(rs, co), qmax)
+    if fam == "A" and rank >= 2:
+        yield fm.sl_first_numerator(rank + 1, 1, qmax)
+    if fam == "D":
+        yield fm.deligne_numerator(rs, weight_from_coeffs(rs, (-1, 0, 0, 0, 0)),
+                                   qmax)
+        if qmax <= 3:
+            yield fm.deligne_numerator(
+                rs, weight_from_coeffs(rs, (-2, 0, 0, 0, 1)), qmax)
+
+
+@pytest.mark.parametrize("fam,rank", ORACLE_TYPES)
+def test_packed_division_matches_tuple_path_on_formulas(fam, rank):
+    for qmax in range(5):
+        for num in _formula_numerators(fam, rank, qmax):
+            ch = _assert_paths_agree(num.rs, num.base, num, qmax)
+            assert isinstance(ch, CharSlices) and len(ch)
 
 
 # -- graded-slice containers -----------------------------------------------
