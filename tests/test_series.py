@@ -11,13 +11,13 @@ from affinechar.rootdata import root_system
 from affinechar.series import (
     CharSlices,
     ExpSeries,
+    OffsetPacking,
     SliceError,
     character_from_numerator,
     denominator_series,
     denominator_slices,
     finite_weyl_denominator,
     first_diff,
-    OffsetPacking,
     laurent_divide,
     phi_slices,
     qpoly_invert,
