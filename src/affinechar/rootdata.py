@@ -21,6 +21,12 @@ def _vec(entries) -> Vec:
     return tuple(Fraction(e) for e in entries)
 
 
+def _scaled(xs) -> tuple[list[int], int]:
+    """Integers n_i and one d > 0 with xs_i = n_i / d (ints or Fractions)."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """Solve a small square system exactly by Gaussian elimination."""
     n = len(rows)
@@ -141,12 +147,8 @@ class RootSystem:
         cartan_rows = [[Fraction(x) for x in row] for row in self.cartan]
         self._cartan_inv = invert_matrix(cartan_rows)
         # C^{-1} = _inv_num / _inv_den over the integers, for orbit_offsets
-        self._inv_den = lcm(*(x.denominator for row in self._cartan_inv
-                              for x in row))
-        self._inv_num = tuple(
-            tuple(int(x * self._inv_den) for x in row)
-            for row in self._cartan_inv
-        )
+        flat, self._inv_den = _scaled(sum(self._cartan_inv, []))
+        self._inv_num = [flat[i:i + l] for i in range(0, l * l, l)]
 
         # close the simple roots in root coordinates under the simple
         # reflections s_i(r) = r - (sum_j cartan[i][j] r_j) e_i
@@ -208,10 +210,10 @@ class RootSystem:
             )
             fund_weights.append(w)
         self.fund_weights_euclid: tuple[Vec, ...] = tuple(fund_weights)
-        self.gram = tuple(
-            tuple(inner(fund_weights[i], fund_weights[j]) for j in range(l))
-            for i in range(l)
-        )
+        # (w_i|w_j) = _gram_num[i][j] / _gram_den over the integers, for inner
+        flat, self._gram_den = _scaled([inner(u, v) for u in fund_weights
+                                        for v in fund_weights])
+        self._gram_num = [flat[i:i + l] for i in range(0, l * l, l)]
         self.rho = tuple(Fraction(1) for _ in range(l))
 
         # fundamental coords of simple roots and coroots (integral)
@@ -228,13 +230,11 @@ class RootSystem:
     # -- exact pairings on fundamental coordinates ------------------------
 
     def inner(self, x, y) -> Fraction:
-        g = self.gram
-        return sum(
-            (Fraction(xi) * Fraction(yj) * g[i][j]
-             for i, xi in enumerate(x) if xi
-             for j, yj in enumerate(y) if yj),
-            Fraction(0),
-        )
+        """(x|y) on fundamental coordinates, as one sum over the integers."""
+        (xi, dx), (yi, dy) = _scaled(x), _scaled(y)
+        return Fraction(sum(a * sum(map(mul, row, yi))
+                            for a, row in zip(xi, self._gram_num) if a),
+                        self._gram_den * dx * dy)
 
     def norm(self, x) -> Fraction:
         return self.inner(x, x)
@@ -335,9 +335,8 @@ class RootSystem:
         _inv_num / _inv_den, so each offset is one exact division by
         _inv_den * d.
         """
-        d = lcm(*(x.denominator for x in (*v, *base)))
-        vi = [x.numerator * (d // x.denominator) for x in v]
-        bi = [x.numerator * (d // x.denominator) for x in base]
+        ints, d = _scaled((*v, *base))
+        vi, bi = ints[:len(v)], ints[len(v):]
         num, dd = self._inv_num, self._inv_den * d
         for w in self.weyl_group():
             diff = [sum(map(mul, row, vi)) - b for row, b in zip(w.matrix, bi)]
@@ -368,8 +367,7 @@ class RootSystem:
     def weyl_dim(self, fund) -> Fraction:
         """Dimension of the irreducible with highest weight `fund` (Weyl)."""
         lam_rho = tuple(Fraction(x) + 1 for x in fund)
-        num = Fraction(1)
-        den = Fraction(1)
+        num = den = Fraction(1)
         for a in self.positive_roots:
             num *= self.inner(lam_rho, a.fund)
             den *= self.inner(self.rho, a.fund)

@@ -531,11 +531,13 @@ def _denominator_packing(rs: RootSystem, qmax: int) -> OffsetPacking:
                          + qmax * max(rs.theta.root_coords))
 
 
-def denominator_slices(rs: RootSystem, qmax: int) -> dict[int, dict[tuple[int, ...], int]]:
+def denominator_slices(rs: RootSystem, qmax: int, finite: bool = True
+                       ) -> dict[int, dict[tuple[int, ...], int]]:
     """q-slices of e^{-rho-hat} R-hat; offsets in root coordinates.
 
     Each factor (1 - e^{off} q^j) is multiplied into packed slices in place,
-    the q^{j>=1} factors first and the finite ones last.
+    the q^{j>=1} factors first and the finite ones last; finite=False skips
+    those and gives the W-invariant quotient R-hat / R, whose slice 0 is 1.
     """
     pk = _denominator_packing(rs, qmax)
     keys = [pk.pack(a.root_coords) for a in rs.positive_roots]
@@ -547,7 +549,7 @@ def denominator_slices(rs: RootSystem, qmax: int) -> dict[int, dict[tuple[int, .
             _mul_two_term(slices, qmax, k, key)
         for _ in range(rs.rank):
             _mul_two_term(slices, qmax, k, 0)
-    for key in keys:
+    for key in keys if finite else ():
         _mul_two_term(slices, qmax, 0, -key)
     return {m: pk.unpack_dict(b) for m, b in slices.items() if b}
 
@@ -602,38 +604,38 @@ def character_from_numerator(rs: RootSystem, base: AffineWeight,
                              qmax: int | None = None) -> "CharSlices":
     """Solve R-hat * ch = numerator slice by slice.
 
-    ch_m = (N_m - sum_{j=1..m} D_j ch_{m-j}) / D_0 where D is the sliced
-    denominator and D_0 the finite Weyl denominator.  Offsets are packed on
-    entry and unpacked on exit.  A quotient stays inside its dividend's
-    coordinate range, so every offset is within (qmax + 1) * (max|N| +
-    max|D|), and a string key o - t alpha within 1 + max(theta) times that.
+    R-hat = D_0 P with D_0 the finite Weyl denominator and P = R-hat / D_0,
+    so V_m = N_m / D_0 and ch_m = V_m - sum_{j=1..m} P_j ch_{m-j}.  A
+    multiple of D_0 changes no string sum, so a slice fails as with R-hat.
+    Offsets are packed on entry and unpacked on exit.  A quotient stays in
+    its dividend's coordinate range, so every offset is within (qmax + 1) *
+    (max|N| + max|P|), and a string key o - t alpha 1 + max(theta) times it.
     """
     if qmax is None:
         qmax = numerator.qmax
     numerator.require_nonnegative()
-    dsl = denominator_slices(rs, qmax)
-    if dsl[0] != finite_weyl_denominator(rs):
-        raise AssertionError("denominator zero-slice mismatch")
+    psl = denominator_slices(rs, qmax, finite=False)
+    if psl[0] != {(0,) * rs.rank: 1}:
+        raise AssertionError("R-hat / R must have constant slice 1")
     nsl = [numerator.slices.get(m, {}) for m in range(qmax + 1)]
     top = [max((abs(x) for b in sl for o in b for x in o), default=0)
-           for sl in (nsl, dsl.values())]
+           for sl in (nsl, psl.values())]
     pk = OffsetPacking(rs.rank, (qmax + 1) * sum(top)
                        * (1 + max(rs.theta.root_coords)))
-    dsl = {m: pk.pack_dict(b) for m, b in dsl.items()}
+    psl = {m: pk.pack_dict(b) for m, b in psl.items()}
     roots = [a.root_coords for a in rs.positive_roots]
     out: dict[int, dict[int, int]] = {}
     for m in range(qmax + 1):
-        acc = pk.pack_dict(nsl[m])
+        acc = laurent_divide(pk.pack_dict(nsl[m]), roots, pk)
         for j in range(1, m + 1):
-            for k1, c1 in dsl.get(j, {}).items():
+            for k1, c1 in psl.get(j, {}).items():
                 for k2, c2 in out.get(m - j, {}).items():
                     nc = acc.get(k1 + k2, 0) - c1 * c2
                     if nc:
                         acc[k1 + k2] = nc
                     else:
                         acc.pop(k1 + k2, None)
-        q = laurent_divide(acc, roots, pk)
-        if q:
-            out[m] = q
+        if acc:
+            out[m] = acc
     return CharSlices(rs, base, qmax,
                       {m: pk.unpack_dict(b) for m, b in out.items()})

@@ -112,3 +112,12 @@ def test_e6_screened_vacuum_qdim_golden(capsys):
             "--weight -3 0 0 0 0 0 0 --order 0").split()
     assert _sha(capsys, argv) == (
         "70759cede3987b443cf8eb39db554d0304834add9fe744c3355edee22e3f170f")
+
+
+def test_e6_screened_vacuum_qdim_order_1_golden(capsys):
+    # N_1 through the recursion that removes R-hat / R on W(E6): the slice
+    # q^1 is divided by the finite Weyl denominator alone
+    argv = ("qdim --formula deligne --type E --rank 6 "
+            "--weight -3 0 0 0 0 0 0 --order 1").split()
+    assert _sha(capsys, argv) == (
+        "b3d827ebc493a686b17593ebd7109a624a3f9e77935e841537b2eaba550cd9f2")

@@ -275,3 +275,31 @@ def test_integer_root_closure_matches_fraction_closure(fam, rank):
     assert got == fraction_root_closure(rs)
     assert all(type(x) is Fraction for a in rs.positive_roots
                for x in (*a.fund, *a.euclid, a.norm))
+
+
+@pytest.mark.parametrize("fam,rank", ORACLE_TYPES + [("E", 6), ("E", 7),
+                                                     ("E", 8)])
+def test_integer_pairing_matches_fraction_sum(fam, rank):
+    # the oracle: sum_ij x_i y_j (w_i|w_j), each term a Fraction, with the
+    # Gram entries taken from the Euclidean model of the fundamental weights
+    rs = root_system(fam, rank)
+    fw = rs.fund_weights_euclid
+    gram = [[rs.euclid_inner(u, v) for v in fw] for u in fw]
+
+    def oracle(x, y):
+        return sum((Fraction(a) * Fraction(b) * gram[i][j]
+                    for i, a in enumerate(x) for j, b in enumerate(y)),
+                   Fraction(0))
+
+    rng = random.Random(rank * 13 + ord(fam))
+
+    def vec():
+        return tuple(rng.choice((Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                                 rng.randint(-5, 5), 0)) for _ in range(rank))
+
+    for _ in range(60):
+        x, y = vec(), vec()
+        got = rs.inner(x, y)
+        assert isinstance(got, Fraction) and got == oracle(x, y)
+    assert rs.inner((0,) * rank, vec()) == 0
+    assert rs.norm(rs.theta.fund) == 2

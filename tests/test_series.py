@@ -392,6 +392,18 @@ ORACLE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3),
 
 
 @pytest.mark.parametrize("fam,rank", ORACLE_TYPES)
+def test_denominator_splits_into_finite_part_and_quotient(fam, rank):
+    # R-hat = R * (R-hat / R): the slices without the finite factors, times
+    # the finite Weyl denominator slice by slice, give the whole denominator
+    rs = root_system(fam, rank)
+    den = {0: finite_weyl_denominator(rs)}
+    for qmax in range(5):
+        quo = denominator_slices(rs, qmax, finite=False)
+        assert quo[0] == {(0,) * rank: 1}
+        assert slice_product(quo, den, qmax) == denominator_slices(rs, qmax)
+
+
+@pytest.mark.parametrize("fam,rank", ORACLE_TYPES)
 def test_packed_division_matches_tuple_path_on_random_input(fam, rank):
     # D * ch and the slice-wise multiples ch_m * D_0 both divide exactly
     # (every D_j is a multiple of D_0); one extra term makes a slice
