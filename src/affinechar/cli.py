@@ -65,20 +65,17 @@ def _algebra(args):
         raise UsageError(str(e))
 
 
-def _weight(rs, coeffs, delta):
+def _weight(rs, coeffs):
     _need(coeffs is not None, "this formula needs --weight m0 .. ml")
     _need(len(coeffs) == rs.rank + 1,
           f"weight needs rank+1 = {rs.rank + 1} entries, got {len(coeffs)}")
-    lam = weight_from_coeffs(rs, coeffs)
-    if delta:
-        lam = AffineWeight.make(lam.finite, lam.level,
-                                lam.delta + Fraction(delta))
-    return lam
+    return weight_from_coeffs(rs, coeffs)
 
 
 def _tower_s(args, rs, shape: str):
     """s from --s or from a weight of the required shape."""
     if args.s is not None:
+        _need(args.weight is None, "give --s or --weight, not both")
         _need(args.s >= 0, "needs s >= 0")
         return args.s
     _need(args.weight is not None, "needs --s or --weight")
@@ -108,7 +105,7 @@ def _weyl(rs, args) -> None:
 
 def _integrable(args):
     rs = _algebra(args)
-    lam = _weight(rs, args.weight, args.delta)
+    lam = _weight(rs, args.weight)
     _weyl(rs, args)
     return fm.integrable_numerator(rs, lam, args.order)
 
@@ -172,7 +169,7 @@ def _sp_parity(args):
 
 def _deligne(args):
     rs = _algebra(args)
-    lam = _weight(rs, args.weight, args.delta)
+    lam = _weight(rs, args.weight)
     cond = fm.check_deligne_conditions(rs, lam)
     _need(cond["ok"], "weight fails the screening: "
           + "; ".join(cond["failures"]))
@@ -694,12 +691,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv", "pretty"),
                         default="json")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized property checks")
-    common.add_argument("--allow-large-weyl", action="store_true",
-                        help="enumerate Weyl groups past the size bound; "
-                             "the bound is decided from |W| before any "
-                             "enumeration")
+
+    weyl = argparse.ArgumentParser(add_help=False)
+    weyl.add_argument("--allow-large-weyl", action="store_true",
+                      help="enumerate Weyl groups past the size bound; "
+                           "the bound is decided from |W| before any "
+                           "enumeration")
 
     wspec = argparse.ArgumentParser(add_help=False)
     wspec.add_argument("--type", required=True,
@@ -707,30 +704,27 @@ def _build_parser() -> argparse.ArgumentParser:
     wspec.add_argument("--rank", type=int, required=True)
     wspec.add_argument("--weight", type=int, nargs="+", default=None,
                        metavar="M", help="node coefficients m0 .. ml")
-    wspec.add_argument("--delta", default="0",
-                       help="rational delta shift of the base weight")
     wspec.add_argument("--s", type=int, default=None,
                        help="tower parameter; shorthand for the weight")
     wspec.add_argument("--order", type=int, default=3,
                        help="truncation order in the series' own grading")
 
-    pc = sub.add_parser("compute", parents=[common, wspec],
+    pc = sub.add_parser("compute", parents=[common, weyl, wspec],
                         help="compute one formula at one weight")
     pc.add_argument("--formula", required=True, choices=FORMULAS)
-    grp = pc.add_mutually_exclusive_group()
-    grp.add_argument("--numerator", action="store_true", default=True,
-                     help="emit the alternating numerator (default)")
-    grp.add_argument("--character", action="store_true", default=False,
-                     help="emit the character instead")
+    pc.add_argument("--character", action="store_true",
+                    help="emit the character instead of the numerator")
     pc.set_defaults(fn=cmd_compute)
 
-    pq = sub.add_parser("qdim", parents=[common, wspec],
+    pq = sub.add_parser("qdim", parents=[common, weyl, wspec],
                         help="graded dimension series of a character")
     pq.add_argument("--formula", required=True, choices=FORMULAS)
     pq.set_defaults(fn=cmd_qdim)
 
-    pv = sub.add_parser("verify", parents=[common],
+    pv = sub.add_parser("verify", parents=[common, weyl],
                         help="run named identity checks")
+    pv.add_argument("--seed", type=int, default=None,
+                    help="seed for randomized property checks")
     pv.add_argument("checks", nargs="+", metavar="CHECK",
                     help="check names, or 'all'; known: " + ", ".join(CHECKS))
     pv.add_argument("--n", type=int, default=None,

@@ -26,6 +26,8 @@ from .series import (
     AffineWeight,
     CharSlices,
     SliceError,
+    _denominator_packing,
+    _mul_geometric,
     character_from_numerator,
     denominator_slices,
     first_diff,
@@ -156,30 +158,14 @@ def sp_a_numerator(n: int, s: int, qmax: int):
 
 def _long_root_odd_slices(rs: RootSystem, qmax: int):
     """{m: {off: c}} for prod over long roots a and odd k of (1-e^a q^k)^{-1}."""
-    slices: dict[int, dict[tuple[int, ...], int]] = {0: {(0,) * rs.rank: 1}}
-    longs = []
+    pk = _denominator_packing(rs, qmax)  # slice m sums at most m roots
+    slices: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(qmax)]
     for a in rs.positive_roots:
         if rs.norm(a.fund) == 2:
-            rc = tuple(int(c) for c in a.root_coords)
-            longs.append(rc)
-            longs.append(tuple(-c for c in rc))
-    for rc in longs:
-        k = 1
-        while k <= qmax:
-            for m in range(0, qmax - k + 1):
-                b = slices.get(m)
-                if not b:
-                    continue
-                tgt = slices.setdefault(m + k, {})
-                for off, c in list(b.items()):
-                    noff = tuple(a + d for a, d in zip(off, rc))
-                    nc = tgt.get(noff, 0) + c
-                    if nc:
-                        tgt[noff] = nc
-                    else:
-                        del tgt[noff]
-            k += 2
-    return slices
+            for key in (pk.pack(a.root_coords), -pk.pack(a.root_coords)):
+                for k in range(1, qmax + 1, 2):
+                    _mul_geometric(slices, qmax, k, key)
+    return {m: pk.unpack_dict(b) for m, b in enumerate(slices) if b}
 
 
 def sp_twist_product_character(rs: RootSystem, qmax: int) -> CharSlices:

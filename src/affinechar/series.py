@@ -8,8 +8,9 @@ where the m_i are the simple monomial directions of a frame (for an affine
 root system: alpha_0 = delta - theta and the finite simple roots).  It only
 accumulates products of two-term factors and lists its terms.  Terms are
 stored by cone height sum(k_i) and are exact up to the stated order;
-nothing above the order is kept.  Keys are packed into single integers,
-eight bits per exponent, so multiplication stays cheap.
+nothing above the order is kept.  Keys are packed into single integers by
+the same OffsetPacking and multiplied by the same in-place kernels as the
+q-sliced denominators below.
 
 CharSlices is the one q-sliced type for numerators and characters.
 """
@@ -20,24 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rootdata import RootSystem
-
-_SHIFT = 8
-_MASK = (1 << _SHIFT) - 1
-MAX_ORDER = _MASK // 2  # per-exponent packing bound
-
-
-def pack(exps) -> int:
-    key = 0
-    for i, k in enumerate(exps):
-        if k < 0 or k > _MASK:
-            raise ValueError(f"exponent {k} out of packing range")
-        key |= k << (_SHIFT * i)
-    return key
-
-
-def unpack(key: int, nvars: int) -> tuple[int, ...]:
-    return tuple((key >> (_SHIFT * i)) & _MASK for i in range(nvars))
-
 
 @dataclass(frozen=True)
 class AffineWeight:
@@ -85,14 +68,13 @@ def translate(rs: RootSystem, w: AffineWeight, gamma) -> AffineWeight:
 class ExpSeries:
     """Height-truncated series on a cone frame with nvars directions."""
 
-    __slots__ = ("nvars", "order", "by_height")
+    __slots__ = ("nvars", "order", "by_height", "pk")
 
     def __init__(self, nvars: int, order: int):
-        if order > MAX_ORDER:
-            raise ValueError(f"order {order} exceeds packing bound {MAX_ORDER}")
         self.nvars = nvars
         self.order = order
         self.by_height: list[dict[int, int]] = [dict() for _ in range(order + 1)]
+        self.pk = OffsetPacking(nvars, order)  # cone exponents lie in 0..order
 
     @staticmethod
     def one(nvars: int, order: int) -> "ExpSeries":
@@ -100,10 +82,14 @@ class ExpSeries:
         s.by_height[0][0] = 1
         return s
 
+    def _key(self, exps) -> int:
+        if min(exps) < 0:
+            raise ValueError(f"negative exponent in {tuple(exps)}")
+        return self.pk.pack(exps)
+
     def add_term(self, exps, coeff: int) -> None:
-        h = sum(exps)
+        key, h = self._key(exps), sum(exps)
         if h <= self.order and coeff:
-            key = pack(exps)
             bucket = self.by_height[h]
             c = bucket.get(key, 0) + coeff
             if c:
@@ -111,98 +97,61 @@ class ExpSeries:
             else:
                 bucket.pop(key, None)
 
-    def mul_one_minus(self, exps, sign: int = 1) -> None:
-        """Multiply in place by (1 - sign * e-monomial(exps))."""
-        key = pack(exps)
-        dh = sum(exps)
+    def _factor(self, exps) -> tuple[int, int]:
+        key, dh = self._key(exps), sum(exps)
         if dh == 0:
             raise ValueError("factor must raise the height")
-        for h in range(self.order - dh, -1, -1):
-            tgt = self.by_height[h + dh]
-            for k, c in self.by_height[h].items():
-                kk = k + key
-                nc = tgt.get(kk, 0) - sign * c
-                if nc:
-                    tgt[kk] = nc
-                else:
-                    tgt.pop(kk, None)
+        return dh, key
 
-    def mul_geometric(self, exps, sign: int = 1) -> None:
-        """Multiply in place by (1 - sign * e-monomial(exps))^{-1}."""
-        key = pack(exps)
-        dh = sum(exps)
-        if dh == 0:
-            raise ValueError("factor must raise the height")
-        for h in range(0, self.order - dh + 1):
-            tgt = self.by_height[h + dh]
-            for k, c in self.by_height[h].items():
-                kk = k + key
-                nc = tgt.get(kk, 0) + sign * c
-                if nc:
-                    tgt[kk] = nc
-                else:
-                    tgt.pop(kk, None)
+    def mul_one_minus(self, exps) -> None:
+        """Multiply in place by (1 - e-monomial(exps))."""
+        _mul_two_term(self.by_height, self.order, *self._factor(exps))
+
+    def mul_geometric(self, exps) -> None:
+        """Multiply in place by (1 - e-monomial(exps))^{-1}."""
+        _mul_geometric(self.by_height, self.order, *self._factor(exps))
 
     def n_terms(self) -> int:
         return sum(len(b) for b in self.by_height)
 
     def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
-        out = []
-        for b in self.by_height:
-            for k, c in b.items():
-                out.append((unpack(k, self.nvars), c))
-        out.sort(key=lambda t: t[0])
-        return out
+        return sorted((self.pk.unpack(k), c)
+                      for b in self.by_height for k, c in b.items())
 
 
-# -- affine denominator as a cone series ------------------------------------
+def _root_string(e, marks, height: int):
+    """e + k delta for k >= 0 and k delta - e for k >= 1, up to cone height;
+    delta has the cone exponents marks."""
+    he, hd = sum(e), sum(marks)
+    for k in range((height - he) // hd + 1):
+        yield tuple(x + k * m for x, m in zip(e, marks))
+    for k in range(1, (height + he) // hd + 1):
+        yield tuple(k * m - x for x, m in zip(e, marks))
 
 
-def affine_factor_list(rs: RootSystem, order: int):
-    """Exponents m of the factors (1 - e^m) of e^{-rho-hat} R-hat up to cone
-    height `order`; each q^k factor appears rank times."""
-    marks = (1,) + tuple(rs.marks)
-    htd = rs.delta_height
-    out = []
-    # imaginary roots: (1 - q^k)^rank
-    k = 1
-    while k * htd <= order:
-        exps = tuple(k * m for m in marks)
-        for _ in range(rs.rank):
-            out.append(exps)
-        k += 1
-    # real roots: alpha + k delta and (delta - alpha) + k delta
-    for a in rs.positive_roots:
-        rc = a.root_coords
-        # e^{-(alpha + k delta)}: exps = k*marks + (0, rc)
-        k = 0
-        while k * htd + a.height <= order:
-            exps = tuple(k * m for m in marks)
-            exps = (exps[0],) + tuple(
-                exps[i + 1] + rc[i] for i in range(rs.rank)
-            )
-            out.append(exps)
-            k += 1
-        # e^{-(k delta - alpha)}: exps = k*marks - (0, rc), k >= 1
-        k = 1
-        while k * htd - a.height <= order:
-            exps = tuple(k * m for m in marks)
-            exps = (exps[0],) + tuple(
-                exps[i + 1] - rc[i] for i in range(rs.rank)
-            )
-            if any(x < 0 for x in exps):
-                raise AssertionError("real root factor left the cone")
-            out.append(exps)
-            k += 1
-    return out
+def cone_product(marks, imaginary: int, even, odd, height: int) -> ExpSeries:
+    """prod_{k>=1} (1 - e^{k delta})^imaginary, times (1 - e^x) for every x
+    on the root string of each exponent vector in even, divided by (1 - e^x)
+    for every x on those of odd; delta has the cone exponents marks.  Exact
+    up to cone height `height`."""
+    s = ExpSeries.one(len(marks), height)
+    for k in range(1, height // sum(marks) + 1):
+        for _ in range(imaginary):
+            s.mul_one_minus(tuple(k * m for m in marks))
+    for e in even:
+        for x in _root_string(e, marks, height):
+            s.mul_one_minus(x)
+    for e in odd:
+        for x in _root_string(e, marks, height):
+            s.mul_geometric(x)
+    return s
 
 
 def denominator_series(rs: RootSystem, order: int) -> ExpSeries:
     """e^{-rho-hat} R-hat expanded on the affine cone up to `order`."""
-    s = ExpSeries.one(rs.rank + 1, order)
-    for exps in affine_factor_list(rs, order):
-        s.mul_one_minus(exps)
-    return s
+    return cone_product((1,) + rs.marks, rs.rank,
+                        [(0,) + a.root_coords for a in rs.positive_roots],
+                        (), order)
 
 
 # -- q-sliced characters -----------------------------------------------------
@@ -434,18 +383,10 @@ class CharSlices:
 
 def phi_slices(qmax: int, step: int = 1) -> dict[int, int]:
     """q-power coefficients of prod_{k>=1} (1 - q^{step k}) up to qmax."""
-    coeffs = {0: 1}
-    k = step
-    while k <= qmax:
-        nxt = dict(coeffs)
-        for m, c in coeffs.items():
-            if m + k <= qmax:
-                nxt[m + k] = nxt.get(m + k, 0) - c
-                if not nxt[m + k]:
-                    del nxt[m + k]
-        coeffs = nxt
-        k += step
-    return coeffs
+    slices: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(qmax)]
+    for k in range(step, qmax + 1, step):
+        _mul_two_term(slices, qmax, k, 0)
+    return {m: b[0] for m, b in enumerate(slices) if b}
 
 
 def qpoly_mul(a: dict[int, int], b: dict[int, int],
@@ -509,7 +450,7 @@ class OffsetPacking:
         return {self.unpack(k): c for k, c in d.items()}
 
 
-def _mul_two_term(slices: dict[int, dict[int, int]], qmax: int, j: int,
+def _mul_two_term(slices: list[dict[int, int]], qmax: int, j: int,
                   key: int) -> None:
     # multiply packed slices in place by (1 - e^{key} q^j); q-powers go top
     # down so a slice is read before it is added to, for j = 0 from a copy
@@ -519,6 +460,22 @@ def _mul_two_term(slices: dict[int, dict[int, int]], qmax: int, j: int,
         for o, c in (list(src.items()) if j == 0 else src.items()):
             no = o + key
             nc = tgt.get(no, 0) - c
+            if nc:
+                tgt[no] = nc
+            else:
+                del tgt[no]
+
+
+def _mul_geometric(slices: list[dict[int, int]], qmax: int, j: int,
+                   key: int) -> None:
+    # multiply packed slices in place by (1 - e^{key} q^j)^{-1}, j >= 1;
+    # q-powers go bottom up so a slice already carries the whole geometric
+    # series when it is added on j higher
+    for m in range(qmax - j + 1):
+        tgt = slices[m + j]
+        for o, c in slices[m].items():
+            no = o + key
+            nc = tgt.get(no, 0) + c
             if nc:
                 tgt[no] = nc
             else:
@@ -541,8 +498,7 @@ def denominator_slices(rs: RootSystem, qmax: int, finite: bool = True
     """
     pk = _denominator_packing(rs, qmax)
     keys = [pk.pack(a.root_coords) for a in rs.positive_roots]
-    slices: dict[int, dict[int, int]] = {m: {} for m in range(qmax + 1)}
-    slices[0][0] = 1
+    slices: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(qmax)]
     for k in range(1, qmax + 1):
         for key in keys:
             _mul_two_term(slices, qmax, k, -key)
@@ -551,13 +507,13 @@ def denominator_slices(rs: RootSystem, qmax: int, finite: bool = True
             _mul_two_term(slices, qmax, k, 0)
     for key in keys if finite else ():
         _mul_two_term(slices, qmax, 0, -key)
-    return {m: pk.unpack_dict(b) for m, b in slices.items() if b}
+    return {m: pk.unpack_dict(b) for m, b in enumerate(slices) if b}
 
 
 def finite_weyl_denominator(rs: RootSystem) -> dict[tuple[int, ...], int]:
     """prod_{alpha > 0} (1 - e^{-alpha}) as offsets in root coordinates."""
     pk = _denominator_packing(rs, 0)
-    poly: dict[int, dict[int, int]] = {0: {0: 1}}
+    poly = [{0: 1}]
     for a in rs.positive_roots:
         _mul_two_term(poly, 0, 0, -pk.pack(a.root_coords))
     return pk.unpack_dict(poly[0])

@@ -20,113 +20,31 @@ from fractions import Fraction
 
 from .lattice import lattice_points_below
 from .rootdata import coroot_lattice_basis, root_lattice_basis, root_system
-from .series import ExpSeries
-
-
-def _scaled(vec, marks, k: int) -> tuple[int, ...]:
-    return tuple(v + k * m for v, m in zip(vec, marks))
-
-
-def _minus(vec, marks, k: int) -> tuple[int, ...]:
-    return tuple(k * m - v for v, m in zip(vec, marks))
+from .series import ExpSeries, cone_product
 
 
 def sl_product(n: int, height: int) -> ExpSeries:
     """Product form for the sl frame, truncated by cone height."""
     if n < 3:
         raise ValueError("needs n >= 3")
-    nv = n + 1
-    marks = (1,) * nv
-    htq = nv
-    s = ExpSeries.one(nv, height)
-    zero = (0,) * nv
-    for _ in range(n):
-        k = 1
-        while k * htq <= height:
-            s.mul_one_minus(_scaled(zero, marks, k))
-            k += 1
     rs = root_system("A", n - 1)
-    for a in rs.positive_roots:
-        e = [0] * nv
-        for j, c in enumerate(a.root_coords):
-            e[1 + j] = int(c)
-        e = tuple(e)
-        hte = sum(e)
-        k = 0
-        while hte + k * htq <= height:
-            s.mul_one_minus(_scaled(e, marks, k))
-            k += 1
-        k = 1
-        while k * htq - hte <= height:
-            s.mul_one_minus(_minus(e, marks, k))
-            k += 1
-    for j in range(1, n + 1):
-        e = tuple(1 if j <= i <= n else 0 for i in range(nv))
-        hte = n + 1 - j
-        k = 1
-        while k * htq - hte <= height:
-            s.mul_geometric(_minus(e, marks, k))
-            k += 1
-        k = 1
-        while hte + (k - 1) * htq <= height:
-            s.mul_geometric(_scaled(e, marks, k - 1))
-            k += 1
-    return s
+    even = [(0,) + a.root_coords + (0,) for a in rs.positive_roots]
+    odd = [(0,) * j + (1,) * (n + 1 - j) for j in range(1, n + 1)]
+    return cone_product((1,) * (n + 1), n, even, odd, height)
 
 
 def spo_product(npr: int, height: int) -> ExpSeries:
     """Product form for the spo frame, truncated by cone height."""
     if npr < 2:
         raise ValueError("needs n' >= 2")
-    nv = npr + 2
     marks = (1, 1) + (2,) * (npr - 1) + (1,)
-    htq = sum(marks)
-    s = ExpSeries.one(nv, height)
-    zero = (0,) * nv
-    # one oscillator family and the rank-many imaginary families
-    for _ in range(1 + npr):
-        k = 1
-        while k * htq <= height:
-            s.mul_one_minus(_scaled(zero, marks, k))
-            k += 1
     rs = root_system("C", npr)
-    for a in rs.positive_roots:
-        e = (0, 0) + tuple(int(c) for c in a.root_coords)
-        hte = sum(e)
-        k = 0
-        while hte + k * htq <= height:
-            s.mul_one_minus(_scaled(e, marks, k))
-            k += 1
-        k = 1
-        while k * htq - hte <= height:
-            s.mul_one_minus(_minus(e, marks, k))
-            k += 1
-    odd = [(0, 1) + (0,) * npr]
-    for i in range(1, npr + 1):
-        odd.append((0, 1) + tuple(1 if j <= i else 0 for j in range(1, npr + 1)))
-    for i in range(1, npr):
-        e = [0, 1]
-        for j in range(1, npr + 1):
-            if j < i:
-                e.append(1)
-            elif j <= npr - 1:
-                e.append(2)
-            else:
-                e.append(1)
-        odd.append(tuple(e))
-    if len(odd) != 2 * npr:
-        raise AssertionError("odd factor family miscounted")
-    for e in odd:
-        hte = sum(e)
-        k = 1
-        while k * htq - hte <= height:
-            s.mul_geometric(_minus(e, marks, k))
-            k += 1
-        k = 1
-        while hte + (k - 1) * htq <= height:
-            s.mul_geometric(_scaled(e, marks, k - 1))
-            k += 1
-    return s
+    even = [(0, 0) + a.root_coords for a in rs.positive_roots]
+    odd = [(0, 1) + (1,) * i + (0,) * (npr - i) for i in range(npr + 1)]
+    odd += [(0, 1) + (1,) * (i - 1) + (2,) * (npr - i) + (1,)
+            for i in range(1, npr)]
+    # one oscillator family besides the rank-many imaginary ones
+    return cone_product(marks, 1 + npr, even, odd, height)
 
 
 def _branch_sum(rs, basis, lamb, shift, kvec_fn, height: int):

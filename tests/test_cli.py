@@ -290,6 +290,52 @@ def test_argparse_failures_exit_two(capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("formula,family,weight", [
+    ("sl-first", "A", ["-5", "4", "0"]),
+    ("sl-first", "A", ["-2", "1", "0"]),  # the weight --s 1 stands for
+    ("sp-a", "C", ["-2", "1", "0"]),
+])
+def test_s_and_weight_together_are_refused(capsys, formula, family, weight):
+    code, out, err = run(capsys, [
+        "compute", "--formula", formula, "--type", family, "--rank", "2",
+        "--s", "1", "--weight", *weight,
+    ])
+    assert code == 2 and out == ""
+    assert err == "error: give --s or --weight, not both\n"
+
+
+SL_FIRST = ["--formula", "sl-first", "--type", "A", "--rank", "2", "--s", "1"]
+D4_LIST = ["list-deligne", "--type", "D", "--rank", "4", "--level", "-1"]
+
+
+@pytest.mark.parametrize("argv,removed", [
+    (["compute", *SL_FIRST], ["--delta", "3"]),
+    (["qdim", *SL_FIRST], ["--delta", "3"]),
+    (["compute", *SL_FIRST], ["--numerator"]),
+    (["compute", *SL_FIRST], ["--seed", "3"]),
+    (["qdim", *SL_FIRST], ["--seed", "3"]),
+    (D4_LIST, ["--seed", "3"]),
+    (D4_LIST, ["--allow-large-weyl"]),
+])
+def test_removed_options_are_unrecognized(capsys, argv, removed):
+    with pytest.raises(SystemExit) as e:
+        main(argv + removed)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(removed)}" in err
+
+
+def test_kept_options_still_parse(capsys):
+    code, out, _ = run(capsys, ["verify", "properties", "--seed", "3",
+                                "--cases", "2", "--allow-large-weyl"])
+    assert code == 0 and '"identity": "properties seed=3 cases=2"' in out
+    code, out, _ = run(capsys, [
+        "qdim", "--formula", "integrable", "--type", "A", "--rank", "1",
+        "--weight", "1", "0", "--order", "1", "--allow-large-weyl",
+    ])
+    assert code == 0 and json.loads(out)["delta"] == "0"
+
+
 def test_large_weyl_group_is_refused_with_exit_two(capsys):
     code, out, err = run(capsys, [
         "compute", "--formula", "integrable", "--type", "E", "--rank", "7",

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from affinechar.formulas import (
+    _long_root_odd_slices,
     _orth_coords,
     check_deligne_conditions,
     deligne_enumerate,
@@ -145,6 +146,43 @@ def test_flip_decomposition():
 def test_twisted_denominator():
     assert twisted_denominator_check(2, 4) is None
     assert twisted_denominator_check(3, 2) is None
+
+
+def tuple_long_root_odd_slices(rs, qmax):
+    # the tuple-keyed loop the packed kernel replaced, kept as its oracle
+    slices = {0: {(0,) * rs.rank: 1}}
+    longs = []
+    for a in rs.positive_roots:
+        if rs.norm(a.fund) == 2:
+            rc = tuple(int(c) for c in a.root_coords)
+            longs.append(rc)
+            longs.append(tuple(-c for c in rc))
+    for rc in longs:
+        k = 1
+        while k <= qmax:
+            for m in range(0, qmax - k + 1):
+                b = slices.get(m)
+                if not b:
+                    continue
+                tgt = slices.setdefault(m + k, {})
+                for off, c in list(b.items()):
+                    noff = tuple(a + d for a, d in zip(off, rc))
+                    nc = tgt.get(noff, 0) + c
+                    if nc:
+                        tgt[noff] = nc
+                    else:
+                        del tgt[noff]
+            k += 2
+    return {m: b for m, b in slices.items() if b}
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_long_root_odd_slices_match_tuple_loop(rank):
+    rs = root_system("C", rank)
+    for qmax in range(7):
+        want = tuple_long_root_odd_slices(rs, qmax)
+        assert _long_root_odd_slices(rs, qmax) == want
+        assert sorted(want) == list(range(qmax + 1))
 
 
 def test_parity_bracket_identity():

@@ -161,14 +161,13 @@ def test_two_term_factors_cancel():
         s = rand_cone_series(rng, 3, 6)
         e = [0, 0, 0]
         e[rng.randrange(3)] = rng.randrange(1, 3)
-        sign = rng.choice((1, -1))
         for first, second in (("mul_one_minus", "mul_geometric"),
                               ("mul_geometric", "mul_one_minus")):
             t = ExpSeries(3, 6)
             for exps, c in s.sorted_items():
                 t.add_term(exps, c)
-            getattr(t, first)(tuple(e), sign)
-            getattr(t, second)(tuple(e), sign)
+            getattr(t, first)(tuple(e))
+            getattr(t, second)(tuple(e))
             assert t.sorted_items() == s.sorted_items()
 
 
@@ -176,6 +175,30 @@ def test_height_zero_factor_rejected():
     s = ExpSeries.one(2, 4)
     with pytest.raises(ValueError):
         s.mul_one_minus((0, 0))
+
+
+def test_negative_exponent_rejected():
+    s = ExpSeries.one(2, 4)
+    for exps in ((-1, 0), (2, -1), (0, -5)):
+        with pytest.raises(ValueError):
+            s.add_term(exps, 1)
+        with pytest.raises(ValueError):
+            s.mul_one_minus(exps)
+    assert s.sorted_items() == [((0, 0), 1)]
+
+
+def test_exponents_past_eight_bits_round_trip():
+    # order 300 packs each exponent in ten bits; 200 > 127 is kept exactly
+    s = ExpSeries.one(3, 300)
+    s.mul_one_minus((0, 200, 0))
+    assert s.sorted_items() == [((0, 0, 0), 1), ((0, 200, 0), -1)]
+    s.mul_geometric((0, 200, 0))
+    assert s.sorted_items() == [((0, 0, 0), 1)]
+    s.mul_geometric((100, 0, 200))
+    assert s.sorted_items() == [((0, 0, 0), 1), ((100, 0, 200), 1)]
+    s.add_term((0, 300, 0), 7)
+    assert s.sorted_items()[1] == ((0, 300, 0), 7)
+    assert s.n_terms() == 3
 
 
 # -- the affine denominator ----------------------------------------------------
