@@ -196,6 +196,8 @@ def _compute_series(args) -> CharSlices:
     """The numerator, or with --character the character, of one formula."""
     _need(args.order >= 0, "needs order >= 0")
     build, is_character = FORMULAS[args.formula]
+    _need(args.s is None or build in (_sl_tower, _sl2_closed, _sp_a),
+          f"formula {args.formula} does not read --s")
     ser = build(args)
     if is_character:
         if args.character:
@@ -572,6 +574,14 @@ def _check_properties(args):
                    fails[0] if fails else None)
 
 
+# option -> the checks that read it; verify refuses an option that none of
+# the named checks reads
+CHECK_OPTIONS = {
+    "s": ("tower-fock", "flip-symmetry", "sl2-closed", "sector-restriction"),
+    **dict.fromkeys(("type", "rank", "weight"),
+                    ("deligne-positivity", "qdim-two-path")),
+}
+
 CHECK_FNS = {
     "superdenominator-sl": _check_superdenominator_sl,
     "superdenominator-sp": _check_superdenominator_sp,
@@ -633,10 +643,15 @@ def cmd_verify(args) -> int:
     names = args.checks
     if names == ["all"]:
         names = list(CHECKS)
-    results = []
     for name in names:
         _need(name in CHECK_FNS, f"unknown check {name}; known: "
               + ", ".join(CHECKS))
+    for opt, readers in CHECK_OPTIONS.items():
+        _need(getattr(args, opt) is None or not set(names).isdisjoint(readers),
+              f"--{opt} is read by none of the named checks; it is read by "
+              + ", ".join(readers))
+    results = []
+    for name in names:
         t0 = time.perf_counter()
         r = CHECK_FNS[name](args)
         r["seconds"] = f"{time.perf_counter() - t0:.3f}"

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import floor, gcd, isqrt
 
-from .rootdata import RootSystem, invert_matrix
+from .rootdata import RootSystem, int_inverse
 from .series import AffineWeight, CharSlices, rho_hat
 
 
@@ -34,7 +34,16 @@ def quad_points(M: list[list[Fraction]], L: list[Fraction],
                 B: Fraction) -> list[tuple[int, ...]]:
     """All x in Z^r with x^T M x / 2 + L.x <= B, for M positive definite."""
     r = len(M)
-    Minv = invert_matrix(M)
+    # clear denominators once so the box test runs on plain integers:
+    # x^T Mi x + 2 Li.x <= 2 Bi with Mi = 2 den M etc., all integral
+    den = 1
+    for v in [x for row in M for x in row] + list(L) + [B]:
+        den = den * v.denominator // gcd(den, v.denominator)
+    Mi = [[int(v * 2 * den) for v in row] for row in M]
+    Li = [int(v * 2 * den) for v in L]
+    Bi = int(B * 2 * den)
+    N, d = int_inverse(Mi)
+    Minv = [[Fraction(2 * den * x, d) for x in row] for row in N]
     xstar = [
         -sum(Minv[i][j] * L[j] for j in range(r)) for i in range(r)
     ]
@@ -50,14 +59,6 @@ def quad_points(M: list[list[Fraction]], L: list[Fraction],
         if lo > hi:
             return []
         ranges.append(range(lo, hi + 1))
-    # clear denominators once so the box test runs on plain integers
-    den = 1
-    for v in [x for row in M for x in row] + list(L) + [B]:
-        den = den * v.denominator // gcd(den, v.denominator)
-    # test x^T Mi x + 2 Li.x <= 2 Bi with Mi = 2 den M etc., all integral
-    Mi = [[int(v * 2 * den) for v in row] for row in M]
-    Li = [int(v * 2 * den) for v in L]
-    Bi = int(B * 2 * den)
     out = []
     for x in iproduct(*ranges):
         tot = 0

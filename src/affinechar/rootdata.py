@@ -1,24 +1,19 @@
 """Exact root-system data for the finite types A_l, C_l, D_4, E_6, E_7, E_8.
 
-Everything is computed over Fraction from an explicit Euclidean model per
-type, normalized so the highest root has squared length 2.  Weights are
-handled in fundamental-weight coordinates (the tuple ((v|a_1^vee), ...,
-(v|a_l^vee))), which are integral exactly on the weight lattice.
+Everything is derived in integer arithmetic from the Dynkin diagram and the
+squared lengths of the simple roots, normalized so the highest root has
+squared length 2 (Bourbaki, Lie Groups and Lie Algebras VI, plates I-VII).
+Weights are handled in fundamental-weight coordinates (the tuple
+((v|a_1^vee), ..., (v|a_l^vee))), which are integral exactly on the weight
+lattice.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
-
-Vec = tuple[Fraction, ...]
-
-
-def _vec(entries) -> Vec:
-    return tuple(Fraction(e) for e in entries)
 
 
 def _scaled(xs) -> tuple[list[int], int]:
@@ -27,38 +22,57 @@ def _scaled(xs) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a small square system exactly by Gaussian elimination."""
-    n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+def _reduced(rows: list[list[int]], den: int) -> tuple[list[list[int]], int]:
+    """rows / den with the common factor cancelled: den becomes the lcm of
+    the denominators of the entries."""
+    g = gcd(den, *(x for row in rows for x in row))
+    return [[x // g for x in row] for row in rows], den // g
+
+
+def int_inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(N, d) with m^{-1} = N / d for an invertible integer matrix m, d > 0
+    the lcm of the entries' denominators: Gauss-Jordan without division."""
+    n = len(m)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(m)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+            if r != c and aug[r][c]:
+                a, b = aug[c][c], aug[r][c]
+                aug[r] = [a * x - b * y for x, y in zip(aug[r], aug[c])]
+    d = lcm(*(aug[i][i] for i in range(n)))
+    return _reduced([[x * (d // aug[i][i]) for x in aug[i][n:]]
+                     for i in range(n)], d)
 
 
-def invert_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    cols = []
-    for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(solve_linear(rows, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+def _dynkin(fam: str, l: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """Edges of the Dynkin diagram (Bourbaki's numbering, from 0) and the
+    squared lengths (a_i|a_i) of the simple roots, long roots at 2."""
+    if fam not in ("A", "C", "D", "E"):
+        raise ValueError(f"unknown family {fam!r}")
+    if l < 1:
+        raise ValueError("rank must be >= 1")
+    chain = [(i, i + 1) for i in range(l - 1)]
+    if fam == "A":
+        return chain, [2] * l
+    if fam == "C":
+        return chain, [1] * (l - 1) + [2]
+    if fam == "D":
+        if l != 4:
+            raise ValueError("only D_4 is supported")
+        # node 2 is the branch node: a_2 meets a_1, a_3, a_4
+        return [(0, 1), (1, 2), (1, 3)], [2] * 4
+    if l not in (6, 7, 8):
+        raise ValueError("E rank must be 6, 7 or 8")
+    # a_1 - a_3 - a_4 - ... - a_l, and a_2 meets a_4
+    return [(0, 2), (1, 3)] + chain[2:], [2] * l
 
 
-@dataclass(frozen=True)
-class PosRoot:
-    fund: tuple[Fraction, ...]      # fundamental coordinates (v|a_i^vee)
-    root_coords: tuple[int, ...]    # coefficients over the simple roots
-    euclid: Vec
-    height: int
-    norm: Fraction                  # (alpha|alpha)
+# fund: fundamental coordinates (v|a_i^vee); root_coords: coefficients over
+# the simple roots; norm: (alpha|alpha)
+PosRoot = namedtuple("PosRoot", "fund root_coords height norm")
 
 
 class RootSystem:
@@ -67,92 +81,29 @@ class RootSystem:
     def __init__(self, family: str, rank: int):
         self.family = family
         self.rank = rank
-        self._build_euclid_model()
         self._derive()
         self._weyl_cache: list[WeylElement] | None = None
 
     # -- construction -----------------------------------------------------
 
-    def _build_euclid_model(self) -> None:
-        fam, l = self.family, self.rank
-        one, half = Fraction(1), Fraction(1, 2)
-        if fam == "A":
-            dim = l + 1
-            form = [one] * dim
-            simples = [
-                _vec([0] * i + [1, -1] + [0] * (dim - i - 2)) for i in range(l)
-            ]
-        elif fam == "C":
-            dim = l
-            form = [half] * dim
-            simples = [
-                _vec([0] * i + [1, -1] + [0] * (dim - i - 2)) for i in range(l - 1)
-            ]
-            simples.append(_vec([0] * (l - 1) + [2]))
-        elif fam == "D":
-            if l != 4:
-                raise ValueError("only D_4 is supported")
-            dim = 4
-            form = [one] * 4
-            # node 2 is the branch node: a_2 meets a_1, a_3, a_4
-            simples = [
-                _vec([1, -1, 0, 0]),
-                _vec([0, 1, -1, 0]),
-                _vec([0, 0, 1, -1]),
-                _vec([0, 0, 1, 1]),
-            ]
-        elif fam == "E":
-            if l not in (6, 7, 8):
-                raise ValueError("E rank must be 6, 7 or 8")
-            dim = 8
-            form = [one] * 8
-            e8 = [
-                _vec([half, -half, -half, -half, -half, -half, -half, half]),
-                _vec([1, 1, 0, 0, 0, 0, 0, 0]),
-                _vec([-1, 1, 0, 0, 0, 0, 0, 0]),
-                _vec([0, -1, 1, 0, 0, 0, 0, 0]),
-                _vec([0, 0, -1, 1, 0, 0, 0, 0]),
-                _vec([0, 0, 0, -1, 1, 0, 0, 0]),
-                _vec([0, 0, 0, 0, -1, 1, 0, 0]),
-                _vec([0, 0, 0, 0, 0, -1, 1, 0]),
-            ]
-            simples = e8[:l]
-        else:
-            raise ValueError(f"unknown family {fam!r}")
-        self.ambient_dim = dim
-        self._form = tuple(form)
-        self.simple_euclid: tuple[Vec, ...] = tuple(simples)
-
-    def euclid_inner(self, x: Vec, y: Vec) -> Fraction:
-        return sum((a * b * f for a, b, f in zip(x, y, self._form)), Fraction(0))
-
     def _derive(self) -> None:
         l = self.rank
-        inner = self.euclid_inner
-        simples = self.simple_euclid
-
-        def coroot(a: Vec) -> Vec:
-            scale = Fraction(2) / inner(a, a)
-            return tuple(scale * c for c in a)
-
-        self.simple_coroots_euclid = tuple(coroot(a) for a in simples)
-
-        # cartan[i][j] = (a_j | a_i^vee); fundamental coords of a_j = column j
-        self.cartan = tuple(
-            tuple(inner(simples[j], self.simple_coroots_euclid[i]) for j in range(l))
-            for i in range(l)
-        )
-        if any(x.denominator != 1 for row in self.cartan for x in row):
-            raise AssertionError("Cartan matrix must be integral")
-        cartan_rows = [[Fraction(x) for x in row] for row in self.cartan]
-        self._cartan_inv = invert_matrix(cartan_rows)
-        # C^{-1} = _inv_num / _inv_den over the integers, for orbit_offsets
-        flat, self._inv_den = _scaled(sum(self._cartan_inv, []))
-        self._inv_num = [flat[i:i + l] for i in range(0, l * l, l)]
+        edges, norms = _dynkin(self.family, l)
+        # twice the Gram matrix of the simple roots; on these (at most
+        # doubly laced) diagrams an edge carries 2(a_i|a_j) = -max(n_i, n_j)
+        gram2 = [[2 * n * (i == j) for j in range(l)]
+                 for i, n in enumerate(norms)]
+        for i, j in edges:
+            gram2[i][j] = gram2[j][i] = -max(norms[i], norms[j])
+        # cart[i][j] = (a_j | a_i^vee) = 2(a_i|a_j) / (a_i|a_i);
+        # fundamental coords of a_j = column j
+        cart = [[x // n for x in row] for row, n in zip(gram2, norms)]
+        self.cartan = tuple(tuple(map(Fraction, row)) for row in cart)
+        # C^{-1} = _inv_num / _inv_den over the integers
+        self._inv_num, self._inv_den = int_inverse(cart)
 
         # close the simple roots in root coordinates under the simple
         # reflections s_i(r) = r - (sum_j cartan[i][j] r_j) e_i
-        cart = [[int(x) for x in row] for row in self.cartan]
         roots = {tuple(int(i == j) for j in range(l)) for i in range(l)}
         frontier = list(roots)
         while frontier:
@@ -167,10 +118,11 @@ class RootSystem:
         pos: list[PosRoot] = []
         for rc in roots:
             if sum(rc) > 0:
-                r = tuple(sum((c * a[d] for c, a in zip(rc, simples)),
-                              Fraction(0)) for d in range(self.ambient_dim))
-                fc = tuple(Fraction(sum(map(mul, row, rc))) for row in cart)
-                pos.append(PosRoot(fc, rc, r, sum(rc), inner(r, r)))
+                fc = [sum(map(mul, row, rc)) for row in cart]
+                # (r|r) = sum_i r_i (a_i|a_i)/2 (r|a_i^vee)
+                norm2 = sum(map(mul, rc, map(mul, norms, fc)))
+                pos.append(PosRoot(tuple(map(Fraction, fc)), rc, sum(rc),
+                                   Fraction(norm2, 2)))
         pos.sort(key=lambda p: (p.height, p.root_coords))
         self.positive_roots: tuple[PosRoot, ...] = tuple(pos)
         if 2 * len(pos) != len(roots):
@@ -180,52 +132,27 @@ class RootSystem:
         if self.theta.norm != 2:
             raise AssertionError("normalization requires (theta|theta) = 2")
         self.marks = self.theta.root_coords
-        # theta^vee = theta since (theta|theta) = 2; solve for its coroot coords
-        theta_coroot_coords = solve_linear(
-            [
-                [inner(cv, av) for cv in self.simple_coroots_euclid]
-                for av in self.simple_coroots_euclid
-            ],
-            [inner(self.theta.euclid, av) for av in self.simple_coroots_euclid],
-        )
-        if any(x.denominator != 1 for x in theta_coroot_coords):
-            raise AssertionError("comarks must be integral")
-        self.comarks = tuple(int(x) for x in theta_coroot_coords)
+        # theta^vee = theta, and a_i = (a_i|a_i)/2 a_i^vee (Kac, 6.1)
+        self.comarks = tuple(m * n // 2 for m, n in zip(self.marks, norms))
         self.dual_coxeter = 1 + sum(self.comarks)
         self.coxeter = 1 + self.theta.height
         self.delta_height = 1 + self.theta.height
 
-        # fundamental weights in the Euclidean span of the simple roots
-        pairing_rows = [
-            [inner(simples[k], self.simple_coroots_euclid[j]) for k in range(l)]
-            for j in range(l)
-        ]
-        fund_weights = []
-        for i in range(l):
-            e = [Fraction(int(j == i)) for j in range(l)]
-            xs = solve_linear(pairing_rows, e)
-            w = tuple(
-                sum((xs[k] * simples[k][d] for k in range(l)), Fraction(0))
-                for d in range(self.ambient_dim)
-            )
-            fund_weights.append(w)
-        self.fund_weights_euclid: tuple[Vec, ...] = tuple(fund_weights)
-        # (w_i|w_j) = _gram_num[i][j] / _gram_den over the integers, for inner
-        flat, self._gram_den = _scaled([inner(u, v) for u in fund_weights
-                                        for v in fund_weights])
-        self._gram_num = [flat[i:i + l] for i in range(0, l * l, l)]
+        # (w_i|w_j) = (a_i|a_i)/2 (C^{-1})_ij = _gram_num[i][j] / _gram_den
+        self._gram_num, self._gram_den = _reduced(
+            [[n * x for x in row] for n, row in zip(norms, self._inv_num)],
+            2 * self._inv_den)
         self.rho = tuple(Fraction(1) for _ in range(l))
 
-        # fundamental coords of simple roots and coroots (integral)
+        # fundamental coords of simple roots and coroots (integral):
+        # (a_j^vee | a_i^vee) = 2 cartan[i][j] / (a_j|a_j)
         self.simple_fund = tuple(
             tuple(self.cartan[i][j] for i in range(l)) for j in range(l)
         )
         self.coroot_fund = tuple(
-            tuple(inner(cv, av) for av in self.simple_coroots_euclid)
-            for cv in self.simple_coroots_euclid
+            tuple(Fraction(2 * cart[i][j] // n) for i in range(l))
+            for j, n in enumerate(norms)
         )
-        if any(x.denominator != 1 for v in self.coroot_fund for x in v):
-            raise AssertionError("coroot fundamental coordinates must be integral")
 
     # -- exact pairings on fundamental coordinates ------------------------
 
@@ -240,20 +167,14 @@ class RootSystem:
         return self.inner(x, x)
 
     def root_to_fund(self, root_coords) -> tuple[Fraction, ...]:
-        l = self.rank
-        return tuple(
-            sum((Fraction(root_coords[j]) * self.cartan[i][j] for j in range(l)),
-                Fraction(0))
-            for i in range(l)
-        )
+        return tuple(sum(map(mul, row, root_coords), Fraction(0))
+                     for row in self.cartan)
 
     def fund_to_root(self, fund) -> tuple[Fraction, ...]:
-        inv = self._cartan_inv
-        l = self.rank
-        return tuple(
-            sum((inv[i][j] * Fraction(fund[j]) for j in range(l)), Fraction(0))
-            for i in range(l)
-        )
+        fi, d = _scaled(fund)
+        dd = self._inv_den * d
+        return tuple(Fraction(sum(map(mul, row, fi)), dd)
+                     for row in self._inv_num)
 
     # -- Weyl group --------------------------------------------------------
 
@@ -378,10 +299,10 @@ class WeylSizeError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    matrix: tuple[tuple[int, ...], ...]   # acts on fundamental coordinates
-    sign: int
+class WeylElement(namedtuple("WeylElement", "matrix sign")):
+    """matrix: integer rows acting on fundamental coordinates; sign: det."""
+
+    __slots__ = ()
 
     def apply(self, v):
         return tuple(

@@ -17,22 +17,19 @@ CharSlices is the one q-sliced type for numerators and characters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .rootdata import RootSystem
 
-@dataclass(frozen=True)
-class AffineWeight:
+class AffineWeight(namedtuple("AffineWeight", "finite level delta")):
     """Weight of the extended algebra: finite part, level, delta coefficient.
 
     The finite part is in fundamental coordinates of the underlying finite
     root system (or a frame-specific encoding for the super frames).
     """
 
-    finite: tuple[Fraction, ...]
-    level: Fraction
-    delta: Fraction
+    __slots__ = ()
 
     @staticmethod
     def make(finite, level=0, delta=0) -> "AffineWeight":

@@ -1,10 +1,14 @@
 """End-to-end command line behaviour: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import affinechar
 from affinechar import cli, fock, superden
 from affinechar.cli import main
 from affinechar.rootdata import RootSystem, root_system
@@ -179,6 +183,34 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize("option", [
+    ["--type", "E"], ["--rank", "3"], ["--weight", "1", "2"], ["--s", "9"],
+])
+def test_verify_refuses_an_option_no_named_check_reads(capsys, option):
+    code, out, err = run(capsys, [
+        "verify", "superdenominator-sl", "flip-decomposition", "--order", "2",
+        *option,
+    ])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option[0]} is read by none of the named "
+                          "checks; it is read by ")
+    assert err.count("\n") == 1
+
+
+def test_verify_accepts_an_option_one_named_check_reads(capsys):
+    code, out, _ = run(capsys, [
+        "verify", "superdenominator-sl", "tower-fock", "--n", "3", "--s", "1",
+        "--order", "2",
+    ])
+    assert code == 0 and "tower-fock n=3 s=1" in out
+    code, out, _ = run(capsys, [
+        "verify", "superdenominator-sl", "deligne-positivity", "--n", "3",
+        "--type", "D", "--rank", "4", "--weight", "-1", "0", "0", "0", "0",
+        "--order", "1",
+    ])
+    assert code == 0 and "deligne-positivity D4 (-1, 0, 0, 0, 0)" in out
+
+
 # -- list-deligne -----------------------------------------------------------------
 
 
@@ -304,6 +336,25 @@ def test_s_and_weight_together_are_refused(capsys, formula, family, weight):
     assert err == "error: give --s or --weight, not both\n"
 
 
+@pytest.mark.parametrize("command", ["compute", "qdim"])
+@pytest.mark.parametrize("formula,family,rank,weight", [
+    ("integrable", "A", 1, ["1", "0"]),
+    ("deligne", "D", 4, ["-1", "0", "0", "0", "0"]),
+    ("sp-b", "C", 2, None),
+    ("sp-c", "C", 2, None),
+    ("sp-parity-a", "C", 2, None),
+    ("sp-parity-b", "C", 2, None),
+])
+def test_s_on_a_formula_that_does_not_read_it_is_refused(
+        capsys, command, formula, family, rank, weight):
+    argv = [command, "--formula", formula, "--type", family,
+            "--rank", str(rank), "--s", "5", "--order", "1"]
+    code, out, err = run(capsys, argv + (["--weight", *weight] if weight
+                                         else []))
+    assert code == 2 and out == ""
+    assert err == f"error: formula {formula} does not read --s\n"
+
+
 SL_FIRST = ["--formula", "sl-first", "--type", "A", "--rank", "2", "--s", "1"]
 D4_LIST = ["list-deligne", "--type", "D", "--rank", "4", "--level", "-1"]
 
@@ -336,6 +387,16 @@ def test_kept_options_still_parse(capsys):
     assert code == 0 and json.loads(out)["delta"] == "0"
 
 
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_rank_below_one_is_refused_with_exit_two(capsys, rank):
+    code, out, err = run(capsys, [
+        "compute", "--formula", "integrable", "--type", "A", "--rank", rank,
+        "--weight", "1", "--order", "0",
+    ])
+    assert code == 2 and out == ""
+    assert err == "error: rank must be >= 1\n"
+
+
 def test_large_weyl_group_is_refused_with_exit_two(capsys):
     code, out, err = run(capsys, [
         "compute", "--formula", "integrable", "--type", "E", "--rank", "7",
@@ -364,3 +425,19 @@ def test_non_integral_dimension_is_one_error_line_with_exit_two(
     code, out, err = run(capsys, ["verify", "qdim-two-path", "--order", "1"])
     assert code == 2 and out == ""
     assert err == "error: non-integral graded dimension 1/2\n"
+
+
+def test_cli_import_footprint():
+    # importing the CLI loads every layer (the benchmark tracer wraps their
+    # functions by module) and no dataclasses or inspect; -S keeps site
+    # hooks of the interpreter's installation out of the module list
+    src = os.path.dirname(os.path.dirname(affinechar.__file__))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, affinechar.cli; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True).stdout.split()
+    for layer in ("rootdata", "lattice", "series", "formulas", "superden",
+                  "fock"):
+        assert f"affinechar.{layer}" in out
+    assert "dataclasses" not in out and "inspect" not in out

@@ -2,16 +2,21 @@ import random
 import time
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 
 from affinechar.rootdata import (
+    PosRoot,
     RootSystem,
+    WeylElement,
     WeylSizeError,
     coroot_lattice_basis,
+    int_inverse,
     root_lattice_basis,
     root_system,
 )
+from affinechar.series import AffineWeight
 
 
 def det(rows):
@@ -237,54 +242,200 @@ def test_weyl_group_matches_full_product_closure(fam, rank):
     assert [w.matrix for w in rs.weyl_group()] == full_product_closure(rs)
 
 
-def fraction_root_closure(rs):
-    """Positive roots by closing the Euclidean simple roots under the
-    simple reflections, over Fraction: the construction the integer
-    closure in root coordinates replaced."""
-    inner = rs.euclid_inner
-    simples = rs.simple_euclid
-    roots = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for a, av in zip(simples, rs.simple_coroots_euclid):
-                r = tuple(bc - inner(b, av) * ac for bc, ac in zip(b, a))
-                if r not in roots:
-                    roots.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    pos = []
-    for r in roots:
-        fc = tuple(inner(r, av) for av in rs.simple_coroots_euclid)
-        rc = rs.fund_to_root(fc)
-        assert all(x.denominator == 1 for x in rc)
-        rci = tuple(int(x) for x in rc)
-        if sum(rci) > 0:
-            pos.append((fc, rci, r, sum(rci), inner(r, r)))
-    pos.sort(key=lambda p: (p[3], p[1]))
-    return pos
+# -- the Euclidean model: a Fraction oracle for the integer root data --------
 
 
-@pytest.mark.parametrize("fam,rank", ORACLE_TYPES
-                         + [("E", 6), ("E", 7), ("E", 8)])
+def solve_linear(rows, rhs):
+    """Solve a small square system exactly by Gaussian elimination."""
+    n = len(rows)
+    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
+def scaled_matrix(rows):
+    """(integer rows, d) with rows = integer rows / d, d the lcm of the
+    entries' denominators."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * d) for x in row] for row in rows], d
+
+
+def _vec(entries):
+    return tuple(Fraction(e) for e in entries)
+
+
+class EuclidModel:
+    """Root data over Fraction from explicit simple roots in R^n, with the
+    highest root at squared length 2: the construction the integer
+    derivation from the Dynkin diagram replaced."""
+
+    def __init__(self, fam, l):
+        one, half = Fraction(1), Fraction(1, 2)
+        if fam == "A":
+            self.ambient_dim, form = l + 1, [one] * (l + 1)
+            simples = [_vec([0] * i + [1, -1] + [0] * (l - i - 1))
+                       for i in range(l)]
+        elif fam == "C":
+            self.ambient_dim, form = l, [half] * l
+            simples = [_vec([0] * i + [1, -1] + [0] * (l - i - 2))
+                       for i in range(l - 1)] + [_vec([0] * (l - 1) + [2])]
+        elif fam == "D":
+            self.ambient_dim, form = 4, [one] * 4
+            simples = [_vec([1, -1, 0, 0]), _vec([0, 1, -1, 0]),
+                       _vec([0, 0, 1, -1]), _vec([0, 0, 1, 1])]
+        else:
+            self.ambient_dim, form = 8, [one] * 8
+            simples = [
+                _vec([half, -half, -half, -half, -half, -half, -half, half]),
+                _vec([1, 1, 0, 0, 0, 0, 0, 0]),
+                _vec([-1, 1, 0, 0, 0, 0, 0, 0]),
+                _vec([0, -1, 1, 0, 0, 0, 0, 0]),
+                _vec([0, 0, -1, 1, 0, 0, 0, 0]),
+                _vec([0, 0, 0, -1, 1, 0, 0, 0]),
+                _vec([0, 0, 0, 0, -1, 1, 0, 0]),
+                _vec([0, 0, 0, 0, 0, -1, 1, 0]),
+            ][:l]
+        self._form = tuple(form)
+        self.simple_euclid = tuple(simples)
+        inner = self.euclid_inner
+        self.simple_coroots_euclid = coroots = tuple(
+            tuple(2 / inner(a, a) * c for c in a) for a in simples)
+        self.cartan = tuple(tuple(inner(simples[j], coroots[i])
+                                  for j in range(l)) for i in range(l))
+        inv_cols = [solve_linear(self.cartan, [Fraction(int(i == j))
+                                               for i in range(l)])
+                    for j in range(l)]
+        cartan_inv = [[inv_cols[j][i] for j in range(l)] for i in range(l)]
+        self._inv_num, self._inv_den = scaled_matrix(cartan_inv)
+
+        # all roots by closing the simple roots under the simple reflections
+        roots = set(simples)
+        frontier = list(simples)
+        while frontier:
+            nxt = []
+            for b in frontier:
+                for a, av in zip(simples, coroots):
+                    r = tuple(bc - inner(b, av) * ac for bc, ac in zip(b, a))
+                    if r not in roots:
+                        roots.add(r)
+                        nxt.append(r)
+            frontier = nxt
+        pos = []
+        for r in roots:
+            fc = tuple(inner(r, av) for av in coroots)
+            rc = tuple(sum((x * f for x, f in zip(row, fc)), Fraction(0))
+                       for row in cartan_inv)
+            assert all(x.denominator == 1 for x in rc)
+            rc = tuple(int(x) for x in rc)
+            if sum(rc) > 0:
+                pos.append((fc, rc, r, sum(rc), inner(r, r)))
+        pos.sort(key=lambda p: (p[3], p[1]))
+        self.positive_roots = pos
+        self.theta = pos[-1]
+        self.marks = self.theta[1]
+        # theta^vee = theta since (theta|theta) = 2: its coroot coordinates
+        comarks = solve_linear(
+            [[inner(cv, av) for cv in coroots] for av in coroots],
+            [inner(self.theta[2], av) for av in coroots])
+        assert all(x.denominator == 1 for x in comarks)
+        self.comarks = tuple(int(x) for x in comarks)
+        self.dual_coxeter = 1 + sum(self.comarks)
+
+        # fundamental weights in the span of the simple roots
+        pairing = [[inner(simples[k], coroots[j]) for k in range(l)]
+                   for j in range(l)]
+        self.fund_weights_euclid = []
+        for i in range(l):
+            xs = solve_linear(pairing, [Fraction(int(j == i))
+                                        for j in range(l)])
+            self.fund_weights_euclid.append(tuple(
+                sum((xs[k] * simples[k][d] for k in range(l)), Fraction(0))
+                for d in range(self.ambient_dim)))
+        fw = self.fund_weights_euclid
+        self._gram_num, self._gram_den = scaled_matrix(
+            [[inner(u, v) for v in fw] for u in fw])
+        rho = tuple(sum(c) / 2 for c in zip(*(p[2] for p in pos)))
+        self.rho = tuple(inner(rho, cv) for cv in coroots)
+        self.simple_fund = tuple(tuple(inner(a, cv) for cv in coroots)
+                                 for a in simples)
+        self.coroot_fund = tuple(tuple(inner(c, cv) for cv in coroots)
+                                 for c in coroots)
+
+    def euclid_inner(self, x, y):
+        return sum((a * b * f for a, b, f in zip(x, y, self._form)),
+                   Fraction(0))
+
+
+def test_int_inverse_matches_fraction_inverse():
+    # zero and negative pivots, row swaps and singular-free random matrices
+    rng = random.Random(11)
+    cases = [[[0, 1], [1, 0]], [[0, 3], [-2, 0]], [[-1]], [[4]]]
+    while len(cases) < 80:
+        n = rng.choice((2, 3, 5, 8))
+        cases.append([[rng.randint(-3, 3) for _ in range(n)]
+                      for _ in range(n)])
+    checked = 0
+    for m in cases:
+        n = len(m)
+        try:
+            cols = [solve_linear([list(map(Fraction, row)) for row in m],
+                                 [Fraction(int(i == j)) for i in range(n)])
+                    for j in range(n)]
+        except StopIteration:  # singular
+            continue
+        want = scaled_matrix([[cols[j][i] for j in range(n)]
+                              for i in range(n)])
+        assert int_inverse(m) == want
+        checked += 1
+    assert checked >= 40
+
+
+def typed(x):
+    """x with the type of every entry, for comparing types as well."""
+    if isinstance(x, (tuple, list)):
+        return type(x).__name__, [typed(y) for y in x]
+    return type(x).__name__, x
+
+
+ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3),
+             ("C", 4), ("D", 4), ("E", 6), ("E", 7), ("E", 8)]
+
+
+@pytest.mark.parametrize("fam,rank", ALL_TYPES)
 def test_integer_root_closure_matches_fraction_closure(fam, rank):
     rs = root_system(fam, rank)
-    got = [(a.fund, a.root_coords, a.euclid, a.height, a.norm)
-           for a in rs.positive_roots]
-    assert got == fraction_root_closure(rs)
-    assert all(type(x) is Fraction for a in rs.positive_roots
-               for x in (*a.fund, *a.euclid, a.norm))
+    got = [tuple(a) for a in rs.positive_roots]
+    want = [(fc, rc, h, n)
+            for fc, rc, _, h, n in EuclidModel(fam, rank).positive_roots]
+    assert typed(got) == typed(want)
 
 
-@pytest.mark.parametrize("fam,rank", ORACLE_TYPES + [("E", 6), ("E", 7),
-                                                     ("E", 8)])
+@pytest.mark.parametrize("fam,rank", ALL_TYPES)
+def test_root_data_matches_euclidean_model(fam, rank):
+    rs, ex = root_system(fam, rank), EuclidModel(fam, rank)
+    for name in ("cartan", "marks", "comarks", "dual_coxeter", "_inv_num",
+                 "_inv_den", "_gram_num", "_gram_den", "simple_fund",
+                 "coroot_fund", "rho"):
+        assert typed(getattr(rs, name)) == typed(getattr(ex, name)), name
+    fc, rc, _, h, n = ex.theta
+    assert typed(tuple(rs.theta)) == typed((fc, rc, h, n))
+
+
+@pytest.mark.parametrize("fam,rank", ALL_TYPES)
 def test_integer_pairing_matches_fraction_sum(fam, rank):
     # the oracle: sum_ij x_i y_j (w_i|w_j), each term a Fraction, with the
     # Gram entries taken from the Euclidean model of the fundamental weights
-    rs = root_system(fam, rank)
-    fw = rs.fund_weights_euclid
-    gram = [[rs.euclid_inner(u, v) for v in fw] for u in fw]
+    rs, ex = root_system(fam, rank), EuclidModel(fam, rank)
+    fw = ex.fund_weights_euclid
+    gram = [[ex.euclid_inner(u, v) for v in fw] for u in fw]
 
     def oracle(x, y):
         return sum((Fraction(a) * Fraction(b) * gram[i][j]
@@ -303,3 +454,47 @@ def test_integer_pairing_matches_fraction_sum(fam, rank):
         assert isinstance(got, Fraction) and got == oracle(x, y)
     assert rs.inner((0,) * rank, vec()) == 0
     assert rs.norm(rs.theta.fund) == 2
+
+
+# -- the immutable value classes ---------------------------------------------
+
+
+@pytest.mark.parametrize("cls,fields", [
+    (PosRoot, {"fund": (Fraction(2), Fraction(-1)), "root_coords": (1, 0),
+               "height": 1, "norm": Fraction(2)}),
+    (WeylElement, {"matrix": ((-1, 0), (1, 1)), "sign": -1}),
+    (AffineWeight, {"finite": (Fraction(1), Fraction(0)),
+                    "level": Fraction(-1), "delta": Fraction(3, 2)}),
+], ids=["PosRoot", "WeylElement", "AffineWeight"])
+def test_value_class_semantics(cls, fields):
+    by_position, by_keyword = cls(*fields.values()), cls(**fields)
+    assert by_position == by_keyword
+    assert hash(by_position) == hash(by_keyword)
+    for name, value in fields.items():
+        assert getattr(by_keyword, name) == value
+        assert cls(**{**fields, name: (value, 0)}) != by_keyword
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, name, value)
+    with pytest.raises(AttributeError):
+        by_keyword.extra = 0
+    with pytest.raises(TypeError):
+        cls(*fields.values(), 0)
+
+
+def test_make_and_apply_results():
+    w = AffineWeight.make([1, -2], Fraction(-3, 2), 4)
+    assert w == AffineWeight((Fraction(1), Fraction(-2)), Fraction(-3, 2),
+                             Fraction(4))
+    assert all(type(x) is Fraction for x in (*w.finite, w.level, w.delta))
+    assert AffineWeight.make((0,)) == AffineWeight((Fraction(0),), 0, 0)
+    s1 = root_system("A", 2).simple_reflection(0)
+    assert s1 == WeylElement(((-1, 0), (1, 1)), -1)
+    got = s1.apply((2, Fraction(1, 3)))
+    assert got == (Fraction(-2), Fraction(7, 3))
+    assert all(type(x) is Fraction for x in got)
+    assert s1.apply((0, 5)) == (0, 5)
+    rs = root_system("C", 2)
+    lam = (Fraction(1), Fraction(-3))
+    assert {w.apply(lam) for w in rs.weyl_group()} == {
+        (1, -3), (-1, -2), (5, -3), (-5, 2), (5, -2), (-5, 3), (1, 2),
+        (-1, 3)}
