@@ -8,7 +8,8 @@ list-deligne   screen a window of weights for the orthogonal-root setup
 JSON is the canonical output format and is byte-identical for identical
 configurations; verify reports carry wall times and are exempt.  Exit
 codes: 0 success, 1 a checked identity failed, 2 bad usage, a violated
-precondition, a size or state budget exceeded, or a non-integral result.
+precondition, a size or state budget exceeded, or a non-integral result,
+3 an internal invariant broken (a bug, reported as one line).
 """
 
 from __future__ import annotations
@@ -198,6 +199,8 @@ def _compute_series(args) -> CharSlices:
     build, is_character = FORMULAS[args.formula]
     _need(args.s is None or build in (_sl_tower, _sl2_closed, _sp_a),
           f"formula {args.formula} does not read --s")
+    _need(not args.allow_large_weyl or build in (_integrable, _deligne),
+          f"formula {args.formula} does not read --allow-large-weyl")
     ser = build(args)
     if is_character:
         if args.character:
@@ -577,8 +580,14 @@ def _check_properties(args):
 # option -> the checks that read it; verify refuses an option that none of
 # the named checks reads
 CHECK_OPTIONS = {
+    "n": tuple(c for c in CHECKS if c not in (
+        "sl2-closed", "deligne-positivity", "qdim-two-path", "properties")),
+    "order": tuple(c for c in CHECKS if c != "properties"),
     "s": ("tower-fock", "flip-symmetry", "sl2-closed", "sector-restriction"),
-    **dict.fromkeys(("type", "rank", "weight"),
+    "smax": ("tower-assembly",),
+    "omega": ("window-negation",),
+    **dict.fromkeys(("seed", "cases"), ("properties",)),
+    **dict.fromkeys(("type", "rank", "weight", "allow_large_weyl"),
                     ("deligne-positivity", "qdim-two-path")),
 }
 
@@ -648,8 +657,8 @@ def cmd_verify(args) -> int:
               + ", ".join(CHECKS))
     for opt, readers in CHECK_OPTIONS.items():
         _need(getattr(args, opt) is None or not set(names).isdisjoint(readers),
-              f"--{opt} is read by none of the named checks; it is read by "
-              + ", ".join(readers))
+              f"--{opt.replace('_', '-')} is read by none of the named checks;"
+              " it is read by " + ", ".join(readers))
     results = []
     for name in names:
         t0 = time.perf_counter()
@@ -708,10 +717,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="json")
 
     weyl = argparse.ArgumentParser(add_help=False)
-    weyl.add_argument("--allow-large-weyl", action="store_true",
+    weyl.add_argument("--allow-large-weyl", action="store_true", default=None,
                       help="enumerate Weyl groups past the size bound; "
                            "the bound is decided from |W| before any "
-                           "enumeration")
+                           "enumeration; read by the integrable and deligne "
+                           "formulas and the checks that build them")
 
     wspec = argparse.ArgumentParser(add_help=False)
     wspec.add_argument("--type", required=True,
@@ -777,6 +787,9 @@ def main(argv=None) -> int:
             fock.BudgetError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except AssertionError as e:
+        sys.stderr.write(f"internal error: {e}\n")
+        return 3
 
 
 if __name__ == "__main__":

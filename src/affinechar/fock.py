@@ -93,30 +93,6 @@ def charge_energy_table(n: int, e2max: int) -> dict[tuple[int, int], int]:
     return tbl
 
 
-def fock_product_table(n: int, e2max: int) -> dict[tuple, int]:
-    """{(charge, e2, weight): dim} of the whole space, from its product form.
-
-    Same pass structure as charge_energy_table but tracking the eps-basis
-    weight vector as well, so the charge-s slice can be compared against
-    fock_gl_slices term by term.
-    """
-    tbl = {(0, 0, (0,) * n): 1}
-    k2 = 1
-    while k2 <= e2max:
-        for colour in range(n):
-            for dch in (1, -1):
-                for e in range(0, e2max - k2 + 1):
-                    adds = [(ch, w, c)
-                            for (ch, ee, w), c in tbl.items() if ee == e]
-                    for ch, w, c in adds:
-                        nw = list(w)
-                        nw[colour] += dch
-                        key = (ch + dch, e + k2, tuple(nw))
-                        tbl[key] = tbl.get(key, 0) + c
-        k2 += 2
-    return tbl
-
-
 def fock_gl_slices(n: int, s: int, e2max: int,
                    budget: int = 10_000_000) -> dict[int, dict[tuple[int, ...], int]]:
     """{e2: {weight: dim}} for the charge-s sector."""
@@ -248,32 +224,6 @@ def charge_zero_split(n: int, e2max: int, budget: int = 10_000_000):
     return plus, minus
 
 
-def mirror_pair_slices(half: int, e2max: int) -> dict[int, dict[tuple[int, ...], int]]:
-    """{e2: {folded weight: dim}} of the flip-fixed subspace, product form.
-
-    Fixed states are built from two-mode blocks pairing colour i at k with
-    colour n+1-i at the same k; a block carries folded weight +-2 eps_j and
-    doubled energy 2 k2.
-    """
-    tbl: dict[int, dict[tuple[int, ...], int]] = {0: {(0,) * half: 1}}
-    for j in range(half):
-        for sgn in (1, -1):
-            k2 = 1
-            while 2 * k2 <= e2max:
-                for e2 in range(0, e2max - 2 * k2 + 1):
-                    b = tbl.get(e2)
-                    if not b:
-                        continue
-                    for v, c in list(b.items()):
-                        nv = list(v)
-                        nv[j] += 2 * sgn
-                        tgt = tbl.setdefault(e2 + 2 * k2, {})
-                        key = tuple(nv)
-                        tgt[key] = tgt.get(key, 0) + c
-                k2 += 2
-    return tbl
-
-
 def split_to_char(rs_sp: RootSystem, part: dict, qmax: int) -> CharSlices:
     """Reindex {e2: {folded weight: dim}} as slices over the C root system."""
     base = weight_from_coeffs(rs_sp, [-1] + [0] * rs_sp.rank)
@@ -337,22 +287,3 @@ def oscillator_split(qmax: int):
             minus[m] = (a - b) // 2
     return plus, minus
 
-
-def oscillator_split_brute(qmax: int):
-    """Same split by listing partitions and signing by the number of parts."""
-    cnt = {(0, 0): 1}
-    for k in range(1, qmax + 1):
-        nxt: dict[tuple[int, int], int] = {}
-        for (m, par), c in cnt.items():
-            j = 0
-            while m + j * k <= qmax:
-                key = (m + j * k, (par + j) % 2)
-                nxt[key] = nxt.get(key, 0) + c
-                j += 1
-        cnt = nxt
-    plus: dict[int, int] = {}
-    minus: dict[int, int] = {}
-    for (m, par), c in cnt.items():
-        tgt = plus if par == 0 else minus
-        tgt[m] = tgt.get(m, 0) + c
-    return plus, minus

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 from math import floor, gcd, isqrt
+from operator import mul
 
 from .rootdata import RootSystem, int_inverse
 from .series import AffineWeight, CharSlices, rho_hat
@@ -31,8 +32,9 @@ def _ceil_minus_sqrt(x: Fraction, r2: Fraction) -> int:
 
 
 def quad_points(M: list[list[Fraction]], L: list[Fraction],
-                B: Fraction) -> list[tuple[int, ...]]:
-    """All x in Z^r with x^T M x / 2 + L.x <= B, for M positive definite."""
+                B: Fraction) -> dict[tuple[int, ...], Fraction]:
+    """{x: x^T M x / 2 + L.x} over all x in Z^r where that is <= B, for M
+    positive definite; each value is exact, read off the integer form."""
     r = len(M)
     # clear denominators once so the box test runs on plain integers:
     # x^T Mi x + 2 Li.x <= 2 Bi with Mi = 2 den M etc., all integral
@@ -50,16 +52,16 @@ def quad_points(M: list[list[Fraction]], L: list[Fraction],
     qmin = sum(L[i] * xstar[i] for i in range(r)) / 2
     R2 = 2 * (B - qmin)
     if R2 < 0:
-        return []
+        return {}
     ranges = []
     for i in range(r):
         rad2 = R2 * Minv[i][i]
         lo = _ceil_minus_sqrt(xstar[i], rad2)
         hi = _floor_plus_sqrt(xstar[i], rad2)
         if lo > hi:
-            return []
+            return {}
         ranges.append(range(lo, hi + 1))
-    out = []
+    out = {}
     for x in iproduct(*ranges):
         tot = 0
         for i in range(r):
@@ -69,33 +71,28 @@ def quad_points(M: list[list[Fraction]], L: list[Fraction],
                 tot += xi * (sum(row[j] * x[j] for j in range(r))
                              + 2 * Li[i])
         if tot <= 2 * Bi:
-            out.append(x)
+            out[x] = Fraction(tot, 4 * den)
     return out
 
 
-def drop_of(rs: RootSystem, nu_fin, c: Fraction, gamma) -> Fraction:
-    return rs.inner(nu_fin, gamma) + c * rs.norm(gamma) / 2
-
-
 def lattice_points_below(rs: RootSystem, basis, nu_fin, c: Fraction,
-                         bound) -> list[tuple[tuple[int, ...], tuple[Fraction, ...], Fraction]]:
-    """All gamma = sum x_i b_i with drop(gamma) <= bound.
+                         bound) -> list[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
+    """All gamma = sum x_i b_i with drop (nu_fin|gamma) + c(gamma|gamma)/2
+    <= bound, for an integral basis.
 
-    Returns (integer coords, gamma in fundamental coords, exact drop).
+    Returns (integer coords, gamma in fundamental coords as ints, exact
+    drop), sorted by drop, then coords.
     """
+    if any(v.denominator != 1 for b in basis for v in b):
+        raise ValueError("lattice basis must be integral")
     r = len(basis)
     M = [
         [c * rs.inner(basis[i], basis[j]) for j in range(r)] for i in range(r)
     ]
     L = [rs.inner(nu_fin, basis[i]) for i in range(r)]
-    pts = quad_points(M, L, Fraction(bound))
-    out = []
-    for x in pts:
-        gamma = tuple(
-            sum((Fraction(x[i]) * basis[i][d] for i in range(r)), Fraction(0))
-            for d in range(rs.rank)
-        )
-        out.append((x, gamma, drop_of(rs, nu_fin, c, gamma)))
+    cols = [[int(v) for v in col] for col in zip(*basis)]
+    out = [(x, tuple([sum(map(mul, x, col)) for col in cols]), drop)
+           for x, drop in quad_points(M, L, Fraction(bound)).items()]
     out.sort(key=lambda t: (t[2], t[0]))
     return out
 
@@ -111,13 +108,9 @@ def _orbit_sum(rs: RootSystem, lam: AffineWeight, nu_fin, items,
     for mu, m, coeff in items:
         if coeff == 0:
             continue
-        dom, sgn, regular = rs.to_dominant(mu)
-        if not regular:
-            continue
-        base_coeff = sgn * coeff
         tgt = out.setdefault(m, {})
-        for wsign, key in rs.orbit_offsets(dom, nu_fin):
-            c = tgt.get(key, 0) + wsign * base_coeff
+        for wsign, key in rs.orbit_offsets(mu, nu_fin):
+            c = tgt.get(key, 0) + wsign * coeff
             if c:
                 tgt[key] = c
             else:

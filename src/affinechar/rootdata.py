@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 
 def _scaled(xs) -> tuple[list[int], int]:
@@ -99,6 +99,10 @@ class RootSystem:
         # fundamental coords of a_j = column j
         cart = [[x // n for x in row] for row, n in zip(gram2, norms)]
         self.cartan = tuple(tuple(map(Fraction, row)) for row in cart)
+        # s_i moves coordinate j != i of a weight by -cartan[j][i] times its
+        # i-th coordinate: the nonzero off-diagonal entries of column i
+        self._nbrs = [[(j, row[i]) for j, row in enumerate(cart)
+                       if j != i and row[i]] for i in range(l)]
         # C^{-1} = _inv_num / _inv_den over the integers
         self._inv_num, self._inv_den = int_inverse(cart)
 
@@ -199,6 +203,14 @@ class RootSystem:
             order *= 1 + sum(1 for n in counts if n >= i)
         return order
 
+    def check_weyl_order(self, limit: int = 10**6, hint: str = "") -> int:
+        """|W|, or WeylSizeError when it exceeds limit; nothing enumerated."""
+        order = self.weyl_order()
+        if order > limit:
+            raise WeylSizeError(f"Weyl group of {self.family}{self.rank} has "
+                                f"{order} elements, more than {limit}{hint}")
+        return order
+
     def weyl_group(self, limit: int = 10**6,
                    allow_large: bool = False) -> list["WeylElement"]:
         """Full Weyl group as integer matrices on fundamental coordinates.
@@ -207,23 +219,17 @@ class RootSystem:
         E_7 and E_8 are the only supported types past the default bound.
         The size is decided from weyl_order() before anything is enumerated.
         The group is cached: once enumerated (say with allow_large), every
-        later call returns the same list whatever its limit.
+        later call returns the same list whatever its limit.  No orbit is
+        taken through these matrices: callers use the call as a size gate.
         """
         if self._weyl_cache is not None:
             return self._weyl_cache
-        order = self.weyl_order()
-        if order > limit and not allow_large:
-            raise WeylSizeError(
-                f"Weyl group of {self.family}{self.rank} has {order} "
-                f"elements, more than {limit}; pass allow_large "
-                "(--allow-large-weyl) to enumerate anyway"
-            )
+        hint = "; pass allow_large (--allow-large-weyl) to enumerate anyway"
+        order = (self.weyl_order() if allow_large
+                 else self.check_weyl_order(limit, hint))
         l = self.rank
         # Matrices are kept as tuples of columns: right-multiplying by s_i
-        # changes column i only, to col_i - sum_j cartan[j][i] col_j, which
-        # is -col_i - sum_{j != i} cartan[j][i] col_j since cartan[i][i] = 2.
-        nbrs = [[(j, int(self.cartan[j][i])) for j in range(l)
-                 if j != i and self.cartan[j][i]] for i in range(l)]
+        # changes column i only, to -col_i - sum_{j != i} cartan[j][i] col_j.
         ident = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
         seen = {ident: 1}
         frontier = [ident]
@@ -231,7 +237,7 @@ class RootSystem:
             nxt = []
             for m in frontier:
                 sign = -seen[m]
-                for i, nb in enumerate(nbrs):
+                for i, nb in enumerate(self._nbrs):
                     col = [-x for x in m[i]]
                     for j, c in nb:
                         col = [a - c * b for a, b in zip(col, m[j])]
@@ -247,43 +253,68 @@ class RootSystem:
                             for m, sg in seen.items()]
         return self._weyl_cache
 
-    def orbit_offsets(self, v, base):
-        """Yield (w.sign, root coordinates of w(v) - base) for w in W.
-
-        v and base are fundamental coordinates; the elements come in the
-        order of weyl_group().  All arithmetic is on Python ints: v and base
-        are scaled by the lcm d of their denominators, and C^{-1} is
-        _inv_num / _inv_den, so each offset is one exact division by
-        _inv_den * d.
-        """
-        ints, d = _scaled((*v, *base))
-        vi, bi = ints[:len(v)], ints[len(v):]
-        num, dd = self._inv_num, self._inv_den * d
-        for w in self.weyl_group():
-            diff = [sum(map(mul, row, vi)) - b for row, b in zip(w.matrix, bi)]
-            off = [sum(map(mul, row, diff)) for row in num]
-            if any(x % dd for x in off):
-                raise AssertionError("orbit offset left the root lattice")
-            yield w.sign, tuple([x // dd for x in off])
+    def _reduce(self, vi: list[int]) -> int:
+        """Reflect integer fundamental coordinates into the dominant chamber
+        in place, at the first negative coordinate each time; returns the
+        sign of the element used."""
+        sign = 1
+        while (i := next((i for i, x in enumerate(vi) if x < 0), -1)) >= 0:
+            x, vi[i], sign = vi[i], -vi[i], -sign
+            for j, c in self._nbrs[i]:
+                vi[j] -= c * x
+        return sign
 
     def to_dominant(self, fund) -> tuple[tuple[Fraction, ...], int, bool]:
-        """Reflect into the dominant chamber.
+        """(dominant representative, sign of the element used, regular),
+        regular being False when a reflection fixes the representative."""
+        vi, d = _scaled(fund)
+        sign = self._reduce(vi)
+        return tuple(Fraction(x, d) for x in vi), sign, all(vi)
 
-        Returns (dominant representative, sign of the element used, regular)
-        where regular is False when the weight has a zero coordinate along
-        the way (i.e. a reflection stabilizes it).
+    def dominant_offset(self, v, base):
+        """(v+, sign, root coordinates of v+ - base) in ints, v+ and sign as
+        in to_dominant.  AssertionError unless every w(v) - base lies in the
+        root lattice, that is unless v is integral and v - base a root sum."""
+        ints, d = _scaled((*v, *base))
+        vi, bi = ints[:self.rank], ints[self.rank:]
+        sign = self._reduce(vi)
+        dd = self._inv_den * d
+        off = [sum(map(mul, row, map(sub, vi, bi))) for row in self._inv_num]
+        if any(x % d for x in vi) or any(x % dd for x in off):
+            raise AssertionError("orbit offset left the root lattice")
+        return [x // d for x in vi], sign, tuple([x // dd for x in off])
+
+    def orbit_offsets(self, v, base, bound: int | None = None):
+        """Yield (eps(w), root coordinates of w(v) - base) over W(v).
+
+        Breadth-first down from the dominant v+: for regular v+, s_i
+        lengthens w exactly when x = (w v+)_i > 0 (Humphreys, Reflection
+        Groups and Coxeter Groups, 1.6-1.7), so each element is met at its
+        length, with sign (-1)^length times the reduction's.  A step is one
+        Cartan column update and x off root coordinate i.  Singular v yield
+        nothing (their alternating sum is zero).  With `bound`, only w with
+        ht(v+ - w v+) <= bound are walked; that height grows by x per step.
         """
-        v = tuple(Fraction(x) for x in fund)
-        sign = 1
-        while True:
-            for i, c in enumerate(v):
-                if c < 0:
-                    alpha = self.simple_fund[i]
-                    v = tuple(a - c * b for a, b in zip(v, alpha))
-                    sign = -sign
-                    break
-            else:
-                return v, sign, all(c != 0 for c in v)
+        dom, sign, off = self.dominant_offset(v, base)
+        if not all(dom):
+            return
+        nbrs = self._nbrs
+        level = {tuple(dom): (off, 0)}
+        while level:
+            nxt = {}
+            for u, (o, h) in level.items():
+                yield sign, o
+                for i, x in enumerate(u):
+                    if x > 0 and (bound is None or h + x <= bound):
+                        w = list(u)
+                        w[i] = -x
+                        for j, c in nbrs[i]:
+                            w[j] -= c * x
+                        w = tuple(w)
+                        if w not in nxt:
+                            nxt[w] = (o[:i] + (o[i] - x,) + o[i + 1:], h + x)
+            level = nxt
+            sign = -sign
 
     def weyl_dim(self, fund) -> Fraction:
         """Dimension of the irreducible with highest weight `fund` (Weyl)."""

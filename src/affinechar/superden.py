@@ -53,9 +53,14 @@ def _branch_sum(rs, basis, lamb, shift, kvec_fn, height: int):
     lamb: fundamental coordinates of the pairing weight (the odd direction's
     finite shadow).  shift: multiplier of the shifted level (h-vee minus the
     odd correction).  kvec_fn(D, p, cro) maps drop, geometric exponent and
-    the finite root coordinates to the full cone exponent vector.
+    the finite root coordinates to the full cone exponent vector; its cone
+    height is a constant minus the height of cro, so over one orbit it is
+    least, hmin, at the dominant representative and grows by ht(v+ - w v+).
+    Each orbit is walked with the bound height - hmin, building only terms
+    that are kept.  The Weyl group's size is checked before any lattice work.
     """
-    rho_f = tuple(Fraction(1) for _ in range(rs.rank))
+    rs.check_weyl_order()
+    rho_f = (1,) * rs.rank
     out: dict[tuple[int, ...], int] = {}
     for branch in (1, -1):
         nu0 = rho_f if branch == 1 else tuple(
@@ -79,25 +84,22 @@ def _branch_sum(rs, basis, lamb, shift, kvec_fn, height: int):
                 steps += 1
                 if steps > 8 * height + 32:
                     raise AssertionError("runaway geometric branch")
-                nu = tuple(r + Fraction(shift) * g + Fraction(p) * l
+                nu = tuple(r + shift * g + p * l
                            for r, g, l in zip(rho_f, gf, lamb))
-                base = tuple(r + Fraction(p) * l for r, l in zip(rho_f, lamb))
-                hmin = None
-                for wsign, cro in rs.orbit_offsets(nu, base):
-                    ks = kvec_fn(D, p, cro)
-                    h = sum(ks)
-                    hmin = h if hmin is None else min(hmin, h)
-                    if h <= height:
-                        c = out.get(ks, 0) + branch * wsign
-                        if c:
-                            out[ks] = c
-                        else:
-                            del out[ks]
+                base = tuple(r + p * l for r, l in zip(rho_f, lamb))
+                hmin = sum(kvec_fn(D, p, rs.dominant_offset(nu, base)[2]))
                 if prev_hmin is not None and hmin < prev_hmin + 1:
                     raise AssertionError("height stopped growing with p")
                 prev_hmin = hmin
                 if hmin > height:
                     break
+                for wsign, cro in rs.orbit_offsets(nu, base, height - hmin):
+                    ks = kvec_fn(D, p, cro)
+                    c = out.get(ks, 0) + branch * wsign
+                    if c:
+                        out[ks] = c
+                    else:
+                        del out[ks]
                 p += dp
                 D += pair * dp
     return out
@@ -117,7 +119,7 @@ def sl_sum(n: int, height: int) -> ExpSeries:
     if n < 3:
         raise ValueError("needs n >= 3")
     rs = root_system("A", n - 1)
-    lamb = tuple(Fraction(int(i == n - 2)) for i in range(n - 1))
+    lamb = tuple(int(i == n - 2) for i in range(n - 1))
 
     def kvec(D, p, cro):
         return (D,) + tuple(D - c for c in cro) + (D + p,)
@@ -131,7 +133,7 @@ def spo_sum(npr: int, height: int) -> ExpSeries:
     if npr < 2:
         raise ValueError("needs n' >= 2")
     rs = root_system("C", npr)
-    lamb = tuple(Fraction(int(i == 0)) for i in range(npr))
+    lamb = tuple(int(i == 0) for i in range(npr))
 
     def kvec(D, p, cro):
         ks = [D, D + p]

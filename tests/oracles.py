@@ -1,0 +1,205 @@
+"""Slow reference paths, kept only for the tests to compare against.
+
+The first group is the code the library ran before the dominant-chamber
+orbit walk and the integer drop: a loop over the matrices of weyl_group()
+for every orbit, `Fraction` sums for every lattice point, and the
+two-branch superdenominator sum that builds every orbit term before it
+truncates by height.  The second group expands free-field spaces from their
+product forms, against the library's state enumeration.
+"""
+
+from fractions import Fraction
+from operator import mul
+
+from affinechar.lattice import quad_points
+from affinechar.rootdata import (
+    _scaled,
+    coroot_lattice_basis,
+    root_lattice_basis,
+    root_system,
+)
+
+
+def matrix_orbit_offsets(rs, v, base):
+    """Yield (w.sign, root coordinates of w(v) - base) for w in weyl_group(),
+    in its order, through integer matrix products."""
+    ints, d = _scaled((*v, *base))
+    vi, bi = ints[:len(v)], ints[len(v):]
+    num, dd = rs._inv_num, rs._inv_den * d
+    for w in rs.weyl_group():
+        diff = [sum(map(mul, row, vi)) - b for row, b in zip(w.matrix, bi)]
+        off = [sum(map(mul, row, diff)) for row in num]
+        if any(x % dd for x in off):
+            raise AssertionError("orbit offset left the root lattice")
+        yield w.sign, tuple([x // dd for x in off])
+
+
+def drop_of(rs, nu_fin, c, gamma) -> Fraction:
+    return rs.inner(nu_fin, gamma) + c * rs.norm(gamma) / 2
+
+
+def fraction_lattice_points_below(rs, basis, nu_fin, c, bound):
+    """(x, gamma, drop) with gamma and drop rebuilt in Fractions per point."""
+    r = len(basis)
+    M = [
+        [c * rs.inner(basis[i], basis[j]) for j in range(r)] for i in range(r)
+    ]
+    L = [rs.inner(nu_fin, basis[i]) for i in range(r)]
+    out = []
+    for x in quad_points(M, L, Fraction(bound)):
+        gamma = tuple(
+            sum((Fraction(x[i]) * basis[i][d] for i in range(r)), Fraction(0))
+            for d in range(rs.rank)
+        )
+        out.append((x, gamma, drop_of(rs, nu_fin, c, gamma)))
+    out.sort(key=lambda t: (t[2], t[0]))
+    return out
+
+
+def matrix_branch_sum(rs, basis, lamb, shift, kvec_fn, height: int):
+    """The two-branch lattice sum over whole orbits, truncated afterwards."""
+    rho_f = tuple(Fraction(1) for _ in range(rs.rank))
+    out: dict[tuple[int, ...], int] = {}
+    for branch in (1, -1):
+        nu0 = rho_f if branch == 1 else tuple(
+            a - b for a, b in zip(rho_f, lamb))
+        pts = fraction_lattice_points_below(rs, basis, nu0, Fraction(shift),
+                                            height)
+        for _x, gf, d0 in pts:
+            pair = rs.inner(gf, lamb)
+            if pair.denominator != 1:
+                raise AssertionError("pairing left the integers")
+            pair = int(pair)
+            if (branch == 1) != (pair >= 0):
+                continue
+            if d0.denominator != 1:
+                raise AssertionError("non-integral drop")
+            D = int(d0)
+            p = 0 if branch == 1 else -1
+            dp = 1 if branch == 1 else -1
+            prev_hmin = None
+            steps = 0
+            while True:
+                steps += 1
+                if steps > 8 * height + 32:
+                    raise AssertionError("runaway geometric branch")
+                nu = tuple(r + Fraction(shift) * g + Fraction(p) * l
+                           for r, g, l in zip(rho_f, gf, lamb))
+                base = tuple(r + Fraction(p) * l for r, l in zip(rho_f, lamb))
+                hmin = None
+                for wsign, cro in matrix_orbit_offsets(rs, nu, base):
+                    ks = kvec_fn(D, p, cro)
+                    h = sum(ks)
+                    hmin = h if hmin is None else min(hmin, h)
+                    if h <= height:
+                        c = out.get(ks, 0) + branch * wsign
+                        if c:
+                            out[ks] = c
+                        else:
+                            del out[ks]
+                if prev_hmin is not None and hmin < prev_hmin + 1:
+                    raise AssertionError("height stopped growing with p")
+                prev_hmin = hmin
+                if hmin > height:
+                    break
+                p += dp
+                D += pair * dp
+    return out
+
+
+def matrix_sl_terms(n: int, height: int) -> dict:
+    """{cone exponents: coeff} of the sl frame's sum side, on the slow path."""
+    rs = root_system("A", n - 1)
+    lamb = tuple(Fraction(int(i == n - 2)) for i in range(n - 1))
+
+    def kvec(D, p, cro):
+        return (D,) + tuple(D - c for c in cro) + (D + p,)
+
+    return matrix_branch_sum(rs, root_lattice_basis(rs), lamb, n - 1, kvec,
+                             height)
+
+
+def matrix_spo_terms(npr: int, height: int) -> dict:
+    """{cone exponents: coeff} of the spo frame's sum side, on the slow path."""
+    rs = root_system("C", npr)
+    lamb = tuple(Fraction(int(i == 0)) for i in range(npr))
+
+    def kvec(D, p, cro):
+        return (D, D + p, *(2 * D - c for c in cro[:-1]), D - cro[-1])
+
+    return matrix_branch_sum(rs, coroot_lattice_basis(rs), lamb, npr, kvec,
+                             height)
+
+
+# -- free-field product forms, against the state enumeration ------------------
+
+
+def fock_product_table(n: int, e2max: int) -> dict[tuple, int]:
+    """{(charge, e2, weight): dim} of the whole space, from its product form.
+
+    Same pass structure as charge_energy_table but tracking the eps-basis
+    weight vector as well, so the charge-s slice can be compared against
+    fock_gl_slices term by term.
+    """
+    tbl = {(0, 0, (0,) * n): 1}
+    k2 = 1
+    while k2 <= e2max:
+        for colour in range(n):
+            for dch in (1, -1):
+                for e in range(0, e2max - k2 + 1):
+                    adds = [(ch, w, c)
+                            for (ch, ee, w), c in tbl.items() if ee == e]
+                    for ch, w, c in adds:
+                        nw = list(w)
+                        nw[colour] += dch
+                        key = (ch + dch, e + k2, tuple(nw))
+                        tbl[key] = tbl.get(key, 0) + c
+        k2 += 2
+    return tbl
+
+
+def mirror_pair_slices(half: int, e2max: int) -> dict[int, dict[tuple[int, ...], int]]:
+    """{e2: {folded weight: dim}} of the flip-fixed subspace, product form.
+
+    Fixed states are built from two-mode blocks pairing colour i at k with
+    colour n+1-i at the same k; a block carries folded weight +-2 eps_j and
+    doubled energy 2 k2.
+    """
+    tbl: dict[int, dict[tuple[int, ...], int]] = {0: {(0,) * half: 1}}
+    for j in range(half):
+        for sgn in (1, -1):
+            k2 = 1
+            while 2 * k2 <= e2max:
+                for e2 in range(0, e2max - 2 * k2 + 1):
+                    b = tbl.get(e2)
+                    if not b:
+                        continue
+                    for v, c in list(b.items()):
+                        nv = list(v)
+                        nv[j] += 2 * sgn
+                        tgt = tbl.setdefault(e2 + 2 * k2, {})
+                        key = tuple(nv)
+                        tgt[key] = tgt.get(key, 0) + c
+                k2 += 2
+    return tbl
+
+
+def oscillator_split_brute(qmax: int):
+    """fock.oscillator_split by listing partitions and signing each by the
+    number of its parts."""
+    cnt = {(0, 0): 1}
+    for k in range(1, qmax + 1):
+        nxt: dict[tuple[int, int], int] = {}
+        for (m, par), c in cnt.items():
+            j = 0
+            while m + j * k <= qmax:
+                key = (m + j * k, (par + j) % 2)
+                nxt[key] = nxt.get(key, 0) + c
+                j += 1
+        cnt = nxt
+    plus: dict[int, int] = {}
+    minus: dict[int, int] = {}
+    for (m, par), c in cnt.items():
+        tgt = plus if par == 0 else minus
+        tgt[m] = tgt.get(m, 0) + c
+    return plus, minus

@@ -197,6 +197,38 @@ def test_verify_refuses_an_option_no_named_check_reads(capsys, option):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("check,option", [
+    ("sl2-closed", ["--n", "5"]),
+    ("sl2-closed", ["--smax", "3"]),
+    ("sl2-closed", ["--omega", "1,1"]),
+    ("properties", ["--order", "2"]),
+    ("sl2-closed", ["--cases", "2"]),
+    ("sl2-closed", ["--seed", "3"]),
+    ("superdenominator-sl", ["--allow-large-weyl"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_verify_refuses_every_option_its_checks_do_not_read(
+        capsys, check, option):
+    code, out, err = run(capsys, ["verify", check, *option])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option[0]} is read by none of the named "
+                          "checks; it is read by ")
+    assert check not in err and err.count("\n") == 1
+
+
+def test_superdenominator_gate_does_not_offer_the_flag(capsys):
+    # the superdenominator sums decide the size gate from |W| up front and
+    # have no override, so neither the refusal nor the parser offers one
+    code, out, err = run(capsys, ["verify", "superdenominator-sl",
+                                  "--n", "10", "--order", "2"])
+    assert code == 2 and out == ""
+    assert err == ("error: Weyl group of A9 has 3628800 elements, more "
+                   "than 1000000\n")
+    code, out, err = run(capsys, ["verify", "superdenominator-sl", "--n",
+                                  "10", "--order", "2", "--allow-large-weyl"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --allow-large-weyl is read by none")
+
+
 def test_verify_accepts_an_option_one_named_check_reads(capsys):
     code, out, _ = run(capsys, [
         "verify", "superdenominator-sl", "tower-fock", "--n", "3", "--s", "1",
@@ -378,13 +410,32 @@ def test_removed_options_are_unrecognized(capsys, argv, removed):
 
 def test_kept_options_still_parse(capsys):
     code, out, _ = run(capsys, ["verify", "properties", "--seed", "3",
-                                "--cases", "2", "--allow-large-weyl"])
+                                "--cases", "2"])
     assert code == 0 and '"identity": "properties seed=3 cases=2"' in out
+    code, out, _ = run(capsys, ["verify", "deligne-positivity", "--order",
+                                "0", "--allow-large-weyl"])
+    assert code == 0 and '"ok": true' in out
     code, out, _ = run(capsys, [
         "qdim", "--formula", "integrable", "--type", "A", "--rank", "1",
         "--weight", "1", "0", "--order", "1", "--allow-large-weyl",
     ])
     assert code == 0 and json.loads(out)["delta"] == "0"
+
+
+@pytest.mark.parametrize("command", ["compute", "qdim"])
+@pytest.mark.parametrize("formula,family,rank,extra", [
+    ("sl2-closed", "A", 1, ["--s", "1"]),
+    ("sl-first", "A", 2, ["--s", "1"]),
+    ("sp-b", "C", 2, []),
+])
+def test_allow_large_weyl_on_a_formula_that_does_not_read_it_is_refused(
+        capsys, command, formula, family, rank, extra):
+    code, out, err = run(capsys, [
+        command, "--formula", formula, "--type", family, "--rank", str(rank),
+        *extra, "--order", "1", "--allow-large-weyl"])
+    assert code == 2 and out == ""
+    assert err == (f"error: formula {formula} does not read "
+                   "--allow-large-weyl\n")
 
 
 @pytest.mark.parametrize("rank", ["0", "-1"])
@@ -425,6 +476,21 @@ def test_non_integral_dimension_is_one_error_line_with_exit_two(
     code, out, err = run(capsys, ["verify", "qdim-two-path", "--order", "1"])
     assert code == 2 and out == ""
     assert err == "error: non-integral graded dimension 1/2\n"
+
+
+def test_internal_invariant_is_one_line_with_exit_three(capsys, monkeypatch):
+    # shift the base of every orbit off the root lattice, so that the real
+    # kernel raises its invariant
+    kernel = RootSystem.orbit_offsets
+
+    def shifted(self, v, base, bound=None):
+        return kernel(self, v, (base[0] + 1, *base[1:]), bound)
+
+    monkeypatch.setattr(RootSystem, "orbit_offsets", shifted)
+    code, out, err = run(capsys, ["verify", "superdenominator-sl", "--n", "3",
+                                  "--order", "2"])
+    assert code == 3 and out == ""
+    assert err == "internal error: orbit offset left the root lattice\n"
 
 
 def test_cli_import_footprint():

@@ -1,6 +1,11 @@
 """The free-field model: state enumeration against product expansions."""
 
 import pytest
+from oracles import (
+    fock_product_table,
+    mirror_pair_slices,
+    oscillator_split_brute,
+)
 
 from affinechar.fock import (
     BudgetError,
@@ -9,13 +14,10 @@ from affinechar.fock import (
     charge_sector_character_sp,
     charge_zero_split,
     fock_gl_slices,
-    fock_product_table,
     fock_states,
     fold_weight,
-    mirror_pair_slices,
     mirror_state,
     oscillator_split,
-    oscillator_split_brute,
     sp_root_coords,
     split_to_char,
     state_energy2,

@@ -4,12 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import drop_of, fraction_lattice_points_below
 
 from affinechar import lattice
 from affinechar.lattice import (
     _floor_plus_sqrt,
     alt_weyl_raw,
-    drop_of,
     lattice_points_below,
     quad_points,
 )
@@ -17,6 +17,7 @@ from affinechar.rootdata import (
     RootSystem,
     WeylSizeError,
     coroot_lattice_basis,
+    root_lattice_basis,
     root_system,
 )
 from affinechar.series import (
@@ -93,6 +94,40 @@ def _box(rank, half):
     if rank == 2:
         return [(x, y) for x in rng for y in rng]
     return [(x, y, z) for x in rng for y in rng for z in rng]
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                                      ("C", 2), ("C", 3), ("D", 4), ("E", 6)])
+def test_integer_points_match_the_fraction_path(fam, rank):
+    rng = random.Random(fam + str(rank))
+    rs = root_system(fam, rank)
+    for basis in (root_lattice_basis(rs), coroot_lattice_basis(rs)):
+        for _ in range(4):
+            # rank 6 stays near its Deligne vacuum (nu = rho, c = 9), where
+            # the scan box is small
+            if fam == "E":
+                nu = tuple(Fraction(rng.randrange(1, 3)) for _ in range(rank))
+                c, bound = Fraction(rng.randrange(9, 13)), rng.randrange(0, 3)
+            else:
+                nu = tuple(Fraction(rng.randrange(-3, 4), rng.choice((1, 2)))
+                           for _ in range(rank))
+                c = Fraction(rng.randrange(1, 7), rng.choice((1, 2)))
+                bound = rng.randrange(0, 4)
+            got = lattice_points_below(rs, basis, nu, c, bound)
+            assert got == fraction_lattice_points_below(rs, basis, nu, c,
+                                                        bound)
+            for x, gamma, drop in got:
+                assert all(type(g) is int for g in gamma)
+                assert type(drop) is Fraction
+                assert drop == drop_of(rs, nu, c, gamma)
+
+
+def test_non_integral_basis_is_refused():
+    # gamma is returned in ints, so a half-integral basis cannot be taken
+    rs = root_system("A", 1)
+    with pytest.raises(ValueError, match="integral"):
+        lattice_points_below(rs, [(Fraction(1, 2),)], (Fraction(1),),
+                             Fraction(2), 1)
 
 
 def test_points_sorted_by_drop():
@@ -259,9 +294,9 @@ def test_orbit_sums_share_the_integer_kernel(monkeypatch):
     calls = []
     kernel = RootSystem.orbit_offsets
 
-    def counted(self, v, base):
+    def counted(self, v, base, bound=None):
         calls.append(self.family)
-        return kernel(self, v, base)
+        return kernel(self, v, base, bound)
 
     monkeypatch.setattr(RootSystem, "orbit_offsets", counted)
     rs = root_system("A", 2)

@@ -5,6 +5,7 @@ from itertools import permutations
 from math import lcm
 
 import pytest
+from oracles import matrix_orbit_offsets
 
 from affinechar.rootdata import (
     PosRoot,
@@ -178,6 +179,9 @@ def test_root_lattice_basis_integral():
 # -- the integer orbit kernel and the enumeration against slow oracles --------
 
 
+KERNEL_TYPES = ORACLE_TYPES + [("E", 6)]
+
+
 def apply_path(rs, v, base):
     """(sign, root coordinates of w(v) - base) through Fraction arithmetic."""
     return [(w.sign, rs.fund_to_root(tuple(a - b for a, b in
@@ -185,29 +189,116 @@ def apply_path(rs, v, base):
             for w in rs.weyl_group()]
 
 
+def signed_sum(pairs):
+    """{offset: sum of signs}, zeros dropped; the refusal text if refused."""
+    acc = {}
+    try:
+        for sign, off in pairs:
+            acc[off] = acc.get(off, 0) + sign
+    except AssertionError as e:
+        return str(e)
+    return {k: v for k, v in acc.items() if v}
+
+
+def near(rng, rs, v):
+    """v minus a random root-lattice vector."""
+    rc = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+    return tuple(a - b for a, b in zip(v, rs.root_to_fund(rc)))
+
+
+def random_pairs(rng, rs, n):
+    """n pairs (v, base) with v - base in the root lattice, v often singular,
+    then n pairs with half-integral entries, often off the lattice."""
+    rank = rs.rank
+    for _ in range(n):
+        v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(rank))
+        yield v, near(rng, rs, v)
+    for _ in range(n):
+        yield tuple(tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
+                          for _ in range(rank)) for _ in range(2))
+
+
+def regular_weights(rng, rs, n):
+    """n regular weights: strictly dominant ones moved by a random element."""
+    W = rs.weyl_group()
+    for _ in range(n):
+        dom = tuple(Fraction(rng.randint(1, 3)) for _ in range(rs.rank))
+        yield rng.choice(W).apply(dom)
+
+
 @pytest.mark.parametrize("fam,rank", ORACLE_TYPES)
 def test_orbit_offsets_match_apply_path(fam, rank):
+    # the walk yields each orbit element once, so against the w.apply path
+    # the signed sums agree on every input (a singular v gives nothing,
+    # its whole orbit cancelling) and so does the refusal off the lattice
     rng = random.Random(fam + str(rank))
     rs = root_system(fam, rank)
-    for _ in range(12):
-        v = tuple(Fraction(rng.randint(-4, 4)) for _ in range(rank))
-        rc = tuple(rng.randint(-3, 3) for _ in range(rank))
-        base = tuple(a - b for a, b in zip(v, rs.root_to_fund(rc)))
+    for v, base in random_pairs(rng, rs, 12):
         want = apply_path(rs, v, base)
-        assert all(x.denominator == 1 for _, off in want for x in off)
-        assert list(rs.orbit_offsets(v, base)) == want
-    # half-integral or non-congruent pairs leave the root lattice on both paths
-    for _ in range(12):
-        v = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
-                  for _ in range(rank))
-        base = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
-                     for _ in range(rank))
-        want = apply_path(rs, v, base)
-        if all(x.denominator == 1 for _, off in want for x in off):
-            assert list(rs.orbit_offsets(v, base)) == want
+        if any(x.denominator != 1 for _, off in want for x in off):
+            want = "orbit offset left the root lattice"
         else:
-            with pytest.raises(AssertionError, match="left the root lattice"):
-                list(rs.orbit_offsets(v, base))
+            want = signed_sum((s, tuple(map(int, o))) for s, o in want)
+        assert signed_sum(rs.orbit_offsets(v, base)) == want
+    # regular v: the (sign, offset) multisets agree
+    for v in regular_weights(rng, rs, 4):
+        want = sorted((s, tuple(map(int, o))) for s, o in apply_path(rs, v, v))
+        assert sorted(rs.orbit_offsets(v, v)) == want
+
+
+@pytest.mark.parametrize("fam,rank", KERNEL_TYPES)
+def test_orbit_offsets_match_matrix_path(fam, rank):
+    rng = random.Random(fam + str(rank) + "matrix")
+    rs = root_system(fam, rank)
+    # E6 orbits have 51,840 elements: fewer cases there
+    n, nreg = (1, 1) if fam == "E" else (10, 2)
+    for v, base in random_pairs(rng, rs, n):
+        assert (signed_sum(rs.orbit_offsets(v, base))
+                == signed_sum(matrix_orbit_offsets(rs, v, base)))
+    for v in regular_weights(rng, rs, nreg):
+        base = near(rng, rs, v)
+        got = sorted(rs.orbit_offsets(v, base))
+        assert len(got) == rs.weyl_order()
+        assert got == sorted(matrix_orbit_offsets(rs, v, base))
+
+
+@pytest.mark.parametrize("fam,rank", KERNEL_TYPES)
+def test_bounded_walk_is_the_orbit_cut_by_height(fam, rank):
+    rng = random.Random(fam + str(rank) + "bound")
+    rs = root_system(fam, rank)
+    for _ in range(2):
+        v = tuple(Fraction(rng.randint(1, 3)) for _ in range(rank))
+        base = near(rng, rs, v)
+        top = sum(rs.dominant_offset(v, base)[2])
+        full = sorted(rs.orbit_offsets(v, base))
+        for bound in range(13):
+            # ht(v+ - w v+) = ht(v+ - base) - ht(w v+ - base)
+            want = [(s, o) for s, o in full if top - sum(o) <= bound]
+            assert sorted(rs.orbit_offsets(v, base, bound)) == want
+
+
+def test_matrix_oracle_matches_apply_path():
+    # the integer matrix loop the kernel replaced is the w.apply path
+    rng = random.Random(5)
+    for fam, rank in ORACLE_TYPES:
+        rs = root_system(fam, rank)
+        for v, base in random_pairs(rng, rs, 4):
+            want = apply_path(rs, v, base)
+            if any(x.denominator != 1 for _, off in want for x in off):
+                with pytest.raises(AssertionError, match="left the root"):
+                    list(matrix_orbit_offsets(rs, v, base))
+            else:
+                assert list(matrix_orbit_offsets(rs, v, base)) == [
+                    (s, tuple(map(int, o))) for s, o in want]
+
+
+def test_dominant_offset_reduces_in_integers():
+    rs = root_system("A", 2)
+    # s_1 (-1, 3) = (-1, 3) + (2, -1) = (1, 2): one reflection onto the base
+    dom, sign, off = rs.dominant_offset((-1, 3), (1, 2))
+    assert (dom, sign, off) == ([1, 2], -1, (0, 0))
+    assert all(type(x) is int for x in (*dom, *off))
+    assert list(rs.orbit_offsets((0, 3), (0, 3))) == []
 
 
 def test_orbit_offsets_refuse_to_leave_the_root_lattice():

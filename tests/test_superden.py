@@ -1,7 +1,10 @@
 """Super denominators: the product and sum expansions must coincide."""
 
 import pytest
+from oracles import matrix_sl_terms, matrix_spo_terms
 
+from affinechar import superden
+from affinechar.rootdata import WeylSizeError
 from affinechar.superden import sl_product, sl_sum, spo_product, spo_sum
 
 
@@ -65,3 +68,33 @@ def test_small_rank_guards():
     for fn in (spo_product, spo_sum):
         with pytest.raises(ValueError):
             fn(1, 4)
+
+
+# -- the dominant-chamber walk against the whole-orbit matrix path ------------
+
+
+@pytest.mark.parametrize("n,top", [(3, 12), (4, 12), (5, 12), (6, 8), (7, 4)])
+def test_sl_sum_matches_the_matrix_path(n, top):
+    # a sum truncated at height h is the top-height sum cut at h
+    slow = matrix_sl_terms(n, top)
+    for h in range(top + 1):
+        assert dict(sl_sum(n, h).sorted_items()) == {
+            k: c for k, c in slow.items() if sum(k) <= h}
+
+
+@pytest.mark.parametrize("npr", [2, 3, 4])
+def test_spo_sum_matches_the_matrix_path(npr):
+    slow = matrix_spo_terms(npr, 10)
+    for h in range(11):
+        assert dict(spo_sum(npr, h).sorted_items()) == {
+            k: c for k, c in slow.items() if sum(k) <= h}
+
+
+def test_oversized_group_is_refused_before_any_lattice_point(monkeypatch):
+    def no_points(*args):
+        raise AssertionError("lattice points enumerated before the gate")
+
+    monkeypatch.setattr(superden, "lattice_points_below", no_points)
+    with pytest.raises(WeylSizeError, match="3628800") as e:
+        sl_sum(10, 2)
+    assert "allow" not in str(e.value)
