@@ -10,6 +10,11 @@ configurations; verify reports carry wall times and are exempt.  Exit
 codes: 0 success, 1 a checked identity failed, 2 bad usage, a violated
 precondition, a size or state budget exceeded, or a non-integral result,
 3 an internal invariant broken (a bug, reported as one line).
+
+compute and qdim take from FORMULAS, and verify from CHECKS, what each
+formula or check reads: FORMULAS gives a formula's family and which of
+--s and --allow-large-weyl it reads, CHECKS the options of a check with
+their defaults.  An option that nothing named reads is refused.
 """
 
 from __future__ import annotations
@@ -38,14 +43,6 @@ from .series import (
     qpoly_mul,
     translate,
     weight_from_coeffs,
-)
-
-CHECKS = (
-    "superdenominator-sl", "superdenominator-sp", "tower-fock",
-    "flip-symmetry", "sl2-closed", "tower-assembly", "sector-restriction",
-    "flip-decomposition", "twisted-denominator", "parity-vs-split",
-    "parity-bracket", "window-negation", "deligne-positivity",
-    "qdim-two-path", "properties",
 )
 
 
@@ -94,11 +91,17 @@ def _tower_s(args, rs, shape: str):
     return s
 
 
-def _weyl(rs, args) -> None:
-    """With --allow-large-weyl, enumerate W past the size gate up front;
-    the library's own rs.weyl_group() calls then return the cached group."""
+def _weyl(args, build, rs, *rest):
+    """build(rs, *rest) for the builders that read --allow-large-weyl, and
+    the one place that offers the flag when W is too large.  With the flag,
+    W is enumerated past the gate first; rs.weyl_group() then returns it."""
     if args.allow_large_weyl:
         rs.weyl_group(allow_large=True)
+    try:
+        return build(rs, *rest)
+    except WeylSizeError as e:
+        raise WeylSizeError(f"{e}; pass allow_large (--allow-large-weyl) "
+                            "to enumerate anyway") from None
 
 
 # -- formula builders: each returns a numerator or a character ------------
@@ -107,13 +110,11 @@ def _weyl(rs, args) -> None:
 def _integrable(args):
     rs = _algebra(args)
     lam = _weight(rs, args.weight)
-    _weyl(rs, args)
-    return fm.integrable_numerator(rs, lam, args.order)
+    return _weyl(args, fm.integrable_numerator, rs, lam, args.order)
 
 
 def _sl_tower(args):
     f = args.formula
-    _need(args.type.upper() == "A", f"{f} lives on type A")
     n = args.rank + 1
     _need(n >= 3, f"{f} needs n >= 3; rank 1 has the closed form")
     first = f == "sl-first"
@@ -123,49 +124,34 @@ def _sl_tower(args):
 
 
 def _sl2_closed(args):
-    _need(args.type.upper() == "A" and args.rank == 1,
-          "sl2-closed lives on type A rank 1")
     s = _tower_s(args, _algebra(args), "first")
     return fm.sl2_closed_numerator(s, args.order)
 
 
 def _sp_a(args):
-    _need(args.type.upper() == "C", "sp-a lives on type C")
     rs = _algebra(args)
     s = _tower_s(args, rs, "first")
     _need(s >= 1, "sp-a needs s >= 1; s = 0 is covered by sp-b")
     return fm.sp_a_numerator(2 * rs.rank, s, args.order)
 
 
-def _sp_top_weight(args, rs) -> None:
-    """The type C formulas have fixed tops; --weight may only repeat them."""
+def _sp_fixed_top(args):
+    """The type C formulas with fixed tops; --weight may only repeat them."""
     f = args.formula
+    rs = _algebra(args)
     if f in ("sp-b", "sp-parity-a"):
         want = [-1] + [0] * rs.rank
     else:
         _need(rs.rank >= 2, f"{f} needs rank >= 2")
         want = [-2, 0, 1] + [0] * (rs.rank - 2)
-    if args.weight is not None:
-        _need(list(args.weight) == want,
-              f"{f} is the module at weight {tuple(want)}")
-
-
-def _sp_split(args):
-    f = args.formula
-    _need(args.type.upper() == "C", f"{f} lives on type C")
-    rs = _algebra(args)
-    _sp_top_weight(args, rs)
+    _need(args.weight is None or list(args.weight) == want,
+          f"{f} is the module at weight {tuple(want)}")
+    n = 2 * rs.rank
     if f == "sp-b":
-        return fm.sp_b_character(2 * rs.rank, args.order)
-    return fm.sp_c_character(2 * rs.rank, args.order + 1)
-
-
-def _sp_parity(args):
-    f = args.formula
-    _need(args.type.upper() == "C", f"{f} lives on type C")
-    rs = _algebra(args)
-    _sp_top_weight(args, rs)
-    return fm.sp_parity_numerator(2 * rs.rank, f[-1], args.order)
+        return fm.sp_b_character(n, args.order)
+    if f == "sp-c":
+        return fm.sp_c_character(n, args.order + 1)
+    return fm.sp_parity_numerator(n, f[-1], args.order)
 
 
 def _deligne(args):
@@ -174,39 +160,43 @@ def _deligne(args):
     cond = fm.check_deligne_conditions(rs, lam)
     _need(cond["ok"], "weight fails the screening: "
           + "; ".join(cond["failures"]))
-    _weyl(rs, args)
-    return fm.deligne_numerator(rs, lam, args.order)
+    return _weyl(args, fm.deligne_numerator, rs, lam, args.order)
 
 
-# formula id -> (builder, whether the builder returns the character)
+# formula id -> (builder, whether the builder returns the character, the
+# (type, rank) it lives on cut to what is fixed, which of the optional
+# options --s and --allow-large-weyl it reads)
 FORMULAS = {
-    "integrable": (_integrable, False),
-    "sl-first": (_sl_tower, False),
-    "sl-last": (_sl_tower, False),
-    "sl2-closed": (_sl2_closed, False),
-    "sp-a": (_sp_a, False),
-    "sp-b": (_sp_split, True),
-    "sp-c": (_sp_split, True),
-    "sp-parity-a": (_sp_parity, False),
-    "sp-parity-b": (_sp_parity, False),
-    "deligne": (_deligne, False),
+    "integrable": (_integrable, False, (), ("allow_large_weyl",)),
+    "sl-first": (_sl_tower, False, ("A",), ("s",)),
+    "sl-last": (_sl_tower, False, ("A",), ("s",)),
+    "sl2-closed": (_sl2_closed, False, ("A", 1), ("s",)),
+    "sp-a": (_sp_a, False, ("C",), ("s",)),
+    "sp-b": (_sp_fixed_top, True, ("C",), ()),
+    "sp-c": (_sp_fixed_top, True, ("C",), ()),
+    "sp-parity-a": (_sp_fixed_top, False, ("C",), ()),
+    "sp-parity-b": (_sp_fixed_top, False, ("C",), ()),
+    "deligne": (_deligne, False, (), ("allow_large_weyl",)),
 }
 
 
-def _compute_series(args) -> CharSlices:
-    """The numerator, or with --character the character, of one formula."""
+def _compute_series(args, character: bool) -> CharSlices:
+    """The numerator, or the character, of one formula."""
     _need(args.order >= 0, "needs order >= 0")
-    build, is_character = FORMULAS[args.formula]
-    _need(args.s is None or build in (_sl_tower, _sl2_closed, _sp_a),
-          f"formula {args.formula} does not read --s")
-    _need(not args.allow_large_weyl or build in (_integrable, _deligne),
-          f"formula {args.formula} does not read --allow-large-weyl")
+    f = args.formula
+    build, is_character, lives_on, reads = FORMULAS[f]
+    for opt in ("s", "allow_large_weyl"):
+        _need(getattr(args, opt) is None or opt in reads,
+              f"formula {f} does not read --{opt.replace('_', '-')}")
+    here = (args.type.upper(), args.rank)[:len(lives_on)]
+    _need(here == lives_on, f"{f} lives on type "
+          + " rank ".join(map(str, lives_on)))
     ser = build(args)
     if is_character:
-        if args.character:
+        if character:
             return ser
         return ser.mul_slices(denominator_slices(ser.rs, ser.qmax))
-    if args.character:
+    if character:
         return character_from_numerator(ser.rs, ser.base, ser)
     return ser.require_nonnegative()
 
@@ -267,18 +257,16 @@ def _qdim_text(lam, order: int, series: list[int], fmt: str) -> str:
 # -- verify checks --------------------------------------------------------
 
 
-def _n_arg(args, default: int, even: bool = False) -> int:
-    n = args.n if args.n is not None else default
-    _need(n >= 3, "needs n >= 3")
+def _n_arg(args, even: bool = False) -> int:
+    _need(args.n >= 3, "needs n >= 3")
     if even:
-        _need(n % 2 == 0 and n >= 4, "needs even n >= 4")
-    return n
+        _need(args.n % 2 == 0 and args.n >= 4, "needs even n >= 4")
+    return args.n
 
 
-def _order_arg(args, default: int) -> int:
-    o = args.order if args.order is not None else default
-    _need(o >= 0, "needs order >= 0")
-    return o
+def _order_arg(args) -> int:
+    _need(args.order >= 0, "needs order >= 0")
+    return args.order
 
 
 def _mismatch(diff, left: str, right: str, what: str = "exps") -> str | None:
@@ -305,26 +293,26 @@ def _cone_result(identity: str, order: int, prod, summ) -> dict:
 
 
 def _check_superdenominator_sl(args):
-    n = _n_arg(args, 3)
-    order = _order_arg(args, 12)
+    n = _n_arg(args)
+    order = _order_arg(args)
     return _cone_result(f"superdenominator-sl n={n}", order,
                         superden.sl_product(n, order),
                         superden.sl_sum(n, order))
 
 
 def _check_superdenominator_sp(args):
-    n = _n_arg(args, 4, even=True)
-    order = _order_arg(args, 8)
+    n = _n_arg(args, even=True)
+    order = _order_arg(args)
     return _cone_result(f"superdenominator-sp n={n}", order,
                         superden.spo_product(n // 2, order),
                         superden.spo_sum(n // 2, order))
 
 
 def _check_tower_fock(args):
-    n = _n_arg(args, 3)
-    s = args.s if args.s is not None else 0
+    n = _n_arg(args)
+    s = args.s
     _need(s >= 0, "needs s >= 0")
-    order = _order_arg(args, 4)
+    order = _order_arg(args)
     num = fm.sl_first_numerator(n, s, order)
     ch = character_from_numerator(num.rs, num.base, num)
     oracle = fock.charge_sector_character(num.rs, s, order)
@@ -333,10 +321,10 @@ def _check_tower_fock(args):
 
 
 def _check_flip_symmetry(args):
-    n = _n_arg(args, 3)
-    s = args.s if args.s is not None else 1
+    n = _n_arg(args)
+    s = args.s
     _need(s >= 0, "needs s >= 0")
-    order = _order_arg(args, 4)
+    order = _order_arg(args)
     first = fm.sl_first_numerator(n, s, order)
     last = fm.sl_last_numerator(n, s, order)
     d = first.first_diff(fm.diagram_flip(last))
@@ -345,9 +333,9 @@ def _check_flip_symmetry(args):
 
 
 def _check_sl2_closed(args):
-    s = args.s if args.s is not None else 0
+    s = args.s
     _need(s >= 0, "needs s >= 0")
-    order = _order_arg(args, s + 3)
+    order = _order_arg(args)
     _need(order >= s + 2, f"needs order >= s+2 = {s + 2} to see the "
           "first deviation")
     closed = fm.sl2_closed_numerator(s, order)
@@ -364,9 +352,9 @@ def _check_sl2_closed(args):
 
 
 def _check_tower_assembly(args):
-    n = _n_arg(args, 3)
-    order = _order_arg(args, 6)
-    smax = args.smax if args.smax is not None else 2
+    n = _n_arg(args)
+    order = _order_arg(args)
+    smax = args.smax
     _need(smax >= 0, "needs smax >= 0")
     d, terms = fm.sl_tower_assembly_check(n, order, smax)
     return _result(f"tower-assembly n={n} |s|<={smax}", order, terms,
@@ -374,18 +362,18 @@ def _check_tower_assembly(args):
 
 
 def _check_sector_restriction(args):
-    n = _n_arg(args, 4, even=True)
-    s = args.s if args.s is not None else 1
+    n = _n_arg(args, even=True)
+    s = args.s
     _need(s >= 1, "sector restriction needs s >= 1")
-    order = _order_arg(args, 3)
+    order = _order_arg(args)
     d = fm.sp_sector_restriction_check(n, s, order)
     return _result(f"sector-restriction n={n} s={s}", order, 0,
                    _mismatch(d, "product", "sum"))
 
 
 def _check_flip_decomposition(args):
-    n = _n_arg(args, 4, even=True)
-    order = _order_arg(args, 3)
+    n = _n_arg(args, even=True)
+    order = _order_arg(args)
     d_plus, d_minus = fm.sp_flip_decomposition_check(n, order)
     mism = (_mismatch(d_plus, "split (+1)", "free-field (+1)")
             or _mismatch(d_minus, "split (-1)", "free-field (-1)"))
@@ -393,16 +381,16 @@ def _check_flip_decomposition(args):
 
 
 def _check_twisted_denominator(args):
-    n = _n_arg(args, 4, even=True)
-    order = _order_arg(args, 5)
+    n = _n_arg(args, even=True)
+    order = _order_arg(args)
     d = fm.twisted_denominator_check(n // 2, order)
     return _result(f"twisted-denominator n={n}", order, 0,
                    _mismatch(d, "product", "sum"))
 
 
 def _check_parity_vs_split(args):
-    n = _n_arg(args, 4, even=True)
-    order = _order_arg(args, 4)
+    n = _n_arg(args, even=True)
+    order = _order_arg(args)
     _need(order >= 1, "needs order >= 1 for the shifted member")
     chb = fm.sp_b_character(n, order)
     chc = fm.sp_c_character(n, order)
@@ -417,8 +405,8 @@ def _check_parity_vs_split(args):
 
 
 def _check_parity_bracket(args):
-    n = _n_arg(args, 4, even=True)
-    order = _order_arg(args, 4)
+    n = _n_arg(args, even=True)
+    order = _order_arg(args)
     d = fm.parity_bracket_identity(n // 2, order)
     return _result(f"parity-bracket n={n}", order, 0,
                    _mismatch(d, "odd bracket", "negated even bracket"))
@@ -434,30 +422,20 @@ def _parse_omega(text: str, npr: int):
 
 
 def _check_window_negation(args):
-    n = _n_arg(args, 4, even=True)
-    order = _order_arg(args, 4)
-    omega = _parse_omega(args.omega or "0,0", n // 2)
+    n = _n_arg(args, even=True)
+    order = _order_arg(args)
+    omega = _parse_omega(args.omega, n // 2)
     d = fm.window_negation_check(n // 2, omega, order)
     return _result(f"window-negation n={n} omega={omega}", order,
                    2 * len(omega),
                    _mismatch(d, "window", "negated mirror window"))
 
 
-def _deligne_args(args):
-    fam = (args.type or "D").upper()
-    rank = args.rank if args.rank is not None else 4
-    rs = root_system(fam, rank)
-    co = args.weight if args.weight is not None else [-1] + [0] * rank
-    _need(len(co) == rank + 1,
-          f"weight needs rank+1 = {rank + 1} entries, got {len(co)}")
-    return rs, weight_from_coeffs(rs, co)
-
-
 def _check_deligne_positivity(args):
-    rs, lam = _deligne_args(args)
-    order = _order_arg(args, 2)
-    _weyl(rs, args)
-    num = fm.deligne_numerator(rs, lam, order)
+    rs = _algebra(args)
+    lam = _weight(rs, args.weight)
+    order = _order_arg(args)
+    num = _weyl(args, fm.deligne_numerator, rs, lam, order)
     ch = character_from_numerator(rs, lam, num)
     zero = (0,) * rs.rank
     if ch.coeff(0, zero) != 1:
@@ -465,19 +443,19 @@ def _check_deligne_positivity(args):
     else:
         d = next((((m, *off), c, ">= 0") for m in sorted(ch.slices)
                   for off, c in sorted(ch.slices[m].items()) if c < 0), None)
-    co = tuple(int(x) for x in (args.weight or [-1] + [0] * rs.rank))
-    return _result(f"deligne-positivity {rs.family}{rs.rank} {co}", order,
+    return _result(f"deligne-positivity {rs.family}{rs.rank} "
+                   f"{tuple(args.weight)}", order,
                    len(ch), _mismatch(d, "multiplicity", "wanted"))
 
 
 def _check_qdim_two_path(args):
-    rs, lam = _deligne_args(args)
-    order = _order_arg(args, 2)
+    rs = _algebra(args)
+    lam = _weight(rs, args.weight)
+    order = _order_arg(args)
     cond = fm.check_deligne_conditions(rs, lam)
     _need(cond["ok"], "weight fails the screening: "
           + "; ".join(cond["failures"]))
-    _weyl(rs, args)
-    num = fm.deligne_numerator(rs, lam, order)
+    num = _weyl(args, fm.deligne_numerator, rs, lam, order)
     ch = character_from_numerator(rs, lam, num)
     direct = fm.q_dimension_sum(rs, lam, coroot_lattice_basis(rs), order,
                                 coeff_fn=fm.screened_coefficient(
@@ -504,8 +482,7 @@ def _random_slices(rng, rs, qmax: int) -> CharSlices:
 
 
 def _check_properties(args):
-    seed = args.seed if args.seed is not None else 0
-    cases = args.cases if args.cases is not None else 200
+    seed, cases = args.seed, args.cases
     _need(cases >= 1, "needs cases >= 1")
     rng = random.Random(seed)
     a2 = root_system("A", 2)
@@ -577,37 +554,45 @@ def _check_properties(args):
                    fails[0] if fails else None)
 
 
-# option -> the checks that read it; verify refuses an option that none of
-# the named checks reads
-CHECK_OPTIONS = {
-    "n": tuple(c for c in CHECKS if c not in (
-        "sl2-closed", "deligne-positivity", "qdim-two-path", "properties")),
-    "order": tuple(c for c in CHECKS if c != "properties"),
-    "s": ("tower-fock", "flip-symmetry", "sl2-closed", "sector-restriction"),
-    "smax": ("tower-assembly",),
-    "omega": ("window-negation",),
-    **dict.fromkeys(("seed", "cases"), ("properties",)),
-    **dict.fromkeys(("type", "rank", "weight", "allow_large_weyl"),
-                    ("deligne-positivity", "qdim-two-path")),
+# the options of the two checks on a screened weight, the D4 vacuum by default
+_SCREENED = {"type": "D", "rank": 4, "weight": lambda a: [-1] + [0] * a.rank,
+             "order": 2, "allow_large_weyl": False}
+
+# check -> (function, {option it reads: default}); verify refuses an option
+# that none of the named checks reads, and hands each check a namespace of
+# its options alone, filled in with the defaults in order, where a callable
+# default is computed from the options before it
+CHECKS = {
+    "superdenominator-sl": (_check_superdenominator_sl, {"n": 3, "order": 12}),
+    "superdenominator-sp": (_check_superdenominator_sp, {"n": 4, "order": 8}),
+    "tower-fock": (_check_tower_fock, {"n": 3, "s": 0, "order": 4}),
+    "flip-symmetry": (_check_flip_symmetry, {"n": 3, "s": 1, "order": 4}),
+    "sl2-closed": (_check_sl2_closed, {"s": 0, "order": lambda a: a.s + 3}),
+    "tower-assembly": (_check_tower_assembly,
+                       {"n": 3, "order": 6, "smax": 2}),
+    "sector-restriction": (_check_sector_restriction,
+                           {"n": 4, "s": 1, "order": 3}),
+    "flip-decomposition": (_check_flip_decomposition, {"n": 4, "order": 3}),
+    "twisted-denominator": (_check_twisted_denominator,
+                            {"n": 4, "order": 5}),
+    "parity-vs-split": (_check_parity_vs_split, {"n": 4, "order": 4}),
+    "parity-bracket": (_check_parity_bracket, {"n": 4, "order": 4}),
+    "window-negation": (_check_window_negation,
+                        {"n": 4, "order": 4, "omega": "0,0"}),
+    "deligne-positivity": (_check_deligne_positivity, _SCREENED),
+    "qdim-two-path": (_check_qdim_two_path, _SCREENED),
+    "properties": (_check_properties, {"seed": 0, "cases": 200}),
 }
 
-CHECK_FNS = {
-    "superdenominator-sl": _check_superdenominator_sl,
-    "superdenominator-sp": _check_superdenominator_sp,
-    "tower-fock": _check_tower_fock,
-    "flip-symmetry": _check_flip_symmetry,
-    "sl2-closed": _check_sl2_closed,
-    "tower-assembly": _check_tower_assembly,
-    "sector-restriction": _check_sector_restriction,
-    "flip-decomposition": _check_flip_decomposition,
-    "twisted-denominator": _check_twisted_denominator,
-    "parity-vs-split": _check_parity_vs_split,
-    "parity-bracket": _check_parity_bracket,
-    "window-negation": _check_window_negation,
-    "deligne-positivity": _check_deligne_positivity,
-    "qdim-two-path": _check_qdim_two_path,
-    "properties": _check_properties,
-}
+
+def _check_args(args, reads: dict) -> argparse.Namespace:
+    ns = argparse.Namespace()
+    for opt, default in reads.items():
+        val = getattr(args, opt)
+        if val is None:
+            val = default(ns) if callable(default) else default
+        setattr(ns, opt, val)
+    return ns
 
 
 def _verify_text(results: list[dict], fmt: str) -> str:
@@ -636,33 +621,32 @@ def _verify_text(results: list[dict], fmt: str) -> str:
 
 
 def cmd_compute(args) -> int:
-    ch = _compute_series(args)
+    ch = _compute_series(args, args.character)
     _emit(_series_text(ch, args.format))
     return 0
 
 
 def cmd_qdim(args) -> int:
-    args.character = True
-    ch = _compute_series(args)
+    ch = _compute_series(args, True)
     _emit(_qdim_text(ch.base, ch.qmax, ch.q_series(), args.format))
     return 0
 
 
 def cmd_verify(args) -> int:
-    names = args.checks
-    if names == ["all"]:
-        names = list(CHECKS)
+    names = list(CHECKS) if args.checks == ["all"] else args.checks
     for name in names:
-        _need(name in CHECK_FNS, f"unknown check {name}; known: "
+        _need(name in CHECKS, f"unknown check {name}; known: "
               + ", ".join(CHECKS))
-    for opt, readers in CHECK_OPTIONS.items():
+    for opt in dict.fromkeys(o for _, reads in CHECKS.values() for o in reads):
+        readers = [c for c, (_, reads) in CHECKS.items() if opt in reads]
         _need(getattr(args, opt) is None or not set(names).isdisjoint(readers),
               f"--{opt.replace('_', '-')} is read by none of the named checks;"
               " it is read by " + ", ".join(readers))
     results = []
     for name in names:
+        fn, reads = CHECKS[name]
         t0 = time.perf_counter()
-        r = CHECK_FNS[name](args)
+        r = fn(_check_args(args, reads))
         r["seconds"] = f"{time.perf_counter() - t0:.3f}"
         results.append(r)
     _emit(_verify_text(results, args.format))

@@ -10,6 +10,8 @@ doubled (e2 = sum of odd integers 2k) so the bookkeeping stays in integers.
 
 from __future__ import annotations
 
+import itertools
+
 from .rootdata import RootSystem
 from .series import (
     CharSlices,
@@ -103,43 +105,6 @@ def fock_gl_slices(n: int, s: int, e2max: int,
         b = out.setdefault(e2, {})
         b[c] = b.get(c, 0) + 1
     return out
-
-
-def charge_sector_character(rs: RootSystem, s: int, qmax: int,
-                            budget: int = 10_000_000) -> CharSlices:
-    """Irreducible character carried by the charge-s sector, sl type, s >= 0.
-
-    The sector's top vector has weight sLambda_1-bar and energy s/2 above the
-    vacuum; scaling both out leaves integral root-coordinate offsets, and one
-    overall oscillator factor phi(q) converts sector dimensions into the
-    slices of ch L(-(1+s)Lambda_0 + s Lambda_1).
-    """
-    if rs.family != "A":
-        raise ValueError("expects an sl root system")
-    if s < 0:
-        raise ValueError("charge must be nonnegative here")
-    n = rs.rank + 1
-    e2max = 2 * qmax + s
-    slices: dict[int, dict[tuple[int, ...], int]] = {}
-    for st in fock_states(n, s, e2max, budget):
-        e2 = state_energy2(st)
-        if (e2 - s) % 2:
-            raise AssertionError("energy parity broke")
-        m = (e2 - s) // 2
-        if m > qmax:
-            continue
-        c = state_weight(n, st)
-        off = []
-        run = 0
-        for j in range(n - 1):
-            run += c[j] - (s if j == 0 else 0)
-            off.append(run)
-        b = slices.setdefault(m, {})
-        key = tuple(off)
-        b[key] = b.get(key, 0) + 1
-    base = weight_from_coeffs(rs, [-(1 + s), s] + [0] * (rs.rank - 1))
-    ch = CharSlices(rs, base, qmax, slices)
-    return ch.mul_qpoly(phi_slices(qmax))
 
 
 # -- the diagram flip on the charge-zero sector ------------------------------
@@ -238,28 +203,47 @@ def split_to_char(rs_sp: RootSystem, part: dict, qmax: int) -> CharSlices:
     return CharSlices(rs_sp, base, qmax, slices)
 
 
-def charge_sector_character_sp(rs_sp: RootSystem, s: int, qmax: int,
-                               budget: int = 10_000_000) -> CharSlices:
-    """Charge-s sector folded to the C series, top scaled out, times phi(q)."""
-    if rs_sp.family != "C":
-        raise ValueError("expects a C root system")
+def charge_sector_character(rs: RootSystem, s: int, qmax: int,
+                            budget: int = 10_000_000) -> CharSlices:
+    """Irreducible character carried by the charge-s sector, s >= 0.
+
+    On type A_{n-1} the frame has n colours; on type C_r it has 2r, and each
+    weight is folded to the flip-fixed subalgebra.  The sector's top vector
+    has weight s eps_1 and energy s/2 above the vacuum; scaling both out
+    leaves integral root-coordinate offsets, and one overall oscillator
+    factor phi(q) converts sector dimensions into the slices of
+    ch L(-(1+s)Lambda_0 + s Lambda_1).
+    """
+    if rs.family == "A":
+        n = rs.rank + 1
+
+        def root_coords(c):
+            return tuple(itertools.accumulate(c[:-1]))
+    elif rs.family == "C":
+        n = 2 * rs.rank
+
+        def root_coords(c):
+            return sp_root_coords(fold_weight(n, c))
+    else:
+        raise ValueError("expects an A or C root system")
     if s < 0:
         raise ValueError("charge must be nonnegative here")
-    n = 2 * rs_sp.rank
     e2max = 2 * qmax + s
     slices: dict[int, dict[tuple[int, ...], int]] = {}
     for st in fock_states(n, s, e2max, budget):
         e2 = state_energy2(st)
+        if (e2 - s) % 2:
+            raise AssertionError("energy parity broke")
         m = (e2 - s) // 2
         if m > qmax:
             continue
-        v = list(fold_weight(n, state_weight(n, st)))
-        v[0] -= s
-        off = sp_root_coords(tuple(v))
+        c = list(state_weight(n, st))
+        c[0] -= s
         b = slices.setdefault(m, {})
-        b[off] = b.get(off, 0) + 1
-    base = weight_from_coeffs(rs_sp, [-(1 + s), s] + [0] * (rs_sp.rank - 1))
-    ch = CharSlices(rs_sp, base, qmax, slices)
+        key = root_coords(c)
+        b[key] = b.get(key, 0) + 1
+    base = weight_from_coeffs(rs, [-(1 + s), s] + [0] * (rs.rank - 1))
+    ch = CharSlices(rs, base, qmax, slices)
     return ch.mul_qpoly(phi_slices(qmax))
 
 

@@ -221,30 +221,21 @@ def sp_parity_numerator(n: int, variant: str, qmax: int) -> CharSlices:
     """Numerators with an even-pairing constraint along the last node."""
     if n < 4 or n % 2:
         raise ValueError("needs even n >= 4")
-    npr = n // 2
-    rs = root_system("C", npr)
     if variant == "a":
-        lam = weight_from_coeffs(rs, (-1,) + (0,) * npr)
-
-        def pred(gf, x):
-            j = _orth_coords(rs, gf)
-            return j[0] >= 0 and sum(j) % 2 == 0
-    elif variant == "b":
-        lam = weight_from_coeffs(rs, (-2, 0, 1) + (0,) * (npr - 2))
-
-        def pred(gf, x):
-            j = _orth_coords(rs, gf)
-            return j[1] >= 0 and sum(j) % 2 == 0
-    else:
-        raise ValueError("variant must be 'a' or 'b'")
-    return alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax, pred=pred)
+        return parity_bracket(n // 2, lambda j: j[0] >= 0 and sum(j) % 2 == 0,
+                              qmax)
+    if variant == "b":
+        return parity_bracket(n // 2, lambda j: j[1] >= 0 and sum(j) % 2 == 0,
+                              qmax, top=(-2, 0, 1))
+    raise ValueError("variant must be 'a' or 'b'")
 
 
-def parity_bracket(npr: int, pred_j, qmax: int) -> CharSlices:
+def parity_bracket(npr: int, pred_j, qmax: int, top=(-1,)) -> CharSlices:
     """Alternating sum over translations with a condition on j-coordinates,
-    taken at the level -1 vacuum weight."""
+    taken at the level -1 weight with node coefficients `top`, padded with
+    zeros: the vacuum by default."""
     rs = root_system("C", npr)
-    lam = weight_from_coeffs(rs, (-1,) + (0,) * npr)
+    lam = weight_from_coeffs(rs, top + (0,) * (npr + 1 - len(top)))
     return alt_weyl_raw(
         rs, lam, coroot_lattice_basis(rs), qmax,
         pred=lambda gf, x: pred_j(_orth_coords(rs, gf)))
@@ -472,7 +463,7 @@ def sp_sector_restriction_check(n: int, s: int, qmax: int):
     """Folded free-field sector times the denominator vs the half sum."""
     npr = n // 2
     rs = root_system("C", npr)
-    chf = fock.charge_sector_character_sp(rs, s, qmax)
+    chf = fock.charge_sector_character(rs, s, qmax)
     lhs = chf.mul_slices(denominator_slices(rs, qmax))
     rhs = _half_sum(rs, chf.base, coroot_lattice_basis(rs), 1, qmax)
     return lhs.first_diff(rhs)

@@ -203,12 +203,12 @@ class RootSystem:
             order *= 1 + sum(1 for n in counts if n >= i)
         return order
 
-    def check_weyl_order(self, limit: int = 10**6, hint: str = "") -> int:
+    def check_weyl_order(self, limit: int = 10**6) -> int:
         """|W|, or WeylSizeError when it exceeds limit; nothing enumerated."""
         order = self.weyl_order()
         if order > limit:
             raise WeylSizeError(f"Weyl group of {self.family}{self.rank} has "
-                                f"{order} elements, more than {limit}{hint}")
+                                f"{order} elements, more than {limit}")
         return order
 
     def weyl_group(self, limit: int = 10**6,
@@ -224,9 +224,8 @@ class RootSystem:
         """
         if self._weyl_cache is not None:
             return self._weyl_cache
-        hint = "; pass allow_large (--allow-large-weyl) to enumerate anyway"
         order = (self.weyl_order() if allow_large
-                 else self.check_weyl_order(limit, hint))
+                 else self.check_weyl_order(limit))
         l = self.rank
         # Matrices are kept as tuples of columns: right-multiplying by s_i
         # changes column i only, to -col_i - sum_{j != i} cartan[j][i] col_j.

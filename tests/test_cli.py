@@ -147,7 +147,7 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
         return {"identity": "forced", "order": 0, "terms": 0,
                 "ok": False, "mismatch": "forced mismatch"}
 
-    monkeypatch.setitem(cli.CHECK_FNS, "forced", forced)
+    monkeypatch.setitem(cli.CHECKS, "forced", (forced, {}))
     code, out, _ = run(capsys, ["verify", "forced", "--format", "pretty"])
     assert code == 1
     assert "FAIL" in out and "forced mismatch" in out
@@ -213,6 +213,40 @@ def test_verify_refuses_every_option_its_checks_do_not_read(
     assert err.startswith(f"error: {option[0]} is read by none of the named "
                           "checks; it is read by ")
     assert check not in err and err.count("\n") == 1
+
+
+def test_verify_refusal_names_the_readers_in_table_order(capsys):
+    code, _, err = run(capsys, ["verify", "properties", "--s", "1"])
+    assert code == 2
+    assert err == ("error: --s is read by none of the named checks; it is "
+                   "read by tower-fock, flip-symmetry, sl2-closed, "
+                   "sector-restriction\n")
+    code, _, err = run(capsys, ["verify", "sl2-closed", "--n", "5"])
+    assert code == 2
+    assert err == ("error: --n is read by none of the named checks; it is "
+                   "read by superdenominator-sl, superdenominator-sp, "
+                   "tower-fock, flip-symmetry, tower-assembly, "
+                   "sector-restriction, flip-decomposition, "
+                   "twisted-denominator, parity-vs-split, parity-bracket, "
+                   "window-negation\n")
+
+
+def test_a_check_sees_its_own_options_filled_with_defaults(capsys,
+                                                           monkeypatch):
+    seen = []
+
+    def spy(args):
+        seen.append(vars(args))
+        return {"identity": "spy", "order": args.order, "terms": 0,
+                "ok": True, "mismatch": None}
+
+    monkeypatch.setitem(cli.CHECKS, "spy",
+                        (spy, {"n": 3, "order": lambda a: a.n + 1}))
+    assert run(capsys, ["verify", "spy"])[0] == 0
+    assert run(capsys, ["verify", "spy", "--n", "5"])[0] == 0
+    assert run(capsys, ["verify", "spy", "--n", "5", "--order", "2"])[0] == 0
+    assert seen == [{"n": 3, "order": 4}, {"n": 5, "order": 6},
+                    {"n": 5, "order": 2}]
 
 
 def test_superdenominator_gate_does_not_offer_the_flag(capsys):
@@ -454,8 +488,23 @@ def test_large_weyl_group_is_refused_with_exit_two(capsys):
         "--weight", "1", "0", "0", "0", "0", "0", "0", "0", "--order", "0",
     ])
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "2903040" in err
-    assert "Traceback" not in err
+    assert err == ("error: Weyl group of E7 has 2903040 elements, more than "
+                   "1000000; pass allow_large (--allow-large-weyl) to "
+                   "enumerate anyway\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--formula", "sl-first", "--type", "A", "--rank", "9",
+     "--s", "0", "--order", "0"],
+    ["verify", "parity-vs-split", "--n", "20", "--order", "1"],
+], ids=["sl-first-A9", "parity-vs-split-n20"])
+def test_weyl_gate_offers_the_flag_only_where_it_is_read(capsys, argv):
+    # these builders refuse --allow-large-weyl, so the refusal of their
+    # Weyl group's size must not offer it
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: Weyl group of ")
+    assert "allow" not in err and err.count("\n") == 1
 
 
 

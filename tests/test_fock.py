@@ -11,7 +11,6 @@ from affinechar.fock import (
     BudgetError,
     charge_energy_table,
     charge_sector_character,
-    charge_sector_character_sp,
     charge_zero_split,
     fock_gl_slices,
     fock_states,
@@ -129,16 +128,16 @@ def test_sector_character_base_weights():
     with pytest.raises(ValueError):
         charge_sector_character(rs, -1, 2)
     with pytest.raises(ValueError):
-        charge_sector_character(root_system("C", 2), 0, 2)
+        charge_sector_character(root_system("D", 4), 0, 2)
 
 
 def test_sp_sector_character_base_weights():
     rs = root_system("C", 2)
-    ch = charge_sector_character_sp(rs, 1, 2)
+    ch = charge_sector_character(rs, 1, 2)
     assert ch.base.level == -1 and ch.base.finite == (1, 0)
     assert ch.coeff(0, (0, 0)) == 1
     with pytest.raises(ValueError):
-        charge_sector_character_sp(root_system("A", 2), 0, 2)
+        charge_sector_character(rs, -1, 2)
 
 
 # -- the diagram flip on charge zero ----------------------------------------------

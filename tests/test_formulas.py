@@ -31,6 +31,7 @@ from affinechar.formulas import (
     twisted_denominator_check,
     window_negation_check,
 )
+from affinechar.lattice import alt_weyl_raw
 from affinechar.rootdata import coroot_lattice_basis, root_system
 from affinechar.series import (
     SliceError,
@@ -199,6 +200,19 @@ def test_parity_numerators_match_split_characters():
     chc = sp_c_character(4, qmax + 1)
     lhs2 = chc.mul_slices(denominator_slices(numb.rs, qmax))
     assert numb.restrict(qmax).first_diff(lhs2) is None
+
+
+@pytest.mark.parametrize("n,qmax", [(4, 4), (6, 3)])
+def test_parity_numerators_are_the_parity_sums_at_their_tops(n, qmax):
+    # the orbit sum over the parity-cut lattice, taken directly at each top
+    rs = root_system("C", n // 2)
+    for variant, top, k in (("a", (-1,), 0), ("b", (-2, 0, 1), 1)):
+        lam = weight_from_coeffs(rs, top + (0,) * (n // 2 + 1 - len(top)))
+        direct = alt_weyl_raw(
+            rs, lam, coroot_lattice_basis(rs), qmax,
+            pred=lambda gf, x: (_orth_coords(rs, gf)[k] >= 0
+                                and sum(_orth_coords(rs, gf)) % 2 == 0))
+        assert sp_parity_numerator(n, variant, qmax) == direct
 
 
 def test_orth_coords_round_trip():

@@ -3,9 +3,12 @@
 The hashes pin the exact bytes of the canonical JSON (and one TSV, one
 pretty and one `qdim` rendering), so a change to how numerators and
 characters are built or rendered cannot alter the output unnoticed.
+The `verify all` report is pinned field by field, wall times aside, so
+the defaults every check runs with cannot drift either.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -121,3 +124,34 @@ def test_e6_screened_vacuum_qdim_order_1_golden(capsys):
             "--weight -3 0 0 0 0 0 0 --order 1").split()
     assert _sha(capsys, argv) == (
         "b3d827ebc493a686b17593ebd7109a624a3f9e77935e841537b2eaba550cd9f2")
+
+
+# (identity, order, terms) of every check of `verify all` at its defaults
+VERIFY_ALL = [
+    ("superdenominator-sl n=3", 12, 133),
+    ("superdenominator-sp n=4", 8, 62),
+    ("tower-fock n=3 s=0", 4, 125),
+    ("flip-symmetry n=3 s=1", 4, 18),
+    ("sl2-closed s=0 (agree to q^1, deviate at q^2)", 3, 4),
+    ("tower-assembly n=3 |s|<=2", 6, 44),
+    ("sector-restriction n=4 s=1", 3, 0),
+    ("flip-decomposition n=4", 3, 0),
+    ("twisted-denominator n=4", 5, 0),
+    ("parity-vs-split n=4", 4, 8),
+    ("parity-bracket n=4", 4, 0),
+    ("window-negation n=4 omega=[(0, 0)]", 4, 2),
+    ("deligne-positivity D4 (-1, 0, 0, 0, 0)", 2, 195),
+    ("qdim-two-path D4", 2, 3),
+    ("properties seed=0 cases=200", 0, 200),
+]
+
+
+def test_verify_all_defaults_golden(capsys):
+    assert main(["verify", "all", "--format", "json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["ok"] is True
+    for r in d["checks"]:
+        assert float(r.pop("seconds")) >= 0
+    assert d["checks"] == [
+        {"identity": i, "order": o, "terms": t, "ok": True, "mismatch": None}
+        for i, o, t in VERIFY_ALL]
