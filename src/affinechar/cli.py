@@ -415,7 +415,12 @@ def _check_parity_bracket(args):
 def _parse_omega(text: str, npr: int):
     pts = []
     for part in text.split(";"):
-        js = tuple(int(x) for x in part.split(","))
+        try:
+            js = tuple(int(x) for x in part.split(","))
+        except ValueError:
+            raise UsageError(
+                f"--omega expects window points j1,j2;... with {npr} "
+                f"integers per point, not {text!r}") from None
         _need(len(js) == npr, f"each window point needs {npr} coordinates")
         pts.append(js)
     return pts

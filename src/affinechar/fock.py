@@ -11,10 +11,12 @@ doubled (e2 = sum of odd integers 2k) so the bookkeeping stays in integers.
 from __future__ import annotations
 
 import itertools
+from operator import sub
 
 from .rootdata import RootSystem
 from .series import (
     CharSlices,
+    OffsetPacking,
     phi_slices,
     qpoly_invert,
     qpoly_mul,
@@ -26,8 +28,23 @@ class BudgetError(RuntimeError):
     pass
 
 
-def _mode_multisets(n: int, count: int, e2budget: int):
-    # yields tuples of (colour, k2), nondecreasing in (k2, colour)
+class Modes(tuple):
+    """A mode multiset: its (colour, k2) pairs sorted, with the doubled
+    energy e2 and the colour counts, computed once where it is built.  It
+    equals the plain tuple of its pairs."""
+
+
+def _modes(n: int, pairs) -> Modes:
+    ms = Modes(sorted(pairs))
+    ms.e2 = sum(k2 for _, k2 in ms)
+    colours = [colour for colour, _ in ms]
+    ms.counts = tuple(map(colours.count, range(1, n + 1)))
+    return ms
+
+
+def _mode_multisets(n: int, count: int, e2budget: int) -> list[Modes]:
+    """Every multiset of `count` modes with doubled energy at most e2budget,
+    each built once; listed by its pairs nondecreasing in (k2, colour)."""
     def rec(count, budget, min_k2, min_colour):
         if count == 0:
             yield ()
@@ -42,89 +59,36 @@ def _mode_multisets(n: int, count: int, e2budget: int):
             k2 += 2
             first = False
 
-    yield from rec(count, e2budget, 1, 1)
+    return [_modes(n, pairs) for pairs in rec(count, e2budget, 1, 1)]
 
 
 def fock_states(n: int, s: int, e2max: int, budget: int = 10_000_000):
-    """All charge-s basis states with doubled energy at most e2max."""
+    """All charge-s basis states with doubled energy at most e2max.
+
+    A state is a pair (raising modes, lowering modes) of shared Modes; the
+    lowering multisets of each count are built once, and each raising one
+    takes those that fit its remaining energy.
+    """
     out = []
     for t in range(max(0, -s), (e2max - s) // 2 + 1):
-        r = t + s
-        for cre in _mode_multisets(n, r, e2max - t):
-            e_cre = sum(k2 for _, k2 in cre)
-            for ann in _mode_multisets(n, t, e2max - e_cre):
-                out.append((tuple(sorted(cre)), tuple(sorted(ann))))
-                if len(out) > budget:
-                    raise BudgetError("state enumeration over budget")
-    return out
-
-
-def state_energy2(state) -> int:
-    cre, ann = state
-    return sum(k2 for _, k2 in cre) + sum(k2 for _, k2 in ann)
-
-
-def state_weight(n: int, state) -> tuple[int, ...]:
-    cre, ann = state
-    c = [0] * n
-    for colour, _ in cre:
-        c[colour - 1] += 1
-    for colour, _ in ann:
-        c[colour - 1] -= 1
-    return tuple(c)
-
-
-def charge_energy_table(n: int, e2max: int) -> dict[tuple[int, int], int]:
-    """{(charge, e2): dim} of the whole space, from its product form.
-
-    Expands prod over colours and odd k2 of the two geometric factors, one
-    raising charge and one lowering it, by in-place ascending energy passes.
-    Independent of the state enumeration; used to cross-check it.
-    """
-    tbl = {(0, 0): 1}
-    k2 = 1
-    while k2 <= e2max:
-        for dch in (1, -1):
-            for _ in range(n):
-                for e in range(0, e2max - k2 + 1):
-                    adds = [(ch, c) for (ch, ee), c in tbl.items() if ee == e]
-                    for ch, c in adds:
-                        key = (ch + dch, e + k2)
-                        tbl[key] = tbl.get(key, 0) + c
-        k2 += 2
-    return tbl
-
-
-def fock_gl_slices(n: int, s: int, e2max: int,
-                   budget: int = 10_000_000) -> dict[int, dict[tuple[int, ...], int]]:
-    """{e2: {weight: dim}} for the charge-s sector."""
-    out: dict[int, dict[tuple[int, ...], int]] = {}
-    for st in fock_states(n, s, e2max, budget):
-        e2 = state_energy2(st)
-        c = state_weight(n, st)
-        b = out.setdefault(e2, {})
-        b[c] = b.get(c, 0) + 1
+        anns = _mode_multisets(n, t, e2max - t - s)
+        fits: dict[int, list[Modes]] = {}
+        for cre in _mode_multisets(n, t + s, e2max - t):
+            lim = e2max - cre.e2
+            if lim not in fits:
+                fits[lim] = [ann for ann in anns if ann.e2 <= lim]
+            if len(out) + len(fits[lim]) > budget:
+                raise BudgetError("state enumeration over budget")
+            out.extend([(cre, ann) for ann in fits[lim]])
     return out
 
 
 # -- the diagram flip on the charge-zero sector ------------------------------
 
 
-def mirror_state(n: int, state):
-    """Image of a charge-zero basis state under the diagram flip, with sign.
-
-    phi(i, -k) goes to (-1)^i phistar(n+1-i, -k) and phistar(j, -l) to
-    (-1)^(n+1-j) phi(n+1-j, -l); modes commute, so reordering is free.
-    """
-    cre, ann = state
-    m = len(cre)
-    if len(ann) != m:
-        raise ValueError("the flip acts on charge zero")
-    ncre = tuple(sorted((n + 1 - colour, k2) for colour, k2 in ann))
-    nann = tuple(sorted((n + 1 - colour, k2) for colour, k2 in cre))
-    tot = sum(colour for colour, _ in cre) + sum(colour for colour, _ in ann)
-    sign = -1 if (tot + m * (n + 1)) % 2 else 1
-    return (ncre, nann), sign
+def _flip_modes(n: int, ms: Modes) -> Modes:
+    """Image of a mode multiset under the diagram flip: colour i to n+1-i."""
+    return _modes(n, [(n + 1 - colour, k2) for colour, k2 in ms])
 
 
 def fold_weight(n: int, c) -> tuple[int, ...]:
@@ -150,27 +114,45 @@ def sp_root_coords(v) -> tuple[int, ...]:
 def charge_zero_split(n: int, e2max: int, budget: int = 10_000_000):
     """Split the charge-zero sector by the flip eigenvalue.
 
-    Returns (plus, minus), each {e2: {folded weight: dim}}.  The flip fixes
-    every (e2, folded weight) group; fixed basis states always carry sign +1,
-    so each group splits as ((dim + fixed)/2, (dim - fixed)/2).
+    Returns (plus, minus), each {e2: {folded weight: dim}}.  The flip sends
+    phi(i, -k) to (-1)^i phistar(n+1-i, -k) and phistar(j, -l) to
+    (-1)^(n+1-j) phi(n+1-j, -l); modes commute, so a state (cre, ann) with
+    m modes each goes to (flip ann, flip cre) with sign (-1)^(colour sum +
+    m (n+1)).  Each multiset's image, folded weight and colour sum are
+    computed once; the checks below run on every state.  The flip fixes
+    every (e2, folded weight) group; fixed basis states always carry sign
+    +1, so each group splits as ((dim + fixed)/2, (dim - fixed)/2).
     """
     if n % 2:
         raise ValueError("needs an even number of colours")
-    full: dict[int, dict[tuple[int, ...], int]] = {}
-    fixed: dict[int, dict[tuple[int, ...], int]] = {}
+    pk = OffsetPacking(n // 2, e2max)
+
+    def facts(ms: Modes) -> tuple[int, int]:
+        return pk.pack(fold_weight(n, ms.counts)), sum(c for c, _ in ms)
+
+    # keyed by identity: every key is a multiset held by the states
+    info: dict[int, tuple] = {}
+
+    def record(ms: Modes) -> tuple:
+        img = _flip_modes(n, ms)
+        r = info[id(ms)] = (img, _flip_modes(n, img), *facts(ms), *facts(img))
+        return r
+
+    full: dict[int, dict[int, int]] = {}
+    fixed: dict[int, dict[int, int]] = {}
     for st in fock_states(n, 0, e2max, budget):
-        e2 = state_energy2(st)
-        v = fold_weight(n, state_weight(n, st))
+        cre, ann = st
+        fc, ffc, vc, sc, vfc, sfc = info.get(id(cre)) or record(cre)
+        fa, ffa, va, sa, vfa, sfa = info.get(id(ann)) or record(ann)
+        e2, v = cre.e2 + ann.e2, vc - va
         b = full.setdefault(e2, {})
         b[v] = b.get(v, 0) + 1
-        img, sign = mirror_state(n, st)
-        if state_energy2(img) != e2 or fold_weight(n, state_weight(n, img)) != v:
+        if fa.e2 + fc.e2 != e2 or vfa - vfc != v:
             raise AssertionError("flip image left its weight group")
-        img2, sign2 = mirror_state(n, img)
-        if img2 != st or sign2 != sign:
+        if (ffc, ffa) != st or (sc + sa + sfa + sfc) % 2:
             raise AssertionError("flip is not an involution")
-        if img == st:
-            if sign != 1:
+        if (fa, fc) == st:
+            if (sc + sa + len(cre) * (n + 1)) % 2:
                 raise AssertionError("fixed state with negative sign")
             f = fixed.setdefault(e2, {})
             f[v] = f.get(v, 0) + 1
@@ -183,9 +165,9 @@ def charge_zero_split(n: int, e2max: int, budget: int = 10_000_000):
                 raise AssertionError("group dimension and trace disagree")
             p, q = (d + fx) // 2, (d - fx) // 2
             if p:
-                plus.setdefault(e2, {})[v] = p
+                plus.setdefault(e2, {})[pk.unpack(v)] = p
             if q:
-                minus.setdefault(e2, {})[v] = q
+                minus.setdefault(e2, {})[pk.unpack(v)] = q
     return plus, minus
 
 
@@ -229,19 +211,23 @@ def charge_sector_character(rs: RootSystem, s: int, qmax: int,
     if s < 0:
         raise ValueError("charge must be nonnegative here")
     e2max = 2 * qmax + s
-    slices: dict[int, dict[tuple[int, ...], int]] = {}
-    for st in fock_states(n, s, e2max, budget):
-        e2 = state_energy2(st)
+    tally: dict[int, dict[tuple[int, ...], int]] = {}
+    for cre, ann in fock_states(n, s, e2max, budget):
+        e2 = cre.e2 + ann.e2
         if (e2 - s) % 2:
             raise AssertionError("energy parity broke")
         m = (e2 - s) // 2
         if m > qmax:
             continue
-        c = list(state_weight(n, st))
-        c[0] -= s
-        b = slices.setdefault(m, {})
-        key = root_coords(c)
-        b[key] = b.get(key, 0) + 1
+        b = tally.setdefault(m, {})
+        c = tuple(map(sub, cre.counts, ann.counts))
+        b[c] = b.get(c, 0) + 1
+    slices: dict[int, dict[tuple[int, ...], int]] = {}
+    for m, b in tally.items():
+        tgt = slices[m] = {}
+        for c, d in b.items():
+            key = root_coords((c[0] - s, *c[1:]))
+            tgt[key] = tgt.get(key, 0) + d
     base = weight_from_coeffs(rs, [-(1 + s), s] + [0] * (rs.rank - 1))
     ch = CharSlices(rs, base, qmax, slices)
     return ch.mul_qpoly(phi_slices(qmax))

@@ -268,23 +268,31 @@ class CharSlices:
 
     def mul_slices(self, other: dict[int, dict[tuple[int, ...], int]]
                    ) -> "CharSlices":
-        """Multiply by sliced data {m: {offset: coeff}}, up to q^qmax."""
-        out: dict[int, dict[tuple[int, ...], int]] = {}
+        """Multiply by sliced data {m: {offset: coeff}}, up to q^qmax.
+
+        Both operands are packed by one OffsetPacking wide enough for a sum
+        of two offsets, multiplied on ints, and the product unpacked once.
+        """
+        top = max((abs(x) for sl in (self.slices, other) for b in sl.values()
+                   for o in b for x in o), default=0)
+        pk = OffsetPacking(self.rs.rank, 2 * top)
+        right = {m: pk.pack_dict(b) for m, b in other.items()}
+        out: dict[int, dict[int, int]] = {}
         for m1, b1 in self.slices.items():
-            for m2, b2 in other.items():
+            left = pk.pack_dict(b1)
+            for m2, b2 in right.items():
                 if m1 + m2 > self.qmax:
                     continue
                 tgt = out.setdefault(m1 + m2, {})
-                for o1, c1 in b1.items():
-                    for o2, c2 in b2.items():
-                        t = tuple(x + y for x, y in zip(o1, o2))
-                        nc = tgt.get(t, 0) + c1 * c2
+                for k1, c1 in left.items():
+                    for k2, c2 in b2.items():
+                        nc = tgt.get(k1 + k2, 0) + c1 * c2
                         if nc:
-                            tgt[t] = nc
+                            tgt[k1 + k2] = nc
                         else:
-                            tgt.pop(t, None)
+                            tgt.pop(k1 + k2, None)
         return CharSlices(self.rs, self.base, self.qmax,
-                          {m: b for m, b in out.items() if b})
+                          {m: pk.unpack_dict(b) for m, b in out.items() if b})
 
     def mul_qpoly(self, qpoly: dict[int, int]) -> "CharSlices":
         """Multiply by a one-variable q-series {power: coeff}, power >= 0."""

@@ -5,12 +5,15 @@ orbit walk and the integer drop: a loop over the matrices of weyl_group()
 for every orbit, `Fraction` sums for every lattice point, and the
 two-branch superdenominator sum that builds every orbit term before it
 truncates by height.  The second group expands free-field spaces from their
-product forms, against the library's state enumeration.
+product forms, against the library's state enumeration; next to it are the
+per-state enumeration and helpers the library ran before it worked per mode
+multiset.  Last is the slice product on tuple keys, before packed ints.
 """
 
 from fractions import Fraction
 from operator import mul
 
+from affinechar.fock import fock_states
 from affinechar.lattice import quad_points
 from affinechar.rootdata import (
     _scaled,
@@ -134,6 +137,98 @@ def matrix_spo_terms(npr: int, height: int) -> dict:
 # -- free-field product forms, against the state enumeration ------------------
 
 
+def generator_fock_states(n: int, s: int, e2max: int):
+    """fock.fock_states as a generator per raising multiset: every lowering
+    multiset is rebuilt for each one, and every state sorts its own two."""
+    def multisets(count, budget, min_k2=1, min_colour=1):
+        # tuples of (colour, k2), nondecreasing in (k2, colour)
+        if count == 0:
+            yield ()
+            return
+        k2 = min_k2
+        first = True
+        while k2 * count <= budget:
+            cstart = min_colour if first else 1
+            for colour in range(cstart, n + 1):
+                for rest in multisets(count - 1, budget - k2, k2, colour):
+                    yield ((colour, k2),) + rest
+            k2 += 2
+            first = False
+
+    out = []
+    for t in range(max(0, -s), (e2max - s) // 2 + 1):
+        for cre in multisets(t + s, e2max - t):
+            e_cre = sum(k2 for _, k2 in cre)
+            for ann in multisets(t, e2max - e_cre):
+                out.append((tuple(sorted(cre)), tuple(sorted(ann))))
+    return out
+
+
+def state_energy2(state) -> int:
+    cre, ann = state
+    return sum(k2 for _, k2 in cre) + sum(k2 for _, k2 in ann)
+
+
+def state_weight(n: int, state) -> tuple[int, ...]:
+    cre, ann = state
+    c = [0] * n
+    for colour, _ in cre:
+        c[colour - 1] += 1
+    for colour, _ in ann:
+        c[colour - 1] -= 1
+    return tuple(c)
+
+
+def mirror_state(n: int, state):
+    """Image of a charge-zero basis state under the diagram flip, with sign.
+
+    phi(i, -k) goes to (-1)^i phistar(n+1-i, -k) and phistar(j, -l) to
+    (-1)^(n+1-j) phi(n+1-j, -l); modes commute, so reordering is free.
+    """
+    cre, ann = state
+    m = len(cre)
+    if len(ann) != m:
+        raise ValueError("the flip acts on charge zero")
+    ncre = tuple(sorted((n + 1 - colour, k2) for colour, k2 in ann))
+    nann = tuple(sorted((n + 1 - colour, k2) for colour, k2 in cre))
+    tot = sum(colour for colour, _ in cre) + sum(colour for colour, _ in ann)
+    sign = -1 if (tot + m * (n + 1)) % 2 else 1
+    return (ncre, nann), sign
+
+
+def fock_gl_slices(n: int, s: int,
+                   e2max: int) -> dict[int, dict[tuple[int, ...], int]]:
+    """{e2: {weight: dim}} for the charge-s sector, from fock.fock_states."""
+    out: dict[int, dict[tuple[int, ...], int]] = {}
+    for st in fock_states(n, s, e2max):
+        e2 = state_energy2(st)
+        c = state_weight(n, st)
+        b = out.setdefault(e2, {})
+        b[c] = b.get(c, 0) + 1
+    return out
+
+
+def charge_energy_table(n: int, e2max: int) -> dict[tuple[int, int], int]:
+    """{(charge, e2): dim} of the whole space, from its product form.
+
+    Expands prod over colours and odd k2 of the two geometric factors, one
+    raising charge and one lowering it, by in-place ascending energy passes.
+    Independent of the state enumeration; used to cross-check it.
+    """
+    tbl = {(0, 0): 1}
+    k2 = 1
+    while k2 <= e2max:
+        for dch in (1, -1):
+            for _ in range(n):
+                for e in range(0, e2max - k2 + 1):
+                    adds = [(ch, c) for (ch, ee), c in tbl.items() if ee == e]
+                    for ch, c in adds:
+                        key = (ch + dch, e + k2)
+                        tbl[key] = tbl.get(key, 0) + c
+        k2 += 2
+    return tbl
+
+
 def fock_product_table(n: int, e2max: int) -> dict[tuple, int]:
     """{(charge, e2, weight): dim} of the whole space, from its product form.
 
@@ -203,3 +298,25 @@ def oscillator_split_brute(qmax: int):
         tgt = plus if par == 0 else minus
         tgt[m] = tgt.get(m, 0) + c
     return plus, minus
+
+
+# -- the slice product on tuple keys ------------------------------------------
+
+
+def tuple_mul_slices(ch, other: dict) -> dict[int, dict[tuple[int, ...], int]]:
+    """The slices of ch.mul_slices(other), one tuple sum per pair of terms."""
+    out: dict[int, dict[tuple[int, ...], int]] = {}
+    for m1, b1 in ch.slices.items():
+        for m2, b2 in other.items():
+            if m1 + m2 > ch.qmax:
+                continue
+            tgt = out.setdefault(m1 + m2, {})
+            for o1, c1 in b1.items():
+                for o2, c2 in b2.items():
+                    t = tuple(x + y for x, y in zip(o1, o2))
+                    nc = tgt.get(t, 0) + c1 * c2
+                    if nc:
+                        tgt[t] = nc
+                    else:
+                        tgt.pop(t, None)
+    return {m: b for m, b in out.items() if b}

@@ -142,6 +142,22 @@ def test_verify_json_shape(capsys):
     assert d["checks"][0]["mismatch"] is None
 
 
+@pytest.mark.parametrize("omega", ["a,1", "0,0;"])
+def test_unparsable_omega_is_one_error_line_naming_the_form(capsys, omega):
+    code, out, err = run(capsys, ["verify", "window-negation",
+                                  "--omega", omega])
+    assert code == 2 and out == ""
+    assert err == ("error: --omega expects window points j1,j2;... with 2 "
+                   f"integers per point, not {omega!r}\n")
+
+
+def test_omega_coordinate_count_message_is_kept(capsys):
+    code, out, err = run(capsys, ["verify", "window-negation",
+                                  "--omega", "0,0,0"])
+    assert code == 2 and out == ""
+    assert err == "error: each window point needs 2 coordinates\n"
+
+
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     def forced(args):
         return {"identity": "forced", "order": 0, "terms": 0,

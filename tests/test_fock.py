@@ -2,25 +2,28 @@
 
 import pytest
 from oracles import (
+    charge_energy_table,
+    fock_gl_slices,
     fock_product_table,
+    generator_fock_states,
     mirror_pair_slices,
+    mirror_state,
     oscillator_split_brute,
+    state_energy2,
+    state_weight,
 )
 
+from affinechar import fock
+from affinechar.cli import main
 from affinechar.fock import (
     BudgetError,
-    charge_energy_table,
     charge_sector_character,
     charge_zero_split,
-    fock_gl_slices,
     fock_states,
     fold_weight,
-    mirror_state,
     oscillator_split,
     sp_root_coords,
     split_to_char,
-    state_energy2,
-    state_weight,
 )
 from affinechar.rootdata import root_system
 from affinechar.series import phi_slices, qpoly_invert, qpoly_mul
@@ -102,6 +105,28 @@ def test_budget_guard_fires():
         fock_states(3, 0, 10, budget=5)
 
 
+def test_states_match_the_generator_oracle_in_order():
+    # the same states in the same order as the per-state enumeration,
+    # each carrying its multisets' energies and colour counts
+    for n in range(1, 5):
+        for s in range(-4, 5):
+            for e2max in range(8):
+                got = fock_states(n, s, e2max)
+                assert got == generator_fock_states(n, s, e2max)
+                for cre, ann in got:
+                    for ms in (cre, ann):
+                        assert ms.e2 == state_energy2((ms, ()))
+                        assert ms.counts == state_weight(n, (ms, ()))
+
+
+def test_budget_counts_every_state():
+    # exactly at the state count passes, one below refuses
+    total = len(fock_states(3, 1, 7))
+    assert len(fock_states(3, 1, 7, budget=total)) == total
+    with pytest.raises(BudgetError):
+        fock_states(3, 1, 7, budget=total - 1)
+
+
 # -- sector characters -----------------------------------------------------------
 
 
@@ -174,6 +199,54 @@ def test_fold_and_sp_coordinates():
     assert sp_root_coords((0, -2)) == (0, -1)
     with pytest.raises(ValueError):
         sp_root_coords((1, 0))
+
+
+def test_flip_modes_matches_the_state_mirror():
+    for cre, ann in fock_states(4, 0, 6):
+        (ncre, nann), _ = mirror_state(4, (cre, ann))
+        assert fock._flip_modes(4, ann) == ncre
+        assert fock._flip_modes(4, cre) == nann
+
+
+REAL_FLIP = fock._flip_modes
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    # every image gains energy
+    (lambda n, ms: REAL_FLIP(n, [(c, k2 + 2) for c, k2 in ms]),
+     "flip image left its weight group"),
+    # one multiset goes to the image of another with the same energy and
+    # folded weight: the weight group holds, the involution breaks
+    (lambda n, ms: REAL_FLIP(n, ((1, 1), (4, 1)) if ms == ((2, 1), (3, 1))
+                             else ms), "flip is not an involution"),
+    # colour i to i: phi(1)phistar(1) becomes a fixed state of sign -1
+    (lambda n, ms: fock._modes(n, ms), "fixed state with negative sign"),
+], ids=["energy", "one-multiset", "identity"])
+def test_corrupt_flip_is_caught(monkeypatch, capsys, corrupt, message):
+    # the per-state checks guard the split against a wrong flip
+    monkeypatch.setattr(fock, "_flip_modes", corrupt)
+    with pytest.raises(AssertionError, match=message):
+        charge_zero_split(4, 6)
+    assert main(["verify", "flip-decomposition", "--n", "4",
+                 "--order", "3"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"internal error: {message}\n"
+
+
+def test_corrupt_energy_record_is_caught(monkeypatch, capsys):
+    # one multiset record with an energy of the wrong parity
+    real = fock._modes
+
+    def corrupt(n, pairs):
+        ms = real(n, pairs)
+        if ms == ((1, 3),):
+            ms.e2 -= 1
+        return ms
+
+    monkeypatch.setattr(fock, "_modes", corrupt)
+    assert main(["verify", "tower-fock", "--n", "3", "--order", "2"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "internal error: energy parity broke\n"
 
 
 def test_charge_zero_split_sums_to_the_sector():

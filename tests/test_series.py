@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from oracles import tuple_mul_slices
 
 from affinechar import formulas as fm
 from affinechar.cli import _series_text
@@ -133,6 +134,34 @@ def test_series_ring_laws():
                 == a.mul_slices(b.slices) + a.mul_slices(c.slices))
         assert a.mul_slices(one) == a
         assert a - a == CharSlices(A2, ZERO_A2, 5)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_packed_mul_slices_matches_the_tuple_product(rank):
+    # offsets of both signs and several widths, negative q-powers as in
+    # numerators, products cut at qmax, and an empty operand either side
+    rs = root_system("A", rank)
+    zero = weight_from_coeffs(rs, (0,) * (rank + 1))
+    rng = random.Random(100 + rank)
+
+    def rand(qmax, spread, terms):
+        out = {}
+        for _ in range(terms):
+            off = tuple(rng.randrange(-spread, spread + 1)
+                        for _ in range(rank))
+            out.setdefault(rng.randrange(-1, qmax + 1), {})[off] = (
+                rng.randrange(-5, 6))
+        return CharSlices(rs, zero, qmax, out)
+
+    for _ in range(60):
+        qmax = rng.randrange(0, 5)
+        a = rand(qmax, rng.choice([1, 3, 40]), rng.randrange(0, 12))
+        b = rand(qmax, rng.choice([1, 3, 40]), rng.randrange(0, 12))
+        for x, y in ((a, b), (b, a), (a, CharSlices(rs, zero, qmax)),
+                     (CharSlices(rs, zero, qmax), b)):
+            got = x.mul_slices(y.slices)
+            assert got.qmax == x.qmax and got.base == x.base
+            assert got.slices == tuple_mul_slices(x, y.slices)
 
 
 def test_series_truncation_coherence():
