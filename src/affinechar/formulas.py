@@ -85,7 +85,8 @@ def integrable_numerator(rs: RootSystem, lam, qmax: int) -> CharSlices:
     coeffs = (m0,) + tuple(lam.finite)
     for c in coeffs:
         if c.denominator != 1 or c < 0:
-            raise ValueError(f"weight is not dominant integral: {coeffs}")
+            raise ValueError("weight is not dominant integral: "
+                             f"({', '.join(map(str, coeffs))})")
     return alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax)
 
 
@@ -377,7 +378,7 @@ def phi_power_qpoly(exponent: int, qmax: int) -> dict[int, int]:
 
 
 def q_dimension_sum(rs: RootSystem, lam, basis, qmax: int,
-                    pred=None, coeff_fn=None, halve: bool = False):
+                    coeff_fn=None, halve: bool = False):
     """Graded dimensions via the finite dimension-formula expression.
 
     Returns the coefficient list of phi(q)^{dim g} * (graded dim), computed
@@ -393,8 +394,6 @@ def q_dimension_sum(rs: RootSystem, lam, basis, qmax: int,
     pts = lattice_points_below(rs, basis, nu, c, qmax)
     by_drop: dict[int, Fraction] = {}
     for x, gf, drop in pts:
-        if pred is not None and not pred(gf, x):
-            continue
         if drop.denominator != 1:
             raise AssertionError("non-integral drop")
         co = 1 if coeff_fn is None else coeff_fn(gf, x)

@@ -106,15 +106,15 @@ class RootSystem:
         # C^{-1} = _inv_num / _inv_den over the integers
         self._inv_num, self._inv_den = int_inverse(cart)
 
-        # close the simple roots in root coordinates under the simple
-        # reflections s_i(r) = r - (sum_j cartan[i][j] r_j) e_i
+        # close the simple roots under the simple reflections, in root coords
+        self._cart = tuple(map(tuple, cart))
         roots = {tuple(int(i == j) for j in range(l)) for i in range(l)}
         frontier = list(roots)
         while frontier:
             nxt = []
             for r in frontier:
-                for i, row in enumerate(cart):
-                    s = r[:i] + (r[i] - sum(map(mul, row, r)),) + r[i + 1:]
+                for i in range(l):
+                    s = self.reflect_offset(i, r)
                     if s not in roots:
                         roots.add(s)
                         nxt.append(s)
@@ -140,7 +140,6 @@ class RootSystem:
         self.comarks = tuple(m * n // 2 for m, n in zip(self.marks, norms))
         self.dual_coxeter = 1 + sum(self.comarks)
         self.coxeter = 1 + self.theta.height
-        self.delta_height = 1 + self.theta.height
 
         # (w_i|w_j) = (a_i|a_i)/2 (C^{-1})_ij = _gram_num[i][j] / _gram_den
         self._gram_num, self._gram_den = _reduced(
@@ -170,10 +169,6 @@ class RootSystem:
     def norm(self, x) -> Fraction:
         return self.inner(x, x)
 
-    def root_to_fund(self, root_coords) -> tuple[Fraction, ...]:
-        return tuple(sum(map(mul, row, root_coords), Fraction(0))
-                     for row in self.cartan)
-
     def fund_to_root(self, fund) -> tuple[Fraction, ...]:
         fi, d = _scaled(fund)
         dd = self._inv_den * d
@@ -182,14 +177,20 @@ class RootSystem:
 
     # -- Weyl group --------------------------------------------------------
 
-    def simple_reflection(self, i: int) -> "WeylElement":
-        l = self.rank
-        rows = []
-        for j in range(l):
-            row = [int(j == k) for k in range(l)]
-            row[i] -= int(self.cartan[j][i])
-            rows.append(tuple(row))
-        return WeylElement(tuple(rows), -1)
+    def reflect(self, i: int, v) -> tuple:
+        """s_i on fundamental coordinates, in the number type of v: v_i goes
+        to -v_i and each v_j, j != i, loses cartan[j][i] v_i."""
+        w = list(v)
+        x, w[i] = w[i], -w[i]
+        for j, c in self._nbrs[i]:
+            w[j] -= c * x
+        return tuple(w)
+
+    def reflect_offset(self, i: int, off, shift: int = 0) -> tuple[int, ...]:
+        """s_i(b + off) - b in root coordinates, b a weight with b_i = shift:
+        off - (shift + sum_j cartan[i][j] off_j) e_i."""
+        x = shift + sum(map(mul, self._cart[i], off))
+        return off[:i] + (off[i] - x,) + off[i + 1:]
 
     def weyl_order(self) -> int:
         """|W| = prod (m_i + 1) over the exponents m_i (Kostant, 1959).
@@ -258,9 +259,7 @@ class RootSystem:
         sign of the element used."""
         sign = 1
         while (i := next((i for i, x in enumerate(vi) if x < 0), -1)) >= 0:
-            x, vi[i], sign = vi[i], -vi[i], -sign
-            for j, c in self._nbrs[i]:
-                vi[j] -= c * x
+            vi[:], sign = self.reflect(i, vi), -sign
         return sign
 
     def to_dominant(self, fund) -> tuple[tuple[Fraction, ...], int, bool]:
@@ -329,17 +328,8 @@ class WeylSizeError(RuntimeError):
     pass
 
 
-class WeylElement(namedtuple("WeylElement", "matrix sign")):
-    """matrix: integer rows acting on fundamental coordinates; sign: det."""
-
-    __slots__ = ()
-
-    def apply(self, v):
-        return tuple(
-            sum((Fraction(row[j]) * Fraction(v[j]) for j in range(len(row))
-                 if v[j]), Fraction(0))
-            for row in self.matrix
-        )
+# matrix: integer rows acting on fundamental coordinates; sign: det
+WeylElement = namedtuple("WeylElement", "matrix sign")
 
 
 def root_system(family: str, rank: int) -> RootSystem:

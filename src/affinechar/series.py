@@ -330,27 +330,14 @@ class CharSlices:
         return CharSlices(self.rs, new_base, self.qmax - m_shift, out)
 
     def is_weyl_invariant(self) -> bool:
-        """Each q-slice, read as weights base.finite + offset, is W-stable."""
-        rs = self.rs
-        for m, b in self.slices.items():
-            for i in range(rs.rank):
-                refl = rs.simple_reflection(i)
-                moved: dict[tuple[int, ...], int] = {}
-                for off, c in b.items():
-                    mu = tuple(
-                        Fraction(o) + f
-                        for o, f in zip(rs.root_to_fund(off), self.base.finite)
-                    )
-                    nu = refl.apply(mu)
-                    noff = rs.fund_to_root(
-                        tuple(a - f for a, f in zip(nu, self.base.finite))
-                    )
-                    if any(x.denominator != 1 for x in noff):
-                        return False
-                    moved[tuple(int(x) for x in noff)] = c
-                if moved != b:
-                    return False
-        return True
+        """Every simple reflection maps each q-slice, read as the weights
+        base.finite + offset, onto itself; a non-integral base allows none."""
+        rs, base = self.rs, self.base.finite
+        if any(x.denominator != 1 for x in base):
+            return not any(self.slices.values())
+        return all({rs.reflect_offset(i, o, int(x)): c for o, c in b.items()}
+                   == b for b in self.slices.values()
+                   for i, x in enumerate(base))
 
     def to_json_dict(self) -> dict:
         rs = self.rs
@@ -513,15 +500,6 @@ def denominator_slices(rs: RootSystem, qmax: int, finite: bool = True
     for key in keys if finite else ():
         _mul_two_term(slices, qmax, 0, -key)
     return {m: pk.unpack_dict(b) for m, b in enumerate(slices) if b}
-
-
-def finite_weyl_denominator(rs: RootSystem) -> dict[tuple[int, ...], int]:
-    """prod_{alpha > 0} (1 - e^{-alpha}) as offsets in root coordinates."""
-    pk = _denominator_packing(rs, 0)
-    poly = [{0: 1}]
-    for a in rs.positive_roots:
-        _mul_two_term(poly, 0, 0, -pk.pack(a.root_coords))
-    return pk.unpack_dict(poly[0])
 
 
 def laurent_divide(num: dict[int, int], roots: list[tuple[int, ...]],

@@ -1,6 +1,11 @@
 """Slow reference paths, kept only for the tests to compare against.
 
-The first group is the code the library ran before the dominant-chamber
+First is the matrix model of the finite Weyl group the library kept
+before it reflected integer vectors: an integer matrix per simple
+reflection, its action on fundamental coordinates in Fractions, and the
+invariance probe that mapped each slice through those matrices, together
+with the finite Weyl denominator taken from Weyl's denominator formula.
+The next group is the code the library ran before the dominant-chamber
 orbit walk and the integer drop: a loop over the matrices of weyl_group()
 for every orbit, `Fraction` sums for every lattice point, and the
 two-branch superdenominator sum that builds every orbit term before it
@@ -16,11 +21,66 @@ from operator import mul
 from affinechar.fock import fock_states
 from affinechar.lattice import quad_points
 from affinechar.rootdata import (
+    WeylElement,
     _scaled,
     coroot_lattice_basis,
     root_lattice_basis,
     root_system,
 )
+
+
+def apply(w, v):
+    """w(v): the integer matrix of w times fundamental coordinates, in
+    Fractions."""
+    return tuple(
+        sum((Fraction(row[j]) * Fraction(v[j]) for j in range(len(row))
+             if v[j]), Fraction(0))
+        for row in w.matrix
+    )
+
+
+def root_to_fund(rs, root_coords):
+    return tuple(sum(map(mul, row, root_coords), Fraction(0))
+                 for row in rs.cartan)
+
+
+def simple_reflection(rs, i):
+    """s_i as a WeylElement: the identity less cartan[j][i] in column i."""
+    l = rs.rank
+    rows = []
+    for j in range(l):
+        row = [int(j == k) for k in range(l)]
+        row[i] -= int(rs.cartan[j][i])
+        rows.append(tuple(row))
+    return WeylElement(tuple(rows), -1)
+
+
+def matrix_is_weyl_invariant(ch) -> bool:
+    """ch.is_weyl_invariant() through the matrices: every offset to
+    fundamental coordinates, through s_i, and back to root coordinates."""
+    rs = ch.rs
+    for b in ch.slices.values():
+        for i in range(rs.rank):
+            refl = simple_reflection(rs, i)
+            moved = {}
+            for off, c in b.items():
+                mu = tuple(Fraction(o) + f for o, f in
+                           zip(root_to_fund(rs, off), ch.base.finite))
+                noff = rs.fund_to_root(
+                    tuple(a - f for a, f in zip(apply(refl, mu),
+                                                ch.base.finite)))
+                if any(x.denominator != 1 for x in noff):
+                    return False
+                moved[tuple(int(x) for x in noff)] = c
+            if moved != b:
+                return False
+    return True
+
+
+def weyl_denominator(rs) -> dict[tuple[int, ...], int]:
+    """prod_{alpha > 0} (1 - e^{-alpha}) = sum_w eps(w) e^{w rho - rho}
+    (Weyl's denominator formula), offsets in root coordinates."""
+    return {off: sign for sign, off in rs.orbit_offsets(rs.rho, rs.rho)}
 
 
 def matrix_orbit_offsets(rs, v, base):

@@ -173,6 +173,25 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
+def test_properties_fail_on_a_wrong_reflection(capsys, monkeypatch):
+    # s_i with the sign of the Cartan column flipped, in the reflections
+    # and so in the reduction to the dominant chamber, which still ends;
+    # the Weyl-alternation suite must name the wrong group
+    def wrong(self, i, v):
+        w = list(v)
+        x, w[i] = w[i], -w[i]
+        for j, c in self._nbrs[i]:
+            w[j] += c * x
+        return tuple(w)
+
+    monkeypatch.setattr(RootSystem, "reflect", wrong)
+    code, out, _ = run(capsys, ["verify", "properties", "--format", "pretty"])
+    assert code == 1 and out.startswith("FAIL")
+    assert any(text in out for text in (
+        "reflection changed the orbit", "sign not alternating",
+        "singular weight marked regular"))
+
+
 def test_verify_names_a_term_only_the_sum_side_has(capsys, monkeypatch):
     extra = (0, 0, 2, 2)
     real = superden.spo_sum
@@ -369,6 +388,12 @@ def test_precondition_messages(capsys):
         "--weight", "-4", "1", "1", "0", "0",
     ])
     assert code == 2 and "not unique" in err
+    code, out, err = run(capsys, [
+        "qdim", "--formula", "integrable", "--type", "A", "--rank", "1",
+        "--weight", "-3", "0", "--order", "2",
+    ])
+    assert (code, out) == (2, "")
+    assert err == "error: weight is not dominant integral: (-3, 0)\n"
     for cases in ("0", "-1"):
         code, out, err = run(capsys, [
             "verify", "properties", "--cases", cases,

@@ -4,7 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import drop_of, fraction_lattice_points_below
+from oracles import (
+    apply,
+    drop_of,
+    fraction_lattice_points_below,
+    root_to_fund,
+)
 
 from affinechar import lattice
 from affinechar.lattice import (
@@ -191,7 +196,7 @@ def brute_orbit_sum(rs, mu):
     # sum over the whole group, no dominance shortcut
     acc = {}
     for w in rs.weyl_group():
-        img = w.apply(mu)
+        img = apply(w, mu)
         off = rs.fund_to_root(tuple(a - b for a, b in zip(img, mu)))
         key = tuple(int(o) for o in off)
         acc[key] = acc.get(key, 0) + w.sign
@@ -348,7 +353,7 @@ def _theta_over_phi(rs, qmax):
     # algebra: lattice theta function times phi(q)^{-rank}
     theta = {}
     for xs in _box(rs.rank, 8):
-        n2 = rs.norm(rs.root_to_fund(xs))
+        n2 = rs.norm(root_to_fund(rs, xs))
         if n2 % 2:
             raise AssertionError("root lattice norms are even here")
         m = int(n2) // 2

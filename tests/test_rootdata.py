@@ -5,7 +5,12 @@ from itertools import permutations
 from math import lcm
 
 import pytest
-from oracles import matrix_orbit_offsets
+from oracles import (
+    apply,
+    matrix_orbit_offsets,
+    root_to_fund,
+    simple_reflection,
+)
 
 from affinechar.rootdata import (
     PosRoot,
@@ -142,7 +147,7 @@ def test_pairings_and_coordinates():
         # root <-> fundamental coordinate round trip on random vectors
         for _ in range(50):
             rc = tuple(Fraction(rng.randint(-5, 5)) for _ in range(rank))
-            fund = rs.root_to_fund(rc)
+            fund = root_to_fund(rs, rc)
             assert rs.fund_to_root(fund) == rc
         # Weyl action preserves the form
         W = rs.weyl_group()
@@ -150,7 +155,7 @@ def test_pairings_and_coordinates():
             v = tuple(Fraction(rng.randint(-4, 4)) for _ in range(rank))
             u = tuple(Fraction(rng.randint(-4, 4)) for _ in range(rank))
             w = rng.choice(W)
-            assert rs.inner(w.apply(v), w.apply(u)) == rs.inner(v, u)
+            assert rs.inner(apply(w, v), apply(w, u)) == rs.inner(v, u)
 
 
 def test_to_dominant():
@@ -163,9 +168,9 @@ def test_to_dominant():
             dom, sign, regular = rs.to_dominant(v)
             assert all(c >= 0 for c in dom)
             assert regular == all(c != 0 for c in dom)
-            assert any(w.apply(v) == dom for w in W)
+            assert any(apply(w, v) == dom for w in W)
             if regular:
-                matches = [w for w in W if w.apply(v) == dom]
+                matches = [w for w in W if apply(w, v) == dom]
                 assert len(matches) == 1 and matches[0].sign == sign
 
 
@@ -185,7 +190,7 @@ KERNEL_TYPES = ORACLE_TYPES + [("E", 6)]
 def apply_path(rs, v, base):
     """(sign, root coordinates of w(v) - base) through Fraction arithmetic."""
     return [(w.sign, rs.fund_to_root(tuple(a - b for a, b in
-                                           zip(w.apply(v), base))))
+                                           zip(apply(w, v), base))))
             for w in rs.weyl_group()]
 
 
@@ -203,7 +208,7 @@ def signed_sum(pairs):
 def near(rng, rs, v):
     """v minus a random root-lattice vector."""
     rc = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
-    return tuple(a - b for a, b in zip(v, rs.root_to_fund(rc)))
+    return tuple(a - b for a, b in zip(v, root_to_fund(rs, rc)))
 
 
 def random_pairs(rng, rs, n):
@@ -223,7 +228,7 @@ def regular_weights(rng, rs, n):
     W = rs.weyl_group()
     for _ in range(n):
         dom = tuple(Fraction(rng.randint(1, 3)) for _ in range(rs.rank))
-        yield rng.choice(W).apply(dom)
+        yield apply(rng.choice(W), dom)
 
 
 @pytest.mark.parametrize("fam,rank", ORACLE_TYPES)
@@ -310,7 +315,7 @@ def test_orbit_offsets_refuse_to_leave_the_root_lattice():
 def full_product_closure(rs):
     """W by closing {1} under right multiplication with full matrix products."""
     l = rs.rank
-    gens = [rs.simple_reflection(i).matrix for i in range(l)]
+    gens = [simple_reflection(rs, i).matrix for i in range(l)]
     ident = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
     seen = {ident: None}
     frontier = [ident]
@@ -331,6 +336,29 @@ def full_product_closure(rs):
 def test_weyl_group_matches_full_product_closure(fam, rank):
     rs = root_system(fam, rank)
     assert [w.matrix for w in rs.weyl_group()] == full_product_closure(rs)
+
+
+@pytest.mark.parametrize("fam,rank",
+                         ORACLE_TYPES + [("E", 6), ("E", 7), ("E", 8)])
+def test_reflections_match_the_matrix_oracle(fam, rank):
+    # s_i as one vector update, on fundamental and on root coordinates,
+    # against the matrix of s_i; an involution that keeps the form
+    rng = random.Random(fam + str(rank) + "reflect")
+    rs = root_system(fam, rank)
+    for _ in range(20):
+        v, u = (tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                      for _ in range(rank)) for _ in range(2))
+        i = rng.randrange(rank)
+        got = rs.reflect(i, v)
+        assert got == apply(simple_reflection(rs, i), v)
+        assert rs.reflect(i, got) == v
+        assert rs.inner(got, rs.reflect(i, u)) == rs.inner(v, u)
+        base = tuple(rng.randint(-4, 4) for _ in range(rank))
+        off = tuple(rng.randint(-3, 3) for _ in range(rank))
+        mu = tuple(b + x for b, x in zip(base, root_to_fund(rs, off)))
+        want = rs.fund_to_root(tuple(
+            a - b for a, b in zip(apply(simple_reflection(rs, i), mu), base)))
+        assert rs.reflect_offset(i, off, base[i]) == want
 
 
 # -- the Euclidean model: a Fraction oracle for the integer root data --------
@@ -578,14 +606,15 @@ def test_make_and_apply_results():
                              Fraction(4))
     assert all(type(x) is Fraction for x in (*w.finite, w.level, w.delta))
     assert AffineWeight.make((0,)) == AffineWeight((Fraction(0),), 0, 0)
-    s1 = root_system("A", 2).simple_reflection(0)
-    assert s1 == WeylElement(((-1, 0), (1, 1)), -1)
-    got = s1.apply((2, Fraction(1, 3)))
+    a2 = root_system("A", 2)
+    got = a2.reflect(0, (Fraction(2), Fraction(1, 3)))
     assert got == (Fraction(-2), Fraction(7, 3))
     assert all(type(x) is Fraction for x in got)
-    assert s1.apply((0, 5)) == (0, 5)
+    got = a2.reflect(0, (2, 1))
+    assert got == (-2, 3) and all(type(x) is int for x in got)
+    assert a2.reflect(0, (0, 5)) == (0, 5)
     rs = root_system("C", 2)
     lam = (Fraction(1), Fraction(-3))
-    assert {w.apply(lam) for w in rs.weyl_group()} == {
+    assert {apply(w, lam) for w in rs.weyl_group()} == {
         (1, -3), (-1, -2), (5, -3), (-5, 2), (5, -2), (-5, 3), (1, 2),
         (-1, 3)}

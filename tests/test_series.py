@@ -2,14 +2,22 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
-from oracles import tuple_mul_slices
+from oracles import (
+    apply,
+    matrix_is_weyl_invariant,
+    root_to_fund,
+    tuple_mul_slices,
+    weyl_denominator,
+)
 
 from affinechar import formulas as fm
 from affinechar.cli import _series_text
 from affinechar.rootdata import root_system
 from affinechar.series import (
+    AffineWeight,
     CharSlices,
     ExpSeries,
     OffsetPacking,
@@ -17,7 +25,6 @@ from affinechar.series import (
     character_from_numerator,
     denominator_series,
     denominator_slices,
-    finite_weyl_denominator,
     first_diff,
     laurent_divide,
     phi_slices,
@@ -278,9 +285,13 @@ def test_denominator_shapes_agree(fam, rank):
 
 
 def test_denominator_zero_slice_is_finite_denominator():
-    for fam, rank in (("A", 1), ("A", 3), ("C", 3), ("D", 4)):
+    # Weyl's denominator formula: the product over the positive roots, as
+    # the slices build it, is the alternating sum over the orbit of rho
+    for fam, rank in ORACLE_TYPES + [("E", 6)]:
         rs = root_system(fam, rank)
-        assert denominator_slices(rs, 0)[0] == finite_weyl_denominator(rs)
+        d0 = weyl_denominator(rs)
+        assert len(d0) == rs.weyl_order() and sum(d0.values()) == 0
+        assert denominator_slices(rs, 0)[0] == d0
 
 
 # -- Laurent division ----------------------------------------------------------
@@ -303,7 +314,7 @@ def test_laurent_divide_recovers_factor():
     assert root_system("C", 3).theta.root_coords[0] == 2
     for fam, rank in (("A", 2), ("C", 2), ("C", 3), ("D", 4)):
         rs = root_system(fam, rank)
-        den = finite_weyl_denominator(rs)
+        den = weyl_denominator(rs)
         for _ in range(40):
             poly = {}
             for _ in range(4):
@@ -448,7 +459,7 @@ def test_denominator_splits_into_finite_part_and_quotient(fam, rank):
     # R-hat = R * (R-hat / R): the slices without the finite factors, times
     # the finite Weyl denominator slice by slice, give the whole denominator
     rs = root_system(fam, rank)
-    den = {0: finite_weyl_denominator(rs)}
+    den = {0: weyl_denominator(rs)}
     for qmax in range(5):
         quo = denominator_slices(rs, qmax, finite=False)
         assert quo[0] == {(0,) * rank: 1}
@@ -463,7 +474,7 @@ def test_packed_division_matches_tuple_path_on_random_input(fam, rank):
     rs = root_system(fam, rank)
     rng = random.Random(rank * 31 + ord(fam))
     base = weight_from_coeffs(rs, (0,) * (rank + 1))
-    den = finite_weyl_denominator(rs)
+    den = weyl_denominator(rs)
     for qmax in range(5):
         ch = {}
         for _ in range(3):
@@ -573,6 +584,71 @@ def test_weyl_invariance_probe():
     assert sym.is_weyl_invariant()
     skew = CharSlices(rs, base, 1, {1: {(1,): 2, (-1,): 3}})
     assert not skew.is_weyl_invariant()
+
+
+def _orbit_slices(rng, rs, base, qmax):
+    # whole W-orbits of random weights base + o through the matrices, so
+    # W-invariant over an integral base
+    out = {}
+    for _ in range(2):
+        off = tuple(rng.randint(-2, 2) for _ in range(rs.rank))
+        mu = tuple(b + x for b, x in zip(base.finite, root_to_fund(rs, off)))
+        tgt = out.setdefault(rng.randrange(qmax + 1), {})
+        c = rng.choice((-2, 1, 3))
+        for nu in {apply(w, mu) for w in rs.weyl_group()}:
+            o = rs.fund_to_root(tuple(a - b for a, b in zip(nu, base.finite)))
+            o = tuple(map(int, o))
+            tgt[o] = tgt.get(o, 0) + c
+    return {m: {o: c for o, c in b.items() if c} for m, b in out.items()}
+
+
+def _random_terms(rng, rank, qmax):
+    return {rng.randrange(qmax + 1): {
+        tuple(rng.randint(-2, 2) for _ in range(rank)): rng.choice((-1, 2))
+        for _ in range(rng.randint(1, 4))}}
+
+
+def _perturbed(rng, ch):
+    # one term of ch, or one new term, moved by one
+    m = rng.randrange(ch.qmax + 1)
+    b = dict(ch.slices.get(m, {}))
+    off = (rng.choice(sorted(b)) if b and rng.random() < 0.7 else
+           tuple(rng.randint(-2, 2) for _ in range(ch.rs.rank)))
+    b[off] = b.get(off, 0) + rng.choice((-1, 1))
+    return CharSlices(ch.rs, ch.base, ch.qmax, {
+        **ch.slices, m: {o: c for o, c in b.items() if c}})
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 1), ("A", 2), ("A", 3),
+                                      ("C", 2), ("C", 3), ("D", 4)])
+def test_weyl_invariance_matches_the_matrix_path(fam, rank):
+    # integer reflections of the offsets against the Fraction matrices, on
+    # integrable characters, whole orbits and random slices over integral
+    # and half-integral bases, each also with one term perturbed
+    rng = random.Random(fam + str(rank) + "invariant")
+    rs = root_system(fam, rank)
+    chars = []
+    for co in ((1,) + (0,) * rank, (0,) * rank + (1,)):
+        lam = weight_from_coeffs(rs, co)
+        chars.append(character_from_numerator(
+            rs, lam, fm.integrable_numerator(rs, lam, 1)))
+    for _ in range(4):
+        base = weight_from_coeffs(
+            rs, [rng.randint(-2, 2) for _ in range(rank + 1)])
+        half = AffineWeight.make(
+            [Fraction(rng.randint(-3, 3), 2) for _ in range(rank)], -1)
+        chars += [CharSlices(rs, base, 2, _orbit_slices(rng, rs, base, 2)),
+                  CharSlices(rs, base, 2, _random_terms(rng, rank, 2)),
+                  CharSlices(rs, half, 2, _random_terms(rng, rank, 2)),
+                  CharSlices(rs, half, 2)]
+    outcomes = set()
+    for ch in chars:
+        for probe in (ch, _perturbed(rng, ch)):
+            got = probe.is_weyl_invariant()
+            assert got == matrix_is_weyl_invariant(probe)
+            outcomes.add(got)
+    assert all(ch.is_weyl_invariant() for ch in chars[:2])
+    assert outcomes == {True, False}
 
 
 # -- serialization ------------------------------------------------------------
