@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .lattice import alt_weyl_raw, lattice_points_below
+from .lattice import alt_weyl_raw, dominant_numerator
 from .rootdata import (
     RootSystem,
     coroot_lattice_basis,
@@ -383,30 +383,20 @@ def q_dimension_sum(rs: RootSystem, lam, basis, qmax: int,
 
     Returns the coefficient list of phi(q)^{dim g} * (graded dim), computed
     from the lattice sum alone: the full Weyl sum collapses against the
-    finite denominator, leaving one signed dimension value per translation.
-    Translations at a negative drop must cancel per q-power, or SliceError.
+    finite denominator, leaving one signed dimension value per dominant
+    weight of the numerator.  Negative q-powers must cancel, or SliceError.
     """
-    rho = tuple(Fraction(1) for _ in range(rs.rank))
-    nu = tuple(a + b for a, b in zip(lam.finite, rho))
-    c = lam.level + rs.dual_coxeter
-    if c <= 0:
+    if lam.level + rs.dual_coxeter <= 0:
         raise ValueError("shifted level must be positive")
-    pts = lattice_points_below(rs, basis, nu, c, qmax)
-    by_drop: dict[int, Fraction] = {}
-    for x, gf, drop in pts:
-        if drop.denominator != 1:
-            raise AssertionError("non-integral drop")
-        co = 1 if coeff_fn is None else coeff_fn(gf, x)
-        hw = tuple(l + c * g for l, g in zip(lam.finite, gf))
-        m = int(drop)
-        by_drop[m] = by_drop.get(m, Fraction(0)) + co * rs.weyl_dim(hw)
-    for m in sorted(by_drop):
-        if m < 0 and by_drop[m]:
-            raise SliceError(f"uncancelled dimension {by_drop[m]} at "
+    _, num = dominant_numerator(rs, lam, basis, qmax, coeff_fn=coeff_fn)
+    by_drop = {m: sum(c * rs.weyl_dim([x - 1 for x in mu])
+                      for mu, c in b.items()) for m, b in num.items()}
+    for m, d in sorted(by_drop.items()):
+        if m < 0 and d:
+            raise SliceError(f"uncancelled dimension {d} at "
                              f"negative q-power {m}")
-    acc = [by_drop.get(m, Fraction(0)) for m in range(qmax + 1)]
-    if halve:
-        acc = [a / 2 for a in acc]
+    acc = [by_drop.get(m, Fraction(0)) / (2 if halve else 1)
+           for m in range(qmax + 1)]
     for a in acc:
         if a.denominator != 1:
             raise ArithmeticError(f"non-integral graded dimension {a}")

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from math import floor, gcd, isqrt
+from math import floor, isqrt, lcm
 from operator import mul
 
 from .rootdata import RootSystem, int_inverse
-from .series import AffineWeight, CharSlices, rho_hat
+from .series import AffineWeight, CharSlices
 
 
 def _floor_plus_sqrt(x: Fraction, r2: Fraction) -> int:
@@ -38,29 +38,20 @@ def quad_points(M: list[list[Fraction]], L: list[Fraction],
     r = len(M)
     # clear denominators once so the box test runs on plain integers:
     # x^T Mi x + 2 Li.x <= 2 Bi with Mi = 2 den M etc., all integral
-    den = 1
-    for v in [x for row in M for x in row] + list(L) + [B]:
-        den = den * v.denominator // gcd(den, v.denominator)
+    den = lcm(*(v.denominator for row in (*M, L, [B]) for v in row))
     Mi = [[int(v * 2 * den) for v in row] for row in M]
     Li = [int(v * 2 * den) for v in L]
     Bi = int(B * 2 * den)
     N, d = int_inverse(Mi)
     Minv = [[Fraction(2 * den * x, d) for x in row] for row in N]
-    xstar = [
-        -sum(Minv[i][j] * L[j] for j in range(r)) for i in range(r)
-    ]
-    qmin = sum(L[i] * xstar[i] for i in range(r)) / 2
+    xstar = [-sum(map(mul, row, L)) for row in Minv]
+    qmin = sum(map(mul, L, xstar)) / 2
     R2 = 2 * (B - qmin)
     if R2 < 0:
         return {}
-    ranges = []
-    for i in range(r):
-        rad2 = R2 * Minv[i][i]
-        lo = _ceil_minus_sqrt(xstar[i], rad2)
-        hi = _floor_plus_sqrt(xstar[i], rad2)
-        if lo > hi:
-            return {}
-        ranges.append(range(lo, hi + 1))
+    rad2 = [R2 * Minv[i][i] for i in range(r)]
+    ranges = [range(_ceil_minus_sqrt(x, r2), _floor_plus_sqrt(x, r2) + 1)
+              for x, r2 in zip(xstar, rad2)]
     out = {}
     for x in iproduct(*ranges):
         tot = 0
@@ -85,16 +76,12 @@ def lattice_points_below(rs: RootSystem, basis, nu_fin, c: Fraction,
     """
     if any(v.denominator != 1 for b in basis for v in b):
         raise ValueError("lattice basis must be integral")
-    r = len(basis)
-    M = [
-        [c * rs.inner(basis[i], basis[j]) for j in range(r)] for i in range(r)
-    ]
-    L = [rs.inner(nu_fin, basis[i]) for i in range(r)]
+    M = [[c * rs.inner(a, b) for b in basis] for a in basis]
+    L = [rs.inner(nu_fin, b) for b in basis]
     cols = [[int(v) for v in col] for col in zip(*basis)]
-    out = [(x, tuple([sum(map(mul, x, col)) for col in cols]), drop)
-           for x, drop in quad_points(M, L, Fraction(bound)).items()]
-    out.sort(key=lambda t: (t[2], t[0]))
-    return out
+    return sorted(((x, tuple([sum(map(mul, x, col)) for col in cols]), drop)
+                   for x, drop in quad_points(M, L, Fraction(bound)).items()),
+                  key=lambda t: (t[2], t[0]))
 
 
 def _orbit_sum(rs: RootSystem, lam: AffineWeight, nu_fin, items,
@@ -106,8 +93,6 @@ def _orbit_sum(rs: RootSystem, lam: AffineWeight, nu_fin, items,
     """
     out: dict[int, dict[tuple[int, ...], int]] = {}
     for mu, m, coeff in items:
-        if coeff == 0:
-            continue
         tgt = out.setdefault(m, {})
         for wsign, key in rs.orbit_offsets(mu, nu_fin):
             c = tgt.get(key, 0) + wsign * coeff
@@ -118,31 +103,55 @@ def _orbit_sum(rs: RootSystem, lam: AffineWeight, nu_fin, items,
     return CharSlices(rs, lam, qmax, {m: b for m, b in out.items() if b})
 
 
-def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
-                 pred=None, coeff_fn=None) -> CharSlices:
-    """sum_w eps(w) w sum_gamma coeff(gamma) t_gamma e^{lam+rho-hat}, sliced.
+def dominant_numerator(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
+                       pred=None, coeff_fn=None):
+    """(nu_fin, {m: {mu: c}}): the lattice numerator in the dominant chamber.
 
-    gamma runs over the lattice spanned by `basis` with drop <= qmax and
-    pred(gamma) true.  Terms are exponents relative to lam + (mult of delta);
-    the m-grading is the exact delta-drop, which must be integral.  Terms at
-    negative m are kept, for require_nonnegative() to refuse.  The Weyl group
-    is enumerated before any lattice point, so that an oversized group is
-    refused before that work is spent.
+    nu_fin is the finite part of lam + rho-hat, c its level.  Each gamma of
+    the lattice spanned by `basis` with drop m <= qmax and pred(gamma) true
+    adds eps(w) coeff(gamma) at the dominant mu = w(nu_fin + c gamma), in
+    integer fundamental coordinates.  Singular mu and zero totals are
+    dropped; slices at negative m are kept.
     """
-    rhoh = rho_hat(rs)
-    nu_fin = tuple(a + b for a, b in zip(lam.finite, rhoh.finite))
-    c = lam.level + rhoh.level
+    nu_fin = tuple(f + 1 for f in lam.finite)  # lam + rho-hat
+    c = lam.level + rs.dual_coxeter
     if c <= 0:
         raise ValueError("shifted level k + h_vee must be positive")
-    rs.weyl_group()
-    pts = lattice_points_below(rs, basis, nu_fin, c, qmax)
-    items = []
-    for x, gamma, drop in pts:
+    out: dict[int, dict[tuple[int, ...], int]] = {}
+    for x, gamma, drop in lattice_points_below(rs, basis, nu_fin, c, qmax):
         if pred is not None and not pred(gamma, x):
             continue
         if drop.denominator != 1:
             raise AssertionError(f"non-integral drop {drop} at {x}")
         coeff = 1 if coeff_fn is None else coeff_fn(gamma, x)
-        mu = tuple(a + c * g for a, g in zip(nu_fin, gamma))
-        items.append((mu, int(drop), coeff))
-    return _orbit_sum(rs, lam, nu_fin, items, qmax)
+        if coeff == 0:
+            continue
+        mu, sign, _ = rs.dominant_offset(
+            [a + c * g for a, g in zip(nu_fin, gamma)], nu_fin)
+        if all(mu):
+            tgt = out.setdefault(int(drop), {})
+            mu = tuple(mu)
+            v = tgt.get(mu, 0) + sign * coeff
+            if v:
+                tgt[mu] = v
+            else:
+                del tgt[mu]
+    return nu_fin, {m: b for m, b in out.items() if b}
+
+
+def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
+                 pred=None, coeff_fn=None) -> CharSlices:
+    """sum_w eps(w) w sum_gamma coeff(gamma) t_gamma e^{lam+rho-hat}, sliced:
+    each weight of the dominant_numerator expanded over its orbit.
+
+    Terms are exponents relative to lam + (mult of delta), graded by the
+    delta-drop m; terms at negative m are kept, for require_nonnegative()
+    to refuse.  The Weyl group is enumerated before any lattice point, so
+    that an oversized group is refused before that work is spent.
+    """
+    # a shifted level <= 0 is refused by dominant_numerator, not the gate
+    if lam.level + rs.dual_coxeter > 0:
+        rs.weyl_group()
+    nu_fin, num = dominant_numerator(rs, lam, basis, qmax, pred, coeff_fn)
+    return _orbit_sum(rs, lam, nu_fin, [(mu, m, c) for m, b in num.items()
+                                        for mu, c in b.items()], qmax)

@@ -38,10 +38,6 @@ class AffineWeight(namedtuple("AffineWeight", "finite level delta")):
         )
 
 
-def rho_hat(rs: RootSystem) -> AffineWeight:
-    return AffineWeight.make(rs.rho, rs.dual_coxeter, 0)
-
-
 def weight_from_coeffs(rs: RootSystem, coeffs, delta=0) -> AffineWeight:
     """Weight m_0 Lambda_0 + sum_i m_i Lambda_i + delta * delta-direction."""
     if len(coeffs) != rs.rank + 1:
@@ -142,13 +138,6 @@ def cone_product(marks, imaginary: int, even, odd, height: int) -> ExpSeries:
         for x in _root_string(e, marks, height):
             s.mul_geometric(x)
     return s
-
-
-def denominator_series(rs: RootSystem, order: int) -> ExpSeries:
-    """e^{-rho-hat} R-hat expanded on the affine cone up to `order`."""
-    return cone_product((1,) + rs.marks, rs.rank,
-                        [(0,) + a.root_coords for a in rs.positive_roots],
-                        (), order)
 
 
 # -- q-sliced characters -----------------------------------------------------

@@ -7,9 +7,12 @@ invariance probe that mapped each slice through those matrices, together
 with the finite Weyl denominator taken from Weyl's denominator formula.
 The next group is the code the library ran before the dominant-chamber
 orbit walk and the integer drop: a loop over the matrices of weyl_group()
-for every orbit, `Fraction` sums for every lattice point, and the
-two-branch superdenominator sum that builds every orbit term before it
-truncates by height.  The second group expands free-field spaces from their
+for every orbit, `Fraction` sums for every lattice point, the per-point
+loops of alt_weyl_raw (a whole orbit per point) and q_dimension_sum (a
+Weyl dimension per point) before both read one dominant-chamber
+numerator, the affine denominator as one cone series, and the two-branch
+superdenominator sum that builds every orbit term before it truncates by
+height.  The second group expands free-field spaces from their
 product forms, against the library's state enumeration; next to it are the
 per-state enumeration and helpers the library ran before it worked per mode
 multiset.  Last is the slice product on tuple keys, before packed ints.
@@ -19,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 
 from affinechar.fock import fock_states
-from affinechar.lattice import quad_points
+from affinechar.lattice import _orbit_sum, lattice_points_below, quad_points
 from affinechar.rootdata import (
     WeylElement,
     _scaled,
@@ -27,6 +30,7 @@ from affinechar.rootdata import (
     root_lattice_basis,
     root_system,
 )
+from affinechar.series import SliceError, cone_product
 
 
 def apply(w, v):
@@ -83,6 +87,14 @@ def weyl_denominator(rs) -> dict[tuple[int, ...], int]:
     return {off: sign for sign, off in rs.orbit_offsets(rs.rho, rs.rho)}
 
 
+def denominator_series(rs, order: int):
+    """e^{-rho-hat} R-hat expanded on the affine cone up to `order`, as an
+    ExpSeries; the library slices this product by q-power instead."""
+    return cone_product((1,) + rs.marks, rs.rank,
+                        [(0,) + a.root_coords for a in rs.positive_roots],
+                        (), order)
+
+
 def matrix_orbit_offsets(rs, v, base):
     """Yield (w.sign, root coordinates of w(v) - base) for w in weyl_group(),
     in its order, through integer matrix products."""
@@ -117,6 +129,53 @@ def fraction_lattice_points_below(rs, basis, nu_fin, c, bound):
         out.append((x, gamma, drop_of(rs, nu_fin, c, gamma)))
     out.sort(key=lambda t: (t[2], t[0]))
     return out
+
+
+def point_alt_weyl_raw(rs, lam, basis, qmax, pred=None, coeff_fn=None):
+    """lattice.alt_weyl_raw with one whole orbit walked per lattice point,
+    before the numerator was summed in the dominant chamber."""
+    nu_fin = tuple(f + 1 for f in lam.finite)
+    c = lam.level + rs.dual_coxeter
+    if c <= 0:
+        raise ValueError("shifted level k + h_vee must be positive")
+    items = []
+    for x, gamma, drop in lattice_points_below(rs, basis, nu_fin, c, qmax):
+        if pred is not None and not pred(gamma, x):
+            continue
+        if drop.denominator != 1:
+            raise AssertionError(f"non-integral drop {drop} at {x}")
+        coeff = 1 if coeff_fn is None else coeff_fn(gamma, x)
+        if coeff:
+            mu = tuple(a + c * g for a, g in zip(nu_fin, gamma))
+            items.append((mu, int(drop), coeff))
+    return _orbit_sum(rs, lam, nu_fin, items, qmax)
+
+
+def point_q_dimension_sum(rs, lam, basis, qmax, coeff_fn=None, halve=False):
+    """formulas.q_dimension_sum with one Weyl dimension per lattice point."""
+    nu = tuple(f + 1 for f in lam.finite)
+    c = lam.level + rs.dual_coxeter
+    if c <= 0:
+        raise ValueError("shifted level must be positive")
+    by_drop: dict[int, Fraction] = {}
+    for x, gf, drop in lattice_points_below(rs, basis, nu, c, qmax):
+        if drop.denominator != 1:
+            raise AssertionError("non-integral drop")
+        co = 1 if coeff_fn is None else coeff_fn(gf, x)
+        hw = tuple(l + c * g for l, g in zip(lam.finite, gf))
+        m = int(drop)
+        by_drop[m] = by_drop.get(m, Fraction(0)) + co * rs.weyl_dim(hw)
+    for m in sorted(by_drop):
+        if m < 0 and by_drop[m]:
+            raise SliceError(f"uncancelled dimension {by_drop[m]} at "
+                             f"negative q-power {m}")
+    acc = [by_drop.get(m, Fraction(0)) for m in range(qmax + 1)]
+    if halve:
+        acc = [a / 2 for a in acc]
+    for a in acc:
+        if a.denominator != 1:
+            raise ArithmeticError(f"non-integral graded dimension {a}")
+    return [int(a) for a in acc]
 
 
 def matrix_branch_sum(rs, basis, lamb, shift, kvec_fn, height: int):

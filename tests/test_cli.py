@@ -560,9 +560,10 @@ def test_state_budget_is_one_error_line_with_exit_two(capsys, monkeypatch):
 
 def test_non_integral_dimension_is_one_error_line_with_exit_two(
         capsys, monkeypatch):
-    # only the vacuum keeps a dimension, so the halved direct sum is 1/2
+    # only the vacuum keeps a dimension, 1/2; the dominant numerator holds
+    # 2 at rho, so the halved direct sum is 1/2
     monkeypatch.setattr(RootSystem, "weyl_dim",
-                        lambda self, fund: Fraction(int(not any(fund))))
+                        lambda self, fund: Fraction(int(not any(fund)), 2))
     code, out, err = run(capsys, ["verify", "qdim-two-path", "--order", "1"])
     assert code == 2 and out == ""
     assert err == "error: non-integral graded dimension 1/2\n"

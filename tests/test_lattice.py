@@ -8,13 +8,17 @@ from oracles import (
     apply,
     drop_of,
     fraction_lattice_points_below,
+    point_alt_weyl_raw,
+    point_q_dimension_sum,
     root_to_fund,
 )
 
+from affinechar import formulas as fm
 from affinechar import lattice
 from affinechar.lattice import (
     _floor_plus_sqrt,
     alt_weyl_raw,
+    dominant_numerator,
     lattice_points_below,
     quad_points,
 )
@@ -28,6 +32,7 @@ from affinechar.rootdata import (
 from affinechar.series import (
     AffineWeight,
     CharSlices,
+    SliceError,
     character_from_numerator,
     denominator_slices,
     phi_slices,
@@ -239,15 +244,42 @@ def test_a2_regular_orbit_has_six_signed_terms():
 # -- the denominator identity ---------------------------------------------------
 
 
-@pytest.mark.parametrize("fam,rank,qmax", [("A", 1, 6), ("A", 2, 4), ("C", 2, 4)])
+@pytest.mark.parametrize("fam,rank,qmax", [
+    ("A", 1, 6), ("A", 2, 4), ("C", 2, 4), ("A", 3, 4), ("A", 4, 3),
+    ("C", 3, 4), ("D", 4, 3)])
 def test_denominator_identity(fam, rank, qmax):
     # the alternating sum over the translation lattice at weight zero equals
-    # the product expansion of e^{-rho-hat} R-hat, slice by slice
+    # the product expansion of e^{-rho-hat} R-hat, slice by slice (Macdonald)
     rs = root_system(fam, rank)
     lam = weight_from_coeffs(rs, (0,) * (rank + 1))
     num = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax)
     want = CharSlices(rs, lam, qmax, denominator_slices(rs, qmax))
     assert num.first_diff(want) is None
+
+
+def macdonald_dimensions_hold(rs, qmax):
+    # the same identity specialized to dimensions: the lattice sum at the
+    # level-0 vacuum is phi(q)^{dim g}, a product that never reads the lattice
+    lam = weight_from_coeffs(rs, (0,) * (rs.rank + 1))
+    got = fm.q_dimension_sum(rs, lam, coroot_lattice_basis(rs), qmax)
+    want = fm.phi_power_qpoly(rs.rank + 2 * len(rs.positive_roots), qmax)
+    return got == [want.get(m, 0) for m in range(qmax + 1)]
+
+
+@pytest.mark.parametrize("fam,rank,qmax", [
+    ("A", 1, 20), ("A", 3, 10), ("C", 3, 8), ("D", 4, 8), ("E", 6, 8),
+    ("E", 7, 6)])
+def test_macdonald_dimension_grain(fam, rank, qmax):
+    assert macdonald_dimensions_hold(root_system(fam, rank), qmax)
+
+
+def test_macdonald_dimension_grain_sees_a_wrong_weyl_dim(monkeypatch):
+    # doubling every dimension but the trivial one breaks the q^1 slice
+    true = RootSystem.weyl_dim
+    monkeypatch.setattr(RootSystem, "weyl_dim", lambda self, fund: true(
+        self, fund) * (2 if any(fund) else 1))
+    for fam, rank, qmax in [("A", 1, 20), ("D", 4, 2)]:
+        assert not macdonald_dimensions_hold(root_system(fam, rank), qmax)
 
 
 def copy_per_factor_denominator(rs, qmax):
@@ -331,6 +363,13 @@ def test_shifted_level_must_be_positive():
     with pytest.raises(ValueError):
         alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), 2,
                      pred=lambda gf, x: not any(x))
+    with pytest.raises(ValueError, match="^shifted level must be positive$"):
+        fm.q_dimension_sum(rs, lam, coroot_lattice_basis(rs), 2)
+    # ahead of the Weyl size gate: E7 at k = -h_vee
+    e7 = root_system("E", 7)
+    with pytest.raises(ValueError, match="k \\+ h_vee must be positive"):
+        alt_weyl_raw(e7, weight_from_coeffs(e7, (-18,) + (0,) * 7),
+                     coroot_lattice_basis(e7), 0)
 
 
 def test_weyl_size_gate_precedes_lattice_enumeration(monkeypatch):
@@ -343,6 +382,160 @@ def test_weyl_size_gate_precedes_lattice_enumeration(monkeypatch):
     lam = weight_from_coeffs(rs, (1,) + (0,) * 7)
     with pytest.raises(WeylSizeError):
         alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), 0)
+
+
+# -- the dominant-chamber numerator against the per-point loops ----------------
+
+NUMERATOR_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3),
+                   ("D", 4)]
+
+
+def dominant_part(ch, nu_fin):
+    # {m: {mu: c}} over the terms of an alternating sum at a dominant regular
+    # mu = nu_fin + offset: each regular orbit meets the chamber once, at +1
+    out = {}
+    for m, b in ch.slices.items():
+        for off, c in b.items():
+            mu = tuple(int(a + f) for a, f in
+                       zip(nu_fin, root_to_fund(ch.rs, off)))
+            if all(x > 0 for x in mu):
+                out.setdefault(m, {})[mu] = c
+    return out
+
+
+def outcome(fn, *args, **kw):
+    # a result, or the class and text of the refusal
+    try:
+        return fn(*args, **kw)
+    except (ValueError, AssertionError, ArithmeticError) as e:
+        return type(e), str(e)
+
+
+def assert_matches_point_loops(rs, lam, basis, qmax, pred=None,
+                               coeff_fn=None):
+    want = point_alt_weyl_raw(rs, lam, basis, qmax, pred, coeff_fn)
+    assert alt_weyl_raw(rs, lam, basis, qmax, pred, coeff_fn) == want
+    nu_fin, num = dominant_numerator(rs, lam, basis, qmax, pred, coeff_fn)
+    assert nu_fin == tuple(f + 1 for f in lam.finite)
+    assert num == dominant_part(want, nu_fin)
+    assert all(num.values()) and all(c for b in num.values()
+                                     for c in b.values())
+    if pred is None:
+        assert outcome(fm.q_dimension_sum, rs, lam, basis, qmax,
+                       coeff_fn) == outcome(point_q_dimension_sum, rs, lam,
+                                            basis, qmax, coeff_fn)
+    return num
+
+
+def points(rs, lam, basis, qmax):
+    return lattice_points_below(rs, basis, tuple(f + 1 for f in lam.finite),
+                                lam.level + rs.dual_coxeter, qmax)
+
+
+def some_zero(gf, x):
+    # -1, 0 or 1 by the lattice coordinates, so some points weigh 0
+    return sum(x) % 3 - 1
+
+
+@pytest.mark.parametrize("fam,rank", NUMERATOR_TYPES)
+def test_dominant_numerator_matches_the_point_loops(fam, rank):
+    rng = random.Random(16 + rank)
+    rs = root_system(fam, rank)
+    basis = coroot_lattice_basis(rs)
+    qmax = 2 if rank < 4 else 1
+    tried = 0
+    while tried < 8:
+        lam = weight_from_coeffs(
+            rs, [rng.randrange(-3, 3) for _ in range(rank + 1)])
+        if lam.level + rs.dual_coxeter <= 0:
+            continue
+        tried += 1
+        for coeff_fn in (None, some_zero):
+            assert_matches_point_loops(rs, lam, basis, qmax,
+                                       coeff_fn=coeff_fn)
+
+
+def test_dominant_numerator_of_a_screened_weight():
+    # D4 (-3,1,0,0,1) at order 2: 12 lattice points, 4 dominant weights left;
+    # the screened coefficient (gamma|alpha) + 1 vanishes on some points
+    rs = root_system("D", 4)
+    lam = weight_from_coeffs(rs, (-3, 1, 0, 0, 1))
+    alpha = fm.check_deligne_conditions(rs, lam)["alpha"]
+    co = fm.screened_coefficient(rs, alpha)
+    basis = coroot_lattice_basis(rs)
+    assert len(points(rs, lam, basis, 2)) == 12
+    num = assert_matches_point_loops(rs, lam, basis, 2, coeff_fn=co)
+    assert sum(map(len, num.values())) == 4
+    assert any(co(g, x) == 0 for x, g, _ in points(rs, lam, basis, 4))
+    assert_matches_point_loops(rs, lam, basis, 4, coeff_fn=co)
+
+
+def test_singular_points_and_cancelling_pairs_leave_nothing():
+    # A1 at finite weight -1, level 0: nu_fin = 0 is singular, and every
+    # other point 4x meets -4x at the same drop with the opposite sign
+    rs = root_system("A", 1)
+    lam = weight_from_coeffs(rs, (1, -1))
+    basis = coroot_lattice_basis(rs)
+    assert len(points(rs, lam, basis, 8)) == 5
+    assert dominant_numerator(rs, lam, basis, 8) == ((0,), {})
+    assert len(alt_weyl_raw(rs, lam, basis, 8)) == 0
+    assert_matches_point_loops(rs, lam, basis, 8)
+    assert fm.q_dimension_sum(rs, lam, basis, 8) == [0] * 9
+
+
+def test_predicates_read_the_same_numerator(monkeypatch):
+    # the half-lattice sums and both parity brackets, once through the
+    # dominant numerator and once through the per-point loop
+    builds = [
+        lambda: fm.sl_first_numerator(4, 1, 3),
+        lambda: fm.sl_last_numerator(5, 2, 2),
+        lambda: fm.sp_a_numerator(6, 1, 3),
+        lambda: fm.parity_bracket(
+            2, lambda j: j[0] >= 0 and sum(j) % 2 == 1, 4),
+        lambda: fm.parity_bracket(
+            3, lambda j: j[0] < 0 and sum(j) % 2 == 0, 3),
+        lambda: fm.sp_parity_numerator(6, "b", 3),
+    ]
+    new = [build() for build in builds]
+    assert all(len(num) for num in new)
+    monkeypatch.setattr(fm, "alt_weyl_raw", point_alt_weyl_raw)
+    assert new == [build() for build in builds]
+    # and the dominant part of each predicate sum directly
+    rs = root_system("C", 2)
+    lam = weight_from_coeffs(rs, (-1, 0, 0))
+    for pred in (lambda gf, x: fm._orth_coords(rs, gf)[0] >= 0,
+                 lambda gf, x: sum(fm._orth_coords(rs, gf)) % 2 == 0):
+        assert_matches_point_loops(rs, lam, coroot_lattice_basis(rs), 4,
+                                   pred=pred)
+
+
+def test_uncancelled_negative_drop_is_refused_alike():
+    # A1 weight -5 at level 1: gamma = alpha^vee drops by -1 (see
+    # test_formulas); both numerators keep the term, both sums refuse it
+    rs = root_system("A", 1)
+    lam = weight_from_coeffs(rs, (6, -5))
+    basis = coroot_lattice_basis(rs)
+    num = assert_matches_point_loops(rs, lam, basis, 2)
+    assert min(num) == -1
+    got = outcome(fm.q_dimension_sum, rs, lam, basis, 2)
+    assert got == outcome(point_q_dimension_sum, rs, lam, basis, 2)
+    assert got[0] is SliceError and "negative q-power -1" in got[1]
+
+
+def test_base_off_the_root_lattice_is_refused_alike():
+    # weights off the weight lattice, kept to gamma = 0 (the only point at
+    # order 0, or by the predicate), whose drop is integral
+    a1, a2 = root_system("A", 1), root_system("A", 2)
+    cases = [
+        (a1, AffineWeight.make((Fraction(1, 2),), 1, 0), 0, None),
+        (a2, AffineWeight.make((Fraction(1, 3), Fraction(2, 3)), 1, 0), 2,
+         lambda gf, x: not any(x)),
+    ]
+    for rs, lam, qmax, pred in cases:
+        for fn in (alt_weyl_raw, point_alt_weyl_raw, dominant_numerator):
+            with pytest.raises(AssertionError,
+                               match="^orbit offset left the root lattice$"):
+                fn(rs, lam, coroot_lattice_basis(rs), qmax, pred)
 
 
 # -- level-one integrable characters against the lattice-oscillator model -------

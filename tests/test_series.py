@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from oracles import (
     apply,
+    denominator_series,
     matrix_is_weyl_invariant,
     root_to_fund,
     tuple_mul_slices,
@@ -23,7 +24,6 @@ from affinechar.series import (
     OffsetPacking,
     SliceError,
     character_from_numerator,
-    denominator_series,
     denominator_slices,
     first_diff,
     laurent_divide,
