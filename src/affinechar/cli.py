@@ -14,7 +14,10 @@ precondition, a size or state budget exceeded, or a non-integral result,
 compute and qdim take from FORMULAS, and verify from CHECKS, what each
 formula or check reads: FORMULAS gives a formula's family and which of
 --s and --allow-large-weyl it reads, CHECKS the options of a check with
-their defaults.  An option that nothing named reads is refused.
+their defaults.  An option that nothing named reads is refused.  FLOORS,
+the one floor table of verify, holds every option a named check reads,
+given or defaulted, before any check runs; a check body keeps only its own
+rules, such as even n on the type C checks.
 """
 
 from __future__ import annotations
@@ -148,9 +151,9 @@ def _sp_fixed_top(args):
           f"{f} is the module at weight {tuple(want)}")
     n = 2 * rs.rank
     if f == "sp-b":
-        return fm.sp_b_character(n, args.order)
+        return fm.sp_split_characters(n, args.order)[0]
     if f == "sp-c":
-        return fm.sp_c_character(n, args.order + 1)
+        return fm.sp_c_character(fm.sp_split_characters(n, args.order + 1)[1])
     return fm.sp_parity_numerator(n, f[-1], args.order)
 
 
@@ -197,7 +200,7 @@ def _compute_series(args, character: bool) -> CharSlices:
             return ser
         return ser.mul_slices(denominator_slices(ser.rs, ser.qmax))
     if character:
-        return character_from_numerator(ser.rs, ser.base, ser)
+        return character_from_numerator(ser)
     return ser.require_nonnegative()
 
 
@@ -257,16 +260,10 @@ def _qdim_text(lam, order: int, series: list[int], fmt: str) -> str:
 # -- verify checks --------------------------------------------------------
 
 
-def _n_arg(args, even: bool = False) -> int:
-    _need(args.n >= 3, "needs n >= 3")
-    if even:
-        _need(args.n % 2 == 0 and args.n >= 4, "needs even n >= 4")
+def _even_n(args) -> int:
+    """n of a type C check; past the floor n >= 3, even n means n >= 4."""
+    _need(args.n % 2 == 0, "needs even n >= 4")
     return args.n
-
-
-def _order_arg(args) -> int:
-    _need(args.order >= 0, "needs order >= 0")
-    return args.order
 
 
 def _mismatch(diff, left: str, right: str, what: str = "exps") -> str | None:
@@ -293,38 +290,29 @@ def _cone_result(identity: str, order: int, prod, summ) -> dict:
 
 
 def _check_superdenominator_sl(args):
-    n = _n_arg(args)
-    order = _order_arg(args)
-    return _cone_result(f"superdenominator-sl n={n}", order,
-                        superden.sl_product(n, order),
-                        superden.sl_sum(n, order))
+    return _cone_result(f"superdenominator-sl n={args.n}", args.order,
+                        superden.sl_product(args.n, args.order),
+                        superden.sl_sum(args.n, args.order))
 
 
 def _check_superdenominator_sp(args):
-    n = _n_arg(args, even=True)
-    order = _order_arg(args)
+    n, order = _even_n(args), args.order
     return _cone_result(f"superdenominator-sp n={n}", order,
                         superden.spo_product(n // 2, order),
                         superden.spo_sum(n // 2, order))
 
 
 def _check_tower_fock(args):
-    n = _n_arg(args)
-    s = args.s
-    _need(s >= 0, "needs s >= 0")
-    order = _order_arg(args)
+    n, s, order = args.n, args.s, args.order
     num = fm.sl_first_numerator(n, s, order)
-    ch = character_from_numerator(num.rs, num.base, num)
+    ch = character_from_numerator(num)
     oracle = fock.charge_sector_character(num.rs, s, order)
     return _result(f"tower-fock n={n} s={s}", order, len(ch),
                    _mismatch(ch.first_diff(oracle), "lattice", "free-field"))
 
 
 def _check_flip_symmetry(args):
-    n = _n_arg(args)
-    s = args.s
-    _need(s >= 0, "needs s >= 0")
-    order = _order_arg(args)
+    n, s, order = args.n, args.s, args.order
     first = fm.sl_first_numerator(n, s, order)
     last = fm.sl_last_numerator(n, s, order)
     d = first.first_diff(fm.diagram_flip(last))
@@ -333,9 +321,7 @@ def _check_flip_symmetry(args):
 
 
 def _check_sl2_closed(args):
-    s = args.s
-    _need(s >= 0, "needs s >= 0")
-    order = _order_arg(args)
+    s, order = args.s, args.order
     _need(order >= s + 2, f"needs order >= s+2 = {s + 2} to see the "
           "first deviation")
     closed = fm.sl2_closed_numerator(s, order)
@@ -352,28 +338,21 @@ def _check_sl2_closed(args):
 
 
 def _check_tower_assembly(args):
-    n = _n_arg(args)
-    order = _order_arg(args)
-    smax = args.smax
-    _need(smax >= 0, "needs smax >= 0")
-    d, terms = fm.sl_tower_assembly_check(n, order, smax)
-    return _result(f"tower-assembly n={n} |s|<={smax}", order, terms,
-                   _mismatch(d, "tower", "product"))
+    d, terms = fm.sl_tower_assembly_check(args.n, args.order, args.smax)
+    return _result(f"tower-assembly n={args.n} |s|<={args.smax}", args.order,
+                   terms, _mismatch(d, "tower", "product"))
 
 
 def _check_sector_restriction(args):
-    n = _n_arg(args, even=True)
-    s = args.s
+    n, s, order = _even_n(args), args.s, args.order
     _need(s >= 1, "sector restriction needs s >= 1")
-    order = _order_arg(args)
     d = fm.sp_sector_restriction_check(n, s, order)
     return _result(f"sector-restriction n={n} s={s}", order, 0,
                    _mismatch(d, "product", "sum"))
 
 
 def _check_flip_decomposition(args):
-    n = _n_arg(args, even=True)
-    order = _order_arg(args)
+    n, order = _even_n(args), args.order
     d_plus, d_minus = fm.sp_flip_decomposition_check(n, order)
     mism = (_mismatch(d_plus, "split (+1)", "free-field (+1)")
             or _mismatch(d_minus, "split (-1)", "free-field (-1)"))
@@ -381,32 +360,31 @@ def _check_flip_decomposition(args):
 
 
 def _check_twisted_denominator(args):
-    n = _n_arg(args, even=True)
-    order = _order_arg(args)
+    n, order = _even_n(args), args.order
     d = fm.twisted_denominator_check(n // 2, order)
     return _result(f"twisted-denominator n={n}", order, 0,
                    _mismatch(d, "product", "sum"))
 
 
 def _check_parity_vs_split(args):
-    n = _n_arg(args, even=True)
-    order = _order_arg(args)
+    n, order = _even_n(args), args.order
     _need(order >= 1, "needs order >= 1 for the shifted member")
-    chb = fm.sp_b_character(n, order)
-    chc = fm.sp_c_character(n, order)
+    chb, shifted = fm.sp_split_characters(n, order)
+    chc = fm.sp_c_character(shifted)
     num_a = fm.sp_parity_numerator(n, "a", order)
     num_b = fm.sp_parity_numerator(n, "b", chc.qmax)
-    d_a = num_a.first_diff(chb.mul_slices(denominator_slices(chb.rs, order)))
-    d_b = num_b.first_diff(
-        chc.mul_slices(denominator_slices(chc.rs, chc.qmax)))
+    # a product is cut at its left operand's order, so one denominator
+    # serves chb at order and chc one q-power lower
+    den = denominator_slices(chb.rs, order)
+    d_a = num_a.first_diff(chb.mul_slices(den))
+    d_b = num_b.first_diff(chc.mul_slices(den))
     mism = (_mismatch(d_a, "vacuum parity sum", "split")
             or _mismatch(d_b, "shifted parity sum", "split"))
     return _result(f"parity-vs-split n={n}", order, len(num_a), mism)
 
 
 def _check_parity_bracket(args):
-    n = _n_arg(args, even=True)
-    order = _order_arg(args)
+    n, order = _even_n(args), args.order
     d = fm.parity_bracket_identity(n // 2, order)
     return _result(f"parity-bracket n={n}", order, 0,
                    _mismatch(d, "odd bracket", "negated even bracket"))
@@ -422,13 +400,13 @@ def _parse_omega(text: str, npr: int):
                 f"--omega expects window points j1,j2;... with {npr} "
                 f"integers per point, not {text!r}") from None
         _need(len(js) == npr, f"each window point needs {npr} coordinates")
+        _need(js not in pts, f"--omega names the window point {js} twice")
         pts.append(js)
     return pts
 
 
 def _check_window_negation(args):
-    n = _n_arg(args, even=True)
-    order = _order_arg(args)
+    n, order = _even_n(args), args.order
     omega = _parse_omega(args.omega, n // 2)
     d = fm.window_negation_check(n // 2, omega, order)
     return _result(f"window-negation n={n} omega={omega}", order,
@@ -439,9 +417,8 @@ def _check_window_negation(args):
 def _check_deligne_positivity(args):
     rs = _algebra(args)
     lam = _weight(rs, args.weight)
-    order = _order_arg(args)
-    num = _weyl(args, fm.deligne_numerator, rs, lam, order)
-    ch = character_from_numerator(rs, lam, num)
+    ch = character_from_numerator(
+        _weyl(args, fm.deligne_numerator, rs, lam, args.order))
     zero = (0,) * rs.rank
     if ch.coeff(0, zero) != 1:
         d = ((0, *zero), ch.coeff(0, zero), 1)
@@ -449,19 +426,19 @@ def _check_deligne_positivity(args):
         d = next((((m, *off), c, ">= 0") for m in sorted(ch.slices)
                   for off, c in sorted(ch.slices[m].items()) if c < 0), None)
     return _result(f"deligne-positivity {rs.family}{rs.rank} "
-                   f"{tuple(args.weight)}", order,
+                   f"{tuple(args.weight)}", args.order,
                    len(ch), _mismatch(d, "multiplicity", "wanted"))
 
 
 def _check_qdim_two_path(args):
     rs = _algebra(args)
     lam = _weight(rs, args.weight)
-    order = _order_arg(args)
+    order = args.order
     cond = fm.check_deligne_conditions(rs, lam)
     _need(cond["ok"], "weight fails the screening: "
           + "; ".join(cond["failures"]))
-    num = _weyl(args, fm.deligne_numerator, rs, lam, order)
-    ch = character_from_numerator(rs, lam, num)
+    ch = character_from_numerator(
+        _weyl(args, fm.deligne_numerator, rs, lam, order))
     direct = fm.q_dimension_sum(rs, lam, coroot_lattice_basis(rs), order,
                                 coeff_fn=fm.screened_coefficient(
                                     rs, cond["alpha"]),
@@ -488,7 +465,6 @@ def _random_slices(rng, rs, qmax: int) -> CharSlices:
 
 def _check_properties(args):
     seed, cases = args.seed, args.cases
-    _need(cases >= 1, "needs cases >= 1")
     rng = random.Random(seed)
     a2 = root_system("A", 2)
     c2 = root_system("C", 2)
@@ -529,10 +505,12 @@ def _check_properties(args):
             fails.append(f"case {it}: translation group law")
 
         # Weyl alternation: sign flips under a simple reflection
-        mu = tuple(Fraction(rng.randrange(-4, 5)) for _ in range(2))
-        dom, sgn, reg = c2.to_dominant(mu)
-        dom2, sgn2, reg2 = c2.to_dominant(c2.reflect(rng.randrange(2), mu))
-        if reg != reg2 or dom != dom2:
+        mu = tuple(rng.randrange(-4, 5) for _ in range(2))
+        nu = c2.reflect(rng.randrange(2), mu)
+        dom, sgn, _ = c2.dominant_offset(mu, mu)
+        dom2, sgn2, _ = c2.dominant_offset(nu, nu)
+        reg = all(dom)
+        if dom != dom2:
             fails.append(f"case {it}: reflection changed the orbit")
         if reg and sgn2 != -sgn:
             fails.append(f"case {it}: sign not alternating")
@@ -588,12 +566,18 @@ CHECKS = {
 }
 
 
+# the floor of each integer option of verify, the one place it is checked
+FLOORS = {"n": 3, "s": 0, "smax": 0, "order": 0, "cases": 1}
+
+
 def _check_args(args, reads: dict) -> argparse.Namespace:
     ns = argparse.Namespace()
     for opt, default in reads.items():
         val = getattr(args, opt)
         if val is None:
             val = default(ns) if callable(default) else default
+        if opt in FLOORS:
+            _need(val >= FLOORS[opt], f"needs {opt} >= {FLOORS[opt]}")
         setattr(ns, opt, val)
     return ns
 
@@ -645,11 +629,12 @@ def cmd_verify(args) -> int:
         _need(getattr(args, opt) is None or not set(names).isdisjoint(readers),
               f"--{opt.replace('_', '-')} is read by none of the named checks;"
               " it is read by " + ", ".join(readers))
+    todo = [(CHECKS[name][0], _check_args(args, CHECKS[name][1]))
+            for name in names]
     results = []
-    for name in names:
-        fn, reads = CHECKS[name]
+    for fn, ns in todo:
         t0 = time.perf_counter()
-        r = fn(_check_args(args, reads))
+        r = fn(ns)
         r["seconds"] = f"{time.perf_counter() - t0:.3f}"
         results.append(r)
     _emit(_verify_text(results, args.format))
@@ -663,7 +648,7 @@ def cmd_list_deligne(args) -> int:
     _need(args.level < 0, "level must be a negative integer")
     window = args.window if args.window is not None else -args.level
     _need(window >= 0, "window must be >= 0")
-    found = fm.deligne_enumerate(rs, args.level, mmax=window)
+    found = fm.deligne_enumerate(rs, args.level, window)
     if args.format == "json":
         d = {
             "family": fam,

@@ -24,6 +24,10 @@ from .series import (
 )
 
 
+# the most basis states one enumeration may list
+STATE_BUDGET = 10_000_000
+
+
 class BudgetError(RuntimeError):
     pass
 
@@ -62,12 +66,13 @@ def _mode_multisets(n: int, count: int, e2budget: int) -> list[Modes]:
     return [_modes(n, pairs) for pairs in rec(count, e2budget, 1, 1)]
 
 
-def fock_states(n: int, s: int, e2max: int, budget: int = 10_000_000):
+def fock_states(n: int, s: int, e2max: int):
     """All charge-s basis states with doubled energy at most e2max.
 
     A state is a pair (raising modes, lowering modes) of shared Modes; the
     lowering multisets of each count are built once, and each raising one
-    takes those that fit its remaining energy.
+    takes those that fit its remaining energy.  BudgetError as soon as the
+    states would pass STATE_BUDGET.
     """
     out = []
     for t in range(max(0, -s), (e2max - s) // 2 + 1):
@@ -77,7 +82,7 @@ def fock_states(n: int, s: int, e2max: int, budget: int = 10_000_000):
             lim = e2max - cre.e2
             if lim not in fits:
                 fits[lim] = [ann for ann in anns if ann.e2 <= lim]
-            if len(out) + len(fits[lim]) > budget:
+            if len(out) + len(fits[lim]) > STATE_BUDGET:
                 raise BudgetError("state enumeration over budget")
             out.extend([(cre, ann) for ann in fits[lim]])
     return out
@@ -111,7 +116,7 @@ def sp_root_coords(v) -> tuple[int, ...]:
     return tuple(out)
 
 
-def charge_zero_split(n: int, e2max: int, budget: int = 10_000_000):
+def charge_zero_split(n: int, e2max: int):
     """Split the charge-zero sector by the flip eigenvalue.
 
     Returns (plus, minus), each {e2: {folded weight: dim}}.  The flip sends
@@ -140,7 +145,7 @@ def charge_zero_split(n: int, e2max: int, budget: int = 10_000_000):
 
     full: dict[int, dict[int, int]] = {}
     fixed: dict[int, dict[int, int]] = {}
-    for st in fock_states(n, 0, e2max, budget):
+    for st in fock_states(n, 0, e2max):
         cre, ann = st
         fc, ffc, vc, sc, vfc, sfc = info.get(id(cre)) or record(cre)
         fa, ffa, va, sa, vfa, sfa = info.get(id(ann)) or record(ann)
@@ -185,8 +190,7 @@ def split_to_char(rs_sp: RootSystem, part: dict, qmax: int) -> CharSlices:
     return CharSlices(rs_sp, base, qmax, slices)
 
 
-def charge_sector_character(rs: RootSystem, s: int, qmax: int,
-                            budget: int = 10_000_000) -> CharSlices:
+def charge_sector_character(rs: RootSystem, s: int, qmax: int) -> CharSlices:
     """Irreducible character carried by the charge-s sector, s >= 0.
 
     On type A_{n-1} the frame has n colours; on type C_r it has 2r, and each
@@ -212,7 +216,7 @@ def charge_sector_character(rs: RootSystem, s: int, qmax: int,
         raise ValueError("charge must be nonnegative here")
     e2max = 2 * qmax + s
     tally: dict[int, dict[tuple[int, ...], int]] = {}
-    for cre, ann in fock_states(n, s, e2max, budget):
+    for cre, ann in fock_states(n, s, e2max):
         e2 = cre.e2 + ann.e2
         if (e2 - s) % 2:
             raise AssertionError("energy parity broke")

@@ -179,38 +179,26 @@ def sp_twist_product_character(rs: RootSystem, qmax: int) -> CharSlices:
     return base.mul_qpoly(ratio)
 
 
-def _sp_halves(n: int, qmax: int):
-    """Lattice-sum character at the vacuum weight, and the twist product."""
+def sp_split_characters(n: int, qmax: int):
+    """From one lattice-sum character ca at the level -1 vacuum and one twist
+    product m: (ca + m)/2, the vacuum character, and (ca - m)/2, the partner
+    character times q, still written relative to the vacuum weight."""
     if n < 4 or n % 2:
         raise ValueError("needs even n >= 4")
     npr = n // 2
     rs = root_system("C", npr)
     lam = weight_from_coeffs(rs, (-1,) + (0,) * npr)
-    num = _half_sum(rs, lam, coroot_lattice_basis(rs), 1, qmax)
-    ca = character_from_numerator(rs, lam, num)
+    ca = character_from_numerator(
+        _half_sum(rs, lam, coroot_lattice_basis(rs), 1, qmax))
     m = sp_twist_product_character(rs, qmax)
-    return ca, m
+    return (ca + m).halve(), (ca - m).halve()
 
 
-def sp_b_character(n: int, qmax: int) -> CharSlices:
-    """Character of the level -1 vacuum module, split-form average."""
-    ca, m = _sp_halves(n, qmax)
-    return (ca + m).halve()
-
-
-def sp_c_character_shifted(n: int, qmax: int) -> CharSlices:
-    """Split-form half-difference; the partner character times q,
-    still written relative to the vacuum weight."""
-    ca, m = _sp_halves(n, qmax)
-    return (ca - m).halve()
-
-
-def sp_c_character(n: int, qmax: int) -> CharSlices:
-    """Character of the level -1 module with top on the second node."""
-    npr = n // 2
-    shifted = sp_c_character_shifted(n, qmax)
+def sp_c_character(shifted: CharSlices) -> CharSlices:
+    """Character of the level -1 module with top on the second node, from
+    the second split form: one q-power down, based at its own top."""
     rs = shifted.rs
-    lam2 = weight_from_coeffs(rs, (-2, 0, 1) + (0,) * (npr - 2))
+    lam2 = weight_from_coeffs(rs, (-2, 0, 1) + (0,) * (rs.rank - 2))
     off2 = tuple(int(c) for c in rs.fund_to_root(_unit(rs, 2)))
     return shifted.rebase(lam2, 1, off2)
 
@@ -343,18 +331,16 @@ def deligne_numerator(rs: RootSystem, lam, qmax: int) -> CharSlices:
     return num.halve()
 
 
-def deligne_enumerate(rs: RootSystem, k: int, mmax: int | None = None):
+def deligne_enumerate(rs: RootSystem, k: int, mmax: int):
     """Level-k weights with node coefficients in [0, mmax] that pass the
     screening; returns (coeffs, alpha root coords) pairs.
 
-    The default window mmax = |k| keeps the scan tied to the level; wider
-    windows turn up further weights with the same three properties.
+    The window mmax = |k| keeps the scan tied to the level; wider windows
+    turn up further weights with the same three properties.
     """
     c = k + rs.dual_coxeter
     if c <= 0:
         raise ValueError("shifted level must be positive")
-    if mmax is None:
-        mmax = -k
     out = []
     for fin in itertools.product(range(mmax + 1), repeat=rs.rank):
         m0 = k - sum(f * cm for f, cm in zip(fin, rs.comarks))
@@ -468,8 +454,7 @@ def sp_flip_decomposition_check(n: int, qmax: int):
     f0p = fock.split_to_char(rs, plus, qmax)
     f0m = fock.split_to_char(rs, minus, qmax)
     vp, vm = fock.oscillator_split(qmax)
-    chb = sp_b_character(n, qmax)
-    chc = sp_c_character_shifted(n, qmax)
+    chb, chc = sp_split_characters(n, qmax)
     d_plus = (chb.mul_qpoly(vp) + chc.mul_qpoly(vm)).first_diff(f0p)
     d_minus = (chb.mul_qpoly(vm) + chc.mul_qpoly(vp)).first_diff(f0m)
     return d_plus, d_minus

@@ -15,6 +15,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul, sub
 
+# the most Weyl group elements a request may enumerate without allow_large
+WEYL_LIMIT = 10**6
+
 
 def _scaled(xs) -> tuple[list[int], int]:
     """Integers n_i and one d > 0 with xs_i = n_i / d (ints or Fractions)."""
@@ -204,29 +207,28 @@ class RootSystem:
             order *= 1 + sum(1 for n in counts if n >= i)
         return order
 
-    def check_weyl_order(self, limit: int = 10**6) -> int:
-        """|W|, or WeylSizeError when it exceeds limit; nothing enumerated."""
+    def check_weyl_order(self) -> int:
+        """|W|, or WeylSizeError over WEYL_LIMIT; nothing enumerated."""
         order = self.weyl_order()
-        if order > limit:
+        if order > WEYL_LIMIT:
             raise WeylSizeError(f"Weyl group of {self.family}{self.rank} has "
-                                f"{order} elements, more than {limit}")
+                                f"{order} elements, more than {WEYL_LIMIT}")
         return order
 
-    def weyl_group(self, limit: int = 10**6,
-                   allow_large: bool = False) -> list["WeylElement"]:
+    def weyl_group(self, allow_large: bool = False) -> list["WeylElement"]:
         """Full Weyl group as integer matrices on fundamental coordinates.
 
-        Groups larger than `limit` are refused unless allow_large is set;
-        E_7 and E_8 are the only supported types past the default bound.
-        The size is decided from weyl_order() before anything is enumerated.
-        The group is cached: once enumerated (say with allow_large), every
-        later call returns the same list whatever its limit.  No orbit is
-        taken through these matrices: callers use the call as a size gate.
+        Groups larger than WEYL_LIMIT are refused unless allow_large is set;
+        E_7 and E_8 are the only supported types past it.  The size is
+        decided from weyl_order() before anything is enumerated.  The group
+        is cached: once enumerated (say with allow_large), every later call
+        returns the same list.  No orbit is taken through these matrices:
+        callers use the call as a size gate.
         """
         if self._weyl_cache is not None:
             return self._weyl_cache
         order = (self.weyl_order() if allow_large
-                 else self.check_weyl_order(limit))
+                 else self.check_weyl_order())
         l = self.rank
         # Matrices are kept as tuples of columns: right-multiplying by s_i
         # changes column i only, to -col_i - sum_{j != i} cartan[j][i] col_j.
@@ -262,17 +264,11 @@ class RootSystem:
             vi[:], sign = self.reflect(i, vi), -sign
         return sign
 
-    def to_dominant(self, fund) -> tuple[tuple[Fraction, ...], int, bool]:
-        """(dominant representative, sign of the element used, regular),
-        regular being False when a reflection fixes the representative."""
-        vi, d = _scaled(fund)
-        sign = self._reduce(vi)
-        return tuple(Fraction(x, d) for x in vi), sign, all(vi)
-
     def dominant_offset(self, v, base):
-        """(v+, sign, root coordinates of v+ - base) in ints, v+ and sign as
-        in to_dominant.  AssertionError unless every w(v) - base lies in the
-        root lattice, that is unless v is integral and v - base a root sum."""
+        """(v+, sign, root coordinates of v+ - base) in ints: v+ = w(v) is
+        dominant, sign is eps(w), and v+ is regular exactly when all(v+).
+        AssertionError unless every w(v) - base lies in the root lattice,
+        that is unless v is integral and v - base a root sum."""
         ints, d = _scaled((*v, *base))
         vi, bi = ints[:self.rank], ints[self.rank:]
         sign = self._reduce(vi)

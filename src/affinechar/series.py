@@ -32,21 +32,21 @@ class AffineWeight(namedtuple("AffineWeight", "finite level delta")):
     __slots__ = ()
 
     @staticmethod
-    def make(finite, level=0, delta=0) -> "AffineWeight":
+    def make(finite, level, delta) -> "AffineWeight":
         return AffineWeight(
             tuple(Fraction(x) for x in finite), Fraction(level), Fraction(delta)
         )
 
 
-def weight_from_coeffs(rs: RootSystem, coeffs, delta=0) -> AffineWeight:
-    """Weight m_0 Lambda_0 + sum_i m_i Lambda_i + delta * delta-direction."""
+def weight_from_coeffs(rs: RootSystem, coeffs) -> AffineWeight:
+    """Weight m_0 Lambda_0 + sum_i m_i Lambda_i, delta coefficient 0."""
     if len(coeffs) != rs.rank + 1:
         raise ValueError("need rank+1 coefficients")
     level = Fraction(coeffs[0]) + sum(
         Fraction(coeffs[i + 1]) * rs.comarks[i] for i in range(rs.rank)
     )
     fin = tuple(Fraction(c) for c in coeffs[1:])
-    return AffineWeight(fin, level, Fraction(delta))
+    return AffineWeight(fin, level, Fraction(0))
 
 
 def translate(rs: RootSystem, w: AffineWeight, gamma) -> AffineWeight:
@@ -170,11 +170,11 @@ class CharSlices:
     __slots__ = ("rs", "base", "qmax", "slices")
 
     def __init__(self, rs: RootSystem, base: AffineWeight, qmax: int,
-                 slices: dict[int, dict[tuple[int, ...], int]] | None = None):
+                 slices: dict[int, dict[tuple[int, ...], int]]):
         self.rs = rs
         self.base = base
         self.qmax = qmax
-        self.slices = slices if slices is not None else {}
+        self.slices = slices
 
     def __len__(self) -> int:
         """Number of nonzero terms."""
@@ -318,16 +318,6 @@ class CharSlices:
             }
         return CharSlices(self.rs, new_base, self.qmax - m_shift, out)
 
-    def is_weyl_invariant(self) -> bool:
-        """Every simple reflection maps each q-slice, read as the weights
-        base.finite + offset, onto itself; a non-integral base allows none."""
-        rs, base = self.rs, self.base.finite
-        if any(x.denominator != 1 for x in base):
-            return not any(self.slices.values())
-        return all({rs.reflect_offset(i, o, int(x)): c for o, c in b.items()}
-                   == b for b in self.slices.values()
-                   for i, x in enumerate(base))
-
     def to_json_dict(self) -> dict:
         rs = self.rs
         terms = []
@@ -347,19 +337,6 @@ class CharSlices:
             "q_half": False,
             "terms": terms,
         }
-
-    @staticmethod
-    def from_json_dict(rs: RootSystem, d: dict) -> "CharSlices":
-        base = AffineWeight.make(
-            [Fraction(x) for x in d["base"]], Fraction(d["level"]),
-            Fraction(d["delta"])
-        )
-        slices: dict[int, dict[tuple[int, ...], int]] = {}
-        for t in d["terms"]:
-            m = int(t["exps"][0])
-            off = tuple(int(x) for x in t["exps"][1:])
-            slices.setdefault(m, {})[off] = int(t["coeff"])
-        return CharSlices(rs, base, int(d["order"]), slices)
 
 
 def phi_slices(qmax: int, step: int = 1) -> dict[int, int]:
@@ -527,10 +504,9 @@ def laurent_divide(num: dict[int, int], roots: list[tuple[int, ...]],
     return num
 
 
-def character_from_numerator(rs: RootSystem, base: AffineWeight,
-                             numerator: "CharSlices",
-                             qmax: int | None = None) -> "CharSlices":
-    """Solve R-hat * ch = numerator slice by slice.
+def character_from_numerator(numerator: CharSlices) -> CharSlices:
+    """Solve R-hat * ch = numerator slice by slice, on the numerator's root
+    system, base and order.
 
     R-hat = D_0 P with D_0 the finite Weyl denominator and P = R-hat / D_0,
     so V_m = N_m / D_0 and ch_m = V_m - sum_{j=1..m} P_j ch_{m-j}.  A
@@ -539,8 +515,7 @@ def character_from_numerator(rs: RootSystem, base: AffineWeight,
     its dividend's coordinate range, so every offset is within (qmax + 1) *
     (max|N| + max|P|), and a string key o - t alpha 1 + max(theta) times it.
     """
-    if qmax is None:
-        qmax = numerator.qmax
+    rs, qmax = numerator.rs, numerator.qmax
     numerator.require_nonnegative()
     psl = denominator_slices(rs, qmax, finite=False)
     if psl[0] != {(0,) * rs.rank: 1}:
@@ -565,5 +540,5 @@ def character_from_numerator(rs: RootSystem, base: AffineWeight,
                         acc.pop(k1 + k2, None)
         if acc:
             out[m] = acc
-    return CharSlices(rs, base, qmax,
+    return CharSlices(rs, numerator.base, qmax,
                       {m: pk.unpack_dict(b) for m, b in out.items()})

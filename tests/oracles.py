@@ -3,8 +3,10 @@
 First is the matrix model of the finite Weyl group the library kept
 before it reflected integer vectors: an integer matrix per simple
 reflection, its action on fundamental coordinates in Fractions, and the
-invariance probe that mapped each slice through those matrices, together
-with the finite Weyl denominator taken from Weyl's denominator formula.
+invariance probe that mapped each slice through those matrices, next to
+the integer invariance probe and the JSON reader of CharSlices, which
+only the tests call, together with the finite Weyl denominator taken
+from Weyl's denominator formula.
 The next group is the code the library ran before the dominant-chamber
 orbit walk and the integer drop: a loop over the matrices of weyl_group()
 for every orbit, `Fraction` sums for every lattice point, the per-point
@@ -30,7 +32,12 @@ from affinechar.rootdata import (
     root_lattice_basis,
     root_system,
 )
-from affinechar.series import SliceError, cone_product
+from affinechar.series import (
+    AffineWeight,
+    CharSlices,
+    SliceError,
+    cone_product,
+)
 
 
 def apply(w, v):
@@ -60,7 +67,7 @@ def simple_reflection(rs, i):
 
 
 def matrix_is_weyl_invariant(ch) -> bool:
-    """ch.is_weyl_invariant() through the matrices: every offset to
+    """is_weyl_invariant(ch) through the matrices: every offset to
     fundamental coordinates, through s_i, and back to root coordinates."""
     rs = ch.rs
     for b in ch.slices.values():
@@ -79,6 +86,29 @@ def matrix_is_weyl_invariant(ch) -> bool:
             if moved != b:
                 return False
     return True
+
+
+def is_weyl_invariant(ch) -> bool:
+    """Every simple reflection maps each q-slice, read as the weights
+    base.finite + offset, onto itself; a non-integral base allows none."""
+    rs, base = ch.rs, ch.base.finite
+    if any(x.denominator != 1 for x in base):
+        return not any(ch.slices.values())
+    return all({rs.reflect_offset(i, o, int(x)): c for o, c in b.items()}
+               == b for b in ch.slices.values()
+               for i, x in enumerate(base))
+
+
+def slices_from_json_dict(rs, d: dict) -> CharSlices:
+    """The CharSlices that CharSlices.to_json_dict wrote as d."""
+    base = AffineWeight.make([Fraction(x) for x in d["base"]],
+                             Fraction(d["level"]), Fraction(d["delta"]))
+    slices: dict[int, dict[tuple[int, ...], int]] = {}
+    for t in d["terms"]:
+        m = int(t["exps"][0])
+        off = tuple(int(x) for x in t["exps"][1:])
+        slices.setdefault(m, {})[off] = int(t["coeff"])
+    return CharSlices(rs, base, int(d["order"]), slices)
 
 
 def weyl_denominator(rs) -> dict[tuple[int, ...], int]:

@@ -7,12 +7,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from oracles import slices_from_json_dict
 
 import affinechar
-from affinechar import cli, fock, superden
+from affinechar import cli, fock, series, superden
+from affinechar import formulas as fm
 from affinechar.cli import main
 from affinechar.rootdata import RootSystem, root_system
-from affinechar.series import CharSlices
 
 EIGHT_COEFFS = [
     [-1, 0, 0, 0, 0],
@@ -79,7 +80,7 @@ def test_json_roundtrip_is_byte_stable(capsys):
     ])
     assert code == 0
     d = json.loads(out)
-    ch = CharSlices.from_json_dict(root_system("A", 2), d)
+    ch = slices_from_json_dict(root_system("A", 2), d)
     assert json.dumps(ch.to_json_dict(), indent=1) + "\n" == out
 
 
@@ -149,6 +150,14 @@ def test_unparsable_omega_is_one_error_line_naming_the_form(capsys, omega):
     assert code == 2 and out == ""
     assert err == ("error: --omega expects window points j1,j2;... with 2 "
                    f"integers per point, not {omega!r}\n")
+
+
+def test_repeated_omega_point_is_refused(capsys):
+    # the window is a set of points: a repeat would double its term count
+    code, out, err = run(capsys, ["verify", "window-negation",
+                                  "--omega", "0,0;1,2;0,0"])
+    assert code == 2 and out == ""
+    assert err == "error: --omega names the window point (0, 0) twice\n"
 
 
 def test_omega_coordinate_count_message_is_kept(capsys):
@@ -264,6 +273,48 @@ def test_verify_refusal_names_the_readers_in_table_order(capsys):
                    "sector-restriction, flip-decomposition, "
                    "twisted-denominator, parity-vs-split, parity-bracket, "
                    "window-negation\n")
+
+
+TYPE_C_CHECKS = ("superdenominator-sp", "sector-restriction",
+                 "flip-decomposition", "twisted-denominator",
+                 "parity-vs-split", "parity-bracket", "window-negation")
+
+# (check, options, the one error line): every check, each integer option it
+# reads one below its floor, its own floors, and odd n on the type C checks
+REFUSALS = [
+    *[(c, ["--n", "2"], "needs n >= 3") for c in (
+        "superdenominator-sl", "superdenominator-sp", "tower-fock",
+        "flip-symmetry", "tower-assembly", *TYPE_C_CHECKS[1:])],
+    *[(c, ["--n", n], "needs even n >= 4")
+      for c in TYPE_C_CHECKS for n in ("3", "5")],
+    *[(c, ["--order", "-1"], "needs order >= 0") for c in (
+        "superdenominator-sl", "superdenominator-sp", "tower-fock",
+        "flip-symmetry", "sl2-closed", "tower-assembly", *TYPE_C_CHECKS[1:],
+        "deligne-positivity", "qdim-two-path")],
+    *[(c, ["--s", "-1"], "needs s >= 0")
+      for c in ("tower-fock", "flip-symmetry", "sl2-closed")],
+    ("sector-restriction", ["--s", "-1"], "needs s >= 0"),
+    ("sector-restriction", ["--s", "0"], "sector restriction needs s >= 1"),
+    ("tower-assembly", ["--smax", "-1"], "needs smax >= 0"),
+    ("parity-vs-split", ["--order", "0"],
+     "needs order >= 1 for the shifted member"),
+    ("sl2-closed", ["--s", "2", "--order", "3"],
+     "needs order >= s+2 = 4 to see the first deviation"),
+    *[(c, ["--rank", "0"], "rank must be >= 1")
+      for c in ("deligne-positivity", "qdim-two-path")],
+    ("properties", ["--cases", "0"], "needs cases >= 1"),
+]
+
+
+def test_every_check_has_a_pinned_refusal():
+    assert {c for c, _, _ in REFUSALS} == set(cli.CHECKS)
+
+
+@pytest.mark.parametrize("check,option,line", REFUSALS,
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_verify_refusal_is_one_exact_line(capsys, check, option, line):
+    code, out, err = run(capsys, ["verify", check, *option])
+    assert (code, out, err) == (2, "", f"error: {line}\n")
 
 
 def test_a_check_sees_its_own_options_filled_with_defaults(capsys,
@@ -549,10 +600,39 @@ def test_weyl_gate_offers_the_flag_only_where_it_is_read(capsys, argv):
 
 
 
+def _count_calls(monkeypatch, name, modules):
+    """{module name: calls of `name` through that module's own binding}."""
+    calls = {}
+    for mod in modules:
+        def counted(*args, _real=getattr(mod, name), _at=mod.__name__, **kw):
+            calls[_at] = calls.get(_at, 0) + 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv,dens", [
+    ("verify flip-decomposition", {"affinechar.series": 1}),
+    ("verify parity-vs-split", {"affinechar.cli": 1, "affinechar.series": 1}),
+    ("compute --formula sp-c --type C --rank 2 --character",
+     {"affinechar.series": 1}),
+])
+def test_the_type_c_split_is_built_once(capsys, monkeypatch, argv, dens):
+    # one lattice character divides out for both split forms, and one
+    # sliced denominator multiplies both; the series binding is the
+    # quotient R-hat / R inside that one division
+    chars = _count_calls(monkeypatch, "character_from_numerator", (cli, fm))
+    den = _count_calls(monkeypatch, "denominator_slices",
+                       (cli, fm, series))
+    code, out, err = run(capsys, argv.split())
+    assert (code, err) == (0, "") and '"ok": false' not in out
+    assert chars == {"affinechar.formulas": 1}
+    assert den == dens
+
+
 def test_state_budget_is_one_error_line_with_exit_two(capsys, monkeypatch):
-    real = fock.fock_states
-    monkeypatch.setattr(fock, "fock_states",
-                        lambda n, s, e2max, budget: real(n, s, e2max, 1))
+    monkeypatch.setattr(fock, "STATE_BUDGET", 1)
     code, out, err = run(capsys, ["verify", "tower-fock"])
     assert code == 2 and out == ""
     assert err == "error: state enumeration over budget\n"

@@ -100,9 +100,10 @@ def test_opposite_charge_is_the_dual():
             assert a == flipped
 
 
-def test_budget_guard_fires():
+def test_budget_guard_fires(monkeypatch):
+    monkeypatch.setattr(fock, "STATE_BUDGET", 5)
     with pytest.raises(BudgetError):
-        fock_states(3, 0, 10, budget=5)
+        fock_states(3, 0, 10)
 
 
 def test_states_match_the_generator_oracle_in_order():
@@ -119,12 +120,14 @@ def test_states_match_the_generator_oracle_in_order():
                         assert ms.counts == state_weight(n, (ms, ()))
 
 
-def test_budget_counts_every_state():
+def test_budget_counts_every_state(monkeypatch):
     # exactly at the state count passes, one below refuses
     total = len(fock_states(3, 1, 7))
-    assert len(fock_states(3, 1, 7, budget=total)) == total
+    monkeypatch.setattr(fock, "STATE_BUDGET", total)
+    assert len(fock_states(3, 1, 7)) == total
+    monkeypatch.setattr(fock, "STATE_BUDGET", total - 1)
     with pytest.raises(BudgetError):
-        fock_states(3, 1, 7, budget=total - 1)
+        fock_states(3, 1, 7)
 
 
 # -- sector characters -----------------------------------------------------------

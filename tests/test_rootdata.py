@@ -12,6 +12,7 @@ from oracles import (
     simple_reflection,
 )
 
+from affinechar import rootdata
 from affinechar.rootdata import (
     PosRoot,
     RootSystem,
@@ -81,12 +82,13 @@ def test_e6_order_and_dims():
     assert rs.weyl_dim(adj) == 78
 
 
-def test_e7_gate():
+def test_e7_gate(monkeypatch):
     rs = root_system("E", 7)
     assert len(rs.positive_roots) == 63
     assert rs.dual_coxeter == 18
-    with pytest.raises(WeylSizeError):
-        rs.weyl_group(limit=1000)
+    monkeypatch.setattr(rootdata, "WEYL_LIMIT", 1000)
+    with pytest.raises(WeylSizeError, match="more than 1000$"):
+        rs.weyl_group()
 
 
 @pytest.mark.parametrize("rank,order", [(6, 51840), (7, 2903040),
@@ -104,13 +106,14 @@ def test_large_weyl_groups_refuse_before_enumerating(rank):
     assert time.perf_counter() - t0 < 0.5
 
 
-def test_cached_group_outlives_the_gate():
+def test_cached_group_outlives_the_gate(monkeypatch):
     rs = root_system("A", 2)
+    monkeypatch.setattr(rootdata, "WEYL_LIMIT", 1)
     with pytest.raises(WeylSizeError):
-        rs.weyl_group(limit=1)
+        rs.weyl_group()
     W = rs.weyl_group(allow_large=True)
     assert len(W) == 6
-    assert rs.weyl_group(limit=1) is W
+    assert rs.weyl_group() is W
 
 
 def test_sign_matches_determinant():
@@ -158,18 +161,21 @@ def test_pairings_and_coordinates():
             assert rs.inner(apply(w, v), apply(w, u)) == rs.inner(v, u)
 
 
-def test_to_dominant():
+def test_dominant_offset_against_the_matrices():
+    # v+ = w(v) for some w, and for regular v+ that w is unique with
+    # sign eps(w); the offset is v+ - v in root coordinates
     rng = random.Random(7)
     for fam, rank in [("A", 2), ("C", 2), ("D", 4)]:
         rs = root_system(fam, rank)
         W = rs.weyl_group()
         for _ in range(100):
             v = tuple(Fraction(rng.randint(-6, 6)) for _ in range(rank))
-            dom, sign, regular = rs.to_dominant(v)
+            dom, sign, off = rs.dominant_offset(v, v)
+            dom = tuple(dom)
             assert all(c >= 0 for c in dom)
-            assert regular == all(c != 0 for c in dom)
             assert any(apply(w, v) == dom for w in W)
-            if regular:
+            assert rs.fund_to_root([a - b for a, b in zip(dom, v)]) == off
+            if all(dom):
                 matches = [w for w in W if apply(w, v) == dom]
                 assert len(matches) == 1 and matches[0].sign == sign
 
@@ -605,7 +611,7 @@ def test_make_and_apply_results():
     assert w == AffineWeight((Fraction(1), Fraction(-2)), Fraction(-3, 2),
                              Fraction(4))
     assert all(type(x) is Fraction for x in (*w.finite, w.level, w.delta))
-    assert AffineWeight.make((0,)) == AffineWeight((Fraction(0),), 0, 0)
+    assert AffineWeight.make((0,), 0, 0) == AffineWeight((Fraction(0),), 0, 0)
     a2 = root_system("A", 2)
     got = a2.reflect(0, (Fraction(2), Fraction(1, 3)))
     assert got == (Fraction(-2), Fraction(7, 3))
