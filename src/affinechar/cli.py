@@ -415,10 +415,8 @@ def _check_window_negation(args):
 
 
 def _check_deligne_positivity(args):
-    rs = _algebra(args)
-    lam = _weight(rs, args.weight)
-    ch = character_from_numerator(
-        _weyl(args, fm.deligne_numerator, rs, lam, args.order))
+    ch = character_from_numerator(_deligne(args))
+    rs = ch.rs
     zero = (0,) * rs.rank
     if ch.coeff(0, zero) != 1:
         d = ((0, *zero), ch.coeff(0, zero), 1)

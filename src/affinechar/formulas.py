@@ -417,7 +417,6 @@ def sl_tower_assembly_check(n: int, height: int, smax: int):
         else:
             del got[key]
 
-    rs = root_system("A", n - 1)
     for s in range(-smax, smax + 1):
         if s > 0:
             num = sl_first_numerator(n, s, height)
@@ -425,9 +424,7 @@ def sl_tower_assembly_check(n: int, height: int, smax: int):
                 for off, c in b.items():
                     add((s + m,) + tuple(m - o for o in off) + (m,), c)
         else:
-            lam = weight_from_coeffs(
-                rs, (-(1 - s),) + (0,) * (n - 2) + (-s,))
-            num = _half_sum(rs, lam, root_lattice_basis(rs), n - 1, height)
+            num = sl_last_numerator(n, -s, height)
             for m, b in num.slices.items():
                 for off, c in b.items():
                     add((m,) + tuple(m - o for o in off) + (m - s,), c)

@@ -146,8 +146,9 @@ def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
 
     Terms are exponents relative to lam + (mult of delta), graded by the
     delta-drop m; terms at negative m are kept, for require_nonnegative()
-    to refuse.  The Weyl group is enumerated before any lattice point, so
-    that an oversized group is refused before that work is spent.
+    to refuse.  The size gate rs.weyl_group(), which walks the orbit of
+    rho, runs before any lattice point, so that an oversized group is
+    refused before that work is spent.
     """
     # a shifted level <= 0 is refused by dominant_numerator, not the gate
     if lam.level + rs.dual_coxeter > 0:

@@ -85,7 +85,7 @@ class RootSystem:
         self.family = family
         self.rank = rank
         self._derive()
-        self._weyl_cache: list[WeylElement] | None = None
+        self._weyl_cache: list[tuple[int, tuple[int, ...]]] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -98,10 +98,10 @@ class RootSystem:
                  for i, n in enumerate(norms)]
         for i, j in edges:
             gram2[i][j] = gram2[j][i] = -max(norms[i], norms[j])
-        # cart[i][j] = (a_j | a_i^vee) = 2(a_i|a_j) / (a_i|a_i);
+        # cartan[i][j] = (a_j | a_i^vee) = 2(a_i|a_j) / (a_i|a_i);
         # fundamental coords of a_j = column j
-        cart = [[x // n for x in row] for row, n in zip(gram2, norms)]
-        self.cartan = tuple(tuple(map(Fraction, row)) for row in cart)
+        self.cartan = cart = tuple(tuple(x // n for x in row)
+                                   for row, n in zip(gram2, norms))
         # s_i moves coordinate j != i of a weight by -cartan[j][i] times its
         # i-th coordinate: the nonzero off-diagonal entries of column i
         self._nbrs = [[(j, row[i]) for j, row in enumerate(cart)
@@ -110,7 +110,6 @@ class RootSystem:
         self._inv_num, self._inv_den = int_inverse(cart)
 
         # close the simple roots under the simple reflections, in root coords
-        self._cart = tuple(map(tuple, cart))
         roots = {tuple(int(i == j) for j in range(l)) for i in range(l)}
         frontier = list(roots)
         while frontier:
@@ -142,7 +141,6 @@ class RootSystem:
         # theta^vee = theta, and a_i = (a_i|a_i)/2 a_i^vee (Kac, 6.1)
         self.comarks = tuple(m * n // 2 for m, n in zip(self.marks, norms))
         self.dual_coxeter = 1 + sum(self.comarks)
-        self.coxeter = 1 + self.theta.height
 
         # (w_i|w_j) = (a_i|a_i)/2 (C^{-1})_ij = _gram_num[i][j] / _gram_den
         self._gram_num, self._gram_den = _reduced(
@@ -152,9 +150,8 @@ class RootSystem:
 
         # fundamental coords of simple roots and coroots (integral):
         # (a_j^vee | a_i^vee) = 2 cartan[i][j] / (a_j|a_j)
-        self.simple_fund = tuple(
-            tuple(self.cartan[i][j] for i in range(l)) for j in range(l)
-        )
+        self.simple_fund = tuple(tuple(map(Fraction, col))
+                                 for col in zip(*cart))
         self.coroot_fund = tuple(
             tuple(Fraction(2 * cart[i][j] // n) for i in range(l))
             for j, n in enumerate(norms)
@@ -192,7 +189,7 @@ class RootSystem:
     def reflect_offset(self, i: int, off, shift: int = 0) -> tuple[int, ...]:
         """s_i(b + off) - b in root coordinates, b a weight with b_i = shift:
         off - (shift + sum_j cartan[i][j] off_j) e_i."""
-        x = shift + sum(map(mul, self._cart[i], off))
+        x = shift + sum(map(mul, self.cartan[i], off))
         return off[:i] + (off[i] - x,) + off[i + 1:]
 
     def weyl_order(self) -> int:
@@ -215,45 +212,30 @@ class RootSystem:
                                 f"{order} elements, more than {WEYL_LIMIT}")
         return order
 
-    def weyl_group(self, allow_large: bool = False) -> list["WeylElement"]:
-        """Full Weyl group as integer matrices on fundamental coordinates.
+    def weyl_group(self, allow_large: bool = False
+                   ) -> list[tuple[int, tuple[int, ...]]]:
+        """W as the pairs (eps(w), root coordinates of w rho - rho), one per
+        element: rho is regular, so W acts simply transitively on its orbit
+        (Humphreys, Reflection Groups and Coxeter Groups, 1.8 and 1.12), and
+        orbit_offsets(rho, rho) walks the group itself.
 
         Groups larger than WEYL_LIMIT are refused unless allow_large is set;
         E_7 and E_8 are the only supported types past it.  The size is
-        decided from weyl_order() before anything is enumerated.  The group
+        decided from weyl_order() before anything is enumerated.  The list
         is cached: once enumerated (say with allow_large), every later call
-        returns the same list.  No orbit is taken through these matrices:
-        callers use the call as a size gate.
+        returns the same list.  Callers use the call as a size gate.
         """
         if self._weyl_cache is not None:
             return self._weyl_cache
         order = (self.weyl_order() if allow_large
                  else self.check_weyl_order())
-        l = self.rank
-        # Matrices are kept as tuples of columns: right-multiplying by s_i
-        # changes column i only, to -col_i - sum_{j != i} cartan[j][i] col_j.
-        ident = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
-        seen = {ident: 1}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                sign = -seen[m]
-                for i, nb in enumerate(self._nbrs):
-                    col = [-x for x in m[i]]
-                    for j, c in nb:
-                        col = [a - c * b for a, b in zip(col, m[j])]
-                    mi = m[:i] + (tuple(col),) + m[i + 1:]
-                    if mi not in seen:
-                        seen[mi] = sign
-                        nxt.append(mi)
-            frontier = nxt
-        if len(seen) != order:
-            raise AssertionError(f"enumerated {len(seen)} of {order} "
+        rho = (1,) * self.rank
+        group = list(self.orbit_offsets(rho, rho))
+        if len(group) != order:
+            raise AssertionError(f"enumerated {len(group)} of {order} "
                                  "Weyl group elements")
-        self._weyl_cache = [WeylElement(tuple(zip(*m)), sg)
-                            for m, sg in seen.items()]
-        return self._weyl_cache
+        self._weyl_cache = group
+        return group
 
     def _reduce(self, vi: list[int]) -> int:
         """Reflect integer fundamental coordinates into the dominant chamber
@@ -322,10 +304,6 @@ class RootSystem:
 
 class WeylSizeError(RuntimeError):
     pass
-
-
-# matrix: integer rows acting on fundamental coordinates; sign: det
-WeylElement = namedtuple("WeylElement", "matrix sign")
 
 
 def root_system(family: str, rank: int) -> RootSystem:

@@ -1,14 +1,15 @@
 """Slow reference paths, kept only for the tests to compare against.
 
 First is the matrix model of the finite Weyl group the library kept
-before it reflected integer vectors: an integer matrix per simple
-reflection, its action on fundamental coordinates in Fractions, and the
-invariance probe that mapped each slice through those matrices, next to
+before it reflected integer vectors: every element as an integer matrix
+found by breadth-first search, an integer matrix per simple reflection,
+its action on fundamental coordinates in Fractions, and the invariance
+probe that mapped each slice through those matrices, next to
 the integer invariance probe and the JSON reader of CharSlices, which
 only the tests call, together with the finite Weyl denominator taken
 from Weyl's denominator formula.
 The next group is the code the library ran before the dominant-chamber
-orbit walk and the integer drop: a loop over the matrices of weyl_group()
+orbit walk and the integer drop: a loop over the matrices of W
 for every orbit, `Fraction` sums for every lattice point, the per-point
 loops of alt_weyl_raw (a whole orbit per point) and q_dimension_sum (a
 Weyl dimension per point) before both read one dominant-chamber
@@ -20,13 +21,14 @@ per-state enumeration and helpers the library ran before it worked per mode
 multiset.  Last is the slice product on tuple keys, before packed ints.
 """
 
+from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from operator import mul
 
 from affinechar.fock import fock_states
 from affinechar.lattice import _orbit_sum, lattice_points_below, quad_points
 from affinechar.rootdata import (
-    WeylElement,
     _scaled,
     coroot_lattice_basis,
     root_lattice_basis,
@@ -38,6 +40,41 @@ from affinechar.series import (
     SliceError,
     cone_product,
 )
+
+# matrix: integer rows acting on fundamental coordinates; sign: det
+WeylElement = namedtuple("WeylElement", "matrix sign")
+
+
+def matrix_weyl_group(rs) -> list[WeylElement]:
+    """W as integer matrices on fundamental coordinates, breadth-first from
+    the identity; cached per type, since E6 has 51,840 of them."""
+    return _matrix_group(rs.family, rs.rank)
+
+
+@cache
+def _matrix_group(family: str, rank: int) -> list[WeylElement]:
+    cartan, l = root_system(family, rank).cartan, rank
+    nbrs = [[(j, row[i]) for j, row in enumerate(cartan)
+             if j != i and row[i]] for i in range(l)]
+    # Matrices are kept as tuples of columns: right-multiplying by s_i
+    # changes column i only, to -col_i - sum_{j != i} cartan[j][i] col_j.
+    ident = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
+    seen = {ident: 1}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            sign = -seen[m]
+            for i, nb in enumerate(nbrs):
+                col = [-x for x in m[i]]
+                for j, c in nb:
+                    col = [a - c * b for a, b in zip(col, m[j])]
+                mi = m[:i] + (tuple(col),) + m[i + 1:]
+                if mi not in seen:
+                    seen[mi] = sign
+                    nxt.append(mi)
+        frontier = nxt
+    return [WeylElement(tuple(zip(*m)), sg) for m, sg in seen.items()]
 
 
 def apply(w, v):
@@ -61,7 +98,7 @@ def simple_reflection(rs, i):
     rows = []
     for j in range(l):
         row = [int(j == k) for k in range(l)]
-        row[i] -= int(rs.cartan[j][i])
+        row[i] -= rs.cartan[j][i]
         rows.append(tuple(row))
     return WeylElement(tuple(rows), -1)
 
@@ -126,12 +163,12 @@ def denominator_series(rs, order: int):
 
 
 def matrix_orbit_offsets(rs, v, base):
-    """Yield (w.sign, root coordinates of w(v) - base) for w in weyl_group(),
-    in its order, through integer matrix products."""
+    """Yield (w.sign, root coordinates of w(v) - base) for w in
+    matrix_weyl_group(rs), in its order, through integer matrix products."""
     ints, d = _scaled((*v, *base))
     vi, bi = ints[:len(v)], ints[len(v):]
     num, dd = rs._inv_num, rs._inv_den * d
-    for w in rs.weyl_group():
+    for w in matrix_weyl_group(rs):
         diff = [sum(map(mul, row, vi)) - b for row, b in zip(w.matrix, bi)]
         off = [sum(map(mul, row, diff)) for row in num]
         if any(x % dd for x in off):

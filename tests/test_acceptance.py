@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import apply
+from oracles import apply, matrix_weyl_group
 
 from affinechar import fock, superden
 from affinechar import formulas as fm
@@ -235,7 +235,7 @@ def test_criterion_09_property_suites():
 
     # the alternating orbit sum of a reflection-fixed weight vanishes
     rng = random.Random(15)
-    W = c2.weyl_group()
+    W = matrix_weyl_group(c2)
     for it in range(cases):
         mu = tuple(Fraction(rng.randrange(-4, 5)) for _ in range(2))
         beta = rng.choice(c2.positive_roots)

@@ -585,6 +585,30 @@ def test_large_weyl_group_is_refused_with_exit_two(capsys):
                    "enumerate anyway\n")
 
 
+def test_a_failing_weight_is_refused_before_w_is_enumerated(capsys,
+                                                             monkeypatch):
+    # with --allow-large-weyl, the screening comes before the flag's
+    # enumeration of W, and every deligne command refuses in one line
+    calls = []
+    group = RootSystem.weyl_group
+
+    def counted(self, allow_large=False):
+        calls.append(allow_large)
+        return group(self, allow_large)
+
+    monkeypatch.setattr(RootSystem, "weyl_group", counted)
+    tail = ["--type", "D", "--rank", "4", "--weight", "0", "0", "0", "0", "0",
+            "--allow-large-weyl"]
+    errs = set()
+    for cmd in (["qdim", "--formula", "deligne"],
+                ["verify", "qdim-two-path"], ["verify", "deligne-positivity"]):
+        code, out, err = run(capsys, cmd + tail)
+        assert (code, out, calls) == (2, "", [])
+        errs.add(err)
+    assert errs == {"error: weight fails the screening: level 0 is not a "
+                    "negative integer\n"}
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "--formula", "sl-first", "--type", "A", "--rank", "9",
      "--s", "0", "--order", "0"],

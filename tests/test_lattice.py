@@ -9,6 +9,7 @@ from oracles import (
     drop_of,
     fraction_lattice_points_below,
     is_weyl_invariant,
+    matrix_weyl_group,
     point_alt_weyl_raw,
     point_q_dimension_sum,
     root_to_fund,
@@ -201,7 +202,7 @@ def origin_orbit(rs, lam):
 def brute_orbit_sum(rs, mu):
     # sum over the whole group, no dominance shortcut
     acc = {}
-    for w in rs.weyl_group():
+    for w in matrix_weyl_group(rs):
         img = apply(w, mu)
         off = rs.fund_to_root(tuple(a - b for a, b in zip(img, mu)))
         key = tuple(int(o) for o in off)

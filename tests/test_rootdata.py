@@ -6,8 +6,10 @@ from math import lcm
 
 import pytest
 from oracles import (
+    WeylElement,
     apply,
     matrix_orbit_offsets,
+    matrix_weyl_group,
     root_to_fund,
     simple_reflection,
 )
@@ -16,7 +18,6 @@ from affinechar import rootdata
 from affinechar.rootdata import (
     PosRoot,
     RootSystem,
-    WeylElement,
     WeylSizeError,
     coroot_lattice_basis,
     int_inverse,
@@ -64,10 +65,9 @@ def test_basic_invariants(fam, rank, npos, hvee, worder):
     assert rs.theta.norm == 2
     # (rho | theta) = (rho | theta^vee) = h^vee - 1 with this normalization
     assert rs.inner(rs.rho, rs.theta.fund) == rs.dual_coxeter - 1
-    assert rs.theta.height == rs.coxeter - 1
     W = rs.weyl_group()
     assert len(W) == worder == rs.weyl_order()
-    assert sum(w.sign for w in W) == 0
+    assert sum(sign for sign, _ in W) == 0
 
 
 def test_e6_order_and_dims():
@@ -119,7 +119,7 @@ def test_cached_group_outlives_the_gate(monkeypatch):
 def test_sign_matches_determinant():
     for fam, rank in ORACLE_TYPES:
         rs = root_system(fam, rank)
-        for w in rs.weyl_group():
+        for w in matrix_weyl_group(rs):
             rows = [[Fraction(x) for x in row] for row in w.matrix]
             assert det(rows) == w.sign
 
@@ -153,7 +153,7 @@ def test_pairings_and_coordinates():
             fund = root_to_fund(rs, rc)
             assert rs.fund_to_root(fund) == rc
         # Weyl action preserves the form
-        W = rs.weyl_group()
+        W = matrix_weyl_group(rs)
         for _ in range(50):
             v = tuple(Fraction(rng.randint(-4, 4)) for _ in range(rank))
             u = tuple(Fraction(rng.randint(-4, 4)) for _ in range(rank))
@@ -167,7 +167,7 @@ def test_dominant_offset_against_the_matrices():
     rng = random.Random(7)
     for fam, rank in [("A", 2), ("C", 2), ("D", 4)]:
         rs = root_system(fam, rank)
-        W = rs.weyl_group()
+        W = matrix_weyl_group(rs)
         for _ in range(100):
             v = tuple(Fraction(rng.randint(-6, 6)) for _ in range(rank))
             dom, sign, off = rs.dominant_offset(v, v)
@@ -197,7 +197,7 @@ def apply_path(rs, v, base):
     """(sign, root coordinates of w(v) - base) through Fraction arithmetic."""
     return [(w.sign, rs.fund_to_root(tuple(a - b for a, b in
                                            zip(apply(w, v), base))))
-            for w in rs.weyl_group()]
+            for w in matrix_weyl_group(rs)]
 
 
 def signed_sum(pairs):
@@ -231,7 +231,7 @@ def random_pairs(rng, rs, n):
 
 def regular_weights(rng, rs, n):
     """n regular weights: strictly dominant ones moved by a random element."""
-    W = rs.weyl_group()
+    W = matrix_weyl_group(rs)
     for _ in range(n):
         dom = tuple(Fraction(rng.randint(1, 3)) for _ in range(rs.rank))
         yield apply(rng.choice(W), dom)
@@ -340,8 +340,21 @@ def full_product_closure(rs):
 
 @pytest.mark.parametrize("fam,rank", ORACLE_TYPES)
 def test_weyl_group_matches_full_product_closure(fam, rank):
+    # the matrix oracle's column search against full matrix products
     rs = root_system(fam, rank)
-    assert [w.matrix for w in rs.weyl_group()] == full_product_closure(rs)
+    assert [w.matrix for w in matrix_weyl_group(rs)] == full_product_closure(rs)
+
+
+@pytest.mark.parametrize("fam,rank", KERNEL_TYPES)
+def test_weyl_group_is_the_orbit_of_rho(fam, rank):
+    # rho is regular, so W is its orbit: one (eps(w), w rho - rho) per w,
+    # against the matrices (matrix_orbit_offsets is the apply path, above)
+    rs = root_system(fam, rank)
+    rho = (1,) * rank
+    W = rs.weyl_group()
+    assert len(W) == rs.weyl_order()
+    assert sum(sign for sign, _ in W) == 0
+    assert set(W) == set(matrix_orbit_offsets(rs, rho, rho))
 
 
 @pytest.mark.parametrize("fam,rank",
@@ -433,10 +446,12 @@ class EuclidModel:
         inner = self.euclid_inner
         self.simple_coroots_euclid = coroots = tuple(
             tuple(2 / inner(a, a) * c for c in a) for a in simples)
-        self.cartan = tuple(tuple(inner(simples[j], coroots[i])
-                                  for j in range(l)) for i in range(l))
-        inv_cols = [solve_linear(self.cartan, [Fraction(int(i == j))
-                                               for i in range(l)])
+        cartan = tuple(tuple(inner(simples[j], coroots[i])
+                             for j in range(l)) for i in range(l))
+        assert all(x.denominator == 1 for row in cartan for x in row)
+        self.cartan = tuple(tuple(map(int, row)) for row in cartan)
+        inv_cols = [solve_linear(cartan, [Fraction(int(i == j))
+                                          for i in range(l)])
                     for j in range(l)]
         cartan_inv = [[inv_cols[j][i] for j in range(l)] for i in range(l)]
         self._inv_num, self._inv_den = scaled_matrix(cartan_inv)
@@ -621,6 +636,6 @@ def test_make_and_apply_results():
     assert a2.reflect(0, (0, 5)) == (0, 5)
     rs = root_system("C", 2)
     lam = (Fraction(1), Fraction(-3))
-    assert {apply(w, lam) for w in rs.weyl_group()} == {
+    assert {apply(w, lam) for w in matrix_weyl_group(rs)} == {
         (1, -3), (-1, -2), (5, -3), (-5, 2), (5, -2), (-5, 3), (1, 2),
         (-1, 3)}

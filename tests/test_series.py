@@ -10,6 +10,7 @@ from oracles import (
     denominator_series,
     is_weyl_invariant,
     matrix_is_weyl_invariant,
+    matrix_weyl_group,
     root_to_fund,
     slices_from_json_dict,
     tuple_mul_slices,
@@ -598,7 +599,7 @@ def _orbit_slices(rng, rs, base, qmax):
         mu = tuple(b + x for b, x in zip(base.finite, root_to_fund(rs, off)))
         tgt = out.setdefault(rng.randrange(qmax + 1), {})
         c = rng.choice((-2, 1, 3))
-        for nu in {apply(w, mu) for w in rs.weyl_group()}:
+        for nu in {apply(w, mu) for w in matrix_weyl_group(rs)}:
             o = rs.fund_to_root(tuple(a - b for a, b in zip(nu, base.finite)))
             o = tuple(map(int, o))
             tgt[o] = tgt.get(o, 0) + c
