@@ -66,14 +66,41 @@ def _mode_multisets(n: int, count: int, e2budget: int) -> list[Modes]:
     return [_modes(n, pairs) for pairs in rec(count, e2budget, 1, 1)]
 
 
+def state_count(n: int, s: int, e2max: int) -> int:
+    """How many states fock_states(n, s, e2max) lists, none built.
+
+    a[c][e] counts the multisets of c modes at doubled energy e, a factor
+    1/(1 - x y^k2) per colour and odd k2; a state with t lowering modes
+    pairs one of t + s modes with one of t, at total energy <= e2max.
+    """
+    ts = range(max(0, -s), (e2max - s) // 2 + 1)
+    a = [[int(c == e == 0) for e in range(e2max + 1)]
+         for c in range((e2max - s) // 2 + max(s, 0) + 1)]
+    for k2 in range(1, e2max + 1, 2):
+        for _ in range(n):
+            for prev, row in zip(a, a[1:]):
+                for e in range(k2, e2max + 1):
+                    row[e] += prev[e - k2]
+    cum = [list(itertools.accumulate(row)) for row in a]
+    return sum(x * cum[t][e2max - e] for t in ts
+               for e, x in enumerate(a[t + s]))
+
+
 def fock_states(n: int, s: int, e2max: int):
     """All charge-s basis states with doubled energy at most e2max.
 
     A state is a pair (raising modes, lowering modes) of shared Modes; the
     lowering multisets of each count are built once, and each raising one
-    takes those that fit its remaining energy.  BudgetError as soon as the
-    states would pass STATE_BUDGET.
+    takes those that fit its remaining energy.  BudgetError before any
+    state is built if they would pass STATE_BUDGET; the count is predicted
+    at doubled energies 32, 64, ... first, and grows with the energy, so a
+    request far over the budget is refused at a small bound.
     """
+    e = 32
+    while e < e2max and state_count(n, s, e) <= STATE_BUDGET:
+        e *= 2
+    if state_count(n, s, min(e, e2max)) > STATE_BUDGET:
+        raise BudgetError("state enumeration over budget")
     out = []
     for t in range(max(0, -s), (e2max - s) // 2 + 1):
         anns = _mode_multisets(n, t, e2max - t - s)
@@ -82,8 +109,6 @@ def fock_states(n: int, s: int, e2max: int):
             lim = e2max - cre.e2
             if lim not in fits:
                 fits[lim] = [ann for ann in anns if ann.e2 <= lim]
-            if len(out) + len(fits[lim]) > STATE_BUDGET:
-                raise BudgetError("state enumeration over budget")
             out.extend([(cre, ann) for ann in fits[lim]])
     return out
 

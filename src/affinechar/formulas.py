@@ -14,14 +14,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import mul
 
 from .lattice import alt_weyl_raw, dominant_numerator
-from .rootdata import (
-    RootSystem,
-    coroot_lattice_basis,
-    root_lattice_basis,
-    root_system,
-)
+from .rootdata import RootSystem, coroot_lattice_basis, root_system
 from .series import (
     AffineWeight,
     CharSlices,
@@ -40,13 +36,9 @@ from . import fock
 from . import superden
 
 
-def _unit(rs: RootSystem, i: int) -> tuple[Fraction, ...]:
+def _unit(rs: RootSystem, i: int) -> tuple[int, ...]:
     """Fundamental coordinates of the i-th fundamental weight, i >= 1."""
-    return tuple(Fraction(int(j == i - 1)) for j in range(rs.rank))
-
-
-def _pairing(rs: RootSystem, gf, i: int) -> Fraction:
-    return rs.inner(gf, _unit(rs, i))
+    return tuple(int(j == i - 1) for j in range(rs.rank))
 
 
 def _orth_coords(rs: RootSystem, gf) -> tuple[int, ...]:
@@ -57,9 +49,9 @@ def _orth_coords(rs: RootSystem, gf) -> tuple[int, ...]:
     gamma = sum_k j_k (2 eps_k).
     """
     out = []
-    prev = Fraction(0)
+    prev = 0
     for i in range(1, rs.rank + 1):
-        cur = _pairing(rs, gf, i)
+        cur = rs.inner(gf, _unit(rs, i))
         v = cur - prev
         if v.denominator != 1:
             raise AssertionError("pairing left the integers")
@@ -80,8 +72,7 @@ def _half_sum(rs: RootSystem, lam, basis, node: int, qmax: int) -> CharSlices:
 
 def integrable_numerator(rs: RootSystem, lam, qmax: int) -> CharSlices:
     """Full-lattice alternating numerator for a dominant integral weight."""
-    m0 = lam.level - sum(
-        f * cm for f, cm in zip(lam.finite, map(Fraction, rs.comarks)))
+    m0 = lam.level - sum(map(mul, lam.finite, rs.comarks))
     coeffs = (m0,) + tuple(lam.finite)
     for c in coeffs:
         if c.denominator != 1 or c < 0:
@@ -101,7 +92,7 @@ def sl_first_numerator(n: int, s: int, qmax: int):
         raise ValueError("needs s >= 0")
     rs = root_system("A", n - 1)
     lam = weight_from_coeffs(rs, (-(1 + s), s) + (0,) * (n - 2))
-    return _half_sum(rs, lam, root_lattice_basis(rs), 1, qmax)
+    return _half_sum(rs, lam, coroot_lattice_basis(rs), 1, qmax)
 
 
 def sl_last_numerator(n: int, s: int, qmax: int):
@@ -112,7 +103,7 @@ def sl_last_numerator(n: int, s: int, qmax: int):
         raise ValueError("needs s >= 0")
     rs = root_system("A", n - 1)
     lam = weight_from_coeffs(rs, (-(1 + s),) + (0,) * (n - 2) + (s,))
-    return _half_sum(rs, lam, root_lattice_basis(rs), n - 1, qmax)
+    return _half_sum(rs, lam, coroot_lattice_basis(rs), n - 1, qmax)
 
 
 def diagram_flip(num: CharSlices) -> CharSlices:
@@ -139,7 +130,7 @@ def sl2_lattice_numerator(s: int, qmax: int) -> CharSlices:
     q-powers up to s+1, with a genuine extra term at s+2."""
     rs = root_system("A", 1)
     lam = weight_from_coeffs(rs, (-(1 + s), s))
-    return _half_sum(rs, lam, root_lattice_basis(rs), 1, qmax)
+    return _half_sum(rs, lam, coroot_lattice_basis(rs), 1, qmax)
 
 
 # -- the C-family level -1 modules ---------------------------------------
@@ -162,7 +153,7 @@ def _long_root_odd_slices(rs: RootSystem, qmax: int):
     pk = _denominator_packing(rs, qmax)  # slice m sums at most m roots
     slices: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(qmax)]
     for a in rs.positive_roots:
-        if rs.norm(a.fund) == 2:
+        if a.norm == 2:
             for key in (pk.pack(a.root_coords), -pk.pack(a.root_coords)):
                 for k in range(1, qmax + 1, 2):
                     _mul_geometric(slices, qmax, k, key)
@@ -299,7 +290,7 @@ def check_deligne_conditions(rs: RootSystem, lam) -> dict:
         else:
             failures.append(
                 "orthogonal roots not unique at depth one: "
-                + ", ".join(f"{tuple(map(int, a.root_coords))}@depth{m}"
+                + ", ".join(f"{a.root_coords}@depth{m}"
                             for a, m in witnesses))
     return {
         "ok": ok,
@@ -347,8 +338,7 @@ def deligne_enumerate(rs: RootSystem, k: int, mmax: int):
         lam = weight_from_coeffs(rs, (m0,) + fin)
         res = check_deligne_conditions(rs, lam)
         if res["ok"]:
-            alpha = tuple(int(x) for x in res["alpha"].root_coords)
-            out.append(((int(m0),) + fin, alpha))
+            out.append(((m0,) + fin, res["alpha"].root_coords))
     return out
 
 

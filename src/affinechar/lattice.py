@@ -66,10 +66,10 @@ def quad_points(M: list[list[Fraction]], L: list[Fraction],
     return out
 
 
-def lattice_points_below(rs: RootSystem, basis, nu_fin, c: Fraction,
+def lattice_points_below(rs: RootSystem, basis, nu_fin, c,
                          bound) -> list[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
     """All gamma = sum x_i b_i with drop (nu_fin|gamma) + c(gamma|gamma)/2
-    <= bound, for an integral basis.
+    <= bound, for an integer basis; nu_fin and c may be rational.
 
     Returns (integer coords, gamma in fundamental coords as ints, exact
     drop), sorted by drop, then coords.
@@ -78,9 +78,9 @@ def lattice_points_below(rs: RootSystem, basis, nu_fin, c: Fraction,
         raise ValueError("lattice basis must be integral")
     M = [[c * rs.inner(a, b) for b in basis] for a in basis]
     L = [rs.inner(nu_fin, b) for b in basis]
-    cols = [[int(v) for v in col] for col in zip(*basis)]
+    cols = list(zip(*basis))
     return sorted(((x, tuple([sum(map(mul, x, col)) for col in cols]), drop)
-                   for x, drop in quad_points(M, L, Fraction(bound)).items()),
+                   for x, drop in quad_points(M, L, bound).items()),
                   key=lambda t: (t[2], t[0]))
 
 

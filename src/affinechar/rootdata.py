@@ -5,7 +5,9 @@ squared lengths of the simple roots, normalized so the highest root has
 squared length 2 (Bourbaki, Lie Groups and Lie Algebras VI, plates I-VII).
 Weights are handled in fundamental-weight coordinates (the tuple
 ((v|a_1^vee), ..., (v|a_l^vee))), which are integral exactly on the weight
-lattice.
+lattice.  Root data are ints; only the rational values here, the pairings
+inner and norm, fund_to_root and weyl_dim, are Fractions, and those also
+accept Fraction coordinates.
 """
 
 from __future__ import annotations
@@ -17,12 +19,6 @@ from operator import mul, sub
 
 # the most Weyl group elements a request may enumerate without allow_large
 WEYL_LIMIT = 10**6
-
-
-def _scaled(xs) -> tuple[list[int], int]:
-    """Integers n_i and one d > 0 with xs_i = n_i / d (ints or Fractions)."""
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 def _reduced(rows: list[list[int]], den: int) -> tuple[list[list[int]], int]:
@@ -74,7 +70,7 @@ def _dynkin(fam: str, l: int) -> tuple[list[tuple[int, int]], list[int]]:
 
 
 # fund: fundamental coordinates (v|a_i^vee); root_coords: coefficients over
-# the simple roots; norm: (alpha|alpha)
+# the simple roots; norm: (alpha|alpha); all ints
 PosRoot = namedtuple("PosRoot", "fund root_coords height norm")
 
 
@@ -127,8 +123,7 @@ class RootSystem:
                 fc = [sum(map(mul, row, rc)) for row in cart]
                 # (r|r) = sum_i r_i (a_i|a_i)/2 (r|a_i^vee)
                 norm2 = sum(map(mul, rc, map(mul, norms, fc)))
-                pos.append(PosRoot(tuple(map(Fraction, fc)), rc, sum(rc),
-                                   Fraction(norm2, 2)))
+                pos.append(PosRoot(tuple(fc), rc, sum(rc), norm2 // 2))
         pos.sort(key=lambda p: (p.height, p.root_coords))
         self.positive_roots: tuple[PosRoot, ...] = tuple(pos)
         if 2 * len(pos) != len(roots):
@@ -146,33 +141,31 @@ class RootSystem:
         self._gram_num, self._gram_den = _reduced(
             [[n * x for x in row] for n, row in zip(norms, self._inv_num)],
             2 * self._inv_den)
-        self.rho = tuple(Fraction(1) for _ in range(l))
+        self.rho = (1,) * l
 
-        # fundamental coords of simple roots and coroots (integral):
+        # fundamental coords of the simple coroots (integral):
         # (a_j^vee | a_i^vee) = 2 cartan[i][j] / (a_j|a_j)
-        self.simple_fund = tuple(tuple(map(Fraction, col))
-                                 for col in zip(*cart))
         self.coroot_fund = tuple(
-            tuple(Fraction(2 * cart[i][j] // n) for i in range(l))
+            tuple(2 * cart[i][j] // n for i in range(l))
             for j, n in enumerate(norms)
         )
 
     # -- exact pairings on fundamental coordinates ------------------------
 
+    def _pair(self, x, y):
+        """_gram_den (x|y): an int on integer coordinates."""
+        return sum(a * sum(map(mul, row, y))
+                   for a, row in zip(x, self._gram_num) if a)
+
     def inner(self, x, y) -> Fraction:
         """(x|y) on fundamental coordinates, as one sum over the integers."""
-        (xi, dx), (yi, dy) = _scaled(x), _scaled(y)
-        return Fraction(sum(a * sum(map(mul, row, yi))
-                            for a, row in zip(xi, self._gram_num) if a),
-                        self._gram_den * dx * dy)
+        return Fraction(self._pair(x, y), self._gram_den)
 
     def norm(self, x) -> Fraction:
         return self.inner(x, x)
 
     def fund_to_root(self, fund) -> tuple[Fraction, ...]:
-        fi, d = _scaled(fund)
-        dd = self._inv_den * d
-        return tuple(Fraction(sum(map(mul, row, fi)), dd)
+        return tuple(Fraction(sum(map(mul, row, fund)), self._inv_den)
                      for row in self._inv_num)
 
     # -- Weyl group --------------------------------------------------------
@@ -247,18 +240,18 @@ class RootSystem:
         return sign
 
     def dominant_offset(self, v, base):
-        """(v+, sign, root coordinates of v+ - base) in ints: v+ = w(v) is
-        dominant, sign is eps(w), and v+ is regular exactly when all(v+).
-        AssertionError unless every w(v) - base lies in the root lattice,
-        that is unless v is integral and v - base a root sum."""
-        ints, d = _scaled((*v, *base))
-        vi, bi = ints[:self.rank], ints[self.rank:]
+        """(v+, sign, root coordinates of v+ - base): v+ = w(v) is dominant,
+        sign is eps(w), and v+ is regular exactly when all(v+); ints for
+        integer v and base.  AssertionError unless every w(v) - base lies
+        in the root lattice, that is unless v is integral and v - base a
+        root sum."""
+        vi = list(v)
         sign = self._reduce(vi)
-        dd = self._inv_den * d
-        off = [sum(map(mul, row, map(sub, vi, bi))) for row in self._inv_num]
-        if any(x % d for x in vi) or any(x % dd for x in off):
+        d = self._inv_den
+        off = [sum(map(mul, row, map(sub, vi, base))) for row in self._inv_num]
+        if any(x % 1 for x in vi) or any(x % d for x in off):
             raise AssertionError("orbit offset left the root lattice")
-        return [x // d for x in vi], sign, tuple([x // dd for x in off])
+        return vi, sign, tuple([x // d for x in off])
 
     def orbit_offsets(self, v, base, bound: int | None = None):
         """Yield (eps(w), root coordinates of w(v) - base) over W(v).
@@ -293,13 +286,14 @@ class RootSystem:
             sign = -sign
 
     def weyl_dim(self, fund) -> Fraction:
-        """Dimension of the irreducible with highest weight `fund` (Weyl)."""
-        lam_rho = tuple(Fraction(x) + 1 for x in fund)
-        num = den = Fraction(1)
+        """Dimension of the irreducible with highest weight `fund` (Weyl):
+        prod (fund + rho|a) / (rho|a) over the positive roots a."""
+        lam_rho = [x + 1 for x in fund]
+        num = den = 1
         for a in self.positive_roots:
-            num *= self.inner(lam_rho, a.fund)
-            den *= self.inner(self.rho, a.fund)
-        return num / den
+            num *= self._pair(lam_rho, a.fund)
+            den *= self._pair(self.rho, a.fund)
+        return Fraction(num, den)
 
 
 class WeylSizeError(RuntimeError):
@@ -310,10 +304,6 @@ def root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(family, rank)
 
 
-def coroot_lattice_basis(rs: RootSystem) -> list[tuple[Fraction, ...]]:
+def coroot_lattice_basis(rs: RootSystem) -> list[tuple[int, ...]]:
     """Basis of the coroot lattice in fundamental coordinates."""
-    return [tuple(v) for v in rs.coroot_fund]
-
-
-def root_lattice_basis(rs: RootSystem) -> list[tuple[Fraction, ...]]:
-    return [tuple(v) for v in rs.simple_fund]
+    return list(rs.coroot_fund)

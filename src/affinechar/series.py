@@ -18,43 +18,36 @@ CharSlices is the one q-sliced type for numerators and characters.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
+from operator import mul
 
 from .rootdata import RootSystem
+
 
 class AffineWeight(namedtuple("AffineWeight", "finite level delta")):
     """Weight of the extended algebra: finite part, level, delta coefficient.
 
     The finite part is in fundamental coordinates of the underlying finite
-    root system (or a frame-specific encoding for the super frames).
+    root system (or a frame-specific encoding for the super frames).  The
+    fields hold ints for integral weights; a delta coefficient made by a
+    translation is a pairing, a Fraction.
     """
 
     __slots__ = ()
-
-    @staticmethod
-    def make(finite, level, delta) -> "AffineWeight":
-        return AffineWeight(
-            tuple(Fraction(x) for x in finite), Fraction(level), Fraction(delta)
-        )
 
 
 def weight_from_coeffs(rs: RootSystem, coeffs) -> AffineWeight:
     """Weight m_0 Lambda_0 + sum_i m_i Lambda_i, delta coefficient 0."""
     if len(coeffs) != rs.rank + 1:
         raise ValueError("need rank+1 coefficients")
-    level = Fraction(coeffs[0]) + sum(
-        Fraction(coeffs[i + 1]) * rs.comarks[i] for i in range(rs.rank)
-    )
-    fin = tuple(Fraction(c) for c in coeffs[1:])
-    return AffineWeight(fin, level, Fraction(0))
+    level = coeffs[0] + sum(map(mul, coeffs[1:], rs.comarks))
+    return AffineWeight(tuple(coeffs[1:]), level, 0)
 
 
 def translate(rs: RootSystem, w: AffineWeight, gamma) -> AffineWeight:
     """Lattice translation t_gamma acting on a weight of level w.level."""
-    g = tuple(Fraction(x) for x in gamma)
     k = w.level
-    fin = tuple(a + k * b for a, b in zip(w.finite, g))
-    drop = rs.inner(w.finite, g) + k * rs.norm(g) / 2
+    fin = tuple(a + k * b for a, b in zip(w.finite, gamma))
+    drop = rs.inner(w.finite, gamma) + k * rs.norm(gamma) / 2
     return AffineWeight(fin, k, w.delta - drop)
 
 

@@ -16,10 +16,10 @@ point feeds.  Both sides are height-truncated cone series, exact over Z.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import mul
 
 from .lattice import lattice_points_below
-from .rootdata import coroot_lattice_basis, root_lattice_basis, root_system
+from .rootdata import coroot_lattice_basis, root_system
 from .series import ExpSeries, cone_product
 
 
@@ -47,30 +47,31 @@ def spo_product(npr: int, height: int) -> ExpSeries:
     return cone_product(marks, 1 + npr, even, odd, height)
 
 
-def _branch_sum(rs, basis, lamb, shift, kvec_fn, height: int):
-    """Shared two-branch lattice sum; returns {k-tuple: coeff}.
+def _branch_sum(rs, lamb, shift, kvec_fn, height: int):
+    """Shared two-branch lattice sum over the coroot lattice; returns
+    {k-tuple: coeff}.
 
     lamb: fundamental coordinates of the pairing weight (the odd direction's
-    finite shadow).  shift: multiplier of the shifted level (h-vee minus the
-    odd correction).  kvec_fn(D, p, cro) maps drop, geometric exponent and
-    the finite root coordinates to the full cone exponent vector; its cone
-    height is a constant minus the height of cro, so over one orbit it is
-    least, hmin, at the dominant representative and grows by ht(v+ - w v+).
-    Each orbit is walked with the bound height - hmin, building only terms
-    that are kept.  The Weyl group's size is checked before any lattice work.
+    finite shadow), so a translation sum_i x_i a_i^vee pairs with it to the
+    integer sum_i x_i lamb_i.  shift: multiplier of the shifted level (h-vee
+    minus the odd correction).  kvec_fn(D, p, cro) maps drop, geometric
+    exponent and the finite root coordinates to the full cone exponent
+    vector; its cone height is a constant minus the height of cro, so over
+    one orbit it is least, hmin, at the dominant representative and grows
+    by ht(v+ - w v+).  Each orbit is walked with the bound height - hmin,
+    building only terms that are kept.  The Weyl group's size is checked
+    before any lattice work.
     """
     rs.check_weyl_order()
     rho_f = (1,) * rs.rank
+    basis = coroot_lattice_basis(rs)
     out: dict[tuple[int, ...], int] = {}
     for branch in (1, -1):
         nu0 = rho_f if branch == 1 else tuple(
             a - b for a, b in zip(rho_f, lamb))
-        pts = lattice_points_below(rs, basis, nu0, Fraction(shift), height)
-        for _x, gf, d0 in pts:
-            pair = rs.inner(gf, lamb)
-            if pair.denominator != 1:
-                raise AssertionError("pairing left the integers")
-            pair = int(pair)
+        pts = lattice_points_below(rs, basis, nu0, shift, height)
+        for x, gf, d0 in pts:
+            pair = sum(map(mul, x, lamb))
             if (branch == 1) != (pair >= 0):
                 continue
             if d0.denominator != 1:
@@ -124,7 +125,7 @@ def sl_sum(n: int, height: int) -> ExpSeries:
     def kvec(D, p, cro):
         return (D,) + tuple(D - c for c in cro) + (D + p,)
 
-    terms = _branch_sum(rs, root_lattice_basis(rs), lamb, n - 1, kvec, height)
+    terms = _branch_sum(rs, lamb, n - 1, kvec, height)
     return _to_cone_series(terms, n + 1, height)
 
 
@@ -142,5 +143,5 @@ def spo_sum(npr: int, height: int) -> ExpSeries:
         ks.append(D - cro[-1])
         return tuple(ks)
 
-    terms = _branch_sum(rs, coroot_lattice_basis(rs), lamb, npr, kvec, height)
+    terms = _branch_sum(rs, lamb, npr, kvec, height)
     return _to_cone_series(terms, npr + 2, height)

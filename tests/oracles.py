@@ -19,27 +19,41 @@ height.  The second group expands free-field spaces from their
 product forms, against the library's state enumeration; next to it are the
 per-state enumeration and helpers the library ran before it worked per mode
 multiset.  Last is the slice product on tuple keys, before packed ints.
+Ahead of them all stand two helpers of the Fraction paths: `_scaled`, the
+common denominator the library took of every weight before weights were
+ints, and `root_lattice_basis`, the simple roots the type A sums took.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from operator import mul
 
 from affinechar.fock import fock_states
 from affinechar.lattice import _orbit_sum, lattice_points_below, quad_points
-from affinechar.rootdata import (
-    _scaled,
-    coroot_lattice_basis,
-    root_lattice_basis,
-    root_system,
-)
+from affinechar.rootdata import coroot_lattice_basis, root_system
 from affinechar.series import (
     AffineWeight,
     CharSlices,
     SliceError,
     cone_product,
 )
+
+def _scaled(xs) -> tuple[list[int], int]:
+    """Integers n_i and one d > 0 with xs_i = n_i / d (ints or Fractions):
+    the common denominator the library took of every weight before its
+    root data and weights were ints."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def root_lattice_basis(rs) -> list[tuple[int, ...]]:
+    """The simple roots in fundamental coordinates: the columns of the
+    Cartan matrix.  The library's type A sums took this basis; there it is
+    the coroot basis."""
+    return [tuple(col) for col in zip(*rs.cartan)]
+
 
 # matrix: integer rows acting on fundamental coordinates; sign: det
 WeylElement = namedtuple("WeylElement", "matrix sign")
@@ -138,8 +152,8 @@ def is_weyl_invariant(ch) -> bool:
 
 def slices_from_json_dict(rs, d: dict) -> CharSlices:
     """The CharSlices that CharSlices.to_json_dict wrote as d."""
-    base = AffineWeight.make([Fraction(x) for x in d["base"]],
-                             Fraction(d["level"]), Fraction(d["delta"]))
+    base = AffineWeight(tuple(Fraction(x) for x in d["base"]),
+                        Fraction(d["level"]), Fraction(d["delta"]))
     slices: dict[int, dict[tuple[int, ...], int]] = {}
     for t in d["terms"]:
         m = int(t["exps"][0])

@@ -210,8 +210,8 @@ def test_criterion_09_property_suites():
     rng = random.Random(13)
     c2 = root_system("C", 2)
     for it in range(cases):
-        w = AffineWeight.make(
-            [Fraction(rng.randrange(-6, 7), 2) for _ in range(2)],
+        w = AffineWeight(
+            tuple(Fraction(rng.randrange(-6, 7), 2) for _ in range(2)),
             rng.choice([-3, -2, -1, 1, 2, 3]),
             Fraction(rng.randrange(-4, 5), 2))
         g1 = tuple(Fraction(rng.randrange(-2, 3)) for _ in range(2))

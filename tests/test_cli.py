@@ -662,6 +662,15 @@ def test_state_budget_is_one_error_line_with_exit_two(capsys, monkeypatch):
     assert err == "error: state enumeration over budget\n"
 
 
+def test_state_budget_refuses_before_the_work(capsys, monkeypatch):
+    # the predicted count refuses before one mode multiset is built
+    monkeypatch.setattr(fock, "_mode_multisets", None)
+    code, out, err = run(capsys, ["verify", "flip-decomposition", "--n", "4",
+                                  "--order", "12"])
+    assert code == 2 and out == ""
+    assert err == "error: state enumeration over budget\n"
+
+
 def test_non_integral_dimension_is_one_error_line_with_exit_two(
         capsys, monkeypatch):
     # only the vacuum keeps a dimension, 1/2; the dominant numerator holds

@@ -130,6 +130,28 @@ def test_budget_counts_every_state(monkeypatch):
         fock_states(3, 1, 7)
 
 
+def test_state_count_predicts_the_enumeration():
+    for n in range(1, 5):
+        for s in range(-4, 5):
+            for e2max in range(10):
+                assert (fock.state_count(n, s, e2max)
+                        == len(fock_states(n, s, e2max))), (n, s, e2max)
+
+
+def test_budget_refuses_before_any_multiset_is_built(monkeypatch):
+    # 56,252,719 states: refused from the prediction alone
+    def never(*args):
+        raise AssertionError("a mode multiset was built")
+
+    monkeypatch.setattr(fock, "_mode_multisets", never)
+    assert fock.state_count(4, 0, 24) == 56_252_719
+    with pytest.raises(BudgetError):
+        fock_states(4, 0, 24)
+    # far past the budget the ladder stops at the first bound over it
+    with pytest.raises(BudgetError):
+        fock_states(3, 0, 10**6)
+
+
 # -- sector characters -----------------------------------------------------------
 
 

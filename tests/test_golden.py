@@ -126,6 +126,22 @@ def test_e6_screened_vacuum_qdim_order_1_golden(capsys):
         "b3d827ebc493a686b17593ebd7109a624a3f9e77935e841537b2eaba550cd9f2")
 
 
+# the exceptional screening at level -1 over the default window: 33, 62 and
+# 107 weights, every pairing and witness depth decided in exact arithmetic
+E_SCREENING = [
+    (6, "fd56d79d032f4379e62733b09f8769786b247440c7cd014b8a8529e32dfcc33b"),
+    (7, "7198370bb2948390fe88269b3fa4fd688042f672b5b1489154797ee5fac61dd2"),
+    (8, "c88fffe80b25365f249b9f6e0f43ab78e7985aa6a10499d059974cb712292c3b"),
+]
+
+
+@pytest.mark.parametrize("rank,sha", E_SCREENING,
+                         ids=[f"E{r}" for r, _ in E_SCREENING])
+def test_list_deligne_exceptional_golden(capsys, rank, sha):
+    argv = f"list-deligne --type E --rank {rank} --level -1".split()
+    assert _sha(capsys, argv) == sha
+
+
 # (identity, order, terms) of every check of `verify all` at its defaults
 VERIFY_ALL = [
     ("superdenominator-sl n=3", 12, 133),

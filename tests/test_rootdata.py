@@ -10,21 +10,23 @@ from oracles import (
     apply,
     matrix_orbit_offsets,
     matrix_weyl_group,
+    root_lattice_basis,
     root_to_fund,
     simple_reflection,
 )
 
 from affinechar import rootdata
+from affinechar.formulas import q_dimension_sum
+from affinechar.lattice import lattice_points_below
 from affinechar.rootdata import (
     PosRoot,
     RootSystem,
     WeylSizeError,
     coroot_lattice_basis,
     int_inverse,
-    root_lattice_basis,
     root_system,
 )
-from affinechar.series import AffineWeight
+from affinechar.series import AffineWeight, weight_from_coeffs
 
 
 def det(rows):
@@ -181,10 +183,16 @@ def test_dominant_offset_against_the_matrices():
 
 
 def test_root_lattice_basis_integral():
-    for fam, rank in [("A", 2), ("C", 2), ("C", 3), ("D", 4), ("E", 6)]:
+    # the simple roots (the oracle's basis) and the simple coroots are int
+    # vectors, and on type A, the only type whose sums took the simple
+    # roots, the two bases are one
+    for fam, rank in [("A", 1), ("A", 2), ("A", 4), ("C", 2), ("C", 3),
+                      ("D", 4), ("E", 6)]:
         rs = root_system(fam, rank)
         for b in root_lattice_basis(rs) + coroot_lattice_basis(rs):
-            assert all(x.denominator == 1 for x in b)
+            assert all(type(x) is int for x in b)
+        if fam == "A":
+            assert root_lattice_basis(rs) == coroot_lattice_basis(rs)
 
 
 # -- the integer orbit kernel and the enumeration against slow oracles --------
@@ -212,17 +220,18 @@ def signed_sum(pairs):
 
 
 def near(rng, rs, v):
-    """v minus a random root-lattice vector."""
+    """Integral v minus a random root-lattice vector, in ints."""
     rc = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
-    return tuple(a - b for a, b in zip(v, root_to_fund(rs, rc)))
+    return tuple(int(a - b) for a, b in zip(v, root_to_fund(rs, rc)))
 
 
 def random_pairs(rng, rs, n):
-    """n pairs (v, base) with v - base in the root lattice, v often singular,
-    then n pairs with half-integral entries, often off the lattice."""
+    """n pairs (v, base) of ints with v - base in the root lattice, v often
+    singular, then n pairs with half-integral entries, often off the
+    lattice."""
     rank = rs.rank
     for _ in range(n):
-        v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(rank))
+        v = tuple(rng.randint(-3, 3) for _ in range(rank))
         yield v, near(rng, rs, v)
     for _ in range(n):
         yield tuple(tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
@@ -230,11 +239,12 @@ def random_pairs(rng, rs, n):
 
 
 def regular_weights(rng, rs, n):
-    """n regular weights: strictly dominant ones moved by a random element."""
+    """n regular weights in ints: strictly dominant ones moved by a random
+    element."""
     W = matrix_weyl_group(rs)
     for _ in range(n):
-        dom = tuple(Fraction(rng.randint(1, 3)) for _ in range(rs.rank))
-        yield apply(rng.choice(W), dom)
+        dom = tuple(rng.randint(1, 3) for _ in range(rs.rank))
+        yield tuple(map(int, apply(rng.choice(W), dom)))
 
 
 @pytest.mark.parametrize("fam,rank", ORACLE_TYPES)
@@ -278,7 +288,7 @@ def test_bounded_walk_is_the_orbit_cut_by_height(fam, rank):
     rng = random.Random(fam + str(rank) + "bound")
     rs = root_system(fam, rank)
     for _ in range(2):
-        v = tuple(Fraction(rng.randint(1, 3)) for _ in range(rank))
+        v = tuple(rng.randint(1, 3) for _ in range(rank))
         base = near(rng, rs, v)
         top = sum(rs.dominant_offset(v, base)[2])
         full = sorted(rs.orbit_offsets(v, base))
@@ -410,6 +420,14 @@ def _vec(entries):
     return tuple(Fraction(e) for e in entries)
 
 
+def as_ints(xs) -> tuple[int, ...]:
+    """Integral Fractions as ints: the model computes over Fraction, and
+    the library holds these root data in ints."""
+    xs = tuple(xs)
+    assert all(x.denominator == 1 for x in xs)
+    return tuple(map(int, xs))
+
+
 class EuclidModel:
     """Root data over Fraction from explicit simple roots in R^n, with the
     highest root at squared length 2: the construction the integer
@@ -476,7 +494,8 @@ class EuclidModel:
             assert all(x.denominator == 1 for x in rc)
             rc = tuple(int(x) for x in rc)
             if sum(rc) > 0:
-                pos.append((fc, rc, r, sum(rc), inner(r, r)))
+                pos.append((as_ints(fc), rc, r, sum(rc),
+                            as_ints([inner(r, r)])[0]))
         pos.sort(key=lambda p: (p[3], p[1]))
         self.positive_roots = pos
         self.theta = pos[-1]
@@ -485,8 +504,7 @@ class EuclidModel:
         comarks = solve_linear(
             [[inner(cv, av) for cv in coroots] for av in coroots],
             [inner(self.theta[2], av) for av in coroots])
-        assert all(x.denominator == 1 for x in comarks)
-        self.comarks = tuple(int(x) for x in comarks)
+        self.comarks = as_ints(comarks)
         self.dual_coxeter = 1 + sum(self.comarks)
 
         # fundamental weights in the span of the simple roots
@@ -503,10 +521,8 @@ class EuclidModel:
         self._gram_num, self._gram_den = scaled_matrix(
             [[inner(u, v) for v in fw] for u in fw])
         rho = tuple(sum(c) / 2 for c in zip(*(p[2] for p in pos)))
-        self.rho = tuple(inner(rho, cv) for cv in coroots)
-        self.simple_fund = tuple(tuple(inner(a, cv) for cv in coroots)
-                                 for a in simples)
-        self.coroot_fund = tuple(tuple(inner(c, cv) for cv in coroots)
+        self.rho = as_ints(inner(rho, cv) for cv in coroots)
+        self.coroot_fund = tuple(as_ints(inner(c, cv) for cv in coroots)
                                  for c in coroots)
 
     def euclid_inner(self, x, y):
@@ -550,6 +566,36 @@ ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3),
 
 
 @pytest.mark.parametrize("fam,rank", ALL_TYPES)
+def test_integer_model(fam, rank):
+    # root data, integral weights and lattice points are ints; a Fraction
+    # is made only by a pairing, and nothing returns a float
+    rs = root_system(fam, rank)
+    for a in rs.positive_roots:
+        assert all(type(x) is int for x in (*a.fund, a.norm))
+    assert all(type(x) is int for v in rs.coroot_fund for x in v)
+    assert all(type(x) is int for x in rs.rho)
+    vac = weight_from_coeffs(rs, (0,) * (rank + 1))
+    w = weight_from_coeffs(rs, (-2,) + (0,) * (rank - 1) + (1,))
+    for lam in (vac, w):
+        assert all(type(x) is int for x in (*lam.finite, lam.level,
+                                            lam.delta))
+    theta = rs.theta.fund
+    assert type(rs.inner(rs.rho, theta)) is Fraction
+    assert type(rs.norm(w.finite)) is Fraction
+    assert all(type(x) is Fraction for x in rs.fund_to_root(w.finite))
+    assert type(rs.weyl_dim(theta)) is Fraction
+    if (fam, rank) == ("E", 8):
+        return  # its lattice box takes seconds (ROADMAP item 3)
+    basis = coroot_lattice_basis(rs)
+    pts = lattice_points_below(rs, basis, rs.rho, rs.dual_coxeter, 2)
+    assert pts and all(type(g) is int for _, gamma, _ in pts for g in gamma)
+    # Macdonald at the level 0 vacuum: phi(q)^{dim g} up to q^1
+    qd = q_dimension_sum(rs, vac, basis, 1)
+    assert qd == [1, -(rank + 2 * len(rs.positive_roots))]
+    assert all(type(x) is int for x in qd)
+
+
+@pytest.mark.parametrize("fam,rank", ALL_TYPES)
 def test_integer_root_closure_matches_fraction_closure(fam, rank):
     rs = root_system(fam, rank)
     got = [tuple(a) for a in rs.positive_roots]
@@ -562,8 +608,7 @@ def test_integer_root_closure_matches_fraction_closure(fam, rank):
 def test_root_data_matches_euclidean_model(fam, rank):
     rs, ex = root_system(fam, rank), EuclidModel(fam, rank)
     for name in ("cartan", "marks", "comarks", "dual_coxeter", "_inv_num",
-                 "_inv_den", "_gram_num", "_gram_den", "simple_fund",
-                 "coroot_fund", "rho"):
+                 "_inv_den", "_gram_num", "_gram_den", "coroot_fund", "rho"):
         assert typed(getattr(rs, name)) == typed(getattr(ex, name)), name
     fc, rc, _, h, n = ex.theta
     assert typed(tuple(rs.theta)) == typed((fc, rc, h, n))
@@ -600,11 +645,11 @@ def test_integer_pairing_matches_fraction_sum(fam, rank):
 
 
 @pytest.mark.parametrize("cls,fields", [
-    (PosRoot, {"fund": (Fraction(2), Fraction(-1)), "root_coords": (1, 0),
-               "height": 1, "norm": Fraction(2)}),
+    (PosRoot, {"fund": (2, -1), "root_coords": (1, 0), "height": 1,
+               "norm": 2}),
     (WeylElement, {"matrix": ((-1, 0), (1, 1)), "sign": -1}),
-    (AffineWeight, {"finite": (Fraction(1), Fraction(0)),
-                    "level": Fraction(-1), "delta": Fraction(3, 2)}),
+    (AffineWeight, {"finite": (1, 0), "level": -1,
+                    "delta": Fraction(3, 2)}),
 ], ids=["PosRoot", "WeylElement", "AffineWeight"])
 def test_value_class_semantics(cls, fields):
     by_position, by_keyword = cls(*fields.values()), cls(**fields)
@@ -621,13 +666,17 @@ def test_value_class_semantics(cls, fields):
         cls(*fields.values(), 0)
 
 
-def test_make_and_apply_results():
-    w = AffineWeight.make([1, -2], Fraction(-3, 2), 4)
-    assert w == AffineWeight((Fraction(1), Fraction(-2)), Fraction(-3, 2),
-                             Fraction(4))
-    assert all(type(x) is Fraction for x in (*w.finite, w.level, w.delta))
-    assert AffineWeight.make((0,), 0, 0) == AffineWeight((Fraction(0),), 0, 0)
+def test_weight_fields_and_apply_results():
+    # an AffineWeight holds what it is given: ints for integral weights,
+    # equal to the same weight in Fractions
     a2 = root_system("A", 2)
+    w = weight_from_coeffs(a2, (-3, 1, -2))
+    assert w == AffineWeight((1, -2), -4, 0)
+    assert all(type(x) is int for x in (*w.finite, w.level, w.delta))
+    assert w == AffineWeight((Fraction(1), Fraction(-2)), Fraction(-4),
+                             Fraction(0))
+    half = AffineWeight((Fraction(1, 2),), Fraction(-3, 2), 4)
+    assert half.finite == (Fraction(1, 2),) and type(half.delta) is int
     got = a2.reflect(0, (Fraction(2), Fraction(1, 3)))
     assert got == (Fraction(-2), Fraction(7, 3))
     assert all(type(x) is Fraction for x in got)

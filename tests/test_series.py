@@ -566,7 +566,7 @@ def test_rebase_shifts_grading():
     rs = root_system("A", 1)
     base = weight_from_coeffs(rs, (0, 0))
     ch = CharSlices(rs, base, 3, {1: {(2,): 7}, 2: {(0,): 1}})
-    nb = AffineWeight.make((2,), 2, -1)
+    nb = AffineWeight((2,), 2, -1)
     rb = ch.rebase(nb, 1, (1,))
     assert rb.qmax == 2
     assert rb.coeff(0, (1,)) == 7 and rb.coeff(1, (-1,)) == 1
@@ -639,8 +639,8 @@ def test_weyl_invariance_matches_the_matrix_path(fam, rank):
     for _ in range(4):
         base = weight_from_coeffs(
             rs, [rng.randint(-2, 2) for _ in range(rank + 1)])
-        half = AffineWeight.make(
-            [Fraction(rng.randint(-3, 3), 2) for _ in range(rank)], -1, 0)
+        half = AffineWeight(
+            tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(rank)), -1, 0)
         chars += [CharSlices(rs, base, 2, _orbit_slices(rng, rs, base, 2)),
                   CharSlices(rs, base, 2, _random_terms(rng, rank, 2)),
                   CharSlices(rs, half, 2, _random_terms(rng, rank, 2)),
