@@ -436,10 +436,9 @@ def _check_qdim_two_path(args):
           + "; ".join(cond["failures"]))
     ch = character_from_numerator(
         _weyl(args, fm.deligne_numerator, rs, lam, order))
-    direct = fm.q_dimension_sum(rs, lam, coroot_lattice_basis(rs), order,
-                                coeff_fn=fm.screened_coefficient(
-                                    rs, cond["alpha"]),
-                                halve=True)
+    direct = fm.q_dimension_sum(
+        rs, lam, coroot_lattice_basis(rs), order,
+        coeff_fn=fm.screened_coefficient(cond["alpha"]), halve=True)
     dim_g = rs.rank + 2 * len(rs.positive_roots)
     via_char = qpoly_mul(fm.phi_power_qpoly(dim_g, order),
                          dict(enumerate(ch.q_series())), order)
@@ -754,6 +753,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, ArithmeticError, WeylSizeError,
             fock.BudgetError) as e:
         sys.stderr.write(f"error: {e}\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return 2
     except AssertionError as e:
         sys.stderr.write(f"internal error: {e}\n")

@@ -48,22 +48,26 @@ def _modes(n: int, pairs) -> Modes:
 
 def _mode_multisets(n: int, count: int, e2budget: int) -> list[Modes]:
     """Every multiset of `count` modes with doubled energy at most e2budget,
-    each built once; listed by its pairs nondecreasing in (k2, colour)."""
-    def rec(count, budget, min_k2, min_colour):
-        if count == 0:
-            yield ()
-            return
-        k2 = min_k2
-        first = True
-        while k2 * count <= budget:
-            cstart = min_colour if first else 1
-            for colour in range(cstart, n + 1):
-                for rest in rec(count - 1, budget - k2, k2, colour):
-                    yield ((colour, k2),) + rest
-            k2 += 2
-            first = False
+    each built once; listed by its pairs nondecreasing in (k2, colour).
+    One shared path holds the pairs chosen so far, so a multiset costs its
+    own length, not the sum of its prefixes' lengths."""
+    out: list[Modes] = []
+    path: list[tuple[int, int]] = []
 
-    return [_modes(n, pairs) for pairs in rec(count, e2budget, 1, 1)]
+    def rec(count, budget, k2, cstart):
+        if count == 0:
+            out.append(_modes(n, path))
+            return
+        while k2 * count <= budget:
+            for colour in range(cstart, n + 1):
+                path.append((colour, k2))
+                rec(count - 1, budget - k2, k2, colour)
+                path.pop()
+            k2 += 2
+            cstart = 1
+
+    rec(count, e2budget, 1, 1)
+    return out
 
 
 def state_count(n: int, s: int, e2max: int) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 
 from .lattice import alt_weyl_raw, dominant_numerator
-from .rootdata import RootSystem, coroot_lattice_basis, root_system
+from .rootdata import RootSystem, root_system
 from .series import (
     AffineWeight,
     CharSlices,
@@ -36,35 +36,21 @@ from . import fock
 from . import superden
 
 
-def _unit(rs: RootSystem, i: int) -> tuple[int, ...]:
-    """Fundamental coordinates of the i-th fundamental weight, i >= 1."""
-    return tuple(int(j == i - 1) for j in range(rs.rank))
+def _orth_coords(x) -> tuple[int, ...]:
+    """Integer coordinates j_k of gamma on the doubled orthogonal basis,
+    from its coroot coordinates x.
 
-
-def _orth_coords(rs: RootSystem, gf) -> tuple[int, ...]:
-    """Integer coordinates j_k of gamma on the doubled orthogonal basis.
-
-    j_k is the pairing of gamma with the k-th coordinate direction; for the
-    C-family lattice of translations these are exactly the integers with
-    gamma = sum_k j_k (2 eps_k).
+    j_k is the pairing of gamma with eps_k; on type C, omega_k = eps_1 +
+    ... + eps_k pairs with gamma to x_k, so j_k = x_k - x_{k-1}, and these
+    are exactly the integers with gamma = sum_k j_k (2 eps_k).
     """
-    out = []
-    prev = 0
-    for i in range(1, rs.rank + 1):
-        cur = rs.inner(gf, _unit(rs, i))
-        v = cur - prev
-        if v.denominator != 1:
-            raise AssertionError("pairing left the integers")
-        out.append(int(v))
-        prev = cur
-    return tuple(out)
+    return tuple(b - a for a, b in zip((0,) + tuple(x), x))
 
 
-def _half_sum(rs: RootSystem, lam, basis, node: int, qmax: int) -> CharSlices:
-    """Alternating sum over the half lattice (gamma | Lambda_node) >= 0."""
-    w = _unit(rs, node)
-    return alt_weyl_raw(rs, lam, basis, qmax,
-                        pred=lambda gf, x: rs.inner(gf, w) >= 0)
+def _half_sum(rs: RootSystem, lam, node: int, qmax: int) -> CharSlices:
+    """Alternating sum over the half lattice (gamma | Lambda_node) >= 0,
+    that pairing being the coroot coordinate x_node."""
+    return alt_weyl_raw(rs, lam, qmax, pred=lambda gf, x: x[node - 1] >= 0)
 
 
 # -- integrable weights --------------------------------------------------
@@ -78,7 +64,7 @@ def integrable_numerator(rs: RootSystem, lam, qmax: int) -> CharSlices:
         if c.denominator != 1 or c < 0:
             raise ValueError("weight is not dominant integral: "
                              f"({', '.join(map(str, coeffs))})")
-    return alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax)
+    return alt_weyl_raw(rs, lam, qmax)
 
 
 # -- the A-family level -1 tower -----------------------------------------
@@ -92,7 +78,7 @@ def sl_first_numerator(n: int, s: int, qmax: int):
         raise ValueError("needs s >= 0")
     rs = root_system("A", n - 1)
     lam = weight_from_coeffs(rs, (-(1 + s), s) + (0,) * (n - 2))
-    return _half_sum(rs, lam, coroot_lattice_basis(rs), 1, qmax)
+    return _half_sum(rs, lam, 1, qmax)
 
 
 def sl_last_numerator(n: int, s: int, qmax: int):
@@ -103,7 +89,7 @@ def sl_last_numerator(n: int, s: int, qmax: int):
         raise ValueError("needs s >= 0")
     rs = root_system("A", n - 1)
     lam = weight_from_coeffs(rs, (-(1 + s),) + (0,) * (n - 2) + (s,))
-    return _half_sum(rs, lam, coroot_lattice_basis(rs), n - 1, qmax)
+    return _half_sum(rs, lam, n - 1, qmax)
 
 
 def diagram_flip(num: CharSlices) -> CharSlices:
@@ -130,7 +116,7 @@ def sl2_lattice_numerator(s: int, qmax: int) -> CharSlices:
     q-powers up to s+1, with a genuine extra term at s+2."""
     rs = root_system("A", 1)
     lam = weight_from_coeffs(rs, (-(1 + s), s))
-    return _half_sum(rs, lam, coroot_lattice_basis(rs), 1, qmax)
+    return _half_sum(rs, lam, 1, qmax)
 
 
 # -- the C-family level -1 modules ---------------------------------------
@@ -145,7 +131,7 @@ def sp_a_numerator(n: int, s: int, qmax: int):
     npr = n // 2
     rs = root_system("C", npr)
     lam = weight_from_coeffs(rs, (-(1 + s), s) + (0,) * (npr - 1))
-    return _half_sum(rs, lam, coroot_lattice_basis(rs), 1, qmax)
+    return _half_sum(rs, lam, 1, qmax)
 
 
 def _long_root_odd_slices(rs: RootSystem, qmax: int):
@@ -179,8 +165,7 @@ def sp_split_characters(n: int, qmax: int):
     npr = n // 2
     rs = root_system("C", npr)
     lam = weight_from_coeffs(rs, (-1,) + (0,) * npr)
-    ca = character_from_numerator(
-        _half_sum(rs, lam, coroot_lattice_basis(rs), 1, qmax))
+    ca = character_from_numerator(_half_sum(rs, lam, 1, qmax))
     m = sp_twist_product_character(rs, qmax)
     return (ca + m).halve(), (ca - m).halve()
 
@@ -190,7 +175,8 @@ def sp_c_character(shifted: CharSlices) -> CharSlices:
     the second split form: one q-power down, based at its own top."""
     rs = shifted.rs
     lam2 = weight_from_coeffs(rs, (-2, 0, 1) + (0,) * (rs.rank - 2))
-    off2 = tuple(int(c) for c in rs.fund_to_root(_unit(rs, 2)))
+    off2 = tuple(int(c) for c in rs.fund_to_root(
+        (0, 1) + (0,) * (rs.rank - 2)))
     return shifted.rebase(lam2, 1, off2)
 
 
@@ -216,9 +202,8 @@ def parity_bracket(npr: int, pred_j, qmax: int, top=(-1,)) -> CharSlices:
     zeros: the vacuum by default."""
     rs = root_system("C", npr)
     lam = weight_from_coeffs(rs, top + (0,) * (npr + 1 - len(top)))
-    return alt_weyl_raw(
-        rs, lam, coroot_lattice_basis(rs), qmax,
-        pred=lambda gf, x: pred_j(_orth_coords(rs, gf)))
+    return alt_weyl_raw(rs, lam, qmax,
+                        pred=lambda gf, x: pred_j(_orth_coords(x)))
 
 
 def parity_bracket_identity(npr: int, qmax: int):
@@ -276,13 +261,13 @@ def check_deligne_conditions(rs: RootSystem, lam) -> dict:
     if c <= 0:
         return {"ok": False, "alpha": None, "witnesses": [],
                 "failures": [f"shifted level {c} is not positive"]}
+    # simply laced: (a_i|lam+rho) is the i-th fundamental coordinate
     lam_rho = tuple(f + 1 for f in lam.finite)
     witnesses = []
     for a in rs.positive_roots:
-        val = rs.inner(lam_rho, a.fund)
-        m = val / c
-        if m.denominator == 1 and m >= 1:
-            witnesses.append((a, int(m)))
+        m, rem = divmod(sum(map(mul, a.root_coords, lam_rho)), c)
+        if rem == 0 and m >= 1:
+            witnesses.append((a, m))
     ok = len(witnesses) == 1 and witnesses[0][1] == 1
     if not ok:
         if not witnesses:
@@ -300,16 +285,12 @@ def check_deligne_conditions(rs: RootSystem, lam) -> dict:
     }
 
 
-def screened_coefficient(rs: RootSystem, alpha):
-    """The linear coefficient gamma -> (gamma|alpha)+1 of the screened root."""
-
-    def coeff(gf, x):
-        v = rs.inner(alpha.fund, gf) + 1
-        if v.denominator != 1:
-            raise AssertionError("non-integral coefficient")
-        return int(v)
-
-    return coeff
+def screened_coefficient(alpha):
+    """The linear coefficient gamma -> (gamma|alpha)+1 of the screened root;
+    the algebra is simply laced, so (a_i|gamma) is gamma's i-th fundamental
+    coordinate."""
+    rc = alpha.root_coords
+    return lambda gf, x: sum(map(mul, rc, gf)) + 1
 
 
 def deligne_numerator(rs: RootSystem, lam, qmax: int) -> CharSlices:
@@ -317,8 +298,8 @@ def deligne_numerator(rs: RootSystem, lam, qmax: int) -> CharSlices:
     cond = check_deligne_conditions(rs, lam)
     if not cond["ok"]:
         raise ValueError("; ".join(cond["failures"]))
-    num = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax,
-                       coeff_fn=screened_coefficient(rs, cond["alpha"]))
+    num = alt_weyl_raw(rs, lam, qmax,
+                       coeff_fn=screened_coefficient(cond["alpha"]))
     return num.halve()
 
 
@@ -427,7 +408,7 @@ def sp_sector_restriction_check(n: int, s: int, qmax: int):
     rs = root_system("C", npr)
     chf = fock.charge_sector_character(rs, s, qmax)
     lhs = chf.mul_slices(denominator_slices(rs, qmax))
-    rhs = _half_sum(rs, chf.base, coroot_lattice_basis(rs), 1, qmax)
+    rhs = _half_sum(rs, chf.base, 1, qmax)
     return lhs.first_diff(rhs)
 
 

@@ -1,87 +1,78 @@
 """Exact lattice-point enumeration and alternating Weyl-translated sums.
 
 The drop of a translation t_gamma applied to a weight of shifted level c is
-the positive definite quadratic (nu|gamma) + c(gamma|gamma)/2; enumerating
-all gamma below a bound is an ellipsoid problem solved exactly over Q.
+the positive definite quadratic (nu|gamma) + c(gamma|gamma)/2.  On the
+coroot lattice at integral nu and c it is an integral form (Kac,
+Infinite-dimensional Lie algebras, 6.5), so enumerating all gamma below a
+bound is an ellipsoid problem solved in integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iproduct
-from math import floor, isqrt, lcm
+from math import isqrt
 from operator import mul
 
-from .rootdata import RootSystem, int_inverse
+from .rootdata import RootSystem, coroot_lattice_basis, int_inverse
 from .series import AffineWeight, CharSlices
 
 
-def _floor_plus_sqrt(x: Fraction, r2: Fraction) -> int:
-    """floor(x + sqrt(r2)) for rationals, r2 >= 0, computed exactly."""
-    if r2 < 0:
-        raise ValueError("negative radicand")
-    # floor(x) + isqrt(floor(r2)) is the answer or one below it
-    t = floor(x) + isqrt(floor(r2))
-    while (t + 1 - x) ** 2 <= r2:
-        t += 1
-    return t
-
-
-def _ceil_minus_sqrt(x: Fraction, r2: Fraction) -> int:
-    return -_floor_plus_sqrt(-x, r2)
-
-
-def quad_points(M: list[list[Fraction]], L: list[Fraction],
-                B: Fraction) -> dict[tuple[int, ...], Fraction]:
+def quad_points(M: list[list[int]], L: list[int],
+                B: int) -> dict[tuple[int, ...], int]:
     """{x: x^T M x / 2 + L.x} over all x in Z^r where that is <= B, for M
-    positive definite; each value is exact, read off the integer form."""
-    r = len(M)
-    # clear denominators once so the box test runs on plain integers:
-    # x^T Mi x + 2 Li.x <= 2 Bi with Mi = 2 den M etc., all integral
-    den = lcm(*(v.denominator for row in (*M, L, [B]) for v in row))
-    Mi = [[int(v * 2 * den) for v in row] for row in M]
-    Li = [int(v * 2 * den) for v in L]
-    Bi = int(B * 2 * den)
-    N, d = int_inverse(Mi)
-    Minv = [[Fraction(2 * den * x, d) for x in row] for row in N]
-    xstar = [-sum(map(mul, row, L)) for row in Minv]
-    qmin = sum(map(mul, L, xstar)) / 2
-    R2 = 2 * (B - qmin)
-    if R2 < 0:
+    positive definite with an even diagonal, so that every value is an int.
+
+    With M^{-1} = N / d the minimum sits at p / d, p = -N L, and the
+    ellipsoid's extent along x_i is sqrt(s N_ii) / d about it, where
+    s = 2 B d - L.p is d times twice the room above the minimum; each
+    coordinate range is that interval rounded inward with isqrt.
+    """
+    N, d = int_inverse(M)
+    p = [-sum(map(mul, row, L)) for row in N]
+    s = 2 * B * d - sum(map(mul, L, p))
+    if s < 0:
         return {}
-    rad2 = [R2 * Minv[i][i] for i in range(r)]
-    ranges = [range(_ceil_minus_sqrt(x, r2), _floor_plus_sqrt(x, r2) + 1)
-              for x, r2 in zip(xstar, rad2)]
+    ranges = []
+    for i, pi in enumerate(p):
+        w = isqrt(s * N[i][i])
+        ranges.append(range(-((w - pi) // d), (pi + w) // d + 1))
+    r = len(M)
     out = {}
     for x in iproduct(*ranges):
         tot = 0
         for i in range(r):
             xi = x[i]
             if xi:
-                row = Mi[i]
+                row = M[i]
                 tot += xi * (sum(row[j] * x[j] for j in range(r))
-                             + 2 * Li[i])
-        if tot <= 2 * Bi:
-            out[x] = Fraction(tot, 4 * den)
+                             + 2 * L[i])
+        if tot <= 2 * B:
+            out[x] = tot // 2
     return out
 
 
 def lattice_points_below(rs: RootSystem, basis, nu_fin, c,
-                         bound) -> list[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
+                         bound) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """All gamma = sum x_i b_i with drop (nu_fin|gamma) + c(gamma|gamma)/2
-    <= bound, for an integer basis; nu_fin and c may be rational.
+    <= bound, for an integer basis.
 
-    Returns (integer coords, gamma in fundamental coords as ints, exact
-    drop), sorted by drop, then coords.
+    The form c(b_i|b_j), (nu_fin|b_i) is built once; ValueError unless it
+    is integral with an even diagonal, as it always is on the coroot
+    lattice at integral nu_fin and c, so that every drop is an int.
+    Returns (integer coords, gamma in fundamental coords as ints, drop),
+    sorted by drop, then coords.
     """
-    if any(v.denominator != 1 for b in basis for v in b):
-        raise ValueError("lattice basis must be integral")
     M = [[c * rs.inner(a, b) for b in basis] for a in basis]
     L = [rs.inner(nu_fin, b) for b in basis]
+    if (any(v.denominator != 1 for row in (*basis, *M, L) for v in row)
+            or any(M[i][i] % 2 for i in range(len(M)))):
+        raise ValueError("lattice basis and drop form must be integral, "
+                         "with an even diagonal")
+    pts = quad_points([[int(v) for v in row] for row in M],
+                      [int(v) for v in L], bound)
     cols = list(zip(*basis))
     return sorted(((x, tuple([sum(map(mul, x, col)) for col in cols]), drop)
-                   for x, drop in quad_points(M, L, bound).items()),
-                  key=lambda t: (t[2], t[0]))
+                   for x, drop in pts.items()), key=lambda t: (t[2], t[0]))
 
 
 def _orbit_sum(rs: RootSystem, lam: AffineWeight, nu_fin, items,
@@ -121,15 +112,13 @@ def dominant_numerator(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
     for x, gamma, drop in lattice_points_below(rs, basis, nu_fin, c, qmax):
         if pred is not None and not pred(gamma, x):
             continue
-        if drop.denominator != 1:
-            raise AssertionError(f"non-integral drop {drop} at {x}")
         coeff = 1 if coeff_fn is None else coeff_fn(gamma, x)
         if coeff == 0:
             continue
         mu, sign, _ = rs.dominant_offset(
             [a + c * g for a, g in zip(nu_fin, gamma)], nu_fin)
         if all(mu):
-            tgt = out.setdefault(int(drop), {})
+            tgt = out.setdefault(drop, {})
             mu = tuple(mu)
             v = tgt.get(mu, 0) + sign * coeff
             if v:
@@ -139,10 +128,12 @@ def dominant_numerator(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
     return nu_fin, {m: b for m, b in out.items() if b}
 
 
-def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
+def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, qmax: int,
                  pred=None, coeff_fn=None) -> CharSlices:
-    """sum_w eps(w) w sum_gamma coeff(gamma) t_gamma e^{lam+rho-hat}, sliced:
-    each weight of the dominant_numerator expanded over its orbit.
+    """sum_w eps(w) w sum_gamma coeff(gamma) t_gamma e^{lam+rho-hat} over
+    the coroot lattice, sliced: each weight of the dominant_numerator
+    expanded over its orbit.  pred and coeff_fn read gamma in fundamental
+    coordinates and x, its integer coordinates on the simple coroots.
 
     Terms are exponents relative to lam + (mult of delta), graded by the
     delta-drop m; terms at negative m are kept, for require_nonnegative()
@@ -153,6 +144,7 @@ def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
     # a shifted level <= 0 is refused by dominant_numerator, not the gate
     if lam.level + rs.dual_coxeter > 0:
         rs.weyl_group()
-    nu_fin, num = dominant_numerator(rs, lam, basis, qmax, pred, coeff_fn)
+    nu_fin, num = dominant_numerator(rs, lam, coroot_lattice_basis(rs), qmax,
+                                     pred, coeff_fn)
     return _orbit_sum(rs, lam, nu_fin, [(mu, m, c) for m, b in num.items()
                                         for mu, c in b.items()], qmax)

@@ -241,15 +241,17 @@ class RootSystem:
 
     def dominant_offset(self, v, base):
         """(v+, sign, root coordinates of v+ - base): v+ = w(v) is dominant,
-        sign is eps(w), and v+ is regular exactly when all(v+); ints for
-        integer v and base.  AssertionError unless every w(v) - base lies
-        in the root lattice, that is unless v is integral and v - base a
-        root sum."""
-        vi = list(v)
+        sign is eps(w), and v+ is regular exactly when all(v+); all ints,
+        an integral Fraction v being turned into ints before the walk.
+        AssertionError unless every w(v) - base lies in the root lattice,
+        that is unless v is integral and v - base a root sum."""
+        if any(x % 1 for x in v):
+            raise AssertionError("orbit offset left the root lattice")
+        vi = [int(x) for x in v]
         sign = self._reduce(vi)
         d = self._inv_den
         off = [sum(map(mul, row, map(sub, vi, base))) for row in self._inv_num]
-        if any(x % 1 for x in vi) or any(x % d for x in off):
+        if any(x % d for x in off):
             raise AssertionError("orbit offset left the root lattice")
         return vi, sign, tuple([x // d for x in off])
 

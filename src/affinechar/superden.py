@@ -70,13 +70,10 @@ def _branch_sum(rs, lamb, shift, kvec_fn, height: int):
         nu0 = rho_f if branch == 1 else tuple(
             a - b for a, b in zip(rho_f, lamb))
         pts = lattice_points_below(rs, basis, nu0, shift, height)
-        for x, gf, d0 in pts:
+        for x, gf, D in pts:
             pair = sum(map(mul, x, lamb))
             if (branch == 1) != (pair >= 0):
                 continue
-            if d0.denominator != 1:
-                raise AssertionError("non-integral drop")
-            D = int(d0)
             p = 0 if branch == 1 else -1
             dp = 1 if branch == 1 else -1
             prev_hmin = None

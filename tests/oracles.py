@@ -10,7 +10,10 @@ only the tests call, together with the finite Weyl denominator taken
 from Weyl's denominator formula.
 The next group is the code the library ran before the dominant-chamber
 orbit walk and the integer drop: a loop over the matrices of W
-for every orbit, `Fraction` sums for every lattice point, the per-point
+for every orbit, the `Fraction` ellipsoid enumeration with its exact
+floor(x + sqrt(r2)), `Fraction` sums for every lattice point, the
+`Fraction` pairings the formula predicates, the screened coefficient and
+the screening took before they read coroot coordinates, the per-point
 loops of alt_weyl_raw (a whole orbit per point) and q_dimension_sum (a
 Weyl dimension per point) before both read one dominant-chamber
 numerator, the affine denominator as one cone series, and the two-branch
@@ -27,12 +30,13 @@ ints, and `root_lattice_basis`, the simple roots the type A sums took.
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from itertools import product as iproduct
+from math import floor, isqrt, lcm
 from operator import mul
 
 from affinechar.fock import fock_states
-from affinechar.lattice import _orbit_sum, lattice_points_below, quad_points
-from affinechar.rootdata import coroot_lattice_basis, root_system
+from affinechar.lattice import _orbit_sum, lattice_points_below
+from affinechar.rootdata import coroot_lattice_basis, int_inverse, root_system
 from affinechar.series import (
     AffineWeight,
     CharSlices,
@@ -190,6 +194,44 @@ def matrix_orbit_offsets(rs, v, base):
         yield w.sign, tuple([x // dd for x in off])
 
 
+def _floor_plus_sqrt(x: Fraction, r2: Fraction) -> int:
+    """floor(x + sqrt(r2)) for rationals, r2 >= 0, computed exactly."""
+    if r2 < 0:
+        raise ValueError("negative radicand")
+    # floor(x) + isqrt(floor(r2)) is the answer or one below it
+    t = floor(x) + isqrt(floor(r2))
+    while (t + 1 - x) ** 2 <= r2:
+        t += 1
+    return t
+
+
+def fraction_quad_points(M, L, B) -> dict[tuple[int, ...], Fraction]:
+    """lattice.quad_points over Q: the box about the rational centre of the
+    ellipsoid, each bound found by _floor_plus_sqrt."""
+    r = len(M)
+    den = lcm(*(Fraction(v).denominator for row in (*M, L, [B]) for v in row))
+    Mi = [[int(v * 2 * den) for v in row] for row in M]
+    Li = [int(v * 2 * den) for v in L]
+    Bi = int(B * 2 * den)
+    N, d = int_inverse(Mi)
+    Minv = [[Fraction(2 * den * x, d) for x in row] for row in N]
+    xstar = [-sum(map(mul, row, L)) for row in Minv]
+    qmin = sum(map(mul, L, xstar)) / 2
+    R2 = 2 * (B - qmin)
+    if R2 < 0:
+        return {}
+    rad2 = [R2 * Minv[i][i] for i in range(r)]
+    ranges = [range(-_floor_plus_sqrt(-x, r2), _floor_plus_sqrt(x, r2) + 1)
+              for x, r2 in zip(xstar, rad2)]
+    out = {}
+    for x in iproduct(*ranges):
+        tot = sum(x[i] * (sum(Mi[i][j] * x[j] for j in range(r)) + 2 * Li[i])
+                  for i in range(r))
+        if tot <= 2 * Bi:
+            out[x] = Fraction(tot, 4 * den)
+    return out
+
+
 def drop_of(rs, nu_fin, c, gamma) -> Fraction:
     return rs.inner(nu_fin, gamma) + c * rs.norm(gamma) / 2
 
@@ -202,7 +244,7 @@ def fraction_lattice_points_below(rs, basis, nu_fin, c, bound):
     ]
     L = [rs.inner(nu_fin, basis[i]) for i in range(r)]
     out = []
-    for x in quad_points(M, L, Fraction(bound)):
+    for x in fraction_quad_points(M, L, Fraction(bound)):
         gamma = tuple(
             sum((Fraction(x[i]) * basis[i][d] for i in range(r)), Fraction(0))
             for d in range(rs.rank)
@@ -212,7 +254,7 @@ def fraction_lattice_points_below(rs, basis, nu_fin, c, bound):
     return out
 
 
-def point_alt_weyl_raw(rs, lam, basis, qmax, pred=None, coeff_fn=None):
+def point_alt_weyl_raw(rs, lam, qmax, pred=None, coeff_fn=None):
     """lattice.alt_weyl_raw with one whole orbit walked per lattice point,
     before the numerator was summed in the dominant chamber."""
     nu_fin = tuple(f + 1 for f in lam.finite)
@@ -220,15 +262,14 @@ def point_alt_weyl_raw(rs, lam, basis, qmax, pred=None, coeff_fn=None):
     if c <= 0:
         raise ValueError("shifted level k + h_vee must be positive")
     items = []
-    for x, gamma, drop in lattice_points_below(rs, basis, nu_fin, c, qmax):
+    for x, gamma, drop in lattice_points_below(
+            rs, coroot_lattice_basis(rs), nu_fin, c, qmax):
         if pred is not None and not pred(gamma, x):
             continue
-        if drop.denominator != 1:
-            raise AssertionError(f"non-integral drop {drop} at {x}")
         coeff = 1 if coeff_fn is None else coeff_fn(gamma, x)
         if coeff:
             mu = tuple(a + c * g for a, g in zip(nu_fin, gamma))
-            items.append((mu, int(drop), coeff))
+            items.append((mu, drop, coeff))
     return _orbit_sum(rs, lam, nu_fin, items, qmax)
 
 
@@ -239,12 +280,9 @@ def point_q_dimension_sum(rs, lam, basis, qmax, coeff_fn=None, halve=False):
     if c <= 0:
         raise ValueError("shifted level must be positive")
     by_drop: dict[int, Fraction] = {}
-    for x, gf, drop in lattice_points_below(rs, basis, nu, c, qmax):
-        if drop.denominator != 1:
-            raise AssertionError("non-integral drop")
+    for x, gf, m in lattice_points_below(rs, basis, nu, c, qmax):
         co = 1 if coeff_fn is None else coeff_fn(gf, x)
         hw = tuple(l + c * g for l, g in zip(lam.finite, gf))
-        m = int(drop)
         by_drop[m] = by_drop.get(m, Fraction(0)) + co * rs.weyl_dim(hw)
     for m in sorted(by_drop):
         if m < 0 and by_drop[m]:
@@ -257,6 +295,55 @@ def point_q_dimension_sum(rs, lam, basis, qmax, coeff_fn=None, halve=False):
         if a.denominator != 1:
             raise ArithmeticError(f"non-integral graded dimension {a}")
     return [int(a) for a in acc]
+
+
+def _fund_unit(rs, i: int) -> tuple[int, ...]:
+    return tuple(int(j == i - 1) for j in range(rs.rank))
+
+
+def fraction_node_pairing(rs, gf, node: int) -> Fraction:
+    """(gamma|Lambda_node), which formulas._half_sum's predicate reads."""
+    return rs.inner(gf, _fund_unit(rs, node))
+
+
+def fraction_orth_coords(rs, gf) -> tuple[int, ...]:
+    """formulas._orth_coords by pairings: j_k = (gamma|omega_k) -
+    (gamma|omega_{k-1}), each checked integral."""
+    out = []
+    prev = 0
+    for i in range(1, rs.rank + 1):
+        cur = rs.inner(gf, _fund_unit(rs, i))
+        v = cur - prev
+        if v.denominator != 1:
+            raise AssertionError("pairing left the integers")
+        out.append(int(v))
+        prev = cur
+    return tuple(out)
+
+
+def fraction_screened_coefficient(rs, alpha):
+    """formulas.screened_coefficient by the pairing (gamma|alpha) + 1."""
+
+    def coeff(gf, x):
+        v = rs.inner(alpha.fund, gf) + 1
+        if v.denominator != 1:
+            raise AssertionError("non-integral coefficient")
+        return int(v)
+
+    return coeff
+
+
+def fraction_deligne_witnesses(rs, lam) -> list:
+    """The root scan of formulas.check_deligne_conditions by pairings:
+    (a, m) for each positive root a with (lam + rho|a) = m c, m >= 1."""
+    c = lam.level + rs.dual_coxeter
+    lam_rho = tuple(f + 1 for f in lam.finite)
+    out = []
+    for a in rs.positive_roots:
+        m = rs.inner(lam_rho, a.fund) / c
+        if m.denominator == 1 and m >= 1:
+            out.append((a, int(m)))
+    return out
 
 
 def matrix_branch_sum(rs, basis, lamb, shift, kvec_fn, height: int):

@@ -682,6 +682,27 @@ def test_non_integral_dimension_is_one_error_line_with_exit_two(
     assert err == "error: non-integral graded dimension 1/2\n"
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("deligne_numerator", ["qdim", "--formula", "deligne", "--type", "D",
+                           "--rank", "4", "--weight", "-1", "0", "0", "0",
+                           "0", "--order", "1"]),
+    ("integrable_numerator", ["compute", "--formula", "integrable", "--type",
+                              "A", "--rank", "2", "--weight", "1", "0", "0"]),
+    ("sp_twist_product_character", ["verify", "twisted-denominator"]),
+])
+def test_memory_exhaustion_is_one_error_line_with_exit_two(capsys,
+                                                           monkeypatch,
+                                                           name, argv):
+    # an identity did not fail, so not exit 1, and no traceback either
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(fm, name, exhausted)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_internal_invariant_is_one_line_with_exit_three(capsys, monkeypatch):
     # shift the base of every orbit off the root lattice, so that the real
     # kernel raises its invariant

@@ -1,10 +1,16 @@
 """Character formulas: towers, split vacua, parity sums, screened weights."""
 
+import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from oracles import is_weyl_invariant
+from oracles import (
+    fraction_deligne_witnesses,
+    fraction_orth_coords,
+    is_weyl_invariant,
+)
 
 from affinechar.formulas import (
     _long_root_odd_slices,
@@ -208,16 +214,17 @@ def test_parity_numerators_are_the_parity_sums_at_their_tops(n, qmax):
     for variant, top, k in (("a", (-1,), 0), ("b", (-2, 0, 1), 1)):
         lam = weight_from_coeffs(rs, top + (0,) * (n // 2 + 1 - len(top)))
         direct = alt_weyl_raw(
-            rs, lam, coroot_lattice_basis(rs), qmax,
-            pred=lambda gf, x: (_orth_coords(rs, gf)[k] >= 0
-                                and sum(_orth_coords(rs, gf)) % 2 == 0))
+            rs, lam, qmax,
+            pred=lambda gf, x: (_orth_coords(x)[k] >= 0
+                                and sum(_orth_coords(x)) % 2 == 0))
         assert sp_parity_numerator(n, variant, qmax) == direct
 
 
 def test_orth_coords_round_trip():
-    # gamma = sum_k j_k (2 eps_k), with 2 eps_k = a_k^vee + ... + a_l^vee
+    # gamma = sum_k j_k (2 eps_k), with 2 eps_k = a_k^vee + ... + a_l^vee,
+    # so gamma's coroot coordinates are the partial sums of j
     rng = random.Random(3)
-    for rank in (2, 3):
+    for rank in (2, 3, 4):
         rs = root_system("C", rank)
         gammas = [
             tuple(sum(rs.coroot_fund[j][d] for j in range(i, rank))
@@ -227,9 +234,10 @@ def test_orth_coords_round_trip():
         assert all(rs.norm(g) == 2 for g in gammas)
         for _ in range(40):
             js = tuple(rng.randint(-4, 4) for _ in range(rank))
-            g = tuple(sum(Fraction(j) * b[d] for j, b in zip(js, gammas))
+            g = tuple(sum(j * b[d] for j, b in zip(js, gammas))
                       for d in range(rank))
-            assert _orth_coords(rs, g) == js
+            x = tuple(itertools.accumulate(js))
+            assert _orth_coords(x) == fraction_orth_coords(rs, g) == js
 
 
 def test_window_negation():
@@ -298,6 +306,23 @@ def test_deeper_vacua_pass():
         rs4, weight_from_coeffs(rs4, (-2,) + (0,) * 4))
     assert res["ok"]
     assert tuple(int(x) for x in res["alpha"].root_coords) == (1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("fam,rank", [("D", 4), ("E", 6)])
+def test_screening_equals_the_fraction_pairings(fam, rank):
+    # every weight of the window [0, 2] at levels -1 and -2: the integer
+    # root scan finds the witnesses the Fraction pairings found
+    rs = root_system(fam, rank)
+    for k in (-1, -2):
+        passed = 0
+        for fin in itertools.product(range(3), repeat=rank):
+            lam = weight_from_coeffs(
+                rs, (k - sum(map(mul, fin, rs.comarks)),) + fin)
+            res = check_deligne_conditions(rs, lam)
+            assert res["witnesses"] == fraction_deligne_witnesses(rs, lam)
+            assert all(type(m) is int for _, m in res["witnesses"])
+            passed += res["ok"]
+        assert passed
 
 
 def test_linear_coefficient_antisymmetry():

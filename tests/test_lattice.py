@@ -2,12 +2,19 @@
 
 import random
 from fractions import Fraction
+from itertools import product as iproduct
+from math import floor
+from operator import mul
 
 import pytest
 from oracles import (
     apply,
     drop_of,
     fraction_lattice_points_below,
+    fraction_node_pairing,
+    fraction_orth_coords,
+    fraction_quad_points,
+    fraction_screened_coefficient,
     is_weyl_invariant,
     matrix_weyl_group,
     point_alt_weyl_raw,
@@ -19,7 +26,6 @@ from oracles import (
 from affinechar import formulas as fm
 from affinechar import lattice
 from affinechar.lattice import (
-    _floor_plus_sqrt,
     alt_weyl_raw,
     dominant_numerator,
     lattice_points_below,
@@ -29,6 +35,7 @@ from affinechar.rootdata import (
     RootSystem,
     WeylSizeError,
     coroot_lattice_basis,
+    int_inverse,
     root_system,
 )
 from affinechar.series import (
@@ -51,25 +58,80 @@ from affinechar.superden import sl_sum, spo_sum
 
 def test_quad_points_circle():
     # x^2 + y^2 <= 4 has 13 integral solutions
-    M = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]]
-    L = [Fraction(0), Fraction(0)]
-    pts = quad_points(M, L, Fraction(4))
+    pts = quad_points([[2, 0], [0, 2]], [0, 0], 4)
     assert len(pts) == 13
-    assert all(x * x + y * y <= 4 for x, y in pts)
+    assert all(x * x + y * y == v and type(v) is int
+               for (x, y), v in pts.items())
 
 
 def test_quad_points_shifted():
-    M = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]]
-    L = [Fraction(3), Fraction(-1)]
-    B = Fraction(7, 2)
-    got = set(quad_points(M, L, B))
-    want = set()
+    # x^2 + xy + y^2 + 3x - y takes integer values, so <= 7/2 means <= 3
+    M, L = [[2, 1], [1, 2]], [3, -1]
+    got = quad_points(M, L, 3)
+    want = {}
     for x in range(-20, 21):
         for y in range(-20, 21):
-            q = Fraction(2 * x * x + 2 * x * y + 2 * y * y, 2) + 3 * x - y
-            if q <= B:
-                want.add((x, y))
+            q = x * x + x * y + y * y + 3 * x - y
+            if q <= 3:
+                want[(x, y)] = q
     assert got == want
+    assert got == fraction_quad_points(M, L, Fraction(7, 2))
+
+
+def random_even_form(rng, r):
+    # symmetric, strictly diagonally dominant with an even diagonal: positive
+    # definite with least eigenvalue >= 1, and x^T M x / 2 is an integer
+    M = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i):
+            M[i][j] = M[j][i] = rng.randrange(-3, 4)
+    for i in range(r):
+        d = sum(map(abs, M[i])) + 1
+        M[i][i] = d + d % 2 + 2 * rng.randrange(3)
+    return M
+
+
+def form_value(M, L, x):
+    return (sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, M)) // 2
+            + sum(map(mul, L, x)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_quad_points_match_brute_box_on_random_integral_forms(r):
+    # |L| <= 3 sqrt(3) and B <= 8 keep every point within 12 of the origin
+    rng = random.Random(20261019 + r)
+    box = list(iproduct(range(-12, 13), repeat=r))
+    for _ in range(20):
+        M = random_even_form(rng, r)
+        L = [rng.randrange(-3, 4) for _ in range(r)]
+        B = rng.randrange(-8, 9)
+        got = quad_points(M, L, B)
+        assert got == {x: v for x in box if (v := form_value(M, L, x)) <= B}
+        assert all(type(v) is int for v in got.values())
+
+
+def test_quad_points_isqrt_bounds_far_from_the_origin():
+    # centres near 10^12 with a few points about each: every isqrt bound is
+    # exact, against a box about the rational centre and the Fraction path
+    rng = random.Random(61)
+    found = 0
+    for _ in range(40):
+        r = rng.randrange(1, 4)
+        M = random_even_form(rng, r)
+        L = [rng.randrange(-10**12, 10**12) for _ in range(r)]
+        N, d = int_inverse(M)
+        centre = [Fraction(-sum(map(mul, row, L)), d) for row in N]
+        qmin = sum(map(mul, L, centre)) / 2
+        # B - qmin < 6 keeps every point within sqrt(12) of the centre
+        B = floor(qmin) + rng.randrange(6)
+        got = quad_points(M, L, B)
+        box = iproduct(*(range(floor(c) - 4, floor(c) + 6) for c in centre))
+        assert got == {x: v for x in box if (v := form_value(M, L, x)) <= B}
+        assert got == fraction_quad_points(M, L, B)
+        found += len(got)
+    assert found > 40
+    # no room above the minimum: nothing at all
+    assert quad_points([[2]], [-2 * 10**12 - 1], -10**24 - 10**12 - 1) == {}
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 2), ("C", 2), ("A", 3)])
@@ -81,13 +143,14 @@ def test_lattice_points_match_brute_box(fam, rank):
     gram = [[rs.inner(basis[i], basis[j]) for j in range(rank)]
             for i in range(rank)]
     for _ in range(6):
-        nu = tuple(Fraction(rng.randrange(-3, 4)) for _ in range(rank))
-        c = Fraction(rng.randrange(1, 4))
+        nu = tuple(rng.randrange(-3, 4) for _ in range(rank))
+        c = rng.randrange(1, 4)
         bound = rng.randrange(0, 7)
         lin = [rs.inner(nu, basis[i]) for i in range(rank)]
         got = {x: d for x, _, d in lattice_points_below(rs, basis, nu, c, bound)}
         # the enumerator must stay strictly inside the scan box
         assert all(max(abs(v) for v in x) < half for x in got)
+        assert all(type(d) is int for d in got.values())
         want = {}
         for xs in _box(rank, half):
             d = c * sum(
@@ -108,45 +171,71 @@ def _box(rank, half):
     return [(x, y, z) for x in rng for y in rng for z in rng]
 
 
+def form_is_integral(rs, basis, nu, c):
+    # c(b_i|b_j) and (nu|b_i) integers, the diagonal even
+    M = [[c * rs.inner(a, b) for b in basis] for a in basis]
+    L = [rs.inner(nu, b) for b in basis]
+    return (all(v.denominator == 1 for row in (*M, L) for v in row)
+            and all(M[i][i] % 2 == 0 for i in range(len(M))))
+
+
 @pytest.mark.parametrize("fam,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
                                       ("C", 2), ("C", 3), ("D", 4), ("E", 6)])
 def test_integer_points_match_the_fraction_path(fam, rank):
     rng = random.Random(fam + str(rank))
     rs = root_system(fam, rank)
+    compared = 0
     for basis in (root_lattice_basis(rs), coroot_lattice_basis(rs)):
-        for _ in range(4):
+        for _ in range(6):
             # rank 6 stays near its Deligne vacuum (nu = rho, c = 9), where
-            # the scan box is small, in ints; elsewhere nu and c are rational
+            # the scan box is small; elsewhere nu and c range more widely
             if fam == "E":
                 nu = tuple(rng.randrange(1, 3) for _ in range(rank))
                 c, bound = rng.randrange(9, 13), rng.randrange(0, 3)
             else:
-                nu = tuple(Fraction(rng.randrange(-3, 4), rng.choice((1, 2)))
-                           for _ in range(rank))
-                c = Fraction(rng.randrange(1, 7), rng.choice((1, 2)))
-                bound = rng.randrange(0, 4)
+                nu = tuple(rng.randrange(-3, 4) for _ in range(rank))
+                c, bound = rng.randrange(1, 7), rng.randrange(0, 4)
+            if not form_is_integral(rs, basis, nu, c):
+                # only the C root basis, whose short roots have norm 1
+                assert basis != coroot_lattice_basis(rs)
+                with pytest.raises(ValueError, match="integral"):
+                    lattice_points_below(rs, basis, nu, c, bound)
+                continue
             got = lattice_points_below(rs, basis, nu, c, bound)
             assert got == fraction_lattice_points_below(rs, basis, nu, c,
                                                         bound)
+            compared += 1
             for x, gamma, drop in got:
                 assert all(type(g) is int for g in gamma)
-                assert type(drop) is Fraction
+                assert type(drop) is int
                 assert drop == drop_of(rs, nu, c, gamma)
+    assert compared >= 6
 
 
-def test_non_integral_basis_is_refused():
-    # gamma is returned in ints, so a half-integral basis cannot be taken
-    rs = root_system("A", 1)
-    with pytest.raises(ValueError, match="integral"):
-        lattice_points_below(rs, [(Fraction(1, 2),)], (Fraction(1),),
-                             Fraction(2), 1)
+def test_non_integral_form_is_refused(monkeypatch):
+    # a half-integral basis, rational nu or c, and an odd diagonal (the C2
+    # short root at odd c) are each refused before any point is enumerated
+    def no_points(*args):
+        raise AssertionError("points enumerated for a non-integral form")
+
+    monkeypatch.setattr(lattice, "quad_points", no_points)
+    a1, a2, c2 = root_system("A", 1), root_system("A", 2), root_system("C", 2)
+    cases = [
+        (a1, [(Fraction(1, 2),)], (1,), 2),
+        (a2, coroot_lattice_basis(a2), (Fraction(1, 2), 1), 2),
+        (a2, coroot_lattice_basis(a2), (1, 1), Fraction(3, 2)),
+        (c2, root_lattice_basis(c2), (2, 2), 1),
+    ]
+    for rs, basis, nu, c in cases:
+        assert not form_is_integral(rs, basis, nu, c)
+        with pytest.raises(ValueError, match="^lattice basis and drop form "
+                           "must be integral, with an even diagonal$"):
+            lattice_points_below(rs, basis, nu, c, 3)
 
 
 def test_points_sorted_by_drop():
     rs = root_system("C", 2)
-    pts = lattice_points_below(
-        rs, coroot_lattice_basis(rs), (Fraction(1), Fraction(1)), Fraction(2), 6
-    )
+    pts = lattice_points_below(rs, coroot_lattice_basis(rs), (1, 1), 2, 6)
     drops = [d for _, _, d in pts]
     assert drops == sorted(drops)
     byx = {x: d for x, _, d in pts}
@@ -195,8 +284,7 @@ def test_translation_drop_formula():
 
 def origin_orbit(rs, lam):
     # the alternating orbit of lam + rho-hat alone: the translation gamma = 0
-    return alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), 0,
-                        pred=lambda gf, x: not any(x))
+    return alt_weyl_raw(rs, lam, 0, pred=lambda gf, x: not any(x))
 
 
 def brute_orbit_sum(rs, mu):
@@ -254,7 +342,7 @@ def test_denominator_identity(fam, rank, qmax):
     # the product expansion of e^{-rho-hat} R-hat, slice by slice (Macdonald)
     rs = root_system(fam, rank)
     lam = weight_from_coeffs(rs, (0,) * (rank + 1))
-    num = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax)
+    num = alt_weyl_raw(rs, lam, qmax)
     want = CharSlices(rs, lam, qmax, denominator_slices(rs, qmax))
     assert num.first_diff(want) is None
 
@@ -339,8 +427,7 @@ def test_orbit_sums_share_the_integer_kernel(monkeypatch):
 
     monkeypatch.setattr(RootSystem, "orbit_offsets", counted)
     rs = root_system("A", 2)
-    alt_weyl_raw(rs, weight_from_coeffs(rs, (0, 0, 0)),
-                 coroot_lattice_basis(rs), 2)
+    alt_weyl_raw(rs, weight_from_coeffs(rs, (0, 0, 0)), 2)
     assert calls and set(calls) == {"A"}
     calls.clear()
     sl_sum(3, 4)
@@ -361,17 +448,15 @@ def test_shifted_level_must_be_positive():
     rs = root_system("A", 2)
     lam = weight_from_coeffs(rs, (-5, 1, 0))  # k + h_vee = -1
     with pytest.raises(ValueError):
-        alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), 2)
+        alt_weyl_raw(rs, lam, 2)
     with pytest.raises(ValueError):
-        alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), 2,
-                     pred=lambda gf, x: not any(x))
+        alt_weyl_raw(rs, lam, 2, pred=lambda gf, x: not any(x))
     with pytest.raises(ValueError, match="^shifted level must be positive$"):
         fm.q_dimension_sum(rs, lam, coroot_lattice_basis(rs), 2)
     # ahead of the Weyl size gate: E7 at k = -h_vee
     e7 = root_system("E", 7)
     with pytest.raises(ValueError, match="k \\+ h_vee must be positive"):
-        alt_weyl_raw(e7, weight_from_coeffs(e7, (-18,) + (0,) * 7),
-                     coroot_lattice_basis(e7), 0)
+        alt_weyl_raw(e7, weight_from_coeffs(e7, (-18,) + (0,) * 7), 0)
 
 
 def test_weyl_size_gate_precedes_lattice_enumeration(monkeypatch):
@@ -383,7 +468,7 @@ def test_weyl_size_gate_precedes_lattice_enumeration(monkeypatch):
     rs = root_system("E", 7)
     lam = weight_from_coeffs(rs, (1,) + (0,) * 7)
     with pytest.raises(WeylSizeError):
-        alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), 0)
+        alt_weyl_raw(rs, lam, 0)
 
 
 # -- the dominant-chamber numerator against the per-point loops ----------------
@@ -413,10 +498,10 @@ def outcome(fn, *args, **kw):
         return type(e), str(e)
 
 
-def assert_matches_point_loops(rs, lam, basis, qmax, pred=None,
-                               coeff_fn=None):
-    want = point_alt_weyl_raw(rs, lam, basis, qmax, pred, coeff_fn)
-    assert alt_weyl_raw(rs, lam, basis, qmax, pred, coeff_fn) == want
+def assert_matches_point_loops(rs, lam, qmax, pred=None, coeff_fn=None):
+    basis = coroot_lattice_basis(rs)
+    want = point_alt_weyl_raw(rs, lam, qmax, pred, coeff_fn)
+    assert alt_weyl_raw(rs, lam, qmax, pred, coeff_fn) == want
     nu_fin, num = dominant_numerator(rs, lam, basis, qmax, pred, coeff_fn)
     assert nu_fin == tuple(f + 1 for f in lam.finite)
     assert num == dominant_part(want, nu_fin)
@@ -429,8 +514,9 @@ def assert_matches_point_loops(rs, lam, basis, qmax, pred=None,
     return num
 
 
-def points(rs, lam, basis, qmax):
-    return lattice_points_below(rs, basis, tuple(f + 1 for f in lam.finite),
+def points(rs, lam, qmax):
+    return lattice_points_below(rs, coroot_lattice_basis(rs),
+                                tuple(f + 1 for f in lam.finite),
                                 lam.level + rs.dual_coxeter, qmax)
 
 
@@ -443,7 +529,6 @@ def some_zero(gf, x):
 def test_dominant_numerator_matches_the_point_loops(fam, rank):
     rng = random.Random(16 + rank)
     rs = root_system(fam, rank)
-    basis = coroot_lattice_basis(rs)
     qmax = 2 if rank < 4 else 1
     tried = 0
     while tried < 8:
@@ -453,8 +538,7 @@ def test_dominant_numerator_matches_the_point_loops(fam, rank):
             continue
         tried += 1
         for coeff_fn in (None, some_zero):
-            assert_matches_point_loops(rs, lam, basis, qmax,
-                                       coeff_fn=coeff_fn)
+            assert_matches_point_loops(rs, lam, qmax, coeff_fn=coeff_fn)
 
 
 def test_dominant_numerator_of_a_screened_weight():
@@ -463,13 +547,12 @@ def test_dominant_numerator_of_a_screened_weight():
     rs = root_system("D", 4)
     lam = weight_from_coeffs(rs, (-3, 1, 0, 0, 1))
     alpha = fm.check_deligne_conditions(rs, lam)["alpha"]
-    co = fm.screened_coefficient(rs, alpha)
-    basis = coroot_lattice_basis(rs)
-    assert len(points(rs, lam, basis, 2)) == 12
-    num = assert_matches_point_loops(rs, lam, basis, 2, coeff_fn=co)
+    co = fm.screened_coefficient(alpha)
+    assert len(points(rs, lam, 2)) == 12
+    num = assert_matches_point_loops(rs, lam, 2, coeff_fn=co)
     assert sum(map(len, num.values())) == 4
-    assert any(co(g, x) == 0 for x, g, _ in points(rs, lam, basis, 4))
-    assert_matches_point_loops(rs, lam, basis, 4, coeff_fn=co)
+    assert any(co(g, x) == 0 for x, g, _ in points(rs, lam, 4))
+    assert_matches_point_loops(rs, lam, 4, coeff_fn=co)
 
 
 def test_singular_points_and_cancelling_pairs_leave_nothing():
@@ -478,10 +561,10 @@ def test_singular_points_and_cancelling_pairs_leave_nothing():
     rs = root_system("A", 1)
     lam = weight_from_coeffs(rs, (1, -1))
     basis = coroot_lattice_basis(rs)
-    assert len(points(rs, lam, basis, 8)) == 5
+    assert len(points(rs, lam, 8)) == 5
     assert dominant_numerator(rs, lam, basis, 8) == ((0,), {})
-    assert len(alt_weyl_raw(rs, lam, basis, 8)) == 0
-    assert_matches_point_loops(rs, lam, basis, 8)
+    assert len(alt_weyl_raw(rs, lam, 8)) == 0
+    assert_matches_point_loops(rs, lam, 8)
     assert fm.q_dimension_sum(rs, lam, basis, 8) == [0] * 9
 
 
@@ -505,10 +588,41 @@ def test_predicates_read_the_same_numerator(monkeypatch):
     # and the dominant part of each predicate sum directly
     rs = root_system("C", 2)
     lam = weight_from_coeffs(rs, (-1, 0, 0))
-    for pred in (lambda gf, x: fm._orth_coords(rs, gf)[0] >= 0,
-                 lambda gf, x: sum(fm._orth_coords(rs, gf)) % 2 == 0):
-        assert_matches_point_loops(rs, lam, coroot_lattice_basis(rs), 4,
-                                   pred=pred)
+    for pred in (lambda gf, x: fm._orth_coords(x)[0] >= 0,
+                 lambda gf, x: sum(fm._orth_coords(x)) % 2 == 0):
+        assert_matches_point_loops(rs, lam, 4, pred=pred)
+
+
+def test_integer_predicates_equal_the_fraction_pairings():
+    # on every lattice point the predicates and the screened coefficient
+    # read, coroot coordinates give what the Fraction pairings gave
+    for npr, qmax in ((2, 8), (3, 5), (4, 4)):
+        rs = root_system("C", npr)
+        for top in ((-1,), (-2, 0, 1)):
+            lam = weight_from_coeffs(rs, top + (0,) * (npr + 1 - len(top)))
+            pts = points(rs, lam, qmax)
+            assert len(pts) >= 12
+            for x, gf, _ in pts:
+                assert fm._orth_coords(x) == fraction_orth_coords(rs, gf)
+    a3 = root_system("A", 3)
+    for coeffs, node in (((-3, 2, 0, 0), 1), ((-2, 0, 0, 1), 3)):
+        pts = points(a3, weight_from_coeffs(a3, coeffs), 4)
+        assert {x[node - 1] >= 0 for x, _, _ in pts} == {True, False}
+        for x, gf, _ in pts:
+            assert x[node - 1] == fraction_node_pairing(a3, gf, node)
+    for fam, rank, coeffs in (("D", 4, (-1, 0, 0, 0, 0)),
+                              ("D", 4, (-3, 1, 0, 0, 1)),
+                              ("D", 4, (-2, 0, 0, 0, 0)),
+                              ("E", 6, (-3,) + (0,) * 6)):
+        rs = root_system(fam, rank)
+        lam = weight_from_coeffs(rs, coeffs)
+        alpha = fm.check_deligne_conditions(rs, lam)["alpha"]
+        co = fm.screened_coefficient(alpha)
+        want = fraction_screened_coefficient(rs, alpha)
+        pts = points(rs, lam, 4 if fam == "D" else 3)
+        assert len(pts) >= 15
+        for x, gf, _ in pts:
+            assert type(co(gf, x)) is int and co(gf, x) == want(gf, x)
 
 
 def test_uncancelled_negative_drop_is_refused_alike():
@@ -517,7 +631,7 @@ def test_uncancelled_negative_drop_is_refused_alike():
     rs = root_system("A", 1)
     lam = weight_from_coeffs(rs, (6, -5))
     basis = coroot_lattice_basis(rs)
-    num = assert_matches_point_loops(rs, lam, basis, 2)
+    num = assert_matches_point_loops(rs, lam, 2)
     assert min(num) == -1
     got = outcome(fm.q_dimension_sum, rs, lam, basis, 2)
     assert got == outcome(point_q_dimension_sum, rs, lam, basis, 2)
@@ -525,8 +639,9 @@ def test_uncancelled_negative_drop_is_refused_alike():
 
 
 def test_base_off_the_root_lattice_is_refused_alike():
-    # weights off the weight lattice, kept to gamma = 0 (the only point at
-    # order 0, or by the predicate), whose drop is integral
+    # weights off the weight lattice, even where only gamma = 0 would be
+    # kept (the only point at order 0, or by the predicate): their drop
+    # form is not integral, and all three paths refuse it before any point
     a1, a2 = root_system("A", 1), root_system("A", 2)
     cases = [
         (a1, AffineWeight((Fraction(1, 2),), 1, 0), 0, None),
@@ -534,10 +649,15 @@ def test_base_off_the_root_lattice_is_refused_alike():
          lambda gf, x: not any(x)),
     ]
     for rs, lam, qmax, pred in cases:
-        for fn in (alt_weyl_raw, point_alt_weyl_raw, dominant_numerator):
-            with pytest.raises(AssertionError,
-                               match="^orbit offset left the root lattice$"):
-                fn(rs, lam, coroot_lattice_basis(rs), qmax, pred)
+        for run in (
+                lambda: alt_weyl_raw(rs, lam, qmax, pred),
+                lambda: point_alt_weyl_raw(rs, lam, qmax, pred),
+                lambda: dominant_numerator(rs, lam, coroot_lattice_basis(rs),
+                                           qmax, pred)):
+            with pytest.raises(ValueError,
+                               match="^lattice basis and drop form must be "
+                               "integral, with an even diagonal$"):
+                run()
 
 
 # -- level-one integrable characters against the lattice-oscillator model -------
@@ -569,7 +689,7 @@ def test_level_one_vacuum_graded_dims(fam, rank, frozen):
     rs = root_system(fam, rank)
     lam = weight_from_coeffs(rs, (1,) + (0,) * rank)
     qmax = 4
-    num = alt_weyl_raw(rs, lam, coroot_lattice_basis(rs), qmax)
+    num = alt_weyl_raw(rs, lam, qmax)
     assert num.coeff(0, (0,) * rank) == 1
     ch = character_from_numerator(num)
     assert ch.q_series() == _theta_over_phi(rs, qmax)
@@ -579,14 +699,14 @@ def test_level_one_vacuum_graded_dims(fam, rank, frozen):
 
 
 def test_sum_only_sees_the_lattice_not_the_basis():
-    # a unimodular change of basis spans the same lattice, so the sum
-    # cannot move
+    # a unimodular change of basis spans the same lattice, so the dominant
+    # numerator cannot move
     rs = root_system("A", 2)
     lam = weight_from_coeffs(rs, (1, 0, 0))
     b = coroot_lattice_basis(rs)
     b2 = (tuple(x + y for x, y in zip(b[0], b[1])), b[1])
-    full = alt_weyl_raw(rs, lam, b, 4)
-    assert full == alt_weyl_raw(rs, lam, b2, 4)
+    full = dominant_numerator(rs, lam, b, 4)
+    assert full[1] and full == dominant_numerator(rs, lam, b2, 4)
 
 
 # -- sliced-sum algebra ----------------------------------------------------------
@@ -637,44 +757,3 @@ def test_raw_mul_consistency():
         via_slices = a.mul_slices({j: {(0, 0): c} for j, c in qp.items()})
         assert via_qpoly.first_diff(want) is None
         assert via_qpoly == via_slices
-
-
-# -- exact floor(x + sqrt(r2)) ---------------------------------------------------
-
-
-def _floor_plus_sqrt_by_descent(x, r2):
-    # the original implementation: start above the answer, step down by one
-    t = int(x) + int(r2) + 2
-    while Fraction(t) > x and (Fraction(t) - x) ** 2 > r2:
-        t -= 1
-    return t
-
-
-def test_floor_plus_sqrt_matches_descent():
-    rng = random.Random(59)
-    for _ in range(3000):
-        x = Fraction(rng.randrange(-200, 201), rng.randrange(1, 13))
-        r2 = Fraction(rng.randrange(0, 400), rng.randrange(1, 13))
-        assert _floor_plus_sqrt(x, r2) == _floor_plus_sqrt_by_descent(x, r2)
-    for x, r2 in ((0, 0), (3, 0), (-3, 0), (0, 4), (Fraction(1, 2), 9)):
-        x, r2 = Fraction(x), Fraction(r2)
-        assert _floor_plus_sqrt(x, r2) == _floor_plus_sqrt_by_descent(x, r2)
-
-
-def test_floor_plus_sqrt_large_radicand():
-    # t <= x + sqrt(r2) < t + 1, checked with exact rational squares
-    rng = random.Random(61)
-    cases = [(Fraction(0), Fraction(10**12)), (Fraction(-7, 3), Fraction(10**12)),
-             (Fraction(5, 2), Fraction(10**12 + 1, 7))]
-    for _ in range(200):
-        cases.append((Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 50)),
-                      Fraction(rng.randrange(10**11, 10**13), rng.randrange(1, 50))))
-    for x, r2 in cases:
-        t = _floor_plus_sqrt(x, r2)
-        assert t <= x or (t - x) ** 2 <= r2
-        assert t + 1 > x and (t + 1 - x) ** 2 > r2
-
-
-def test_floor_plus_sqrt_rejects_negative_radicand():
-    with pytest.raises(ValueError):
-        _floor_plus_sqrt(Fraction(0), Fraction(-1))

@@ -322,6 +322,30 @@ def test_dominant_offset_reduces_in_integers():
     assert list(rs.orbit_offsets((0, 3), (0, 3))) == []
 
 
+def test_dominant_offset_walks_integral_fractions_as_ints():
+    # an integral weight typed as Fractions gives the values of the int
+    # weight, all of type int, down to a whole regular E6 orbit
+    rng = random.Random(11)
+    for fam, rank in [("A", 3), ("C", 3), ("D", 4), ("E", 6)]:
+        rs = root_system(fam, rank)
+        for _ in range(20):
+            v = tuple(rng.randint(-5, 5) for _ in range(rank))
+            fv = tuple(map(Fraction, v))
+            got = rs.dominant_offset(fv, fv)
+            assert got == rs.dominant_offset(v, v)
+            assert all(type(x) is int for x in (*got[0], got[1], *got[2]))
+    e6 = root_system("E", 6)
+    v = (1, 2, 1, 3, 1, 2)
+    orbit = list(e6.orbit_offsets(tuple(map(Fraction, v)), v))
+    assert len(orbit) == e6.weyl_order()
+    assert orbit == list(e6.orbit_offsets(v, v))
+    assert all(type(x) is int for s, off in orbit for x in (s, *off))
+    # a coordinate off the integers is refused before any reflection
+    with pytest.raises(AssertionError,
+                       match="^orbit offset left the root lattice$"):
+        e6.dominant_offset((Fraction(1, 2),) + v[1:], v)
+
+
 def test_orbit_offsets_refuse_to_leave_the_root_lattice():
     rs = root_system("A", 2)
     with pytest.raises(AssertionError, match="left the root lattice"):
@@ -567,8 +591,8 @@ ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3),
 
 @pytest.mark.parametrize("fam,rank", ALL_TYPES)
 def test_integer_model(fam, rank):
-    # root data, integral weights and lattice points are ints; a Fraction
-    # is made only by a pairing, and nothing returns a float
+    # root data, integral weights, lattice points and their drops are ints;
+    # a Fraction is made only by a pairing, and nothing returns a float
     rs = root_system(fam, rank)
     for a in rs.positive_roots:
         assert all(type(x) is int for x in (*a.fund, a.norm))
@@ -589,6 +613,7 @@ def test_integer_model(fam, rank):
     basis = coroot_lattice_basis(rs)
     pts = lattice_points_below(rs, basis, rs.rho, rs.dual_coxeter, 2)
     assert pts and all(type(g) is int for _, gamma, _ in pts for g in gamma)
+    assert all(type(drop) is int for *_, drop in pts)
     # Macdonald at the level 0 vacuum: phi(q)^{dim g} up to q^1
     qd = q_dimension_sum(rs, vac, basis, 1)
     assert qd == [1, -(rank + 2 * len(rs.positive_roots))]
