@@ -132,6 +132,7 @@ def _sl2_closed(args):
 
 def _sp_a(args):
     rs = _algebra(args)
+    _need(rs.rank >= 2, "sp-a needs rank >= 2")
     s = _tower_s(args, rs, "first")
     _need(s >= 1, "sp-a needs s >= 1; s = 0 is covered by sp-b")
     return fm.sp_a_numerator(2 * rs.rank, s, args.order)
@@ -141,10 +142,10 @@ def _sp_fixed_top(args):
     """The type C formulas with fixed tops; --weight may only repeat them."""
     f = args.formula
     rs = _algebra(args)
+    _need(rs.rank >= 2, f"{f} needs rank >= 2")
     if f in ("sp-b", "sp-parity-a"):
         want = [-1] + [0] * rs.rank
     else:
-        _need(rs.rank >= 2, f"{f} needs rank >= 2")
         want = [-2, 0, 1] + [0] * (rs.rank - 2)
     _need(args.weight is None or list(args.weight) == want,
           f"{f} is the module at weight {tuple(want)}")
@@ -156,12 +157,19 @@ def _sp_fixed_top(args):
     return fm.sp_parity_numerator(n, f[-1], args.order)
 
 
-def _deligne(args):
+def _screened(args):
+    """The root system, the weight and its screening; refused unless the
+    weight passes, before anything enumerates W."""
     rs = _algebra(args)
     lam = _weight(rs, args.weight)
     cond = fm.check_deligne_conditions(rs, lam)
     _need(cond["ok"], "weight fails the screening: "
           + "; ".join(cond["failures"]))
+    return rs, lam, cond
+
+
+def _deligne(args):
+    rs, lam, _ = _screened(args)
     return _weyl(args, fm.deligne_numerator, rs, lam, args.order)
 
 
@@ -372,11 +380,8 @@ def _check_parity_vs_split(args):
     chc = fm.sp_c_character(shifted)
     num_a = fm.sp_parity_numerator(n, "a", order)
     num_b = fm.sp_parity_numerator(n, "b", chc.qmax)
-    # a product is cut at its left operand's order, so one denominator
-    # serves chb at order and chc one q-power lower
-    den = denominator_slices(chb.rs, order)
-    d_a = num_a.first_diff(chb.mul_slices(den))
-    d_b = num_b.first_diff(chc.mul_slices(den))
+    d_a = character_from_numerator(num_a).first_diff(chb)
+    d_b = character_from_numerator(num_b).first_diff(chc)
     mism = (_mismatch(d_a, "vacuum parity sum", "split")
             or _mismatch(d_b, "shifted parity sum", "split"))
     return _result(f"parity-vs-split n={n}", order, len(num_a), mism)
@@ -428,12 +433,8 @@ def _check_deligne_positivity(args):
 
 
 def _check_qdim_two_path(args):
-    rs = _algebra(args)
-    lam = _weight(rs, args.weight)
+    rs, lam, cond = _screened(args)
     order = args.order
-    cond = fm.check_deligne_conditions(rs, lam)
-    _need(cond["ok"], "weight fails the screening: "
-          + "; ".join(cond["failures"]))
     ch = character_from_numerator(
         _weyl(args, fm.deligne_numerator, rs, lam, order))
     direct = fm.q_dimension_sum(

@@ -73,21 +73,24 @@ def _mode_multisets(n: int, count: int, e2budget: int) -> list[Modes]:
 def state_count(n: int, s: int, e2max: int) -> int:
     """How many states fock_states(n, s, e2max) lists, none built.
 
-    a[c][e] counts the multisets of c modes at doubled energy e, a factor
-    1/(1 - x y^k2) per colour and odd k2; a state with t lowering modes
-    pairs one of t + s modes with one of t, at total energy <= e2max.
+    a[c][x] counts the multisets of c modes at excess x = sum (k2 - 1)/2,
+    a factor 1/(1 - y z^x) per colour and excess x, so a k2 = 1 mode costs
+    none; a state with t lowering modes pairs one of t + s modes with one
+    of t, their excesses summing to at most (e2max - 2t - s)/2.
     """
     ts = range(max(0, -s), (e2max - s) // 2 + 1)
-    a = [[int(c == e == 0) for e in range(e2max + 1)]
+    top = (e2max - abs(s)) // 2
+    a = [[int(c == x == 0) for x in range(top + 1)]
          for c in range((e2max - s) // 2 + max(s, 0) + 1)]
-    for k2 in range(1, e2max + 1, 2):
+    for d in range(top + 1):
         for _ in range(n):
             for prev, row in zip(a, a[1:]):
-                for e in range(k2, e2max + 1):
-                    row[e] += prev[e - k2]
+                for x in range(d, top + 1):
+                    row[x] += prev[x - d]
     cum = [list(itertools.accumulate(row)) for row in a]
-    return sum(x * cum[t][e2max - e] for t in ts
-               for e, x in enumerate(a[t + s]))
+    rooms = {t: (e2max - 2 * t - s) // 2 for t in ts}
+    return sum(a[t + s][x] * cum[t][r - x] for t, r in rooms.items()
+               for x in range(r + 1))
 
 
 def fock_states(n: int, s: int, e2max: int):

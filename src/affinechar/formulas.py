@@ -23,7 +23,7 @@ from .series import (
     CharSlices,
     SliceError,
     _denominator_packing,
-    _mul_geometric,
+    _factor_product,
     character_from_numerator,
     denominator_slices,
     first_diff,
@@ -137,12 +137,10 @@ def sp_a_numerator(n: int, s: int, qmax: int):
 def _long_root_odd_slices(rs: RootSystem, qmax: int):
     """{m: {off: c}} for prod over long roots a and odd k of (1-e^a q^k)^{-1}."""
     pk = _denominator_packing(rs, qmax)  # slice m sums at most m roots
-    slices: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(qmax)]
-    for a in rs.positive_roots:
-        if a.norm == 2:
-            for key in (pk.pack(a.root_coords), -pk.pack(a.root_coords)):
-                for k in range(1, qmax + 1, 2):
-                    _mul_geometric(slices, qmax, k, key)
+    keys = [pk.pack(a.root_coords) for a in rs.positive_roots if a.norm == 2]
+    slices = _factor_product(qmax, (
+        (k, x, True) for key in keys for x in (key, -key)
+        for k in range(1, qmax + 1, 2)))
     return {m: pk.unpack_dict(b) for m, b in enumerate(slices) if b}
 
 
@@ -327,11 +325,10 @@ def deligne_enumerate(rs: RootSystem, k: int, mmax: int):
 
 
 def phi_power_qpoly(exponent: int, qmax: int) -> dict[int, int]:
-    out = {0: 1}
-    base = phi_slices(qmax)
-    for _ in range(exponent):
-        out = qpoly_mul(out, base, qmax)
-    return out
+    """q-power coefficients of prod_{k>=1} (1 - q^k)^exponent up to qmax."""
+    slices = _factor_product(qmax, ((k, 0, False) for k in range(1, qmax + 1)
+                                    for _ in range(exponent)))
+    return {m: b[0] for m, b in enumerate(slices) if b}
 
 
 def q_dimension_sum(rs: RootSystem, lam, basis, qmax: int,

@@ -6,17 +6,21 @@ ExpSeries is a height-truncated Z-linear combination of formal exponentials
 
 where the m_i are the simple monomial directions of a frame (for an affine
 root system: alpha_0 = delta - theta and the finite simple roots).  It only
-accumulates products of two-term factors and lists its terms.  Terms are
-stored by cone height sum(k_i) and are exact up to the stated order;
-nothing above the order is kept.  Keys are packed into single integers by
-the same OffsetPacking and multiplied by the same in-place kernels as the
-q-sliced denominators below.
+stores terms and lists them; cone_product fills it.  Terms are stored by
+cone height sum(k_i) and are exact up to the stated order; nothing above
+the order is kept.  Keys are packed into single integers by the same
+OffsetPacking as the q-sliced series below.
 
 CharSlices is the one q-sliced type for numerators and characters.
+
+Every product of factors (1 - e^key q^j) or their inverses is one
+_factor_product call; every product of two series adds through
+_convolve_into.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from operator import mul
 
@@ -62,40 +66,12 @@ class ExpSeries:
         self.by_height: list[dict[int, int]] = [dict() for _ in range(order + 1)]
         self.pk = OffsetPacking(nvars, order)  # cone exponents lie in 0..order
 
-    @staticmethod
-    def one(nvars: int, order: int) -> "ExpSeries":
-        s = ExpSeries(nvars, order)
-        s.by_height[0][0] = 1
-        return s
-
-    def _key(self, exps) -> int:
-        if min(exps) < 0:
-            raise ValueError(f"negative exponent in {tuple(exps)}")
-        return self.pk.pack(exps)
-
     def add_term(self, exps, coeff: int) -> None:
-        key, h = self._key(exps), sum(exps)
-        if h <= self.order and coeff:
-            bucket = self.by_height[h]
-            c = bucket.get(key, 0) + coeff
-            if c:
-                bucket[key] = c
-            else:
-                bucket.pop(key, None)
-
-    def _factor(self, exps) -> tuple[int, int]:
-        key, dh = self._key(exps), sum(exps)
-        if dh == 0:
-            raise ValueError("factor must raise the height")
-        return dh, key
-
-    def mul_one_minus(self, exps) -> None:
-        """Multiply in place by (1 - e-monomial(exps))."""
-        _mul_two_term(self.by_height, self.order, *self._factor(exps))
-
-    def mul_geometric(self, exps) -> None:
-        """Multiply in place by (1 - e-monomial(exps))^{-1}."""
-        _mul_geometric(self.by_height, self.order, *self._factor(exps))
+        # one term is added as its product with the unit
+        h = sum(exps)
+        if h <= self.order:
+            _convolve_into(self.by_height[h], {self.pk.pack(exps): coeff},
+                           {0: 1})
 
     def n_terms(self) -> int:
         return sum(len(b) for b in self.by_height)
@@ -119,17 +95,23 @@ def cone_product(marks, imaginary: int, even, odd, height: int) -> ExpSeries:
     """prod_{k>=1} (1 - e^{k delta})^imaginary, times (1 - e^x) for every x
     on the root string of each exponent vector in even, divided by (1 - e^x)
     for every x on those of odd; delta has the cone exponents marks.  Exact
-    up to cone height `height`."""
-    s = ExpSeries.one(len(marks), height)
-    for k in range(1, height // sum(marks) + 1):
-        for _ in range(imaginary):
-            s.mul_one_minus(tuple(k * m for m in marks))
-    for e in even:
-        for x in _root_string(e, marks, height):
-            s.mul_one_minus(x)
-    for e in odd:
-        for x in _root_string(e, marks, height):
-            s.mul_geometric(x)
+    up to cone height `height`.  Every x must be a nonzero vector with no
+    negative exponent, or ValueError."""
+    s = ExpSeries(len(marks), height)
+    deltas = [tuple(k * m for m in marks)
+              for k in range(1, height // sum(marks) + 1)
+              for _ in range(imaginary)]
+    factors = []
+    for x, inverse in itertools.chain(
+            ((x, False) for x in deltas),
+            ((x, False) for e in even for x in _root_string(e, marks, height)),
+            ((x, True) for e in odd for x in _root_string(e, marks, height))):
+        if min(x) < 0:
+            raise ValueError(f"negative exponent in {x}")
+        if not sum(x):
+            raise ValueError("factor must raise the height")
+        factors.append((sum(x), s.pk.pack(x), inverse))
+    s.by_height = _factor_product(height, factors)
     return s
 
 
@@ -263,16 +245,8 @@ class CharSlices:
         for m1, b1 in self.slices.items():
             left = pk.pack_dict(b1)
             for m2, b2 in right.items():
-                if m1 + m2 > self.qmax:
-                    continue
-                tgt = out.setdefault(m1 + m2, {})
-                for k1, c1 in left.items():
-                    for k2, c2 in b2.items():
-                        nc = tgt.get(k1 + k2, 0) + c1 * c2
-                        if nc:
-                            tgt[k1 + k2] = nc
-                        else:
-                            tgt.pop(k1 + k2, None)
+                if m1 + m2 <= self.qmax:
+                    _convolve_into(out.setdefault(m1 + m2, {}), left, b2)
         return CharSlices(self.rs, self.base, self.qmax,
                           {m: pk.unpack_dict(b) for m, b in out.items() if b})
 
@@ -334,25 +308,17 @@ class CharSlices:
 
 def phi_slices(qmax: int, step: int = 1) -> dict[int, int]:
     """q-power coefficients of prod_{k>=1} (1 - q^{step k}) up to qmax."""
-    slices: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(qmax)]
-    for k in range(step, qmax + 1, step):
-        _mul_two_term(slices, qmax, k, 0)
+    slices = _factor_product(qmax, ((k, 0, False)
+                                    for k in range(step, qmax + 1, step)))
     return {m: b[0] for m, b in enumerate(slices) if b}
 
 
 def qpoly_mul(a: dict[int, int], b: dict[int, int],
               qmax: int) -> dict[int, int]:
+    """Product of two q-series {power: coeff}, powers >= 0, up to qmax."""
     out: dict[int, int] = {}
-    for m, c in a.items():
-        for j, d in b.items():
-            if m + j > qmax or not c * d:
-                continue
-            nc = out.get(m + j, 0) + c * d
-            if nc:
-                out[m + j] = nc
-            else:
-                del out[m + j]
-    return out
+    _convolve_into(out, a, b)
+    return {m: c for m, c in out.items() if m <= qmax}
 
 
 def qpoly_invert(a: dict[int, int], qmax: int) -> dict[int, int]:
@@ -433,6 +399,28 @@ def _mul_geometric(slices: list[dict[int, int]], qmax: int, j: int,
                 del tgt[no]
 
 
+def _factor_product(qmax: int, factors) -> list[dict[int, int]]:
+    """Packed slices 1 + 0 q + ... + 0 q^qmax multiplied in place by each
+    factor (j, key, inverse) in turn: by (1 - e^{key} q^j), or by its
+    inverse (j >= 1) when inverse is set."""
+    slices: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(qmax)]
+    for j, key, inverse in factors:
+        (_mul_geometric if inverse else _mul_two_term)(slices, qmax, j, key)
+    return slices
+
+
+def _convolve_into(tgt: dict[int, int], left: dict[int, int],
+                   right: dict[int, int]) -> None:
+    # add left * right to the packed target in place, dropping zero terms
+    for k1, c1 in left.items():
+        for k2, c2 in right.items():
+            nc = tgt.get(k1 + k2, 0) + c1 * c2
+            if nc:
+                tgt[k1 + k2] = nc
+            else:
+                tgt.pop(k1 + k2, None)
+
+
 def _denominator_packing(rs: RootSystem, qmax: int) -> OffsetPacking:
     # a term of D_m sums distinct positive roots and at most m +-roots more
     return OffsetPacking(rs.rank, sum(max(a.root_coords) for a in rs.positive_roots)
@@ -449,15 +437,10 @@ def denominator_slices(rs: RootSystem, qmax: int, finite: bool = True
     """
     pk = _denominator_packing(rs, qmax)
     keys = [pk.pack(a.root_coords) for a in rs.positive_roots]
-    slices: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(qmax)]
-    for k in range(1, qmax + 1):
-        for key in keys:
-            _mul_two_term(slices, qmax, k, -key)
-            _mul_two_term(slices, qmax, k, key)
-        for _ in range(rs.rank):
-            _mul_two_term(slices, qmax, k, 0)
-    for key in keys if finite else ():
-        _mul_two_term(slices, qmax, 0, -key)
+    per_k = [x for key in keys for x in (-key, key)] + [0] * rs.rank
+    factors = [(k, x, False) for k in range(1, qmax + 1) for x in per_k]
+    factors += [(0, -key, False) for key in keys if finite]
+    slices = _factor_product(qmax, factors)
     return {m: pk.unpack_dict(b) for m, b in enumerate(slices) if b}
 
 
@@ -518,19 +501,14 @@ def character_from_numerator(numerator: CharSlices) -> CharSlices:
            for sl in (nsl, psl.values())]
     pk = OffsetPacking(rs.rank, (qmax + 1) * sum(top)
                        * (1 + max(rs.theta.root_coords)))
-    psl = {m: pk.pack_dict(b) for m, b in psl.items()}
+    neg_p = {m: {pk.pack(o): -c for o, c in b.items()}
+             for m, b in psl.items()}
     roots = [a.root_coords for a in rs.positive_roots]
     out: dict[int, dict[int, int]] = {}
     for m in range(qmax + 1):
         acc = laurent_divide(pk.pack_dict(nsl[m]), roots, pk)
         for j in range(1, m + 1):
-            for k1, c1 in psl.get(j, {}).items():
-                for k2, c2 in out.get(m - j, {}).items():
-                    nc = acc.get(k1 + k2, 0) - c1 * c2
-                    if nc:
-                        acc[k1 + k2] = nc
-                    else:
-                        acc.pop(k1 + k2, None)
+            _convolve_into(acc, neg_p.get(j, {}), out.get(m - j, {}))
         if acc:
             out[m] = acc
     return CharSlices(rs, numerator.base, qmax,

@@ -21,7 +21,11 @@ superdenominator sum that builds every orbit term before it truncates by
 height.  The second group expands free-field spaces from their
 product forms, against the library's state enumeration; next to it are the
 per-state enumeration and helpers the library ran before it worked per mode
-multiset.  Last is the slice product on tuple keys, before packed ints.
+multiset, and the state-count table by doubled energy it filled before it
+counted by excess.  Last come the products the library ran before one
+factor-product kernel served them all: the slice product on tuple keys,
+before packed ints; the cone product through methods of ExpSeries; and
+phi(q)^exponent as repeated q-series products.
 Ahead of them all stand two helpers of the Fraction paths: `_scaled`, the
 common denominator the library took of every weight before weights were
 ints, and `root_lattice_basis`, the simple roots the type A sums took.
@@ -30,6 +34,7 @@ ints, and `root_lattice_basis`, the simple roots the type A sums took.
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from itertools import product as iproduct
 from math import floor, isqrt, lcm
 from operator import mul
@@ -40,8 +45,13 @@ from affinechar.rootdata import coroot_lattice_basis, int_inverse, root_system
 from affinechar.series import (
     AffineWeight,
     CharSlices,
+    ExpSeries,
     SliceError,
+    _mul_geometric,
+    _mul_two_term,
+    _root_string,
     cone_product,
+    qpoly_mul,
 )
 
 def _scaled(xs) -> tuple[list[int], int]:
@@ -566,6 +576,24 @@ def mirror_pair_slices(half: int, e2max: int) -> dict[int, dict[tuple[int, ...],
     return tbl
 
 
+def energy_state_count(n: int, s: int, e2max: int) -> int:
+    """fock.state_count from a table by doubled energy: a[c][e] counts the
+    multisets of c modes at doubled energy e, a factor 1/(1 - x y^k2) per
+    colour and odd k2; a state with t lowering modes pairs one of t + s
+    modes with one of t, at total energy <= e2max.  Cubic in e2max."""
+    ts = range(max(0, -s), (e2max - s) // 2 + 1)
+    a = [[int(c == e == 0) for e in range(e2max + 1)]
+         for c in range((e2max - s) // 2 + max(s, 0) + 1)]
+    for k2 in range(1, e2max + 1, 2):
+        for _ in range(n):
+            for prev, row in zip(a, a[1:]):
+                for e in range(k2, e2max + 1):
+                    row[e] += prev[e - k2]
+    cum = [list(accumulate(row)) for row in a]
+    return sum(x * cum[t][e2max - e] for t in ts
+               for e, x in enumerate(a[t + s]))
+
+
 def oscillator_split_brute(qmax: int):
     """fock.oscillator_split by listing partitions and signing each by the
     number of its parts."""
@@ -607,3 +635,62 @@ def tuple_mul_slices(ch, other: dict) -> dict[int, dict[tuple[int, ...], int]]:
                     else:
                         tgt.pop(t, None)
     return {m: b for m, b in out.items() if b}
+
+
+# -- the cone product through ExpSeries methods --------------------------------
+
+
+class MethodExpSeries(ExpSeries):
+    """ExpSeries with the factor methods it carried before cone_product built
+    its factor list: each factor checked and multiplied in by its own call."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def one(nvars: int, order: int) -> "MethodExpSeries":
+        s = MethodExpSeries(nvars, order)
+        s.by_height[0][0] = 1
+        return s
+
+    def _factor(self, exps) -> tuple[int, int]:
+        if min(exps) < 0:
+            raise ValueError(f"negative exponent in {tuple(exps)}")
+        dh = sum(exps)
+        if dh == 0:
+            raise ValueError("factor must raise the height")
+        return dh, self.pk.pack(exps)
+
+    def mul_one_minus(self, exps) -> None:
+        """Multiply in place by (1 - e-monomial(exps))."""
+        _mul_two_term(self.by_height, self.order, *self._factor(exps))
+
+    def mul_geometric(self, exps) -> None:
+        """Multiply in place by (1 - e-monomial(exps))^{-1}."""
+        _mul_geometric(self.by_height, self.order, *self._factor(exps))
+
+
+def method_cone_product(marks, imaginary: int, even, odd,
+                        height: int) -> MethodExpSeries:
+    """series.cone_product, one method call per factor."""
+    s = MethodExpSeries.one(len(marks), height)
+    for k in range(1, height // sum(marks) + 1):
+        for _ in range(imaginary):
+            s.mul_one_minus(tuple(k * m for m in marks))
+    for e in even:
+        for x in _root_string(e, marks, height):
+            s.mul_one_minus(x)
+    for e in odd:
+        for x in _root_string(e, marks, height):
+            s.mul_geometric(x)
+    return s
+
+
+def qpoly_mul_phi_power(exponent: int, qmax: int) -> dict[int, int]:
+    """phi(q)^exponent up to q^qmax as exponent products by phi(q)."""
+    out = {0: 1}
+    base = {0: 1}
+    for k in range(1, qmax + 1):
+        base = qpoly_mul(base, {0: 1, k: -1}, qmax)
+    for _ in range(exponent):
+        out = qpoly_mul(out, base, qmax)
+    return out

@@ -564,6 +564,20 @@ def test_allow_large_weyl_on_a_formula_that_does_not_read_it_is_refused(
                    "--allow-large-weyl\n")
 
 
+@pytest.mark.parametrize("command", ["compute", "qdim"])
+@pytest.mark.parametrize("formula,extra", [
+    ("sp-a", ["--s", "1"]), ("sp-b", []), ("sp-c", []), ("sp-parity-a", []),
+    ("sp-parity-b", []),
+])
+def test_type_c_formulas_at_rank_one_name_the_rank(capsys, command, formula,
+                                                   extra):
+    # these commands take no --n, so the refusal names the rank
+    code, out, err = run(capsys, [command, "--formula", formula, "--type",
+                                  "C", "--rank", "1", *extra, "--order", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {formula} needs rank >= 2\n"
+
+
 @pytest.mark.parametrize("rank", ["0", "-1"])
 def test_rank_below_one_is_refused_with_exit_two(capsys, rank):
     code, out, err = run(capsys, [
@@ -638,20 +652,22 @@ def _count_calls(monkeypatch, name, modules):
 
 @pytest.mark.parametrize("argv,dens", [
     ("verify flip-decomposition", {"affinechar.series": 1}),
-    ("verify parity-vs-split", {"affinechar.cli": 1, "affinechar.series": 1}),
+    ("verify parity-vs-split", {"affinechar.series": 3}),
     ("compute --formula sp-c --type C --rank 2 --character",
      {"affinechar.series": 1}),
 ])
 def test_the_type_c_split_is_built_once(capsys, monkeypatch, argv, dens):
-    # one lattice character divides out for both split forms, and one
-    # sliced denominator multiplies both; the series binding is the
-    # quotient R-hat / R inside that one division
+    # one lattice character divides out for both split forms; the series
+    # binding is the quotient R-hat / R inside each division.
+    # parity-vs-split divides its two parity sums as well, and multiplies
+    # nothing by the denominator
     chars = _count_calls(monkeypatch, "character_from_numerator", (cli, fm))
     den = _count_calls(monkeypatch, "denominator_slices",
                        (cli, fm, series))
     code, out, err = run(capsys, argv.split())
     assert (code, err) == (0, "") and '"ok": false' not in out
-    assert chars == {"affinechar.formulas": 1}
+    parity = {"affinechar.cli": 2} if "parity" in argv else {}
+    assert chars == {"affinechar.formulas": 1, **parity}
     assert den == dens
 
 

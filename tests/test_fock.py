@@ -1,8 +1,11 @@
 """The free-field model: state enumeration against product expansions."""
 
+from math import comb
+
 import pytest
 from oracles import (
     charge_energy_table,
+    energy_state_count,
     fock_gl_slices,
     fock_product_table,
     generator_fock_states,
@@ -136,6 +139,26 @@ def test_state_count_predicts_the_enumeration():
             for e2max in range(10):
                 assert (fock.state_count(n, s, e2max)
                         == len(fock_states(n, s, e2max))), (n, s, e2max)
+
+
+def test_state_count_by_excess_equals_the_energy_table():
+    for n in range(1, 6):
+        for s in range(-7, 8):
+            for e2max in range(0, 22, 3):
+                assert (fock.state_count(n, s, e2max)
+                        == energy_state_count(n, s, e2max)), (n, s, e2max)
+    for args in ((3, 0, 8), (4, 1, 9), (2, -3, 11), (3, 5, 17), (4, 0, 24),
+                 (3, 100, 102), (5, 2, 20), (3, -1, 13), (2, 0, 0),
+                 (3, 7, 3)):
+        assert fock.state_count(*args) == energy_state_count(*args), args
+
+
+def test_state_count_of_a_top_sector_is_one_column():
+    # at e2max = |s| every state is |s| modes at k2 = 1 on one side: the
+    # multisets of |s| colours; the table has one excess column, so large
+    # charges are counted at once
+    for n, s in ((3, 1100), (3, -1100), (4, 400), (1, 0)):
+        assert fock.state_count(n, s, abs(s)) == comb(abs(s) + n - 1, n - 1)
 
 
 def test_budget_refuses_before_any_multiset_is_built(monkeypatch):

@@ -10,6 +10,7 @@ from oracles import (
     fraction_deligne_witnesses,
     fraction_orth_coords,
     is_weyl_invariant,
+    qpoly_mul_phi_power,
 )
 
 from affinechar.formulas import (
@@ -378,6 +379,13 @@ def _screened_qdim(rs, coeffs, qmax):
     via_char = qpoly_mul(
         phi_power_qpoly(dimg, qmax), dict(enumerate(ch.q_series())), qmax)
     return direct, [via_char.get(m, 0) for m in range(qmax + 1)], dimg
+
+
+@pytest.mark.parametrize("exponent", [*range(31), 78, 133, 248])
+def test_phi_power_equals_repeated_products(exponent):
+    for qmax in range(9):
+        assert (phi_power_qpoly(exponent, qmax)
+                == qpoly_mul_phi_power(exponent, qmax)), qmax
 
 
 def test_qdim_two_paths_agree():

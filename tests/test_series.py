@@ -11,6 +11,7 @@ from oracles import (
     is_weyl_invariant,
     matrix_is_weyl_invariant,
     matrix_weyl_group,
+    method_cone_product,
     root_to_fund,
     slices_from_json_dict,
     tuple_mul_slices,
@@ -23,10 +24,10 @@ from affinechar.rootdata import root_system
 from affinechar.series import (
     AffineWeight,
     CharSlices,
-    ExpSeries,
     OffsetPacking,
     SliceError,
     character_from_numerator,
+    cone_product,
     denominator_slices,
     first_diff,
     laurent_divide,
@@ -184,60 +185,67 @@ def test_series_truncation_coherence():
                 == a.restrict(k).mul_slices(b.restrict(k).slices))
 
 
-def rand_cone_series(rng, nvars, order):
-    s = ExpSeries(nvars, order)
-    for _ in range(6):
-        e = [0] * nvars
-        for _ in range(rng.randrange(0, order + 1)):
-            e[rng.randrange(nvars)] += 1
-        s.add_term(tuple(e), rng.randrange(-3, 4))
-    return s
+def rand_string_start(rng, marks):
+    """An exponent vector e with 0 <= e <= marks, e != 0 and e != marks, so
+    every vector on the root string of e raises the cone height."""
+    while True:
+        e = tuple(rng.randrange(0, m + 1) for m in marks)
+        if any(e) and e != marks:
+            return e
 
 
 def test_two_term_factors_cancel():
+    # a root string in both even and odd cancels, wherever it is put
     rng = random.Random(13)
     for _ in range(150):
-        s = rand_cone_series(rng, 3, 6)
-        e = [0, 0, 0]
-        e[rng.randrange(3)] = rng.randrange(1, 3)
-        for first, second in (("mul_one_minus", "mul_geometric"),
-                              ("mul_geometric", "mul_one_minus")):
-            t = ExpSeries(3, 6)
-            for exps, c in s.sorted_items():
-                t.add_term(exps, c)
-            getattr(t, first)(tuple(e))
-            getattr(t, second)(tuple(e))
-            assert t.sorted_items() == s.sorted_items()
+        marks = tuple(rng.randrange(1, 3) for _ in range(3))
+        imaginary = rng.randrange(0, 3)
+        even, odd = ([rand_string_start(rng, marks)
+                      for _ in range(rng.randrange(0, 4))] for _ in range(2))
+        e = rand_string_start(rng, marks)
+        want = cone_product(marks, imaginary, even, odd, 6)
+        assert (want.sorted_items() == method_cone_product(
+            marks, imaginary, even, odd, 6).sorted_items())
+        for ev, od in (([e] + even, odd + [e]), (even + [e], [e] + odd)):
+            got = cone_product(marks, imaginary, ev, od, 6)
+            assert got.sorted_items() == want.sorted_items()
 
 
 def test_height_zero_factor_rejected():
-    s = ExpSeries.one(2, 4)
-    with pytest.raises(ValueError):
-        s.mul_one_minus((0, 0))
+    # e = 0 is its own first factor; e = delta makes delta - e = 0
+    for even, odd in (([(0, 0)], ()), ((), [(0, 0)]), ([(1, 1)], ()),
+                      ((), [(1, 1)])):
+        for build in (cone_product, method_cone_product):
+            with pytest.raises(ValueError, match="raise the height"):
+                build((1, 1), 1, even, odd, 4)
 
 
 def test_negative_exponent_rejected():
-    s = ExpSeries.one(2, 4)
-    for exps in ((-1, 0), (2, -1), (0, -5)):
-        with pytest.raises(ValueError):
-            s.add_term(exps, 1)
-        with pytest.raises(ValueError):
-            s.mul_one_minus(exps)
-    assert s.sorted_items() == [((0, 0), 1)]
+    # a negative entry in e, or in delta - e when e is not below delta
+    for exps in ((-1, 0), (2, -1), (0, -5), (2, 0)):
+        for even, odd in (([exps], ()), ((), [exps])):
+            for build in (cone_product, method_cone_product):
+                with pytest.raises(ValueError, match="negative exponent"):
+                    build((1, 1), 0, even, odd, 4)
 
 
 def test_exponents_past_eight_bits_round_trip():
-    # order 300 packs each exponent in ten bits; 200 > 127 is kept exactly
-    s = ExpSeries.one(3, 300)
-    s.mul_one_minus((0, 200, 0))
+    # order 300 packs each exponent in ten bits; 200 > 127 is kept exactly.
+    # delta lies past twice the height, so each root string is e alone
+    wide = (0, 601, 0)
+    s = cone_product(wide, 0, [(0, 200, 0)], (), 300)
     assert s.sorted_items() == [((0, 0, 0), 1), ((0, 200, 0), -1)]
-    s.mul_geometric((0, 200, 0))
+    s = cone_product(wide, 0, [(0, 200, 0)], [(0, 200, 0)], 300)
     assert s.sorted_items() == [((0, 0, 0), 1)]
-    s.mul_geometric((100, 0, 200))
+    s = cone_product(wide, 0, [(0, 200, 0)], [(0, 200, 0), (100, 0, 200)],
+                     300)
     assert s.sorted_items() == [((0, 0, 0), 1), ((100, 0, 200), 1)]
     s.add_term((0, 300, 0), 7)
     assert s.sorted_items()[1] == ((0, 300, 0), 7)
     assert s.n_terms() == 3
+    s.add_term((0, 300, 0), -7)
+    s.add_term((0, 301, 0), 5)  # above the order: dropped
+    assert s.sorted_items() == [((0, 0, 0), 1), ((100, 0, 200), 1)]
 
 
 # -- the affine denominator ----------------------------------------------------

@@ -1,7 +1,7 @@
 """Super denominators: the product and sum expansions must coincide."""
 
 import pytest
-from oracles import matrix_sl_terms, matrix_spo_terms
+from oracles import matrix_sl_terms, matrix_spo_terms, method_cone_product
 
 from affinechar import superden
 from affinechar.rootdata import WeylSizeError
@@ -52,6 +52,19 @@ def test_spo_product_equals_sum(npr, height):
     s = spo_sum(npr, height)
     assert p.sorted_items() == s.sorted_items()
     assert p.sorted_items()[0] == ((0,) * (npr + 2), 1)
+
+
+@pytest.mark.parametrize("build,size,height", [
+    (sl_product, 3, 12), (spo_product, 2, 8),  # the verify all sizes
+    (sl_product, 5, 7), (spo_product, 3, 9),
+])
+def test_cone_product_equals_the_method_path(monkeypatch, build, size,
+                                             height):
+    got = build(size, height)
+    monkeypatch.setattr(superden, "cone_product", method_cone_product)
+    want = build(size, height)
+    assert got.sorted_items() == want.sorted_items()
+    assert got.n_terms() == want.n_terms()
 
 
 def test_frame_shapes():
