@@ -71,12 +71,19 @@ def _mode_multisets(n: int, count: int, e2budget: int) -> list[Modes]:
 
 
 def state_count(n: int, s: int, e2max: int) -> int:
-    """How many states fock_states(n, s, e2max) lists, none built.
+    """How many states fock_states(n, s, e2max) lists, none built."""
+    return _sector_sizes(n, s, e2max)[0]
+
+
+def _sector_sizes(n: int, s: int, e2max: int) -> tuple[int, int]:
+    """(states, mode entries) that fock_states(n, s, e2max) builds: the
+    entries are the modes of every multiset _mode_multisets lists for it.
 
     a[c][x] counts the multisets of c modes at excess x = sum (k2 - 1)/2,
     a factor 1/(1 - y z^x) per colour and excess x, so a k2 = 1 mode costs
     none; a state with t lowering modes pairs one of t + s modes with one
-    of t, their excesses summing to at most (e2max - 2t - s)/2.
+    of t, their excesses summing to at most r = (e2max - 2t - s)/2, and
+    either multiset alone has excess at most r.
     """
     ts = range(max(0, -s), (e2max - s) // 2 + 1)
     top = (e2max - abs(s)) // 2
@@ -89,8 +96,11 @@ def state_count(n: int, s: int, e2max: int) -> int:
                     row[x] += prev[x - d]
     cum = [list(itertools.accumulate(row)) for row in a]
     rooms = {t: (e2max - 2 * t - s) // 2 for t in ts}
-    return sum(a[t + s][x] * cum[t][r - x] for t, r in rooms.items()
-               for x in range(r + 1))
+    states = sum(a[t + s][x] * cum[t][r - x] for t, r in rooms.items()
+                 for x in range(r + 1))
+    entries = sum((t + s) * cum[t + s][r] + t * cum[t][r]
+                  for t, r in rooms.items())
+    return states, entries
 
 
 def fock_states(n: int, s: int, e2max: int):
@@ -99,14 +109,15 @@ def fock_states(n: int, s: int, e2max: int):
     A state is a pair (raising modes, lowering modes) of shared Modes; the
     lowering multisets of each count are built once, and each raising one
     takes those that fit its remaining energy.  BudgetError before any
-    state is built if they would pass STATE_BUDGET; the count is predicted
-    at doubled energies 32, 64, ... first, and grows with the energy, so a
-    request far over the budget is refused at a small bound.
+    multiset is built if the states, or the modes of the multisets, would
+    pass STATE_BUDGET; both are predicted at doubled energies 32, 64, ...
+    first, and grow with the energy, so a request far over the budget is
+    refused at a small bound.
     """
     e = 32
-    while e < e2max and state_count(n, s, e) <= STATE_BUDGET:
+    while e < e2max and max(_sector_sizes(n, s, e)) <= STATE_BUDGET:
         e *= 2
-    if state_count(n, s, min(e, e2max)) > STATE_BUDGET:
+    if max(_sector_sizes(n, s, min(e, e2max))) > STATE_BUDGET:
         raise BudgetError("state enumeration over budget")
     out = []
     for t in range(max(0, -s), (e2max - s) // 2 + 1):

@@ -5,9 +5,9 @@ top weight.  A numerator carries the shifted denominator normalization of
 lattice.py: dividing it by the sliced denominator yields the weight
 multiplicities of L(Lambda).  All coefficients are exact integers.
 
-The half-lattice numerators use a predicate on the pairing of the translation
-gamma with a chosen fundamental weight; the parity-restricted ones further
-constrain integer coordinates of gamma on the doubled-orthogonal basis.
+The half-lattice numerators weigh each translation gamma 1 or 0 by its pairing
+with a chosen fundamental weight; the parity-restricted ones by integer
+coordinates of gamma on the doubled-orthogonal basis.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _orth_coords(x) -> tuple[int, ...]:
 def _half_sum(rs: RootSystem, lam, node: int, qmax: int) -> CharSlices:
     """Alternating sum over the half lattice (gamma | Lambda_node) >= 0,
     that pairing being the coroot coordinate x_node."""
-    return alt_weyl_raw(rs, lam, qmax, pred=lambda gf, x: x[node - 1] >= 0)
+    return alt_weyl_raw(rs, lam, qmax, lambda gf, x: int(x[node - 1] >= 0))
 
 
 # -- integrable weights --------------------------------------------------
@@ -194,14 +194,14 @@ def sp_parity_numerator(n: int, variant: str, qmax: int) -> CharSlices:
     raise ValueError("variant must be 'a' or 'b'")
 
 
-def parity_bracket(npr: int, pred_j, qmax: int, top=(-1,)) -> CharSlices:
+def parity_bracket(npr: int, keep_j, qmax: int, top=(-1,)) -> CharSlices:
     """Alternating sum over translations with a condition on j-coordinates,
     taken at the level -1 weight with node coefficients `top`, padded with
     zeros: the vacuum by default."""
     rs = root_system("C", npr)
     lam = weight_from_coeffs(rs, top + (0,) * (npr + 1 - len(top)))
     return alt_weyl_raw(rs, lam, qmax,
-                        pred=lambda gf, x: pred_j(_orth_coords(x)))
+                        lambda gf, x: int(keep_j(_orth_coords(x))))
 
 
 def parity_bracket_identity(npr: int, qmax: int):
@@ -340,9 +340,7 @@ def q_dimension_sum(rs: RootSystem, lam, basis, qmax: int,
     finite denominator, leaving one signed dimension value per dominant
     weight of the numerator.  Negative q-powers must cancel, or SliceError.
     """
-    if lam.level + rs.dual_coxeter <= 0:
-        raise ValueError("shifted level must be positive")
-    _, num = dominant_numerator(rs, lam, basis, qmax, coeff_fn=coeff_fn)
+    _, num = dominant_numerator(rs, lam, basis, qmax, coeff_fn)
     by_drop = {m: sum(c * rs.weyl_dim([x - 1 for x in mu])
                       for mu, c in b.items()) for m, b in num.items()}
     for m, d in sorted(by_drop.items()):

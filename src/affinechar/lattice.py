@@ -9,7 +9,6 @@ bound is an ellipsoid problem solved in integers.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
 from math import isqrt
 from operator import mul
 
@@ -22,32 +21,36 @@ def quad_points(M: list[list[int]], L: list[int],
     """{x: x^T M x / 2 + L.x} over all x in Z^r where that is <= B, for M
     positive definite with an even diagonal, so that every value is an int.
 
-    With M^{-1} = N / d the minimum sits at p / d, p = -N L, and the
-    ellipsoid's extent along x_i is sqrt(s N_ii) / d about it, where
-    s = 2 B d - L.p is d times twice the room above the minimum; each
-    coordinate range is that interval rounded inward with isqrt.
+    Coordinates are fixed from the last down (Fincke and Pohst, Math. Comp.
+    44, 1985).  With x_{i+1}, ..., x_{r-1} fixed, u = (x_0, ..., x_i)
+    satisfies u^T M_i u / 2 + L'.u <= R, M_i the leading block of M; with
+    M_i^{-1} = N / d the minimum sits at p / d, p = -N L', and the extent
+    along x_i is sqrt(s N_ii) / d about it, s = 2 R d - L'.p being d times
+    twice the room above the minimum.  x_i runs over that interval rounded
+    inward with isqrt, so no point is lost.
     """
-    N, d = int_inverse(M)
-    p = [-sum(map(mul, row, L)) for row in N]
-    s = 2 * B * d - sum(map(mul, L, p))
-    if s < 0:
-        return {}
-    ranges = []
-    for i, pi in enumerate(p):
-        w = isqrt(s * N[i][i])
-        ranges.append(range(-((w - pi) // d), (pi + w) // d + 1))
-    r = len(M)
+    blocks = [int_inverse([row[:i] for row in M[:i]])
+              for i in range(1, len(M) + 1)]
+    x = [0] * len(M)
     out = {}
-    for x in iproduct(*ranges):
-        tot = 0
-        for i in range(r):
-            xi = x[i]
-            if xi:
-                row = M[i]
-                tot += xi * (sum(row[j] * x[j] for j in range(r))
-                             + 2 * L[i])
-        if tot <= 2 * B:
-            out[x] = tot // 2
+
+    def fix(i, Lp, R):
+        if i < 0:
+            if R >= 0:
+                out[tuple(x)] = B - R
+            return
+        N, d = blocks[i]
+        p = [-sum(map(mul, row, Lp)) for row in N]
+        s = 2 * R * d - sum(map(mul, Lp, p))
+        if s < 0:
+            return
+        w, pi, half = isqrt(s * N[i][i]), p[i], M[i][i] // 2
+        for t in range(-((w - pi) // d), (pi + w) // d + 1):
+            x[i] = t
+            fix(i - 1, [a + t * row[i] for a, row in zip(Lp[:i], M)],
+                R - t * (half * t + Lp[i]))
+
+    fix(len(M) - 1, L, B)
     return out
 
 
@@ -95,14 +98,14 @@ def _orbit_sum(rs: RootSystem, lam: AffineWeight, nu_fin, items,
 
 
 def dominant_numerator(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
-                       pred=None, coeff_fn=None):
+                       coeff_fn=None):
     """(nu_fin, {m: {mu: c}}): the lattice numerator in the dominant chamber.
 
     nu_fin is the finite part of lam + rho-hat, c its level.  Each gamma of
-    the lattice spanned by `basis` with drop m <= qmax and pred(gamma) true
-    adds eps(w) coeff(gamma) at the dominant mu = w(nu_fin + c gamma), in
-    integer fundamental coordinates.  Singular mu and zero totals are
-    dropped; slices at negative m are kept.
+    the lattice spanned by `basis` with drop m <= qmax adds eps(w)
+    coeff_fn(gamma, x) (default 1; 0 drops gamma) at the dominant mu =
+    w(nu_fin + c gamma), in integer fundamental coordinates.  Singular mu
+    and zero totals are dropped; slices at negative m are kept.
     """
     nu_fin = tuple(f + 1 for f in lam.finite)  # lam + rho-hat
     c = lam.level + rs.dual_coxeter
@@ -110,8 +113,6 @@ def dominant_numerator(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
         raise ValueError("shifted level k + h_vee must be positive")
     out: dict[int, dict[tuple[int, ...], int]] = {}
     for x, gamma, drop in lattice_points_below(rs, basis, nu_fin, c, qmax):
-        if pred is not None and not pred(gamma, x):
-            continue
         coeff = 1 if coeff_fn is None else coeff_fn(gamma, x)
         if coeff == 0:
             continue
@@ -129,10 +130,10 @@ def dominant_numerator(rs: RootSystem, lam: AffineWeight, basis, qmax: int,
 
 
 def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, qmax: int,
-                 pred=None, coeff_fn=None) -> CharSlices:
+                 coeff_fn=None) -> CharSlices:
     """sum_w eps(w) w sum_gamma coeff(gamma) t_gamma e^{lam+rho-hat} over
     the coroot lattice, sliced: each weight of the dominant_numerator
-    expanded over its orbit.  pred and coeff_fn read gamma in fundamental
+    expanded over its orbit.  coeff_fn reads gamma in fundamental
     coordinates and x, its integer coordinates on the simple coroots.
 
     Terms are exponents relative to lam + (mult of delta), graded by the
@@ -145,6 +146,6 @@ def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, qmax: int,
     if lam.level + rs.dual_coxeter > 0:
         rs.weyl_group()
     nu_fin, num = dominant_numerator(rs, lam, coroot_lattice_basis(rs), qmax,
-                                     pred, coeff_fn)
+                                     coeff_fn)
     return _orbit_sum(rs, lam, nu_fin, [(mu, m, c) for m, b in num.items()
                                         for mu, c in b.items()], qmax)

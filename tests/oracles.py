@@ -11,7 +11,9 @@ from Weyl's denominator formula.
 The next group is the code the library ran before the dominant-chamber
 orbit walk and the integer drop: a loop over the matrices of W
 for every orbit, the `Fraction` ellipsoid enumeration with its exact
-floor(x + sqrt(r2)), `Fraction` sums for every lattice point, the
+floor(x + sqrt(r2)), the integer scan of the ellipsoid's whole bounding
+box that the library ran before it fixed one coordinate at a time,
+`Fraction` sums for every lattice point, the
 `Fraction` pairings the formula predicates, the screened coefficient and
 the screening took before they read coroot coordinates, the per-point
 loops of alt_weyl_raw (a whole orbit per point) and q_dimension_sum (a
@@ -215,6 +217,35 @@ def _floor_plus_sqrt(x: Fraction, r2: Fraction) -> int:
     return t
 
 
+def box_quad_points(M, L, B) -> dict[tuple[int, ...], int]:
+    """lattice.quad_points by a scan of the ellipsoid's whole bounding box,
+    the form evaluated at every box point: with M^{-1} = N / d the minimum
+    sits at p / d, p = -N L, and the extent along x_i is sqrt(s N_ii) / d
+    about it, s = 2 B d - L.p; each range is rounded inward with isqrt."""
+    N, d = int_inverse(M)
+    p = [-sum(map(mul, row, L)) for row in N]
+    s = 2 * B * d - sum(map(mul, L, p))
+    if s < 0:
+        return {}
+    ranges = []
+    for i, pi in enumerate(p):
+        w = isqrt(s * N[i][i])
+        ranges.append(range(-((w - pi) // d), (pi + w) // d + 1))
+    r = len(M)
+    out = {}
+    for x in iproduct(*ranges):
+        tot = 0
+        for i in range(r):
+            xi = x[i]
+            if xi:
+                row = M[i]
+                tot += xi * (sum(row[j] * x[j] for j in range(r))
+                             + 2 * L[i])
+        if tot <= 2 * B:
+            out[x] = tot // 2
+    return out
+
+
 def fraction_quad_points(M, L, B) -> dict[tuple[int, ...], Fraction]:
     """lattice.quad_points over Q: the box about the rational centre of the
     ellipsoid, each bound found by _floor_plus_sqrt."""
@@ -264,7 +295,7 @@ def fraction_lattice_points_below(rs, basis, nu_fin, c, bound):
     return out
 
 
-def point_alt_weyl_raw(rs, lam, qmax, pred=None, coeff_fn=None):
+def point_alt_weyl_raw(rs, lam, qmax, coeff_fn=None):
     """lattice.alt_weyl_raw with one whole orbit walked per lattice point,
     before the numerator was summed in the dominant chamber."""
     nu_fin = tuple(f + 1 for f in lam.finite)
@@ -274,8 +305,6 @@ def point_alt_weyl_raw(rs, lam, qmax, pred=None, coeff_fn=None):
     items = []
     for x, gamma, drop in lattice_points_below(
             rs, coroot_lattice_basis(rs), nu_fin, c, qmax):
-        if pred is not None and not pred(gamma, x):
-            continue
         coeff = 1 if coeff_fn is None else coeff_fn(gamma, x)
         if coeff:
             mu = tuple(a + c * g for a, g in zip(nu_fin, gamma))
@@ -288,7 +317,7 @@ def point_q_dimension_sum(rs, lam, basis, qmax, coeff_fn=None, halve=False):
     nu = tuple(f + 1 for f in lam.finite)
     c = lam.level + rs.dual_coxeter
     if c <= 0:
-        raise ValueError("shifted level must be positive")
+        raise ValueError("shifted level k + h_vee must be positive")
     by_drop: dict[int, Fraction] = {}
     for x, gf, m in lattice_points_below(rs, basis, nu, c, qmax):
         co = 1 if coeff_fn is None else coeff_fn(gf, x)

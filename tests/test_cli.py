@@ -687,6 +687,17 @@ def test_state_budget_refuses_before_the_work(capsys, monkeypatch):
     assert err == "error: state enumeration over budget\n"
 
 
+def test_mode_budget_refuses_a_wide_sector_before_the_work(
+        capsys, monkeypatch):
+    # under the state budget, far over it in modes: refused before a
+    # multiset of 1100 modes is built
+    monkeypatch.setattr(fock, "_mode_multisets", None)
+    code, out, err = run(capsys, ["verify", "tower-fock", "--n", "3",
+                                  "--s", "1100", "--order", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: state enumeration over budget\n"
+
+
 def test_non_integral_dimension_is_one_error_line_with_exit_two(
         capsys, monkeypatch):
     # only the vacuum keeps a dimension, 1/2; the dominant numerator holds

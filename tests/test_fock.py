@@ -133,12 +133,35 @@ def test_budget_counts_every_state(monkeypatch):
         fock_states(3, 1, 7)
 
 
-def test_state_count_predicts_the_enumeration():
+def test_budget_counts_every_mode_entry(monkeypatch):
+    # 35 states of 172 modes: the budget at 172 passes, at 171 refuses
+    assert fock._sector_sizes(2, 6, 8) == (35, 172)
+    monkeypatch.setattr(fock, "STATE_BUDGET", 172)
+    assert len(fock_states(2, 6, 8)) == 35
+    monkeypatch.setattr(fock, "STATE_BUDGET", 171)
+    with pytest.raises(BudgetError):
+        fock_states(2, 6, 8)
+
+
+def test_state_count_predicts_the_enumeration(monkeypatch):
+    # the states, and the modes of every multiset _mode_multisets returns
+    built = []
+    kernel = fock._mode_multisets
+
+    def counted(n, count, e2budget):
+        out = kernel(n, count, e2budget)
+        built.append(sum(map(len, out)))
+        return out
+
+    monkeypatch.setattr(fock, "_mode_multisets", counted)
     for n in range(1, 5):
         for s in range(-4, 5):
-            for e2max in range(10):
-                assert (fock.state_count(n, s, e2max)
-                        == len(fock_states(n, s, e2max))), (n, s, e2max)
+            for e2max in range(12):
+                built.clear()
+                states = len(fock_states(n, s, e2max))
+                assert fock.state_count(n, s, e2max) == states
+                assert (fock._sector_sizes(n, s, e2max)
+                        == (states, sum(built))), (n, s, e2max)
 
 
 def test_state_count_by_excess_equals_the_energy_table():
@@ -173,6 +196,10 @@ def test_budget_refuses_before_any_multiset_is_built(monkeypatch):
     # far past the budget the ladder stops at the first bound over it
     with pytest.raises(BudgetError):
         fock_states(3, 0, 10**6)
+    # 606,651 states, but 667,316,100 modes in their multisets
+    assert fock._sector_sizes(3, 1100, 1100) == (606_651, 667_316_100)
+    with pytest.raises(BudgetError):
+        fock_states(3, 1100, 1100)
 
 
 # -- sector characters -----------------------------------------------------------

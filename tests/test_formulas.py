@@ -24,6 +24,7 @@ from affinechar.formulas import (
     parity_bracket_identity,
     phi_power_qpoly,
     q_dimension_sum,
+    screened_coefficient,
     sl2_closed_numerator,
     sl2_lattice_numerator,
     sl_first_numerator,
@@ -216,8 +217,8 @@ def test_parity_numerators_are_the_parity_sums_at_their_tops(n, qmax):
         lam = weight_from_coeffs(rs, top + (0,) * (n // 2 + 1 - len(top)))
         direct = alt_weyl_raw(
             rs, lam, qmax,
-            pred=lambda gf, x: (_orth_coords(x)[k] >= 0
-                                and sum(_orth_coords(x)) % 2 == 0))
+            lambda gf, x: int(_orth_coords(x)[k] >= 0
+                              and sum(_orth_coords(x)) % 2 == 0))
         assert sp_parity_numerator(n, variant, qmax) == direct
 
 
@@ -403,6 +404,24 @@ def test_qdim_deeper_vacuum():
     inv = qpoly_invert(phi_power_qpoly(28, 3), 3)
     dimq = qpoly_mul(dict(enumerate(direct)), inv, 3)
     assert [dimq.get(m, 0) for m in range(4)] == [1, 28, 329, 2632]
+
+
+@pytest.mark.parametrize("rank,k,want", [
+    (6, -3, [1, 78, 2509, 49270, 698425, 7815106, 72903350]),
+    (7, -4, [1, 133, 7505, 254885, 6093490, 112077998, 1678245091]),
+    (8, -6, [1, 248, 27249, 1821002, 85118126, 3017931282, 85616292063])])
+def test_exceptional_screened_vacua_from_the_lattice_alone(rank, k, want):
+    # graded dimensions of the E-type screened vacua to q^6, read from the
+    # lattice sum and phi(q)^{-dim g}; no Weyl group and no character
+    rs = root_system("E", rank)
+    lam = weight_from_coeffs(rs, (k,) + (0,) * rank)
+    alpha = check_deligne_conditions(rs, lam)["alpha"]
+    direct = q_dimension_sum(rs, lam, coroot_lattice_basis(rs), 6,
+                             coeff_fn=screened_coefficient(alpha), halve=True)
+    dimg = rs.rank + 2 * len(rs.positive_roots)
+    dimq = qpoly_mul(dict(enumerate(direct)),
+                     qpoly_invert(phi_power_qpoly(dimg, 6), 6), 6)
+    assert [dimq.get(m, 0) for m in range(7)] == want
 
 
 def test_qdim_sum_skips_cancelling_negative_drops():

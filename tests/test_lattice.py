@@ -1,6 +1,7 @@
 """Lattice enumeration and the alternating translated Weyl sums."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product as iproduct
 from math import floor
@@ -9,6 +10,7 @@ from operator import mul
 import pytest
 from oracles import (
     apply,
+    box_quad_points,
     drop_of,
     fraction_lattice_points_below,
     fraction_node_pairing,
@@ -96,17 +98,22 @@ def form_value(M, L, x):
             + sum(map(mul, L, x)))
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_quad_points_match_brute_box_on_random_integral_forms(r):
-    # |L| <= 3 sqrt(3) and B <= 8 keep every point within 12 of the origin
+    # every rank against the bounding-box scan; below rank 4, |L| <= 3
+    # sqrt(3) and B <= 8 keep every point within 12 of the origin, so the
+    # whole cube is scanned as well
     rng = random.Random(20261019 + r)
-    box = list(iproduct(range(-12, 13), repeat=r))
+    box = list(iproduct(range(-12, 13), repeat=r)) if r < 4 else None
     for _ in range(20):
         M = random_even_form(rng, r)
         L = [rng.randrange(-3, 4) for _ in range(r)]
         B = rng.randrange(-8, 9)
         got = quad_points(M, L, B)
-        assert got == {x: v for x in box if (v := form_value(M, L, x)) <= B}
+        assert got == box_quad_points(M, L, B)
+        if box is not None:
+            assert got == {x: v for x in box
+                           if (v := form_value(M, L, x)) <= B}
         assert all(type(v) is int for v in got.values())
 
 
@@ -132,6 +139,42 @@ def test_quad_points_isqrt_bounds_far_from_the_origin():
     assert found > 40
     # no room above the minimum: nothing at all
     assert quad_points([[2]], [-2 * 10**12 - 1], -10**24 - 10**12 - 1) == {}
+
+
+def drop_form(rs, lam):
+    # the integral drop form of lattice_points_below on the coroot lattice,
+    # at lam + rho-hat
+    basis = coroot_lattice_basis(rs)
+    nu, c = [f + 1 for f in lam.finite], lam.level + rs.dual_coxeter
+    M = [[int(c * rs.inner(a, b)) for b in basis] for a in basis]
+    return M, [int(rs.inner(nu, b)) for b in basis]
+
+
+@pytest.mark.parametrize("fam,rank,k,order", [
+    ("D", 4, -1, 6), ("D", 4, -2, 6), ("E", 6, -3, 4), ("E", 7, -4, 3)])
+def test_quad_points_match_the_box_on_screened_vacua(fam, rank, k, order):
+    # the drop forms of the screened vacua, every order up to the given one
+    rs = root_system(fam, rank)
+    M, L = drop_form(rs, weight_from_coeffs(rs, (k,) + (0,) * rank))
+    sizes = []
+    for B in range(order + 1):
+        got = quad_points(M, L, B)
+        assert got == box_quad_points(M, L, B)
+        sizes.append(len(got))
+    assert sizes == sorted(sizes) and sizes[-1] > sizes[0] > 0
+
+
+def test_e8_lattice_points_in_milliseconds():
+    # the screened E8 vacuum, nu = rho at c = 24: a bounding-box scan took
+    # tens of seconds for its 7 points at order 0
+    rs = root_system("E", 8)
+    basis = coroot_lattice_basis(rs)
+    for order, count in ((0, 7), (6, 27), (12, 79)):
+        start = time.perf_counter()
+        pts = lattice_points_below(rs, basis, (1,) * 8, 24, order)
+        assert time.perf_counter() - start < 1
+        assert len(pts) == count
+        assert all(drop <= order for _, _, drop in pts)
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 2), ("C", 2), ("A", 3)])
@@ -284,7 +327,7 @@ def test_translation_drop_formula():
 
 def origin_orbit(rs, lam):
     # the alternating orbit of lam + rho-hat alone: the translation gamma = 0
-    return alt_weyl_raw(rs, lam, 0, pred=lambda gf, x: not any(x))
+    return alt_weyl_raw(rs, lam, 0, lambda gf, x: int(not any(x)))
 
 
 def brute_orbit_sum(rs, mu):
@@ -358,7 +401,7 @@ def macdonald_dimensions_hold(rs, qmax):
 
 @pytest.mark.parametrize("fam,rank,qmax", [
     ("A", 1, 20), ("A", 3, 10), ("C", 3, 8), ("D", 4, 8), ("E", 6, 8),
-    ("E", 7, 6)])
+    ("E", 7, 6), ("E", 8, 10)])
 def test_macdonald_dimension_grain(fam, rank, qmax):
     assert macdonald_dimensions_hold(root_system(fam, rank), qmax)
 
@@ -450,8 +493,9 @@ def test_shifted_level_must_be_positive():
     with pytest.raises(ValueError):
         alt_weyl_raw(rs, lam, 2)
     with pytest.raises(ValueError):
-        alt_weyl_raw(rs, lam, 2, pred=lambda gf, x: not any(x))
-    with pytest.raises(ValueError, match="^shifted level must be positive$"):
+        alt_weyl_raw(rs, lam, 2, lambda gf, x: int(not any(x)))
+    with pytest.raises(ValueError,
+                       match="^shifted level k \\+ h_vee must be positive$"):
         fm.q_dimension_sum(rs, lam, coroot_lattice_basis(rs), 2)
     # ahead of the Weyl size gate: E7 at k = -h_vee
     e7 = root_system("E", 7)
@@ -460,7 +504,7 @@ def test_shifted_level_must_be_positive():
 
 
 def test_weyl_size_gate_precedes_lattice_enumeration(monkeypatch):
-    # rank 8 spends tens of seconds in the point scan; the gate must not wait
+    # the gate refuses before any lattice point, however cheap the points
     def no_points(*args):
         raise AssertionError("lattice points enumerated before the gate")
 
@@ -498,19 +542,18 @@ def outcome(fn, *args, **kw):
         return type(e), str(e)
 
 
-def assert_matches_point_loops(rs, lam, qmax, pred=None, coeff_fn=None):
+def assert_matches_point_loops(rs, lam, qmax, coeff_fn=None):
     basis = coroot_lattice_basis(rs)
-    want = point_alt_weyl_raw(rs, lam, qmax, pred, coeff_fn)
-    assert alt_weyl_raw(rs, lam, qmax, pred, coeff_fn) == want
-    nu_fin, num = dominant_numerator(rs, lam, basis, qmax, pred, coeff_fn)
+    want = point_alt_weyl_raw(rs, lam, qmax, coeff_fn)
+    assert alt_weyl_raw(rs, lam, qmax, coeff_fn) == want
+    nu_fin, num = dominant_numerator(rs, lam, basis, qmax, coeff_fn)
     assert nu_fin == tuple(f + 1 for f in lam.finite)
     assert num == dominant_part(want, nu_fin)
     assert all(num.values()) and all(c for b in num.values()
                                      for c in b.values())
-    if pred is None:
-        assert outcome(fm.q_dimension_sum, rs, lam, basis, qmax,
-                       coeff_fn) == outcome(point_q_dimension_sum, rs, lam,
-                                            basis, qmax, coeff_fn)
+    assert outcome(fm.q_dimension_sum, rs, lam, basis, qmax,
+                   coeff_fn) == outcome(point_q_dimension_sum, rs, lam,
+                                        basis, qmax, coeff_fn)
     return num
 
 
@@ -588,9 +631,9 @@ def test_predicates_read_the_same_numerator(monkeypatch):
     # and the dominant part of each predicate sum directly
     rs = root_system("C", 2)
     lam = weight_from_coeffs(rs, (-1, 0, 0))
-    for pred in (lambda gf, x: fm._orth_coords(x)[0] >= 0,
-                 lambda gf, x: sum(fm._orth_coords(x)) % 2 == 0):
-        assert_matches_point_loops(rs, lam, 4, pred=pred)
+    for co in (lambda gf, x: int(fm._orth_coords(x)[0] >= 0),
+               lambda gf, x: int(sum(fm._orth_coords(x)) % 2 == 0)):
+        assert_matches_point_loops(rs, lam, 4, coeff_fn=co)
 
 
 def test_integer_predicates_equal_the_fraction_pairings():
@@ -640,20 +683,20 @@ def test_uncancelled_negative_drop_is_refused_alike():
 
 def test_base_off_the_root_lattice_is_refused_alike():
     # weights off the weight lattice, even where only gamma = 0 would be
-    # kept (the only point at order 0, or by the predicate): their drop
+    # kept (the only point at order 0, or by a 0/1 coefficient): their drop
     # form is not integral, and all three paths refuse it before any point
     a1, a2 = root_system("A", 1), root_system("A", 2)
     cases = [
         (a1, AffineWeight((Fraction(1, 2),), 1, 0), 0, None),
         (a2, AffineWeight((Fraction(1, 3), Fraction(2, 3)), 1, 0), 2,
-         lambda gf, x: not any(x)),
+         lambda gf, x: int(not any(x))),
     ]
-    for rs, lam, qmax, pred in cases:
+    for rs, lam, qmax, co in cases:
         for run in (
-                lambda: alt_weyl_raw(rs, lam, qmax, pred),
-                lambda: point_alt_weyl_raw(rs, lam, qmax, pred),
+                lambda: alt_weyl_raw(rs, lam, qmax, co),
+                lambda: point_alt_weyl_raw(rs, lam, qmax, co),
                 lambda: dominant_numerator(rs, lam, coroot_lattice_basis(rs),
-                                           qmax, pred)):
+                                           qmax, co)):
             with pytest.raises(ValueError,
                                match="^lattice basis and drop form must be "
                                "integral, with an even diagonal$"):
