@@ -12,9 +12,10 @@ precondition, a size or state budget exceeded, or a non-integral result,
 3 an internal invariant broken (a bug, reported as one line).
 
 compute and qdim take from FORMULAS, and verify from CHECKS, what each
-formula or check reads: FORMULAS gives a formula's family and which of
---s and --allow-large-weyl it reads, CHECKS the options of a check with
-their defaults.  An option that nothing named reads is refused.  FLOORS,
+formula or check reads: FORMULAS gives a formula's family and whether it
+reads --s, CHECKS the options of a check with their defaults.  An option
+that nothing named reads is refused.  A Weyl group over WEYL_LIMIT is
+refused by its order, before any work, and nothing overrides that.  FLOORS,
 the one floor table of verify, holds every option a named check reads,
 given or defaulted, before any check runs; a check body keeps only its own
 rules, such as even n on the type C checks.
@@ -93,26 +94,13 @@ def _tower_s(args, rs, shape: str):
     return s
 
 
-def _weyl(args, build, rs, *rest):
-    """build(rs, *rest) for the builders that read --allow-large-weyl, and
-    the one place that offers the flag when W is too large.  With the flag,
-    W is enumerated past the gate first; rs.weyl_group() then returns it."""
-    if args.allow_large_weyl:
-        rs.weyl_group(allow_large=True)
-    try:
-        return build(rs, *rest)
-    except WeylSizeError as e:
-        raise WeylSizeError(f"{e}; pass allow_large (--allow-large-weyl) "
-                            "to enumerate anyway") from None
-
-
 # -- formula builders: each returns a numerator or a character ------------
 
 
 def _integrable(args):
     rs = _algebra(args)
     lam = _weight(rs, args.weight)
-    return _weyl(args, fm.integrable_numerator, rs, lam, args.order)
+    return fm.integrable_numerator(rs, lam, args.order)
 
 
 def _sl_tower(args):
@@ -170,23 +158,22 @@ def _screened(args):
 
 def _deligne(args):
     rs, lam, _ = _screened(args)
-    return _weyl(args, fm.deligne_numerator, rs, lam, args.order)
+    return fm.deligne_numerator(rs, lam, args.order)
 
 
 # formula id -> (builder, whether the builder returns the character, the
-# (type, rank) it lives on cut to what is fixed, which of the optional
-# options --s and --allow-large-weyl it reads)
+# (type, rank) it lives on cut to what is fixed, whether it reads --s)
 FORMULAS = {
-    "integrable": (_integrable, False, (), ("allow_large_weyl",)),
-    "sl-first": (_sl_tower, False, ("A",), ("s",)),
-    "sl-last": (_sl_tower, False, ("A",), ("s",)),
-    "sl2-closed": (_sl2_closed, False, ("A", 1), ("s",)),
-    "sp-a": (_sp_a, False, ("C",), ("s",)),
-    "sp-b": (_sp_fixed_top, True, ("C",), ()),
-    "sp-c": (_sp_fixed_top, True, ("C",), ()),
-    "sp-parity-a": (_sp_fixed_top, False, ("C",), ()),
-    "sp-parity-b": (_sp_fixed_top, False, ("C",), ()),
-    "deligne": (_deligne, False, (), ("allow_large_weyl",)),
+    "integrable": (_integrable, False, (), False),
+    "sl-first": (_sl_tower, False, ("A",), True),
+    "sl-last": (_sl_tower, False, ("A",), True),
+    "sl2-closed": (_sl2_closed, False, ("A", 1), True),
+    "sp-a": (_sp_a, False, ("C",), True),
+    "sp-b": (_sp_fixed_top, True, ("C",), False),
+    "sp-c": (_sp_fixed_top, True, ("C",), False),
+    "sp-parity-a": (_sp_fixed_top, False, ("C",), False),
+    "sp-parity-b": (_sp_fixed_top, False, ("C",), False),
+    "deligne": (_deligne, False, (), False),
 }
 
 
@@ -194,10 +181,8 @@ def _compute_series(args, character: bool) -> CharSlices:
     """The numerator, or the character, of one formula."""
     _need(args.order >= 0, "needs order >= 0")
     f = args.formula
-    build, is_character, lives_on, reads = FORMULAS[f]
-    for opt in ("s", "allow_large_weyl"):
-        _need(getattr(args, opt) is None or opt in reads,
-              f"formula {f} does not read --{opt.replace('_', '-')}")
+    build, is_character, lives_on, reads_s = FORMULAS[f]
+    _need(args.s is None or reads_s, f"formula {f} does not read --s")
     here = (args.type.upper(), args.rank)[:len(lives_on)]
     _need(here == lives_on, f"{f} lives on type "
           + " rank ".join(map(str, lives_on)))
@@ -311,9 +296,10 @@ def _check_superdenominator_sp(args):
 
 def _check_tower_fock(args):
     n, s, order = args.n, args.s, args.order
-    num = fm.sl_first_numerator(n, s, order)
-    ch = character_from_numerator(num)
-    oracle = fock.charge_sector_character(num.rs, s, order)
+    rs = root_system("A", n - 1)
+    rs.check_weyl_order()  # both limits refuse before any lattice point
+    oracle = fock.charge_sector_character(rs, s, order)
+    ch = character_from_numerator(fm.sl_first_numerator(n, s, order))
     return _result(f"tower-fock n={n} s={s}", order, len(ch),
                    _mismatch(ch.first_diff(oracle), "lattice", "free-field"))
 
@@ -435,8 +421,7 @@ def _check_deligne_positivity(args):
 def _check_qdim_two_path(args):
     rs, lam, cond = _screened(args)
     order = args.order
-    ch = character_from_numerator(
-        _weyl(args, fm.deligne_numerator, rs, lam, order))
+    ch = character_from_numerator(fm.deligne_numerator(rs, lam, order))
     direct = fm.q_dimension_sum(
         rs, lam, coroot_lattice_basis(rs), order,
         coeff_fn=fm.screened_coefficient(cond["alpha"]), halve=True)
@@ -533,7 +518,7 @@ def _check_properties(args):
 
 # the options of the two checks on a screened weight, the D4 vacuum by default
 _SCREENED = {"type": "D", "rank": 4, "weight": lambda a: [-1] + [0] * a.rank,
-             "order": 2, "allow_large_weyl": False}
+             "order": 2}
 
 # check -> (function, {option it reads: default}); verify refuses an option
 # that none of the named checks reads, and hands each check a namespace of
@@ -684,13 +669,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "tsv", "pretty"),
                         default="json")
 
-    weyl = argparse.ArgumentParser(add_help=False)
-    weyl.add_argument("--allow-large-weyl", action="store_true", default=None,
-                      help="enumerate Weyl groups past the size bound; "
-                           "the bound is decided from |W| before any "
-                           "enumeration; read by the integrable and deligne "
-                           "formulas and the checks that build them")
-
     wspec = argparse.ArgumentParser(add_help=False)
     wspec.add_argument("--type", required=True,
                        help="family letter: A, C, D or E")
@@ -702,19 +680,19 @@ def _build_parser() -> argparse.ArgumentParser:
     wspec.add_argument("--order", type=int, default=3,
                        help="truncation order in the series' own grading")
 
-    pc = sub.add_parser("compute", parents=[common, weyl, wspec],
+    pc = sub.add_parser("compute", parents=[common, wspec],
                         help="compute one formula at one weight")
     pc.add_argument("--formula", required=True, choices=FORMULAS)
     pc.add_argument("--character", action="store_true",
                     help="emit the character instead of the numerator")
     pc.set_defaults(fn=cmd_compute)
 
-    pq = sub.add_parser("qdim", parents=[common, weyl, wspec],
+    pq = sub.add_parser("qdim", parents=[common, wspec],
                         help="graded dimension series of a character")
     pq.add_argument("--formula", required=True, choices=FORMULAS)
     pq.set_defaults(fn=cmd_qdim)
 
-    pv = sub.add_parser("verify", parents=[common, weyl],
+    pv = sub.add_parser("verify", parents=[common],
                         help="run named identity checks")
     pv.add_argument("--seed", type=int, default=None,
                     help="seed for randomized property checks")

@@ -17,7 +17,7 @@ from .rootdata import RootSystem
 from .series import (
     CharSlices,
     OffsetPacking,
-    phi_slices,
+    phi_power_qpoly,
     qpoly_invert,
     qpoly_mul,
     weight_from_coeffs,
@@ -277,7 +277,7 @@ def charge_sector_character(rs: RootSystem, s: int, qmax: int) -> CharSlices:
             tgt[key] = tgt.get(key, 0) + d
     base = weight_from_coeffs(rs, [-(1 + s), s] + [0] * (rs.rank - 1))
     ch = CharSlices(rs, base, qmax, slices)
-    return ch.mul_qpoly(phi_slices(qmax))
+    return ch.mul_qpoly(phi_power_qpoly(1, qmax))
 
 
 # -- one oscillator family under the sign flip --------------------------------
@@ -289,9 +289,10 @@ def oscillator_split(qmax: int):
     The family is C[H(-k), k >= 1] with the flip negating every H(-k); the
     graded trace of the flip is phi(q)/phi(q^2).
     """
-    phi1 = phi_slices(qmax)
+    phi1 = phi_power_qpoly(1, qmax)
     inv1 = qpoly_invert(phi1, qmax)
-    ratio = qpoly_mul(phi1, qpoly_invert(phi_slices(qmax, 2), qmax), qmax)
+    ratio = qpoly_mul(phi1, qpoly_invert(phi_power_qpoly(1, qmax, 2), qmax),
+                      qmax)
     plus: dict[int, int] = {}
     minus: dict[int, int] = {}
     for m in range(qmax + 1):

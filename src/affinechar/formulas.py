@@ -27,7 +27,7 @@ from .series import (
     character_from_numerator,
     denominator_slices,
     first_diff,
-    phi_slices,
+    phi_power_qpoly,
     qpoly_invert,
     qpoly_mul,
     weight_from_coeffs,
@@ -148,8 +148,8 @@ def sp_twist_product_character(rs: RootSystem, qmax: int) -> CharSlices:
     """The closed product side of the twisted denominator identity,
     relative to the level -1 vacuum weight."""
     lam = weight_from_coeffs(rs, (-1,) + (0,) * rs.rank)
-    ratio = qpoly_mul(phi_slices(qmax, step=2),
-                      qpoly_invert(phi_slices(qmax), qmax), qmax)
+    ratio = qpoly_mul(phi_power_qpoly(1, qmax, 2),
+                      qpoly_invert(phi_power_qpoly(1, qmax), qmax), qmax)
     base = CharSlices(rs, lam, qmax, _long_root_odd_slices(rs, qmax))
     return base.mul_qpoly(ratio)
 
@@ -322,13 +322,6 @@ def deligne_enumerate(rs: RootSystem, k: int, mmax: int):
 
 
 # -- one-variable specializations ----------------------------------------
-
-
-def phi_power_qpoly(exponent: int, qmax: int) -> dict[int, int]:
-    """q-power coefficients of prod_{k>=1} (1 - q^k)^exponent up to qmax."""
-    slices = _factor_product(qmax, ((k, 0, False) for k in range(1, qmax + 1)
-                                    for _ in range(exponent)))
-    return {m: b[0] for m, b in enumerate(slices) if b}
 
 
 def q_dimension_sum(rs: RootSystem, lam, basis, qmax: int,

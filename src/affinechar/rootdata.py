@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul, sub
 
-# the most Weyl group elements a request may enumerate without allow_large
+# the most Weyl group elements a request may enumerate
 WEYL_LIMIT = 10**6
 
 
@@ -81,7 +81,6 @@ class RootSystem:
         self.family = family
         self.rank = rank
         self._derive()
-        self._weyl_cache: list[tuple[int, tuple[int, ...]]] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -205,29 +204,21 @@ class RootSystem:
                                 f"{order} elements, more than {WEYL_LIMIT}")
         return order
 
-    def weyl_group(self, allow_large: bool = False
-                   ) -> list[tuple[int, tuple[int, ...]]]:
+    def weyl_group(self) -> list[tuple[int, tuple[int, ...]]]:
         """W as the pairs (eps(w), root coordinates of w rho - rho), one per
         element: rho is regular, so W acts simply transitively on its orbit
         (Humphreys, Reflection Groups and Coxeter Groups, 1.8 and 1.12), and
         orbit_offsets(rho, rho) walks the group itself.
 
-        Groups larger than WEYL_LIMIT are refused unless allow_large is set;
-        E_7 and E_8 are the only supported types past it.  The size is
-        decided from weyl_order() before anything is enumerated.  The list
-        is cached: once enumerated (say with allow_large), every later call
-        returns the same list.  Callers use the call as a size gate.
+        check_weyl_order() refuses a group over WEYL_LIMIT before anything
+        is enumerated.  Callers use the call as a size gate.
         """
-        if self._weyl_cache is not None:
-            return self._weyl_cache
-        order = (self.weyl_order() if allow_large
-                 else self.check_weyl_order())
+        order = self.check_weyl_order()
         rho = (1,) * self.rank
         group = list(self.orbit_offsets(rho, rho))
         if len(group) != order:
             raise AssertionError(f"enumerated {len(group)} of {order} "
                                  "Weyl group elements")
-        self._weyl_cache = group
         return group
 
     def _reduce(self, vi: list[int]) -> int:

@@ -306,10 +306,12 @@ class CharSlices:
         }
 
 
-def phi_slices(qmax: int, step: int = 1) -> dict[int, int]:
-    """q-power coefficients of prod_{k>=1} (1 - q^{step k}) up to qmax."""
+def phi_power_qpoly(exponent: int, qmax: int,
+                    step: int = 1) -> dict[int, int]:
+    """Coefficients of prod_{k>=1} (1 - q^{step k})^exponent up to q^qmax."""
     slices = _factor_product(qmax, ((k, 0, False)
-                                    for k in range(step, qmax + 1, step)))
+                                    for k in range(step, qmax + 1, step)
+                                    for _ in range(exponent)))
     return {m: b[0] for m, b in enumerate(slices) if b}
 
 

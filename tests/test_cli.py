@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ import affinechar
 from affinechar import cli, fock, series, superden
 from affinechar import formulas as fm
 from affinechar.cli import main
+from affinechar.lattice import alt_weyl_raw
 from affinechar.rootdata import RootSystem, root_system
+from affinechar.series import weight_from_coeffs
 
 EIGHT_COEFFS = [
     [-1, 0, 0, 0, 0],
@@ -248,7 +251,6 @@ def test_verify_refuses_an_option_no_named_check_reads(capsys, option):
     ("properties", ["--order", "2"]),
     ("sl2-closed", ["--cases", "2"]),
     ("sl2-closed", ["--seed", "3"]),
-    ("superdenominator-sl", ["--allow-large-weyl"]),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_verify_refuses_every_option_its_checks_do_not_read(
         capsys, check, option):
@@ -336,17 +338,13 @@ def test_a_check_sees_its_own_options_filled_with_defaults(capsys,
 
 
 def test_superdenominator_gate_does_not_offer_the_flag(capsys):
-    # the superdenominator sums decide the size gate from |W| up front and
-    # have no override, so neither the refusal nor the parser offers one
+    # the superdenominator sums decide the size gate from |W| up front, and
+    # no Weyl gate has an override: the refusal offers none
     code, out, err = run(capsys, ["verify", "superdenominator-sl",
                                   "--n", "10", "--order", "2"])
     assert code == 2 and out == ""
     assert err == ("error: Weyl group of A9 has 3628800 elements, more "
                    "than 1000000\n")
-    code, out, err = run(capsys, ["verify", "superdenominator-sl", "--n",
-                                  "10", "--order", "2", "--allow-large-weyl"])
-    assert code == 2 and out == ""
-    assert err.startswith("error: --allow-large-weyl is read by none")
 
 
 def test_verify_accepts_an_option_one_named_check_reads(capsys):
@@ -525,6 +523,15 @@ D4_LIST = ["list-deligne", "--type", "D", "--rank", "4", "--level", "-1"]
     (["qdim", *SL_FIRST], ["--seed", "3"]),
     (D4_LIST, ["--seed", "3"]),
     (D4_LIST, ["--allow-large-weyl"]),
+    (["compute", *SL_FIRST], ["--allow-large-weyl"]),
+    (["qdim", "--formula", "sl2-closed", "--type", "A", "--rank", "1", "--s",
+      "1"], ["--allow-large-weyl"]),
+    (["compute", "--formula", "sp-b", "--type", "C", "--rank", "2"],
+     ["--allow-large-weyl"]),
+    (["qdim", "--formula", "deligne", "--type", "D", "--rank", "4",
+      "--weight", "-1", "0", "0", "0", "0"], ["--allow-large-weyl"]),
+    (["verify", "superdenominator-sl"], ["--allow-large-weyl"]),
+    (["verify", "deligne-positivity"], ["--allow-large-weyl"]),
 ])
 def test_removed_options_are_unrecognized(capsys, argv, removed):
     with pytest.raises(SystemExit) as e:
@@ -539,29 +546,13 @@ def test_kept_options_still_parse(capsys):
                                 "--cases", "2"])
     assert code == 0 and '"identity": "properties seed=3 cases=2"' in out
     code, out, _ = run(capsys, ["verify", "deligne-positivity", "--order",
-                                "0", "--allow-large-weyl"])
+                                "0"])
     assert code == 0 and '"ok": true' in out
     code, out, _ = run(capsys, [
         "qdim", "--formula", "integrable", "--type", "A", "--rank", "1",
-        "--weight", "1", "0", "--order", "1", "--allow-large-weyl",
+        "--weight", "1", "0", "--order", "1",
     ])
     assert code == 0 and json.loads(out)["delta"] == "0"
-
-
-@pytest.mark.parametrize("command", ["compute", "qdim"])
-@pytest.mark.parametrize("formula,family,rank,extra", [
-    ("sl2-closed", "A", 1, ["--s", "1"]),
-    ("sl-first", "A", 2, ["--s", "1"]),
-    ("sp-b", "C", 2, []),
-])
-def test_allow_large_weyl_on_a_formula_that_does_not_read_it_is_refused(
-        capsys, command, formula, family, rank, extra):
-    code, out, err = run(capsys, [
-        command, "--formula", formula, "--type", family, "--rank", str(rank),
-        *extra, "--order", "1", "--allow-large-weyl"])
-    assert code == 2 and out == ""
-    assert err == (f"error: formula {formula} does not read "
-                   "--allow-large-weyl\n")
 
 
 @pytest.mark.parametrize("command", ["compute", "qdim"])
@@ -595,24 +586,50 @@ def test_large_weyl_group_is_refused_with_exit_two(capsys):
     ])
     assert code == 2 and out == ""
     assert err == ("error: Weyl group of E7 has 2903040 elements, more than "
-                   "1000000; pass allow_large (--allow-large-weyl) to "
-                   "enumerate anyway\n")
+                   "1000000\n")
+
+
+def test_e7_and_e8_are_refused_by_the_one_limit_before_any_orbit(
+        capsys, monkeypatch):
+    # the E7 and E8 screened vacua at the Deligne level -h_vee/6 - 1, and E8
+    # integrable: each refused by |W| alone, with no orbit walked
+    def walked(*args, **kw):
+        raise AssertionError("an orbit was walked")
+
+    for cmd, rank, m0 in [(["qdim", "--formula", "deligne"], 7, -4),
+                          (["qdim", "--formula", "deligne"], 8, -6),
+                          (["compute", "--formula", "integrable"], 8, 1)]:
+        with monkeypatch.context() as m:
+            m.setattr(RootSystem, "orbit_offsets", walked)
+            t0 = time.perf_counter()
+            code, out, err = run(capsys, [
+                *cmd, "--type", "E", "--rank", str(rank), "--weight",
+                str(m0), *["0"] * rank, "--order", "0"])
+            assert time.perf_counter() - t0 < 1
+        order = root_system("E", rank).weyl_order()
+        assert (code, out) == (2, "")
+        assert err == (f"error: Weyl group of E{rank} has {order} elements, "
+                       "more than 1000000\n")
+    # and the gate leaves nothing on the root system it enumerates
+    rs = root_system("D", 4)
+    before = dict(vars(rs))
+    alt_weyl_raw(rs, weight_from_coeffs(rs, (1, 0, 0, 0, 0)), 1)
+    assert vars(rs) == before
 
 
 def test_a_failing_weight_is_refused_before_w_is_enumerated(capsys,
                                                              monkeypatch):
-    # with --allow-large-weyl, the screening comes before the flag's
-    # enumeration of W, and every deligne command refuses in one line
+    # the screening comes before any enumeration of W, and every deligne
+    # command refuses in one line
     calls = []
     group = RootSystem.weyl_group
 
-    def counted(self, allow_large=False):
-        calls.append(allow_large)
-        return group(self, allow_large)
+    def counted(self):
+        calls.append(self)
+        return group(self)
 
     monkeypatch.setattr(RootSystem, "weyl_group", counted)
-    tail = ["--type", "D", "--rank", "4", "--weight", "0", "0", "0", "0", "0",
-            "--allow-large-weyl"]
+    tail = ["--type", "D", "--rank", "4", "--weight", "0", "0", "0", "0", "0"]
     errs = set()
     for cmd in (["qdim", "--formula", "deligne"],
                 ["verify", "qdim-two-path"], ["verify", "deligne-positivity"]):
@@ -629,8 +646,8 @@ def test_a_failing_weight_is_refused_before_w_is_enumerated(capsys,
     ["verify", "parity-vs-split", "--n", "20", "--order", "1"],
 ], ids=["sl-first-A9", "parity-vs-split-n20"])
 def test_weyl_gate_offers_the_flag_only_where_it_is_read(capsys, argv):
-    # these builders refuse --allow-large-weyl, so the refusal of their
-    # Weyl group's size must not offer it
+    # no Weyl gate has an override, so no refusal of a group's size offers
+    # one
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: Weyl group of ")
@@ -690,12 +707,30 @@ def test_state_budget_refuses_before_the_work(capsys, monkeypatch):
 def test_mode_budget_refuses_a_wide_sector_before_the_work(
         capsys, monkeypatch):
     # under the state budget, far over it in modes: refused before a
-    # multiset of 1100 modes is built
+    # multiset of 1100 modes is built, and before any lattice point
+    def lattice_side(*args):
+        raise AssertionError("the lattice side was built")
+
     monkeypatch.setattr(fock, "_mode_multisets", None)
+    monkeypatch.setattr(fm, "sl_first_numerator", lattice_side)
     code, out, err = run(capsys, ["verify", "tower-fock", "--n", "3",
                                   "--s", "1100", "--order", "0"])
     assert code == 2 and out == ""
     assert err == "error: state enumeration over budget\n"
+
+
+def test_tower_fock_refuses_a_large_weyl_group_before_either_side(
+        capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("a side was built")
+
+    monkeypatch.setattr(fock, "charge_sector_character", built)
+    monkeypatch.setattr(fm, "sl_first_numerator", built)
+    code, out, err = run(capsys, ["verify", "tower-fock", "--n", "10",
+                                  "--order", "0"])
+    assert (code, out) == (2, "")
+    assert err == ("error: Weyl group of A9 has 3628800 elements, more "
+                   "than 1000000\n")
 
 
 def test_non_integral_dimension_is_one_error_line_with_exit_two(

@@ -29,7 +29,7 @@ from affinechar.fock import (
     split_to_char,
 )
 from affinechar.rootdata import root_system
-from affinechar.series import phi_slices, qpoly_invert, qpoly_mul
+from affinechar.series import phi_power_qpoly, qpoly_invert, qpoly_mul
 
 
 # -- enumeration vs the two product expansions ----------------------------------
@@ -68,7 +68,8 @@ def test_total_dims_from_eta_quotient():
         for (s, e2), c in tbl.items():
             tot[e2] = tot.get(e2, 0) + c
         ratio = qpoly_mul(
-            phi_slices(e2max, 2), qpoly_invert(phi_slices(e2max), e2max), e2max
+            phi_power_qpoly(1, e2max, 2),
+            qpoly_invert(phi_power_qpoly(1, e2max), e2max), e2max
         )
         want = {0: 1}
         for _ in range(2 * n):
@@ -215,7 +216,8 @@ def test_sector_character_undoes_the_oscillator():
         ch = charge_sector_character(rs, s, qmax)
         assert ch.coeff(0, (0, 0)) == 1
         qs = {m: c for m, c in enumerate(ch.q_series())}
-        conv = qpoly_mul(qs, qpoly_invert(phi_slices(qmax), qmax), qmax)
+        conv = qpoly_mul(qs, qpoly_invert(phi_power_qpoly(1, qmax), qmax),
+                         qmax)
         want = {m: tbl.get((s, s + 2 * m), 0) for m in range(qmax + 1)}
         assert conv == {m: c for m, c in want.items() if c}
 
@@ -379,12 +381,13 @@ def test_oscillator_split_paths_agree():
 def test_oscillator_split_totals():
     qmax = 10
     plus, minus = oscillator_split(qmax)
-    parts = qpoly_invert(phi_slices(qmax), qmax)
+    parts = qpoly_invert(phi_power_qpoly(1, qmax), qmax)
     tot = {m: plus.get(m, 0) + minus.get(m, 0) for m in range(qmax + 1)}
     assert tot == {m: parts.get(m, 0) for m in range(qmax + 1)}
     # the signed count is phi(q)/phi(q^2)
     ratio = qpoly_mul(
-        phi_slices(qmax), qpoly_invert(phi_slices(qmax, 2), qmax), qmax
+        phi_power_qpoly(1, qmax),
+        qpoly_invert(phi_power_qpoly(1, qmax, 2), qmax), qmax
     )
     signed = {m: plus.get(m, 0) - minus.get(m, 0) for m in range(qmax + 1)}
     assert signed == {m: ratio.get(m, 0) for m in range(qmax + 1)}

@@ -46,7 +46,7 @@ from affinechar.series import (
     SliceError,
     character_from_numerator,
     denominator_slices,
-    phi_slices,
+    phi_power_qpoly,
     qpoly_invert,
     qpoly_mul,
     translate,
@@ -717,7 +717,7 @@ def _theta_over_phi(rs, qmax):
         m = int(n2) // 2
         if m <= qmax:
             theta[m] = theta.get(m, 0) + 1
-    parts = qpoly_invert(phi_slices(qmax), qmax)
+    parts = qpoly_invert(phi_power_qpoly(1, qmax), qmax)
     prod = theta
     for _ in range(rs.rank):
         prod = qpoly_mul(prod, parts, qmax)

@@ -31,7 +31,7 @@ from affinechar.series import (
     denominator_slices,
     first_diff,
     laurent_divide,
-    phi_slices,
+    phi_power_qpoly,
     qpoly_invert,
     qpoly_mul,
     weight_from_coeffs,
@@ -79,15 +79,16 @@ def test_phi_pentagonal():
         g = k * (3 * k - 1) // 2
         if 0 <= g <= 15:
             want[g] = 1 if k % 2 == 0 else -1
-    assert phi_slices(15) == want
+    assert phi_power_qpoly(1, 15) == want
 
 
 def test_phi_step_two_matches_doubled():
-    assert phi_slices(14, 2) == {2 * m: c for m, c in phi_slices(7).items()}
+    assert phi_power_qpoly(1, 14, 2) == {
+        2 * m: c for m, c in phi_power_qpoly(1, 7).items()}
 
 
 def test_invert_phi_gives_partitions():
-    inv = qpoly_invert(phi_slices(10), 10)
+    inv = qpoly_invert(phi_power_qpoly(1, 10), 10)
     assert [inv.get(m, 0) for m in range(11)] == [
         1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42,
     ]
@@ -112,7 +113,7 @@ def test_qpoly_invert_needs_unit():
 
 def test_qpoly_mul_skips_explicit_zero_coefficients():
     # a stored zero makes zero products, which must not reach the dict
-    assert qpoly_mul(phi_slices(2), {0: 1, 1: 0, 2: -650}, 2) == {
+    assert qpoly_mul(phi_power_qpoly(1, 2), {0: 1, 1: 0, 2: -650}, 2) == {
         0: 1, 1: -1, 2: -651}
 
 
