@@ -331,32 +331,74 @@ def _check_sl2_closed(args):
 
 
 def _check_tower_assembly(args):
-    d, terms = fm.sl_tower_assembly_check(args.n, args.order, args.smax)
-    return _result(f"tower-assembly n={args.n} |s|<={args.smax}", args.order,
-                   terms, _mismatch(d, "tower", "product"))
+    """Rebuild the superdenominator cone series from the tower members.
+
+    Every cone monomial belongs to exactly one charge s = k_0 - k_n; the
+    members with |s| <= smax must reproduce the product side filtered to
+    that charge band.
+    """
+    n, order, smax = args.n, args.order, args.smax
+    prod = superden.sl_product(n, order)
+    want = {exps: c for exps, c in prod.sorted_items()
+            if abs(exps[0] - exps[-1]) <= smax}
+    got: dict[tuple[int, ...], int] = {}
+    for s in range(-smax, smax + 1):
+        num = (fm.sl_first_numerator(n, s, order) if s > 0
+               else fm.sl_last_numerator(n, -s, order))
+        for m, b in num.slices.items():
+            for off, c in b.items():
+                key = (m + max(s, 0), *(m - o for o in off), m - min(s, 0))
+                if any(k < 0 for k in key):
+                    raise AssertionError(
+                        f"charge term outside the cone: {key}")
+                if sum(key) <= order:
+                    got[key] = got.get(key, 0) + c
+    got = {key: c for key, c in got.items() if c}
+    return _result(f"tower-assembly n={n} |s|<={smax}", order, prod.n_terms(),
+                   _mismatch(first_diff(got, want), "tower", "product"))
 
 
 def _check_sector_restriction(args):
+    """The folded free-field sector times the denominator against the
+    half-lattice numerator of sp-a."""
     n, s, order = _even_n(args), args.s, args.order
     _need(s >= 1, "sector restriction needs s >= 1")
-    d = fm.sp_sector_restriction_check(n, s, order)
+    rs = root_system("C", n // 2)
+    den = denominator_slices(rs, order)  # its Weyl gate refuses first
+    lhs = fock.charge_sector_character(rs, s, order).mul_slices(den)
     return _result(f"sector-restriction n={n} s={s}", order, 0,
-                   _mismatch(d, "product", "sum"))
+                   _mismatch(lhs.first_diff(fm.sp_a_numerator(n, s, order)),
+                             "product", "sum"))
 
 
 def _check_flip_decomposition(args):
+    """The two flip eigenspaces of the charge-zero sector against the
+    two-summand combinations of the split characters and the rank-one
+    oscillator halves, one eigenvalue at a time."""
     n, order = _even_n(args), args.order
-    d_plus, d_minus = fm.sp_flip_decomposition_check(n, order)
+    rs = root_system("C", n // 2)
+    plus, minus = fock.charge_zero_split(n, 2 * order)
+    f0p = fock.split_to_char(rs, plus, order)
+    f0m = fock.split_to_char(rs, minus, order)
+    vp, vm = fock.oscillator_split(order)
+    chb, chc = fm.sp_split_characters(n, order)
+    d_plus = (chb.mul_qpoly(vp) + chc.mul_qpoly(vm)).first_diff(f0p)
+    d_minus = (chb.mul_qpoly(vm) + chc.mul_qpoly(vp)).first_diff(f0m)
     mism = (_mismatch(d_plus, "split (+1)", "free-field (+1)")
             or _mismatch(d_minus, "split (-1)", "free-field (-1)"))
     return _result(f"flip-decomposition n={n}", order, 0, mism)
 
 
 def _check_twisted_denominator(args):
+    """The twist product times the denominator against the even-parity
+    lattice sum at the vacuum weight."""
     n, order = _even_n(args), args.order
-    d = fm.twisted_denominator_check(n // 2, order)
+    rs = root_system("C", n // 2)
+    den = denominator_slices(rs, order)  # its Weyl gate refuses first
+    lhs = fm.sp_twist_product_character(rs, order).mul_slices(den)
+    rhs = fm.parity_bracket(n // 2, lambda j: sum(j) % 2 == 0, order)
     return _result(f"twisted-denominator n={n}", order, 0,
-                   _mismatch(d, "product", "sum"))
+                   _mismatch(lhs.first_diff(rhs), "product", "sum"))
 
 
 def _check_parity_vs_split(args):
@@ -374,10 +416,15 @@ def _check_parity_vs_split(args):
 
 
 def _check_parity_bracket(args):
+    """[j1 >= 0, sum odd] against -[j1 < 0, sum even]."""
     n, order = _even_n(args), args.order
-    d = fm.parity_bracket_identity(n // 2, order)
+    odd = fm.parity_bracket(
+        n // 2, lambda j: j[0] >= 0 and sum(j) % 2 == 1, order)
+    even = fm.parity_bracket(
+        n // 2, lambda j: j[0] < 0 and sum(j) % 2 == 0, order)
     return _result(f"parity-bracket n={n}", order, 0,
-                   _mismatch(d, "odd bracket", "negated even bracket"))
+                   _mismatch(odd.first_diff(-even), "odd bracket",
+                             "negated even bracket"))
 
 
 def _parse_omega(text: str, npr: int):
@@ -396,12 +443,17 @@ def _parse_omega(text: str, npr: int):
 
 
 def _check_window_negation(args):
+    """Finite window sums: [Omega] against -[Omega'], j1 -> -j1-1."""
     n, order = _even_n(args), args.order
     omega = _parse_omega(args.omega, n // 2)
-    d = fm.window_negation_check(n // 2, omega, order)
+    window = set(omega)
+    mirror = {(-j[0] - 1, *j[1:]) for j in omega}
+    a = fm.parity_bracket(n // 2, lambda j: j in window, order)
+    b = fm.parity_bracket(n // 2, lambda j: j in mirror, order)
     return _result(f"window-negation n={n} omega={omega}", order,
                    2 * len(omega),
-                   _mismatch(d, "window", "negated mirror window"))
+                   _mismatch(a.first_diff(-b), "window",
+                             "negated mirror window"))
 
 
 def _check_deligne_positivity(args):

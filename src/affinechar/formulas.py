@@ -25,15 +25,11 @@ from .series import (
     _denominator_packing,
     _factor_product,
     character_from_numerator,
-    denominator_slices,
-    first_diff,
     phi_power_qpoly,
     qpoly_invert,
     qpoly_mul,
     weight_from_coeffs,
 )
-from . import fock
-from . import superden
 
 
 def _orth_coords(x) -> tuple[int, ...]:
@@ -204,33 +200,6 @@ def parity_bracket(npr: int, keep_j, qmax: int, top=(-1,)) -> CharSlices:
                         lambda gf, x: int(keep_j(_orth_coords(x))))
 
 
-def parity_bracket_identity(npr: int, qmax: int):
-    """[j1 >= 0, sum odd] must equal -[j1 < 0, sum even]."""
-    left = parity_bracket(npr, lambda j: j[0] >= 0 and sum(j) % 2 == 1,
-                          qmax)
-    right = parity_bracket(npr, lambda j: j[0] < 0 and sum(j) % 2 == 0,
-                           qmax)
-    return left.first_diff(-right)
-
-
-def window_negation_check(npr: int, omega, qmax: int):
-    """Finite window sums: [Omega] = -[Omega'] with j1 -> -j1-1."""
-    omega = {tuple(j) for j in omega}
-    omega2 = {(-j[0] - 1,) + j[1:] for j in omega}
-    a = parity_bracket(npr, lambda j: j in omega, qmax)
-    b = parity_bracket(npr, lambda j: j in omega2, qmax)
-    return a.first_diff(-b)
-
-
-def twisted_denominator_check(npr: int, qmax: int):
-    """Product side vs the even-parity lattice sum at the vacuum weight."""
-    rs = root_system("C", npr)
-    prod = sp_twist_product_character(rs, qmax)
-    lhs = prod.mul_slices(denominator_slices(rs, qmax))
-    rhs = parity_bracket(npr, lambda j: sum(j) % 2 == 0, qmax)
-    return lhs.first_diff(rhs)
-
-
 # -- linear-coefficient numerators ---------------------------------------
 
 
@@ -346,71 +315,3 @@ def q_dimension_sum(rs: RootSystem, lam, basis, qmax: int,
         if a.denominator != 1:
             raise ArithmeticError(f"non-integral graded dimension {a}")
     return [int(a) for a in acc]
-
-
-# -- cross-checks tying the construction routes together ------------------
-
-
-def sl_tower_assembly_check(n: int, height: int, smax: int):
-    """Rebuild the superdenominator cone series from the graded characters.
-
-    Every cone monomial belongs to exactly one charge s = k_0 - k_n; the
-    tower members with |s| <= smax must reproduce the product side filtered
-    to that charge band.  Returns (first difference, product terms).
-    """
-    prod = superden.sl_product(n, height)
-    want = {}
-    for exps, c in prod.sorted_items():
-        if abs(exps[0] - exps[-1]) <= smax:
-            want[exps] = c
-    got: dict[tuple[int, ...], int] = {}
-
-    def add(key, c):
-        if any(k < 0 for k in key):
-            raise AssertionError(f"charge term outside the cone: {key}")
-        if sum(key) > height:
-            return
-        nc = got.get(key, 0) + c
-        if nc:
-            got[key] = nc
-        else:
-            del got[key]
-
-    for s in range(-smax, smax + 1):
-        if s > 0:
-            num = sl_first_numerator(n, s, height)
-            for m, b in num.slices.items():
-                for off, c in b.items():
-                    add((s + m,) + tuple(m - o for o in off) + (m,), c)
-        else:
-            num = sl_last_numerator(n, -s, height)
-            for m, b in num.slices.items():
-                for off, c in b.items():
-                    add((m,) + tuple(m - o for o in off) + (m - s,), c)
-    return first_diff(got, want), prod.n_terms()
-
-
-def sp_sector_restriction_check(n: int, s: int, qmax: int):
-    """Folded free-field sector times the denominator vs the half sum."""
-    npr = n // 2
-    rs = root_system("C", npr)
-    chf = fock.charge_sector_character(rs, s, qmax)
-    lhs = chf.mul_slices(denominator_slices(rs, qmax))
-    rhs = _half_sum(rs, chf.base, 1, qmax)
-    return lhs.first_diff(rhs)
-
-
-def sp_flip_decomposition_check(n: int, qmax: int):
-    """The two flip eigenspaces of the charge-zero sector must match the
-    two-summand combinations of the split characters and the rank-one
-    oscillator halves.  The differences are reported per eigenvalue."""
-    npr = n // 2
-    rs = root_system("C", npr)
-    plus, minus = fock.charge_zero_split(n, 2 * qmax)
-    f0p = fock.split_to_char(rs, plus, qmax)
-    f0m = fock.split_to_char(rs, minus, qmax)
-    vp, vm = fock.oscillator_split(qmax)
-    chb, chc = sp_split_characters(n, qmax)
-    d_plus = (chb.mul_qpoly(vp) + chc.mul_qpoly(vm)).first_diff(f0p)
-    d_minus = (chb.mul_qpoly(vm) + chc.mul_qpoly(vp)).first_diff(f0m)
-    return d_plus, d_minus

@@ -436,7 +436,11 @@ def denominator_slices(rs: RootSystem, qmax: int, finite: bool = True
     Each factor (1 - e^{off} q^j) is multiplied into packed slices in place,
     the q^{j>=1} factors first and the finite ones last; finite=False skips
     those and gives the W-invariant quotient R-hat / R, whose slice 0 is 1.
+    The finite factors alone make |W| terms in slice 0, so finite=True
+    refuses a Weyl group over the size limit before any factor.
     """
+    if finite:
+        rs.check_weyl_order()
     pk = _denominator_packing(rs, qmax)
     keys = [pk.pack(a.root_coords) for a in rs.positive_roots]
     per_k = [x for key in keys for x in (-key, key)] + [0] * rs.rank

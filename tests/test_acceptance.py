@@ -7,13 +7,14 @@ go by:
     python3 -m pytest tests/test_acceptance.py -s
 """
 
+import argparse
 import random
 import time
 from fractions import Fraction
 
 from oracles import apply, matrix_weyl_group
 
-from affinechar import fock, superden
+from affinechar import cli, fock, superden
 from affinechar import formulas as fm
 from affinechar.rootdata import coroot_lattice_basis, root_system
 from affinechar.series import (
@@ -25,6 +26,13 @@ from affinechar.series import (
     translate,
     weight_from_coeffs,
 )
+
+
+
+def check(name, **opts):
+    """The result of one verify check, run through its cli function."""
+    return cli.CHECKS[name][0](argparse.Namespace(**opts))
+
 
 EIGHT = [
     (-1, 0, 0, 0, 0),
@@ -93,7 +101,7 @@ def test_criterion_04_sector_restriction():
     t0 = time.monotonic()
     bad = []
     for s in (1, 2):
-        d = fm.sp_sector_restriction_check(4, s, 3)
+        d = check("sector-restriction", n=4, s=s, order=3)["mismatch"]
         if d is not None:
             bad.append((s, d))
     _line(4, not bad, 60, t0,
@@ -103,16 +111,16 @@ def test_criterion_04_sector_restriction():
 
 def test_criterion_05_flip_decomposition():
     t0 = time.monotonic()
-    d = fm.sp_flip_decomposition_check(4, 3)
-    _line(5, d == (None, None), 120, t0,
+    d = check("flip-decomposition", n=4, order=3)["mismatch"]
+    _line(5, d is None, 120, t0,
           "mirror eigenspaces match the split-character combinations, n=4, "
           "order 3")
 
 
 def test_criterion_06_twisted_denominator():
     t0 = time.monotonic()
-    d2 = fm.twisted_denominator_check(2, 5)
-    d3 = fm.twisted_denominator_check(3, 3)
+    d2 = check("twisted-denominator", n=4, order=5)["mismatch"]
+    d3 = check("twisted-denominator", n=6, order=3)["mismatch"]
     _line(6, d2 is None and d3 is None, 60, t0,
           "twisted product equals even-parity lattice sum, n'=2 order 5 and "
           "n'=3 order 3")
@@ -130,7 +138,7 @@ def test_criterion_07_parity_rewriting():
     chc = fm.sp_c_character(fm.sp_split_characters(4, 5)[1])
     rhs = chc.mul_slices(denominator_slices(rs, 5))
     okb = numb.restrict(4).first_diff(rhs.restrict(4)) is None
-    okbr = fm.parity_bracket_identity(2, 4) is None
+    okbr = check("parity-bracket", n=4, order=4)["mismatch"] is None
     _line(7, oka and okb and okbr, 60, t0,
           "parity numerators equal denominator times split characters, n=4 "
           "order 4, plus the bracket identity")

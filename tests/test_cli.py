@@ -224,6 +224,62 @@ def test_verify_names_a_term_only_the_sum_side_has(capsys, monkeypatch):
     assert check["mismatch"] == f"exps {extra}: product 0, sum 1"
 
 
+def _negated(real):
+    return lambda *args: -real(*args)
+
+
+def _second_call_negated(real):
+    calls = []
+
+    def second_negated(*args):
+        calls.append(args)
+        return -real(*args) if len(calls) == 2 else real(*args)
+
+    return second_negated
+
+
+def _top_term_plus_one(real):
+    def plus_one(n, height):
+        series = real(n, height)
+        series.add_term((0,) * (n + 1), 1)
+        return series
+
+    return plus_one
+
+
+# check, the module and name of one side's builder, the perturbation, and
+# the first-mismatch line it gives
+ONE_SIDE_WRONG = [
+    ("twisted-denominator", fm, "sp_twist_product_character", _negated,
+     "exps (0, -4, -3): product -1, sum 1"),
+    ("sector-restriction", fock, "charge_sector_character", _negated,
+     "exps (0, -6, -4): product -1, sum 1"),
+    ("flip-decomposition", fock, "oscillator_split",
+     lambda real: lambda qmax: real(qmax)[::-1],
+     "exps (0, 0, 0): split (+1) 0, free-field (+1) 1"),
+    ("tower-assembly", superden, "sl_product", _top_term_plus_one,
+     "exps (0, 0, 0, 0): tower 1, product 2"),
+    ("parity-bracket", fm, "parity_bracket", _second_call_negated,
+     "exps (1, -5, -4): odd bracket 1, negated even bracket -1"),
+    ("window-negation", fm, "parity_bracket", _second_call_negated,
+     "exps (0, -4, -3): window 1, negated mirror window -1"),
+]
+
+
+@pytest.mark.parametrize("check,module,name,perturb,mismatch", ONE_SIDE_WRONG,
+                         ids=[case[0] for case in ONE_SIDE_WRONG])
+def test_each_check_fails_when_one_side_is_wrong(capsys, monkeypatch, check,
+                                                 module, name, perturb,
+                                                 mismatch):
+    # one side perturbed, the other left alone: the check exits 1 and its
+    # first-mismatch line names both sides
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    code, out, err = run(capsys, ["verify", check])
+    assert (code, err) == (1, "")
+    result = json.loads(out)["checks"][0]
+    assert result["ok"] is False and result["mismatch"] == mismatch
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, ["verify", "no-such-check"])
     assert code == 2
@@ -644,7 +700,10 @@ def test_a_failing_weight_is_refused_before_w_is_enumerated(capsys,
     ["compute", "--formula", "sl-first", "--type", "A", "--rank", "9",
      "--s", "0", "--order", "0"],
     ["verify", "parity-vs-split", "--n", "20", "--order", "1"],
-], ids=["sl-first-A9", "parity-vs-split-n20"])
+    ["verify", "twisted-denominator", "--n", "16", "--order", "0"],
+    ["verify", "sector-restriction", "--n", "16", "--s", "1", "--order", "0"],
+], ids=["sl-first-A9", "parity-vs-split-n20", "twisted-denominator-n16",
+        "sector-restriction-n16"])
 def test_weyl_gate_offers_the_flag_only_where_it_is_read(capsys, argv):
     # no Weyl gate has an override, so no refusal of a group's size offers
     # one
@@ -679,8 +738,7 @@ def test_the_type_c_split_is_built_once(capsys, monkeypatch, argv, dens):
     # parity-vs-split divides its two parity sums as well, and multiplies
     # nothing by the denominator
     chars = _count_calls(monkeypatch, "character_from_numerator", (cli, fm))
-    den = _count_calls(monkeypatch, "denominator_slices",
-                       (cli, fm, series))
+    den = _count_calls(monkeypatch, "denominator_slices", (cli, series))
     code, out, err = run(capsys, argv.split())
     assert (code, err) == (0, "") and '"ok": false' not in out
     parity = {"affinechar.cli": 2} if "parity" in argv else {}
@@ -730,6 +788,25 @@ def test_tower_fock_refuses_a_large_weyl_group_before_either_side(
                                   "--order", "0"])
     assert (code, out) == (2, "")
     assert err == ("error: Weyl group of A9 has 3628800 elements, more "
+                   "than 1000000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "verify twisted-denominator --n 16 --order 12",
+    "verify sector-restriction --n 16 --s 1 --order 12",
+])
+def test_denominator_checks_refuse_a_large_weyl_group_before_either_side(
+        capsys, monkeypatch, argv):
+    def built(*args):
+        raise AssertionError("a side was built")
+
+    for name in ("sp_twist_product_character", "parity_bracket",
+                 "sp_a_numerator"):
+        monkeypatch.setattr(fm, name, built)
+    monkeypatch.setattr(fock, "charge_sector_character", built)
+    code, out, err = run(capsys, argv.split())
+    assert (code, out) == (2, "")
+    assert err == ("error: Weyl group of C8 has 10321920 elements, more "
                    "than 1000000\n")
 
 
@@ -794,3 +871,16 @@ def test_cli_import_footprint():
                   "fock"):
         assert f"affinechar.{layer}" in out
     assert "dataclasses" not in out and "inspect" not in out
+
+
+def test_formulas_import_neither_construction_that_checks_them():
+    # fock and superden are the independent sides of the verify checks;
+    # the formulas they check load without them
+    src = os.path.dirname(os.path.dirname(affinechar.__file__))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, affinechar.formulas; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True).stdout.split()
+    assert "affinechar.formulas" in out
+    assert "affinechar.fock" not in out and "affinechar.superden" not in out

@@ -1,5 +1,6 @@
 """Character formulas: towers, split vacua, parity sums, screened weights."""
 
+import argparse
 import itertools
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from oracles import (
     qpoly_mul_phi_power,
 )
 
+from affinechar import cli
 from affinechar.formulas import (
     _long_root_odd_slices,
     _orth_coords,
@@ -21,7 +23,6 @@ from affinechar.formulas import (
     deligne_numerator,
     diagram_flip,
     integrable_numerator,
-    parity_bracket_identity,
     phi_power_qpoly,
     q_dimension_sum,
     screened_coefficient,
@@ -29,15 +30,10 @@ from affinechar.formulas import (
     sl2_lattice_numerator,
     sl_first_numerator,
     sl_last_numerator,
-    sl_tower_assembly_check,
     sp_a_numerator,
     sp_c_character,
-    sp_flip_decomposition_check,
     sp_parity_numerator,
     sp_split_characters,
-    sp_sector_restriction_check,
-    twisted_denominator_check,
-    window_negation_check,
 )
 from affinechar.lattice import alt_weyl_raw
 from affinechar.rootdata import coroot_lattice_basis, root_system
@@ -49,6 +45,12 @@ from affinechar.series import (
     qpoly_mul,
     weight_from_coeffs,
 )
+
+
+def check(name, **opts):
+    """The result of one verify check, run through its cli function."""
+    return cli.CHECKS[name][0](argparse.Namespace(**opts))
+
 
 EIGHT = [
     ((-1, 0, 0, 0, 0), (1, 2, 1, 1)),
@@ -106,11 +108,10 @@ def test_rank_one_closed_form_sharpness(s):
 
 
 def test_assembly_reconstructs_the_product():
-    diff, terms = sl_tower_assembly_check(3, 8, 2)
-    assert diff is None
-    assert terms > 0
-    diff, _ = sl_tower_assembly_check(4, 6, 1)
-    assert diff is None
+    res = check("tower-assembly", n=3, order=8, smax=2)
+    assert res["mismatch"] is None
+    assert res["terms"] > 0
+    assert check("tower-assembly", n=4, order=6, smax=1)["mismatch"] is None
 
 
 # -- the C-family split vacuum ----------------------------------------------------
@@ -144,16 +145,17 @@ def test_sp_numerator_guards():
 
 def test_sector_restriction():
     for s in (1, 2):
-        assert sp_sector_restriction_check(4, s, 2) is None
+        res = check("sector-restriction", n=4, s=s, order=2)
+        assert res["mismatch"] is None
 
 
 def test_flip_decomposition():
-    assert sp_flip_decomposition_check(4, 2) == (None, None)
+    assert check("flip-decomposition", n=4, order=2)["mismatch"] is None
 
 
 def test_twisted_denominator():
-    assert twisted_denominator_check(2, 4) is None
-    assert twisted_denominator_check(3, 2) is None
+    assert check("twisted-denominator", n=4, order=4)["mismatch"] is None
+    assert check("twisted-denominator", n=6, order=2)["mismatch"] is None
 
 
 def tuple_long_root_odd_slices(rs, qmax):
@@ -194,7 +196,7 @@ def test_long_root_odd_slices_match_tuple_loop(rank):
 
 
 def test_parity_bracket_identity():
-    assert parity_bracket_identity(2, 3) is None
+    assert check("parity-bracket", n=4, order=3)["mismatch"] is None
 
 
 def test_parity_numerators_match_split_characters():
@@ -250,7 +252,9 @@ def test_window_negation():
         (3, [(0, 0, 0), (1, 1, 0)]),
     ]
     for npr, omega in cases:
-        assert window_negation_check(npr, omega, 6) is None
+        text = ";".join(",".join(map(str, j)) for j in omega)
+        assert check("window-negation", n=2 * npr, order=6,
+                     omega=text)["mismatch"] is None
 
 
 # -- screened weights -------------------------------------------------------------
