@@ -5,8 +5,9 @@ qdim           graded dimension series of a character
 verify         run named identity checks and report
 list-deligne   screen a window of weights for the orthogonal-root setup
 
-JSON is the canonical output format and is byte-identical for identical
-configurations; verify reports carry wall times and are exempt.  Exit
+Every command writes its output through _render.  JSON is the canonical
+output format and is byte-identical for identical configurations; verify
+reports carry wall times and are exempt.  Exit
 codes: 0 success, 1 a checked identity failed, 2 bad usage, a violated
 precondition, a size or state budget exceeded, or a non-integral result,
 3 an internal invariant broken (a bug, reported as one line).
@@ -196,57 +197,37 @@ def _compute_series(args, character: bool) -> CharSlices:
     return ser.require_nonnegative()
 
 
-# -- output renderers -----------------------------------------------------
+# -- output ---------------------------------------------------------------
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
+def _render(fmt: str, doc, head, rows, pretty) -> None:
+    """Write one command's output; no other code writes to stdout.
 
-
-def _series_text(ch: CharSlices, fmt: str) -> str:
-    d = ch.to_json_dict()
+    json writes doc, tsv the head and then each row, tab-separated, and
+    pretty the lines that pretty() returns, so only the asked-for format
+    is rendered.
+    """
     if fmt == "json":
-        return json.dumps(d, indent=1) + "\n"
-    if fmt == "tsv":
-        cols = 1 + ch.rs.rank
-        head = "\t".join(f"k{i}" for i in range(cols)) + "\tcoeff"
-        rows = ["\t".join(str(x) for x in t["exps"]) + "\t" + t["coeff"]
-                for t in d["terms"]]
-        return "\n".join([head] + rows) + "\n"
-    lines = [
-        f"base: finite {tuple(str(x) for x in d['base'])}, "
-        f"level {d['level']}, delta {d['delta']}",
-        f"order {d['order']}, {len(d['terms'])} terms",
-        "legend: q = e^(-delta), x_i = e^(alpha_i) offset from the base",
-    ]
-    for t in d["terms"]:
-        m, off = t["exps"][0], t["exps"][1:]
-        mono = [f"q^{m}"] if m else []
-        mono += [f"x{i + 1}^{o}" for i, o in enumerate(off) if o]
-        lines.append(f"{t['coeff']:>14}  " + (" ".join(mono) or "1"))
-    return "\n".join(lines) + "\n"
+        text = json.dumps(doc, indent=1)
+    elif fmt == "tsv":
+        text = "\n".join("\t".join(map(str, r)) for r in (head, *rows))
+    else:
+        text = "\n".join(pretty())
+    sys.stdout.write(text + "\n")
 
 
-def _qdim_text(lam, order: int, series: list[int], fmt: str) -> str:
-    if fmt == "json":
-        d = {
-            "base": [str(x) for x in lam.finite],
-            "level": str(lam.level),
-            "delta": str(lam.delta),
-            "order": order,
-            "qdim": [str(v) for v in series],
-        }
-        return json.dumps(d, indent=1) + "\n"
-    if fmt == "tsv":
-        rows = [f"{m}\t{v}" for m, v in enumerate(series)]
-        return "\n".join(["m\tdim"] + rows) + "\n"
-    parts = []
-    for m, v in enumerate(series):
-        if v == 0:
-            continue
-        unit = "" if m == 0 else (" q" if m == 1 else f" q^{m}")
-        parts.append(f"{v}{unit}")
-    return (" + ".join(parts) or "0") + "\n"
+def _doc(ch: CharSlices, **rest) -> dict:
+    """A series' JSON doc: its base, level, delta and order, then rest."""
+    b = ch.base
+    return {"base": [str(x) for x in b.finite], "level": str(b.level),
+            "delta": str(b.delta), "order": ch.qmax, **rest}
+
+
+def _series_doc(ch: CharSlices) -> dict:
+    """The canonical JSON doc of a numerator or character, terms sorted."""
+    return _doc(ch, q_half=False, terms=[
+        {"exps": [m, *off], "coeff": str(c)}
+        for m in sorted(ch.slices) for off, c in sorted(ch.slices[m].items())])
 
 
 # -- verify checks --------------------------------------------------------
@@ -615,40 +596,42 @@ def _check_args(args, reads: dict) -> argparse.Namespace:
     return ns
 
 
-def _verify_text(results: list[dict], fmt: str) -> str:
-    if fmt == "json":
-        d = {"ok": all(r["ok"] for r in results), "checks": results}
-        return json.dumps(d, indent=1) + "\n"
-    if fmt == "tsv":
-        head = "identity\torder\tterms\tseconds\tok\tmismatch"
-        rows = [
-            f"{r['identity']}\t{r['order']}\t{r['terms']}\t{r['seconds']}"
-            f"\t{'pass' if r['ok'] else 'FAIL'}\t{r['mismatch'] or ''}"
-            for r in results
-        ]
-        return "\n".join([head] + rows) + "\n"
-    lines = []
-    for r in results:
-        flag = "pass" if r["ok"] else "FAIL"
-        lines.append(f"{flag:4}  {r['identity']}  order {r['order']}"
-                     f"  terms {r['terms']}  {r['seconds']}s")
-        if r["mismatch"]:
-            lines.append(f"      first mismatch: {r['mismatch']}")
-    return "\n".join(lines) + "\n"
-
-
 # -- subcommand drivers ----------------------------------------------------
 
 
 def cmd_compute(args) -> int:
     ch = _compute_series(args, args.character)
-    _emit(_series_text(ch, args.format))
+    doc = _series_doc(ch)
+    terms = doc["terms"]
+
+    def pretty():
+        yield (f"base: finite {tuple(doc['base'])}, level {doc['level']}, "
+               f"delta {doc['delta']}")
+        yield f"order {doc['order']}, {len(terms)} terms"
+        yield "legend: q = e^(-delta), x_i = e^(alpha_i) offset from the base"
+        for t in terms:
+            m, *off = t["exps"]
+            mono = [f"q^{m}"] if m else []
+            mono += [f"x{i + 1}^{o}" for i, o in enumerate(off) if o]
+            yield f"{t['coeff']:>14}  " + (" ".join(mono) or "1")
+
+    _render(args.format, doc,
+            [*(f"k{i}" for i in range(1 + ch.rs.rank)), "coeff"],
+            ([*t["exps"], t["coeff"]] for t in terms), pretty)
     return 0
 
 
 def cmd_qdim(args) -> int:
     ch = _compute_series(args, True)
-    _emit(_qdim_text(ch.base, ch.qmax, ch.q_series(), args.format))
+    series = ch.q_series()
+
+    def pretty():
+        parts = [f"{v}" + ("" if m == 0 else " q" if m == 1 else f" q^{m}")
+                 for m, v in enumerate(series) if v]
+        return [" + ".join(parts) or "0"]
+
+    _render(args.format, _doc(ch, qdim=[str(v) for v in series]),
+            ["m", "dim"], enumerate(series), pretty)
     return 0
 
 
@@ -670,8 +653,21 @@ def cmd_verify(args) -> int:
         r = fn(ns)
         r["seconds"] = f"{time.perf_counter() - t0:.3f}"
         results.append(r)
-    _emit(_verify_text(results, args.format))
-    return 0 if all(r["ok"] for r in results) else 1
+    ok = all(r["ok"] for r in results)
+    flag = {True: "pass", False: "FAIL"}
+
+    def pretty():
+        for r in results:
+            yield (f"{flag[r['ok']]}  {r['identity']}  order {r['order']}"
+                   f"  terms {r['terms']}  {r['seconds']}s")
+            if r["mismatch"]:
+                yield f"      first mismatch: {r['mismatch']}"
+
+    _render(args.format, {"ok": ok, "checks": results},
+            ["identity", "order", "terms", "seconds", "ok", "mismatch"],
+            ([r["identity"], r["order"], r["terms"], r["seconds"],
+              flag[r["ok"]], r["mismatch"] or ""] for r in results), pretty)
+    return 0 if ok else 1
 
 
 def cmd_list_deligne(args) -> int:
@@ -682,31 +678,21 @@ def cmd_list_deligne(args) -> int:
     window = args.window if args.window is not None else -args.level
     _need(window >= 0, "window must be >= 0")
     found = fm.deligne_enumerate(rs, args.level, window)
-    if args.format == "json":
-        d = {
-            "family": fam,
-            "rank": rs.rank,
-            "level": args.level,
-            "window": window,
-            "count": len(found),
-            "weights": [
-                {"coeffs": list(co), "alpha": list(al)} for co, al in found
-            ],
-        }
-        text = json.dumps(d, indent=1) + "\n"
-    elif args.format == "tsv":
-        head = ("\t".join(f"m{i}" for i in range(rs.rank + 1))
-                + "\t" + "\t".join(f"a{i + 1}" for i in range(rs.rank)))
-        rows = ["\t".join(str(x) for x in co) + "\t"
-                + "\t".join(str(x) for x in al) for co, al in found]
-        text = "\n".join([head] + rows) + "\n"
-    else:
-        lines = [f"{fam}{rs.rank} level {args.level}, node window 0..{window}:"
-                 f" {len(found)} weights"]
+    doc = {"family": fam, "rank": rs.rank, "level": args.level,
+           "window": window, "count": len(found),
+           "weights": [{"coeffs": list(co), "alpha": list(al)}
+                       for co, al in found]}
+
+    def pretty():
+        yield (f"{fam}{rs.rank} level {args.level}, node window 0..{window}:"
+               f" {len(found)} weights")
         for co, al in found:
-            lines.append(f"  {co}  orthogonal root {al}")
-        text = "\n".join(lines) + "\n"
-    _emit(text)
+            yield f"  {co}  orthogonal root {al}"
+
+    _render(args.format, doc,
+            [*(f"m{i}" for i in range(rs.rank + 1)),
+             *(f"a{i + 1}" for i in range(rs.rank))],
+            ([*co, *al] for co, al in found), pretty)
     return 0
 
 

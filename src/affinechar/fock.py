@@ -70,11 +70,6 @@ def _mode_multisets(n: int, count: int, e2budget: int) -> list[Modes]:
     return out
 
 
-def state_count(n: int, s: int, e2max: int) -> int:
-    """How many states fock_states(n, s, e2max) lists, none built."""
-    return _sector_sizes(n, s, e2max)[0]
-
-
 def _sector_sizes(n: int, s: int, e2max: int) -> tuple[int, int]:
     """(states, mode entries) that fock_states(n, s, e2max) builds: the
     entries are the modes of every multiset _mode_multisets lists for it.

@@ -285,26 +285,6 @@ class CharSlices:
             }
         return CharSlices(self.rs, new_base, self.qmax - m_shift, out)
 
-    def to_json_dict(self) -> dict:
-        rs = self.rs
-        terms = []
-        for m in sorted(self.slices):
-            for off in sorted(self.slices[m]):
-                terms.append(
-                    {
-                        "exps": [m, *off],
-                        "coeff": str(self.slices[m][off]),
-                    }
-                )
-        return {
-            "base": [str(x) for x in self.base.finite],
-            "level": str(self.base.level),
-            "delta": str(self.base.delta),
-            "order": self.qmax,
-            "q_half": False,
-            "terms": terms,
-        }
-
 
 def phi_power_qpoly(exponent: int, qmax: int,
                     step: int = 1) -> dict[int, int]:

@@ -167,7 +167,7 @@ def is_weyl_invariant(ch) -> bool:
 
 
 def slices_from_json_dict(rs, d: dict) -> CharSlices:
-    """The CharSlices that CharSlices.to_json_dict wrote as d."""
+    """The CharSlices that cli._series_doc wrote as d."""
     base = AffineWeight(tuple(Fraction(x) for x in d["base"]),
                         Fraction(d["level"]), Fraction(d["delta"]))
     slices: dict[int, dict[tuple[int, ...], int]] = {}
@@ -606,9 +606,9 @@ def mirror_pair_slices(half: int, e2max: int) -> dict[int, dict[tuple[int, ...],
 
 
 def energy_state_count(n: int, s: int, e2max: int) -> int:
-    """fock.state_count from a table by doubled energy: a[c][e] counts the
-    multisets of c modes at doubled energy e, a factor 1/(1 - x y^k2) per
-    colour and odd k2; a state with t lowering modes pairs one of t + s
+    """The state count of fock._sector_sizes from a table by doubled
+    energy: a[c][e] counts the multisets of c modes at doubled energy e, a
+    factor 1/(1 - x y^k2) per colour and odd k2; a state with t lowering modes pairs one of t + s
     modes with one of t, at total energy <= e2max.  Cubic in e2max."""
     ts = range(max(0, -s), (e2max - s) // 2 + 1)
     a = [[int(c == e == 0) for e in range(e2max + 1)]

@@ -84,7 +84,7 @@ def test_json_roundtrip_is_byte_stable(capsys):
     assert code == 0
     d = json.loads(out)
     ch = slices_from_json_dict(root_system("A", 2), d)
-    assert json.dumps(ch.to_json_dict(), indent=1) + "\n" == out
+    assert json.dumps(cli._series_doc(ch), indent=1) + "\n" == out
 
 
 def test_tsv_and_pretty_formats(capsys):

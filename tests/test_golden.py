@@ -4,14 +4,18 @@ The hashes pin the exact bytes of the canonical JSON (and one TSV, one
 pretty and one `qdim` rendering), so a change to how numerators and
 characters are built or rendered cannot alter the output unnoticed.
 The `verify all` report is pinned field by field, wall times aside, so
-the defaults every check runs with cannot drift either.
+the defaults every check runs with cannot drift either.  The TSV and
+pretty renderings of `list-deligne` and `verify` are pinned byte for
+byte too, `verify`'s wall times masked.
 """
 
 import hashlib
 import json
+import re
 
 import pytest
 
+from affinechar import cli
 from affinechar.cli import main
 
 # (formula, "TYPE RANK extra args", numerator sha256, character sha256)
@@ -171,3 +175,63 @@ def test_verify_all_defaults_golden(capsys):
     assert d["checks"] == [
         {"identity": i, "order": o, "terms": t, "ok": True, "mismatch": None}
         for i, o, t in VERIFY_ALL]
+
+
+# the TSV and pretty renderings of the screening list
+LIST_DELIGNE = [
+    ("D 4 -1 tsv",
+     "1d9db55f447a20499ec2e3ce9d823e6af5a5591aaf78d1bb84e3d0e38c0b413f"),
+    ("D 4 -1 pretty",
+     "69774cee435e98c215ccc2d67746e26ad3a59d8c06c3dc7b2cf438d1a60e2bc5"),
+    ("E 6 -3 tsv",
+     "0fd3e9cae5932619112e3e8bdf773d3eda0ef922770acbde6791f6f51c83fe8d"),
+    ("E 6 -3 pretty",
+     "05f7db06672733532ef199aeffe6f3f8a6b56df1465e103ba55a031e8d6adcb0"),
+]
+
+
+@pytest.mark.parametrize("case,sha", LIST_DELIGNE,
+                         ids=[c.replace(" ", "") for c, _ in LIST_DELIGNE])
+def test_list_deligne_tsv_and_pretty_golden(capsys, case, sha):
+    typ, rank, level, fmt = case.split()
+    argv = ["list-deligne", "--type", typ, "--rank", rank, "--level", level,
+            "--format", fmt]
+    assert _sha(capsys, argv) == sha
+
+
+def _masked_verify(capsys, argv):
+    """Exit code and stdout of a verify call, every wall time read as S:
+    the tsv seconds column and the pretty `0.123s` ending a check's line."""
+    code = main(argv)
+    out = capsys.readouterr().out
+    out = re.sub(r"\t\d+\.\d{3}\t", "\tS\t", out)
+    return code, re.sub(r"  \d+\.\d{3}s\n", "  Ss\n", out)
+
+
+@pytest.mark.parametrize("fmt,sha", [
+    ("tsv",
+     "cff0bf2b270c5dab58b48f1584141917c634f2f61692cafb196c5af5fbc5b43a"),
+    ("pretty",
+     "cf970ed359f6fb9b4fc6fa544864721543c95764ff77e7863606bbc39662eb89"),
+])
+def test_verify_tsv_and_pretty_golden(capsys, fmt, sha):
+    argv = ["verify", "sl2-closed", "flip-symmetry", "--order", "3",
+            "--format", fmt]
+    code, out = _masked_verify(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+def test_verify_failure_rendering_golden(capsys, monkeypatch):
+    def forced(args):
+        return {"identity": "forced", "order": 0, "terms": 0,
+                "ok": False, "mismatch": "forced mismatch"}
+
+    monkeypatch.setitem(cli.CHECKS, "forced", (forced, {}))
+    argv = ["verify", "forced", "--format"]
+    assert _masked_verify(capsys, [*argv, "tsv"]) == (
+        1, "identity\torder\tterms\tseconds\tok\tmismatch\n"
+        "forced\t0\t0\tS\tFAIL\tforced mismatch\n")
+    assert _masked_verify(capsys, [*argv, "pretty"]) == (
+        1, "FAIL  forced  order 0  terms 0  Ss\n"
+        "      first mismatch: forced mismatch\n")

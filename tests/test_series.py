@@ -19,7 +19,7 @@ from oracles import (
 )
 
 from affinechar import formulas as fm
-from affinechar.cli import _series_text
+from affinechar.cli import _series_doc, main
 from affinechar.rootdata import root_system
 from affinechar.series import (
     AffineWeight,
@@ -675,37 +675,40 @@ def _a1_denominator(qmax):
 
 def test_series_json_roundtrip():
     d = _a1_denominator(8)
-    j = d.to_json_dict()
+    j = _series_doc(d)
     back = slices_from_json_dict(d.rs, j)
     assert back == d
-    assert json.dumps(j) == json.dumps(back.to_json_dict())
+    assert json.dumps(j) == json.dumps(_series_doc(back))
 
 
 def test_slices_json_roundtrip():
     rs = root_system("C", 2)
     base = weight_from_coeffs(rs, (-1, 0, 0))
     ch = CharSlices(rs, base, 2, {0: {(0, 0): 1}, 2: {(1, 1): 4, (-1, 0): -2}})
-    j = ch.to_json_dict()
+    j = _series_doc(ch)
     back = slices_from_json_dict(rs, j)
     assert back == ch
-    assert json.dumps(j) == json.dumps(back.to_json_dict())
+    assert json.dumps(j) == json.dumps(_series_doc(back))
 
 
-def test_tsv_lines_shape():
+def test_tsv_lines_shape(capsys):
+    # the A1 vacuum numerator is the denominator (Weyl-Kac): one row a term
     d = _a1_denominator(6)
-    lines = _series_text(d, "tsv").splitlines()
+    assert main(["compute", "--formula", "integrable", "--type", "A",
+                 "--rank", "1", "--weight", "0", "0", "--order", "6",
+                 "--format", "tsv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "k0\tk1\tcoeff"
     assert len(lines) == 1 + len(d)
     for row in lines[1:]:
-        cells = row.split("\t")
-        assert len(cells) == 3
-        assert all(int(x) == int(x) for x in map(int, cells))
+        m, k1, c = map(int, row.split("\t"))
+        assert d.coeff(m, (k1,)) == c
 
 
 def test_empty_json_roundtrip():
     rs = root_system("A", 2)
     s = CharSlices(rs, weight_from_coeffs(rs, (0, 0, 0)), 4, {})
-    assert slices_from_json_dict(rs, s.to_json_dict()) == s
+    assert slices_from_json_dict(rs, _series_doc(s)) == s
 
 
 # -- affine weight helpers ------------------------------------------------
