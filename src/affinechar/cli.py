@@ -12,10 +12,11 @@ codes: 0 success, 1 a checked identity failed, 2 bad usage, a violated
 precondition, a size or state budget exceeded, or a non-integral result,
 3 an internal invariant broken (a bug, reported as one line).
 
-compute and qdim take from FORMULAS, and verify from CHECKS, what each
-formula or check reads: FORMULAS gives a formula's family and whether it
-reads --s, CHECKS the options of a check with their defaults.  An option
-that nothing named reads is refused.  A Weyl group over WEYL_LIMIT is
+compute and qdim read the rules of a formula from its row of
+formulas.FORMULAS (the type and rank it lives on, its least rank and least
+s, its top weight from --s or --weight) in _numerator, and verify reads
+from CHECKS the options of a check with their defaults.  An option that
+nothing named reads is refused.  A Weyl group over WEYL_LIMIT is
 refused by its order, before any work, and nothing overrides that.  FLOORS,
 the one floor table of verify, holds every option a named check reads,
 given or defaulted, before any check runs; a check body keeps only its own
@@ -44,6 +45,7 @@ from .series import (
     character_from_numerator,
     denominator_slices,
     first_diff,
+    phi_power_qpoly,
     qpoly_mul,
     translate,
     weight_from_coeffs,
@@ -67,134 +69,35 @@ def _algebra(args):
         raise UsageError(str(e))
 
 
-def _weight(rs, coeffs):
-    _need(coeffs is not None, "this formula needs --weight m0 .. ml")
-    _need(len(coeffs) == rs.rank + 1,
-          f"weight needs rank+1 = {rs.rank + 1} entries, got {len(coeffs)}")
-    return weight_from_coeffs(rs, coeffs)
-
-
-def _tower_s(args, rs, shape: str):
-    """s from --s or from a weight of the required shape."""
-    if args.s is not None:
-        _need(args.weight is None, "give --s or --weight, not both")
-        _need(args.s >= 0, "needs s >= 0")
-        return args.s
-    _need(args.weight is not None, "needs --s or --weight")
-    co = args.weight
-    _need(len(co) == rs.rank + 1,
-          f"weight needs rank+1 = {rs.rank + 1} entries, got {len(co)}")
-    if shape == "first":
-        s = co[1]
-        want = [-(1 + s), s] + [0] * (rs.rank - 1)
-    else:
-        s = co[-1]
-        want = [-(1 + s)] + [0] * (rs.rank - 1) + [s]
-    _need(s >= 0 and co == want,
-          "weight must be -(1+s) on node 0 and s on the charged node")
-    return s
-
-
-# -- formula builders: each returns a numerator or a character ------------
-
-
-def _integrable(args):
-    rs = _algebra(args)
-    lam = _weight(rs, args.weight)
-    return fm.integrable_numerator(rs, lam, args.order)
-
-
-def _sl_tower(args):
-    f = args.formula
-    n = args.rank + 1
-    _need(n >= 3, f"{f} needs n >= 3; rank 1 has the closed form")
-    first = f == "sl-first"
-    s = _tower_s(args, _algebra(args), "first" if first else "last")
-    build = fm.sl_first_numerator if first else fm.sl_last_numerator
-    return build(n, s, args.order)
-
-
-def _sl2_closed(args):
-    s = _tower_s(args, _algebra(args), "first")
-    return fm.sl2_closed_numerator(s, args.order)
-
-
-def _sp_a(args):
-    rs = _algebra(args)
-    _need(rs.rank >= 2, "sp-a needs rank >= 2")
-    s = _tower_s(args, rs, "first")
-    _need(s >= 1, "sp-a needs s >= 1; s = 0 is covered by sp-b")
-    return fm.sp_a_numerator(2 * rs.rank, s, args.order)
-
-
-def _sp_fixed_top(args):
-    """The type C formulas with fixed tops; --weight may only repeat them."""
-    f = args.formula
-    rs = _algebra(args)
-    _need(rs.rank >= 2, f"{f} needs rank >= 2")
-    if f in ("sp-b", "sp-parity-a"):
-        want = [-1] + [0] * rs.rank
-    else:
-        want = [-2, 0, 1] + [0] * (rs.rank - 2)
-    _need(args.weight is None or list(args.weight) == want,
-          f"{f} is the module at weight {tuple(want)}")
-    n = 2 * rs.rank
-    if f == "sp-b":
-        return fm.sp_split_characters(n, args.order)[0]
-    if f == "sp-c":
-        return fm.sp_c_character(fm.sp_split_characters(n, args.order + 1)[1])
-    return fm.sp_parity_numerator(n, f[-1], args.order)
-
-
-def _screened(args):
-    """The root system, the weight and its screening; refused unless the
-    weight passes, before anything enumerates W."""
-    rs = _algebra(args)
-    lam = _weight(rs, args.weight)
-    cond = fm.check_deligne_conditions(rs, lam)
-    _need(cond["ok"], "weight fails the screening: "
-          + "; ".join(cond["failures"]))
-    return rs, lam, cond
-
-
-def _deligne(args):
-    rs, lam, _ = _screened(args)
-    return fm.deligne_numerator(rs, lam, args.order)
-
-
-# formula id -> (builder, whether the builder returns the character, the
-# (type, rank) it lives on cut to what is fixed, whether it reads --s)
-FORMULAS = {
-    "integrable": (_integrable, False, (), False),
-    "sl-first": (_sl_tower, False, ("A",), True),
-    "sl-last": (_sl_tower, False, ("A",), True),
-    "sl2-closed": (_sl2_closed, False, ("A", 1), True),
-    "sp-a": (_sp_a, False, ("C",), True),
-    "sp-b": (_sp_fixed_top, True, ("C",), False),
-    "sp-c": (_sp_fixed_top, True, ("C",), False),
-    "sp-parity-a": (_sp_fixed_top, False, ("C",), False),
-    "sp-parity-b": (_sp_fixed_top, False, ("C",), False),
-    "deligne": (_deligne, False, (), False),
-}
-
-
-def _compute_series(args, character: bool) -> CharSlices:
-    """The numerator, or the character, of one formula."""
+def _numerator(f: str, args) -> CharSlices:
+    """The numerator of formula f at --type, --rank, --order and --s or
+    --weight, refused unless these meet the rules of its row in
+    formulas.FORMULAS.  A verify check's options hold no --s."""
+    lives_on, least_rank, least_s, top, _ = fm.FORMULAS[f]
+    s, co = getattr(args, "s", None), args.weight
     _need(args.order >= 0, "needs order >= 0")
-    f = args.formula
-    build, is_character, lives_on, reads_s = FORMULAS[f]
-    _need(args.s is None or reads_s, f"formula {f} does not read --s")
+    _need(s is None or least_s is not None, f"formula {f} does not read --s")
     here = (args.type.upper(), args.rank)[:len(lives_on)]
     _need(here == lives_on, f"{f} lives on type "
           + " rank ".join(map(str, lives_on)))
-    ser = build(args)
-    if is_character:
-        if character:
-            return ser
-        return ser.mul_slices(denominator_slices(ser.rs, ser.qmax))
-    if character:
-        return character_from_numerator(ser)
-    return ser.require_nonnegative()
+    rs = _algebra(args)
+    _need(rs.rank >= least_rank, f"{f} needs rank >= {least_rank}")
+    if least_s is not None:
+        _need(s is None or co is None, "give --s or --weight, not both")
+        _need(s is not None or co is not None, "needs --s or --weight")
+    _need(co is not None or top is not None,
+          "this formula needs --weight m0 .. ml")
+    if co is not None:
+        _need(len(co) == rs.rank + 1,
+              f"weight needs rank+1 = {rs.rank + 1} entries, got {len(co)}")
+    if least_s is not None:
+        s = -1 - co[0] if s is None else s  # a tower top is -(1+s) on node 0
+        _need(s >= least_s, f"{f} needs s >= {least_s}")
+    if top is not None:
+        want = top(rs.rank, s)
+        _need(co is None or tuple(co) == want,
+              f"{f} is the module at weight {want}")
+    return fm.numerator(f, rs, args.order, s, co)
 
 
 # -- output ---------------------------------------------------------------
@@ -280,15 +183,16 @@ def _check_tower_fock(args):
     rs = root_system("A", n - 1)
     rs.check_weyl_order()  # both limits refuse before any lattice point
     oracle = fock.charge_sector_character(rs, s, order)
-    ch = character_from_numerator(fm.sl_first_numerator(n, s, order))
+    ch = character_from_numerator(fm.numerator("sl-first", rs, order, s))
     return _result(f"tower-fock n={n} s={s}", order, len(ch),
                    _mismatch(ch.first_diff(oracle), "lattice", "free-field"))
 
 
 def _check_flip_symmetry(args):
     n, s, order = args.n, args.s, args.order
-    first = fm.sl_first_numerator(n, s, order)
-    last = fm.sl_last_numerator(n, s, order)
+    rs = root_system("A", n - 1)
+    first = fm.numerator("sl-first", rs, order, s)
+    last = fm.numerator("sl-last", rs, order, s)
     d = first.first_diff(fm.diagram_flip(last))
     return _result(f"flip-symmetry n={n} s={s}", order, len(first),
                    _mismatch(d, "first", "flipped last"))
@@ -298,8 +202,9 @@ def _check_sl2_closed(args):
     s, order = args.s, args.order
     _need(order >= s + 2, f"needs order >= s+2 = {s + 2} to see the "
           "first deviation")
-    closed = fm.sl2_closed_numerator(s, order)
-    lattice = fm.sl2_lattice_numerator(s, order)
+    rs = root_system("A", 1)
+    closed = fm.numerator("sl2-closed", rs, order, s)
+    lattice = fm.numerator("sl-first", rs, order, s)  # its half-lattice sum
     mism = _mismatch(closed.restrict(s + 1).first_diff(lattice.restrict(s + 1)),
                      "closed", "lattice")
     d = closed.first_diff(lattice)
@@ -322,10 +227,11 @@ def _check_tower_assembly(args):
     prod = superden.sl_product(n, order)
     want = {exps: c for exps, c in prod.sorted_items()
             if abs(exps[0] - exps[-1]) <= smax}
+    rs = root_system("A", n - 1)
     got: dict[tuple[int, ...], int] = {}
     for s in range(-smax, smax + 1):
-        num = (fm.sl_first_numerator(n, s, order) if s > 0
-               else fm.sl_last_numerator(n, -s, order))
+        num = fm.numerator("sl-first" if s > 0 else "sl-last", rs, order,
+                           abs(s))
         for m, b in num.slices.items():
             for off, c in b.items():
                 key = (m + max(s, 0), *(m - o for o in off), m - min(s, 0))
@@ -347,9 +253,9 @@ def _check_sector_restriction(args):
     rs = root_system("C", n // 2)
     den = denominator_slices(rs, order)  # its Weyl gate refuses first
     lhs = fock.charge_sector_character(rs, s, order).mul_slices(den)
+    rhs = fm.numerator("sp-a", rs, order, s)
     return _result(f"sector-restriction n={n} s={s}", order, 0,
-                   _mismatch(lhs.first_diff(fm.sp_a_numerator(n, s, order)),
-                             "product", "sum"))
+                   _mismatch(lhs.first_diff(rhs), "product", "sum"))
 
 
 def _check_flip_decomposition(args):
@@ -387,8 +293,8 @@ def _check_parity_vs_split(args):
     _need(order >= 1, "needs order >= 1 for the shifted member")
     chb, shifted = fm.sp_split_characters(n, order)
     chc = fm.sp_c_character(shifted)
-    num_a = fm.sp_parity_numerator(n, "a", order)
-    num_b = fm.sp_parity_numerator(n, "b", chc.qmax)
+    num_a = fm.numerator("sp-parity-a", chb.rs, order)
+    num_b = fm.numerator("sp-parity-b", chb.rs, chc.qmax)
     d_a = character_from_numerator(num_a).first_diff(chb)
     d_b = character_from_numerator(num_b).first_diff(chc)
     mism = (_mismatch(d_a, "vacuum parity sum", "split")
@@ -438,7 +344,7 @@ def _check_window_negation(args):
 
 
 def _check_deligne_positivity(args):
-    ch = character_from_numerator(_deligne(args))
+    ch = character_from_numerator(_numerator("deligne", args))
     rs = ch.rs
     zero = (0,) * rs.rank
     if ch.coeff(0, zero) != 1:
@@ -452,14 +358,15 @@ def _check_deligne_positivity(args):
 
 
 def _check_qdim_two_path(args):
-    rs, lam, cond = _screened(args)
-    order = args.order
-    ch = character_from_numerator(fm.deligne_numerator(rs, lam, order))
+    num = _numerator("deligne", args)
+    rs, lam, order = num.rs, num.base, args.order
+    ch = character_from_numerator(num)
+    alpha = fm.check_deligne_conditions(rs, lam)["alpha"]
     direct = fm.q_dimension_sum(
         rs, lam, coroot_lattice_basis(rs), order,
-        coeff_fn=fm.screened_coefficient(cond["alpha"]), halve=True)
+        coeff_fn=fm.screened_coefficient(alpha), halve=True)
     dim_g = rs.rank + 2 * len(rs.positive_roots)
-    via_char = qpoly_mul(fm.phi_power_qpoly(dim_g, order),
+    via_char = qpoly_mul(phi_power_qpoly(dim_g, order),
                          dict(enumerate(ch.q_series())), order)
     want = {m: v for m, v in enumerate(direct) if v}
     return _result(f"qdim-two-path {rs.family}{rs.rank}", order, order + 1,
@@ -600,7 +507,9 @@ def _check_args(args, reads: dict) -> argparse.Namespace:
 
 
 def cmd_compute(args) -> int:
-    ch = _compute_series(args, args.character)
+    num = _numerator(args.formula, args)
+    ch = (character_from_numerator(num) if args.character
+          else num.require_nonnegative())
     doc = _series_doc(ch)
     terms = doc["terms"]
 
@@ -622,7 +531,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_qdim(args) -> int:
-    ch = _compute_series(args, True)
+    ch = character_from_numerator(_numerator(args.formula, args))
     series = ch.q_series()
 
     def pretty():
@@ -720,14 +629,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("compute", parents=[common, wspec],
                         help="compute one formula at one weight")
-    pc.add_argument("--formula", required=True, choices=FORMULAS)
+    pc.add_argument("--formula", required=True, choices=fm.FORMULAS)
     pc.add_argument("--character", action="store_true",
                     help="emit the character instead of the numerator")
     pc.set_defaults(fn=cmd_compute)
 
     pq = sub.add_parser("qdim", parents=[common, wspec],
                         help="graded dimension series of a character")
-    pq.add_argument("--formula", required=True, choices=FORMULAS)
+    pq.add_argument("--formula", required=True, choices=fm.FORMULAS)
     pq.set_defaults(fn=cmd_qdim)
 
     pv = sub.add_parser("verify", parents=[common],

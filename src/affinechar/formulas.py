@@ -5,9 +5,12 @@ top weight.  A numerator carries the shifted denominator normalization of
 lattice.py: dividing it by the sliced denominator yields the weight
 multiplicities of L(Lambda).  All coefficients are exact integers.
 
-The half-lattice numerators weigh each translation gamma 1 or 0 by its pairing
-with a chosen fundamental weight; the parity-restricted ones by integer
-coordinates of gamma on the doubled-orthogonal basis.
+Every formula is one row of FORMULAS and numerator() is its one entry
+point.  The half-lattice numerators weigh each translation gamma 1 or 0 by
+its pairing with a chosen fundamental weight; the parity-restricted ones by
+integer coordinates of gamma on the doubled-orthogonal basis; the screened
+one by a linear coefficient.  The split forms of the type C vacuum stay
+here as the independent side of the checks on the parity sums.
 """
 
 from __future__ import annotations
@@ -43,12 +46,6 @@ def _orth_coords(x) -> tuple[int, ...]:
     return tuple(b - a for a, b in zip((0,) + tuple(x), x))
 
 
-def _half_sum(rs: RootSystem, lam, node: int, qmax: int) -> CharSlices:
-    """Alternating sum over the half lattice (gamma | Lambda_node) >= 0,
-    that pairing being the coroot coordinate x_node."""
-    return alt_weyl_raw(rs, lam, qmax, lambda gf, x: int(x[node - 1] >= 0))
-
-
 # -- integrable weights --------------------------------------------------
 
 
@@ -63,29 +60,7 @@ def integrable_numerator(rs: RootSystem, lam, qmax: int) -> CharSlices:
     return alt_weyl_raw(rs, lam, qmax)
 
 
-# -- the A-family level -1 tower -----------------------------------------
-
-
-def sl_first_numerator(n: int, s: int, qmax: int):
-    """Numerator of the level -1 module with s on the first node."""
-    if n < 3:
-        raise ValueError("needs n >= 3; see sl2_closed_numerator for n = 2")
-    if s < 0:
-        raise ValueError("needs s >= 0")
-    rs = root_system("A", n - 1)
-    lam = weight_from_coeffs(rs, (-(1 + s), s) + (0,) * (n - 2))
-    return _half_sum(rs, lam, 1, qmax)
-
-
-def sl_last_numerator(n: int, s: int, qmax: int):
-    """Numerator of the level -1 module with s on the last node."""
-    if n < 3:
-        raise ValueError("needs n >= 3; see sl2_closed_numerator for n = 2")
-    if s < 0:
-        raise ValueError("needs s >= 0")
-    rs = root_system("A", n - 1)
-    lam = weight_from_coeffs(rs, (-(1 + s),) + (0,) * (n - 2) + (s,))
-    return _half_sum(rs, lam, n - 1, qmax)
+# -- the level -1 towers -------------------------------------------------
 
 
 def diagram_flip(num: CharSlices) -> CharSlices:
@@ -98,36 +73,14 @@ def diagram_flip(num: CharSlices) -> CharSlices:
     })
 
 
-def sl2_closed_numerator(s: int, qmax: int) -> CharSlices:
-    """Two-term closed numerator for the rank-1 tower member."""
-    if s < 0:
-        raise ValueError("needs s >= 0")
-    rs = root_system("A", 1)
-    lam = weight_from_coeffs(rs, (-(1 + s), s))
+def sl2_closed_numerator(rs: RootSystem, lam, qmax: int) -> CharSlices:
+    """Two-term closed numerator for the rank-1 tower member; it is the
+    half-lattice sum of sl-first through q^{s+1} and no further."""
+    s = lam.finite[0]
     return CharSlices(rs, lam, qmax, {0: {(0,): 1, (-(s + 1),): -1}})
 
 
-def sl2_lattice_numerator(s: int, qmax: int) -> CharSlices:
-    """Rank-1 half-lattice sum; agrees with the closed form only for
-    q-powers up to s+1, with a genuine extra term at s+2."""
-    rs = root_system("A", 1)
-    lam = weight_from_coeffs(rs, (-(1 + s), s))
-    return _half_sum(rs, lam, 1, qmax)
-
-
-# -- the C-family level -1 modules ---------------------------------------
-
-
-def sp_a_numerator(n: int, s: int, qmax: int):
-    """Half-lattice numerator for the symplectic tower, s >= 1."""
-    if n < 4 or n % 2:
-        raise ValueError("needs even n >= 4")
-    if s < 1:
-        raise ValueError("needs s >= 1; s = 0 goes through the split forms")
-    npr = n // 2
-    rs = root_system("C", npr)
-    lam = weight_from_coeffs(rs, (-(1 + s), s) + (0,) * (npr - 1))
-    return _half_sum(rs, lam, 1, qmax)
+# -- the C-family split forms -------------------------------------------
 
 
 def _long_root_odd_slices(rs: RootSystem, qmax: int):
@@ -153,13 +106,12 @@ def sp_twist_product_character(rs: RootSystem, qmax: int) -> CharSlices:
 def sp_split_characters(n: int, qmax: int):
     """From one lattice-sum character ca at the level -1 vacuum and one twist
     product m: (ca + m)/2, the vacuum character, and (ca - m)/2, the partner
-    character times q, still written relative to the vacuum weight."""
+    character times q, still written relative to the vacuum weight.  ca is
+    the sp-a sum at s = 0, the s that sp-a leaves to these forms."""
     if n < 4 or n % 2:
         raise ValueError("needs even n >= 4")
-    npr = n // 2
-    rs = root_system("C", npr)
-    lam = weight_from_coeffs(rs, (-1,) + (0,) * npr)
-    ca = character_from_numerator(_half_sum(rs, lam, 1, qmax))
+    rs = root_system("C", n // 2)
+    ca = character_from_numerator(numerator("sp-a", rs, qmax, s=0))
     m = sp_twist_product_character(rs, qmax)
     return (ca + m).halve(), (ca - m).halve()
 
@@ -177,25 +129,20 @@ def sp_c_character(shifted: CharSlices) -> CharSlices:
 # -- parity-restricted half sums -----------------------------------------
 
 
-def sp_parity_numerator(n: int, variant: str, qmax: int) -> CharSlices:
-    """Numerators with an even-pairing constraint along the last node."""
-    if n < 4 or n % 2:
-        raise ValueError("needs even n >= 4")
-    if variant == "a":
-        return parity_bracket(n // 2, lambda j: j[0] >= 0 and sum(j) % 2 == 0,
-                              qmax)
-    if variant == "b":
-        return parity_bracket(n // 2, lambda j: j[1] >= 0 and sum(j) % 2 == 0,
-                              qmax, top=(-2, 0, 1))
-    raise ValueError("variant must be 'a' or 'b'")
+def _parity_cut(k: int):
+    """Keep gamma when j_k >= 0 and its j-coordinates sum to an even
+    number: the translations of sp-parity-a (k = 0) and sp-parity-b."""
+    def keep(x):
+        j = _orth_coords(x)
+        return j[k] >= 0 and sum(j) % 2 == 0
+    return keep
 
 
-def parity_bracket(npr: int, keep_j, qmax: int, top=(-1,)) -> CharSlices:
+def parity_bracket(npr: int, keep_j, qmax: int) -> CharSlices:
     """Alternating sum over translations with a condition on j-coordinates,
-    taken at the level -1 weight with node coefficients `top`, padded with
-    zeros: the vacuum by default."""
+    taken at the level -1 vacuum of C_npr."""
     rs = root_system("C", npr)
-    lam = weight_from_coeffs(rs, top + (0,) * (npr + 1 - len(top)))
+    lam = weight_from_coeffs(rs, (-1,) + (0,) * npr)
     return alt_weyl_raw(rs, lam, qmax,
                         lambda gf, x: int(keep_j(_orth_coords(x))))
 
@@ -264,10 +211,16 @@ def deligne_numerator(rs: RootSystem, lam, qmax: int) -> CharSlices:
     """Numerator with linear coefficients (gamma|alpha)+1, halved exactly."""
     cond = check_deligne_conditions(rs, lam)
     if not cond["ok"]:
-        raise ValueError("; ".join(cond["failures"]))
+        raise ValueError("weight fails the screening: "
+                         + "; ".join(cond["failures"]))
     num = alt_weyl_raw(rs, lam, qmax,
                        coeff_fn=screened_coefficient(cond["alpha"]))
     return num.halve()
+
+
+# the most weights one screening scan may visit: one weight takes tens of
+# microseconds to screen, so a scan at the limit takes about a minute
+SCREEN_LIMIT = 10**6
 
 
 def deligne_enumerate(rs: RootSystem, k: int, mmax: int):
@@ -275,11 +228,16 @@ def deligne_enumerate(rs: RootSystem, k: int, mmax: int):
     screening; returns (coeffs, alpha root coords) pairs.
 
     The window mmax = |k| keeps the scan tied to the level; wider windows
-    turn up further weights with the same three properties.
+    turn up further weights with the same three properties.  A window of
+    more than SCREEN_LIMIT weights is refused before the scan.
     """
     c = k + rs.dual_coxeter
     if c <= 0:
         raise ValueError("shifted level must be positive")
+    size = (mmax + 1) ** rs.rank
+    if size > SCREEN_LIMIT:
+        raise ValueError(f"window 0..{mmax} on {rs.family}{rs.rank} holds "
+                         f"{size} weights, more than {SCREEN_LIMIT}")
     out = []
     for fin in itertools.product(range(mmax + 1), repeat=rs.rank):
         m0 = k - sum(f * cm for f, cm in zip(fin, rs.comarks))
@@ -288,6 +246,67 @@ def deligne_enumerate(rs: RootSystem, k: int, mmax: int):
         if res["ok"]:
             out.append(((m0,) + fin, res["alpha"].root_coords))
     return out
+
+
+# -- the formula table ---------------------------------------------------
+
+
+# the top weights of the rows, node coefficients from (rank, s)
+def _first(rank: int, s) -> tuple:
+    return (-(1 + s), s) + (0,) * (rank - 1)
+
+
+def _last(rank: int, s) -> tuple:
+    return (-(1 + s),) + (0,) * (rank - 1) + (s,)
+
+
+def _vacuum(rank: int, s) -> tuple:
+    return (-1,) + (0,) * rank
+
+
+def _second(rank: int, s) -> tuple:
+    return (-2, 0, 1) + (0,) * (rank - 2)
+
+
+def _cut(keep):
+    """The numerator that weighs each translation gamma 1 or 0 by whether
+    its coroot coordinates x pass keep."""
+    return lambda rs, lam, qmax: alt_weyl_raw(
+        rs, lam, qmax, lambda gf, x: int(keep(x)))
+
+
+_SP_VACUUM = (("C",), 2, None, _vacuum, _cut(_parity_cut(0)))
+_SP_SECOND = (("C",), 2, None, _second, _cut(_parity_cut(1)))
+
+# formula -> (the (type, rank) it lives on, cut to what is fixed; the least
+# rank; the least s, None where it does not read s; the node coefficients of
+# its top weight from (rank, s), None where the weight is given; its
+# numerator from (rs, lam, qmax)).  A half-lattice cut x_node >= 0 is the
+# pairing (gamma|Lambda_node) >= 0.  sp-b and sp-c are their parity sums.
+# A named numerator is looked up at call time, so a rebinding of its module
+# name reaches the row.
+FORMULAS = {
+    "integrable": ((), 1, None, None, lambda *a: integrable_numerator(*a)),
+    "sl-first": (("A",), 2, 0, _first, _cut(lambda x: x[0] >= 0)),
+    "sl-last": (("A",), 2, 0, _last, _cut(lambda x: x[-1] >= 0)),
+    "sl2-closed": (("A", 1), 1, 0, _first, sl2_closed_numerator),
+    "sp-a": (("C",), 2, 1, _first, _cut(lambda x: x[0] >= 0)),
+    "sp-b": _SP_VACUUM,
+    "sp-c": _SP_SECOND,
+    "sp-parity-a": _SP_VACUUM,
+    "sp-parity-b": _SP_SECOND,
+    "deligne": ((), 1, None, None, lambda *a: deligne_numerator(*a)),
+}
+
+
+def numerator(f: str, rs: RootSystem, qmax: int, s=None,
+              weight=None) -> CharSlices:
+    """The numerator of formula f on rs at the top weight its row gives for
+    s, or at the node coefficients weight where the row takes a weight.
+    The row's least rank and least s are the caller's to hold."""
+    top, build = FORMULAS[f][3:]
+    lam = weight_from_coeffs(rs, weight if top is None else top(rs.rank, s))
+    return build(rs, lam, qmax)
 
 
 # -- one-variable specializations ----------------------------------------

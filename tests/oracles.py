@@ -341,7 +341,8 @@ def _fund_unit(rs, i: int) -> tuple[int, ...]:
 
 
 def fraction_node_pairing(rs, gf, node: int) -> Fraction:
-    """(gamma|Lambda_node), which formulas._half_sum's predicate reads."""
+    """(gamma|Lambda_node), which the half-lattice cuts of formulas.FORMULAS
+    read as the coroot coordinate x_node."""
     return rs.inner(gf, _fund_unit(rs, node))
 
 

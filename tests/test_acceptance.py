@@ -72,7 +72,7 @@ def test_criterion_02_tower_vs_free_field_oracle():
     t0 = time.monotonic()
     bad = []
     for s in (0, 1, 2):
-        num = fm.sl_first_numerator(3, s, 4)
+        num = fm.numerator("sl-first", root_system("A", 2), 4, s)
         ch = character_from_numerator(num)
         if ch != fock.charge_sector_character(num.rs, s, 4):
             bad.append(s)
@@ -86,9 +86,10 @@ def test_criterion_03_rank_one_closed_form():
     # and acquires a genuine extra alternating term at q^{s+2}
     t0 = time.monotonic()
     ok = True
+    rs = root_system("A", 1)
     for s in range(4):
-        closed = fm.sl2_closed_numerator(s, s + 2)
-        latt = fm.sl2_lattice_numerator(s, s + 2)
+        closed = fm.numerator("sl2-closed", rs, s + 2, s)
+        latt = fm.numerator("sl-first", rs, s + 2, s)
         ok = ok and latt.restrict(s + 1).first_diff(closed) is None
         d = latt.first_diff(closed)
         ok = ok and d is not None and d[0][0] == s + 2
@@ -129,12 +130,12 @@ def test_criterion_06_twisted_denominator():
 def test_criterion_07_parity_rewriting():
     t0 = time.monotonic()
     rs = root_system("C", 2)
-    numa = fm.sp_parity_numerator(4, "a", 4)
+    numa = fm.numerator("sp-parity-a", rs, 4)
     lhs = fm.sp_split_characters(4, 4)[0].mul_slices(
         denominator_slices(rs, 4))
     oka = numa.first_diff(lhs) is None
     # the rebased partner lives one q-slice up; compute there, compare below
-    numb = fm.sp_parity_numerator(4, "b", 5)
+    numb = fm.numerator("sp-parity-b", rs, 5)
     chc = fm.sp_c_character(fm.sp_split_characters(4, 5)[1])
     rhs = chc.mul_slices(denominator_slices(rs, 5))
     okb = numb.restrict(4).first_diff(rhs.restrict(4)) is None

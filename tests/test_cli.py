@@ -375,6 +375,89 @@ def test_verify_refusal_is_one_exact_line(capsys, check, option, line):
     assert (code, out, err) == (2, "", f"error: {line}\n")
 
 
+# (formula, its options, the one error line): every formula, each rule of
+# its row in formulas.FORMULAS broken once, and its own precondition
+FORMULA_REFUSALS = [
+    ("integrable", "--type A --rank 2", "this formula needs --weight m0 .. ml"),
+    ("integrable", "--type A --rank 2 --weight 1 0",
+     "weight needs rank+1 = 3 entries, got 2"),
+    ("integrable", "--type A --rank 1 --weight -3 0",
+     "weight is not dominant integral: (-3, 0)"),
+    ("integrable", "--type A --rank 1 --weight 1 0 --s 1",
+     "formula integrable does not read --s"),
+    ("integrable", "--type X --rank 2 --weight 1 0 0", "unknown family 'X'"),
+    ("integrable", "--type A --rank 1 --weight 1 0 --order -1",
+     "needs order >= 0"),
+    ("sl-first", "--type A --rank 1 --s 0", "sl-first needs rank >= 2"),
+    ("sl-first", "--type A --rank 0 --s 0", "rank must be >= 1"),
+    ("sl-first", "--type C --rank 2 --s 0", "sl-first lives on type A"),
+    ("sl-first", "--type A --rank 2", "needs --s or --weight"),
+    ("sl-first", "--type A --rank 2 --s 1 --weight -2 1 0",
+     "give --s or --weight, not both"),
+    ("sl-first", "--type A --rank 2 --s -1", "sl-first needs s >= 0"),
+    ("sl-first", "--type A --rank 2 --weight 0 0 0", "sl-first needs s >= 0"),
+    ("sl-first", "--type A --rank 2 --weight -3 1 0",
+     "sl-first is the module at weight (-3, 2, 0)"),
+    ("sl-first", "--type A --rank 2 --weight -2 1",
+     "weight needs rank+1 = 3 entries, got 2"),
+    ("sl-last", "--type A --rank 1 --s 0", "sl-last needs rank >= 2"),
+    ("sl-last", "--type A --rank 2 --s -1", "sl-last needs s >= 0"),
+    ("sl-last", "--type A --rank 3 --weight -2 1 0 0",
+     "sl-last is the module at weight (-2, 0, 0, 1)"),
+    ("sl2-closed", "--type A --rank 2 --s 0",
+     "sl2-closed lives on type A rank 1"),
+    ("sl2-closed", "--type A --rank 1 --s -1", "sl2-closed needs s >= 0"),
+    ("sl2-closed", "--type A --rank 1 --weight -2 2",
+     "sl2-closed is the module at weight (-2, 1)"),
+    ("sp-a", "--type A --rank 2 --s 1", "sp-a lives on type C"),
+    ("sp-a", "--type C --rank 1 --s 1", "sp-a needs rank >= 2"),
+    ("sp-a", "--type C --rank 2 --s 0", "sp-a needs s >= 1"),
+    ("sp-a", "--type C --rank 2 --s -1", "sp-a needs s >= 1"),
+    ("sp-a", "--type C --rank 2 --weight -1 0 0", "sp-a needs s >= 1"),
+    ("sp-a", "--type C --rank 2 --weight -2 0 1",
+     "sp-a is the module at weight (-2, 1, 0)"),
+    ("sp-b", "--type C --rank 2 --weight -2 1 0",
+     "sp-b is the module at weight (-1, 0, 0)"),
+    ("sp-b", "--type C --rank 2 --weight -1 0",
+     "weight needs rank+1 = 3 entries, got 2"),
+    ("sp-b", "--type C --rank 2 --s 0", "formula sp-b does not read --s"),
+    ("sp-c", "--type C --rank 3 --weight -1 0 0 0",
+     "sp-c is the module at weight (-2, 0, 1, 0)"),
+    ("sp-c", "--type C --rank 1", "sp-c needs rank >= 2"),
+    ("sp-parity-a", "--type C --rank 1", "sp-parity-a needs rank >= 2"),
+    ("sp-parity-a", "--type C --rank 2 --weight -2 0 1",
+     "sp-parity-a is the module at weight (-1, 0, 0)"),
+    ("sp-parity-b", "--type D --rank 4", "sp-parity-b lives on type C"),
+    ("sp-parity-b", "--type C --rank 2 --weight -2 0 1 0",
+     "weight needs rank+1 = 3 entries, got 4"),
+    ("deligne", "--type D --rank 4", "this formula needs --weight m0 .. ml"),
+    ("deligne", "--type D --rank 5 --weight -1 0 0 0 0 0",
+     "only D_4 is supported"),
+    ("deligne", "--type D --rank 4 --weight -4 1 1 0 0",
+     "weight fails the screening: orthogonal roots not unique at depth one: "
+     "(1, 1, 0, 1)@depth1, (1, 1, 1, 0)@depth1"),
+    ("deligne", "--type D --rank 4 --weight -1 -1 0 0 0",
+     "weight fails the screening: pairing -1 with simple root 1 is not in "
+     "Z>=0"),
+]
+
+
+def test_every_formula_has_a_pinned_refusal():
+    assert {f for f, _, _ in FORMULA_REFUSALS} == set(fm.FORMULAS)
+
+
+@pytest.mark.parametrize("command", ["compute", "compute --character",
+                                     "qdim"])
+@pytest.mark.parametrize("formula,options,line", FORMULA_REFUSALS,
+                         ids=[f"{f} {o}" for f, o, _ in FORMULA_REFUSALS])
+def test_formula_refusal_is_one_exact_line(capsys, command, formula, options,
+                                           line):
+    cmd, *flag = command.split()
+    code, out, err = run(capsys, [cmd, "--formula", formula,
+                                  *options.split(), *flag])
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
 def test_a_check_sees_its_own_options_filled_with_defaults(capsys,
                                                            monkeypatch):
     seen = []
@@ -461,6 +544,30 @@ def test_list_deligne_tsv_header(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "m0\tm1\tm2\tm3\tm4\ta1\ta2\ta3\ta4"
     assert len(lines) == 9
+
+
+def test_list_deligne_refuses_a_window_it_cannot_finish(capsys,
+                                                        monkeypatch):
+    # 21^8 weights: refused from the window's size before one weight is
+    # screened, in one line
+    def screened(*args):
+        raise AssertionError("a weight was screened")
+
+    monkeypatch.setattr(fm, "check_deligne_conditions", screened)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["list-deligne", "--type", "E", "--rank",
+                                  "8", "--level", "-1", "--window", "20"])
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: window 0..20 on E8 holds 37822859361 weights, "
+                   "more than 1000000\n")
+    # the limit is (window+1)^rank against SCREEN_LIMIT: 32^4 is over it
+    assert fm.SCREEN_LIMIT == 10**6
+    code, out, err = run(capsys, ["list-deligne", "--type", "D", "--rank",
+                                  "4", "--level", "-1", "--window", "31"])
+    assert (code, out) == (2, "")
+    assert err == ("error: window 0..31 on D4 holds 1048576 weights, more "
+                   "than 1000000\n")
 
 
 def test_list_deligne_guards(capsys):
@@ -729,8 +836,6 @@ def _count_calls(monkeypatch, name, modules):
 @pytest.mark.parametrize("argv,dens", [
     ("verify flip-decomposition", {"affinechar.series": 1}),
     ("verify parity-vs-split", {"affinechar.series": 3}),
-    ("compute --formula sp-c --type C --rank 2 --character",
-     {"affinechar.series": 1}),
 ])
 def test_the_type_c_split_is_built_once(capsys, monkeypatch, argv, dens):
     # one lattice character divides out for both split forms; the series
@@ -744,6 +849,24 @@ def test_the_type_c_split_is_built_once(capsys, monkeypatch, argv, dens):
     parity = {"affinechar.cli": 2} if "parity" in argv else {}
     assert chars == {"affinechar.formulas": 1, **parity}
     assert den == dens
+
+
+@pytest.mark.parametrize("formula", ["sp-b", "sp-c"])
+@pytest.mark.parametrize("command", ["compute", "compute --character",
+                                     "qdim"])
+def test_sp_b_and_sp_c_read_their_parity_sums(capsys, monkeypatch, formula,
+                                               command):
+    # the rows of sp-parity-a and sp-parity-b: no split form is built, and
+    # no character is multiplied back by the denominator
+    split = _count_calls(monkeypatch, "sp_split_characters", (fm,))
+    den = _count_calls(monkeypatch, "denominator_slices", (cli,))
+    chars = _count_calls(monkeypatch, "character_from_numerator", (cli,))
+    cmd, *flag = command.split()
+    code, _, err = run(capsys, [cmd, "--formula", formula, "--type", "C",
+                                "--rank", "2", "--order", "2", *flag])
+    assert (code, err) == (0, "")
+    assert (split, den) == ({}, {})
+    assert chars == ({} if command == "compute" else {"affinechar.cli": 1})
 
 
 def test_state_budget_is_one_error_line_with_exit_two(capsys, monkeypatch):
@@ -770,7 +893,7 @@ def test_mode_budget_refuses_a_wide_sector_before_the_work(
         raise AssertionError("the lattice side was built")
 
     monkeypatch.setattr(fock, "_mode_multisets", None)
-    monkeypatch.setattr(fm, "sl_first_numerator", lattice_side)
+    monkeypatch.setattr(fm, "numerator", lattice_side)
     code, out, err = run(capsys, ["verify", "tower-fock", "--n", "3",
                                   "--s", "1100", "--order", "0"])
     assert code == 2 and out == ""
@@ -783,7 +906,7 @@ def test_tower_fock_refuses_a_large_weyl_group_before_either_side(
         raise AssertionError("a side was built")
 
     monkeypatch.setattr(fock, "charge_sector_character", built)
-    monkeypatch.setattr(fm, "sl_first_numerator", built)
+    monkeypatch.setattr(fm, "numerator", built)
     code, out, err = run(capsys, ["verify", "tower-fock", "--n", "10",
                                   "--order", "0"])
     assert (code, out) == (2, "")
@@ -801,7 +924,7 @@ def test_denominator_checks_refuse_a_large_weyl_group_before_either_side(
         raise AssertionError("a side was built")
 
     for name in ("sp_twist_product_character", "parity_bracket",
-                 "sp_a_numerator"):
+                 "numerator"):
         monkeypatch.setattr(fm, name, built)
     monkeypatch.setattr(fock, "charge_sector_character", built)
     code, out, err = run(capsys, argv.split())

@@ -2,6 +2,7 @@
 
 import argparse
 import itertools
+import json
 import random
 from fractions import Fraction
 from operator import mul
@@ -16,6 +17,7 @@ from oracles import (
 
 from affinechar import cli
 from affinechar.formulas import (
+    FORMULAS,
     _long_root_odd_slices,
     _orth_coords,
     check_deligne_conditions,
@@ -23,16 +25,11 @@ from affinechar.formulas import (
     deligne_numerator,
     diagram_flip,
     integrable_numerator,
+    numerator,
     phi_power_qpoly,
     q_dimension_sum,
     screened_coefficient,
-    sl2_closed_numerator,
-    sl2_lattice_numerator,
-    sl_first_numerator,
-    sl_last_numerator,
-    sp_a_numerator,
     sp_c_character,
-    sp_parity_numerator,
     sp_split_characters,
 )
 from affinechar.lattice import alt_weyl_raw
@@ -70,7 +67,7 @@ EIGHT = [
 def test_tower_graded_dimensions():
     frozen = {0: [1, 8, 44, 172], 1: [3, 18, 84, 312], 2: [6, 33, 144, 507]}
     for s, want in frozen.items():
-        num = sl_first_numerator(3, s, 3)
+        num = numerator("sl-first", root_system("A", 2), 3, s)
         ch = character_from_numerator(num)
         assert ch.coeff(0, (0, 0)) == 1
         assert ch.q_series() == want
@@ -79,29 +76,38 @@ def test_tower_graded_dimensions():
 
 @pytest.mark.parametrize("n,s", [(3, 1), (4, 2)])
 def test_first_last_flip_symmetry(n, s):
-    first = sl_first_numerator(n, s, 3)
-    last = sl_last_numerator(n, s, 3)
+    rs = root_system("A", n - 1)
+    first = numerator("sl-first", rs, 3, s)
+    last = numerator("sl-last", rs, 3, s)
     assert last.first_diff(diagram_flip(first)) is None
     assert first.first_diff(diagram_flip(last)) is None
     # the flip maps the tops onto each other as well
     assert diagram_flip(first) == last
 
 
-def test_tower_guards():
-    with pytest.raises(ValueError):
-        sl_first_numerator(2, 0, 2)
-    with pytest.raises(ValueError):
-        sl_last_numerator(3, -1, 2)
-    with pytest.raises(ValueError):
-        sl2_closed_numerator(-1, 2)
+def test_tower_guards(capsys):
+    # every formula that reads s is served at its row's least rank and
+    # least s, and refused one below either
+    def code(f, fam, rank, s):
+        c = cli.main(["compute", "--formula", f, "--type", fam, "--rank",
+                      str(rank), "--s", str(s), "--order", "1"])
+        capsys.readouterr()
+        return c
+
+    for f, (lives_on, rank, s, _, _) in FORMULAS.items():
+        if s is not None:
+            fam = lives_on[0]
+            assert (code(f, fam, rank, s), code(f, fam, rank, s - 1),
+                    code(f, fam, rank - 1, s)) == (0, 2, 2), f
 
 
 @pytest.mark.parametrize("s", [0, 1, 2, 3])
 def test_rank_one_closed_form_sharpness(s):
     # the two-term numerator is the half-lattice sum through q^{s+1} and
     # stops being it exactly at q^{s+2}
-    closed = sl2_closed_numerator(s, s + 2)
-    latt = sl2_lattice_numerator(s, s + 2)
+    rs = root_system("A", 1)
+    closed = numerator("sl2-closed", rs, s + 2, s)
+    latt = numerator("sl-first", rs, s + 2, s)
     assert latt.restrict(s + 1).first_diff(closed) is None
     diff = latt.first_diff(closed)
     assert diff is not None and diff[0][0] == s + 2
@@ -134,13 +140,16 @@ def test_split_vacuum_graded_dimensions():
 
 def test_sp_numerator_guards():
     with pytest.raises(ValueError):
-        sp_a_numerator(3, 1, 2)
-    with pytest.raises(ValueError):
-        sp_a_numerator(4, 0, 2)
-    with pytest.raises(ValueError):
         sp_split_characters(6 + 1, 2)
     with pytest.raises(ValueError):
-        sp_parity_numerator(4, "c", 2)
+        sp_split_characters(2, 2)
+    with pytest.raises(KeyError):
+        numerator("sp-parity-c", root_system("C", 2), 2)
+    # the type C rows live on rank >= 2; sp-a reads s >= 1
+    assert {f: FORMULAS[f][:3] for f in FORMULAS if f.startswith("sp")} == {
+        "sp-a": (("C",), 2, 1), "sp-b": (("C",), 2, None),
+        "sp-c": (("C",), 2, None), "sp-parity-a": (("C",), 2, None),
+        "sp-parity-b": (("C",), 2, None)}
 
 
 def test_sector_restriction():
@@ -199,16 +208,24 @@ def test_parity_bracket_identity():
     assert check("parity-bracket", n=4, order=3)["mismatch"] is None
 
 
-def test_parity_numerators_match_split_characters():
-    qmax = 2
-    numa = sp_parity_numerator(4, "a", qmax)
-    chb = sp_split_characters(4, qmax)[0]
-    lhs = chb.mul_slices(denominator_slices(numa.rs, qmax))
-    assert numa.first_diff(lhs) is None
-    numb = sp_parity_numerator(4, "b", qmax + 1)
-    chc = sp_c_character(sp_split_characters(4, qmax + 1)[1])
-    lhs2 = chc.mul_slices(denominator_slices(numb.rs, qmax))
-    assert numb.restrict(qmax).first_diff(lhs2) is None
+def test_parity_numerators_match_split_characters(capsys):
+    # the split forms are the independent side of the parity rows, which
+    # sp-b and sp-c read: both numerators and both characters agree
+    for npr, qmax in ((2, 2), (3, 3)):
+        rs = root_system("C", npr)
+        den = denominator_slices(rs, qmax)
+        chb = sp_split_characters(2 * npr, qmax)[0]
+        numa = numerator("sp-parity-a", rs, qmax)
+        assert numa.first_diff(chb.mul_slices(den)) is None
+        chc = sp_c_character(sp_split_characters(2 * npr, qmax + 1)[1])
+        numb = numerator("sp-parity-b", rs, qmax + 1)
+        assert numb.restrict(qmax).first_diff(chc.mul_slices(den)) is None
+        opts = ["--type", "C", "--rank", str(npr), "--order", str(qmax),
+                "--character"]
+        for f, ch in (("sp-b", chb), ("sp-c", chc)):
+            assert cli.main(["compute", "--formula", f, *opts]) == 0
+            want = json.dumps(cli._series_doc(ch), indent=1) + "\n"
+            assert capsys.readouterr().out == want, f
 
 
 @pytest.mark.parametrize("n,qmax", [(4, 4), (6, 3)])
@@ -221,7 +238,7 @@ def test_parity_numerators_are_the_parity_sums_at_their_tops(n, qmax):
             rs, lam, qmax,
             lambda gf, x: int(_orth_coords(x)[k] >= 0
                               and sum(_orth_coords(x)) % 2 == 0))
-        assert sp_parity_numerator(n, variant, qmax) == direct
+        assert numerator("sp-parity-" + variant, rs, qmax) == direct
 
 
 def test_orth_coords_round_trip():

@@ -16,6 +16,7 @@ import re
 import pytest
 
 from affinechar import cli
+from affinechar import formulas as fm
 from affinechar.cli import main
 
 # (formula, "TYPE RANK extra args", numerator sha256, character sha256)
@@ -51,6 +52,10 @@ CASES = [
      "705cec57c11bd9efc8365d0c3a59b22cc2b2f9c491d4521b4d4bb87cc6ed52cf",
      "351cd9ee2a19f754a549e9f7161126d6f161c11e2ee372b8d046befaa174b5c8"),
 ]
+
+
+def test_every_formula_has_a_golden_pin():
+    assert {f for f, *_ in CASES} == set(fm.FORMULAS)
 
 
 def _argv(formula, rest, *extra):

@@ -614,15 +614,16 @@ def test_singular_points_and_cancelling_pairs_leave_nothing():
 def test_predicates_read_the_same_numerator(monkeypatch):
     # the half-lattice sums and both parity brackets, once through the
     # dominant numerator and once through the per-point loop
+    a3, a4, c3 = root_system("A", 3), root_system("A", 4), root_system("C", 3)
     builds = [
-        lambda: fm.sl_first_numerator(4, 1, 3),
-        lambda: fm.sl_last_numerator(5, 2, 2),
-        lambda: fm.sp_a_numerator(6, 1, 3),
+        lambda: fm.numerator("sl-first", a3, 3, 1),
+        lambda: fm.numerator("sl-last", a4, 2, 2),
+        lambda: fm.numerator("sp-a", c3, 3, 1),
         lambda: fm.parity_bracket(
             2, lambda j: j[0] >= 0 and sum(j) % 2 == 1, 4),
         lambda: fm.parity_bracket(
             3, lambda j: j[0] < 0 and sum(j) % 2 == 0, 3),
-        lambda: fm.sp_parity_numerator(6, "b", 3),
+        lambda: fm.numerator("sp-parity-b", c3, 3),
     ]
     new = [build() for build in builds]
     assert all(len(num) for num in new)

@@ -512,7 +512,7 @@ def _formula_numerators(fam, rank, qmax):
     for co in ((1,) + (0,) * rank, (0,) * rank + (1,)):
         yield fm.integrable_numerator(rs, weight_from_coeffs(rs, co), qmax)
     if fam == "A" and rank >= 2:
-        yield fm.sl_first_numerator(rank + 1, 1, qmax)
+        yield fm.numerator("sl-first", rs, qmax, 1)
     if fam == "D":
         yield fm.deligne_numerator(rs, weight_from_coeffs(rs, (-1, 0, 0, 0, 0)),
                                    qmax)
