@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 
@@ -40,15 +39,12 @@ from .rootdata import (
     root_system,
 )
 from .series import (
-    AffineWeight,
     CharSlices,
     character_from_numerator,
     denominator_slices,
     first_diff,
     phi_power_qpoly,
     qpoly_mul,
-    translate,
-    weight_from_coeffs,
 )
 
 
@@ -374,88 +370,6 @@ def _check_qdim_two_path(args):
                              "direct sum", what="q-power"))
 
 
-def _random_slices(rng, rs, qmax: int) -> CharSlices:
-    out: dict[int, dict[tuple[int, ...], int]] = {}
-    for _ in range(rng.randrange(1, 5)):
-        off = tuple(rng.randrange(-2, 3) for _ in range(rs.rank))
-        c = rng.randrange(-4, 5)
-        if c:
-            out.setdefault(rng.randrange(0, qmax + 1), {})[off] = c
-    return CharSlices(rs, weight_from_coeffs(rs, (0,) * (rs.rank + 1)), qmax,
-                      out)
-
-
-def _check_properties(args):
-    seed, cases = args.seed, args.cases
-    rng = random.Random(seed)
-    a2 = root_system("A", 2)
-    c2 = root_system("C", 2)
-    d4 = root_system("D", 4)
-    cond = fm.check_deligne_conditions(
-        d4, weight_from_coeffs(d4, (-1, 0, 0, 0, 0)))
-    alpha = cond["alpha"]
-    fails = []
-
-    def mul(x, y):
-        return x.mul_slices(y.slices)
-
-    for it in range(cases):
-        # ring laws and truncation coherence on random A2 slices
-        a, b, c = (_random_slices(rng, a2, 5) for _ in range(3))
-        if mul(a + b, c) != mul(a, c) + mul(b, c):
-            fails.append(f"case {it}: distributivity")
-        if mul(a, b) != mul(b, a):
-            fails.append(f"case {it}: commutativity")
-        if mul(mul(a, b), c) != mul(a, mul(b, c)):
-            fails.append(f"case {it}: associativity")
-        if a - b != a + (-b) or len(a - a):
-            fails.append(f"case {it}: subtraction")
-        k = rng.randrange(0, 5)
-        if mul(a, b).restrict(k) != mul(a.restrict(k), b.restrict(k)):
-            fails.append(f"case {it}: truncation coherence")
-
-        # translation group law at nonzero level
-        lev = rng.choice([-2, -1, 1, 2, 3])
-        w = AffineWeight(
-            tuple(rng.randrange(-3, 4) for _ in range(2)), lev,
-            rng.randrange(-2, 3))
-        g1 = tuple(rng.randrange(-2, 3) for _ in range(2))
-        g2 = tuple(rng.randrange(-2, 3) for _ in range(2))
-        one = translate(c2, translate(c2, w, g1), g2)
-        both = translate(c2, w, tuple(x + y for x, y in zip(g1, g2)))
-        if one != both:
-            fails.append(f"case {it}: translation group law")
-
-        # Weyl alternation: sign flips under a simple reflection
-        mu = tuple(rng.randrange(-4, 5) for _ in range(2))
-        nu = c2.reflect(rng.randrange(2), mu)
-        dom, sgn, _ = c2.dominant_offset(mu, mu)
-        dom2, sgn2, _ = c2.dominant_offset(nu, nu)
-        reg = all(dom)
-        if dom != dom2:
-            fails.append(f"case {it}: reflection changed the orbit")
-        if reg and sgn2 != -sgn:
-            fails.append(f"case {it}: sign not alternating")
-        if any(x == 0 for x in mu) and reg:
-            fails.append(f"case {it}: singular weight marked regular")
-
-        # antisymmetry of the linear coefficient under the screened root
-        cs = [rng.randrange(-2, 3) for _ in range(4)]
-        gam = tuple(sum(c * b[j] for c, b in zip(cs, coroot_lattice_basis(d4)))
-                    for j in range(4))
-        pair = d4.inner(alpha.fund, gam)
-        image = tuple(g - (pair + 1) * a
-                      for g, a in zip(gam, alpha.fund))
-        if d4.inner(alpha.fund, image) + 1 != -(pair + 1):
-            fails.append(f"case {it}: coefficient antisymmetry")
-
-        if fails:
-            break
-
-    return _result(f"properties seed={seed} cases={cases}", 0, cases,
-                   fails[0] if fails else None)
-
-
 # the options of the two checks on a screened weight, the D4 vacuum by default
 _SCREENED = {"type": "D", "rank": 4, "weight": lambda a: [-1] + [0] * a.rank,
              "order": 2}
@@ -483,12 +397,11 @@ CHECKS = {
                         {"n": 4, "order": 4, "omega": "0,0"}),
     "deligne-positivity": (_check_deligne_positivity, _SCREENED),
     "qdim-two-path": (_check_qdim_two_path, _SCREENED),
-    "properties": (_check_properties, {"seed": 0, "cases": 200}),
 }
 
 
 # the floor of each integer option of verify, the one place it is checked
-FLOORS = {"n": 3, "s": 0, "smax": 0, "order": 0, "cases": 1}
+FLOORS = {"n": 3, "s": 0, "smax": 0, "order": 0}
 
 
 def _check_args(args, reads: dict) -> argparse.Namespace:
@@ -641,8 +554,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", parents=[common],
                         help="run named identity checks")
-    pv.add_argument("--seed", type=int, default=None,
-                    help="seed for randomized property checks")
     pv.add_argument("checks", nargs="+", metavar="CHECK",
                     help="check names, or 'all'; known: " + ", ".join(CHECKS))
     pv.add_argument("--n", type=int, default=None,
@@ -652,8 +563,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--order", type=int, default=None)
     pv.add_argument("--omega", default=None,
                     help="window points, e.g. '0,0;1,2'")
-    pv.add_argument("--cases", type=int, default=None,
-                    help="cases per property suite")
     pv.add_argument("--type", default=None)
     pv.add_argument("--rank", type=int, default=None)
     pv.add_argument("--weight", type=int, nargs="+", default=None)

@@ -32,8 +32,7 @@ class AffineWeight(namedtuple("AffineWeight", "finite level delta")):
 
     The finite part is in fundamental coordinates of the underlying finite
     root system (or a frame-specific encoding for the super frames).  The
-    fields hold ints for integral weights; a delta coefficient made by a
-    translation is a pairing, a Fraction.
+    fields hold ints for integral weights.
     """
 
     __slots__ = ()
@@ -45,14 +44,6 @@ def weight_from_coeffs(rs: RootSystem, coeffs) -> AffineWeight:
         raise ValueError("need rank+1 coefficients")
     level = coeffs[0] + sum(map(mul, coeffs[1:], rs.comarks))
     return AffineWeight(tuple(coeffs[1:]), level, 0)
-
-
-def translate(rs: RootSystem, w: AffineWeight, gamma) -> AffineWeight:
-    """Lattice translation t_gamma acting on a weight of level w.level."""
-    k = w.level
-    fin = tuple(a + k * b for a, b in zip(w.finite, gamma))
-    drop = rs.inner(w.finite, gamma) + k * rs.norm(gamma) / 2
-    return AffineWeight(fin, k, w.delta - drop)
 
 
 class ExpSeries:

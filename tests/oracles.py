@@ -13,7 +13,8 @@ orbit walk and the integer drop: a loop over the matrices of W
 for every orbit, the `Fraction` ellipsoid enumeration with its exact
 floor(x + sqrt(r2)), the integer scan of the ellipsoid's whole bounding
 box that the library ran before it fixed one coordinate at a time,
-`Fraction` sums for every lattice point, the
+`Fraction` sums for every lattice point, the translation t_gamma of an
+affine weight (whose group law the property suites check), the
 `Fraction` pairings the formula predicates, the screened coefficient and
 the screening took before they read coroot coordinates, the per-point
 loops of alt_weyl_raw (a whole orbit per point) and q_dimension_sum (a
@@ -275,6 +276,13 @@ def fraction_quad_points(M, L, B) -> dict[tuple[int, ...], Fraction]:
 
 def drop_of(rs, nu_fin, c, gamma) -> Fraction:
     return rs.inner(nu_fin, gamma) + c * rs.norm(gamma) / 2
+
+
+def translate(rs, w: AffineWeight, gamma) -> AffineWeight:
+    """Lattice translation t_gamma acting on a weight of level w.level."""
+    k = w.level
+    fin = tuple(a + k * b for a, b in zip(w.finite, gamma))
+    return AffineWeight(fin, k, w.delta - drop_of(rs, w.finite, k, gamma))
 
 
 def fraction_lattice_points_below(rs, basis, nu_fin, c, bound):

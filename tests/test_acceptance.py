@@ -12,18 +12,18 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import apply, matrix_weyl_group
+import pytest
+from oracles import apply, matrix_weyl_group, translate
 
 from affinechar import cli, fock, superden
 from affinechar import formulas as fm
-from affinechar.rootdata import coroot_lattice_basis, root_system
+from affinechar.rootdata import RootSystem, coroot_lattice_basis, root_system
 from affinechar.series import (
     AffineWeight,
     CharSlices,
     character_from_numerator,
     denominator_slices,
     qpoly_mul,
-    translate,
     weight_from_coeffs,
 )
 
@@ -178,7 +178,7 @@ def test_criterion_08_screened_weights_positivity_and_qdim():
 
 def test_criterion_09_property_suites():
     t0 = time.monotonic()
-    cases = 1000
+    cases = 2000
     fails = []
 
     # ring laws on random A2 slices truncated at q^5
@@ -202,7 +202,7 @@ def test_criterion_09_property_suites():
         a, b, c = rand_slices(), rand_slices(), rand_slices()
         if mul(a + b, c) != mul(a, c) + mul(b, c) or mul(a, b) != mul(b, a) \
                 or mul(mul(a, b), c) != mul(a, mul(b, c)) \
-                or a - b != a + (-b):
+                or a - b != a + (-b) or len(a - a):
             fails.append(f"ring laws case {it}")
             break
 
@@ -231,14 +231,16 @@ def test_criterion_09_property_suites():
             fails.append(f"translation case {it}")
             break
 
-    # Weyl sum antisymmetry: a simple reflection flips the sign only
+    # Weyl sum antisymmetry: a simple reflection flips the sign only, and
+    # a weight on a wall never reduces to a regular one
     rng = random.Random(14)
     for it in range(cases):
         mu = tuple(Fraction(rng.randrange(-4, 5)) for _ in range(2))
         nu = c2.reflect(rng.randrange(2), mu)
         dom, sgn, _ = c2.dominant_offset(mu, mu)
         dom2, sgn2, _ = c2.dominant_offset(nu, nu)
-        if dom != dom2 or (all(dom) and sgn2 != -sgn):
+        if dom != dom2 or (all(dom) and sgn2 != -sgn) \
+                or (0 in mu and all(dom)):
             fails.append(f"antisymmetry case {it}")
             break
 
@@ -277,5 +279,21 @@ def test_criterion_09_property_suites():
     _line(9, not fails, 60, t0,
           f"six property suites, {cases} seeded cases each: ring laws, "
           "truncation, translation action, antisymmetry, orbit vanishing, "
-          "coefficient flip")
+          "coefficient flip" + "".join(f"; failed: {f}" for f in fails))
+
+
+def test_criterion_09_fails_on_a_wrong_reflection(monkeypatch):
+    # s_i with the sign of the Cartan column flipped, in the reflections
+    # and so in the reduction to the dominant chamber, which still ends;
+    # the antisymmetry suite must name the wrong group
+    def wrong(self, i, v):
+        w = list(v)
+        x, w[i] = w[i], -w[i]
+        for j, c in self._nbrs[i]:
+            w[j] += c * x
+        return tuple(w)
+
+    monkeypatch.setattr(RootSystem, "reflect", wrong)
+    with pytest.raises(AssertionError, match="failed: antisymmetry case"):
+        test_criterion_09_property_suites()
 

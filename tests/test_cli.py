@@ -185,25 +185,6 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
-def test_properties_fail_on_a_wrong_reflection(capsys, monkeypatch):
-    # s_i with the sign of the Cartan column flipped, in the reflections
-    # and so in the reduction to the dominant chamber, which still ends;
-    # the Weyl-alternation suite must name the wrong group
-    def wrong(self, i, v):
-        w = list(v)
-        x, w[i] = w[i], -w[i]
-        for j, c in self._nbrs[i]:
-            w[j] += c * x
-        return tuple(w)
-
-    monkeypatch.setattr(RootSystem, "reflect", wrong)
-    code, out, _ = run(capsys, ["verify", "properties", "--format", "pretty"])
-    assert code == 1 and out.startswith("FAIL")
-    assert any(text in out for text in (
-        "reflection changed the orbit", "sign not alternating",
-        "singular weight marked regular"))
-
-
 def test_verify_names_a_term_only_the_sum_side_has(capsys, monkeypatch):
     extra = (0, 0, 2, 2)
     real = superden.spo_sum
@@ -304,9 +285,6 @@ def test_verify_refuses_an_option_no_named_check_reads(capsys, option):
     ("sl2-closed", ["--n", "5"]),
     ("sl2-closed", ["--smax", "3"]),
     ("sl2-closed", ["--omega", "1,1"]),
-    ("properties", ["--order", "2"]),
-    ("sl2-closed", ["--cases", "2"]),
-    ("sl2-closed", ["--seed", "3"]),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_verify_refuses_every_option_its_checks_do_not_read(
         capsys, check, option):
@@ -318,7 +296,7 @@ def test_verify_refuses_every_option_its_checks_do_not_read(
 
 
 def test_verify_refusal_names_the_readers_in_table_order(capsys):
-    code, _, err = run(capsys, ["verify", "properties", "--s", "1"])
+    code, _, err = run(capsys, ["verify", "superdenominator-sl", "--s", "1"])
     assert code == 2
     assert err == ("error: --s is read by none of the named checks; it is "
                    "read by tower-fock, flip-symmetry, sl2-closed, "
@@ -360,7 +338,6 @@ REFUSALS = [
      "needs order >= s+2 = 4 to see the first deviation"),
     *[(c, ["--rank", "0"], "rank must be >= 1")
       for c in ("deligne-positivity", "qdim-two-path")],
-    ("properties", ["--cases", "0"], "needs cases >= 1"),
 ]
 
 
@@ -606,11 +583,6 @@ def test_precondition_messages(capsys):
     ])
     assert (code, out) == (2, "")
     assert err == "error: weight is not dominant integral: (-3, 0)\n"
-    for cases in ("0", "-1"):
-        code, out, err = run(capsys, [
-            "verify", "properties", "--cases", cases,
-        ])
-        assert code == 2 and out == "" and "needs cases >= 1" in err
 
 
 def test_wide_window_weight_cannot_be_normalized(capsys):
@@ -704,10 +676,34 @@ def test_removed_options_are_unrecognized(capsys, argv, removed):
     assert f"unrecognized arguments: {' '.join(removed)}" in err
 
 
+@pytest.mark.parametrize("argv,err_line", [
+    (["verify", "sl2-closed", "--seed", "3"],
+     "unrecognized arguments: --seed 3"),
+    (["verify", "sl2-closed", "--cases", "2"],
+     "unrecognized arguments: --cases 2"),
+    (["verify", "properties"], "error: unknown check properties; known: "),
+], ids=("seed", "cases", "properties"))
+def test_the_property_check_and_its_options_are_gone(capsys, argv, err_line):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err_line in err
+
+
+def test_verify_help_lists_every_check(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per argument
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--help"])
+    assert e.value.code == 0
+    line = next(t for t in capsys.readouterr().out.splitlines()
+                if "known: " in t)
+    assert line.split("known: ")[1].split(", ") == list(cli.CHECKS)
+    assert len(cli.CHECKS) == 14
+
+
 def test_kept_options_still_parse(capsys):
-    code, out, _ = run(capsys, ["verify", "properties", "--seed", "3",
-                                "--cases", "2"])
-    assert code == 0 and '"identity": "properties seed=3 cases=2"' in out
     code, out, _ = run(capsys, ["verify", "deligne-positivity", "--order",
                                 "0"])
     assert code == 0 and '"ok": true' in out

@@ -167,7 +167,6 @@ VERIFY_ALL = [
     ("window-negation n=4 omega=[(0, 0)]", 4, 2),
     ("deligne-positivity D4 (-1, 0, 0, 0, 0)", 2, 195),
     ("qdim-two-path D4", 2, 3),
-    ("properties seed=0 cases=200", 0, 200),
 ]
 
 

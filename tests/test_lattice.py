@@ -23,6 +23,7 @@ from oracles import (
     point_q_dimension_sum,
     root_lattice_basis,
     root_to_fund,
+    translate,
 )
 
 from affinechar import formulas as fm
@@ -49,7 +50,6 @@ from affinechar.series import (
     phi_power_qpoly,
     qpoly_invert,
     qpoly_mul,
-    translate,
     weight_from_coeffs,
 )
 from affinechar.superden import sl_sum, spo_sum
