@@ -156,7 +156,7 @@ def _result(identity: str, order: int, terms: int, mismatch) -> dict:
 
 def _cone_result(identity: str, order: int, prod, summ) -> dict:
     """Product side against sum side of a superdenominator, term by term."""
-    d = first_diff(dict(prod.sorted_items()), dict(summ.sorted_items()))
+    d = first_diff(prod.terms, summ.terms)
     return _result(identity, order, prod.n_terms(),
                    _mismatch(d, "product", "sum"))
 
@@ -221,7 +221,7 @@ def _check_tower_assembly(args):
     """
     n, order, smax = args.n, args.order, args.smax
     prod = superden.sl_product(n, order)
-    want = {exps: c for exps, c in prod.sorted_items()
+    want = {exps: c for exps, c in prod.terms.items()
             if abs(exps[0] - exps[-1]) <= smax}
     rs = root_system("A", n - 1)
     got: dict[tuple[int, ...], int] = {}

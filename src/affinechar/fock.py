@@ -18,7 +18,6 @@ from .series import (
     CharSlices,
     OffsetPacking,
     phi_power_qpoly,
-    qpoly_invert,
     qpoly_mul,
     weight_from_coeffs,
 )
@@ -284,9 +283,8 @@ def oscillator_split(qmax: int):
     The family is C[H(-k), k >= 1] with the flip negating every H(-k); the
     graded trace of the flip is phi(q)/phi(q^2).
     """
-    phi1 = phi_power_qpoly(1, qmax)
-    inv1 = qpoly_invert(phi1, qmax)
-    ratio = qpoly_mul(phi1, qpoly_invert(phi_power_qpoly(1, qmax, 2), qmax),
+    inv1 = phi_power_qpoly(-1, qmax)
+    ratio = qpoly_mul(phi_power_qpoly(1, qmax), phi_power_qpoly(-1, qmax, 2),
                       qmax)
     plus: dict[int, int] = {}
     minus: dict[int, int] = {}

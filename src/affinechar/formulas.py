@@ -25,12 +25,9 @@ from .series import (
     AffineWeight,
     CharSlices,
     SliceError,
-    _denominator_packing,
-    _factor_product,
     character_from_numerator,
-    phi_power_qpoly,
-    qpoly_invert,
-    qpoly_mul,
+    factor_product,
+    phi_power_qpoly,  # unused here; bench/tests calls fm.phi_power_qpoly
     weight_from_coeffs,
 )
 
@@ -83,24 +80,18 @@ def sl2_closed_numerator(rs: RootSystem, lam, qmax: int) -> CharSlices:
 # -- the C-family split forms -------------------------------------------
 
 
-def _long_root_odd_slices(rs: RootSystem, qmax: int):
-    """{m: {off: c}} for prod over long roots a and odd k of (1-e^a q^k)^{-1}."""
-    pk = _denominator_packing(rs, qmax)  # slice m sums at most m roots
-    keys = [pk.pack(a.root_coords) for a in rs.positive_roots if a.norm == 2]
-    slices = _factor_product(qmax, (
-        (k, x, True) for key in keys for x in (key, -key)
-        for k in range(1, qmax + 1, 2)))
-    return {m: pk.unpack_dict(b) for m, b in enumerate(slices) if b}
-
-
 def sp_twist_product_character(rs: RootSystem, qmax: int) -> CharSlices:
     """The closed product side of the twisted denominator identity,
-    relative to the level -1 vacuum weight."""
+    relative to the level -1 vacuum weight: the product over odd k of
+    (1 - q^k)^{-1}, which is phi(q^2)/phi(q), and of (1 - e^{+-a} q^k)^{-1}
+    for each long root a."""
     lam = weight_from_coeffs(rs, (-1,) + (0,) * rs.rank)
-    ratio = qpoly_mul(phi_power_qpoly(1, qmax, 2),
-                      qpoly_invert(phi_power_qpoly(1, qmax), qmax), qmax)
-    base = CharSlices(rs, lam, qmax, _long_root_odd_slices(rs, qmax))
-    return base.mul_qpoly(ratio)
+    offs = [(0,) * rs.rank] + [x for a in rs.positive_roots if a.norm == 2
+                               for x in (a.root_coords,
+                                         tuple(-c for c in a.root_coords))]
+    return CharSlices(rs, lam, qmax, factor_product(
+        rs.rank, qmax, ((k, x, True) for x in offs
+                        for k in range(1, qmax + 1, 2))))
 
 
 def sp_split_characters(n: int, qmax: int):

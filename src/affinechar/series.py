@@ -1,4 +1,4 @@
-"""Exact integer series: the superdenominator cone accumulator and CharSlices.
+"""Exact integer series: the superdenominator cone series and CharSlices.
 
 ExpSeries is a height-truncated Z-linear combination of formal exponentials
 
@@ -6,15 +6,14 @@ ExpSeries is a height-truncated Z-linear combination of formal exponentials
 
 where the m_i are the simple monomial directions of a frame (for an affine
 root system: alpha_0 = delta - theta and the finite simple roots).  It only
-stores terms and lists them; cone_product fills it.  Terms are stored by
-cone height sum(k_i) and are exact up to the stated order; nothing above
-the order is kept.  Keys are packed into single integers by the same
-OffsetPacking as the q-sliced series below.
+holds terms and lists them; cone_product and the superdenominator sums
+fill it.  Terms are exact up to the stated cone height sum(k_i); nothing
+above it is kept.
 
 CharSlices is the one q-sliced type for numerators and characters.
 
-Every product of factors (1 - e^key q^j) or their inverses is one
-_factor_product call; every product of two series adds through
+Every product of factors (1 - e^o q^j) or their inverses is one
+factor_product call; every product of two series adds through
 _convolve_into.
 """
 
@@ -47,29 +46,22 @@ def weight_from_coeffs(rs: RootSystem, coeffs) -> AffineWeight:
 
 
 class ExpSeries:
-    """Height-truncated series on a cone frame with nvars directions."""
+    """Terms {(k_0, ..., k_{nvars-1}): coeff} of a series on a cone frame
+    with nvars directions, exact up to cone height order.  Zero terms and
+    terms above the order are dropped on construction."""
 
-    __slots__ = ("nvars", "order", "by_height", "pk")
+    __slots__ = ("nvars", "order", "terms")
 
-    def __init__(self, nvars: int, order: int):
+    def __init__(self, nvars: int, order: int, terms: dict):
         self.nvars = nvars
         self.order = order
-        self.by_height: list[dict[int, int]] = [dict() for _ in range(order + 1)]
-        self.pk = OffsetPacking(nvars, order)  # cone exponents lie in 0..order
-
-    def add_term(self, exps, coeff: int) -> None:
-        # one term is added as its product with the unit
-        h = sum(exps)
-        if h <= self.order:
-            _convolve_into(self.by_height[h], {self.pk.pack(exps): coeff},
-                           {0: 1})
+        self.terms = {k: c for k, c in terms.items() if c and sum(k) <= order}
 
     def n_terms(self) -> int:
-        return sum(len(b) for b in self.by_height)
+        return len(self.terms)
 
     def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted((self.pk.unpack(k), c)
-                      for b in self.by_height for k, c in b.items())
+        return sorted(self.terms.items())
 
 
 def _root_string(e, marks, height: int):
@@ -88,7 +80,6 @@ def cone_product(marks, imaginary: int, even, odd, height: int) -> ExpSeries:
     for every x on those of odd; delta has the cone exponents marks.  Exact
     up to cone height `height`.  Every x must be a nonzero vector with no
     negative exponent, or ValueError."""
-    s = ExpSeries(len(marks), height)
     deltas = [tuple(k * m for m in marks)
               for k in range(1, height // sum(marks) + 1)
               for _ in range(imaginary)]
@@ -101,9 +92,10 @@ def cone_product(marks, imaginary: int, even, odd, height: int) -> ExpSeries:
             raise ValueError(f"negative exponent in {x}")
         if not sum(x):
             raise ValueError("factor must raise the height")
-        factors.append((sum(x), s.pk.pack(x), inverse))
-    s.by_height = _factor_product(height, factors)
-    return s
+        factors.append((sum(x), x, inverse))
+    slices = factor_product(len(marks), height, factors)
+    return ExpSeries(len(marks), height,
+                     {x: c for b in slices.values() for x, c in b.items()})
 
 
 # -- q-sliced characters -----------------------------------------------------
@@ -279,11 +271,12 @@ class CharSlices:
 
 def phi_power_qpoly(exponent: int, qmax: int,
                     step: int = 1) -> dict[int, int]:
-    """Coefficients of prod_{k>=1} (1 - q^{step k})^exponent up to q^qmax."""
-    slices = _factor_product(qmax, ((k, 0, False)
-                                    for k in range(step, qmax + 1, step)
-                                    for _ in range(exponent)))
-    return {m: b[0] for m, b in enumerate(slices) if b}
+    """Coefficients of prod_{k>=1} (1 - q^{step k})^exponent up to q^qmax;
+    a negative exponent takes the inverse factors."""
+    slices = factor_product(0, qmax, ((k, (), exponent < 0)
+                                      for k in range(step, qmax + 1, step)
+                                      for _ in range(abs(exponent))))
+    return {m: b[()] for m, b in slices.items()}
 
 
 def qpoly_mul(a: dict[int, int], b: dict[int, int],
@@ -292,22 +285,6 @@ def qpoly_mul(a: dict[int, int], b: dict[int, int],
     out: dict[int, int] = {}
     _convolve_into(out, a, b)
     return {m: c for m, c in out.items() if m <= qmax}
-
-
-def qpoly_invert(a: dict[int, int], qmax: int) -> dict[int, int]:
-    """Invert a q-series with constant term +-1, truncated at qmax."""
-    a0 = a.get(0, 0)
-    if a0 not in (1, -1):
-        raise SliceError("constant term must be a unit")
-    out = {0: a0}
-    for m in range(1, qmax + 1):
-        acc = 0
-        for j, c in a.items():
-            if 0 < j <= m:
-                acc += c * out.get(m - j, 0)
-        if acc:
-            out[m] = -a0 * acc
-    return out
 
 
 class OffsetPacking:
@@ -372,14 +349,28 @@ def _mul_geometric(slices: list[dict[int, int]], qmax: int, j: int,
                 del tgt[no]
 
 
-def _factor_product(qmax: int, factors) -> list[dict[int, int]]:
-    """Packed slices 1 + 0 q + ... + 0 q^qmax multiplied in place by each
-    factor (j, key, inverse) in turn: by (1 - e^{key} q^j), or by its
-    inverse (j >= 1) when inverse is set."""
+def factor_product(nvars: int, qmax: int, factors
+                   ) -> dict[int, dict[tuple[int, ...], int]]:
+    """Nonzero q-slices, up to q^qmax, of the product of (1 - e^o q^j) over
+    the factors (j, o, inverse), o a tuple of nvars ints, taking the inverse
+    (j >= 1) where inverse is set.
+
+    A term of slice m sums at most one o of each j = 0 factor and multiples
+    t o of j >= 1 factors whose t j add up to at most m, so no coordinate
+    exceeds the sum of max|o| over j = 0 plus the most of qmax max|o| // j
+    over j >= 1.
+    Offsets are packed to that width, multiplied in place one factor at a
+    time, and unpacked once.
+    """
+    factors = list(factors)
+    tops = [(j, max(map(abs, o), default=0)) for j, o, _ in factors]
+    pk = OffsetPacking(nvars, sum(t for j, t in tops if j == 0)
+                       + max((qmax * t // j for j, t in tops if j), default=0))
     slices: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(qmax)]
-    for j, key, inverse in factors:
-        (_mul_geometric if inverse else _mul_two_term)(slices, qmax, j, key)
-    return slices
+    for j, o, inverse in factors:
+        (_mul_geometric if inverse else _mul_two_term)(slices, qmax, j,
+                                                       pk.pack(o))
+    return {m: pk.unpack_dict(b) for m, b in enumerate(slices) if b}
 
 
 def _convolve_into(tgt: dict[int, int], left: dict[int, int],
@@ -394,31 +385,25 @@ def _convolve_into(tgt: dict[int, int], left: dict[int, int],
                 tgt.pop(k1 + k2, None)
 
 
-def _denominator_packing(rs: RootSystem, qmax: int) -> OffsetPacking:
-    # a term of D_m sums distinct positive roots and at most m +-roots more
-    return OffsetPacking(rs.rank, sum(max(a.root_coords) for a in rs.positive_roots)
-                         + qmax * max(rs.theta.root_coords))
-
-
 def denominator_slices(rs: RootSystem, qmax: int, finite: bool = True
                        ) -> dict[int, dict[tuple[int, ...], int]]:
     """q-slices of e^{-rho-hat} R-hat; offsets in root coordinates.
 
-    Each factor (1 - e^{off} q^j) is multiplied into packed slices in place,
-    the q^{j>=1} factors first and the finite ones last; finite=False skips
-    those and gives the W-invariant quotient R-hat / R, whose slice 0 is 1.
-    The finite factors alone make |W| terms in slice 0, so finite=True
-    refuses a Weyl group over the size limit before any factor.
+    One factor_product call, the q^{j>=1} factors (1 - e^{off} q^j) first
+    and the finite ones last; finite=False skips those and gives the
+    W-invariant quotient R-hat / R, whose slice 0 is 1.  The finite factors
+    alone make |W| terms in slice 0, so finite=True refuses a Weyl group
+    over the size limit before any factor.
     """
     if finite:
         rs.check_weyl_order()
-    pk = _denominator_packing(rs, qmax)
-    keys = [pk.pack(a.root_coords) for a in rs.positive_roots]
-    per_k = [x for key in keys for x in (-key, key)] + [0] * rs.rank
+    roots = [a.root_coords for a in rs.positive_roots]
+    neg = [tuple(-x for x in a) for a in roots]
+    per_k = [x for pair in zip(neg, roots) for x in pair]
+    per_k += [(0,) * rs.rank] * rs.rank
     factors = [(k, x, False) for k in range(1, qmax + 1) for x in per_k]
-    factors += [(0, -key, False) for key in keys if finite]
-    slices = _factor_product(qmax, factors)
-    return {m: pk.unpack_dict(b) for m, b in enumerate(slices) if b}
+    factors += [(0, x, False) for x in neg if finite]
+    return factor_product(rs.rank, qmax, factors)
 
 
 def laurent_divide(num: dict[int, int], roots: list[tuple[int, ...]],

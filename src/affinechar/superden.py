@@ -104,12 +104,10 @@ def _branch_sum(rs, lamb, shift, kvec_fn, height: int):
 
 
 def _to_cone_series(terms: dict, nvars: int, height: int) -> ExpSeries:
-    s = ExpSeries(nvars, height)
     for ks, c in terms.items():
         if c and any(k < 0 for k in ks):
             raise AssertionError(f"uncancelled term outside the cone: {ks}")
-        s.add_term(ks, c)
-    return s
+    return ExpSeries(nvars, height, terms)
 
 
 def sl_sum(n: int, height: int) -> ExpSeries:

@@ -26,9 +26,11 @@ product forms, against the library's state enumeration; next to it are the
 per-state enumeration and helpers the library ran before it worked per mode
 multiset, and the state-count table by doubled energy it filled before it
 counted by excess.  Last come the products the library ran before one
-factor-product kernel served them all: the slice product on tuple keys,
-before packed ints; the cone product through methods of ExpSeries; and
-phi(q)^exponent as repeated q-series products.
+factor_product served them all: the slice product on tuple keys, before
+packed ints; the cone product through its own packed store, one method
+call per factor; factor_product itself on tuple keys; phi(q)^exponent as
+repeated q-series products; and the q-series inverse that phi(q)^{-1}
+took before phi_power_qpoly read negative exponents.
 Ahead of them all stand two helpers of the Fraction paths: `_scaled`, the
 common denominator the library took of every weight before weights were
 ints, and `root_lattice_basis`, the simple roots the type A sums took.
@@ -49,6 +51,7 @@ from affinechar.series import (
     AffineWeight,
     CharSlices,
     ExpSeries,
+    OffsetPacking,
     SliceError,
     _mul_geometric,
     _mul_two_term,
@@ -675,20 +678,19 @@ def tuple_mul_slices(ch, other: dict) -> dict[int, dict[tuple[int, ...], int]]:
     return {m: b for m, b in out.items() if b}
 
 
-# -- the cone product through ExpSeries methods --------------------------------
+# -- the cone product through its own packed store ----------------------------
 
 
-class MethodExpSeries(ExpSeries):
-    """ExpSeries with the factor methods it carried before cone_product built
-    its factor list: each factor checked and multiplied in by its own call."""
+class MethodExpSeries:
+    """The cone series store before cone_product built its factor list:
+    terms packed by one OffsetPacking for exponents in 0..order and kept by
+    cone height, each factor checked and multiplied in by its own call."""
 
-    __slots__ = ()
-
-    @staticmethod
-    def one(nvars: int, order: int) -> "MethodExpSeries":
-        s = MethodExpSeries(nvars, order)
-        s.by_height[0][0] = 1
-        return s
+    def __init__(self, nvars: int, order: int):
+        self.nvars = nvars
+        self.order = order
+        self.pk = OffsetPacking(nvars, order)
+        self.by_height = [{0: 1}] + [{} for _ in range(order)]
 
     def _factor(self, exps) -> tuple[int, int]:
         if min(exps) < 0:
@@ -706,11 +708,15 @@ class MethodExpSeries(ExpSeries):
         """Multiply in place by (1 - e-monomial(exps))^{-1}."""
         _mul_geometric(self.by_height, self.order, *self._factor(exps))
 
+    def series(self) -> ExpSeries:
+        return ExpSeries(self.nvars, self.order, {
+            self.pk.unpack(k): c for b in self.by_height for k, c in b.items()})
+
 
 def method_cone_product(marks, imaginary: int, even, odd,
-                        height: int) -> MethodExpSeries:
+                        height: int) -> ExpSeries:
     """series.cone_product, one method call per factor."""
-    s = MethodExpSeries.one(len(marks), height)
+    s = MethodExpSeries(len(marks), height)
     for k in range(1, height // sum(marks) + 1):
         for _ in range(imaginary):
             s.mul_one_minus(tuple(k * m for m in marks))
@@ -720,7 +726,52 @@ def method_cone_product(marks, imaginary: int, even, odd,
     for e in odd:
         for x in _root_string(e, marks, height):
             s.mul_geometric(x)
-    return s
+    return s.series()
+
+
+def tuple_factor_product(nvars: int, qmax: int, factors):
+    """series.factor_product on tuple keys: each factor (j, o, inverse) is
+    expanded as the series 1 - e^o q^j, or sum_t e^{t o} q^{t j} where
+    inverse is set (j >= 1), and multiplied in by a full product of
+    slices."""
+    out = {0: {(0,) * nvars: 1}}
+    for j, o, inverse in factors:
+        if inverse:
+            fac = {t * j: {tuple(t * x for x in o): 1}
+                   for t in range(qmax // j + 1)}
+        else:
+            fac = {0: {(0,) * nvars: 1}}
+            fac.setdefault(j, {})
+            fac[j][o] = fac[j].get(o, 0) - 1
+        prod: dict[int, dict[tuple[int, ...], int]] = {}
+        for m1, b1 in out.items():
+            for m2, b2 in fac.items():
+                if m1 + m2 > qmax:
+                    continue
+                tgt = prod.setdefault(m1 + m2, {})
+                for o1, c1 in b1.items():
+                    for o2, c2 in b2.items():
+                        t = tuple(x + y for x, y in zip(o1, o2))
+                        tgt[t] = tgt.get(t, 0) + c1 * c2
+        out = {m: {x: c for x, c in b.items() if c} for m, b in prod.items()}
+    return {m: b for m, b in out.items() if b}
+
+
+def qpoly_invert(a: dict[int, int], qmax: int) -> dict[int, int]:
+    """Invert a q-series with constant term +-1, truncated at qmax: the
+    library's inverse before phi_power_qpoly took negative exponents."""
+    a0 = a.get(0, 0)
+    if a0 not in (1, -1):
+        raise SliceError("constant term must be a unit")
+    out = {0: a0}
+    for m in range(1, qmax + 1):
+        acc = 0
+        for j, c in a.items():
+            if 0 < j <= m:
+                acc += c * out.get(m - j, 0)
+        if acc:
+            out[m] = -a0 * acc
+    return out
 
 
 def qpoly_mul_phi_power(exponent: int, qmax: int) -> dict[int, int]:

@@ -191,7 +191,7 @@ def test_verify_names_a_term_only_the_sum_side_has(capsys, monkeypatch):
 
     def spo_sum_plus_one(npr, height):
         s = real(npr, height)
-        s.add_term(extra, 1)
+        s.terms[extra] = s.terms.get(extra, 0) + 1
         return s
 
     monkeypatch.setattr(superden, "spo_sum", spo_sum_plus_one)
@@ -222,7 +222,8 @@ def _second_call_negated(real):
 def _top_term_plus_one(real):
     def plus_one(n, height):
         series = real(n, height)
-        series.add_term((0,) * (n + 1), 1)
+        top = (0,) * (n + 1)
+        series.terms[top] = series.terms.get(top, 0) + 1
         return series
 
     return plus_one

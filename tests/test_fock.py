@@ -12,6 +12,7 @@ from oracles import (
     mirror_pair_slices,
     mirror_state,
     oscillator_split_brute,
+    qpoly_invert,
     state_energy2,
     state_weight,
 )
@@ -29,7 +30,7 @@ from affinechar.fock import (
     split_to_char,
 )
 from affinechar.rootdata import root_system
-from affinechar.series import phi_power_qpoly, qpoly_invert, qpoly_mul
+from affinechar.series import phi_power_qpoly, qpoly_mul
 
 
 # -- enumeration vs the two product expansions ----------------------------------

@@ -12,13 +12,13 @@ from oracles import (
     fraction_deligne_witnesses,
     fraction_orth_coords,
     is_weyl_invariant,
+    qpoly_invert,
     qpoly_mul_phi_power,
 )
 
 from affinechar import cli
 from affinechar.formulas import (
     FORMULAS,
-    _long_root_odd_slices,
     _orth_coords,
     check_deligne_conditions,
     deligne_enumerate,
@@ -30,15 +30,16 @@ from affinechar.formulas import (
     q_dimension_sum,
     screened_coefficient,
     sp_c_character,
+    sp_twist_product_character,
     sp_split_characters,
 )
 from affinechar.lattice import alt_weyl_raw
 from affinechar.rootdata import coroot_lattice_basis, root_system
 from affinechar.series import (
+    CharSlices,
     SliceError,
     character_from_numerator,
     denominator_slices,
-    qpoly_invert,
     qpoly_mul,
     weight_from_coeffs,
 )
@@ -168,7 +169,8 @@ def test_twisted_denominator():
 
 
 def tuple_long_root_odd_slices(rs, qmax):
-    # the tuple-keyed loop the packed kernel replaced, kept as its oracle
+    # the tuple-keyed loop the packed kernel replaced, kept as its oracle:
+    # prod over long roots a and odd k of (1 - e^a q^k)^{-1}
     slices = {0: {(0,) * rs.rank: 1}}
     longs = []
     for a in rs.positive_roots:
@@ -196,12 +198,18 @@ def tuple_long_root_odd_slices(rs, qmax):
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
-def test_long_root_odd_slices_match_tuple_loop(rank):
+def test_twist_product_matches_tuple_loop_times_phi_ratio(rank):
+    # the construction the single factor product replaced: the long-root
+    # slices times phi(q^2) / phi(q)
     rs = root_system("C", rank)
+    lam = weight_from_coeffs(rs, (-1,) + (0,) * rank)
     for qmax in range(7):
         want = tuple_long_root_odd_slices(rs, qmax)
-        assert _long_root_odd_slices(rs, qmax) == want
         assert sorted(want) == list(range(qmax + 1))
+        ratio = qpoly_mul(phi_power_qpoly(1, qmax, 2),
+                          qpoly_invert(phi_power_qpoly(1, qmax), qmax), qmax)
+        want = CharSlices(rs, lam, qmax, want).mul_qpoly(ratio)
+        assert sp_twist_product_character(rs, qmax) == want, qmax
 
 
 def test_parity_bracket_identity():

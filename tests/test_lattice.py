@@ -21,6 +21,7 @@ from oracles import (
     matrix_weyl_group,
     point_alt_weyl_raw,
     point_q_dimension_sum,
+    qpoly_invert,
     root_lattice_basis,
     root_to_fund,
     translate,
@@ -48,7 +49,6 @@ from affinechar.series import (
     character_from_numerator,
     denominator_slices,
     phi_power_qpoly,
-    qpoly_invert,
     qpoly_mul,
     weight_from_coeffs,
 )

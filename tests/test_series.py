@@ -12,8 +12,10 @@ from oracles import (
     matrix_is_weyl_invariant,
     matrix_weyl_group,
     method_cone_product,
+    qpoly_invert,
     root_to_fund,
     slices_from_json_dict,
+    tuple_factor_product,
     tuple_mul_slices,
     weyl_denominator,
 )
@@ -24,15 +26,16 @@ from affinechar.rootdata import root_system
 from affinechar.series import (
     AffineWeight,
     CharSlices,
+    ExpSeries,
     OffsetPacking,
     SliceError,
     character_from_numerator,
     cone_product,
     denominator_slices,
+    factor_product,
     first_diff,
     laurent_divide,
     phi_power_qpoly,
-    qpoly_invert,
     qpoly_mul,
     weight_from_coeffs,
 )
@@ -109,6 +112,29 @@ def test_qpoly_invert_roundtrip():
 def test_qpoly_invert_needs_unit():
     with pytest.raises(SliceError):
         qpoly_invert({0: 2, 1: 1}, 4)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("exponent", [1, 2, 5, 28])
+def test_negative_phi_power_is_the_inverse(exponent, step):
+    for qmax in range(10):
+        assert (phi_power_qpoly(-exponent, qmax, step)
+                == qpoly_invert(phi_power_qpoly(exponent, qmax, step), qmax))
+
+
+def test_factor_product_matches_tuple_loop():
+    # seeded random factor lists; offsets up to 300 need the qmax max|o| // j
+    # part of the width, and the offsets of j = 0 factors the other part
+    rng = random.Random(28)
+    for _ in range(400):
+        nvars, qmax = rng.randrange(5), rng.randrange(6)
+        factors = []
+        for _ in range(rng.randrange(7)):
+            j = rng.randrange(4)
+            o = tuple(rng.randint(-300, 300) for _ in range(nvars))
+            factors.append((j, o, j >= 1 and rng.random() < 0.5))
+        assert (factor_product(nvars, qmax, factors)
+                == tuple_factor_product(nvars, qmax, factors)), factors
 
 
 def test_qpoly_mul_skips_explicit_zero_coefficients():
@@ -241,11 +267,11 @@ def test_exponents_past_eight_bits_round_trip():
     s = cone_product(wide, 0, [(0, 200, 0)], [(0, 200, 0), (100, 0, 200)],
                      300)
     assert s.sorted_items() == [((0, 0, 0), 1), ((100, 0, 200), 1)]
-    s.add_term((0, 300, 0), 7)
+    s = ExpSeries(3, 300, {**s.terms, (0, 300, 0): 7})
     assert s.sorted_items()[1] == ((0, 300, 0), 7)
     assert s.n_terms() == 3
-    s.add_term((0, 300, 0), -7)
-    s.add_term((0, 301, 0), 5)  # above the order: dropped
+    # a zero term, and one above the order: both dropped
+    s = ExpSeries(3, 300, {**s.terms, (0, 300, 0): 0, (0, 301, 0): 5})
     assert s.sorted_items() == [((0, 0, 0), 1), ((100, 0, 200), 1)]
 
 
