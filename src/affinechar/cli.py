@@ -20,7 +20,8 @@ nothing named reads is refused.  A Weyl group over WEYL_LIMIT is
 refused by its order, before any work, and nothing overrides that.  FLOORS,
 the one floor table of verify, holds every option a named check reads,
 given or defaulted, before any check runs; a check body keeps only its own
-rules, such as even n on the type C checks.
+rules, such as even n on the type C checks.  Every two-sided check reports
+through _compare, and builds first the side that holds the Weyl gate.
 """
 
 from __future__ import annotations
@@ -57,14 +58,6 @@ def _need(cond: bool, msg: str) -> None:
         raise UsageError(msg)
 
 
-def _algebra(args):
-    fam = args.type.upper()
-    try:
-        return root_system(fam, args.rank)
-    except ValueError as e:
-        raise UsageError(str(e))
-
-
 def _numerator(f: str, args) -> CharSlices:
     """The numerator of formula f at --type, --rank, --order and --s or
     --weight, refused unless these meet the rules of its row in
@@ -76,7 +69,7 @@ def _numerator(f: str, args) -> CharSlices:
     here = (args.type.upper(), args.rank)[:len(lives_on)]
     _need(here == lives_on, f"{f} lives on type "
           + " rank ".join(map(str, lives_on)))
-    rs = _algebra(args)
+    rs = root_system(args.type.upper(), args.rank)
     _need(rs.rank >= least_rank, f"{f} needs rank >= {least_rank}")
     if least_s is not None:
         _need(s is None or co is None, "give --s or --weight, not both")
@@ -154,24 +147,35 @@ def _result(identity: str, order: int, terms: int, mismatch) -> dict:
             "ok": mismatch is None, "mismatch": mismatch}
 
 
-def _cone_result(identity: str, order: int, prod, summ) -> dict:
-    """Product side against sum side of a superdenominator, term by term."""
-    d = first_diff(prod.terms, summ.terms)
-    return _result(identity, order, prod.n_terms(),
-                   _mismatch(d, "product", "sum"))
+def _compare(identity: str, order: int, *sides, what: str = "exps") -> dict:
+    """The report of a two-sided check: each side is (left name, left, right
+    name, right), CharSlices or term dicts; the first side that differs
+    gives the mismatch, and terms counts the nonzero terms of every left."""
+    terms, mismatch = 0, None
+    for left_name, left, right_name, right in sides:
+        if isinstance(left, CharSlices):
+            d, n = left.first_diff(right), len(left)
+        else:
+            d, n = first_diff(left, right), sum(map(bool, left.values()))
+        terms += n
+        mismatch = mismatch or _mismatch(d, left_name, right_name, what)
+    return _result(identity, order, terms, mismatch)
 
 
 def _check_superdenominator_sl(args):
-    return _cone_result(f"superdenominator-sl n={args.n}", args.order,
-                        superden.sl_product(args.n, args.order),
-                        superden.sl_sum(args.n, args.order))
+    n, order = args.n, args.order
+    summ = superden.sl_sum(n, order)  # its Weyl gate refuses first
+    return _compare(f"superdenominator-sl n={n}", order,
+                    ("product", superden.sl_product(n, order).terms,
+                     "sum", summ.terms))
 
 
 def _check_superdenominator_sp(args):
     n, order = _even_n(args), args.order
-    return _cone_result(f"superdenominator-sp n={n}", order,
-                        superden.spo_product(n // 2, order),
-                        superden.spo_sum(n // 2, order))
+    summ = superden.spo_sum(n // 2, order)  # its Weyl gate refuses first
+    return _compare(f"superdenominator-sp n={n}", order,
+                    ("product", superden.spo_product(n // 2, order).terms,
+                     "sum", summ.terms))
 
 
 def _check_tower_fock(args):
@@ -180,8 +184,8 @@ def _check_tower_fock(args):
     rs.check_weyl_order()  # both limits refuse before any lattice point
     oracle = fock.charge_sector_character(rs, s, order)
     ch = character_from_numerator(fm.numerator("sl-first", rs, order, s))
-    return _result(f"tower-fock n={n} s={s}", order, len(ch),
-                   _mismatch(ch.first_diff(oracle), "lattice", "free-field"))
+    return _compare(f"tower-fock n={n} s={s}", order,
+                    ("lattice", ch, "free-field", oracle))
 
 
 def _check_flip_symmetry(args):
@@ -189,9 +193,8 @@ def _check_flip_symmetry(args):
     rs = root_system("A", n - 1)
     first = fm.numerator("sl-first", rs, order, s)
     last = fm.numerator("sl-last", rs, order, s)
-    d = first.first_diff(fm.diagram_flip(last))
-    return _result(f"flip-symmetry n={n} s={s}", order, len(first),
-                   _mismatch(d, "first", "flipped last"))
+    return _compare(f"flip-symmetry n={n} s={s}", order,
+                    ("first", first, "flipped last", fm.diagram_flip(last)))
 
 
 def _check_sl2_closed(args):
@@ -220,9 +223,6 @@ def _check_tower_assembly(args):
     that charge band.
     """
     n, order, smax = args.n, args.order, args.smax
-    prod = superden.sl_product(n, order)
-    want = {exps: c for exps, c in prod.terms.items()
-            if abs(exps[0] - exps[-1]) <= smax}
     rs = root_system("A", n - 1)
     got: dict[tuple[int, ...], int] = {}
     for s in range(-smax, smax + 1):
@@ -236,9 +236,11 @@ def _check_tower_assembly(args):
                         f"charge term outside the cone: {key}")
                 if sum(key) <= order:
                     got[key] = got.get(key, 0) + c
-    got = {key: c for key, c in got.items() if c}
-    return _result(f"tower-assembly n={n} |s|<={smax}", order, prod.n_terms(),
-                   _mismatch(first_diff(got, want), "tower", "product"))
+    # the members pass the Weyl gate of alt_weyl_raw before the product
+    want = {exps: c for exps, c in superden.sl_product(n, order).terms.items()
+            if abs(exps[0] - exps[-1]) <= smax}
+    return _compare(f"tower-assembly n={n} |s|<={smax}", order,
+                    ("tower", got, "product", want))
 
 
 def _check_sector_restriction(args):
@@ -250,8 +252,8 @@ def _check_sector_restriction(args):
     den = denominator_slices(rs, order)  # its Weyl gate refuses first
     lhs = fock.charge_sector_character(rs, s, order).mul_slices(den)
     rhs = fm.numerator("sp-a", rs, order, s)
-    return _result(f"sector-restriction n={n} s={s}", order, 0,
-                   _mismatch(lhs.first_diff(rhs), "product", "sum"))
+    return _compare(f"sector-restriction n={n} s={s}", order,
+                    ("product", lhs, "sum", rhs))
 
 
 def _check_flip_decomposition(args):
@@ -265,11 +267,11 @@ def _check_flip_decomposition(args):
     f0m = fock.split_to_char(rs, minus, order)
     vp, vm = fock.oscillator_split(order)
     chb, chc = fm.sp_split_characters(n, order)
-    d_plus = (chb.mul_qpoly(vp) + chc.mul_qpoly(vm)).first_diff(f0p)
-    d_minus = (chb.mul_qpoly(vm) + chc.mul_qpoly(vp)).first_diff(f0m)
-    mism = (_mismatch(d_plus, "split (+1)", "free-field (+1)")
-            or _mismatch(d_minus, "split (-1)", "free-field (-1)"))
-    return _result(f"flip-decomposition n={n}", order, 0, mism)
+    return _compare(f"flip-decomposition n={n}", order,
+                    ("split (+1)", chb.mul_qpoly(vp) + chc.mul_qpoly(vm),
+                     "free-field (+1)", f0p),
+                    ("split (-1)", chb.mul_qpoly(vm) + chc.mul_qpoly(vp),
+                     "free-field (-1)", f0m))
 
 
 def _check_twisted_denominator(args):
@@ -280,8 +282,8 @@ def _check_twisted_denominator(args):
     den = denominator_slices(rs, order)  # its Weyl gate refuses first
     lhs = fm.sp_twist_product_character(rs, order).mul_slices(den)
     rhs = fm.parity_bracket(n // 2, lambda j: sum(j) % 2 == 0, order)
-    return _result(f"twisted-denominator n={n}", order, 0,
-                   _mismatch(lhs.first_diff(rhs), "product", "sum"))
+    return _compare(f"twisted-denominator n={n}", order,
+                    ("product", lhs, "sum", rhs))
 
 
 def _check_parity_vs_split(args):
@@ -291,11 +293,11 @@ def _check_parity_vs_split(args):
     chc = fm.sp_c_character(shifted)
     num_a = fm.numerator("sp-parity-a", chb.rs, order)
     num_b = fm.numerator("sp-parity-b", chb.rs, chc.qmax)
-    d_a = character_from_numerator(num_a).first_diff(chb)
-    d_b = character_from_numerator(num_b).first_diff(chc)
-    mism = (_mismatch(d_a, "vacuum parity sum", "split")
-            or _mismatch(d_b, "shifted parity sum", "split"))
-    return _result(f"parity-vs-split n={n}", order, len(num_a), mism)
+    return _compare(f"parity-vs-split n={n}", order,
+                    ("vacuum parity sum", character_from_numerator(num_a),
+                     "split", chb),
+                    ("shifted parity sum", character_from_numerator(num_b),
+                     "split", chc))
 
 
 def _check_parity_bracket(args):
@@ -305,9 +307,8 @@ def _check_parity_bracket(args):
         n // 2, lambda j: j[0] >= 0 and sum(j) % 2 == 1, order)
     even = fm.parity_bracket(
         n // 2, lambda j: j[0] < 0 and sum(j) % 2 == 0, order)
-    return _result(f"parity-bracket n={n}", order, 0,
-                   _mismatch(odd.first_diff(-even), "odd bracket",
-                             "negated even bracket"))
+    return _compare(f"parity-bracket n={n}", order,
+                    ("odd bracket", odd, "negated even bracket", -even))
 
 
 def _parse_omega(text: str, npr: int):
@@ -333,10 +334,8 @@ def _check_window_negation(args):
     mirror = {(-j[0] - 1, *j[1:]) for j in omega}
     a = fm.parity_bracket(n // 2, lambda j: j in window, order)
     b = fm.parity_bracket(n // 2, lambda j: j in mirror, order)
-    return _result(f"window-negation n={n} omega={omega}", order,
-                   2 * len(omega),
-                   _mismatch(a.first_diff(-b), "window",
-                             "negated mirror window"))
+    return _compare(f"window-negation n={n} omega={omega}", order,
+                    ("window", a, "negated mirror window", -b))
 
 
 def _check_deligne_positivity(args):
@@ -364,10 +363,9 @@ def _check_qdim_two_path(args):
     dim_g = rs.rank + 2 * len(rs.positive_roots)
     via_char = qpoly_mul(phi_power_qpoly(dim_g, order),
                          dict(enumerate(ch.q_series())), order)
-    want = {m: v for m, v in enumerate(direct) if v}
-    return _result(f"qdim-two-path {rs.family}{rs.rank}", order, order + 1,
-                   _mismatch(first_diff(via_char, want), "specialization",
-                             "direct sum", what="q-power"))
+    return _compare(f"qdim-two-path {rs.family}{rs.rank}", order,
+                    ("specialization", via_char, "direct sum",
+                     dict(enumerate(direct))), what="q-power")
 
 
 # the options of the two checks on a screened weight, the D4 vacuum by default
@@ -495,7 +493,7 @@ def cmd_verify(args) -> int:
 def cmd_list_deligne(args) -> int:
     fam = args.type.upper()
     _need(fam in ("D", "E"), "the screening list covers types D and E")
-    rs = _algebra(args)
+    rs = root_system(fam, args.rank)
     _need(args.level < 0, "level must be a negative integer")
     window = args.window if args.window is not None else -args.level
     _need(window >= 0, "window must be >= 0")

@@ -245,6 +245,9 @@ ONE_SIDE_WRONG = [
      "exps (1, -5, -4): odd bracket 1, negated even bracket -1"),
     ("window-negation", fm, "parity_bracket", _second_call_negated,
      "exps (0, -4, -3): window 1, negated mirror window -1"),
+    # only the second of its two pairs is wrong
+    ("parity-vs-split", fm, "sp_c_character", _negated,
+     "exps (0, -2, -2): shifted parity sum 1, split -1"),
 ]
 
 
@@ -928,6 +931,23 @@ def test_denominator_checks_refuse_a_large_weyl_group_before_either_side(
     assert (code, out) == (2, "")
     assert err == ("error: Weyl group of C8 has 10321920 elements, more "
                    "than 1000000\n")
+
+
+@pytest.mark.parametrize("argv,group", [
+    ("verify superdenominator-sl --n 10 --order 12", "A9 has 3628800"),
+    ("verify superdenominator-sp --n 16 --order 12", "C8 has 10321920"),
+    ("verify tower-assembly --n 10 --order 12", "A9 has 3628800"),
+])
+def test_cone_checks_refuse_a_large_weyl_group_before_the_product(
+        capsys, monkeypatch, argv, group):
+    def built(*args):
+        raise AssertionError("a side was built")
+
+    monkeypatch.setattr(superden, "sl_product", built)
+    monkeypatch.setattr(superden, "spo_product", built)
+    code, out, err = run(capsys, argv.split())
+    assert (code, out) == (2, "")
+    assert err == f"error: Weyl group of {group} elements, more than 1000000\n"
 
 
 def test_non_integral_dimension_is_one_error_line_with_exit_two(

@@ -151,22 +151,23 @@ def test_list_deligne_exceptional_golden(capsys, rank, sha):
     assert _sha(capsys, argv) == sha
 
 
-# (identity, order, terms) of every check of `verify all` at its defaults
+# (identity, order, terms) of every check of `verify all` at its defaults;
+# terms counts the nonzero terms of the left side of every compared pair
 VERIFY_ALL = [
     ("superdenominator-sl n=3", 12, 133),
     ("superdenominator-sp n=4", 8, 62),
     ("tower-fock n=3 s=0", 4, 125),
     ("flip-symmetry n=3 s=1", 4, 18),
     ("sl2-closed s=0 (agree to q^1, deviate at q^2)", 3, 4),
-    ("tower-assembly n=3 |s|<=2", 6, 44),
-    ("sector-restriction n=4 s=1", 3, 0),
-    ("flip-decomposition n=4", 3, 0),
-    ("twisted-denominator n=4", 5, 0),
-    ("parity-vs-split n=4", 4, 8),
-    ("parity-bracket n=4", 4, 0),
-    ("window-negation n=4 omega=[(0, 0)]", 4, 2),
+    ("tower-assembly n=3 |s|<=2", 6, 28),
+    ("sector-restriction n=4 s=1", 3, 16),
+    ("flip-decomposition n=4", 3, 155),
+    ("twisted-denominator n=4", 5, 40),
+    ("parity-vs-split n=4", 4, 313),
+    ("parity-bracket n=4", 4, 24),
+    ("window-negation n=4 omega=[(0, 0)]", 4, 8),
     ("deligne-positivity D4 (-1, 0, 0, 0, 0)", 2, 195),
-    ("qdim-two-path D4", 2, 3),
+    ("qdim-two-path D4", 2, 1),
 ]
 
 
