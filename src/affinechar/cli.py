@@ -20,8 +20,10 @@ nothing named reads is refused.  A Weyl group over WEYL_LIMIT is
 refused by its order, before any work, and nothing overrides that.  FLOORS,
 the one floor table of verify, holds every option a named check reads,
 given or defaulted, before any check runs; a check body keeps only its own
-rules, such as even n on the type C checks.  Every two-sided check reports
-through _compare, and builds first the side that holds the Weyl gate.
+rules, such as the even n that _type_c holds for the type C checks.  Each
+check builds one root system and hands it to both sides; every two-sided
+check reports through _compare, and builds first the side that holds the
+Weyl gate.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from . import fock
 from . import formulas as fm
 from . import superden
 from .rootdata import (
+    RootSystem,
     WeylSizeError,
     coroot_lattice_basis,
     root_system,
@@ -125,10 +128,10 @@ def _series_doc(ch: CharSlices) -> dict:
 # -- verify checks --------------------------------------------------------
 
 
-def _even_n(args) -> int:
-    """n of a type C check; past the floor n >= 3, even n means n >= 4."""
+def _type_c(args) -> RootSystem:
+    """C_{n/2} of a type C check; past the floor n >= 3, n must be even."""
     _need(args.n % 2 == 0, "needs even n >= 4")
-    return args.n
+    return root_system("C", args.n // 2)
 
 
 def _mismatch(diff, left: str, right: str, what: str = "exps") -> str | None:
@@ -164,17 +167,18 @@ def _compare(identity: str, order: int, *sides, what: str = "exps") -> dict:
 
 def _check_superdenominator_sl(args):
     n, order = args.n, args.order
-    summ = superden.sl_sum(n, order)  # its Weyl gate refuses first
+    rs = root_system("A", n - 1)
+    summ = superden.sl_sum(rs, order)  # its Weyl gate refuses first
     return _compare(f"superdenominator-sl n={n}", order,
-                    ("product", superden.sl_product(n, order).terms,
+                    ("product", superden.sl_product(rs, order).terms,
                      "sum", summ.terms))
 
 
 def _check_superdenominator_sp(args):
-    n, order = _even_n(args), args.order
-    summ = superden.spo_sum(n // 2, order)  # its Weyl gate refuses first
-    return _compare(f"superdenominator-sp n={n}", order,
-                    ("product", superden.spo_product(n // 2, order).terms,
+    rs, order = _type_c(args), args.order
+    summ = superden.spo_sum(rs, order)  # its Weyl gate refuses first
+    return _compare(f"superdenominator-sp n={args.n}", order,
+                    ("product", superden.spo_product(rs, order).terms,
                      "sum", summ.terms))
 
 
@@ -237,7 +241,7 @@ def _check_tower_assembly(args):
                 if sum(key) <= order:
                     got[key] = got.get(key, 0) + c
     # the members pass the Weyl gate of alt_weyl_raw before the product
-    want = {exps: c for exps, c in superden.sl_product(n, order).terms.items()
+    want = {exps: c for exps, c in superden.sl_product(rs, order).terms.items()
             if abs(exps[0] - exps[-1]) <= smax}
     return _compare(f"tower-assembly n={n} |s|<={smax}", order,
                     ("tower", got, "product", want))
@@ -246,13 +250,12 @@ def _check_tower_assembly(args):
 def _check_sector_restriction(args):
     """The folded free-field sector times the denominator against the
     half-lattice numerator of sp-a."""
-    n, s, order = _even_n(args), args.s, args.order
+    rs, s, order = _type_c(args), args.s, args.order
     _need(s >= 1, "sector restriction needs s >= 1")
-    rs = root_system("C", n // 2)
     den = denominator_slices(rs, order)  # its Weyl gate refuses first
     lhs = fock.charge_sector_character(rs, s, order).mul_slices(den)
     rhs = fm.numerator("sp-a", rs, order, s)
-    return _compare(f"sector-restriction n={n} s={s}", order,
+    return _compare(f"sector-restriction n={args.n} s={s}", order,
                     ("product", lhs, "sum", rhs))
 
 
@@ -260,14 +263,11 @@ def _check_flip_decomposition(args):
     """The two flip eigenspaces of the charge-zero sector against the
     two-summand combinations of the split characters and the rank-one
     oscillator halves, one eigenvalue at a time."""
-    n, order = _even_n(args), args.order
-    rs = root_system("C", n // 2)
-    plus, minus = fock.charge_zero_split(n, 2 * order)
-    f0p = fock.split_to_char(rs, plus, order)
-    f0m = fock.split_to_char(rs, minus, order)
+    rs, order = _type_c(args), args.order
+    f0p, f0m = fock.charge_zero_split(rs, order)
     vp, vm = fock.oscillator_split(order)
-    chb, chc = fm.sp_split_characters(n, order)
-    return _compare(f"flip-decomposition n={n}", order,
+    chb, chc = fm.sp_split_characters(rs, order)
+    return _compare(f"flip-decomposition n={args.n}", order,
                     ("split (+1)", chb.mul_qpoly(vp) + chc.mul_qpoly(vm),
                      "free-field (+1)", f0p),
                     ("split (-1)", chb.mul_qpoly(vm) + chc.mul_qpoly(vp),
@@ -277,23 +277,22 @@ def _check_flip_decomposition(args):
 def _check_twisted_denominator(args):
     """The twist product times the denominator against the even-parity
     lattice sum at the vacuum weight."""
-    n, order = _even_n(args), args.order
-    rs = root_system("C", n // 2)
+    rs, order = _type_c(args), args.order
     den = denominator_slices(rs, order)  # its Weyl gate refuses first
     lhs = fm.sp_twist_product_character(rs, order).mul_slices(den)
-    rhs = fm.parity_bracket(n // 2, lambda j: sum(j) % 2 == 0, order)
-    return _compare(f"twisted-denominator n={n}", order,
+    rhs = fm.parity_bracket(rs, lambda j: sum(j) % 2 == 0, order)
+    return _compare(f"twisted-denominator n={args.n}", order,
                     ("product", lhs, "sum", rhs))
 
 
 def _check_parity_vs_split(args):
-    n, order = _even_n(args), args.order
+    rs, order = _type_c(args), args.order
     _need(order >= 1, "needs order >= 1 for the shifted member")
-    chb, shifted = fm.sp_split_characters(n, order)
+    chb, shifted = fm.sp_split_characters(rs, order)
     chc = fm.sp_c_character(shifted)
-    num_a = fm.numerator("sp-parity-a", chb.rs, order)
-    num_b = fm.numerator("sp-parity-b", chb.rs, chc.qmax)
-    return _compare(f"parity-vs-split n={n}", order,
+    num_a = fm.numerator("sp-parity-a", rs, order)
+    num_b = fm.numerator("sp-parity-b", rs, chc.qmax)
+    return _compare(f"parity-vs-split n={args.n}", order,
                     ("vacuum parity sum", character_from_numerator(num_a),
                      "split", chb),
                     ("shifted parity sum", character_from_numerator(num_b),
@@ -302,12 +301,12 @@ def _check_parity_vs_split(args):
 
 def _check_parity_bracket(args):
     """[j1 >= 0, sum odd] against -[j1 < 0, sum even]."""
-    n, order = _even_n(args), args.order
+    rs, order = _type_c(args), args.order
     odd = fm.parity_bracket(
-        n // 2, lambda j: j[0] >= 0 and sum(j) % 2 == 1, order)
+        rs, lambda j: j[0] >= 0 and sum(j) % 2 == 1, order)
     even = fm.parity_bracket(
-        n // 2, lambda j: j[0] < 0 and sum(j) % 2 == 0, order)
-    return _compare(f"parity-bracket n={n}", order,
+        rs, lambda j: j[0] < 0 and sum(j) % 2 == 0, order)
+    return _compare(f"parity-bracket n={args.n}", order,
                     ("odd bracket", odd, "negated even bracket", -even))
 
 
@@ -328,13 +327,13 @@ def _parse_omega(text: str, npr: int):
 
 def _check_window_negation(args):
     """Finite window sums: [Omega] against -[Omega'], j1 -> -j1-1."""
-    n, order = _even_n(args), args.order
-    omega = _parse_omega(args.omega, n // 2)
+    rs, order = _type_c(args), args.order
+    omega = _parse_omega(args.omega, rs.rank)
     window = set(omega)
     mirror = {(-j[0] - 1, *j[1:]) for j in omega}
-    a = fm.parity_bracket(n // 2, lambda j: j in window, order)
-    b = fm.parity_bracket(n // 2, lambda j: j in mirror, order)
-    return _compare(f"window-negation n={n} omega={omega}", order,
+    a = fm.parity_bracket(rs, lambda j: j in window, order)
+    b = fm.parity_bracket(rs, lambda j: j in mirror, order)
+    return _compare(f"window-negation n={args.n} omega={omega}", order,
                     ("window", a, "negated mirror window", -b))
 
 

@@ -153,21 +153,22 @@ def sp_root_coords(v) -> tuple[int, ...]:
     return tuple(out)
 
 
-def charge_zero_split(n: int, e2max: int):
-    """Split the charge-zero sector by the flip eigenvalue.
+def charge_zero_split(rs: RootSystem, qmax: int):
+    """Split the charge-zero sector of n = 2r colours by the flip
+    eigenvalue, through q^qmax, with rs = C_r the flip-fixed subalgebra.
 
-    Returns (plus, minus), each {e2: {folded weight: dim}}.  The flip sends
-    phi(i, -k) to (-1)^i phistar(n+1-i, -k) and phistar(j, -l) to
-    (-1)^(n+1-j) phi(n+1-j, -l); modes commute, so a state (cre, ann) with
-    m modes each goes to (flip ann, flip cre) with sign (-1)^(colour sum +
-    m (n+1)).  Each multiset's image, folded weight and colour sum are
-    computed once; the checks below run on every state.  The flip fixes
-    every (e2, folded weight) group; fixed basis states always carry sign
-    +1, so each group splits as ((dim + fixed)/2, (dim - fixed)/2).
+    Returns (plus, minus), the two eigenspaces as CharSlices at the level -1
+    vacuum of rs.  The flip sends phi(i, -k) to (-1)^i phistar(n+1-i, -k)
+    and phistar(j, -l) to (-1)^(n+1-j) phi(n+1-j, -l); modes commute, so a
+    state (cre, ann) with m modes each goes to (flip ann, flip cre) with
+    sign (-1)^(colour sum + m (n+1)).  Each multiset's image, folded weight
+    and colour sum are computed once; the checks below run on every state.
+    The flip fixes every (e2, folded weight) group; fixed basis states
+    always carry sign +1, so each group splits as ((dim + fixed)/2,
+    (dim - fixed)/2).
     """
-    if n % 2:
-        raise ValueError("needs an even number of colours")
-    pk = OffsetPacking(n // 2, e2max)
+    n, e2max = 2 * rs.rank, 2 * qmax
+    pk = OffsetPacking(rs.rank, e2max)
 
     def facts(ms: Modes) -> tuple[int, int]:
         return pk.pack(fold_weight(n, ms.counts)), sum(c for c, _ in ms)
@@ -201,30 +202,20 @@ def charge_zero_split(n: int, e2max: int):
     plus: dict[int, dict[tuple[int, ...], int]] = {}
     minus: dict[int, dict[tuple[int, ...], int]] = {}
     for e2, b in full.items():
+        if e2 % 2:
+            raise AssertionError("charge zero has integer energies")
         for v, d in b.items():
             fx = fixed.get(e2, {}).get(v, 0)
             if (d + fx) % 2:
                 raise AssertionError("group dimension and trace disagree")
             p, q = (d + fx) // 2, (d - fx) // 2
+            off = sp_root_coords(pk.unpack(v))
             if p:
-                plus.setdefault(e2, {})[pk.unpack(v)] = p
+                plus.setdefault(e2 // 2, {})[off] = p
             if q:
-                minus.setdefault(e2, {})[pk.unpack(v)] = q
-    return plus, minus
-
-
-def split_to_char(rs_sp: RootSystem, part: dict, qmax: int) -> CharSlices:
-    """Reindex {e2: {folded weight: dim}} as slices over the C root system."""
-    base = weight_from_coeffs(rs_sp, [-1] + [0] * rs_sp.rank)
-    slices: dict[int, dict[tuple[int, ...], int]] = {}
-    for e2, b in part.items():
-        if e2 % 2:
-            raise AssertionError("charge zero has integer energies")
-        m = e2 // 2
-        if m > qmax:
-            continue
-        slices[m] = {sp_root_coords(v): d for v, d in b.items()}
-    return CharSlices(rs_sp, base, qmax, slices)
+                minus.setdefault(e2 // 2, {})[off] = q
+    base = weight_from_coeffs(rs, [-1] + [0] * rs.rank)
+    return CharSlices(rs, base, qmax, plus), CharSlices(rs, base, qmax, minus)
 
 
 def charge_sector_character(rs: RootSystem, s: int, qmax: int) -> CharSlices:

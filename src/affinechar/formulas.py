@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import mul
 
 from .lattice import alt_weyl_raw, dominant_numerator
-from .rootdata import RootSystem, root_system
+from .rootdata import RootSystem
 from .series import (
     AffineWeight,
     CharSlices,
@@ -85,7 +85,7 @@ def sp_twist_product_character(rs: RootSystem, qmax: int) -> CharSlices:
     relative to the level -1 vacuum weight: the product over odd k of
     (1 - q^k)^{-1}, which is phi(q^2)/phi(q), and of (1 - e^{+-a} q^k)^{-1}
     for each long root a."""
-    lam = weight_from_coeffs(rs, (-1,) + (0,) * rs.rank)
+    lam = weight_from_coeffs(rs, _vacuum(rs.rank, None))
     offs = [(0,) * rs.rank] + [x for a in rs.positive_roots if a.norm == 2
                                for x in (a.root_coords,
                                          tuple(-c for c in a.root_coords))]
@@ -94,14 +94,12 @@ def sp_twist_product_character(rs: RootSystem, qmax: int) -> CharSlices:
                         for k in range(1, qmax + 1, 2))))
 
 
-def sp_split_characters(n: int, qmax: int):
-    """From one lattice-sum character ca at the level -1 vacuum and one twist
-    product m: (ca + m)/2, the vacuum character, and (ca - m)/2, the partner
-    character times q, still written relative to the vacuum weight.  ca is
-    the sp-a sum at s = 0, the s that sp-a leaves to these forms."""
-    if n < 4 or n % 2:
-        raise ValueError("needs even n >= 4")
-    rs = root_system("C", n // 2)
+def sp_split_characters(rs: RootSystem, qmax: int):
+    """From one lattice-sum character ca at the level -1 vacuum of the type
+    C rs and one twist product m: (ca + m)/2, the vacuum character, and
+    (ca - m)/2, the partner character times q, still written relative to the
+    vacuum weight.  ca is the sp-a sum at s = 0, the s that sp-a leaves to
+    these forms."""
     ca = character_from_numerator(numerator("sp-a", rs, qmax, s=0))
     m = sp_twist_product_character(rs, qmax)
     return (ca + m).halve(), (ca - m).halve()
@@ -111,31 +109,19 @@ def sp_c_character(shifted: CharSlices) -> CharSlices:
     """Character of the level -1 module with top on the second node, from
     the second split form: one q-power down, based at its own top."""
     rs = shifted.rs
-    lam2 = weight_from_coeffs(rs, (-2, 0, 1) + (0,) * (rs.rank - 2))
-    off2 = tuple(int(c) for c in rs.fund_to_root(
-        (0, 1) + (0,) * (rs.rank - 2)))
+    lam2 = weight_from_coeffs(rs, _second(rs.rank, None))
+    off2 = tuple(int(c) for c in rs.fund_to_root(lam2.finite))
     return shifted.rebase(lam2, 1, off2)
 
 
 # -- parity-restricted half sums -----------------------------------------
 
 
-def _parity_cut(k: int):
-    """Keep gamma when j_k >= 0 and its j-coordinates sum to an even
-    number: the translations of sp-parity-a (k = 0) and sp-parity-b."""
-    def keep(x):
-        j = _orth_coords(x)
-        return j[k] >= 0 and sum(j) % 2 == 0
-    return keep
-
-
-def parity_bracket(npr: int, keep_j, qmax: int) -> CharSlices:
-    """Alternating sum over translations with a condition on j-coordinates,
-    taken at the level -1 vacuum of C_npr."""
-    rs = root_system("C", npr)
-    lam = weight_from_coeffs(rs, (-1,) + (0,) * npr)
-    return alt_weyl_raw(rs, lam, qmax,
-                        lambda gf, x: int(keep_j(_orth_coords(x))))
+def parity_bracket(rs: RootSystem, keep_j, qmax: int) -> CharSlices:
+    """Alternating sum over translations whose j-coordinates pass keep_j,
+    taken at the level -1 vacuum of the type C rs."""
+    lam = weight_from_coeffs(rs, _vacuum(rs.rank, None))
+    return _cut(lambda x: keep_j(_orth_coords(x)))(rs, lam, qmax)
 
 
 # -- linear-coefficient numerators ---------------------------------------
@@ -266,8 +252,12 @@ def _cut(keep):
         rs, lam, qmax, lambda gf, x: int(keep(x)))
 
 
-_SP_VACUUM = (("C",), 2, None, _vacuum, _cut(_parity_cut(0)))
-_SP_SECOND = (("C",), 2, None, _second, _cut(_parity_cut(1)))
+# the translations of sp-parity-a and sp-parity-b: j_1 >= 0, or j_2 >= 0,
+# and an even sum of the j-coordinates
+_SP_VACUUM = (("C",), 2, None, _vacuum, _cut(
+    lambda x: (j := _orth_coords(x))[0] >= 0 and sum(j) % 2 == 0))
+_SP_SECOND = (("C",), 2, None, _second, _cut(
+    lambda x: (j := _orth_coords(x))[1] >= 0 and sum(j) % 2 == 0))
 
 # formula -> (the (type, rank) it lives on, cut to what is fixed; the least
 # rank; the least s, None where it does not read s; the node coefficients of

@@ -1,10 +1,11 @@
 """Cone expansions of affine super Weyl denominators, two frames.
 
-sl frame: n+1 cone directions (x0 for the affinizing root, x1..xn for the
-finite simple roots, xn odd); every direction has delta-mark 1.
+sl frame, on rs = A_{n-1}: n+1 cone directions (x0 for the affinizing root,
+x1..xn for the finite simple roots, xn odd); every direction has
+delta-mark 1.
 
-spo frame: n'+2 directions (x0; xodd; x1..xn' for the C simple roots); the
-delta-marks are (1, 1, 2, ..., 2, 1).
+spo frame, on rs = C_{n'}: n'+2 directions (x0; xodd; x1..xn' for the C
+simple roots); the delta-marks are (1, 1, 2, ..., 2, 1).
 
 Each frame gets the denominator two ways, normalized by e^{-rho'}: a product
 over explicit factor families, and an alternating Weyl-plus-translation sum
@@ -19,26 +20,22 @@ from __future__ import annotations
 from operator import mul
 
 from .lattice import lattice_points_below
-from .rootdata import coroot_lattice_basis, root_system
+from .rootdata import RootSystem, coroot_lattice_basis
 from .series import ExpSeries, cone_product
 
 
-def sl_product(n: int, height: int) -> ExpSeries:
+def sl_product(rs: RootSystem, height: int) -> ExpSeries:
     """Product form for the sl frame, truncated by cone height."""
-    if n < 3:
-        raise ValueError("needs n >= 3")
-    rs = root_system("A", n - 1)
+    n = rs.rank + 1
     even = [(0,) + a.root_coords + (0,) for a in rs.positive_roots]
     odd = [(0,) * j + (1,) * (n + 1 - j) for j in range(1, n + 1)]
     return cone_product((1,) * (n + 1), n, even, odd, height)
 
 
-def spo_product(npr: int, height: int) -> ExpSeries:
+def spo_product(rs: RootSystem, height: int) -> ExpSeries:
     """Product form for the spo frame, truncated by cone height."""
-    if npr < 2:
-        raise ValueError("needs n' >= 2")
+    npr = rs.rank
     marks = (1, 1) + (2,) * (npr - 1) + (1,)
-    rs = root_system("C", npr)
     even = [(0, 0) + a.root_coords for a in rs.positive_roots]
     odd = [(0, 1) + (1,) * i + (0,) * (npr - i) for i in range(npr + 1)]
     odd += [(0, 1) + (1,) * (i - 1) + (2,) * (npr - i) + (1,)
@@ -110,11 +107,9 @@ def _to_cone_series(terms: dict, nvars: int, height: int) -> ExpSeries:
     return ExpSeries(nvars, height, terms)
 
 
-def sl_sum(n: int, height: int) -> ExpSeries:
+def sl_sum(rs: RootSystem, height: int) -> ExpSeries:
     """Alternating sum form for the sl frame."""
-    if n < 3:
-        raise ValueError("needs n >= 3")
-    rs = root_system("A", n - 1)
+    n = rs.rank + 1
     lamb = tuple(int(i == n - 2) for i in range(n - 1))
 
     def kvec(D, p, cro):
@@ -124,11 +119,9 @@ def sl_sum(n: int, height: int) -> ExpSeries:
     return _to_cone_series(terms, n + 1, height)
 
 
-def spo_sum(npr: int, height: int) -> ExpSeries:
+def spo_sum(rs: RootSystem, height: int) -> ExpSeries:
     """Alternating sum form for the spo frame."""
-    if npr < 2:
-        raise ValueError("needs n' >= 2")
-    rs = root_system("C", npr)
+    npr = rs.rank
     lamb = tuple(int(i == 0) for i in range(npr))
 
     def kvec(D, p, cro):

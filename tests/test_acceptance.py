@@ -60,8 +60,9 @@ def test_criterion_01_superdenominator_product_vs_sum():
     bad = []
     for n, height in ((3, 20), (4, 25)):
         tn = time.monotonic()
-        if (superden.sl_product(n, height).sorted_items()
-                != superden.sl_sum(n, height).sorted_items()):
+        rs = root_system("A", n - 1)
+        if (superden.sl_product(rs, height).sorted_items()
+                != superden.sl_sum(rs, height).sorted_items()):
             bad.append(n)
         assert time.monotonic() - tn < 30
     _line(1, not bad, 60, t0,
@@ -131,12 +132,12 @@ def test_criterion_07_parity_rewriting():
     t0 = time.monotonic()
     rs = root_system("C", 2)
     numa = fm.numerator("sp-parity-a", rs, 4)
-    lhs = fm.sp_split_characters(4, 4)[0].mul_slices(
+    lhs = fm.sp_split_characters(rs, 4)[0].mul_slices(
         denominator_slices(rs, 4))
     oka = numa.first_diff(lhs) is None
     # the rebased partner lives one q-slice up; compute there, compare below
     numb = fm.numerator("sp-parity-b", rs, 5)
-    chc = fm.sp_c_character(fm.sp_split_characters(4, 5)[1])
+    chc = fm.sp_c_character(fm.sp_split_characters(rs, 5)[1])
     rhs = chc.mul_slices(denominator_slices(rs, 5))
     okb = numb.restrict(4).first_diff(rhs.restrict(4)) is None
     okbr = check("parity-bracket", n=4, order=4)["mismatch"] is None

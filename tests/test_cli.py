@@ -189,13 +189,14 @@ def test_verify_names_a_term_only_the_sum_side_has(capsys, monkeypatch):
     extra = (0, 0, 2, 2)
     real = superden.spo_sum
 
-    def spo_sum_plus_one(npr, height):
-        s = real(npr, height)
+    def spo_sum_plus_one(rs, height):
+        s = real(rs, height)
         s.terms[extra] = s.terms.get(extra, 0) + 1
         return s
 
     monkeypatch.setattr(superden, "spo_sum", spo_sum_plus_one)
-    assert extra not in dict(superden.spo_product(2, 4).sorted_items())
+    assert extra not in dict(
+        superden.spo_product(root_system("C", 2), 4).sorted_items())
     code, out, _ = run(capsys, [
         "verify", "superdenominator-sp", "--n", "4", "--order", "4",
     ])
@@ -220,9 +221,9 @@ def _second_call_negated(real):
 
 
 def _top_term_plus_one(real):
-    def plus_one(n, height):
-        series = real(n, height)
-        top = (0,) * (n + 1)
+    def plus_one(rs, height):
+        series = real(rs, height)
+        top = (0,) * (rs.rank + 2)
         series.terms[top] = series.terms.get(top, 0) + 1
         return series
 
@@ -831,6 +832,23 @@ def _count_calls(monkeypatch, name, modules):
 
         monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("check", list(cli.CHECKS))
+def test_each_check_builds_one_root_system(capsys, monkeypatch, check):
+    # the check builds the algebra of its colour count or weight once and
+    # hands it to both sides; no library function builds another
+    built = []
+    real = RootSystem.__init__
+
+    def counted(self, family, rank):
+        built.append(f"{family}{rank}")
+        real(self, family, rank)
+
+    monkeypatch.setattr(RootSystem, "__init__", counted)
+    code, _, err = run(capsys, ["verify", check])
+    assert (code, err) == (0, "")
+    assert len(built) == 1, built
 
 
 @pytest.mark.parametrize("argv,dens", [

@@ -27,7 +27,6 @@ from affinechar.fock import (
     fold_weight,
     oscillator_split,
     sp_root_coords,
-    split_to_char,
 )
 from affinechar.rootdata import root_system
 from affinechar.series import phi_power_qpoly, qpoly_mul
@@ -306,7 +305,7 @@ def test_corrupt_flip_is_caught(monkeypatch, capsys, corrupt, message):
     # the per-state checks guard the split against a wrong flip
     monkeypatch.setattr(fock, "_flip_modes", corrupt)
     with pytest.raises(AssertionError, match=message):
-        charge_zero_split(4, 6)
+        charge_zero_split(root_system("C", 2), 3)
     assert main(["verify", "flip-decomposition", "--n", "4",
                  "--order", "3"]) == 3
     out = capsys.readouterr()
@@ -329,48 +328,45 @@ def test_corrupt_energy_record_is_caught(monkeypatch, capsys):
     assert out.out == "" and out.err == "internal error: energy parity broke\n"
 
 
+def _c_slices(tbl):
+    """{e2: {folded weight: dim}} as C root-coordinate slices at m = e2/2."""
+    out: dict[int, dict[tuple[int, ...], int]] = {}
+    for e2, b in tbl.items():
+        assert e2 % 2 == 0
+        for v, c in b.items():
+            tgt = out.setdefault(e2 // 2, {})
+            key = sp_root_coords(v)
+            tgt[key] = tgt.get(key, 0) + c
+    return out
+
+
 def test_charge_zero_split_sums_to_the_sector():
-    n, e2max = 4, 6
-    plus, minus = charge_zero_split(n, e2max)
+    n, qmax = 4, 3
+    plus, minus = charge_zero_split(root_system("C", n // 2), qmax)
     full: dict[int, dict[tuple[int, ...], int]] = {}
-    for st in fock_states(n, 0, e2max):
+    for st in fock_states(n, 0, 2 * qmax):
         e2 = state_energy2(st)
         v = fold_weight(n, state_weight(n, st))
         b = full.setdefault(e2, {})
         b[v] = b.get(v, 0) + 1
-    recon: dict[int, dict[tuple[int, ...], int]] = {}
-    for part in (plus, minus):
-        for e2, b in part.items():
-            tgt = recon.setdefault(e2, {})
-            for v, c in b.items():
-                tgt[v] = tgt.get(v, 0) + c
-    assert recon == full
+    assert (plus + minus).slices == _c_slices(full)
 
 
 def test_split_difference_is_the_paired_product():
     # the graded trace of the flip has a two-mode-block product form
-    n, e2max = 4, 8
-    plus, minus = charge_zero_split(n, e2max)
-    diff: dict[int, dict[tuple[int, ...], int]] = {}
-    for e2 in set(plus) | set(minus):
-        b = {}
-        for v, c in plus.get(e2, {}).items():
-            b[v] = c
-        for v, c in minus.get(e2, {}).items():
-            b[v] = b.get(v, 0) - c
-        b = {v: c for v, c in b.items() if c}
-        if b:
-            diff[e2] = b
-    assert diff == mirror_pair_slices(n // 2, e2max)
+    n, qmax = 4, 4
+    plus, minus = charge_zero_split(root_system("C", n // 2), qmax)
+    assert (plus - minus).slices == _c_slices(
+        mirror_pair_slices(n // 2, 2 * qmax))
 
 
-def test_split_to_char_frame():
+def test_charge_zero_split_frame():
     rs = root_system("C", 2)
-    plus, _ = charge_zero_split(4, 6)
-    ch = split_to_char(rs, plus, 3)
-    assert ch.base.level == -1
-    assert ch.coeff(0, (0, 0)) == 1
-    assert ch.qmax == 3 and max(ch.slices) <= 3
+    plus, minus = charge_zero_split(rs, 3)
+    for ch in (plus, minus):
+        assert ch.rs is rs and ch.qmax == 3 and max(ch.slices) <= 3
+        assert ch.base.level == -1 and ch.base.finite == (0, 0)
+    assert plus.coeff(0, (0, 0)) == 1 and minus.slice_dim(0) == 0
 
 
 # -- one oscillator family under the sign flip ------------------------------------

@@ -473,8 +473,8 @@ def test_orbit_sums_share_the_integer_kernel(monkeypatch):
     alt_weyl_raw(rs, weight_from_coeffs(rs, (0, 0, 0)), 2)
     assert calls and set(calls) == {"A"}
     calls.clear()
-    sl_sum(3, 4)
-    spo_sum(2, 4)
+    sl_sum(rs, 4)
+    spo_sum(root_system("C", 2), 4)
     assert set(calls) == {"A", "C"}
 
 
@@ -614,15 +614,16 @@ def test_singular_points_and_cancelling_pairs_leave_nothing():
 def test_predicates_read_the_same_numerator(monkeypatch):
     # the half-lattice sums and both parity brackets, once through the
     # dominant numerator and once through the per-point loop
-    a3, a4, c3 = root_system("A", 3), root_system("A", 4), root_system("C", 3)
+    a3, a4 = root_system("A", 3), root_system("A", 4)
+    c2, c3 = root_system("C", 2), root_system("C", 3)
     builds = [
         lambda: fm.numerator("sl-first", a3, 3, 1),
         lambda: fm.numerator("sl-last", a4, 2, 2),
         lambda: fm.numerator("sp-a", c3, 3, 1),
         lambda: fm.parity_bracket(
-            2, lambda j: j[0] >= 0 and sum(j) % 2 == 1, 4),
+            c2, lambda j: j[0] >= 0 and sum(j) % 2 == 1, 4),
         lambda: fm.parity_bracket(
-            3, lambda j: j[0] < 0 and sum(j) % 2 == 0, 3),
+            c3, lambda j: j[0] < 0 and sum(j) % 2 == 0, 3),
         lambda: fm.numerator("sp-parity-b", c3, 3),
     ]
     new = [build() for build in builds]

@@ -4,14 +4,18 @@ import pytest
 from oracles import matrix_sl_terms, matrix_spo_terms, method_cone_product
 
 from affinechar import superden
-from affinechar.rootdata import WeylSizeError
+from affinechar.rootdata import WeylSizeError, root_system
 from affinechar.superden import sl_product, sl_sum, spo_product, spo_sum
+
+# the sl frame of n colours lives on A_{n-1}, the spo frame of n' on C_{n'}
+SL3, SL4 = root_system("A", 2), root_system("A", 3)
+SPO2, SPO3 = root_system("C", 2), root_system("C", 3)
 
 
 def test_sl_frame_lowest_terms_by_hand():
     # at height 1 only five factors reach: two finite one-minus factors and
     # two geometric odd factors besides the constant
-    s = sl_product(3, 1)
+    s = sl_product(SL3, 1)
     assert dict(s.sorted_items()) == {
         (0, 0, 0, 0): 1,
         (1, 0, 0, 0): 1,
@@ -24,7 +28,7 @@ def test_sl_frame_lowest_terms_by_hand():
 def test_spo_frame_nine_terms_by_hand():
     # (1-x2)(1-x3)(1-x2x3)(1-x0x1) / ((1-x0)(1-x1)(1-x0x2)(1-x1x2))
     # expanded through cone height 2
-    s = spo_product(2, 2)
+    s = spo_product(SPO2, 2)
     assert dict(s.sorted_items()) == {
         (0, 0, 0, 0): 1,
         (1, 0, 0, 0): 1,
@@ -40,16 +44,18 @@ def test_spo_frame_nine_terms_by_hand():
 
 @pytest.mark.parametrize("n,height", [(3, 12), (4, 10)])
 def test_sl_product_equals_sum(n, height):
-    p = sl_product(n, height)
-    s = sl_sum(n, height)
+    rs = root_system("A", n - 1)
+    p = sl_product(rs, height)
+    s = sl_sum(rs, height)
     assert p.sorted_items() == s.sorted_items()
     assert p.sorted_items()[0] == ((0,) * (n + 1), 1)
 
 
 @pytest.mark.parametrize("npr,height", [(2, 10), (3, 9)])
 def test_spo_product_equals_sum(npr, height):
-    p = spo_product(npr, height)
-    s = spo_sum(npr, height)
+    rs = root_system("C", npr)
+    p = spo_product(rs, height)
+    s = spo_sum(rs, height)
     assert p.sorted_items() == s.sorted_items()
     assert p.sorted_items()[0] == ((0,) * (npr + 2), 1)
 
@@ -60,27 +66,20 @@ def test_spo_product_equals_sum(npr, height):
 ])
 def test_cone_product_equals_the_method_path(monkeypatch, build, size,
                                              height):
-    got = build(size, height)
+    rs = (root_system("A", size - 1) if build is sl_product
+          else root_system("C", size))
+    got = build(rs, height)
     monkeypatch.setattr(superden, "cone_product", method_cone_product)
-    want = build(size, height)
+    want = build(rs, height)
     assert got.sorted_items() == want.sorted_items()
     assert got.n_terms() == want.n_terms()
 
 
 def test_frame_shapes():
-    assert sl_product(3, 2).nvars == 4
-    assert sl_sum(4, 2).nvars == 5
-    assert spo_product(2, 2).nvars == 4
-    assert spo_sum(3, 2).nvars == 5
-
-
-def test_small_rank_guards():
-    for fn in (sl_product, sl_sum):
-        with pytest.raises(ValueError):
-            fn(2, 4)
-    for fn in (spo_product, spo_sum):
-        with pytest.raises(ValueError):
-            fn(1, 4)
+    assert sl_product(SL3, 2).nvars == 4
+    assert sl_sum(SL4, 2).nvars == 5
+    assert spo_product(SPO2, 2).nvars == 4
+    assert spo_sum(SPO3, 2).nvars == 5
 
 
 # -- the dominant-chamber walk against the whole-orbit matrix path ------------
@@ -90,16 +89,18 @@ def test_small_rank_guards():
 def test_sl_sum_matches_the_matrix_path(n, top):
     # a sum truncated at height h is the top-height sum cut at h
     slow = matrix_sl_terms(n, top)
+    rs = root_system("A", n - 1)
     for h in range(top + 1):
-        assert dict(sl_sum(n, h).sorted_items()) == {
+        assert dict(sl_sum(rs, h).sorted_items()) == {
             k: c for k, c in slow.items() if sum(k) <= h}
 
 
 @pytest.mark.parametrize("npr", [2, 3, 4])
 def test_spo_sum_matches_the_matrix_path(npr):
     slow = matrix_spo_terms(npr, 10)
+    rs = root_system("C", npr)
     for h in range(11):
-        assert dict(spo_sum(npr, h).sorted_items()) == {
+        assert dict(spo_sum(rs, h).sorted_items()) == {
             k: c for k, c in slow.items() if sum(k) <= h}
 
 
@@ -109,5 +110,5 @@ def test_oversized_group_is_refused_before_any_lattice_point(monkeypatch):
 
     monkeypatch.setattr(superden, "lattice_points_below", no_points)
     with pytest.raises(WeylSizeError, match="3628800") as e:
-        sl_sum(10, 2)
+        sl_sum(root_system("A", 9), 2)
     assert "allow" not in str(e.value)
