@@ -16,14 +16,14 @@ compute and qdim read the rules of a formula from its row of
 formulas.FORMULAS (the type and rank it lives on, its least rank and least
 s, its top weight from --s or --weight) in _numerator, and verify reads
 from CHECKS the options of a check with their defaults.  An option that
-nothing named reads is refused.  A Weyl group over WEYL_LIMIT is
-refused by its order, before any work, and nothing overrides that.  FLOORS,
-the one floor table of verify, holds every option a named check reads,
-given or defaulted, before any check runs; a check body keeps only its own
-rules, such as the even n that _type_c holds for the type C checks.  Each
-check builds one root system and hands it to both sides; every two-sided
-check reports through _compare, and builds first the side that holds the
-Weyl gate.
+nothing named reads is refused.  FLOORS, the one floor table of verify,
+holds every option a named check reads, given or defaulted, before any
+check runs; a check body keeps only its own rules, such as the even n of
+the type C checks.  Every command that walks W builds its root system
+through _algebra, the one Weyl size limit: after the usage rules, a group
+over WEYL_LIMIT is refused from the Dynkin type alone, with no override.
+Each check hands its one root system to both sides; every two-sided check
+reports through _compare.
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ from . import superden
 from .rootdata import (
     RootSystem,
     WeylSizeError,
+    check_weyl_order,
     coroot_lattice_basis,
     root_system,
+    weyl_order,
 )
 from .series import (
     CharSlices,
@@ -61,35 +63,41 @@ def _need(cond: bool, msg: str) -> None:
         raise UsageError(msg)
 
 
+def _algebra(family: str, rank: int) -> RootSystem:
+    """family_rank, refused over the Weyl size limit before it is built."""
+    check_weyl_order(family, rank)
+    return root_system(family, rank)
+
+
 def _numerator(f: str, args) -> CharSlices:
     """The numerator of formula f at --type, --rank, --order and --s or
     --weight, refused unless these meet the rules of its row in
     formulas.FORMULAS.  A verify check's options hold no --s."""
     lives_on, least_rank, least_s, top, _ = fm.FORMULAS[f]
     s, co = getattr(args, "s", None), args.weight
+    fam, rank = args.type.upper(), args.rank
     _need(args.order >= 0, "needs order >= 0")
     _need(s is None or least_s is not None, f"formula {f} does not read --s")
-    here = (args.type.upper(), args.rank)[:len(lives_on)]
-    _need(here == lives_on, f"{f} lives on type "
+    _need((fam, rank)[:len(lives_on)] == lives_on, f"{f} lives on type "
           + " rank ".join(map(str, lives_on)))
-    rs = root_system(args.type.upper(), args.rank)
-    _need(rs.rank >= least_rank, f"{f} needs rank >= {least_rank}")
+    weyl_order(fam, rank)  # an unsupported type is refused first
+    _need(rank >= least_rank, f"{f} needs rank >= {least_rank}")
     if least_s is not None:
         _need(s is None or co is None, "give --s or --weight, not both")
         _need(s is not None or co is not None, "needs --s or --weight")
     _need(co is not None or top is not None,
           "this formula needs --weight m0 .. ml")
     if co is not None:
-        _need(len(co) == rs.rank + 1,
-              f"weight needs rank+1 = {rs.rank + 1} entries, got {len(co)}")
+        _need(len(co) == rank + 1,
+              f"weight needs rank+1 = {rank + 1} entries, got {len(co)}")
     if least_s is not None:
         s = -1 - co[0] if s is None else s  # a tower top is -(1+s) on node 0
         _need(s >= least_s, f"{f} needs s >= {least_s}")
     if top is not None:
-        want = top(rs.rank, s)
+        want = top(rank, s)
         _need(co is None or tuple(co) == want,
               f"{f} is the module at weight {want}")
-    return fm.numerator(f, rs, args.order, s, co)
+    return fm.numerator(f, _algebra(fam, rank), args.order, s, co)
 
 
 # -- output ---------------------------------------------------------------
@@ -128,10 +136,20 @@ def _series_doc(ch: CharSlices) -> dict:
 # -- verify checks --------------------------------------------------------
 
 
-def _type_c(args) -> RootSystem:
-    """C_{n/2} of a type C check; past the floor n >= 3, n must be even."""
+def _type_a(args) -> RootSystem:
+    """A_{n-1} of a type A check."""
+    return _algebra("A", args.n - 1)
+
+
+def _half_n(args) -> int:
+    """The rank n/2 of a type C check; past the floor n >= 3, n is even."""
     _need(args.n % 2 == 0, "needs even n >= 4")
-    return root_system("C", args.n // 2)
+    return args.n // 2
+
+
+def _type_c(args) -> RootSystem:
+    """C_{n/2} of a type C check."""
+    return _algebra("C", _half_n(args))
 
 
 def _mismatch(diff, left: str, right: str, what: str = "exps") -> str | None:
@@ -166,38 +184,32 @@ def _compare(identity: str, order: int, *sides, what: str = "exps") -> dict:
 
 
 def _check_superdenominator_sl(args):
-    n, order = args.n, args.order
-    rs = root_system("A", n - 1)
-    summ = superden.sl_sum(rs, order)  # its Weyl gate refuses first
-    return _compare(f"superdenominator-sl n={n}", order,
+    rs, order = _type_a(args), args.order
+    return _compare(f"superdenominator-sl n={args.n}", order,
                     ("product", superden.sl_product(rs, order).terms,
-                     "sum", summ.terms))
+                     "sum", superden.sl_sum(rs, order).terms))
 
 
 def _check_superdenominator_sp(args):
     rs, order = _type_c(args), args.order
-    summ = superden.spo_sum(rs, order)  # its Weyl gate refuses first
     return _compare(f"superdenominator-sp n={args.n}", order,
                     ("product", superden.spo_product(rs, order).terms,
-                     "sum", summ.terms))
+                     "sum", superden.spo_sum(rs, order).terms))
 
 
 def _check_tower_fock(args):
-    n, s, order = args.n, args.s, args.order
-    rs = root_system("A", n - 1)
-    rs.check_weyl_order()  # both limits refuse before any lattice point
+    rs, s, order = _type_a(args), args.s, args.order
     oracle = fock.charge_sector_character(rs, s, order)
     ch = character_from_numerator(fm.numerator("sl-first", rs, order, s))
-    return _compare(f"tower-fock n={n} s={s}", order,
+    return _compare(f"tower-fock n={args.n} s={s}", order,
                     ("lattice", ch, "free-field", oracle))
 
 
 def _check_flip_symmetry(args):
-    n, s, order = args.n, args.s, args.order
-    rs = root_system("A", n - 1)
+    rs, s, order = _type_a(args), args.s, args.order
     first = fm.numerator("sl-first", rs, order, s)
     last = fm.numerator("sl-last", rs, order, s)
-    return _compare(f"flip-symmetry n={n} s={s}", order,
+    return _compare(f"flip-symmetry n={args.n} s={s}", order,
                     ("first", first, "flipped last", fm.diagram_flip(last)))
 
 
@@ -205,7 +217,7 @@ def _check_sl2_closed(args):
     s, order = args.s, args.order
     _need(order >= s + 2, f"needs order >= s+2 = {s + 2} to see the "
           "first deviation")
-    rs = root_system("A", 1)
+    rs = _algebra("A", 1)
     closed = fm.numerator("sl2-closed", rs, order, s)
     lattice = fm.numerator("sl-first", rs, order, s)  # its half-lattice sum
     mism = _mismatch(closed.restrict(s + 1).first_diff(lattice.restrict(s + 1)),
@@ -226,8 +238,7 @@ def _check_tower_assembly(args):
     members with |s| <= smax must reproduce the product side filtered to
     that charge band.
     """
-    n, order, smax = args.n, args.order, args.smax
-    rs = root_system("A", n - 1)
+    rs, order, smax = _type_a(args), args.order, args.smax
     got: dict[tuple[int, ...], int] = {}
     for s in range(-smax, smax + 1):
         num = fm.numerator("sl-first" if s > 0 else "sl-last", rs, order,
@@ -240,19 +251,19 @@ def _check_tower_assembly(args):
                         f"charge term outside the cone: {key}")
                 if sum(key) <= order:
                     got[key] = got.get(key, 0) + c
-    # the members pass the Weyl gate of alt_weyl_raw before the product
     want = {exps: c for exps, c in superden.sl_product(rs, order).terms.items()
             if abs(exps[0] - exps[-1]) <= smax}
-    return _compare(f"tower-assembly n={n} |s|<={smax}", order,
+    return _compare(f"tower-assembly n={args.n} |s|<={smax}", order,
                     ("tower", got, "product", want))
 
 
 def _check_sector_restriction(args):
     """The folded free-field sector times the denominator against the
     half-lattice numerator of sp-a."""
-    rs, s, order = _type_c(args), args.s, args.order
+    npr, s, order = _half_n(args), args.s, args.order
     _need(s >= 1, "sector restriction needs s >= 1")
-    den = denominator_slices(rs, order)  # its Weyl gate refuses first
+    rs = _algebra("C", npr)
+    den = denominator_slices(rs, order)
     lhs = fock.charge_sector_character(rs, s, order).mul_slices(den)
     rhs = fm.numerator("sp-a", rs, order, s)
     return _compare(f"sector-restriction n={args.n} s={s}", order,
@@ -278,7 +289,7 @@ def _check_twisted_denominator(args):
     """The twist product times the denominator against the even-parity
     lattice sum at the vacuum weight."""
     rs, order = _type_c(args), args.order
-    den = denominator_slices(rs, order)  # its Weyl gate refuses first
+    den = denominator_slices(rs, order)
     lhs = fm.sp_twist_product_character(rs, order).mul_slices(den)
     rhs = fm.parity_bracket(rs, lambda j: sum(j) % 2 == 0, order)
     return _compare(f"twisted-denominator n={args.n}", order,
@@ -286,8 +297,9 @@ def _check_twisted_denominator(args):
 
 
 def _check_parity_vs_split(args):
-    rs, order = _type_c(args), args.order
+    npr, order = _half_n(args), args.order
     _need(order >= 1, "needs order >= 1 for the shifted member")
+    rs = _algebra("C", npr)
     chb, shifted = fm.sp_split_characters(rs, order)
     chc = fm.sp_c_character(shifted)
     num_a = fm.numerator("sp-parity-a", rs, order)
@@ -327,8 +339,9 @@ def _parse_omega(text: str, npr: int):
 
 def _check_window_negation(args):
     """Finite window sums: [Omega] against -[Omega'], j1 -> -j1-1."""
-    rs, order = _type_c(args), args.order
-    omega = _parse_omega(args.omega, rs.rank)
+    npr, order = _half_n(args), args.order
+    omega = _parse_omega(args.omega, npr)
+    rs = _algebra("C", npr)
     window = set(omega)
     mirror = {(-j[0] - 1, *j[1:]) for j in omega}
     a = fm.parity_bracket(rs, lambda j: j in window, order)

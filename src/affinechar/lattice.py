@@ -138,14 +138,10 @@ def alt_weyl_raw(rs: RootSystem, lam: AffineWeight, qmax: int,
 
     Terms are exponents relative to lam + (mult of delta), graded by the
     delta-drop m; terms at negative m are kept, for require_nonnegative()
-    to refuse.  The size gate rs.weyl_group(), which walks the orbit of
-    rho, runs before any lattice point, so that an oversized group is
-    refused before that work is spent.
+    to refuse.  W is listed once, by rs.weyl_group(), after the numerator.
     """
-    # a shifted level <= 0 is refused by dominant_numerator, not the gate
-    if lam.level + rs.dual_coxeter > 0:
-        rs.weyl_group()
     nu_fin, num = dominant_numerator(rs, lam, coroot_lattice_basis(rs), qmax,
                                      coeff_fn)
+    rs.weyl_group()
     return _orbit_sum(rs, lam, nu_fin, [(mu, m, c) for m, b in num.items()
                                         for mu, c in b.items()], qmax)

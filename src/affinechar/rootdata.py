@@ -5,16 +5,17 @@ squared lengths of the simple roots, normalized so the highest root has
 squared length 2 (Bourbaki, Lie Groups and Lie Algebras VI, plates I-VII).
 Weights are handled in fundamental-weight coordinates (the tuple
 ((v|a_1^vee), ..., (v|a_l^vee))), which are integral exactly on the weight
-lattice.  Root data are ints; only the rational values here, the pairings
-inner and norm, fund_to_root and weyl_dim, are Fractions, and those also
-accept Fraction coordinates.
+lattice.  Root data are ints; only the rational values here, the pairing
+inner, fund_to_root and weyl_dim, are Fractions, and those also accept
+Fraction coordinates.  The order of W is read from the Dynkin type alone,
+before any root data is built.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul, sub
 
 # the most Weyl group elements a request may enumerate
@@ -46,25 +47,47 @@ def int_inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
                      for i in range(n)], d)
 
 
+def weyl_order(family: str, rank: int) -> int:
+    """|W| of family_rank from the type alone (Bourbaki, Lie Groups and Lie
+    Algebras VI, plates I, III, IV-VII): (l+1)! on A_l, 2^l l! on C_l, as
+    tabled on D_4 and E; ValueError on a type this module does not support.
+    """
+    if family not in ("A", "C", "D", "E"):
+        raise ValueError(f"unknown family {family!r}")
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    if family == "A":
+        return factorial(rank + 1)
+    if family == "C":
+        return 2**rank * factorial(rank)
+    if family == "D" and rank != 4:
+        raise ValueError("only D_4 is supported")
+    if family == "E" and rank not in (6, 7, 8):
+        raise ValueError("E rank must be 6, 7 or 8")
+    return {4: 192, 6: 51840, 7: 2903040, 8: 696729600}[rank]
+
+
+def check_weyl_order(family: str, rank: int) -> int:
+    """|W| of family_rank, or WeylSizeError over WEYL_LIMIT."""
+    order = weyl_order(family, rank)
+    if order > WEYL_LIMIT:
+        raise WeylSizeError(f"Weyl group of {family}{rank} has {order} "
+                            f"elements, more than {WEYL_LIMIT}")
+    return order
+
+
 def _dynkin(fam: str, l: int) -> tuple[list[tuple[int, int]], list[int]]:
     """Edges of the Dynkin diagram (Bourbaki's numbering, from 0) and the
     squared lengths (a_i|a_i) of the simple roots, long roots at 2."""
-    if fam not in ("A", "C", "D", "E"):
-        raise ValueError(f"unknown family {fam!r}")
-    if l < 1:
-        raise ValueError("rank must be >= 1")
+    weyl_order(fam, l)  # refuses an unsupported type
     chain = [(i, i + 1) for i in range(l - 1)]
     if fam == "A":
         return chain, [2] * l
     if fam == "C":
         return chain, [1] * (l - 1) + [2]
     if fam == "D":
-        if l != 4:
-            raise ValueError("only D_4 is supported")
         # node 2 is the branch node: a_2 meets a_1, a_3, a_4
         return [(0, 1), (1, 2), (1, 3)], [2] * 4
-    if l not in (6, 7, 8):
-        raise ValueError("E rank must be 6, 7 or 8")
     # a_1 - a_3 - a_4 - ... - a_l, and a_2 meets a_4
     return [(0, 2), (1, 3)] + chain[2:], [2] * l
 
@@ -160,9 +183,6 @@ class RootSystem:
         """(x|y) on fundamental coordinates, as one sum over the integers."""
         return Fraction(self._pair(x, y), self._gram_den)
 
-    def norm(self, x) -> Fraction:
-        return self.inner(x, x)
-
     def fund_to_root(self, fund) -> tuple[Fraction, ...]:
         return tuple(Fraction(sum(map(mul, row, fund)), self._inv_den)
                      for row in self._inv_num)
@@ -184,38 +204,16 @@ class RootSystem:
         x = shift + sum(map(mul, self.cartan[i], off))
         return off[:i] + (off[i] - x,) + off[i + 1:]
 
-    def weyl_order(self) -> int:
-        """|W| = prod (m_i + 1) over the exponents m_i (Kostant, 1959).
-
-        The exponents are the dual partition of the positive-root counts by
-        height: m_i is the number of heights carrying at least i roots.
-        """
-        counts = Counter(a.height for a in self.positive_roots).values()
-        order = 1
-        for i in range(1, self.rank + 1):
-            order *= 1 + sum(1 for n in counts if n >= i)
-        return order
-
-    def check_weyl_order(self) -> int:
-        """|W|, or WeylSizeError over WEYL_LIMIT; nothing enumerated."""
-        order = self.weyl_order()
-        if order > WEYL_LIMIT:
-            raise WeylSizeError(f"Weyl group of {self.family}{self.rank} has "
-                                f"{order} elements, more than {WEYL_LIMIT}")
-        return order
-
     def weyl_group(self) -> list[tuple[int, tuple[int, ...]]]:
         """W as the pairs (eps(w), root coordinates of w rho - rho), one per
         element: rho is regular, so W acts simply transitively on its orbit
         (Humphreys, Reflection Groups and Coxeter Groups, 1.8 and 1.12), and
-        orbit_offsets(rho, rho) walks the group itself.
-
-        check_weyl_order() refuses a group over WEYL_LIMIT before anything
-        is enumerated.  Callers use the call as a size gate.
+        orbit_offsets(rho, rho) walks the group itself.  Nothing here
+        refuses a large group: cli checks the size before it builds rs.
         """
-        order = self.check_weyl_order()
         rho = (1,) * self.rank
         group = list(self.orbit_offsets(rho, rho))
+        order = weyl_order(self.family, self.rank)
         if len(group) != order:
             raise AssertionError(f"enumerated {len(group)} of {order} "
                                  "Weyl group elements")

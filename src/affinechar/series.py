@@ -60,9 +60,6 @@ class ExpSeries:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items())
-
 
 def _root_string(e, marks, height: int):
     """e + k delta for k >= 0 and k delta - e for k >= 1, up to cone height;
@@ -392,11 +389,8 @@ def denominator_slices(rs: RootSystem, qmax: int, finite: bool = True
     One factor_product call, the q^{j>=1} factors (1 - e^{off} q^j) first
     and the finite ones last; finite=False skips those and gives the
     W-invariant quotient R-hat / R, whose slice 0 is 1.  The finite factors
-    alone make |W| terms in slice 0, so finite=True refuses a Weyl group
-    over the size limit before any factor.
+    alone make |W| terms in slice 0.
     """
-    if finite:
-        rs.check_weyl_order()
     roots = [a.root_coords for a in rs.positive_roots]
     neg = [tuple(-x for x in a) for a in roots]
     per_k = [x for pair in zip(neg, roots) for x in pair]

@@ -56,10 +56,8 @@ def _branch_sum(rs, lamb, shift, kvec_fn, height: int):
     vector; its cone height is a constant minus the height of cro, so over
     one orbit it is least, hmin, at the dominant representative and grows
     by ht(v+ - w v+).  Each orbit is walked with the bound height - hmin,
-    building only terms that are kept.  The Weyl group's size is checked
-    before any lattice work.
+    building only terms that are kept.
     """
-    rs.check_weyl_order()
     rho_f = (1,) * rs.rank
     basis = coroot_lattice_basis(rs)
     out: dict[tuple[int, ...], int] = {}

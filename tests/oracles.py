@@ -1,7 +1,9 @@
 """Slow reference paths, kept only for the tests to compare against.
 
 First is the matrix model of the finite Weyl group the library kept
-before it reflected integer vectors: every element as an integer matrix
+before it reflected integer vectors, with |W| as Kostant's product over
+the exponents, which the library took from the positive roots before it
+read |W| from the Dynkin type: every element as an integer matrix
 found by breadth-first search, an integer matrix per simple reflection,
 its action on fundamental coordinates in Fractions, and the invariance
 probe that mapped each slice through those matrices, next to
@@ -36,7 +38,7 @@ common denominator the library took of every weight before weights were
 ints, and `root_lattice_basis`, the simple roots the type A sums took.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
@@ -109,6 +111,19 @@ def _matrix_group(family: str, rank: int) -> list[WeylElement]:
                     nxt.append(mi)
         frontier = nxt
     return [WeylElement(tuple(zip(*m)), sg) for m, sg in seen.items()]
+
+
+def kostant_weyl_order(rs) -> int:
+    """|W| = prod (m_i + 1) over the exponents m_i (Kostant, 1959).
+
+    The exponents are the dual partition of the positive-root counts by
+    height: m_i is the number of heights carrying at least i roots.
+    """
+    counts = Counter(a.height for a in rs.positive_roots).values()
+    order = 1
+    for i in range(1, rs.rank + 1):
+        order *= 1 + sum(1 for n in counts if n >= i)
+    return order
 
 
 def apply(w, v):
@@ -278,7 +293,7 @@ def fraction_quad_points(M, L, B) -> dict[tuple[int, ...], Fraction]:
 
 
 def drop_of(rs, nu_fin, c, gamma) -> Fraction:
-    return rs.inner(nu_fin, gamma) + c * rs.norm(gamma) / 2
+    return rs.inner(nu_fin, gamma) + c * rs.inner(gamma, gamma) / 2
 
 
 def translate(rs, w: AffineWeight, gamma) -> AffineWeight:

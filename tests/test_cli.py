@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from oracles import slices_from_json_dict
@@ -195,8 +196,7 @@ def test_verify_names_a_term_only_the_sum_side_has(capsys, monkeypatch):
         return s
 
     monkeypatch.setattr(superden, "spo_sum", spo_sum_plus_one)
-    assert extra not in dict(
-        superden.spo_product(root_system("C", 2), 4).sorted_items())
+    assert extra not in superden.spo_product(root_system("C", 2), 4).terms
     code, out, _ = run(capsys, [
         "verify", "superdenominator-sp", "--n", "4", "--order", "4",
     ])
@@ -456,16 +456,6 @@ def test_a_check_sees_its_own_options_filled_with_defaults(capsys,
     assert run(capsys, ["verify", "spy", "--n", "5", "--order", "2"])[0] == 0
     assert seen == [{"n": 3, "order": 4}, {"n": 5, "order": 6},
                     {"n": 5, "order": 2}]
-
-
-def test_superdenominator_gate_does_not_offer_the_flag(capsys):
-    # the superdenominator sums decide the size gate from |W| up front, and
-    # no Weyl gate has an override: the refusal offers none
-    code, out, err = run(capsys, ["verify", "superdenominator-sl",
-                                  "--n", "10", "--order", "2"])
-    assert code == 2 and out == ""
-    assert err == ("error: Weyl group of A9 has 3628800 elements, more "
-                   "than 1000000\n")
 
 
 def test_verify_accepts_an_option_one_named_check_reads(capsys):
@@ -753,28 +743,54 @@ def test_large_weyl_group_is_refused_with_exit_two(capsys):
                    "1000000\n")
 
 
-def test_e7_and_e8_are_refused_by_the_one_limit_before_any_orbit(
-        capsys, monkeypatch):
-    # the E7 and E8 screened vacua at the Deligne level -h_vee/6 - 1, and E8
-    # integrable: each refused by |W| alone, with no orbit walked
-    def walked(*args, **kw):
-        raise AssertionError("an orbit was walked")
+# every command that walks W, at an algebra over the limit; each row fails
+# if a root system is built before the refusal
+WEYL_REFUSALS = [
+    ("qdim --formula deligne --type E --rank 7 --weight -4 0 0 0 0 0 0 0 "
+     "--order 0", "E7", 2903040),
+    ("qdim --formula deligne --type E --rank 8 --weight -6 0 0 0 0 0 0 0 0 "
+     "--order 0", "E8", 696729600),
+    ("compute --formula integrable --type E --rank 8 --weight 1 0 0 0 0 0 0 "
+     "0 0 --order 0", "E8", 696729600),
+    ("verify twisted-denominator --n 16 --order 0", "C8", 10321920),
+    ("verify sector-restriction --n 16 --s 1 --order 0", "C8", 10321920),
+    ("verify superdenominator-sl --n 18 --order 12", "A17", factorial(18)),
+    ("verify tower-assembly --n 18 --order 12", "A17", factorial(18)),
+    ("compute --formula sl-first --type A --rank 120 --s 1 --order 0",
+     "A120", factorial(121)),
+    ("verify sector-restriction --n 160 --s 1 --order 0", "C80",
+     2**80 * factorial(80)),
+    ("verify tower-fock --n 10", "A9", 3628800),
+    ("verify superdenominator-sp --n 16", "C8", 10321920),
+    ("verify flip-symmetry --n 10", "A9", 3628800),
+]
 
-    for cmd, rank, m0 in [(["qdim", "--formula", "deligne"], 7, -4),
-                          (["qdim", "--formula", "deligne"], 8, -6),
-                          (["compute", "--formula", "integrable"], 8, 1)]:
-        with monkeypatch.context() as m:
-            m.setattr(RootSystem, "orbit_offsets", walked)
-            t0 = time.perf_counter()
-            code, out, err = run(capsys, [
-                *cmd, "--type", "E", "--rank", str(rank), "--weight",
-                str(m0), *["0"] * rank, "--order", "0"])
-            assert time.perf_counter() - t0 < 1
-        order = root_system("E", rank).weyl_order()
-        assert (code, out) == (2, "")
-        assert err == (f"error: Weyl group of E{rank} has {order} elements, "
-                       "more than 1000000\n")
-    # and the gate leaves nothing on the root system it enumerates
+
+WEYL_REFUSAL_LINES = [
+    *[(argv, f"Weyl group of {g} has {order} elements, more than 1000000")
+      for argv, g, order in WEYL_REFUSALS],
+    # a usage rule of the check still comes first
+    ("verify sector-restriction --n 16 --s 0",
+     "sector restriction needs s >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv,line", WEYL_REFUSAL_LINES,
+                         ids=[argv for argv, _ in WEYL_REFUSAL_LINES])
+def test_weyl_size_is_refused_before_a_root_system_is_built(
+        capsys, monkeypatch, argv, line):
+    def built(self, family, rank):
+        raise AssertionError(f"{family}{rank} was built")
+
+    monkeypatch.setattr(RootSystem, "__init__", built)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, argv.split())
+    assert time.perf_counter() - t0 < 0.5
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+def test_alt_weyl_raw_leaves_nothing_on_the_root_system():
+    # W is listed and checked against |W| on each call, and kept nowhere
     rs = root_system("D", 4)
     before = dict(vars(rs))
     alt_weyl_raw(rs, weight_from_coeffs(rs, (1, 0, 0, 0, 0)), 1)
@@ -916,56 +932,6 @@ def test_mode_budget_refuses_a_wide_sector_before_the_work(
                                   "--s", "1100", "--order", "0"])
     assert code == 2 and out == ""
     assert err == "error: state enumeration over budget\n"
-
-
-def test_tower_fock_refuses_a_large_weyl_group_before_either_side(
-        capsys, monkeypatch):
-    def built(*args):
-        raise AssertionError("a side was built")
-
-    monkeypatch.setattr(fock, "charge_sector_character", built)
-    monkeypatch.setattr(fm, "numerator", built)
-    code, out, err = run(capsys, ["verify", "tower-fock", "--n", "10",
-                                  "--order", "0"])
-    assert (code, out) == (2, "")
-    assert err == ("error: Weyl group of A9 has 3628800 elements, more "
-                   "than 1000000\n")
-
-
-@pytest.mark.parametrize("argv", [
-    "verify twisted-denominator --n 16 --order 12",
-    "verify sector-restriction --n 16 --s 1 --order 12",
-])
-def test_denominator_checks_refuse_a_large_weyl_group_before_either_side(
-        capsys, monkeypatch, argv):
-    def built(*args):
-        raise AssertionError("a side was built")
-
-    for name in ("sp_twist_product_character", "parity_bracket",
-                 "numerator"):
-        monkeypatch.setattr(fm, name, built)
-    monkeypatch.setattr(fock, "charge_sector_character", built)
-    code, out, err = run(capsys, argv.split())
-    assert (code, out) == (2, "")
-    assert err == ("error: Weyl group of C8 has 10321920 elements, more "
-                   "than 1000000\n")
-
-
-@pytest.mark.parametrize("argv,group", [
-    ("verify superdenominator-sl --n 10 --order 12", "A9 has 3628800"),
-    ("verify superdenominator-sp --n 16 --order 12", "C8 has 10321920"),
-    ("verify tower-assembly --n 10 --order 12", "A9 has 3628800"),
-])
-def test_cone_checks_refuse_a_large_weyl_group_before_the_product(
-        capsys, monkeypatch, argv, group):
-    def built(*args):
-        raise AssertionError("a side was built")
-
-    monkeypatch.setattr(superden, "sl_product", built)
-    monkeypatch.setattr(superden, "spo_product", built)
-    code, out, err = run(capsys, argv.split())
-    assert (code, out) == (2, "")
-    assert err == f"error: Weyl group of {group} elements, more than 1000000\n"
 
 
 def test_non_integral_dimension_is_one_error_line_with_exit_two(

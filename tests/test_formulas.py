@@ -170,7 +170,7 @@ def tuple_long_root_odd_slices(rs, qmax):
     slices = {0: {(0,) * rs.rank: 1}}
     longs = []
     for a in rs.positive_roots:
-        if rs.norm(a.fund) == 2:
+        if rs.inner(a.fund, a.fund) == 2:
             rc = tuple(int(c) for c in a.root_coords)
             longs.append(rc)
             longs.append(tuple(-c for c in rc))
@@ -256,7 +256,7 @@ def test_orth_coords_round_trip():
                   for d in range(rank))
             for i in range(rank)
         ]
-        assert all(rs.norm(g) == 2 for g in gammas)
+        assert all(rs.inner(g, g) == 2 for g in gammas)
         for _ in range(40):
             js = tuple(rng.randint(-4, 4) for _ in range(rank))
             g = tuple(sum(j * b[d] for j, b in zip(js, gammas))

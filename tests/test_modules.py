@@ -23,8 +23,9 @@ def test_no_module_imports_a_private_name_of_another():
     assert private_imports(SRC) == []
 
 
-def root_system_calls(src: Path) -> list[str]:
-    """Every call of root_system or RootSystem in the modules of src."""
+def calls_of(src: Path, names: tuple[str, ...]) -> list[str]:
+    """Every call of a function or method named in names in the modules of
+    src."""
     found = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -32,7 +33,7 @@ def root_system_calls(src: Path) -> list[str]:
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(
                     f, "attr", None)
-                if name in ("root_system", "RootSystem"):
+                if name in names:
                     found.append(f"{path.name}:{node.lineno}")
     return found
 
@@ -40,7 +41,14 @@ def root_system_calls(src: Path) -> list[str]:
 def test_only_cli_and_rootdata_build_a_root_system():
     # every library function takes the RootSystem its caller built; none
     # names an algebra from a colour count
-    calls = root_system_calls(SRC)
+    calls = calls_of(SRC, ("root_system", "RootSystem"))
     assert any(c.startswith("cli.py:") for c in calls)
     assert [c for c in calls
             if not c.startswith(("cli.py:", "rootdata.py:"))] == []
+
+
+def test_only_cli_holds_the_weyl_size_limit():
+    # one home for the limit: cli checks |W| before it builds the algebra,
+    # and no library function checks it again
+    calls = calls_of(SRC, ("check_weyl_order",))
+    assert calls and all(c.startswith("cli.py:") for c in calls)

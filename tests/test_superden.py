@@ -4,7 +4,7 @@ import pytest
 from oracles import matrix_sl_terms, matrix_spo_terms, method_cone_product
 
 from affinechar import superden
-from affinechar.rootdata import WeylSizeError, root_system
+from affinechar.rootdata import root_system
 from affinechar.superden import sl_product, sl_sum, spo_product, spo_sum
 
 # the sl frame of n colours lives on A_{n-1}, the spo frame of n' on C_{n'}
@@ -16,7 +16,7 @@ def test_sl_frame_lowest_terms_by_hand():
     # at height 1 only five factors reach: two finite one-minus factors and
     # two geometric odd factors besides the constant
     s = sl_product(SL3, 1)
-    assert dict(s.sorted_items()) == {
+    assert s.terms == {
         (0, 0, 0, 0): 1,
         (1, 0, 0, 0): 1,
         (0, 1, 0, 0): -1,
@@ -29,7 +29,7 @@ def test_spo_frame_nine_terms_by_hand():
     # (1-x2)(1-x3)(1-x2x3)(1-x0x1) / ((1-x0)(1-x1)(1-x0x2)(1-x1x2))
     # expanded through cone height 2
     s = spo_product(SPO2, 2)
-    assert dict(s.sorted_items()) == {
+    assert s.terms == {
         (0, 0, 0, 0): 1,
         (1, 0, 0, 0): 1,
         (0, 1, 0, 0): 1,
@@ -47,8 +47,8 @@ def test_sl_product_equals_sum(n, height):
     rs = root_system("A", n - 1)
     p = sl_product(rs, height)
     s = sl_sum(rs, height)
-    assert p.sorted_items() == s.sorted_items()
-    assert p.sorted_items()[0] == ((0,) * (n + 1), 1)
+    assert sorted(p.terms.items()) == sorted(s.terms.items())
+    assert sorted(p.terms.items())[0] == ((0,) * (n + 1), 1)
 
 
 @pytest.mark.parametrize("npr,height", [(2, 10), (3, 9)])
@@ -56,8 +56,8 @@ def test_spo_product_equals_sum(npr, height):
     rs = root_system("C", npr)
     p = spo_product(rs, height)
     s = spo_sum(rs, height)
-    assert p.sorted_items() == s.sorted_items()
-    assert p.sorted_items()[0] == ((0,) * (npr + 2), 1)
+    assert sorted(p.terms.items()) == sorted(s.terms.items())
+    assert sorted(p.terms.items())[0] == ((0,) * (npr + 2), 1)
 
 
 @pytest.mark.parametrize("build,size,height", [
@@ -71,7 +71,7 @@ def test_cone_product_equals_the_method_path(monkeypatch, build, size,
     got = build(rs, height)
     monkeypatch.setattr(superden, "cone_product", method_cone_product)
     want = build(rs, height)
-    assert got.sorted_items() == want.sorted_items()
+    assert sorted(got.terms.items()) == sorted(want.terms.items())
     assert got.n_terms() == want.n_terms()
 
 
@@ -91,7 +91,7 @@ def test_sl_sum_matches_the_matrix_path(n, top):
     slow = matrix_sl_terms(n, top)
     rs = root_system("A", n - 1)
     for h in range(top + 1):
-        assert dict(sl_sum(rs, h).sorted_items()) == {
+        assert sl_sum(rs, h).terms == {
             k: c for k, c in slow.items() if sum(k) <= h}
 
 
@@ -100,15 +100,6 @@ def test_spo_sum_matches_the_matrix_path(npr):
     slow = matrix_spo_terms(npr, 10)
     rs = root_system("C", npr)
     for h in range(11):
-        assert dict(spo_sum(rs, h).sorted_items()) == {
+        assert spo_sum(rs, h).terms == {
             k: c for k, c in slow.items() if sum(k) <= h}
 
-
-def test_oversized_group_is_refused_before_any_lattice_point(monkeypatch):
-    def no_points(*args):
-        raise AssertionError("lattice points enumerated before the gate")
-
-    monkeypatch.setattr(superden, "lattice_points_below", no_points)
-    with pytest.raises(WeylSizeError, match="3628800") as e:
-        sl_sum(root_system("A", 9), 2)
-    assert "allow" not in str(e.value)
