@@ -42,7 +42,7 @@ from .rootdata import (
     check_weyl_order,
     coroot_lattice_basis,
     root_system,
-    weyl_order,
+    weyl_factors,
 )
 from .series import (
     CharSlices,
@@ -80,7 +80,7 @@ def _numerator(f: str, args) -> CharSlices:
     _need(s is None or least_s is not None, f"formula {f} does not read --s")
     _need((fam, rank)[:len(lives_on)] == lives_on, f"{f} lives on type "
           + " rank ".join(map(str, lives_on)))
-    weyl_order(fam, rank)  # an unsupported type is refused first
+    weyl_factors(fam, rank)  # an unsupported type is refused first
     _need(rank >= least_rank, f"{f} needs rank >= {least_rank}")
     if least_s is not None:
         _need(s is None or co is None, "give --s or --weight, not both")

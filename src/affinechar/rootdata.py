@@ -7,7 +7,9 @@ Weights are handled in fundamental-weight coordinates (the tuple
 ((v|a_1^vee), ..., (v|a_l^vee))), which are integral exactly on the weight
 lattice.  Root data are ints; only the rational values here, the pairing
 inner, fund_to_root and weyl_dim, are Fractions, and those also accept
-Fraction coordinates.  The order of W is read from the Dynkin type alone,
+Fraction coordinates.  RootSystem.reflect is the one simple reflection:
+the root closure, the reduction to the dominant chamber and the orbit walk
+all step through it.  The order of W is read from the Dynkin type alone,
 before any root data is built.
 """
 
@@ -15,11 +17,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul, sub
 
 # the most Weyl group elements a request may enumerate
 WEYL_LIMIT = 10**6
+# a refusal names |W| in full only below 10**WEYL_DIGITS
+WEYL_DIGITS = 1000
 
 
 def _reduced(rows: list[list[int]], den: int) -> tuple[list[list[int]], int]:
@@ -47,29 +51,41 @@ def int_inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
                      for i in range(n)], d)
 
 
-def weyl_order(family: str, rank: int) -> int:
-    """|W| of family_rank from the type alone (Bourbaki, Lie Groups and Lie
-    Algebras VI, plates I, III, IV-VII): (l+1)! on A_l, 2^l l! on C_l, as
-    tabled on D_4 and E; ValueError on a type this module does not support.
-    """
+def weyl_factors(family: str, rank: int):
+    """Factors of |W| of family_rank from the type alone (Bourbaki, Lie
+    Groups and Lie Algebras VI, plates I, III-VII): 2, ..., l+1 on A_l,
+    2, 4, ..., 2l on C_l, |W| itself on D_4 and E; ValueError on a type
+    this module does not support."""
     if family not in ("A", "C", "D", "E"):
         raise ValueError(f"unknown family {family!r}")
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if family == "A":
-        return factorial(rank + 1)
+        return range(2, rank + 2)
     if family == "C":
-        return 2**rank * factorial(rank)
+        return range(2, 2 * rank + 1, 2)
     if family == "D" and rank != 4:
         raise ValueError("only D_4 is supported")
     if family == "E" and rank not in (6, 7, 8):
         raise ValueError("E rank must be 6, 7 or 8")
-    return {4: 192, 6: 51840, 7: 2903040, 8: 696729600}[rank]
+    return ({4: 192, 6: 51840, 7: 2903040, 8: 696729600}[rank],)
+
+
+def weyl_order(family: str, rank: int) -> int:
+    """|W| of family_rank: (l+1)! on A_l, 2^l l! on C_l."""
+    return prod(weyl_factors(family, rank))
 
 
 def check_weyl_order(family: str, rank: int) -> int:
-    """|W| of family_rank, or WeylSizeError over WEYL_LIMIT."""
-    order = weyl_order(family, rank)
+    """|W| of family_rank, or WeylSizeError over WEYL_LIMIT.  The running
+    product stops at WEYL_DIGITS digits, so no rank costs more than that."""
+    order, shown = 1, 10**WEYL_DIGITS
+    for f in weyl_factors(family, rank):
+        order *= f
+        if order >= shown:
+            raise WeylSizeError(
+                f"Weyl group of {family}{rank} has more than {WEYL_LIMIT} "
+                f"elements (its order has more than {WEYL_DIGITS} digits)")
     if order > WEYL_LIMIT:
         raise WeylSizeError(f"Weyl group of {family}{rank} has {order} "
                             f"elements, more than {WEYL_LIMIT}")
@@ -79,7 +95,7 @@ def check_weyl_order(family: str, rank: int) -> int:
 def _dynkin(fam: str, l: int) -> tuple[list[tuple[int, int]], list[int]]:
     """Edges of the Dynkin diagram (Bourbaki's numbering, from 0) and the
     squared lengths (a_i|a_i) of the simple roots, long roots at 2."""
-    weyl_order(fam, l)  # refuses an unsupported type
+    weyl_factors(fam, l)  # refuses an unsupported type
     chain = [(i, i + 1) for i in range(l - 1)]
     if fam == "A":
         return chain, [2] * l
@@ -127,25 +143,25 @@ class RootSystem:
         # C^{-1} = _inv_num / _inv_den over the integers
         self._inv_num, self._inv_den = int_inverse(cart)
 
-        # close the simple roots under the simple reflections, in root coords
-        roots = {tuple(int(i == j) for j in range(l)) for i in range(l)}
-        frontier = list(roots)
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for i in range(l):
-                    s = self.reflect_offset(i, r)
+        # close the simple roots under the simple reflections on pairs
+        # (root coords, fundamental coords), a_i starting at column i of
+        # cart: s_i moves a root by -x a_i, x = fc[i], and fixes it at x = 0
+        roots = {tuple(int(i == j) for j in range(l)):
+                 tuple(row[i] for row in cart) for i in range(l)}
+        todo = list(roots.items())  # grows while it is read
+        for rc, fc in todo:
+            for i, x in enumerate(fc):
+                if x:
+                    s = rc[:i] + (rc[i] - x,) + rc[i + 1:]
                     if s not in roots:
-                        roots.add(s)
-                        nxt.append(s)
-            frontier = nxt
+                        roots[s] = self.reflect(i, fc)
+                        todo.append((s, roots[s]))
         pos: list[PosRoot] = []
-        for rc in roots:
+        for rc, fc in roots.items():
             if sum(rc) > 0:
-                fc = [sum(map(mul, row, rc)) for row in cart]
                 # (r|r) = sum_i r_i (a_i|a_i)/2 (r|a_i^vee)
                 norm2 = sum(map(mul, rc, map(mul, norms, fc)))
-                pos.append(PosRoot(tuple(fc), rc, sum(rc), norm2 // 2))
+                pos.append(PosRoot(fc, rc, sum(rc), norm2 // 2))
         pos.sort(key=lambda p: (p.height, p.root_coords))
         self.positive_roots: tuple[PosRoot, ...] = tuple(pos)
         if 2 * len(pos) != len(roots):
@@ -198,12 +214,6 @@ class RootSystem:
             w[j] -= c * x
         return tuple(w)
 
-    def reflect_offset(self, i: int, off, shift: int = 0) -> tuple[int, ...]:
-        """s_i(b + off) - b in root coordinates, b a weight with b_i = shift:
-        off - (shift + sum_j cartan[i][j] off_j) e_i."""
-        x = shift + sum(map(mul, self.cartan[i], off))
-        return off[:i] + (off[i] - x,) + off[i + 1:]
-
     def weyl_group(self) -> list[tuple[int, tuple[int, ...]]]:
         """W as the pairs (eps(w), root coordinates of w rho - rho), one per
         element: rho is regular, so W acts simply transitively on its orbit
@@ -211,22 +221,12 @@ class RootSystem:
         orbit_offsets(rho, rho) walks the group itself.  Nothing here
         refuses a large group: cli checks the size before it builds rs.
         """
-        rho = (1,) * self.rank
-        group = list(self.orbit_offsets(rho, rho))
+        group = list(self.orbit_offsets(self.rho, self.rho))
         order = weyl_order(self.family, self.rank)
         if len(group) != order:
             raise AssertionError(f"enumerated {len(group)} of {order} "
                                  "Weyl group elements")
         return group
-
-    def _reduce(self, vi: list[int]) -> int:
-        """Reflect integer fundamental coordinates into the dominant chamber
-        in place, at the first negative coordinate each time; returns the
-        sign of the element used."""
-        sign = 1
-        while (i := next((i for i, x in enumerate(vi) if x < 0), -1)) >= 0:
-            vi[:], sign = self.reflect(i, vi), -sign
-        return sign
 
     def dominant_offset(self, v, base):
         """(v+, sign, root coordinates of v+ - base): v+ = w(v) is dominant,
@@ -236,8 +236,10 @@ class RootSystem:
         that is unless v is integral and v - base a root sum."""
         if any(x % 1 for x in v):
             raise AssertionError("orbit offset left the root lattice")
-        vi = [int(x) for x in v]
-        sign = self._reduce(vi)
+        vi, sign = [int(x) for x in v], 1
+        # reflect at the first negative coordinate until there is none
+        while (i := next((i for i, x in enumerate(vi) if x < 0), -1)) >= 0:
+            vi[:], sign = self.reflect(i, vi), -sign
         d = self._inv_den
         off = [sum(map(mul, row, map(sub, vi, base))) for row in self._inv_num]
         if any(x % d for x in off):
@@ -251,14 +253,13 @@ class RootSystem:
         lengthens w exactly when x = (w v+)_i > 0 (Humphreys, Reflection
         Groups and Coxeter Groups, 1.6-1.7), so each element is met at its
         length, with sign (-1)^length times the reduction's.  A step is one
-        Cartan column update and x off root coordinate i.  Singular v yield
-        nothing (their alternating sum is zero).  With `bound`, only w with
+        reflect and x off root coordinate i.  Singular v yield nothing
+        (their alternating sum is zero).  With `bound`, only w with
         ht(v+ - w v+) <= bound are walked; that height grows by x per step.
         """
         dom, sign, off = self.dominant_offset(v, base)
         if not all(dom):
             return
-        nbrs = self._nbrs
         level = {tuple(dom): (off, 0)}
         while level:
             nxt = {}
@@ -266,11 +267,7 @@ class RootSystem:
                 yield sign, o
                 for i, x in enumerate(u):
                     if x > 0 and (bound is None or h + x <= bound):
-                        w = list(u)
-                        w[i] = -x
-                        for j, c in nbrs[i]:
-                            w[j] -= c * x
-                        w = tuple(w)
+                        w = self.reflect(i, u)
                         if w not in nxt:
                             nxt[w] = (o[:i] + (o[i] - x,) + o[i + 1:], h + x)
             level = nxt

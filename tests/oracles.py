@@ -44,7 +44,7 @@ from functools import cache
 from itertools import accumulate
 from itertools import product as iproduct
 from math import floor, isqrt, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from affinechar.fock import fock_states
 from affinechar.lattice import _orbit_sum, lattice_points_below
@@ -176,13 +176,19 @@ def matrix_is_weyl_invariant(ch) -> bool:
 
 def is_weyl_invariant(ch) -> bool:
     """Every simple reflection maps each q-slice, read as the weights
-    base.finite + offset, onto itself; a non-integral base allows none."""
+    base.finite + offset, onto itself; a non-integral base allows none.
+    Each step is rs.reflect on fundamental coordinates, read back in root
+    coordinates through rs.fund_to_root."""
     rs, base = ch.rs, ch.base.finite
     if any(x.denominator != 1 for x in base):
         return not any(ch.slices.values())
-    return all({rs.reflect_offset(i, o, int(x)): c for o, c in b.items()}
-               == b for b in ch.slices.values()
-               for i, x in enumerate(base))
+
+    def step(i, off):
+        mu = rs.reflect(i, tuple(map(add, base, root_to_fund(rs, off))))
+        return tuple(map(int, rs.fund_to_root(tuple(map(sub, mu, base)))))
+
+    return all({step(i, o): c for o, c in b.items()} == b
+               for b in ch.slices.values() for i in range(rs.rank))
 
 
 def slices_from_json_dict(rs, d: dict) -> CharSlices:

@@ -286,7 +286,12 @@ def test_criterion_09_property_suites():
 def test_criterion_09_fails_on_a_wrong_reflection(monkeypatch):
     # s_i with the sign of the Cartan column flipped, in the reflections
     # and so in the reduction to the dominant chamber, which still ends;
-    # the antisymmetry suite must name the wrong group
+    # the antisymmetry suite must name the wrong group.  The root closure
+    # steps through s_i too, so the suite's algebras are built before the
+    # patch, and an algebra built under it fails its closure check
+    built = {key: root_system(*key) for key in (("A", 2), ("C", 2),
+                                                ("D", 4))}
+
     def wrong(self, i, v):
         w = list(v)
         x, w[i] = w[i], -w[i]
@@ -295,6 +300,11 @@ def test_criterion_09_fails_on_a_wrong_reflection(monkeypatch):
         return tuple(w)
 
     monkeypatch.setattr(RootSystem, "reflect", wrong)
+    with pytest.raises(AssertionError,
+                       match="positive roots must be half of all roots"):
+        root_system("A", 2)
+    monkeypatch.setitem(globals(), "root_system",
+                        lambda family, rank: built[family, rank])
     with pytest.raises(AssertionError, match="failed: antisymmetry case"):
         test_criterion_09_property_suites()
 

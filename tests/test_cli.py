@@ -766,9 +766,22 @@ WEYL_REFUSALS = [
 ]
 
 
+# past 1000 digits |W| is neither finished nor printed, so any rank is
+# refused in time
+HUGE_WEYL_REFUSALS = [
+    ("compute --formula sl-first --type A --rank 2000 --s 1 --order 0",
+     "A2000"),
+    ("compute --formula sl-first --type A --rank 200000 --s 1 --order 0",
+     "A200000"),
+    ("verify sector-restriction --n 4000 --s 1 --order 0", "C2000"),
+]
+
+
 WEYL_REFUSAL_LINES = [
     *[(argv, f"Weyl group of {g} has {order} elements, more than 1000000")
       for argv, g, order in WEYL_REFUSALS],
+    *[(argv, f"Weyl group of {g} has more than 1000000 elements (its order "
+       "has more than 1000 digits)") for argv, g in HUGE_WEYL_REFUSALS],
     # a usage rule of the check still comes first
     ("verify sector-restriction --n 16 --s 0",
      "sector restriction needs s >= 1"),

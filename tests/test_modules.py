@@ -52,3 +52,34 @@ def test_only_cli_holds_the_weyl_size_limit():
     # and no library function checks it again
     calls = calls_of(SRC, ("check_weyl_order",))
     assert calls and all(c.startswith("cli.py:") for c in calls)
+
+
+def readers_of(src: Path, attr: str) -> list[str]:
+    """Every function or class body in the modules of src that reads the
+    attribute `attr`, as module:Class.function."""
+    found = set()
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, path, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr \
+                    and isinstance(child.ctx, ast.Load):
+                found.add(f"{path.name}:{'.'.join(scope)}")
+            visit(child, path, scope)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, ())
+    return sorted(found)
+
+
+def test_one_home_for_a_simple_reflection():
+    # s_i is written once: the root closure, the orbit walk and the
+    # reduction to the dominant chamber all step through RootSystem.reflect,
+    # the one reader of the Cartan columns in _nbrs (_derive assigns them)
+    assert readers_of(SRC, "_nbrs") == ["rootdata.py:RootSystem.reflect"]
+    defined = [node.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)]
+    assert "reflect" in defined and "reflect_offset" not in defined
