@@ -236,11 +236,12 @@ def _check_tower_assembly(args):
 
     Every cone monomial belongs to exactly one charge s = k_0 - k_n; the
     members with |s| <= smax must reproduce the product side filtered to
-    that charge band.
+    that charge band.  A charge-s member lies at cone height |s| or more,
+    so members past the order add nothing and are not built.
     """
     rs, order, smax = _type_a(args), args.order, args.smax
     got: dict[tuple[int, ...], int] = {}
-    for s in range(-smax, smax + 1):
+    for s in range(-min(smax, order), min(smax, order) + 1):
         num = fm.numerator("sl-first" if s > 0 else "sl-last", rs, order,
                            abs(s))
         for m, b in num.slices.items():

@@ -16,7 +16,6 @@ from operator import sub
 from .rootdata import RootSystem
 from .series import (
     CharSlices,
-    OffsetPacking,
     phi_power_qpoly,
     qpoly_mul,
     weight_from_coeffs,
@@ -160,73 +159,62 @@ def charge_zero_split(rs: RootSystem, qmax: int):
     Returns (plus, minus), the two eigenspaces as CharSlices at the level -1
     vacuum of rs.  The flip sends phi(i, -k) to (-1)^i phistar(n+1-i, -k)
     and phistar(j, -l) to (-1)^(n+1-j) phi(n+1-j, -l); modes commute, so a
-    state (cre, ann) with m modes each goes to (flip ann, flip cre) with
-    sign (-1)^(colour sum + m (n+1)).  Each multiset's image, folded weight
-    and colour sum are computed once; the checks below run on every state.
-    The flip fixes every (e2, folded weight) group; fixed basis states
-    always carry sign +1, so each group splits as ((dim + fixed)/2,
+    state (cre, ann) with t modes each goes to (flip ann, flip cre) with
+    sign (-1)^(colour sum + t (n+1)).  It fixes exactly the states
+    (ms, flip ms), so the checks run once on every multiset a state holds:
+    the fixed state (ms, flip ms) has sign +1, the image keeps the energy
+    and negates the folded weight, and the flip is an involution.  The sign
+    comes first, as it reads neither energy nor weight; it is the parity of
+    the colour sums of ms and flip ms with t (n+1), the involution's colour
+    check.  The flip then fixes every (energy, folded weight) group, so
+    each group of the sector tally splits as ((dim + fixed)/2,
     (dim - fixed)/2).
     """
     n, e2max = 2 * rs.rank, 2 * qmax
-    pk = OffsetPacking(rs.rank, e2max)
-
-    def facts(ms: Modes) -> tuple[int, int]:
-        return pk.pack(fold_weight(n, ms.counts)), sum(c for c, _ in ms)
-
-    # keyed by identity: every key is a multiset held by the states
-    info: dict[int, tuple] = {}
-
-    def record(ms: Modes) -> tuple:
-        img = _flip_modes(n, ms)
-        r = info[id(ms)] = (img, _flip_modes(n, img), *facts(ms), *facts(img))
-        return r
-
-    full: dict[int, dict[int, int]] = {}
-    fixed: dict[int, dict[int, int]] = {}
-    for st in fock_states(n, 0, e2max):
-        cre, ann = st
-        fc, ffc, vc, sc, vfc, sfc = info.get(id(cre)) or record(cre)
-        fa, ffa, va, sa, vfa, sfa = info.get(id(ann)) or record(ann)
-        e2, v = cre.e2 + ann.e2, vc - va
-        b = full.setdefault(e2, {})
-        b[v] = b.get(v, 0) + 1
-        if fa.e2 + fc.e2 != e2 or vfa - vfc != v:
-            raise AssertionError("flip image left its weight group")
-        if (ffc, ffa) != st or (sc + sa + sfa + sfc) % 2:
-            raise AssertionError("flip is not an involution")
-        if (fa, fc) == st:
-            if (sc + sa + len(cre) * (n + 1)) % 2:
+    full = _sector_tally(rs, 0, qmax)
+    fixed: dict[int, dict[tuple[int, ...], int]] = {}
+    for t in range(qmax + 1):
+        for ms in _mode_multisets(n, t, e2max - t):
+            img = _flip_modes(n, ms)
+            back = _flip_modes(n, img)
+            colours = sum(c for c, _ in ms) + sum(c for c, _ in img)
+            if back == ms and (colours + t * (n + 1)) % 2:
                 raise AssertionError("fixed state with negative sign")
-            f = fixed.setdefault(e2, {})
-            f[v] = f.get(v, 0) + 1
+            w = fold_weight(n, ms.counts)
+            if img.e2 != ms.e2 or fold_weight(n, img.counts) != tuple(
+                    -x for x in w):
+                raise AssertionError("flip image left its weight group")
+            if back != ms:
+                raise AssertionError("flip is not an involution")
+            if ms.e2 <= qmax:
+                # the fixed state (ms, flip ms): doubled energy 2 ms.e2
+                off = sp_root_coords(tuple(2 * x for x in w))
+                f = fixed.setdefault(ms.e2, {})
+                f[off] = f.get(off, 0) + 1
     plus: dict[int, dict[tuple[int, ...], int]] = {}
     minus: dict[int, dict[tuple[int, ...], int]] = {}
-    for e2, b in full.items():
-        if e2 % 2:
-            raise AssertionError("charge zero has integer energies")
-        for v, d in b.items():
-            fx = fixed.get(e2, {}).get(v, 0)
+    for m, b in full.items():
+        for off, d in b.items():
+            fx = fixed.get(m, {}).get(off, 0)
             if (d + fx) % 2:
                 raise AssertionError("group dimension and trace disagree")
             p, q = (d + fx) // 2, (d - fx) // 2
-            off = sp_root_coords(pk.unpack(v))
             if p:
-                plus.setdefault(e2 // 2, {})[off] = p
+                plus.setdefault(m, {})[off] = p
             if q:
-                minus.setdefault(e2 // 2, {})[off] = q
+                minus.setdefault(m, {})[off] = q
     base = weight_from_coeffs(rs, [-1] + [0] * rs.rank)
     return CharSlices(rs, base, qmax, plus), CharSlices(rs, base, qmax, minus)
 
 
-def charge_sector_character(rs: RootSystem, s: int, qmax: int) -> CharSlices:
-    """Irreducible character carried by the charge-s sector, s >= 0.
+def _sector_tally(rs: RootSystem, s: int, qmax: int):
+    """{m: {root-coordinate offset: number of states}} of the charge-s
+    sector, s >= 0, at doubled energy s + 2m for m <= qmax.
 
     On type A_{n-1} the frame has n colours; on type C_r it has 2r, and each
-    weight is folded to the flip-fixed subalgebra.  The sector's top vector
-    has weight s eps_1 and energy s/2 above the vacuum; scaling both out
-    leaves integral root-coordinate offsets, and one overall oscillator
-    factor phi(q) converts sector dimensions into the slices of
-    ch L(-(1+s)Lambda_0 + s Lambda_1).
+    weight is folded to the flip-fixed subalgebra.  Offsets are taken from
+    the sector's top vector, of weight s eps_1 and doubled energy s.  The
+    only caller of fock_states.
     """
     if rs.family == "A":
         n = rs.rank + 1
@@ -242,16 +230,12 @@ def charge_sector_character(rs: RootSystem, s: int, qmax: int) -> CharSlices:
         raise ValueError("expects an A or C root system")
     if s < 0:
         raise ValueError("charge must be nonnegative here")
-    e2max = 2 * qmax + s
     tally: dict[int, dict[tuple[int, ...], int]] = {}
-    for cre, ann in fock_states(n, s, e2max):
+    for cre, ann in fock_states(n, s, 2 * qmax + s):
         e2 = cre.e2 + ann.e2
         if (e2 - s) % 2:
             raise AssertionError("energy parity broke")
-        m = (e2 - s) // 2
-        if m > qmax:
-            continue
-        b = tally.setdefault(m, {})
+        b = tally.setdefault((e2 - s) // 2, {})
         c = tuple(map(sub, cre.counts, ann.counts))
         b[c] = b.get(c, 0) + 1
     slices: dict[int, dict[tuple[int, ...], int]] = {}
@@ -260,8 +244,19 @@ def charge_sector_character(rs: RootSystem, s: int, qmax: int) -> CharSlices:
         for c, d in b.items():
             key = root_coords((c[0] - s, *c[1:]))
             tgt[key] = tgt.get(key, 0) + d
+    return slices
+
+
+def charge_sector_character(rs: RootSystem, s: int, qmax: int) -> CharSlices:
+    """Irreducible character carried by the charge-s sector, s >= 0.
+
+    The sector's top vector has weight s eps_1 and energy s/2 above the
+    vacuum; scaling both out leaves the integral offsets of _sector_tally,
+    and one overall oscillator factor phi(q) converts sector dimensions
+    into the slices of ch L(-(1+s)Lambda_0 + s Lambda_1).
+    """
     base = weight_from_coeffs(rs, [-(1 + s), s] + [0] * (rs.rank - 1))
-    ch = CharSlices(rs, base, qmax, slices)
+    ch = CharSlices(rs, base, qmax, _sector_tally(rs, s, qmax))
     return ch.mul_qpoly(phi_power_qpoly(1, qmax))
 
 

@@ -880,6 +880,28 @@ def test_each_check_builds_one_root_system(capsys, monkeypatch, check):
     assert len(built) == 1, built
 
 
+def test_tower_assembly_builds_no_member_past_the_order(capsys,
+                                                       monkeypatch):
+    # a charge-s member lies at cone height |s| or more, so a band wider
+    # than the order builds the 2 * order + 1 members of |s| <= order and
+    # reports what the band |s| <= order reports
+    calls = _count_calls(monkeypatch, "numerator", (fm,))
+
+    def report(smax):
+        calls.clear()
+        code, out, err = run(capsys, ["verify", "tower-assembly", "--n", "3",
+                                      "--order", "2", "--smax", smax])
+        assert (code, err) == (0, "")
+        [check] = json.loads(out)["checks"]
+        del check["seconds"]
+        check["identity"] = check["identity"].replace(f"|s|<={smax}", "")
+        return dict(calls), check
+
+    wide, narrow = report("400"), report("2")
+    assert wide == narrow
+    assert wide[0] == {"affinechar.formulas": 5} and wide[1]["ok"]
+
+
 @pytest.mark.parametrize("argv,dens", [
     ("verify flip-decomposition", {"affinechar.series": 1}),
     ("verify parity-vs-split", {"affinechar.series": 3}),

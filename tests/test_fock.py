@@ -312,6 +312,39 @@ def test_corrupt_flip_is_caught(monkeypatch, capsys, corrupt, message):
     assert out.out == "" and out.err == f"internal error: {message}\n"
 
 
+def test_flip_checks_reach_every_multiset_a_state_holds(monkeypatch):
+    # phi(1, -5/2) is held only by states at the top energy, none of them
+    # fixed; sending it to colour 3 must still be caught
+    def corrupt(n, ms):
+        if ms == ((1, 5),):
+            return fock._modes(n, [(3, 5)])
+        return REAL_FLIP(n, ms)
+
+    monkeypatch.setattr(fock, "_flip_modes", corrupt)
+    with pytest.raises(AssertionError,
+                       match="flip image left its weight group"):
+        charge_zero_split(root_system("C", 2), 3)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_one_enumeration_per_sector(monkeypatch, split):
+    # both the sector character and the flip split read one tally, and
+    # the tally enumerates the states once
+    calls = {"_sector_tally": 0, "fock_states": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(fock, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(fock, name, counted)
+    rs = root_system("C", 2)
+    if split:
+        charge_zero_split(rs, 3)
+    else:
+        charge_sector_character(rs, 1, 3)
+    assert calls == {"_sector_tally": 1, "fock_states": 1}
+
+
 def test_corrupt_energy_record_is_caught(monkeypatch, capsys):
     # one multiset record with an energy of the wrong parity
     real = fock._modes
