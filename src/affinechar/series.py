@@ -46,14 +46,13 @@ def weight_from_coeffs(rs: RootSystem, coeffs) -> AffineWeight:
 
 
 class ExpSeries:
-    """Terms {(k_0, ..., k_{nvars-1}): coeff} of a series on a cone frame
-    with nvars directions, exact up to cone height order.  Zero terms and
+    """Terms {(k_0, k_1, ...): coeff} of a series on a cone frame, one
+    exponent per direction, exact up to cone height order.  Zero terms and
     terms above the order are dropped on construction."""
 
-    __slots__ = ("nvars", "order", "terms")
+    __slots__ = ("order", "terms")
 
-    def __init__(self, nvars: int, order: int, terms: dict):
-        self.nvars = nvars
+    def __init__(self, order: int, terms: dict):
         self.order = order
         self.terms = {k: c for k, c in terms.items() if c and sum(k) <= order}
 
@@ -91,7 +90,7 @@ def cone_product(marks, imaginary: int, even, odd, height: int) -> ExpSeries:
             raise ValueError("factor must raise the height")
         factors.append((sum(x), x, inverse))
     slices = factor_product(len(marks), height, factors)
-    return ExpSeries(len(marks), height,
+    return ExpSeries(height,
                      {x: c for b in slices.values() for x, c in b.items()})
 
 
@@ -135,36 +134,21 @@ class CharSlices:
         """Number of nonzero terms."""
         return sum(len(b) for b in self.slices.values())
 
-    def coeff(self, m: int, off) -> int:
-        return self.slices.get(m, {}).get(tuple(off), 0)
-
-    def slice_dim(self, m: int) -> int:
-        return sum(self.slices.get(m, {}).values())
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """{(m, *offset): coeff}, the one flat view of the terms; sorting
+        the keys orders them by q-power, then by offset."""
+        return {(m, *off): c for m, b in self.slices.items()
+                for off, c in b.items()}
 
     def q_series(self) -> list[int]:
-        return [self.slice_dim(m) for m in range(self.qmax + 1)]
+        return [sum(self.slices.get(m, {}).values())
+                for m in range(self.qmax + 1)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CharSlices):
             return NotImplemented
-        return (
-            self.base == other.base
-            and self.qmax == other.qmax
-            and {m: b for m, b in self.slices.items() if b}
-            == {m: b for m, b in other.slices.items() if b}
-        )
-
-    def first_diff(self, other: "CharSlices"):
-        """First ((m, *offset), self coeff, other coeff) where the terms differ.
-
-        Only terms are compared, not base or qmax, so two sums written
-        relative to different weights can still be matched term by term.
-        """
-        for m in sorted(set(self.slices) | set(other.slices)):
-            d = first_diff(self.slices.get(m, {}), other.slices.get(m, {}))
-            if d is not None:
-                return (m, *d[0]), d[1], d[2]
-        return None
+        return ((self.base, self.qmax, self.terms())
+                == (other.base, other.qmax, other.terms()))
 
     def require_nonnegative(self) -> "CharSlices":
         """Return self, or raise SliceError on a term at a negative q-power."""
@@ -173,12 +157,6 @@ class CharSlices:
             raise SliceError(
                 f"uncancelled term at negative q-power {m}: {off} -> {c}")
         return self
-
-    def restrict(self, qmax: int) -> "CharSlices":
-        if qmax > self.qmax:
-            raise ValueError("cannot extend a truncated series")
-        return CharSlices(self.rs, self.base, qmax,
-                          {m: b for m, b in self.slices.items() if m <= qmax})
 
     def _combine(self, other: "CharSlices", sign: int) -> "CharSlices":
         if self.base != other.base:

@@ -98,11 +98,11 @@ def _branch_sum(rs, lamb, shift, kvec_fn, height: int):
     return out
 
 
-def _to_cone_series(terms: dict, nvars: int, height: int) -> ExpSeries:
+def _to_cone_series(terms: dict, height: int) -> ExpSeries:
     for ks, c in terms.items():
         if c and any(k < 0 for k in ks):
             raise AssertionError(f"uncancelled term outside the cone: {ks}")
-    return ExpSeries(nvars, height, terms)
+    return ExpSeries(height, terms)
 
 
 def sl_sum(rs: RootSystem, height: int) -> ExpSeries:
@@ -114,7 +114,7 @@ def sl_sum(rs: RootSystem, height: int) -> ExpSeries:
         return (D,) + tuple(D - c for c in cro) + (D + p,)
 
     terms = _branch_sum(rs, lamb, n - 1, kvec, height)
-    return _to_cone_series(terms, n + 1, height)
+    return _to_cone_series(terms, height)
 
 
 def spo_sum(rs: RootSystem, height: int) -> ExpSeries:
@@ -130,4 +130,4 @@ def spo_sum(rs: RootSystem, height: int) -> ExpSeries:
         return tuple(ks)
 
     terms = _branch_sum(rs, lamb, npr, kvec, height)
-    return _to_cone_series(terms, npr + 2, height)
+    return _to_cone_series(terms, height)

@@ -7,9 +7,10 @@ read |W| from the Dynkin type: every element as an integer matrix
 found by breadth-first search, an integer matrix per simple reflection,
 its action on fundamental coordinates in Fractions, and the invariance
 probe that mapped each slice through those matrices, next to
-the integer invariance probe and the JSON reader of CharSlices, which
-only the tests call, together with the finite Weyl denominator taken
-from Weyl's denominator formula.
+the integer invariance probe, the JSON reader of CharSlices and the
+truncation the library kept as CharSlices.restrict before sl2-closed read
+one first differing term, which only the tests call, together with the
+finite Weyl denominator taken from Weyl's denominator formula.
 The next group is the code the library ran before the dominant-chamber
 orbit walk and the integer drop: a loop over the matrices of W
 for every orbit, the `Fraction` ellipsoid enumeration with its exact
@@ -201,6 +202,14 @@ def slices_from_json_dict(rs, d: dict) -> CharSlices:
         off = tuple(int(x) for x in t["exps"][1:])
         slices.setdefault(m, {})[off] = int(t["coeff"])
     return CharSlices(rs, base, int(d["order"]), slices)
+
+
+def truncated(ch, qmax: int) -> CharSlices:
+    """ch up to q^qmax; a truncated series is never extended."""
+    if qmax > ch.qmax:
+        raise ValueError("cannot extend a truncated series")
+    return CharSlices(ch.rs, ch.base, qmax,
+                      {m: b for m, b in ch.slices.items() if m <= qmax})
 
 
 def weyl_denominator(rs) -> dict[tuple[int, ...], int]:
@@ -708,7 +717,6 @@ class MethodExpSeries:
     cone height, each factor checked and multiplied in by its own call."""
 
     def __init__(self, nvars: int, order: int):
-        self.nvars = nvars
         self.order = order
         self.pk = OffsetPacking(nvars, order)
         self.by_height = [{0: 1}] + [{} for _ in range(order)]
@@ -730,7 +738,7 @@ class MethodExpSeries:
         _mul_geometric(self.by_height, self.order, *self._factor(exps))
 
     def series(self) -> ExpSeries:
-        return ExpSeries(self.nvars, self.order, {
+        return ExpSeries(self.order, {
             self.pk.unpack(k): c for b in self.by_height for k, c in b.items()})
 
 

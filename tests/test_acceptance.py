@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from oracles import apply, matrix_weyl_group, translate
+from oracles import apply, matrix_weyl_group, translate, truncated
 
 from affinechar import cli, fock, superden
 from affinechar import formulas as fm
@@ -23,6 +23,7 @@ from affinechar.series import (
     CharSlices,
     character_from_numerator,
     denominator_slices,
+    first_diff,
     qpoly_mul,
     weight_from_coeffs,
 )
@@ -91,8 +92,9 @@ def test_criterion_03_rank_one_closed_form():
     for s in range(4):
         closed = fm.numerator("sl2-closed", rs, s + 2, s)
         latt = fm.numerator("sl-first", rs, s + 2, s)
-        ok = ok and latt.restrict(s + 1).first_diff(closed) is None
-        d = latt.first_diff(closed)
+        ok = ok and first_diff(truncated(latt, s + 1).terms(),
+                               closed.terms()) is None
+        d = first_diff(latt.terms(), closed.terms())
         ok = ok and d is not None and d[0][0] == s + 2
     _line(3, ok, 5, t0,
           "rank-one closed numerator reproduced through q^(s+1), s=0..3, "
@@ -134,12 +136,13 @@ def test_criterion_07_parity_rewriting():
     numa = fm.numerator("sp-parity-a", rs, 4)
     lhs = fm.sp_split_characters(rs, 4)[0].mul_slices(
         denominator_slices(rs, 4))
-    oka = numa.first_diff(lhs) is None
+    oka = first_diff(numa.terms(), lhs.terms()) is None
     # the rebased partner lives one q-slice up; compute there, compare below
     numb = fm.numerator("sp-parity-b", rs, 5)
     chc = fm.sp_c_character(fm.sp_split_characters(rs, 5)[1])
     rhs = chc.mul_slices(denominator_slices(rs, 5))
-    okb = numb.restrict(4).first_diff(rhs.restrict(4)) is None
+    okb = first_diff(truncated(numb, 4).terms(),
+                     truncated(rhs, 4).terms()) is None
     okbr = check("parity-bracket", n=4, order=4)["mismatch"] is None
     _line(7, oka and okb and okbr, 60, t0,
           "parity numerators equal denominator times split characters, n=4 "
@@ -154,7 +157,7 @@ def test_criterion_08_screened_weights_positivity_and_qdim():
     for co in EIGHT + [(-2, 0, 0, 0, 0)]:
         lam = weight_from_coeffs(d4, co)
         ch = character_from_numerator(fm.deligne_numerator(d4, lam, 3))
-        if ch.coeff(0, (0,) * 4) != 1:
+        if ch.terms().get((0,) * 5, 0) != 1:
             bad.append((co, "top coefficient"))
             continue
         if any(c < 0 for sl in ch.slices.values() for c in sl.values()):
@@ -212,7 +215,7 @@ def test_criterion_09_property_suites():
     for it in range(cases):
         a, b = rand_slices(), rand_slices()
         k = rng.randrange(0, 5)
-        if mul(a, b).restrict(k) != mul(a.restrict(k), b.restrict(k)):
+        if truncated(mul(a, b), k) != mul(truncated(a, k), truncated(b, k)):
             fails.append(f"truncation case {it}")
             break
 

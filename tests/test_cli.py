@@ -266,6 +266,91 @@ def test_each_check_fails_when_one_side_is_wrong(capsys, monkeypatch, check,
     assert result["ok"] is False and result["mismatch"] == mismatch
 
 
+def _sl2_closed_built_by(build):
+    row = fm.FORMULAS["sl2-closed"]
+    return (*row[:-1], build(row[-1]))
+
+
+def _plus_at(m, off, c):
+    def plus(real):
+        def built(rs, lam, qmax):
+            ch = real(rs, lam, qmax)
+            b = ch.slices.setdefault(m, {})
+            b[off] = b.get(off, 0) + c
+            return ch
+
+        return built
+
+    return plus
+
+
+# the closed side built wrongly at --s 1 --order 5, and the report it gives
+SL2_CLOSED_WRONG = [
+    ("closed plus 5 at q^0", _plus_at(0, (0,), 5),
+     "exps (0, 0): closed 6, lattice 1"),
+    ("closed is the lattice sum", lambda real: fm.FORMULAS["sl-first"][-1],
+     "no deviation up to order 5"),
+    ("lattice sum plus a term at q^4",
+     lambda real: _plus_at(4, (0,), 1)(fm.FORMULAS["sl-first"][-1]),
+     "first deviation at q^4, wanted q^3"),
+]
+
+
+@pytest.mark.parametrize("build,mismatch",
+                         [case[1:] for case in SL2_CLOSED_WRONG],
+                         ids=[case[0] for case in SL2_CLOSED_WRONG])
+def test_sl2_closed_reports_each_way_the_closed_side_is_wrong(
+        capsys, monkeypatch, build, mismatch):
+    argv = ["verify", "sl2-closed", "--s", "1", "--order", "5"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    terms = json.loads(out)["checks"][0]["terms"]
+    monkeypatch.setitem(fm.FORMULAS, "sl2-closed", _sl2_closed_built_by(build))
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (1, "")
+    result = json.loads(out)["checks"][0]
+    assert result["ok"] is False and result["mismatch"] == mismatch
+    assert result["terms"] == terms
+
+
+def _set_term(m, off, c):
+    def setting(real):
+        def built(num):
+            ch = real(num)
+            ch.slices[m][off] = c
+            return ch
+
+        return built
+
+    return setting
+
+
+# the D4 vacuum character made wrong at one term, and the report it gives
+DELIGNE_WRONG = [
+    ("top multiplicity 2", _set_term(0, (0, 0, 0, 0), 2),
+     "exps (0, 0, 0, 0, 0): multiplicity 2, wanted 1"),
+    ("one negative term", _set_term(1, (-1, -1, -1, 0), -3),
+     "exps (1, -1, -1, -1, 0): multiplicity -3, wanted >= 0"),
+]
+
+
+@pytest.mark.parametrize("setting,mismatch",
+                         [case[1:] for case in DELIGNE_WRONG],
+                         ids=[case[0] for case in DELIGNE_WRONG])
+def test_deligne_positivity_reports_a_wrong_multiplicity(
+        capsys, monkeypatch, setting, mismatch):
+    code, out, _ = run(capsys, ["verify", "deligne-positivity"])
+    assert code == 0
+    terms = json.loads(out)["checks"][0]["terms"]
+    monkeypatch.setattr(cli, "character_from_numerator",
+                        setting(cli.character_from_numerator))
+    code, out, err = run(capsys, ["verify", "deligne-positivity"])
+    assert (code, err) == (1, "")
+    result = json.loads(out)["checks"][0]
+    assert result["ok"] is False and result["mismatch"] == mismatch
+    assert result["terms"] == terms
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, ["verify", "no-such-check"])
     assert code == 2
@@ -965,6 +1050,22 @@ def test_mode_budget_refuses_a_wide_sector_before_the_work(
     monkeypatch.setattr(fm, "numerator", lattice_side)
     code, out, err = run(capsys, ["verify", "tower-fock", "--n", "3",
                                   "--s", "1100", "--order", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: state enumeration over budget\n"
+
+
+def test_state_budget_refuses_a_type_c_sector_before_the_denominator(
+        capsys, monkeypatch):
+    # 116,636,280 states against a budget of 10^7: refused before the C_6
+    # denominator or any lattice point is built
+    def other_side(*args):
+        raise AssertionError("the other side was built")
+
+    monkeypatch.setattr(fock, "_mode_multisets", None)
+    monkeypatch.setattr(cli, "denominator_slices", other_side)
+    monkeypatch.setattr(fm, "numerator", other_side)
+    code, out, err = run(capsys, ["verify", "sector-restriction", "--n", "12",
+                                  "--s", "1", "--order", "5"])
     assert code == 2 and out == ""
     assert err == "error: state enumeration over budget\n"
 

@@ -216,7 +216,7 @@ def test_sector_character_undoes_the_oscillator():
     tbl = charge_energy_table(n, 2 * qmax + 2)
     for s in (0, 1, 2):
         ch = charge_sector_character(rs, s, qmax)
-        assert ch.coeff(0, (0, 0)) == 1
+        assert ch.terms()[0, 0, 0] == 1
         qs = {m: c for m, c in enumerate(ch.q_series())}
         conv = qpoly_mul(qs, qpoly_invert(phi_power_qpoly(1, qmax), qmax),
                          qmax)
@@ -239,7 +239,7 @@ def test_sp_sector_character_base_weights():
     rs = root_system("C", 2)
     ch = charge_sector_character(rs, 1, 2)
     assert ch.base.level == -1 and ch.base.finite == (1, 0)
-    assert ch.coeff(0, (0, 0)) == 1
+    assert ch.terms()[0, 0, 0] == 1
     with pytest.raises(ValueError):
         charge_sector_character(rs, -1, 2)
 
@@ -399,7 +399,8 @@ def test_charge_zero_split_frame():
     for ch in (plus, minus):
         assert ch.rs is rs and ch.qmax == 3 and max(ch.slices) <= 3
         assert ch.base.level == -1 and ch.base.finite == (0, 0)
-    assert plus.coeff(0, (0, 0)) == 1 and minus.slice_dim(0) == 0
+    assert plus.terms()[0, 0, 0] == 1
+    assert sum(minus.slices.get(0, {}).values()) == 0
 
 
 # -- one oscillator family under the sign flip ------------------------------------

@@ -14,6 +14,7 @@ from oracles import (
     is_weyl_invariant,
     qpoly_invert,
     qpoly_mul_phi_power,
+    truncated,
 )
 
 from affinechar import cli
@@ -40,6 +41,7 @@ from affinechar.series import (
     SliceError,
     character_from_numerator,
     denominator_slices,
+    first_diff,
     qpoly_mul,
     weight_from_coeffs,
 )
@@ -70,7 +72,7 @@ def test_tower_graded_dimensions():
     for s, want in frozen.items():
         num = numerator("sl-first", root_system("A", 2), 3, s)
         ch = character_from_numerator(num)
-        assert ch.coeff(0, (0, 0)) == 1
+        assert ch.terms()[0, 0, 0] == 1
         assert ch.q_series() == want
         assert all(c >= 0 for b in ch.slices.values() for c in b.values())
 
@@ -80,8 +82,8 @@ def test_first_last_flip_symmetry(n, s):
     rs = root_system("A", n - 1)
     first = numerator("sl-first", rs, 3, s)
     last = numerator("sl-last", rs, 3, s)
-    assert last.first_diff(diagram_flip(first)) is None
-    assert first.first_diff(diagram_flip(last)) is None
+    assert first_diff(last.terms(), diagram_flip(first).terms()) is None
+    assert first_diff(first.terms(), diagram_flip(last).terms()) is None
     # the flip maps the tops onto each other as well
     assert diagram_flip(first) == last
 
@@ -109,8 +111,8 @@ def test_rank_one_closed_form_sharpness(s):
     rs = root_system("A", 1)
     closed = numerator("sl2-closed", rs, s + 2, s)
     latt = numerator("sl-first", rs, s + 2, s)
-    assert latt.restrict(s + 1).first_diff(closed) is None
-    diff = latt.first_diff(closed)
+    assert first_diff(truncated(latt, s + 1).terms(), closed.terms()) is None
+    diff = first_diff(latt.terms(), closed.terms())
     assert diff is not None and diff[0][0] == s + 2
 
 
@@ -127,14 +129,14 @@ def test_assembly_reconstructs_the_product():
 def test_split_vacuum_graded_dimensions():
     chb, shifted = sp_split_characters(root_system("C", 2), 3)
     assert chb.q_series() == [1, 10, 65, 330]
-    assert chb.coeff(0, (0, 0)) == 1
+    assert chb.terms()[0, 0, 0] == 1
     assert shifted.q_series() == [0, 5, 50, 290]
-    assert shifted.slice_dim(0) == 0
+    assert sum(shifted.slices.get(0, {}).values()) == 0
     chc = sp_c_character(shifted)
     assert chc.base.level == -1 and chc.base.finite == (0, 1)
     assert chc.qmax == 2
     assert chc.q_series() == [5, 50, 290]
-    assert chc.coeff(0, (0, 0)) == 1
+    assert chc.terms()[0, 0, 0] == 1
     for ch in (chb, chc):
         assert all(c >= 0 for b in ch.slices.values() for c in b.values())
 
@@ -220,10 +222,11 @@ def test_parity_numerators_match_split_characters(capsys):
         den = denominator_slices(rs, qmax)
         chb = sp_split_characters(rs, qmax)[0]
         numa = numerator("sp-parity-a", rs, qmax)
-        assert numa.first_diff(chb.mul_slices(den)) is None
+        assert first_diff(numa.terms(), chb.mul_slices(den).terms()) is None
         chc = sp_c_character(sp_split_characters(rs, qmax + 1)[1])
         numb = numerator("sp-parity-b", rs, qmax + 1)
-        assert numb.restrict(qmax).first_diff(chc.mul_slices(den)) is None
+        assert first_diff(truncated(numb, qmax).terms(),
+                          chc.mul_slices(den).terms()) is None
         opts = ["--type", "C", "--rank", str(npr), "--order", str(qmax),
                 "--character"]
         for f, ch in (("sp-b", chb), ("sp-c", chc)):
@@ -377,7 +380,7 @@ def test_divided_screened_character():
     ch = character_from_numerator(deligne_numerator(rs, lam, 2))
     assert sum(len(b) for b in ch.slices.values()) == 195
     assert ch.q_series() == [1, 28, 434]
-    assert ch.coeff(0, (0, 0, 0, 0)) == 1
+    assert ch.terms()[0, 0, 0, 0, 0] == 1
     assert all(c >= 0 for b in ch.slices.values() for c in b.values())
     assert is_weyl_invariant(ch)
 
@@ -482,4 +485,4 @@ def test_integrable_numerator_wants_dominant_weights():
     with pytest.raises(ValueError):
         integrable_numerator(rs, weight_from_coeffs(rs, (0, 1, -1)), 2)
     num = integrable_numerator(rs, weight_from_coeffs(rs, (1, 1, 0)), 2)
-    assert num.coeff(0, (0, 0)) == 1
+    assert num.terms()[0, 0, 0] == 1

@@ -25,6 +25,7 @@ from oracles import (
     root_lattice_basis,
     root_to_fund,
     translate,
+    truncated,
 )
 
 from affinechar import formulas as fm
@@ -47,6 +48,7 @@ from affinechar.series import (
     SliceError,
     character_from_numerator,
     denominator_slices,
+    first_diff,
     phi_power_qpoly,
     qpoly_mul,
     weight_from_coeffs,
@@ -351,7 +353,8 @@ def test_orbit_sum_matches_brute(fam, rank):
         lam = AffineWeight(lamf, 0, 0)
         got = origin_orbit(rs, lam)
         want = brute_orbit_sum(rs, mu)
-        assert got.first_diff(CharSlices(rs, lam, 0, {0: want})) is None
+        assert first_diff(got.terms(),
+                          CharSlices(rs, lam, 0, {0: want}).terms()) is None
         # singular weights cancel to nothing in both
         if not want:
             assert len(got) == 0
@@ -370,7 +373,7 @@ def test_a2_regular_orbit_has_six_signed_terms():
     num = origin_orbit(rs, lam)
     assert len(num) == 6
     assert sorted(num.slices[0].values()) == [-1, -1, -1, 1, 1, 1]
-    assert num.coeff(0, (0, 0)) == 1
+    assert num.terms()[0, 0, 0] == 1
 
 
 # -- the denominator identity ---------------------------------------------------
@@ -386,7 +389,7 @@ def test_denominator_identity(fam, rank, qmax):
     lam = weight_from_coeffs(rs, (0,) * (rank + 1))
     num = alt_weyl_raw(rs, lam, qmax)
     want = CharSlices(rs, lam, qmax, denominator_slices(rs, qmax))
-    assert num.first_diff(want) is None
+    assert first_diff(num.terms(), want.terms()) is None
 
 
 def macdonald_dimensions_hold(rs, qmax):
@@ -723,7 +726,7 @@ def test_level_one_vacuum_graded_dims(fam, rank, frozen):
     lam = weight_from_coeffs(rs, (1,) + (0,) * rank)
     qmax = 4
     num = alt_weyl_raw(rs, lam, qmax)
-    assert num.coeff(0, (0,) * rank) == 1
+    assert num.terms()[(0,) * (1 + rank)] == 1
     ch = character_from_numerator(num)
     assert ch.q_series() == _theta_over_phi(rs, qmax)
     assert ch.q_series() == frozen
@@ -768,8 +771,8 @@ def test_raw_helper_algebra():
         assert a + b == b + a
         assert (a + b) + (-b) == a
         assert a - b == a + (-b)
-        assert len((a - a).restrict(2)) == 0
-        assert (a + b).restrict(2) == a.restrict(2) + b.restrict(2)
+        assert len(truncated(a - a, 2)) == 0
+        assert truncated(a + b, 2) == truncated(a, 2) + truncated(b, 2)
 
 
 def test_raw_mul_consistency():
@@ -788,5 +791,5 @@ def test_raw_mul_consistency():
         want = CharSlices(A2, ZERO_A2, 5, want)
         via_qpoly = a.mul_qpoly(qp)
         via_slices = a.mul_slices({j: {(0, 0): c} for j, c in qp.items()})
-        assert via_qpoly.first_diff(want) is None
+        assert first_diff(via_qpoly.terms(), want.terms()) is None
         assert via_qpoly == via_slices

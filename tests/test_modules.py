@@ -83,3 +83,20 @@ def test_one_home_for_a_simple_reflection():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef)]
     assert "reflect" in defined and "reflect_offset" not in defined
+
+
+def test_one_term_view_of_a_sliced_series():
+    # CharSlices flattens its terms in terms() alone, and every diff of two
+    # series is series.first_diff on term dicts
+    tree = ast.parse((SRC / "series.py").read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "CharSlices")
+    methods = {node.name for node in cls.body
+               if isinstance(node, ast.FunctionDef)}
+    assert "terms" in methods
+    assert methods.isdisjoint({"first_diff", "coeff", "restrict", "slice_dim"})
+    diffs = [path.name for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef)
+             and node.name == "first_diff"]
+    assert diffs == ["series.py"]

@@ -15,6 +15,7 @@ from oracles import (
     qpoly_invert,
     root_to_fund,
     slices_from_json_dict,
+    truncated,
     tuple_factor_product,
     tuple_mul_slices,
     weyl_denominator,
@@ -208,8 +209,8 @@ def test_series_truncation_coherence():
     for _ in range(200):
         a, b = rand_slices(rng, 6), rand_slices(rng, 6)
         k = rng.randrange(0, 7)
-        assert (a.mul_slices(b.slices).restrict(k)
-                == a.restrict(k).mul_slices(b.restrict(k).slices))
+        assert (truncated(a.mul_slices(b.slices), k)
+                == truncated(a, k).mul_slices(truncated(b, k).slices))
 
 
 def rand_string_start(rng, marks):
@@ -267,11 +268,11 @@ def test_exponents_past_eight_bits_round_trip():
     s = cone_product(wide, 0, [(0, 200, 0)], [(0, 200, 0), (100, 0, 200)],
                      300)
     assert sorted(s.terms.items()) == [((0, 0, 0), 1), ((100, 0, 200), 1)]
-    s = ExpSeries(3, 300, {**s.terms, (0, 300, 0): 7})
+    s = ExpSeries(300, {**s.terms, (0, 300, 0): 7})
     assert sorted(s.terms.items())[1] == ((0, 300, 0), 7)
     assert s.n_terms() == 3
     # a zero term, and one above the order: both dropped
-    s = ExpSeries(3, 300, {**s.terms, (0, 300, 0): 0, (0, 301, 0): 5})
+    s = ExpSeries(300, {**s.terms, (0, 300, 0): 0, (0, 301, 0): 5})
     assert sorted(s.terms.items()) == [((0, 0, 0), 1), ((100, 0, 200), 1)]
 
 
@@ -576,14 +577,17 @@ def test_first_diff_compares_terms_only():
     rs = root_system("A", 1)
     base = weight_from_coeffs(rs, (0, 0))
     a = CharSlices(rs, base, 2, {0: {(0,): 1}, 2: {(1,): 3}})
-    assert a.first_diff(CharSlices(rs, base, 2, dict(a.slices))) is None
+    assert a.terms() == {(0, 0): 1, (2, 1): 3}
+    assert first_diff(a.terms(),
+                      CharSlices(rs, base, 2, dict(a.slices)).terms()) is None
     b = CharSlices(rs, base, 2, {0: {(0,): 1}, 2: {(1,): 4}})
-    assert a.first_diff(b) == ((2, 1), 3, 4)
+    assert first_diff(a.terms(), b.terms()) == ((2, 1), 3, 4)
     # neither base, qmax nor an empty slice count as terms
     other = weight_from_coeffs(rs, (-1, 1))
     c = CharSlices(rs, other, 5, {0: {(0,): 1}, 1: {}, 2: {(1,): 3}})
-    assert a.first_diff(c) is None and a != c
-    assert b.first_diff(CharSlices(rs, base, 2, {})) == ((0, 0), 1, 0)
+    assert first_diff(a.terms(), c.terms()) is None and a != c
+    assert (first_diff(b.terms(), CharSlices(rs, base, 2, {}).terms())
+            == ((0, 0), 1, 0))
     assert first_diff({(1,): 2}, {(0,): 1, (1,): 2}) == ((0,), 0, 1)
 
 
@@ -592,7 +596,7 @@ def test_halve_and_parity_guard():
     base = weight_from_coeffs(rs, (0, 0))
     ch = CharSlices(rs, base, 2, {0: {(0,): 4}, 1: {(1,): -2}})
     h = ch.halve()
-    assert h.coeff(0, (0,)) == 2 and h.coeff(1, (1,)) == -1
+    assert h.terms() == {(0, 0): 2, (1, 1): -1}
     with pytest.raises(SliceError):
         CharSlices(rs, base, 1, {0: {(0,): 3}}).halve()
 
@@ -604,7 +608,7 @@ def test_rebase_shifts_grading():
     nb = AffineWeight((2,), 2, -1)
     rb = ch.rebase(nb, 1, (1,))
     assert rb.qmax == 2
-    assert rb.coeff(0, (1,)) == 7 and rb.coeff(1, (-1,)) == 1
+    assert rb.terms() == {(0, 1): 7, (1, -1): 1}
     with pytest.raises(SliceError):
         ch.rebase(nb, 2, (0,))
 
@@ -728,7 +732,7 @@ def test_tsv_lines_shape(capsys):
     assert len(lines) == 1 + len(d)
     for row in lines[1:]:
         m, k1, c = map(int, row.split("\t"))
-        assert d.coeff(m, (k1,)) == c
+        assert d.terms().get((m, k1), 0) == c
 
 
 def test_empty_json_roundtrip():

@@ -76,10 +76,11 @@ def test_cone_product_equals_the_method_path(monkeypatch, build, size,
 
 
 def test_frame_shapes():
-    assert sl_product(SL3, 2).nvars == 4
-    assert sl_sum(SL4, 2).nvars == 5
-    assert spo_product(SPO2, 2).nvars == 4
-    assert spo_sum(SPO3, 2).nvars == 5
+    # one exponent per cone direction on every term
+    assert {len(k) for k in sl_product(SL3, 2).terms} == {4}
+    assert {len(k) for k in sl_sum(SL4, 2).terms} == {5}
+    assert {len(k) for k in spo_product(SPO2, 2).terms} == {4}
+    assert {len(k) for k in spo_sum(SPO3, 2).terms} == {5}
 
 
 # -- the dominant-chamber walk against the whole-orbit matrix path ------------
