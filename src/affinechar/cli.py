@@ -9,7 +9,7 @@ Every command writes its output through _render.  JSON is the canonical
 output format and is byte-identical for identical configurations; verify
 reports carry wall times and are exempt.  Exit
 codes: 0 success, 1 a checked identity failed, 2 bad usage, a violated
-precondition, a size or state budget exceeded, or a non-integral result,
+precondition, a work limit's LimitError, or a non-integral result,
 3 an internal invariant broken (a bug, reported as one line).
 
 compute and qdim read the rules of a formula from its row of
@@ -37,8 +37,8 @@ from . import fock
 from . import formulas as fm
 from . import superden
 from .rootdata import (
+    LimitError,
     RootSystem,
-    WeylSizeError,
     check_weyl_order,
     coroot_lattice_basis,
     root_system,
@@ -594,8 +594,7 @@ def main(argv=None) -> int:
     args = par.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ValueError, ArithmeticError, WeylSizeError,
-            fock.BudgetError) as e:
+    except (UsageError, ValueError, ArithmeticError, LimitError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except MemoryError:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from operator import sub
 
-from .rootdata import RootSystem
+from .rootdata import LimitError, RootSystem
 from .series import (
     CharSlices,
     phi_power_qpoly,
@@ -24,10 +24,6 @@ from .series import (
 
 # the most basis states one enumeration may list
 STATE_BUDGET = 10_000_000
-
-
-class BudgetError(RuntimeError):
-    pass
 
 
 class Modes(tuple):
@@ -101,7 +97,7 @@ def fock_states(n: int, s: int, e2max: int):
 
     A state is a pair (raising modes, lowering modes) of shared Modes; the
     lowering multisets of each count are built once, and each raising one
-    takes those that fit its remaining energy.  BudgetError before any
+    takes those that fit its remaining energy.  LimitError before any
     multiset is built if the states, or the modes of the multisets, would
     pass STATE_BUDGET; both are predicted at doubled energies 32, 64, ...
     first, and grow with the energy, so a request far over the budget is
@@ -110,8 +106,12 @@ def fock_states(n: int, s: int, e2max: int):
     e = 32
     while e < e2max and max(_sector_sizes(n, s, e)) <= STATE_BUDGET:
         e *= 2
-    if max(_sector_sizes(n, s, min(e, e2max))) > STATE_BUDGET:
-        raise BudgetError("state enumeration over budget")
+    e = min(e, e2max)
+    states, entries = _sector_sizes(n, s, e)
+    if max(states, entries) > STATE_BUDGET:
+        raise LimitError(f"charge-{s} sector of {n} colours to doubled energy "
+                         f"{e} holds {states} states in {entries} mode "
+                         f"entries, more than {STATE_BUDGET}")
     out = []
     for t in range(max(0, -s), (e2max - s) // 2 + 1):
         anns = _mode_multisets(n, t, e2max - t - s)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import mul
 
 from .lattice import alt_weyl_raw, dominant_numerator
-from .rootdata import RootSystem
+from .rootdata import LimitError, RootSystem
 from .series import (
     AffineWeight,
     CharSlices,
@@ -213,7 +213,7 @@ def deligne_enumerate(rs: RootSystem, k: int, mmax: int):
         raise ValueError("shifted level must be positive")
     size = (mmax + 1) ** rs.rank
     if size > SCREEN_LIMIT:
-        raise ValueError(f"window 0..{mmax} on {rs.family}{rs.rank} holds "
+        raise LimitError(f"window 0..{mmax} on {rs.family}{rs.rank} holds "
                          f"{size} weights, more than {SCREEN_LIMIT}")
     out = []
     for fin in itertools.product(range(mmax + 1), repeat=rs.rank):

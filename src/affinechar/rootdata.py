@@ -26,6 +26,10 @@ WEYL_LIMIT = 10**6
 WEYL_DIGITS = 1000
 
 
+class LimitError(RuntimeError):
+    """A request over a work limit, refused before the work."""
+
+
 def _reduced(rows: list[list[int]], den: int) -> tuple[list[list[int]], int]:
     """rows / den with the common factor cancelled: den becomes the lcm of
     the denominators of the entries."""
@@ -77,18 +81,18 @@ def weyl_order(family: str, rank: int) -> int:
 
 
 def check_weyl_order(family: str, rank: int) -> int:
-    """|W| of family_rank, or WeylSizeError over WEYL_LIMIT.  The running
+    """|W| of family_rank, or LimitError over WEYL_LIMIT.  The running
     product stops at WEYL_DIGITS digits, so no rank costs more than that."""
     order, shown = 1, 10**WEYL_DIGITS
     for f in weyl_factors(family, rank):
         order *= f
         if order >= shown:
-            raise WeylSizeError(
+            raise LimitError(
                 f"Weyl group of {family}{rank} has more than {WEYL_LIMIT} "
                 f"elements (its order has more than {WEYL_DIGITS} digits)")
     if order > WEYL_LIMIT:
-        raise WeylSizeError(f"Weyl group of {family}{rank} has {order} "
-                            f"elements, more than {WEYL_LIMIT}")
+        raise LimitError(f"Weyl group of {family}{rank} has {order} "
+                         f"elements, more than {WEYL_LIMIT}")
     return order
 
 
@@ -282,10 +286,6 @@ class RootSystem:
             num *= self._pair(lam_rho, a.fund)
             den *= self._pair(self.rho, a.fund)
         return Fraction(num, den)
-
-
-class WeylSizeError(RuntimeError):
-    pass
 
 
 def root_system(family: str, rank: int) -> RootSystem:

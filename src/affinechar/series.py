@@ -23,7 +23,7 @@ import itertools
 from collections import namedtuple
 from operator import mul
 
-from .rootdata import RootSystem
+from .rootdata import LimitError, RootSystem
 
 
 class AffineWeight(namedtuple("AffineWeight", "finite level delta")):
@@ -378,6 +378,10 @@ def denominator_slices(rs: RootSystem, qmax: int, finite: bool = True
     return factor_product(rs.rank, qmax, factors)
 
 
+# the most string points one root's step of a Laurent division may walk
+DIVIDE_BUDGET = 10**7
+
+
 def laurent_divide(num: dict[int, int], roots: list[tuple[int, ...]],
                    pk: OffsetPacking) -> dict[int, int]:
     """Exact division by prod_{alpha in roots} (1 - e^{-alpha}).
@@ -387,7 +391,8 @@ def laurent_divide(num: dict[int, int], roots: list[tuple[int, ...]],
     the quotient at o is num(o) + num(o + alpha) + num(o + 2 alpha) + ...
     A string is keyed by its point o - t alpha with t = o_i // alpha_i, i
     the first nonzero coordinate of alpha.  The division is exact precisely
-    when every string sums to zero; otherwise SliceError.
+    when every string sums to zero; otherwise SliceError, and LimitError
+    before a root's walk if its strings span more than DIVIDE_BUDGET points.
     """
     w, mask, half, bias = pk.width, pk.mask, pk.half, pk.bias
     for a in roots:
@@ -397,11 +402,17 @@ def laurent_divide(num: dict[int, int], roots: list[tuple[int, ...]],
         for o, c in num.items():
             t = ((((o + bias) >> shift) & mask) - half) // ai
             strings.setdefault(o - t * step, {})[t] = c
+        lines = strings.values()
+        tops, bots = list(map(max, lines)), list(map(min, lines))
+        size = sum(tops) - sum(bots) + len(tops)
+        if size > DIVIDE_BUDGET:
+            raise LimitError(f"dividing by the Weyl denominator builds {size}"
+                             f" terms along the {a}-strings, more than "
+                             f"{DIVIDE_BUDGET}")
         quo: dict[int, int] = {}
-        for key, line in strings.items():
-            acc, top = 0, max(line)
-            o = key + top * step
-            for t in range(top, min(line) - 1, -1):
+        for (key, line), top, bot in zip(strings.items(), tops, bots):
+            acc, o = 0, key + top * step
+            for t in range(top, bot - 1, -1):
                 acc += line.get(t, 0)
                 if acc:
                     quo[o] = acc

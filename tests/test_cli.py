@@ -12,7 +12,7 @@ import pytest
 from oracles import slices_from_json_dict
 
 import affinechar
-from affinechar import cli, fock, series, superden
+from affinechar import cli, fock, rootdata, series, superden
 from affinechar import formulas as fm
 from affinechar.cli import main
 from affinechar.lattice import alt_weyl_raw
@@ -1027,7 +1027,8 @@ def test_state_budget_is_one_error_line_with_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(fock, "STATE_BUDGET", 1)
     code, out, err = run(capsys, ["verify", "tower-fock"])
     assert code == 2 and out == ""
-    assert err == "error: state enumeration over budget\n"
+    assert err == ("error: charge-0 sector of 3 colours to doubled energy 8 "
+                   "holds 1181 states in 432 mode entries, more than 1\n")
 
 
 def test_state_budget_refuses_before_the_work(capsys, monkeypatch):
@@ -1036,7 +1037,9 @@ def test_state_budget_refuses_before_the_work(capsys, monkeypatch):
     code, out, err = run(capsys, ["verify", "flip-decomposition", "--n", "4",
                                   "--order", "12"])
     assert code == 2 and out == ""
-    assert err == "error: state enumeration over budget\n"
+    assert err == ("error: charge-0 sector of 4 colours to doubled energy 24 "
+                   "holds 56252719 states in 992712 mode entries, more than "
+                   "10000000\n")
 
 
 def test_mode_budget_refuses_a_wide_sector_before_the_work(
@@ -1051,7 +1054,9 @@ def test_mode_budget_refuses_a_wide_sector_before_the_work(
     code, out, err = run(capsys, ["verify", "tower-fock", "--n", "3",
                                   "--s", "1100", "--order", "0"])
     assert code == 2 and out == ""
-    assert err == "error: state enumeration over budget\n"
+    assert err == ("error: charge-1100 sector of 3 colours to doubled energy "
+                   "1100 holds 606651 states in 667316100 mode entries, more "
+                   "than 10000000\n")
 
 
 def test_state_budget_refuses_a_type_c_sector_before_the_denominator(
@@ -1067,7 +1072,33 @@ def test_state_budget_refuses_a_type_c_sector_before_the_denominator(
     code, out, err = run(capsys, ["verify", "sector-restriction", "--n", "12",
                                   "--s", "1", "--order", "5"])
     assert code == 2 and out == ""
-    assert err == "error: state enumeration over budget\n"
+    assert err == ("error: charge-1 sector of 12 colours to doubled energy 11 "
+                   "holds 116636280 states in 319416 mode entries, more than "
+                   "10000000\n")
+
+
+SL2_S20 = "qdim --formula sl2-closed --type A --rank 1 --s 20 --order 0"
+
+
+@pytest.mark.parametrize("module,limit,value,argv,line", [
+    (rootdata, "WEYL_LIMIT", 1, SL2_S20,
+     "Weyl group of A1 has 2 elements, more than 1"),
+    (fock, "STATE_BUDGET", 10, "verify tower-fock --n 3 --s 1 --order 1",
+     "charge-1 sector of 3 colours to doubled energy 3 holds 24 states in "
+     "21 mode entries, more than 10"),
+    (fm, "SCREEN_LIMIT", 10, "list-deligne --type D --rank 4 --level -1",
+     "window 0..1 on D4 holds 16 weights, more than 10"),
+    (series, "DIVIDE_BUDGET", 10, SL2_S20,
+     "dividing by the Weyl denominator builds 22 terms along the "
+     "(1,)-strings, more than 10"),
+])
+def test_every_work_limit_is_one_error_line_with_exit_two(
+        capsys, monkeypatch, module, limit, value, argv, line):
+    # a request served under the default limit is refused under a lowered
+    # one, in one line naming its predicted size and the limit
+    assert run(capsys, argv.split())[::2] == (0, "")
+    monkeypatch.setattr(module, limit, value)
+    assert run(capsys, argv.split()) == (2, "", f"error: {line}\n")
 
 
 def test_non_integral_dimension_is_one_error_line_with_exit_two(

@@ -20,7 +20,6 @@ from oracles import (
 from affinechar import fock
 from affinechar.cli import main
 from affinechar.fock import (
-    BudgetError,
     charge_sector_character,
     charge_zero_split,
     fock_states,
@@ -28,7 +27,7 @@ from affinechar.fock import (
     oscillator_split,
     sp_root_coords,
 )
-from affinechar.rootdata import root_system
+from affinechar.rootdata import LimitError, root_system
 from affinechar.series import phi_power_qpoly, qpoly_mul
 
 
@@ -106,7 +105,7 @@ def test_opposite_charge_is_the_dual():
 
 def test_budget_guard_fires(monkeypatch):
     monkeypatch.setattr(fock, "STATE_BUDGET", 5)
-    with pytest.raises(BudgetError):
+    with pytest.raises(LimitError):
         fock_states(3, 0, 10)
 
 
@@ -130,7 +129,7 @@ def test_budget_counts_every_state(monkeypatch):
     monkeypatch.setattr(fock, "STATE_BUDGET", total)
     assert len(fock_states(3, 1, 7)) == total
     monkeypatch.setattr(fock, "STATE_BUDGET", total - 1)
-    with pytest.raises(BudgetError):
+    with pytest.raises(LimitError):
         fock_states(3, 1, 7)
 
 
@@ -140,7 +139,7 @@ def test_budget_counts_every_mode_entry(monkeypatch):
     monkeypatch.setattr(fock, "STATE_BUDGET", 172)
     assert len(fock_states(2, 6, 8)) == 35
     monkeypatch.setattr(fock, "STATE_BUDGET", 171)
-    with pytest.raises(BudgetError):
+    with pytest.raises(LimitError):
         fock_states(2, 6, 8)
 
 
@@ -194,14 +193,14 @@ def test_budget_refuses_before_any_multiset_is_built(monkeypatch):
 
     monkeypatch.setattr(fock, "_mode_multisets", never)
     assert fock._sector_sizes(4, 0, 24)[0] == 56_252_719
-    with pytest.raises(BudgetError):
+    with pytest.raises(LimitError):
         fock_states(4, 0, 24)
     # far past the budget the ladder stops at the first bound over it
-    with pytest.raises(BudgetError):
+    with pytest.raises(LimitError):
         fock_states(3, 0, 10**6)
     # 606,651 states, but 667,316,100 modes in their multisets
     assert fock._sector_sizes(3, 1100, 1100) == (606_651, 667_316_100)
-    with pytest.raises(BudgetError):
+    with pytest.raises(LimitError):
         fock_states(3, 1100, 1100)
 
 

@@ -100,3 +100,38 @@ def test_one_term_view_of_a_sliced_series():
              if isinstance(node, ast.FunctionDef)
              and node.name == "first_diff"]
     assert diffs == ["series.py"]
+
+
+def names_in(node) -> set[str]:
+    """Every name and attribute name read in the subtree of node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_one_limit_error_for_every_work_limit():
+    # the Weyl order, the state budget, the screening window and the Laurent
+    # division each refuse through the one LimitError of rootdata, which
+    # cli.main maps in one handler
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    classes = [f"{name}:{node.name}" for name, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert [c for c in classes if c.endswith(":LimitError")] == [
+        "rootdata.py:LimitError"]
+    assert [c for c in classes
+            if c.endswith((":WeylSizeError", ":BudgetError"))] == []
+    limits = {"WEYL_LIMIT", "STATE_BUDGET", "SCREEN_LIMIT", "DIVIDE_BUDGET"}
+    guards = {f"{name}:{node.name}": names_in(node)
+              for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and limits & names_in(node)}
+    assert sorted(guards) == ["fock.py:fock_states",
+                              "formulas.py:deligne_enumerate",
+                              "rootdata.py:check_weyl_order",
+                              "series.py:laurent_divide"]
+    assert all("LimitError" in names for names in guards.values())
+    main = next(node for node in trees["cli.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handled = set().union(*(names_in(node.type) for node in ast.walk(main)
+                            if isinstance(node, ast.ExceptHandler)))
+    assert "LimitError" in handled
+    assert handled.isdisjoint({"WeylSizeError", "BudgetError"})

@@ -22,8 +22,9 @@ from oracles import (
 )
 
 from affinechar import formulas as fm
+from affinechar import series
 from affinechar.cli import _series_doc, main
-from affinechar.rootdata import root_system, weyl_order
+from affinechar.rootdata import LimitError, root_system, weyl_order
 from affinechar.series import (
     AffineWeight,
     CharSlices,
@@ -369,6 +370,19 @@ def test_laurent_divide_flags_inexact():
     rs = root_system("A", 2)
     with pytest.raises(SliceError, match="not divisible"):
         _divide({(0, 0): 1, (-1, 0): 1}, rs)
+
+
+def test_laurent_divide_budget_counts_every_string_point(monkeypatch):
+    # 1 - e^{-5 alpha} spans the six points t = 0..-5 of one alpha-string;
+    # the walk is refused before it starts when they pass DIVIDE_BUDGET
+    rs = root_system("A", 1)
+    num = {(0,): 1, (-5,): -1}
+    monkeypatch.setattr(series, "DIVIDE_BUDGET", 6)
+    assert _divide(num, rs) == {(-t,): 1 for t in range(5)}
+    monkeypatch.setattr(series, "DIVIDE_BUDGET", 5)
+    with pytest.raises(LimitError, match="builds 6 terms along the "
+                                         r"\(1,\)-strings, more than 5$"):
+        _divide(num, rs)
 
 
 @pytest.mark.parametrize("bound", [1, 7, 8, 255, 256, 10**12])
