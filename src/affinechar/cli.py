@@ -598,11 +598,12 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except MemoryError:
-        sys.stderr.write("error: out of memory\n")
-        return 2
+        pass  # leave the handler first: its traceback holds the failed frames
     except AssertionError as e:
         sys.stderr.write(f"internal error: {e}\n")
         return 3
+    sys.stderr.write("error: out of memory\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -167,11 +167,11 @@ def charge_zero_split(rs: RootSystem, qmax: int):
     comes first, as it reads neither energy nor weight; it is the parity of
     the colour sums of ms and flip ms with t (n+1), the involution's colour
     check.  The flip then fixes every (energy, folded weight) group, so
-    each group of the sector tally splits as ((dim + fixed)/2,
-    (dim - fixed)/2).
+    the sector tally splits as ((full + fixed)/2, (full - fixed)/2).
     """
     n, e2max = 2 * rs.rank, 2 * qmax
-    full = _sector_tally(rs, 0, qmax)
+    base = weight_from_coeffs(rs, [-1] + [0] * rs.rank)
+    full = CharSlices(rs, base, qmax, _sector_tally(rs, 0, qmax))
     fixed: dict[int, dict[tuple[int, ...], int]] = {}
     for t in range(qmax + 1):
         for ms in _mode_multisets(n, t, e2max - t):
@@ -191,20 +191,11 @@ def charge_zero_split(rs: RootSystem, qmax: int):
                 off = sp_root_coords(tuple(2 * x for x in w))
                 f = fixed.setdefault(ms.e2, {})
                 f[off] = f.get(off, 0) + 1
-    plus: dict[int, dict[tuple[int, ...], int]] = {}
-    minus: dict[int, dict[tuple[int, ...], int]] = {}
-    for m, b in full.items():
-        for off, d in b.items():
-            fx = fixed.get(m, {}).get(off, 0)
-            if (d + fx) % 2:
-                raise AssertionError("group dimension and trace disagree")
-            p, q = (d + fx) // 2, (d - fx) // 2
-            if p:
-                plus.setdefault(m, {})[off] = p
-            if q:
-                minus.setdefault(m, {})[off] = q
-    base = weight_from_coeffs(rs, [-1] + [0] * rs.rank)
-    return CharSlices(rs, base, qmax, plus), CharSlices(rs, base, qmax, minus)
+    trace = CharSlices(rs, base, qmax, fixed)
+    up, down = full + trace, full - trace
+    if any(c % 2 for c in up.terms().values()):
+        raise AssertionError("group dimension and trace disagree")
+    return up.halve(), down.halve()
 
 
 def _sector_tally(rs: RootSystem, s: int, qmax: int):

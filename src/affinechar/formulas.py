@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 from .lattice import alt_weyl_raw, dominant_numerator
 from .rootdata import LimitError, RootSystem
@@ -107,11 +107,16 @@ def sp_split_characters(rs: RootSystem, qmax: int):
 
 def sp_c_character(shifted: CharSlices) -> CharSlices:
     """Character of the level -1 module with top on the second node, from
-    the second split form: one q-power down, based at its own top."""
+    the second split form: one q-power down and each offset less the top's
+    root coordinates, based at its own top."""
     rs = shifted.rs
     lam2 = weight_from_coeffs(rs, _second(rs.rank, None))
-    off2 = tuple(int(c) for c in rs.fund_to_root(lam2.finite))
-    return shifted.rebase(lam2, 1, off2)
+    off2 = [int(c) for c in rs.fund_to_root(lam2.finite)]
+    if min(shifted.slices, default=1) < 1:
+        raise SliceError("rebase produced a negative q-power")
+    return CharSlices(rs, lam2, shifted.qmax - 1, {
+        m - 1: {tuple(map(sub, off, off2)): c for off, c in b.items()}
+        for m, b in shifted.slices.items()})
 
 
 # -- parity-restricted half sums -----------------------------------------

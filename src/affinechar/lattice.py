@@ -9,11 +9,16 @@ bound is an ellipsoid problem solved in integers.
 
 from __future__ import annotations
 
-from math import isqrt
+from fractions import Fraction
+from math import isqrt, prod
 from operator import mul
 
-from .rootdata import RootSystem, coroot_lattice_basis, int_inverse
+from .rootdata import LimitError, RootSystem, coroot_lattice_basis, int_inverse
 from .series import AffineWeight, CharSlices
+
+
+# the most lattice points one quad_points call may list, by its prediction
+POINT_BUDGET = 10**6
 
 
 def quad_points(M: list[list[int]], L: list[int],
@@ -28,10 +33,25 @@ def quad_points(M: list[list[int]], L: list[int],
     along x_i is sqrt(s N_ii) / d about it, s = 2 R d - L'.p being d times
     twice the room above the minimum.  x_i runs over that interval rounded
     inward with isqrt, so no point is lost.
+
+    First the points are predicted, in Fractions, by the ellipsoid's volume
+    V_r (s / d)^{r/2} / sqrt(det M), s and d those of x_{r-1}, the unit
+    ball's V_r = V_{r-2} 2 pi / r with pi = 355/113, and 1/det M = prod_i
+    (M_i^{-1})_ii; LimitError if they pass POINT_BUDGET.
     """
+    r = len(M)
     blocks = [int_inverse([row[:i] for row in M[:i]])
-              for i in range(1, len(M) + 1)]
-    x = [0] * len(M)
+              for i in range(1, r + 1)]
+    N, d = blocks[-1]
+    s = 2 * B * d + sum(map(mul, L, [sum(map(mul, row, L)) for row in N]))
+    ball = prod((Fraction(2 * 355, 113 * k) ** 2 for k in range(r, 1, -2)),
+                start=4 if r % 2 else 1)
+    vol2 = ball * prod(Fraction(s * Ni[i][i], d * di)
+                       for i, (Ni, di) in enumerate(blocks))
+    if s > 0 and vol2 > POINT_BUDGET ** 2:
+        raise LimitError(f"lattice sum over Z^{r} predicted to list "
+                         f"{isqrt(int(vol2))} points, more than {POINT_BUDGET}")
+    x = [0] * r
     out = {}
 
     def fix(i, Lp, R):
@@ -50,7 +70,7 @@ def quad_points(M: list[list[int]], L: list[int],
             fix(i - 1, [a + t * row[i] for a, row in zip(Lp[:i], M)],
                 R - t * (half * t + Lp[i]))
 
-    fix(len(M) - 1, L, B)
+    fix(r - 1, L, B)
     return out
 
 

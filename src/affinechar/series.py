@@ -224,25 +224,6 @@ class CharSlices:
             out[m] = {off: v // 2 for off, v in b.items()}
         return CharSlices(self.rs, self.base, self.qmax, out)
 
-    def rebase(self, new_base: AffineWeight, m_shift: int,
-               off_shift) -> "CharSlices":
-        """Re-express relative to new_base = base - m_shift*delta + off_shift.
-
-        off_shift is in root coordinates; slice m at offset o becomes slice
-        m - m_shift at offset o - off_shift.
-        """
-        off_shift = tuple(off_shift)
-        out: dict[int, dict[tuple[int, ...], int]] = {}
-        for m, b in self.slices.items():
-            nm = m - m_shift
-            if nm < 0:
-                raise SliceError("rebase produced a negative q-power")
-            out[nm] = {
-                tuple(a - d for a, d in zip(off, off_shift)): v
-                for off, v in b.items()
-            }
-        return CharSlices(self.rs, new_base, self.qmax - m_shift, out)
-
 
 def phi_power_qpoly(exponent: int, qmax: int,
                     step: int = 1) -> dict[int, int]:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from math import factorial
 
@@ -873,6 +874,30 @@ WEYL_REFUSAL_LINES = [
 ]
 
 
+POINT_REFUSAL_LINES = [
+    ("compute --formula sl-first --type A --rank 2 --s 1000000 --order 0",
+     "lattice sum over Z^2 predicted to list 302300826609 points, "
+     "more than 1000000"),
+    ("qdim --formula sl-first --type A --rank 2 --s 3000 --order 0",
+     "lattice sum over Z^2 predicted to list 2723420 points, "
+     "more than 1000000"),
+    ("qdim --formula sl-last --type A --rank 3 --s 100000000000000 --order 0",
+     "lattice sum over Z^3 predicted to list "
+     "50383319951408417886303234128543238575131 points, more than 1000000"),
+]
+
+
+@pytest.mark.parametrize("argv,line", POINT_REFUSAL_LINES,
+                         ids=[argv for argv, _ in POINT_REFUSAL_LINES])
+def test_lattice_points_past_the_budget_are_refused_in_time(capsys, argv,
+                                                            line):
+    # predicted from the ellipsoid's volume before one point is listed
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, argv.split())
+    assert time.perf_counter() - t0 < 1
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
 @pytest.mark.parametrize("argv,line", WEYL_REFUSAL_LINES,
                          ids=[argv for argv, _ in WEYL_REFUSAL_LINES])
 def test_weyl_size_is_refused_before_a_root_system_is_built(
@@ -1131,6 +1156,34 @@ def test_memory_exhaustion_is_one_error_line_with_exit_two(capsys,
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err == "error: out of memory\n"
+
+
+def test_out_of_memory_line_is_written_after_the_failed_call_is_freed(
+        monkeypatch):
+    # the handler's traceback holds the failed call's frames, and with them
+    # nearly all the memory: the line must wait until they are freed
+    class Held:
+        pass
+
+    refs = []
+
+    def exhausted(args):
+        held = Held()
+        refs.append(weakref.ref(held))
+        raise MemoryError
+
+    lines = []
+
+    class Stderr:
+        def write(self, text):
+            lines.append((text, refs[0]() is None))
+
+    monkeypatch.setattr(cli, "cmd_qdim", exhausted)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    code = main(["qdim", "--formula", "sl-first", "--type", "A", "--rank",
+                 "2", "--s", "1", "--order", "0"])
+    assert code == 2
+    assert lines == [("error: out of memory\n", True)]
 
 
 def test_internal_invariant_is_one_line_with_exit_three(capsys, monkeypatch):

@@ -392,6 +392,27 @@ def test_split_difference_is_the_paired_product():
         mirror_pair_slices(n // 2, 2 * qmax))
 
 
+def test_odd_group_is_an_internal_error(monkeypatch, capsys):
+    # one extra state in one group of the tally makes dim + trace odd there;
+    # the parity check runs before halve, so it is exit 3, not exit 2
+    real = fock._sector_tally
+
+    def one_more(rs, s, qmax):
+        tally = real(rs, s, qmax)
+        tally[1][min(tally[1])] += 1
+        return tally
+
+    monkeypatch.setattr(fock, "_sector_tally", one_more)
+    with pytest.raises(AssertionError,
+                       match="^group dimension and trace disagree$"):
+        charge_zero_split(root_system("C", 2), 3)
+    assert main(["verify", "flip-decomposition", "--n", "4",
+                 "--order", "3"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "internal error: group dimension and trace disagree\n"
+
+
 def test_charge_zero_split_frame():
     rs = root_system("C", 2)
     plus, minus = charge_zero_split(rs, 3)

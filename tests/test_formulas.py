@@ -141,6 +141,27 @@ def test_split_vacuum_graded_dimensions():
         assert all(c >= 0 for b in ch.slices.values() for c in b.values())
 
 
+@pytest.mark.parametrize("rank,off2", [(2, (1, 1)), (3, (1, 2, 1))],
+                         ids=["C2", "C3"])
+def test_sp_c_character_shifts_grading(rank, off2):
+    # one q-power down, and every offset less omega_2 = eps_1 + eps_2 in
+    # root coordinates: alpha_1 + alpha_2 on C2, alpha_1 + 2 alpha_2 +
+    # alpha_3 on C3
+    rs = root_system("C", rank)
+    base = weight_from_coeffs(rs, (-1,) + (0,) * rank)
+    top = (2,) + (1,) * (rank - 1)
+    zero = (0,) * rank
+    shifted = CharSlices(rs, base, 3, {1: {top: 7}, 2: {zero: 1}})
+    chc = sp_c_character(shifted)
+    assert chc.qmax == 2 and chc.rs is rs
+    assert chc.base == weight_from_coeffs(rs, (-2, 0, 1) + (0,) * (rank - 2))
+    assert chc.terms() == {(0, *(a - b for a, b in zip(top, off2))): 7,
+                           (1, *(-b for b in off2)): 1}
+    with pytest.raises(SliceError,
+                       match="^rebase produced a negative q-power$"):
+        sp_c_character(CharSlices(rs, base, 3, {0: {zero: 1}, 1: {top: 7}}))
+
+
 def test_sp_numerator_guards():
     with pytest.raises(KeyError):
         numerator("sp-parity-c", root_system("C", 2), 2)

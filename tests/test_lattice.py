@@ -1,6 +1,7 @@
 """Lattice enumeration and the alternating translated Weyl sums."""
 
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product as iproduct
@@ -21,7 +22,6 @@ from oracles import (
     matrix_weyl_group,
     point_alt_weyl_raw,
     point_q_dimension_sum,
-    qpoly_invert,
     root_lattice_basis,
     root_to_fund,
     translate,
@@ -29,7 +29,7 @@ from oracles import (
 )
 
 from affinechar import formulas as fm
-from affinechar import lattice
+from affinechar import lattice, series
 from affinechar.lattice import (
     alt_weyl_raw,
     dominant_numerator,
@@ -37,6 +37,7 @@ from affinechar.lattice import (
     quad_points,
 )
 from affinechar.rootdata import (
+    LimitError,
     RootSystem,
     coroot_lattice_basis,
     int_inverse,
@@ -50,7 +51,6 @@ from affinechar.series import (
     denominator_slices,
     first_diff,
     phi_power_qpoly,
-    qpoly_mul,
     weight_from_coeffs,
 )
 from affinechar.superden import sl_sum, spo_sum
@@ -176,6 +176,33 @@ def test_e8_lattice_points_in_milliseconds():
         assert time.perf_counter() - start < 1
         assert len(pts) == count
         assert all(drop <= order for _, _, drop in pts)
+
+
+def test_point_prediction_is_near_the_count(monkeypatch):
+    # sl-first on A2 at s = 300, order 0 lists 27,466 points; the volume of
+    # the ellipsoid predicts them within a factor of 2
+    counts = []
+    real = lattice.quad_points
+
+    def counted(M, L, B):
+        out = real(M, L, B)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(lattice, "quad_points", counted)
+    rs = root_system("A", 2)
+    fm.numerator("sl-first", rs, 0, 300)
+    assert counts == [27466]
+    monkeypatch.setattr(lattice, "POINT_BUDGET", 0)
+    with pytest.raises(LimitError) as refused:
+        fm.numerator("sl-first", rs, 0, 300)
+    head, predicted, tail = re.fullmatch(r"(.*list )(\d+)( points.*)",
+                                         str(refused.value)).groups()
+    assert (head, tail) == ("lattice sum over Z^2 predicted to list ",
+                            " points, more than 0")
+    assert counts[0] / 2 <= int(predicted) <= 2 * counts[0]
+    # an empty ellipsoid (s < 0) predicts nothing, even where s^r > 0
+    assert lattice.quad_points([[2, 0], [0, 2]], [0, 0], -1) == {}
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 2), ("C", 2), ("A", 3)])
@@ -401,11 +428,28 @@ def macdonald_dimensions_hold(rs, qmax):
     return got == [want.get(m, 0) for m in range(qmax + 1)]
 
 
-@pytest.mark.parametrize("fam,rank,qmax", [
-    ("A", 1, 20), ("A", 3, 10), ("C", 3, 8), ("D", 4, 8), ("E", 6, 8),
-    ("E", 7, 6), ("E", 8, 10)])
+MACDONALD = [("A", 1, 20), ("A", 2, 12), ("A", 3, 10), ("A", 4, 8),
+             ("C", 2, 10), ("C", 3, 8), ("D", 4, 8), ("E", 6, 8), ("E", 7, 6),
+             ("E", 8, 10)]
+
+
+@pytest.mark.parametrize("fam,rank,qmax", MACDONALD)
 def test_macdonald_dimension_grain(fam, rank, qmax):
     assert macdonald_dimensions_hold(root_system(fam, rank), qmax)
+
+
+def test_macdonald_dimension_grain_sees_a_wrong_phi_power(monkeypatch):
+    # the product side off by one at q^1 breaks every input
+    real = fm.phi_power_qpoly
+
+    def perturbed(exponent, qmax, step=1):
+        out = real(exponent, qmax, step)
+        out[1] = out.get(1, 0) + 1
+        return out
+
+    monkeypatch.setattr(fm, "phi_power_qpoly", perturbed)
+    for fam, rank, qmax in MACDONALD:
+        assert not macdonald_dimensions_hold(root_system(fam, rank), qmax)
 
 
 def test_macdonald_dimension_grain_sees_a_wrong_weyl_dim(monkeypatch):
@@ -699,22 +743,17 @@ def test_base_off_the_root_lattice_is_refused_alike():
 
 
 def _theta_over_phi(rs, qmax):
-    # graded dimensions of the level-one vacuum module for a simply laced
-    # algebra: lattice theta function times phi(q)^{-rank}
+    # the level-one vacuum character of a simply laced algebra, the theta
+    # function of the root lattice Q over phi(q)^rank (Frenkel and Kac,
+    # Invent. Math. 62, 1980): sum_gamma e^gamma q^{(gamma|gamma)/2} /
+    # phi(q)^rank, gamma over the points of the Gram form of the simple
+    # roots, which on a simply laced algebra is the Cartan matrix
     theta = {}
-    for xs in _box(rs.rank, 8):
-        x = root_to_fund(rs, xs)
-        n2 = rs.inner(x, x)
-        if n2 % 2:
-            raise AssertionError("root lattice norms are even here")
-        m = int(n2) // 2
-        if m <= qmax:
-            theta[m] = theta.get(m, 0) + 1
-    parts = qpoly_invert(phi_power_qpoly(1, qmax), qmax)
-    prod = theta
-    for _ in range(rs.rank):
-        prod = qpoly_mul(prod, parts, qmax)
-    return [prod.get(m, 0) for m in range(qmax + 1)]
+    for x, m in quad_points(rs.cartan, [0] * rs.rank, qmax).items():
+        theta.setdefault(m, {})[x] = 1
+    lam = weight_from_coeffs(rs, (1,) + (0,) * rs.rank)
+    return CharSlices(rs, lam, qmax, theta).mul_qpoly(
+        phi_power_qpoly(-rs.rank, qmax))
 
 
 @pytest.mark.parametrize(
@@ -728,10 +767,42 @@ def test_level_one_vacuum_graded_dims(fam, rank, frozen):
     num = alt_weyl_raw(rs, lam, qmax)
     assert num.terms()[(0,) * (1 + rank)] == 1
     ch = character_from_numerator(num)
-    assert ch.q_series() == _theta_over_phi(rs, qmax)
+    assert ch.q_series() == _theta_over_phi(rs, qmax).q_series()
     assert ch.q_series() == frozen
     assert is_weyl_invariant(ch)
     assert all(c >= 0 for b in ch.slices.values() for c in b.values())
+
+
+LEVEL_ONE = [("A", 2, 4), ("A", 3, 4), ("D", 4, 3), ("E", 6, 1)]
+
+
+@pytest.mark.parametrize("fam,rank,qmax", LEVEL_ONE,
+                         ids=[f"{f}{r}" for f, r, _ in LEVEL_ONE])
+def test_level_one_vacuum_is_the_theta_function(fam, rank, qmax):
+    # the whole character, term by term: the alternating lattice sum divided
+    # by the denominator against the theta function over phi(q)^rank
+    rs = root_system(fam, rank)
+    lam = weight_from_coeffs(rs, (1,) + (0,) * rank)
+    ch = character_from_numerator(alt_weyl_raw(rs, lam, qmax))
+    assert ch == _theta_over_phi(rs, qmax)
+
+
+def test_theta_function_sees_a_wrong_denominator(monkeypatch):
+    # one coefficient of slice 1 of R-hat / R changed breaks D4
+    real = series.denominator_slices
+
+    def perturbed(rs, qmax, finite=True):
+        slices = real(rs, qmax, finite)
+        off = min(slices[1])
+        slices[1][off] += 1
+        return slices
+
+    rs = root_system("D", 4)
+    lam = weight_from_coeffs(rs, (1, 0, 0, 0, 0))
+    num = alt_weyl_raw(rs, lam, 3)
+    assert character_from_numerator(num) == _theta_over_phi(rs, 3)
+    monkeypatch.setattr(series, "denominator_slices", perturbed)
+    assert character_from_numerator(num) != _theta_over_phi(rs, 3)
 
 
 def test_sum_only_sees_the_lattice_not_the_basis():

@@ -94,7 +94,8 @@ def test_one_term_view_of_a_sliced_series():
     methods = {node.name for node in cls.body
                if isinstance(node, ast.FunctionDef)}
     assert "terms" in methods
-    assert methods.isdisjoint({"first_diff", "coeff", "restrict", "slice_dim"})
+    assert methods.isdisjoint({"first_diff", "coeff", "restrict", "slice_dim",
+                               "rebase"})
     diffs = [path.name for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.FunctionDef)
@@ -109,9 +110,9 @@ def names_in(node) -> set[str]:
 
 
 def test_one_limit_error_for_every_work_limit():
-    # the Weyl order, the state budget, the screening window and the Laurent
-    # division each refuse through the one LimitError of rootdata, which
-    # cli.main maps in one handler
+    # the Weyl order, the state budget, the screening window, the lattice
+    # points and the Laurent division each refuse through the one
+    # LimitError of rootdata, which cli.main maps in one handler
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     classes = [f"{name}:{node.name}" for name, tree in trees.items()
@@ -120,12 +121,14 @@ def test_one_limit_error_for_every_work_limit():
         "rootdata.py:LimitError"]
     assert [c for c in classes
             if c.endswith((":WeylSizeError", ":BudgetError"))] == []
-    limits = {"WEYL_LIMIT", "STATE_BUDGET", "SCREEN_LIMIT", "DIVIDE_BUDGET"}
+    limits = {"WEYL_LIMIT", "STATE_BUDGET", "SCREEN_LIMIT", "POINT_BUDGET",
+              "DIVIDE_BUDGET"}
     guards = {f"{name}:{node.name}": names_in(node)
               for name, tree in trees.items() for node in ast.walk(tree)
               if isinstance(node, ast.FunctionDef) and limits & names_in(node)}
     assert sorted(guards) == ["fock.py:fock_states",
                               "formulas.py:deligne_enumerate",
+                              "lattice.py:quad_points",
                               "rootdata.py:check_weyl_order",
                               "series.py:laurent_divide"]
     assert all("LimitError" in names for names in guards.values())

@@ -615,18 +615,6 @@ def test_halve_and_parity_guard():
         CharSlices(rs, base, 1, {0: {(0,): 3}}).halve()
 
 
-def test_rebase_shifts_grading():
-    rs = root_system("A", 1)
-    base = weight_from_coeffs(rs, (0, 0))
-    ch = CharSlices(rs, base, 3, {1: {(2,): 7}, 2: {(0,): 1}})
-    nb = AffineWeight((2,), 2, -1)
-    rb = ch.rebase(nb, 1, (1,))
-    assert rb.qmax == 2
-    assert rb.terms() == {(0, 1): 7, (1, -1): 1}
-    with pytest.raises(SliceError):
-        ch.rebase(nb, 2, (0,))
-
-
 def test_mul_qpoly_rejects_negative_powers():
     rs = root_system("A", 1)
     ch = CharSlices(rs, weight_from_coeffs(rs, (0, 0)), 2, {0: {(0,): 1}})
